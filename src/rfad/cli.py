@@ -14,7 +14,6 @@ import json
 import sys
 
 from . import coupling as _coupling
-from . import ic as _ic
 from . import kiviat as _kiviat
 from . import population as _population
 from . import readlog as _readlog
@@ -53,15 +52,15 @@ def _write_json(payload, path):
 
 def _cmd_simulate(args):
     config = load_config(args.config)
+    if args.material:
+        means = config.class_means()
+        if args.material not in means:
+            raise DataError(f"unknown reference material {args.material!r}; "
+                            f"known: {sorted(means)}")
     series = {}
     for channel in (args.channels or FINGERS):
         if args.material:
-            means = config.class_means()
-            if args.material not in means:
-                raise DataError(f"unknown reference material {args.material!r}; "
-                                f"known: {sorted(means)}")
-            model = config.antenna_models[channel]
-            air = _ic.sensor_code(config.ic, _ic.antenna_response(model, 1.0)).code
+            air = config.air_code(channel)
             fluct = _signal.material_fluctuation_model(
                 args.material, baseline=int(round(air - means[args.material])))
         else:

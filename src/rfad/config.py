@@ -90,18 +90,23 @@ class SessionConfig:
     estimator: str
     pressure_factor: float
 
+    def channel_code(self, channel: str, epsilon: float) -> int:
+        """Sensor code of one channel touching relative permittivity ``epsilon``."""
+        model = self.antenna_models[channel]
+        return _ic.sensor_code(self.ic, _ic.antenna_response(model, epsilon)).code
+
+    def air_code(self, channel: str) -> int:
+        """Sensor code of one untouched channel (eps = 1)."""
+        return self.channel_code(channel, _ic.EPSILON_MIN)
+
     def class_means(self) -> dict[str, float]:
         """Differential-code means of the reference liquids under the
         calibrated default model (shared across channels)."""
         materials = load_materials()
-        model = self.antenna_models[FINGERS[0]]
-        s_air = _ic.sensor_code(self.ic, _ic.antenna_response(model, 1.0)).code
-        means = {}
-        for name in REFERENCE_LIQUIDS:
-            eps = materials[name].epsilon
-            s = _ic.sensor_code(self.ic, _ic.antenna_response(model, eps)).code
-            means[name] = float(s_air - s)
-        return means
+        channel = FINGERS[0]
+        s_air = self.air_code(channel)
+        return {name: float(s_air - self.channel_code(channel, materials[name].epsilon))
+                for name in REFERENCE_LIQUIDS}
 
     def classes(self) -> list[_classify.MaterialClass]:
         return _classify.default_classes(self.class_means())

@@ -7,12 +7,3 @@ finger = V, in that fixed order.
 FINGERS = ("I", "II", "III", "IV", "V")
 
 N_CHANNELS = len(FINGERS)
-
-_INDEX = {f: i for i, f in enumerate(FINGERS)}
-
-
-def finger_index(finger: str) -> int:
-    try:
-        return _INDEX[finger]
-    except KeyError:
-        raise KeyError(f"unknown finger id {finger!r}; expected one of {FINGERS}") from None

@@ -15,8 +15,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import ic as _ic
-from .classify import TrialRecord, classify
+from .classify import TrialRecord, classify, default_classes
 from .config import SessionConfig, default_config
 from .errors import DataError
 from .fingerprint import (CalibrationBaseline, ChannelReading,
@@ -25,7 +24,7 @@ from .fingerprint import (CalibrationBaseline, ChannelReading,
 from .hand import FINGERS
 from .materials import REFERENCE_LIQUIDS, load_materials
 from .readlog import ReadLogRow, write_log
-from .signal import estimate_code, material_fluctuation_model, synthesize_series
+from .signal import material_fluctuation_model, synthesize_block, window_estimates
 
 DEFAULT_POPULATION_SEED = 20
 
@@ -72,22 +71,83 @@ def _epc(subject: int, material_idx: int, trial: int, finger: str) -> str:
             f"{FINGERS.index(finger):02X}").ljust(24, "0")
 
 
-def _draw_responsive(rng: np.random.Generator, spec: PopulationSpec) -> list[str]:
-    m = 1 + int(rng.choice(len(FINGERS), p=np.asarray(spec.count_probs)))
-    weights = np.array([spec.finger_weights[f] for f in FINGERS], dtype=float)
+class _Chain:
+    """Per-run constants of the sensing chain: they depend only on the
+    config, the spec and the touched material, never on a draw."""
+
+    def __init__(self, config: SessionConfig, spec: PopulationSpec):
+        self.config = config
+        self.spec = spec
+        self.baseline = CalibrationBaseline(
+            codes={channel: float(config.air_code(channel)) for channel in FINGERS})
+        self.count_probs = np.asarray(spec.count_probs)
+        self.weights = np.array([spec.finger_weights[f] for f in FINGERS], dtype=float)
+        self._materials = load_materials()
+        self._per_material = {}
+
+    def material(self, name: str) -> tuple:
+        """(touched code of each channel, fluctuation preset) of a material.
+
+        The preset's baseline is a placeholder: each synthesized row gets
+        its own.
+        """
+        entry = self._per_material.get(name)
+        if entry is None:
+            eps = self._materials[name].epsilon
+            entry = self._per_material[name] = (
+                tuple(self.config.channel_code(channel, eps) for channel in FINGERS),
+                material_fluctuation_model(name, baseline=0))
+        return entry
+
+
+def _draw_responsive(rng: np.random.Generator, chain: _Chain) -> list[str]:
+    m = 1 + int(rng.choice(len(FINGERS), p=chain.count_probs))
     # weighted sampling without replacement (exponential race)
-    keys = rng.exponential(size=len(FINGERS)) / weights
+    keys = rng.exponential(size=len(FINGERS)) / chain.weights
     chosen = np.argsort(keys)[:m]
     return [FINGERS[i] for i in sorted(chosen)]
 
 
-def _air_baseline(config: SessionConfig) -> CalibrationBaseline:
-    codes = {}
-    for channel in FINGERS:
-        model = config.antenna_models[channel]
-        state = _ic.antenna_response(model, 1.0)
-        codes[channel] = float(_ic.sensor_code(config.ic, state).code)
-    return CalibrationBaseline(codes=codes)
+def _simulate(chain: _Chain, rng: np.random.Generator, materials: Sequence[str],
+              responsive: Optional[Sequence[str]] = None, full_series: bool = False):
+    """The sensing chain for a batch of hands, one code block per hand.
+
+    The scalar draws of each hand keep one order, which every seeded
+    output depends on: the responsive set (``choice``, then
+    ``exponential``) unless ``responsive`` is given, the hand's pressure
+    offset, then per responsive channel in finger order its jitter and
+    its series seed. The series themselves come from their own seeds,
+    so without ``full_series`` only the estimation window is made.
+    Yields ``(readings, channels, times, codes)`` per hand; ``codes``
+    has one row per responsive channel.
+    """
+    config, spec = chain.config, chain.spec
+    s_min, s_max = config.ic.s_min, config.ic.s_max
+    samples = None if full_series else config.window
+    for material in materials:
+        touched, fluct = chain.material(material)
+        chosen = _draw_responsive(rng, chain) if responsive is None else responsive
+        hand_offset = rng.normal(0.0, spec.class_sds.get(material, 0.0))
+        channels, targets, seeds = [], [], []
+        for channel, code in zip(FINGERS, touched):
+            if channel not in chosen:
+                continue
+            jitter = rng.normal(0.0, spec.channel_jitter_sd)
+            target = int(round(code - hand_offset - jitter))
+            targets.append(min(max(target, s_min), s_max))
+            seeds.append(int(rng.integers(0, 2 ** 31)))
+            channels.append(channel)
+        times = codes = None
+        estimates = {}
+        if channels:
+            times, codes = synthesize_block(fluct, spec.series_duration, seeds,
+                                            baselines=targets, samples=samples)
+            estimates = dict(zip(channels, window_estimates(
+                codes, config.window, config.estimator).tolist()))
+        readings = [ChannelReading(channel=channel, code=estimates.get(channel),
+                                   responsive=channel in estimates)
+                    for channel in FINGERS]
+        yield readings, channels, times, codes
 
 
 def simulate_hand(material: str, rng: np.random.Generator,
@@ -100,33 +160,13 @@ def simulate_hand(material: str, rng: np.random.Generator,
     estimates the windowed code, and assembles the fingerprint.
     Returns ``(readings, log_rows, baseline)``.
     """
-    materials = load_materials()
-    eps = materials[material].epsilon
-    baseline = _air_baseline(config)
-    if responsive is None:
-        responsive = _draw_responsive(rng, spec)
-    hand_offset = rng.normal(0.0, spec.class_sds.get(material, 0.0))
-    readings = []
-    log_rows = []
-    for channel in FINGERS:
-        if channel not in responsive:
-            readings.append(ChannelReading(channel=channel, code=None,
-                                           responsive=False))
-            continue
-        model = config.antenna_models[channel]
-        touched = _ic.sensor_code(config.ic, _ic.antenna_response(model, eps)).code
-        jitter = rng.normal(0.0, spec.channel_jitter_sd)
-        target = int(round(touched - hand_offset - jitter))
-        target = min(max(target, config.ic.s_min), config.ic.s_max)
-        fluct = material_fluctuation_model(material, baseline=target)
-        series = synthesize_series(fluct, spec.series_duration,
-                                   seed=int(rng.integers(0, 2 ** 31)),
-                                   channel=channel)
-        code = estimate_code(series, config.window, config.estimator)
-        readings.append(ChannelReading(channel=channel, code=code, responsive=True))
-        for t, c in zip(series.times, series.codes):
-            log_rows.append((channel, float(t), int(c)))
-    return readings, log_rows, baseline
+    chain = _Chain(config, spec)
+    readings, channels, times, codes = next(
+        _simulate(chain, rng, [material], responsive, full_series=True))
+    log_rows = [] if codes is None else [
+        (channel, t, c) for channel, row in zip(channels, codes.tolist())
+        for t, c in zip(times.tolist(), row)]
+    return readings, log_rows, chain.baseline
 
 
 def generate_population(spec: PopulationSpec = PopulationSpec(),
@@ -140,25 +180,30 @@ def generate_population(spec: PopulationSpec = PopulationSpec(),
     """
     if config is None:
         config = default_config()
-    rng = np.random.default_rng(seed)
+    chain = _Chain(config, spec)
+    trials = [(subject, material_idx, material, trial)
+              for subject in range(spec.subjects)
+              for material_idx, material in enumerate(spec.materials)
+              for trial in range(spec.trials)]
+    hands = _simulate(chain, np.random.default_rng(seed), [t[2] for t in trials],
+                      full_series=out_dir is not None)
     records = []
-    for subject in range(spec.subjects):
-        for material_idx, material in enumerate(spec.materials):
-            for trial in range(spec.trials):
-                readings, log_rows, baseline = simulate_hand(
-                    material, rng, config, spec)
-                fp = build_fingerprint(readings, baseline,
-                                       material_label=material)
-                responsive = {r.channel: r.responsive for r in readings}
-                records.append(TrialRecord(
-                    subject=f"S{subject + 1:02d}", material=material,
-                    responsive=responsive, fingerprint=fp))
-                if out_dir is not None:
-                    rows = [ReadLogRow(timestamp=t, channel=ch, sensor_code=c,
-                                       epc=_epc(subject, material_idx, trial, ch))
-                            for ch, t, c in sorted(log_rows, key=lambda r: (r[1], r[0]))]
-                    name = f"subject{subject + 1:02d}_{material}_trial{trial + 1}.csv"
-                    write_log(rows, os.path.join(out_dir, name))
+    for (subject, material_idx, material, trial), hand in zip(trials, hands):
+        readings, channels, times, codes = hand
+        fp = build_fingerprint(readings, chain.baseline, material_label=material)
+        responsive = {r.channel: r.responsive for r in readings}
+        records.append(TrialRecord(
+            subject=f"S{subject + 1:02d}", material=material,
+            responsive=responsive, fingerprint=fp))
+        if out_dir is not None:
+            epcs = [_epc(subject, material_idx, trial, ch) for ch in channels]
+            # rows ordered by (timestamp, channel): finger order I..V is also
+            # the channels' name order
+            rows = [ReadLogRow(timestamp=t, channel=ch, sensor_code=c, epc=epc)
+                    for t, column in zip(times.tolist(), codes.T.tolist())
+                    for ch, epc, c in zip(channels, epcs, column)]
+            name = f"subject{subject + 1:02d}_{material}_trial{trial + 1}.csv"
+            write_log(rows, os.path.join(out_dir, name))
     return records
 
 
@@ -168,19 +213,19 @@ def monte_carlo_classification(n_hands: int, seed: int,
     """Fraction of simulated hands classified into the right class."""
     if config is None:
         config = default_config()
-    classes = config.classes()
     means = config.class_means()
+    classes = default_classes(means)
     expected = {}
     for cls in classes:
         for material in cls.reference_materials:
             expected[material] = cls.label
-    rng = np.random.default_rng(seed)
-    correct = 0
+    chain = _Chain(config, spec)
     materials = [m for m in spec.materials if m in means]
-    for i in range(n_hands):
-        material = materials[i % len(materials)]
-        readings, _, baseline = simulate_hand(material, rng, config, spec)
-        fp = build_fingerprint(readings, baseline, material_label=material)
+    hand_materials = [materials[i % len(materials)] for i in range(n_hands)]
+    correct = 0
+    for material, (readings, _, _, _) in zip(
+            hand_materials, _simulate(chain, np.random.default_rng(seed), hand_materials)):
+        fp = build_fingerprint(readings, chain.baseline, material_label=material)
         label = classify(averaged_fingerprint(fp), classes)
         correct += label == expected[material]
     return correct / n_hands

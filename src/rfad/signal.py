@@ -65,14 +65,19 @@ class CodeSeries:
         object.__setattr__(self, "codes", codes)
         if times.shape != codes.shape or times.ndim != 1:
             raise DataError("times and codes must be 1-D arrays of equal length")
-        if len(times) > 1 and np.any(np.diff(times) <= 0):
-            raise DataError("timestamps must be strictly increasing")
-        if np.any((codes < CODE_STORAGE_MIN) | (codes > CODE_STORAGE_MAX)):
-            raise DataError(
-                f"codes outside storage range [{CODE_STORAGE_MIN}, {CODE_STORAGE_MAX}]")
+        _check_samples(times, codes)
 
     def __len__(self) -> int:
         return len(self.codes)
+
+
+def _check_samples(times: np.ndarray, codes: np.ndarray) -> None:
+    """Strictly increasing times; every code (of any shape) in storage range."""
+    if len(times) > 1 and np.any(np.diff(times) <= 0):
+        raise DataError("timestamps must be strictly increasing")
+    if np.any((codes < CODE_STORAGE_MIN) | (codes > CODE_STORAGE_MAX)):
+        raise DataError(
+            f"codes outside storage range [{CODE_STORAGE_MIN}, {CODE_STORAGE_MAX}]")
 
 
 def _sawtooth(phase: np.ndarray) -> np.ndarray:
@@ -87,18 +92,46 @@ def _sawtooth(phase: np.ndarray) -> np.ndarray:
 def synthesize_series(model: FluctuationModel, duration: float, seed: int,
                       channel: str = "I") -> CodeSeries:
     """Deterministically generate a sensor-code series of the given duration."""
+    times, codes = synthesize_block(model, duration, [seed])
+    return CodeSeries(times=times, codes=codes[0], channel=channel)
+
+
+def synthesize_block(model: FluctuationModel, duration: float, seeds,
+                     baselines=None, samples: int | None = None,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Sensor-code series of several channels that share one time base.
+
+    Row ``i`` of the returned ``(rows, k)`` codes is the series
+    ``synthesize_series`` gives for ``model`` with its baseline replaced
+    by ``baselines[i]`` (default: ``model.baseline``) and seed
+    ``seeds[i]``. With ``samples`` set, only the first ``samples``
+    values of each series are made: the noise of row ``i`` is
+    ``default_rng(seeds[i]).normal(size=k)``, whose first values do not
+    depend on ``k`` (pinned by the tests), so the truncated rows equal
+    the leading columns of the full ones. Returns ``(times, codes)``.
+    """
     if duration < model.sample_period:
         raise DataError("duration must cover at least one sample period")
     n = int(math.floor(duration / model.sample_period))
+    k = n if samples is None else max(0, min(samples, n))
     t = np.arange(n) * model.sample_period
-    values = (model.baseline
-              + model.transient_amplitude * np.exp(-t / model.transient_duration)
-              + model.sawtooth_amplitude * _sawtooth(t * model.sawtooth_frequency))
+    # computed over the full series, then cut, so that every value is the
+    # one the full series holds
+    transient = model.transient_amplitude * np.exp(-t / model.transient_duration)
+    sawtooth = model.sawtooth_amplitude * _sawtooth(t * model.sawtooth_frequency)
+    if baselines is None:
+        baselines = [model.baseline] * len(seeds)
+    base = np.asarray(baselines)[:, None]
+    values = (base + transient[:k]) + sawtooth[:k]
     if model.noise_sd > 0:
-        rng = np.random.default_rng(seed)
-        values = values + np.rint(rng.normal(0.0, model.noise_sd, size=n))
+        noise = np.empty(values.shape)
+        for row, seed in zip(noise, seeds):
+            row[:] = np.random.default_rng(seed).normal(0.0, model.noise_sd, size=k)
+        values = values + np.rint(noise)
     codes = np.clip(np.rint(values), CODE_STORAGE_MIN, CODE_STORAGE_MAX).astype(int)
-    return CodeSeries(times=t, codes=codes, channel=channel)
+    times = t[:k]
+    _check_samples(times, codes)
+    return times, codes
 
 
 def amplitude_spectrum(series: CodeSeries) -> tuple[np.ndarray, np.ndarray]:
@@ -186,15 +219,25 @@ def minimum_samples(series: CodeSeries, tolerance: float,
 def estimate_code(series: CodeSeries, window: int,
                   estimator: Estimator = "mean") -> float:
     """Mean or median sensor code over the first ``window`` samples."""
+    return float(window_estimates(series.codes, window, estimator))
+
+
+def window_estimates(codes: np.ndarray, window: int,
+                     estimator: Estimator = "mean") -> np.ndarray:
+    """``estimate_code`` of each row of a codes array, along its last axis.
+
+    The codes are integers, so a row's sum is exact and every row gets
+    the value a single series would.
+    """
     if window < 1:
         raise DataError(f"window must be >= 1, got {window}")
-    if window > len(series):
-        raise DataError(f"window {window} exceeds series length {len(series)}")
-    x = series.codes[:window].astype(float)
+    if window > codes.shape[-1]:
+        raise DataError(f"window {window} exceeds series length {codes.shape[-1]}")
+    x = codes[..., :window].astype(float)
     if estimator == "mean":
-        return float(np.mean(x))
+        return np.mean(x, axis=-1)
     if estimator == "median":
-        return float(np.median(x))
+        return np.median(x, axis=-1)
     raise DataError(f"unknown estimator {estimator!r}")
 
 

@@ -1,18 +1,109 @@
 """Synthetic campaign generation and end-to-end simulation tests."""
 
+import dataclasses
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
+from rfad import ic as _ic
 from rfad.classify import reliability_report
 from rfad.config import default_config
 from rfad.errors import DataError
-from rfad.fingerprint import averaged_fingerprint, build_fingerprint
+from rfad.fingerprint import (CalibrationBaseline, ChannelReading,
+                              averaged_fingerprint, build_fingerprint)
 from rfad.hand import FINGERS
-from rfad.population import (DEFAULT_POPULATION_SEED, PopulationSpec,
-                             generate_population, load_records,
+from rfad.materials import load_materials
+from rfad.population import (DEFAULT_POPULATION_SEED, PopulationSpec, _Chain,
+                             _simulate, generate_population, load_records,
                              monte_carlo_classification, save_records,
                              simulate_hand)
 from rfad.readlog import read_log
+from rfad.signal import (CODE_STORAGE_MAX, CODE_STORAGE_MIN, _sawtooth,
+                         material_fluctuation_model)
+
+# ---------------------------------------------------------------------------
+# Oracle: the hand-by-hand chain as first written (one full series per
+# channel, one sensor-code evaluation per responsive channel). The
+# batched core must reproduce it draw for draw.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_draw_responsive(rng, spec):
+    m = 1 + int(rng.choice(len(FINGERS), p=np.asarray(spec.count_probs)))
+    weights = np.array([spec.finger_weights[f] for f in FINGERS], dtype=float)
+    # weighted sampling without replacement (exponential race)
+    keys = rng.exponential(size=len(FINGERS)) / weights
+    chosen = np.argsort(keys)[:m]
+    return [FINGERS[i] for i in sorted(chosen)]
+
+
+def _oracle_air_baseline(config):
+    codes = {}
+    for channel in FINGERS:
+        model = config.antenna_models[channel]
+        state = _ic.antenna_response(model, 1.0)
+        codes[channel] = float(_ic.sensor_code(config.ic, state).code)
+    return CalibrationBaseline(codes=codes)
+
+
+def _oracle_synthesize_codes(model, duration, seed):
+    n = int(math.floor(duration / model.sample_period))
+    t = np.arange(n) * model.sample_period
+    values = (model.baseline
+              + model.transient_amplitude * np.exp(-t / model.transient_duration)
+              + model.sawtooth_amplitude * _sawtooth(t * model.sawtooth_frequency))
+    if model.noise_sd > 0:
+        rng = np.random.default_rng(seed)
+        values = values + np.rint(rng.normal(0.0, model.noise_sd, size=n))
+    codes = np.clip(np.rint(values), CODE_STORAGE_MIN, CODE_STORAGE_MAX).astype(int)
+    return t, codes
+
+
+def _oracle_estimate(codes, window, estimator):
+    x = codes[:window].astype(float)
+    return float(np.mean(x)) if estimator == "mean" else float(np.median(x))
+
+
+def _oracle_simulate_hand(material, rng, config, spec, responsive=None):
+    materials = load_materials()
+    eps = materials[material].epsilon
+    baseline = _oracle_air_baseline(config)
+    if responsive is None:
+        responsive = _oracle_draw_responsive(rng, spec)
+    hand_offset = rng.normal(0.0, spec.class_sds.get(material, 0.0))
+    readings = []
+    log_rows = []
+    for channel in FINGERS:
+        if channel not in responsive:
+            readings.append(ChannelReading(channel=channel, code=None,
+                                           responsive=False))
+            continue
+        model = config.antenna_models[channel]
+        touched = _ic.sensor_code(config.ic, _ic.antenna_response(model, eps)).code
+        jitter = rng.normal(0.0, spec.channel_jitter_sd)
+        target = int(round(touched - hand_offset - jitter))
+        target = min(max(target, config.ic.s_min), config.ic.s_max)
+        fluct = material_fluctuation_model(material, baseline=target)
+        times, codes = _oracle_synthesize_codes(
+            fluct, spec.series_duration, seed=int(rng.integers(0, 2 ** 31)))
+        code = _oracle_estimate(codes, config.window, config.estimator)
+        readings.append(ChannelReading(channel=channel, code=code, responsive=True))
+        for t, c in zip(times, codes):
+            log_rows.append((channel, float(t), int(c)))
+    return readings, log_rows, baseline
+
+
+# SHA-256 of save_records output of the default campaign, recorded from
+# the hand-by-hand chain before the batched core replaced it.
+RECORDS_SHA256 = {
+    1: "ca8cabfe3a24c459b7f272f9807c2b48b7e37b88bc1f9632a9976dd46c56f486",
+    2: "2d95eff05c264bc14f9d6e1e88f4fa76b1e09d66716e25c2adb55c9f773d6dd9",
+    3: "2827f6a30715a8c3013acf752006820a1386453d46b98e817a738f725cd8770f",
+    DEFAULT_POPULATION_SEED:
+        "a170aa8d5f89aac3a5d1e9b94133847d9653dee5c19181a22c3fde48797af4b8",
+}
 
 
 class TestPopulationSpec:
@@ -61,6 +152,71 @@ class TestSimulateHand:
                 material, rng, config, spec, responsive=FINGERS)
             fp = build_fingerprint(readings, baseline)
             assert averaged_fingerprint(fp) == pytest.approx(expected, abs=3.0)
+
+
+class TestStreamPreservation:
+    """The batched core against the hand-by-hand oracle, draw for draw."""
+
+    @pytest.mark.parametrize("seed", [5, 17, 123])
+    def test_monte_carlo_hands_match_oracle(self, seed):
+        config, spec = default_config(), PopulationSpec()
+        materials = [spec.materials[i % len(spec.materials)] for i in range(150)]
+        oracle_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        chain = _Chain(config, spec)
+        for material, (readings, _, _, codes) in zip(
+                materials, _simulate(chain, rng, materials)):
+            expected, _, baseline = _oracle_simulate_hand(
+                material, oracle_rng, config, spec)
+            assert readings == expected
+            assert chain.baseline == baseline
+            assert codes.shape[1] == config.window
+            assert (build_fingerprint(readings, chain.baseline, material)
+                    == build_fingerprint(expected, baseline, material))
+        # no draw added or lost
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("responsive", [None, ("II", "III"), FINGERS])
+    def test_simulate_hand_matches_oracle(self, responsive):
+        config, spec = default_config(), PopulationSpec()
+        for seed in (0, 1, 2):
+            for material in spec.materials:
+                got = simulate_hand(material, np.random.default_rng(seed), config,
+                                    spec, responsive=responsive)
+                assert got == _oracle_simulate_hand(
+                    material, np.random.default_rng(seed), config, spec,
+                    responsive=responsive)
+
+    @pytest.mark.parametrize("seed", sorted(RECORDS_SHA256))
+    def test_saved_records_byte_identical(self, seed, tmp_path):
+        path = tmp_path / "records.json"
+        save_records(generate_population(seed=seed), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == RECORDS_SHA256[seed]
+
+    def test_log_rows_match_oracle(self, tmp_path):
+        config, spec = default_config(), PopulationSpec(subjects=1, trials=1)
+        generate_population(spec, seed=9, config=config, out_dir=tmp_path)
+        rng = np.random.default_rng(9)
+        for material in spec.materials:
+            _, log_rows, _ = _oracle_simulate_hand(material, rng, config, spec)
+            # file order, which read_log would hide by sorting
+            lines = (tmp_path / f"subject01_{material}_trial1.csv").read_text().splitlines()
+            rows = [line.split(",") for line in lines[1:]]
+            assert [(float(r[0]), r[2], int(r[3])) for r in rows] == [
+                (t, ch, c) for ch, t, c in sorted(log_rows, key=lambda r: (r[1], r[0]))]
+
+    def test_records_independent_of_log_output(self, tmp_path):
+        spec = PopulationSpec(subjects=2, trials=2)
+        assert (generate_population(spec, seed=4, out_dir=tmp_path)
+                == generate_population(spec, seed=4))
+
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_bad_window_is_a_data_error(self, window):
+        config = dataclasses.replace(default_config(), window=window)
+        with pytest.raises(DataError, match="window must be >= 1"):
+            generate_population(PopulationSpec(subjects=1, trials=1), config=config)
+        with pytest.raises(DataError, match="window must be >= 1"):
+            monte_carlo_classification(3, seed=1, config=config)
 
 
 class TestGeneratePopulation:

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from rfad.errors import DataError, NotConvergedError
+from rfad.materials import REFERENCE_LIQUIDS
 from rfad.signal import (CODE_STORAGE_MAX, CodeSeries, FluctuationModel,
                          amplitude_spectrum, convergence_error,
                          dominant_frequency, estimate_code, export_spectrum,
                          material_fixture_series, material_fluctuation_model,
-                         minimum_samples, synthesize_series)
+                         minimum_samples, synthesize_block, synthesize_series,
+                         window_estimates)
 
 
 def _series(codes, dt=0.7):
@@ -69,6 +71,61 @@ class TestSynthesize:
                                  noise_sd=0.0)
         series = synthesize_series(model, 70.0, seed=0)
         assert series.codes.max() == CODE_STORAGE_MAX
+
+
+class TestNormalPrefix:
+    """Window-only synthesis draws k noise values where the full series
+    draws n. numpy does not document that a seeded Generator gives the
+    same first values for both; if a numpy release changes that, these
+    fail instead of every seeded output drifting silently."""
+
+    @pytest.mark.parametrize("sd", sorted(
+        {FluctuationModel().noise_sd,
+         *(material_fluctuation_model(m, 0).noise_sd for m in REFERENCE_LIQUIDS)}))
+    def test_short_draw_is_prefix_of_long_draw(self, sd):
+        n = 100
+        for seed in (0, 1, 7, 12345, 2 ** 31 - 1):
+            full = np.random.default_rng(seed).normal(0.0, sd, size=n)
+            for k in (1, 2, 10, 33, n - 1):
+                short = np.random.default_rng(seed).normal(0.0, sd, size=k)
+                assert np.array_equal(short, full[:k]), (seed, k)
+
+
+class TestSynthesizeBlock:
+    def test_rows_equal_single_series(self):
+        model = material_fluctuation_model("deionized_water", baseline=0)
+        seeds, baselines = [3, 99, 2 ** 30], [150, 260, 400]
+        times, codes = synthesize_block(model, 70.0, seeds, baselines=baselines)
+        for row, seed, base in zip(codes, seeds, baselines):
+            one = synthesize_series(material_fluctuation_model("deionized_water", base),
+                                    70.0, seed=seed)
+            assert np.array_equal(row, one.codes)
+            assert np.array_equal(times, one.times)
+
+    def test_window_only_block_is_leading_columns(self):
+        for material in ("olive_oil", "ethyl_alcohol", "deionized_water"):
+            model = material_fluctuation_model(material, baseline=0)
+            seeds, baselines = [5, 6, 7, 8], [100, 200, 300, 509]
+            t_full, full = synthesize_block(model, 70.0, seeds, baselines=baselines)
+            t_cut, cut = synthesize_block(model, 70.0, seeds, baselines=baselines,
+                                          samples=10)
+            assert cut.shape == (4, 10)
+            assert np.array_equal(cut, full[:, :10])
+            assert np.array_equal(t_cut, t_full[:10])
+
+    def test_samples_beyond_series_length_give_full_series(self):
+        _, codes = synthesize_block(FluctuationModel(), 7.0, [1], samples=50)
+        assert codes.shape == (1, 10)
+
+    def test_window_estimates_match_estimate_code(self):
+        model = material_fluctuation_model("ethyl_alcohol", baseline=0)
+        _, codes = synthesize_block(model, 70.0, [11, 12, 13], baselines=[180, 181, 182])
+        for estimator in ("mean", "median"):
+            for window in (1, 4, 10, 99):
+                est = window_estimates(codes, window, estimator)
+                for row, value in zip(codes, est):
+                    series = CodeSeries(times=np.arange(len(row)) * 0.7, codes=row)
+                    assert value == estimate_code(series, window, estimator)
 
 
 class TestSpectrum:
