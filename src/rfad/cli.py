@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import coupling as _coupling
@@ -22,6 +21,7 @@ from .classify import classify as _classify_value
 from .classify import reliability_report
 from .config import load_config
 from .errors import DataError, NumericalError, RfadError
+from .files import json_text, write_json
 from .fingerprint import (ChannelReading, averaged_fingerprint,
                           build_fingerprint, fingerprint_record,
                           load_fingerprints, save_fingerprints)
@@ -39,15 +39,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _write_json(payload, path):
-    import os
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
 
 
 def _cmd_simulate(args):
@@ -100,7 +91,7 @@ def _cmd_fingerprint(args):
                                            responsive=False))
     fp = build_fingerprint(readings, baseline, material_label=args.label)
     save_fingerprints([fp], args.output)
-    print(json.dumps(fingerprint_record(fp), indent=2))
+    print(json_text(fingerprint_record(fp)), end="")
 
 
 def _cmd_classify(args):
@@ -156,12 +147,11 @@ def _cmd_stats(args):
         "per_finger_rates": report.per_finger_rates,
         "joint_rates": report.joint_rates,
     }
-    text = json.dumps(payload, indent=2)
     if args.output:
-        _write_json(payload, args.output)
+        write_json(args.output, payload)
         print(f"wrote {args.output}")
     else:
-        print(text)
+        print(json_text(payload), end="")
 
 
 def _cmd_export(args):

@@ -26,8 +26,7 @@ _QUANTITY_KEYS = {
     "sawtooth_frequency", "sample_period",
 }
 _INT_KEYS = {"s_min", "s_max", "window", "baseline_code"}
-_FLOAT_KEYS = {"span_code", "span_epsilon", "eps_half", "pressure_factor",
-               "transducer_gain"}
+_FLOAT_KEYS = {"span_code", "span_epsilon", "eps_half", "transducer_gain"}
 _COMPLEX_KEYS = {"ic_load"}
 _STR_KEYS = {"estimator"}
 
@@ -88,7 +87,6 @@ class SessionConfig:
     sample_period: float
     window: int
     estimator: str
-    pressure_factor: float
 
     def channel_code(self, channel: str, epsilon: float) -> int:
         """Sensor code of one channel touching relative permittivity ``epsilon``."""
@@ -145,8 +143,7 @@ def build_config(values: dict) -> SessionConfig:
         antenna_models=models, transducer_gains=gains,
         sawtooth_frequency=values["sawtooth_frequency"],
         sample_period=values["sample_period"],
-        window=values["window"], estimator=values["estimator"],
-        pressure_factor=values["pressure_factor"])
+        window=values["window"], estimator=values["estimator"])
 
 
 def default_config() -> SessionConfig:

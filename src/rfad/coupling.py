@@ -8,14 +8,13 @@ a single-stage turn-on power estimate.
 
 from __future__ import annotations
 
-import csv
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError, SingularMatrixError
+from .files import write_csv, write_text
 from .hand import FINGERS
 from .units import parse_quantity
 
@@ -84,9 +83,9 @@ class ImpedanceMatrix:
 class CouplingReport:
     """Normalized coupling magnitudes and the worst off-diagonal ratio."""
 
-    k: np.ndarray | None
-    normalized_magnitudes: np.ndarray = field(default=None)
-    max_offdiag_ratio: float = 0.0
+    k: np.ndarray
+    normalized_magnitudes: np.ndarray
+    max_offdiag_ratio: float
 
 
 def _loads_as_array(loads, n_ports: int) -> np.ndarray:
@@ -192,24 +191,17 @@ def load_impedance_matrix(path) -> ImpedanceMatrix:
 
 
 def save_impedance_matrix(z: ImpedanceMatrix, path) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"frequency = {z.frequency / 1e6:.6g} MHz\n")
-        fh.write("ports = " + " ".join(z.port_labels) + "\n")
-        for row in z.z:
-            fh.write(" ".join(f"{c.real:.12g}{c.imag:+.12g}j" for c in row) + "\n")
-    os.replace(tmp, path)
+    lines = [f"frequency = {z.frequency / 1e6:.6g} MHz",
+             "ports = " + " ".join(z.port_labels)]
+    lines += [" ".join(f"{c.real:.12g}{c.imag:+.12g}j" for c in row) for row in z.z]
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def export_coupling_csv(report: CouplingReport, port_labels: Sequence[str], path) -> None:
     """Write the normalized magnitudes as CSV with labelled rows/columns."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["port"] + list(port_labels))
-        for label, row in zip(port_labels, report.normalized_magnitudes):
-            writer.writerow([label] + [f"{v:.6g}" for v in row])
-    os.replace(tmp, path)
+    write_csv(path, ["port"] + list(port_labels),
+              ([label] + [f"{v:.6g}" for v in row]
+               for label, row in zip(port_labels, report.normalized_magnitudes)))
 
 
 def coupling_summary(report: CouplingReport, port_labels: Sequence[str]) -> str:

@@ -1,0 +1,101 @@
+"""The file layer: atomic writes and the CSV and JSON formats.
+
+Each output goes to a uniquely named temporary file beside its target
+and is renamed over it; a failed write leaves the old target and no
+temporary file. CSV is UTF-8 with LF line endings and a header row;
+JSON is indented by two spaces and ends with a newline. Readers name
+``path:line`` or ``path: field`` in each ``DataError``.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+import math
+import os
+from typing import Iterable, Iterator, Sequence
+
+from .errors import DataError
+
+
+def write_text(path, text: str) -> None:
+    """Replace ``path`` with ``text`` (UTF-8, line endings as given)."""
+    # Not tempfile.mkstemp: its 0600 mode would differ from open(path, "w").
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    write_text(path, csv_text(header, rows))
+
+
+def read_csv(path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(lineno, fields)`` for each non-empty data row of a file
+    that starts with ``header`` and has as many fields in every row."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            first = next(reader, None)
+            if first is None:
+                raise DataError(f"{path}: empty file")
+            if first != list(header):
+                raise DataError(f"{path}:1: bad header {first!r}")
+            for lineno, fields in enumerate(reader, start=2):
+                if not fields:
+                    continue
+                if len(fields) != len(header):
+                    raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
+                yield lineno, fields
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def json_text(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def write_json(path, payload) -> None:
+    write_text(path, json_text(payload))
+
+
+def _finite(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token}")
+    return value
+
+
+def read_json(path, convert):
+    """``convert`` applied to a parsed JSON file; a parse or shape
+    failure becomes a ``DataError`` naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh, parse_float=_finite, parse_constant=_finite)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    try:
+        return convert(payload)
+    except KeyError as exc:
+        raise DataError(f"{path}: missing field {exc.args[0]!r}") from None
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise DataError(f"{path}: {exc}") from None

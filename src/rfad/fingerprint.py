@@ -8,12 +8,12 @@ propagates through the multi-channel average.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .errors import DataError, HandUnreadError, UnreadChannelError
+from .files import read_json, write_json
 from .hand import FINGERS
 
 # Conservative bound on the relative precision of a single differential
@@ -149,14 +149,9 @@ def fingerprint_from_record(record: dict) -> Fingerprint:
 
 
 def save_fingerprints(fps: Sequence[Fingerprint], path) -> None:
-    import os
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump([fingerprint_record(fp) for fp in fps], fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_json(path, [fingerprint_record(fp) for fp in fps])
 
 
 def load_fingerprints(path) -> list[Fingerprint]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [fingerprint_from_record(rec) for rec in json.load(fh)]
+    return read_json(path, lambda payload: [fingerprint_from_record(rec)
+                                            for rec in payload])

@@ -8,13 +8,12 @@ values is always written alongside.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import os
 from typing import Sequence
 
 from .errors import DataError
+from .files import csv_text, write_text
 from .fingerprint import Fingerprint, averaged_fingerprint
 from .hand import FINGERS
 
@@ -88,16 +87,14 @@ def kiviat_svg(fingerprints: Sequence[Fingerprint]) -> str:
 
 
 def kiviat_csv(fingerprints: Sequence[Fingerprint]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["label", "channel", "value", "imputed", "averaged"])
+    rows = []
     for idx, fp in enumerate(fingerprints):
         label = fp.material_label or f"fingerprint-{idx + 1}"
         f_bar = averaged_fingerprint(fp)
         for finger in FINGERS:
-            writer.writerow([label, finger, repr(fp.values[finger]),
-                             int(fp.imputed[finger]), repr(f_bar)])
-    return buf.getvalue()
+            rows.append([label, finger, repr(fp.values[finger]),
+                         int(fp.imputed[finger]), repr(f_bar)])
+    return csv_text(["label", "channel", "value", "imputed", "averaged"], rows)
 
 
 def export_kiviat(fingerprints: Sequence[Fingerprint], path) -> None:
@@ -107,11 +104,7 @@ def export_kiviat(fingerprints: Sequence[Fingerprint], path) -> None:
     svg_path = base + ".svg"
     csv_path = base + ".csv"
     try:
-        for out, text in ((svg_path, kiviat_svg(fingerprints)),
-                          (csv_path, kiviat_csv(fingerprints))):
-            tmp = f"{out}.tmp"
-            with open(tmp, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-            os.replace(tmp, out)
+        write_text(svg_path, kiviat_svg(fingerprints))
+        write_text(csv_path, kiviat_csv(fingerprints))
     except OSError as exc:
         raise DataError(f"cannot write radar chart near {path}: {exc}") from exc

@@ -8,7 +8,6 @@ uncontrolled touch pressure. Every draw is seeded and deterministic.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
@@ -18,6 +17,7 @@ import numpy as np
 from .classify import TrialRecord, classify, default_classes
 from .config import SessionConfig, default_config
 from .errors import DataError
+from .files import read_json, write_json
 from .fingerprint import (CalibrationBaseline, ChannelReading,
                           averaged_fingerprint, build_fingerprint,
                           fingerprint_from_record, fingerprint_record)
@@ -244,21 +244,15 @@ def save_records(records: Sequence[TrialRecord], path) -> None:
             "fingerprint": (fingerprint_record(r.fingerprint)
                             if r.fingerprint is not None else None),
         })
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_json(path, payload)
+
+
+def _record(rec: dict) -> TrialRecord:
+    fp = rec.get("fingerprint")
+    return TrialRecord(subject=rec["subject"], material=rec["material"],
+                       responsive=dict(rec["responsive"]),
+                       fingerprint=fingerprint_from_record(fp) if fp else None)
 
 
 def load_records(path) -> list[TrialRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    records = []
-    for rec in payload:
-        fp = rec.get("fingerprint")
-        records.append(TrialRecord(
-            subject=rec["subject"], material=rec["material"],
-            responsive=dict(rec["responsive"]),
-            fingerprint=fingerprint_from_record(fp) if fp else None))
-    return records
+    return read_json(path, lambda payload: [_record(rec) for rec in payload])

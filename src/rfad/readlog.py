@@ -1,30 +1,43 @@
 """Reader-log and series persistence, plus calibration.
 
-Two CSV formats are supported, both UTF-8 with LF line endings:
+Two CSV formats are supported, read and written through ``rfad.files``:
 
 * read log: ``timestamp_s,epc,channel,sensor_code,rssi_dbm``
 * code series: ``timestamp_s,channel,code``
 
-All writers are atomic (write-then-rename).
+Both check each sample alike (finite non-negative timestamp, known
+channel, code in storage range) and name ``path:line`` in each error.
+Samples are grouped per channel and sorted by timestamp; a timestamp
+repeated on one channel is an error.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import os
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import DataError
+from .files import read_csv, read_json, write_csv, write_json
 from .fingerprint import CalibrationBaseline
 from .hand import FINGERS
 from .signal import CODE_STORAGE_MAX, CODE_STORAGE_MIN, CodeSeries, estimate_code
 
 READLOG_HEADER = ["timestamp_s", "epc", "channel", "sensor_code", "rssi_dbm"]
 SERIES_HEADER = ["timestamp_s", "channel", "code"]
+
+
+def _sample(channel: str, timestamp: float, code: int) -> tuple:
+    if not 0 <= timestamp < math.inf:
+        raise DataError(f"timestamp must be finite and non-negative, got {timestamp}")
+    if channel not in FINGERS:
+        raise DataError(f"unknown channel {channel!r}")
+    if not CODE_STORAGE_MIN <= code <= CODE_STORAGE_MAX:
+        raise DataError(
+            f"sensor_code {code} outside [{CODE_STORAGE_MIN}, {CODE_STORAGE_MAX}]")
+    return channel, timestamp, code
 
 
 @dataclass(frozen=True)
@@ -38,77 +51,48 @@ class ReadLogRow:
     rssi_dbm: Optional[float] = None
 
     def __post_init__(self):
-        if self.timestamp < 0:
-            raise DataError(f"timestamp must be non-negative, got {self.timestamp}")
-        if self.channel not in FINGERS:
-            raise DataError(f"unknown channel {self.channel!r}")
-        if not CODE_STORAGE_MIN <= self.sensor_code <= CODE_STORAGE_MAX:
-            raise DataError(
-                f"sensor_code {self.sensor_code} outside "
-                f"[{CODE_STORAGE_MIN}, {CODE_STORAGE_MAX}]")
-
-
-def _atomic_write(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+        _sample(self.channel, self.timestamp, self.sensor_code)
 
 
 def write_log(rows: Iterable[ReadLogRow], path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(READLOG_HEADER)
-    for row in rows:
-        writer.writerow([repr(row.timestamp), row.epc, row.channel,
-                         row.sensor_code,
-                         "" if row.rssi_dbm is None else repr(row.rssi_dbm)])
-    _atomic_write(path, buf.getvalue())
+    write_csv(path, READLOG_HEADER, (
+        [repr(row.timestamp), row.epc, row.channel, row.sensor_code,
+         "" if row.rssi_dbm is None else repr(row.rssi_dbm)] for row in rows))
 
 
 def read_log(path) -> list[ReadLogRow]:
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty read log")
-        if header != READLOG_HEADER:
-            raise DataError(f"{path}:1: bad header {header!r}")
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != len(READLOG_HEADER):
-                raise DataError(f"{path}:{lineno}: expected {len(READLOG_HEADER)} fields")
-            try:
-                rows.append(ReadLogRow(
-                    timestamp=float(rec[0]), epc=rec[1], channel=rec[2],
-                    sensor_code=int(rec[3]),
-                    rssi_dbm=float(rec[4]) if rec[4] else None))
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: malformed row") from exc
+    for lineno, (t, epc, channel, code, rssi) in read_csv(path, READLOG_HEADER):
+        try:
+            rows.append(ReadLogRow(timestamp=float(t), epc=epc, channel=channel,
+                                   sensor_code=int(code),
+                                   rssi_dbm=float(rssi) if rssi else None))
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: malformed row") from exc
     if not rows:
         raise DataError(f"{path}: read log contains no rows")
     return rows
 
 
-def series_from_rows(rows: Sequence[ReadLogRow]) -> dict[str, CodeSeries]:
-    """Group log rows into per-channel series, sorted by timestamp."""
-    by_channel: dict[str, list[ReadLogRow]] = {}
-    for row in rows:
-        by_channel.setdefault(row.channel, []).append(row)
+def _group(samples: Iterable[tuple]) -> dict[str, CodeSeries]:
+    """Per-channel series from ``(channel, t, code)`` triples, sorted by time."""
+    grouped: dict[str, list] = {}
+    for channel, t, code in samples:
+        grouped.setdefault(channel, []).append((t, code))
     out = {}
-    for channel, group in by_channel.items():
-        group.sort(key=lambda r: r.timestamp)
-        times = [r.timestamp for r in group]
+    for channel, points in grouped.items():
+        times, codes = zip(*sorted(points))
         if len(set(times)) != len(times):
             raise DataError(f"duplicate timestamps on channel {channel}")
-        out[channel] = CodeSeries(times=np.array(times),
-                                  codes=np.array([r.sensor_code for r in group]),
-                                  channel=channel)
+        out[channel] = CodeSeries(np.array(times), np.array(codes), channel)
     return out
+
+
+def series_from_rows(rows: Sequence[ReadLogRow]) -> dict[str, CodeSeries]:
+    """Group log rows into per-channel series, sorted by timestamp."""
+    return _group((r.channel, r.timestamp, r.sensor_code) for r in rows)
 
 
 def ingest_log(path) -> dict[str, CodeSeries]:
@@ -121,7 +105,8 @@ def load_code_series(path) -> dict[str, CodeSeries]:
     Dispatches on the header line: full reader logs are grouped per
     channel, plain code-series files are read directly.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # undecodable bytes are reported, with the path, by the full read
+    with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
         header = fh.readline().strip()
     if header == ",".join(READLOG_HEADER):
         return ingest_log(path)
@@ -129,36 +114,24 @@ def load_code_series(path) -> dict[str, CodeSeries]:
 
 
 def write_series(series_set: Mapping[str, CodeSeries], path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SERIES_HEADER)
-    for channel in sorted(series_set, key=FINGERS.index):
-        s = series_set[channel]
-        for t, code in zip(s.times, s.codes):
-            writer.writerow([repr(float(t)), channel, int(code)])
-    _atomic_write(path, buf.getvalue())
+    write_csv(path, SERIES_HEADER, (
+        [repr(float(t)), channel, int(code)]
+        for channel in sorted(series_set, key=FINGERS.index)
+        for t, code in zip(series_set[channel].times, series_set[channel].codes)))
 
 
 def read_series(path) -> dict[str, CodeSeries]:
-    grouped: dict[str, list] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SERIES_HEADER:
-            raise DataError(f"{path}:1: bad header {header!r}")
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            try:
-                t, channel, code = float(rec[0]), rec[1], int(rec[2])
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path}:{lineno}: malformed row") from exc
-            grouped.setdefault(channel, []).append((t, code))
-    if not grouped:
+    samples = []
+    for lineno, (t, channel, code) in read_csv(path, SERIES_HEADER):
+        try:
+            samples.append(_sample(channel, float(t), int(code)))
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: malformed row") from exc
+    if not samples:
         raise DataError(f"{path}: series file contains no rows")
-    return {ch: CodeSeries(times=np.array([t for t, _ in pts]),
-                           codes=np.array([c for _, c in pts]), channel=ch)
-            for ch, pts in grouped.items()}
+    return _group(samples)
 
 
 def calibrate(series_set: Mapping[str, CodeSeries], window: int = 10,
@@ -185,16 +158,11 @@ def calibrate(series_set: Mapping[str, CodeSeries], window: int = 10,
 
 
 def save_baseline(baseline: CalibrationBaseline, path) -> None:
-    import json
-    payload = {"codes": dict(baseline.codes), "timestamp": baseline.timestamp,
-               "gaps": list(baseline.gaps)}
-    _atomic_write(path, json.dumps(payload, indent=2) + "\n")
+    write_json(path, {"codes": dict(baseline.codes), "timestamp": baseline.timestamp,
+                      "gaps": list(baseline.gaps)})
 
 
 def load_baseline(path) -> CalibrationBaseline:
-    import json
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return CalibrationBaseline(codes=payload["codes"],
-                               timestamp=payload.get("timestamp", ""),
-                               gaps=tuple(payload.get("gaps", ())))
+    return read_json(path, lambda payload: CalibrationBaseline(
+        codes=payload["codes"], timestamp=payload.get("timestamp", ""),
+        gaps=tuple(payload.get("gaps", ()))))

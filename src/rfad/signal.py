@@ -16,6 +16,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import DataError, NotConvergedError
+from .files import write_csv
 
 CODE_STORAGE_MIN = 0
 CODE_STORAGE_MAX = 511
@@ -243,19 +244,9 @@ def window_estimates(codes: np.ndarray, window: int,
 
 def export_spectrum(series: CodeSeries, path) -> None:
     """Write the amplitude spectrum as ``freq_hz,amplitude`` CSV rows."""
-    import csv
-    import io
-    import os
     freqs, amps = amplitude_spectrum(series)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["freq_hz", "amplitude"])
-    for f, a in zip(freqs, amps):
-        writer.writerow([repr(float(f)), repr(float(a))])
-    tmp = f"{os.fspath(path)}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
-    os.replace(tmp, path)
+    write_csv(path, ["freq_hz", "amplitude"],
+              ([repr(float(f)), repr(float(a))] for f, a in zip(freqs, amps)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Command-line interface tests: pipelines, determinism, exit codes."""
 
 import json
+import random
 
 import pytest
 
 from rfad.cli import main
+from rfad.readlog import ReadLogRow, read_series, write_log
 
 
 def run(*argv):
@@ -77,6 +79,27 @@ class TestFingerprintAndClassify:
         assert run("classify", "--fingerprints", str(fps)) == 0
         out = capsys.readouterr().out
         assert "high" in out
+
+    def test_log_and_shuffled_series_agree(self, tmp_path, baseline_file):
+        touched = tmp_path / "touched.csv"
+        assert run("simulate", "--material", "ethyl_alcohol", "--seed", "3",
+                   "-o", str(touched)) == 0
+        header, *rows = touched.read_text().splitlines()
+        random.Random(0).shuffle(rows)
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text("\n".join([header] + rows) + "\n")
+        log = tmp_path / "log.csv"
+        write_log([ReadLogRow(timestamp=float(t), epc="E280", channel=channel,
+                              sensor_code=int(code))
+                   for channel, s in read_series(touched).items()
+                   for t, code in zip(s.times, s.codes)], log)
+        outputs = []
+        for source in (touched, shuffled, log):
+            out = tmp_path / f"fp-{source.stem}.json"
+            assert run("fingerprint", str(source), "--baseline", str(baseline_file),
+                       "-o", str(out)) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_classify_value(self, capsys):
         assert run("classify", "--value", "25") == 0
@@ -154,7 +177,36 @@ class TestExport:
         assert (tmp_path / "chart.csv").exists()
 
 
+# Each malformed JSON input, as a baseline object and as a list of records.
+_BAD_JSON = {
+    "malformed": ('{"codes": {"I": 1', '[{"values": '),
+    "missing-field": ('{"timestamp": ""}', '[{}]'),
+    "list-for-object": ('[]', '[[]]'),
+    "nan": ('{"codes": {"I": NaN}}', '[{"values": {"I": NaN}}]'),
+}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("case", sorted(_BAD_JSON))
+    @pytest.mark.parametrize("command", ["classify", "export", "stats", "fingerprint"])
+    def test_malformed_json_is_data_error(self, tmp_path, capsys, air_log,
+                                          command, case):
+        as_object, as_list = _BAD_JSON[case]
+        bad = tmp_path / "bad.json"
+        bad.write_text(as_object if command == "fingerprint" else as_list)
+        argv = {
+            "classify": ["classify", "--fingerprints", bad],
+            "export": ["export", bad, "-o", tmp_path / "chart.svg"],
+            "stats": ["stats", "--records", bad],
+            "fingerprint": ["fingerprint", air_log, "--baseline", bad,
+                            "-o", tmp_path / "fp.json"],
+        }[command]
+        capsys.readouterr()
+        assert run(*map(str, argv)) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        assert "Traceback" not in err
+
     def test_no_arguments_is_usage_error(self):
         assert run() == 1
 

@@ -15,7 +15,7 @@ from rfad.units import (dbm_from_watts, parse_complex_quantity, parse_quantity,
 # Guard against accidental drift of the shipped constants catalog. If a
 # default deliberately changes, update this digest together with the
 # documented constants below.
-DEFAULTS_SHA256 = "ef24abc03da9bf5654299e92a42547ac5f7226d194d8f5a1dbc98d587c0ae8e0"
+DEFAULTS_SHA256 = "c7d96ba0e6854ad6242e48851d37ea0a1d49d5506968941ee10b14d39fdd0452"
 
 
 class TestUnits:
@@ -98,7 +98,6 @@ class TestDefaults:
         assert config.sample_period == pytest.approx(0.7)
         assert config.window == 10
         assert config.estimator == "mean"
-        assert config.pressure_factor == pytest.approx(0.3)
 
     def test_acquisition_window_identity(self):
         config = default_config()

@@ -1,0 +1,113 @@
+"""The file layer: atomic writes and byte-identical outputs."""
+
+import hashlib
+import os
+
+import numpy as np
+import pytest
+
+from rfad.cli import main
+from rfad.coupling import ImpedanceMatrix, save_impedance_matrix
+from rfad.files import write_text
+from rfad.signal import FluctuationModel, export_spectrum, synthesize_series
+
+# SHA-256 of every output at the shipped seeds. An intended format change
+# updates these together with a note of what changed.
+GOLDEN_SHA256 = {
+    "air.csv":
+        "550293965f819dd0be729ef74281b403c400f310af5e2a2c5051584224d208eb",
+    "touched.csv":
+        "0210b32df52c0a2c2e10b3560c8501cca4e253b014a1d6f47553f598fb002ec6",
+    "baseline.json":
+        "6724112b529841e1595bda15daa7d542f7e792c3a3256eda7251b48acd82a058",
+    "fps.json":
+        "653b505a85ccf516d8a831341798b24a8d3691d8a1ccd3ebd5b0dd9da1ee6b82",
+    "chart.svg":
+        "374ebb1db763c3ac44d8b46724dde4d94d8f89b68eb3beb07299a8933319fafc",
+    "chart.csv":
+        "38a83183de4fd79f9bec340dae23dc9bde690f95498ee71dd9db9ca367d96c71",
+    "coupling.csv":
+        "40afa53b79e5e8bc256847e55c41bc3ea67d933d2889b097b9c9c19fc16452c5",
+    "records.json":
+        "a170aa8d5f89aac3a5d1e9b94133847d9653dee5c19181a22c3fde48797af4b8",
+    "report.json":
+        "4a786c6fc3adc895086934b11ebb4a57b33b304107820d9ac801be0d5094e673",
+    "logs":
+        "6119e02cf0275979201284a1093078f25fd5f563c18daa4e732fed9c746ac5f2",
+    "matrix.txt":
+        "48732f0dd848de3cc8410285106b5c0123e2b15a3df2699fddd5ca53806105a8",
+    "spectrum.csv":
+        "db80a2ba5c00e7feedc798160d8eaf5242451db6d4faa9db1ea05759f603aa25",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestWriter:
+    def test_golden_outputs(self, tmp_path, capsys):
+        def run(*argv):
+            assert main([str(a) for a in argv]) == 0
+
+        p = tmp_path
+        run("simulate", "--baseline", "300", "-o", p / "air.csv")
+        run("simulate", "--material", "deionized_water", "--seed", "2",
+            "-o", p / "touched.csv")
+        run("calibrate", p / "air.csv", "-o", p / "baseline.json")
+        run("fingerprint", p / "touched.csv", "--baseline", p / "baseline.json",
+            "--label", "deionized_water", "-o", p / "fps.json")
+        run("export", p / "fps.json", "-o", p / "chart.svg")
+        run("coupling", "--turn-on", "-o", p / "coupling.csv")
+        (p / "logs").mkdir()
+        run("stats", "--generate", "--records-out", p / "records.json",
+            "-o", p / "report.json", "--log-dir", p / "logs")
+        z = ImpedanceMatrix(np.array([[50 + 10j, 1.5 - 0.25j],
+                                      [1.5 - 0.25j, 42.125 - 7j]]),
+                            frequency=867e6, port_labels=("I", "II"))
+        save_impedance_matrix(z, p / "matrix.txt")
+        export_spectrum(synthesize_series(FluctuationModel(), 70.0, seed=1),
+                        p / "spectrum.csv")
+        capsys.readouterr()
+
+        logs = sorted((p / "logs").iterdir())
+        assert len(logs) == 90
+        digests = {name: _sha256((p / name).read_bytes())
+                   for name in GOLDEN_SHA256 if name != "logs"}
+        digests["logs"] = _sha256(b"".join(
+            log.name.encode() + b"\0" + log.read_bytes() for log in logs))
+        assert digests == GOLDEN_SHA256
+
+    @pytest.mark.parametrize("kind", ["file", "directory"])
+    def test_stale_tmp_neither_blocks_nor_changes(self, tmp_path, kind):
+        target = tmp_path / "out.csv"
+        stale = tmp_path / "out.csv.tmp"
+        stale_file = stale
+        if kind == "directory":
+            stale.mkdir()
+            stale_file = stale / "inner"
+        stale_file.write_bytes(b"stale")
+        write_text(target, "a,b\n")
+        assert target.read_bytes() == b"a,b\n"
+        assert stale_file.read_bytes() == b"stale"
+        assert sorted(os.listdir(tmp_path)) == ["out.csv", "out.csv.tmp"]
+        stale_file.unlink()
+        if kind == "directory":
+            assert os.listdir(stale) == []
+            stale.rmdir()
+
+    def test_failed_write_keeps_target_and_cleans_up(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"old\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_text(target, "new\n\ud800")
+        assert target.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_mode_matches_plain_open(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        with open(plain, "w") as fh:
+            fh.write("x")
+        written = tmp_path / "written.txt"
+        write_text(written, "x")
+        assert os.stat(written).st_mode == os.stat(plain).st_mode

@@ -1,5 +1,7 @@
 """Reader-log CSV, series persistence, and calibration tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,31 @@ class TestSeriesFiles:
         path = tmp_path / "series.csv"
         path.write_text("timestamp_s,channel,code\n")
         with pytest.raises(DataError, match="no rows"):
+            read_series(path)
+
+
+class TestSampleChecks:
+    @pytest.mark.parametrize("timestamp,channel", [
+        ("nan", "I"), ("inf", "I"), ("-inf", "I"), ("0.7", "VI")])
+    @pytest.mark.parametrize("reader", [read_log, read_series])
+    def test_both_formats_name_the_line(self, tmp_path, reader, timestamp, channel):
+        path = tmp_path / "in.csv"
+        if reader is read_log:
+            path.write_text("timestamp_s,epc,channel,sensor_code,rssi_dbm\n"
+                            f"0.0,x,I,200,\n{timestamp},x,{channel},200,\n")
+        else:
+            path.write_text("timestamp_s,channel,code\n"
+                            f"0.0,I,200\n{timestamp},{channel},200\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}:3:")):
+            reader(path)
+
+    @pytest.mark.parametrize("body,error", [
+        (b"0.0,I,200\n\xff\xfe,I,201\n", ": not UTF-8 text"),
+        (b"0.0,I," + b"2" * 200_000 + b"\n", ":2: field larger")])
+    def test_undecodable_or_oversized_input(self, tmp_path, body, error):
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"timestamp_s,channel,code\n" + body)
+        with pytest.raises(DataError, match=re.escape(f"{path}{error}")):
             read_series(path)
 
 
