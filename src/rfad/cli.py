@@ -26,6 +26,7 @@ from .fingerprint import (ChannelReading, averaged_fingerprint,
                           build_fingerprint, fingerprint_record,
                           load_fingerprints, save_fingerprints)
 from .hand import FINGERS
+from .materials import REFERENCE_LIQUIDS, load_materials
 from .units import dbm_from_watts
 
 EXIT_OK = 0
@@ -41,19 +42,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _cmd_simulate(args):
-    config = load_config(args.config)
-    if args.material:
-        means = config.class_means()
-        if args.material not in means:
-            raise DataError(f"unknown reference material {args.material!r}; "
-                            f"known: {sorted(means)}")
+def _cmd_simulate(args, config):
+    if args.material and args.material not in REFERENCE_LIQUIDS:
+        raise DataError(f"unknown reference material {args.material!r}; "
+                        f"known: {sorted(REFERENCE_LIQUIDS)}")
     series = {}
     for channel in (args.channels or FINGERS):
         if args.material:
-            air = config.air_code(channel)
             fluct = _signal.material_fluctuation_model(
-                args.material, baseline=int(round(air - means[args.material])))
+                args.material, baseline=config.channel_code(
+                    channel, load_materials()[args.material].epsilon))
         else:
             fluct = _signal.FluctuationModel(
                 baseline=args.baseline,
@@ -66,8 +64,7 @@ def _cmd_simulate(args):
     print(f"wrote {sum(len(s) for s in series.values())} samples to {args.output}")
 
 
-def _cmd_calibrate(args):
-    config = load_config(args.config)
+def _cmd_calibrate(args, config):
     series = _readlog.load_code_series(args.log)
     baseline = _readlog.calibrate(series, window=config.window)
     _readlog.save_baseline(baseline, args.output)
@@ -75,8 +72,7 @@ def _cmd_calibrate(args):
     print(f"baseline for {len(baseline.codes)} channels -> {args.output}{gaps}")
 
 
-def _cmd_fingerprint(args):
-    config = load_config(args.config)
+def _cmd_fingerprint(args, config):
     baseline = _readlog.load_baseline(args.baseline)
     series = _readlog.load_code_series(args.log)
     readings = []
@@ -94,8 +90,7 @@ def _cmd_fingerprint(args):
     print(json_text(fingerprint_record(fp)), end="")
 
 
-def _cmd_classify(args):
-    config = load_config(args.config)
+def _cmd_classify(args, config):
     classes = config.classes()
     if args.value is not None:
         values = [("value", args.value)]
@@ -107,8 +102,7 @@ def _cmd_classify(args):
         print(f"{label}: F={value:.2f} -> {_classify_value(value, classes)}")
 
 
-def _cmd_coupling(args):
-    config = load_config(args.config)
+def _cmd_coupling(args, config):
     if args.matrix:
         z = _coupling.load_impedance_matrix(args.matrix)
         k = _coupling.power_wave_scattering(
@@ -132,10 +126,11 @@ def _cmd_coupling(args):
             print(f"  {channel}: {1e3 * p:.3g} mW ({dbm_from_watts(p):.1f} dBm)")
 
 
-def _cmd_stats(args):
+def _cmd_stats(args, config):
     if args.generate:
         records = _population.generate_population(
-            _population.PopulationSpec(), seed=args.seed, out_dir=args.log_dir)
+            _population.PopulationSpec(), seed=args.seed, config=config,
+            out_dir=args.log_dir)
         if args.records_out:
             _population.save_records(records, args.records_out)
     else:
@@ -154,7 +149,7 @@ def _cmd_stats(args):
         print(json_text(payload), end="")
 
 
-def _cmd_export(args):
+def _cmd_export(args, config):
     fps = load_fingerprints(args.fingerprints)
     _kiviat.export_kiviat(fps, args.output)
     print(f"wrote {args.output} (+ CSV twin)")
@@ -226,7 +221,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args.func(args)
+        args.func(args, load_config(args.config))
     except NumericalError as exc:
         print(f"rfad: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

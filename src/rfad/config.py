@@ -1,9 +1,10 @@
 """Session configuration: parsing, defaults, and the derived models.
 
 Configuration files are plain key-value text with explicit unit
-suffixes. Per-channel overrides use a dotted suffix, e.g.
-``g_a.III = 0.5 mS``. The shipped defaults file is the single source
-for every default constant.
+suffixes. ``_KEYS`` is the one table of keys: how each value parses
+and whether it may carry a per-channel dotted suffix, e.g.
+``g_a.III = 0.5 mS``. Values must be finite. The shipped defaults file
+is the single source for every default constant.
 """
 
 from __future__ import annotations
@@ -15,20 +16,48 @@ from typing import Mapping
 from . import classify as _classify
 from . import ic as _ic
 from .errors import DataError
+from .files import finite
 from .hand import FINGERS
 from .materials import REFERENCE_LIQUIDS, load_materials
 from .units import parse_complex_quantity, parse_quantity
 
 DEFAULTS_RESOURCE = "defaults.cfg"
 
-_QUANTITY_KEYS = {
-    "freq", "c_min", "c_step", "g_ic", "g_a", "ic_sensitivity",
-    "sawtooth_frequency", "sample_period",
+
+def _window(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value
+
+
+def _estimator(text: str) -> str:
+    if text not in ("mean", "median"):
+        raise ValueError("must be 'mean' or 'median'")
+    return text
+
+
+# key -> (parser, may carry a channel suffix)
+_KEYS = {
+    "freq": (parse_quantity, False),
+    "c_min": (parse_quantity, False),
+    "c_step": (parse_quantity, False),
+    "s_min": (int, False),
+    "s_max": (int, False),
+    "g_ic": (parse_quantity, False),
+    "ic_load": (parse_complex_quantity, False),
+    "ic_sensitivity": (parse_quantity, False),
+    "g_a": (parse_quantity, True),
+    "baseline_code": (int, True),
+    "span_code": (finite, True),
+    "span_epsilon": (finite, True),
+    "eps_half": (finite, True),
+    "transducer_gain": (finite, True),
+    "sawtooth_frequency": (parse_quantity, False),
+    "sample_period": (parse_quantity, False),
+    "window": (_window, False),
+    "estimator": (_estimator, False),
 }
-_INT_KEYS = {"s_min", "s_max", "window", "baseline_code"}
-_FLOAT_KEYS = {"span_code", "span_epsilon", "eps_half", "transducer_gain"}
-_COMPLEX_KEYS = {"ic_load"}
-_STR_KEYS = {"estimator"}
 
 
 def default_config_text() -> str:
@@ -50,25 +79,15 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         base, _, channel = key.partition(".")
-        if channel and channel not in FINGERS:
-            raise DataError(f"{source}:{lineno}: unknown channel suffix {channel!r}")
+        if base not in _KEYS:
+            raise DataError(f"{source}:{lineno}: unknown key {key!r}")
+        parse, per_channel = _KEYS[base]
+        if channel and (not per_channel or channel not in FINGERS):
+            raise DataError(f"{source}:{lineno}: unknown channel suffix in {key!r}")
         try:
-            if base in _QUANTITY_KEYS:
-                parsed = parse_quantity(value)
-            elif base in _INT_KEYS:
-                parsed = int(value)
-            elif base in _COMPLEX_KEYS:
-                parsed = parse_complex_quantity(value)
-            elif base in _FLOAT_KEYS:
-                parsed = float(value)
-            elif base in _STR_KEYS:
-                parsed = value
-            else:
-                raise DataError(f"{source}:{lineno}: unknown key {key!r}")
-        except DataError:
-            raise
-        except ValueError as exc:
-            raise DataError(f"{source}:{lineno}: bad value for {key!r}") from exc
+            parsed = parse(value)
+        except (ValueError, OverflowError) as exc:
+            raise DataError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from None
         values[(base, channel) if channel else base] = parsed
     return values
 
@@ -98,24 +117,23 @@ class SessionConfig:
         return self.channel_code(channel, _ic.EPSILON_MIN)
 
     def class_means(self) -> dict[str, float]:
-        """Differential-code means of the reference liquids under the
-        calibrated default model (shared across channels)."""
+        """Differential-code means of the reference liquids, averaged
+        over the five channels' models."""
         materials = load_materials()
-        channel = FINGERS[0]
-        s_air = self.air_code(channel)
-        return {name: float(s_air - self.channel_code(channel, materials[name].epsilon))
+        air = [self.air_code(channel) for channel in FINGERS]
+        return {name: sum(a - self.channel_code(channel, materials[name].epsilon)
+                          for channel, a in zip(FINGERS, air)) / len(FINGERS)
                 for name in REFERENCE_LIQUIDS}
 
     def classes(self) -> list[_classify.MaterialClass]:
         return _classify.default_classes(self.class_means())
 
 
-def _channel_value(values: dict, key: str, channel: str, fallback=None):
-    if (key, channel) in values:
-        return values[(key, channel)]
-    if key in values:
-        return values[key]
-    return fallback
+def _channel_value(values: dict, key: str, channel: str):
+    value = values.get((key, channel), values.get(key))
+    if value is None:
+        raise DataError(f"missing {key} for channel {channel}")
+    return value
 
 
 def build_config(values: dict) -> SessionConfig:
@@ -133,10 +151,7 @@ def build_config(values: dict) -> SessionConfig:
             span_code=_channel_value(values, "span_code", channel),
             span_epsilon=_channel_value(values, "span_epsilon", channel),
             eps_half=_channel_value(values, "eps_half", channel))
-        gain = _channel_value(values, "transducer_gain", channel)
-        if gain is None:
-            raise DataError(f"missing transducer_gain for channel {channel}")
-        gains[channel] = gain
+        gains[channel] = _channel_value(values, "transducer_gain", channel)
     return SessionConfig(
         frequency=frequency, ic=ic, ic_load=values["ic_load"],
         ic_sensitivity=values["ic_sensitivity"],
@@ -147,7 +162,7 @@ def build_config(values: dict) -> SessionConfig:
 
 
 def default_config() -> SessionConfig:
-    return build_config(parse_config_text(default_config_text(), DEFAULTS_RESOURCE))
+    return load_config()
 
 
 def load_config(path=None) -> SessionConfig:

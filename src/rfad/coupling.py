@@ -163,7 +163,7 @@ def load_impedance_matrix(path) -> ImpedanceMatrix:
     """
     frequency = None
     ports = None
-    rows = []
+    rows, linenos = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -183,11 +183,16 @@ def load_impedance_matrix(path) -> ImpedanceMatrix:
                 rows.append([complex(tok) for tok in line.split()])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: bad complex token") from exc
+            linenos.append(lineno)
     if frequency is None or ports is None or not rows:
         raise DataError(f"{path}: need frequency, ports and matrix rows")
     if any(len(r) != len(rows) for r in rows):
         raise DataError(f"{path}: matrix rows are not square")
-    return ImpedanceMatrix(np.array(rows), frequency=frequency, port_labels=ports)
+    z = np.array(rows)
+    bad = np.flatnonzero(~np.isfinite(z).all(axis=1))
+    if bad.size:
+        raise DataError(f"{path}:{linenos[bad[0]]}: non-finite complex token")
+    return ImpedanceMatrix(z, frequency=frequency, port_labels=ports)
 
 
 def save_impedance_matrix(z: ImpedanceMatrix, path) -> None:

@@ -76,7 +76,8 @@ def write_json(path, payload) -> None:
     write_text(path, json_text(payload))
 
 
-def _finite(token: str) -> float:
+def finite(token: str) -> float:
+    """``float(token)``, rejecting NaN and infinities."""
     value = float(token)
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {token}")
@@ -88,7 +89,7 @@ def read_json(path, convert):
     failure becomes a ``DataError`` naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh, parse_float=_finite, parse_constant=_finite)
+            payload = json.load(fh, parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}:{exc.lineno}: {exc.msg}") from None
     except ValueError as exc:

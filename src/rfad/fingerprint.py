@@ -68,6 +68,9 @@ class Fingerprint:
             raise DataError("fingerprint must cover exactly the five fingers")
         if not 1 <= self.n_responsive <= len(FINGERS):
             raise DataError(f"n_responsive out of range: {self.n_responsive}")
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   and math.isfinite(v) for v in self.values.values()):
+            raise DataError(f"fingerprint values must be finite numbers: {self.values}")
 
     def responsive_values(self) -> list[float]:
         return [self.values[f] for f in FINGERS if not self.imputed[f]]

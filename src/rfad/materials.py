@@ -1,15 +1,11 @@
 """Built-in electrical constants of the reference materials at 867 MHz.
 
-Ships as a read-only dataset; ``load_materials`` merges an optional
-user-supplied CSV (``name,conductivity_s_per_m,epsilon``) on top.
+Ships as a read-only dataset; ``load_materials`` is its one accessor.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-
-from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -33,26 +29,6 @@ _BUILTIN = (
 REFERENCE_LIQUIDS = ("olive_oil", "ethyl_alcohol", "deionized_water")
 
 
-def builtin_materials() -> dict[str, Material]:
+def load_materials() -> dict[str, Material]:
+    """The material table, keyed by name."""
     return {m.name: m for m in _BUILTIN}
-
-
-def load_materials(path=None) -> dict[str, Material]:
-    """Built-in table, optionally overridden/extended from a CSV file."""
-    table = builtin_materials()
-    if path is None:
-        return table
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"name", "conductivity_s_per_m", "epsilon"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise DataError(f"{path}: materials CSV needs columns {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                m = Material(row["name"].strip(),
-                             float(row["conductivity_s_per_m"]),
-                             float(row["epsilon"]))
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: bad materials row") from exc
-            table[m.name] = m
-    return table

@@ -76,7 +76,7 @@ def read_log(path) -> list[ReadLogRow]:
     return rows
 
 
-def _group(samples: Iterable[tuple]) -> dict[str, CodeSeries]:
+def _group(samples: Iterable[tuple], source) -> dict[str, CodeSeries]:
     """Per-channel series from ``(channel, t, code)`` triples, sorted by time."""
     grouped: dict[str, list] = {}
     for channel, t, code in samples:
@@ -85,18 +85,19 @@ def _group(samples: Iterable[tuple]) -> dict[str, CodeSeries]:
     for channel, points in grouped.items():
         times, codes = zip(*sorted(points))
         if len(set(times)) != len(times):
-            raise DataError(f"duplicate timestamps on channel {channel}")
+            raise DataError(f"{source}: duplicate timestamps on channel {channel}")
         out[channel] = CodeSeries(np.array(times), np.array(codes), channel)
     return out
 
 
-def series_from_rows(rows: Sequence[ReadLogRow]) -> dict[str, CodeSeries]:
+def series_from_rows(rows: Sequence[ReadLogRow],
+                     source="<rows>") -> dict[str, CodeSeries]:
     """Group log rows into per-channel series, sorted by timestamp."""
-    return _group((r.channel, r.timestamp, r.sensor_code) for r in rows)
+    return _group(((r.channel, r.timestamp, r.sensor_code) for r in rows), source)
 
 
 def ingest_log(path) -> dict[str, CodeSeries]:
-    return series_from_rows(read_log(path))
+    return series_from_rows(read_log(path), path)
 
 
 def load_code_series(path) -> dict[str, CodeSeries]:
@@ -131,7 +132,7 @@ def read_series(path) -> dict[str, CodeSeries]:
             raise DataError(f"{path}:{lineno}: malformed row") from exc
     if not samples:
         raise DataError(f"{path}: series file contains no rows")
-    return _group(samples)
+    return _group(samples, path)
 
 
 def calibrate(series_set: Mapping[str, CodeSeries], window: int = 10,

@@ -73,10 +73,10 @@ class CodeSeries:
 
 
 def _check_samples(times: np.ndarray, codes: np.ndarray) -> None:
-    """Strictly increasing times; every code (of any shape) in storage range."""
-    if len(times) > 1 and np.any(np.diff(times) <= 0):
-        raise DataError("timestamps must be strictly increasing")
-    if np.any((codes < CODE_STORAGE_MIN) | (codes > CODE_STORAGE_MAX)):
+    """Finite, strictly increasing times; every code (of any shape) in storage range."""
+    if not np.isfinite(times).all() or (np.diff(times) <= 0).any():
+        raise DataError("timestamps must be finite and strictly increasing")
+    if ((codes < CODE_STORAGE_MIN) | (codes > CODE_STORAGE_MAX)).any():
         raise DataError(
             f"codes outside storage range [{CODE_STORAGE_MIN}, {CODE_STORAGE_MAX}]")
 

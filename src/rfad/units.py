@@ -8,6 +8,7 @@ siemens (``S``) stay distinct.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 
@@ -43,6 +44,12 @@ def dbm_from_watts(power_w: float) -> float:
     return 10.0 * math.log10(power_w / 1e-3)
 
 
+def _finite(value, text: str):
+    if not cmath.isfinite(value):
+        raise DataError(f"non-finite quantity {text!r}")
+    return value
+
+
 def parse_quantity(text: str) -> float:
     """Parse a real-valued quantity like ``867 MHz`` into SI units."""
     m = _QUANTITY_RE.match(text)
@@ -53,11 +60,10 @@ def parse_quantity(text: str) -> float:
         value = float(number)
     except ValueError as exc:
         raise DataError(f"cannot parse number in quantity {text!r}") from exc
-    if unit == "dBm":
-        return watts_from_dbm(value)
-    if unit not in _UNIT_SCALE:
+    if unit != "dBm" and unit not in _UNIT_SCALE:
         raise DataError(f"unknown unit {unit!r} in quantity {text!r}")
-    return value * _UNIT_SCALE[unit]
+    return _finite(watts_from_dbm(value) if unit == "dBm"
+                   else value * _UNIT_SCALE[unit], text)
 
 
 def parse_complex_quantity(text: str) -> complex:
@@ -78,4 +84,4 @@ def parse_complex_quantity(text: str) -> complex:
         raise DataError("dBm is not valid for complex quantities")
     if unit not in _UNIT_SCALE:
         raise DataError(f"unknown unit {unit!r} in quantity {text!r}")
-    return value * _UNIT_SCALE[unit]
+    return _finite(value * _UNIT_SCALE[unit], text)

@@ -6,7 +6,11 @@ import random
 import pytest
 
 from rfad.cli import main
+from rfad.config import load_config
+from rfad.hand import FINGERS
+from rfad.population import generate_population, save_records
 from rfad.readlog import ReadLogRow, read_series, write_log
+from rfad.signal import material_fluctuation_model, synthesize_series
 
 
 def run(*argv):
@@ -46,6 +50,18 @@ class TestSimulate:
     def test_unknown_material_is_data_error(self, tmp_path):
         assert run("simulate", "--material", "lava",
                    "-o", str(tmp_path / "x.csv")) == 2
+
+    def test_material_baseline_follows_channel_model(self, tmp_path):
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text("span_code.III = 120\n")
+        out = tmp_path / "water.csv"
+        assert run("--config", str(cfg), "simulate", "--material", "deionized_water",
+                   "--channels", "III", "-o", str(out)) == 0
+        baseline = load_config(cfg).channel_code("III", 78.0)
+        expected = synthesize_series(
+            material_fluctuation_model("deionized_water", baseline), 70.0,
+            seed=1 + FINGERS.index("III"), channel="III")
+        assert list(read_series(out)["III"].codes) == list(expected.codes)
 
     def test_channel_subset(self, tmp_path):
         out = tmp_path / "two.csv"
@@ -136,6 +152,13 @@ class TestCoupling:
                         "50+0j 1+0j\n1+0j 50+0j\n")
         assert run("coupling", "--matrix", str(path)) == 0
 
+    def test_nonfinite_matrix_entry_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "z.txt"
+        path.write_text("frequency = 867 MHz\nports = I II\n"
+                        "50+0j 1+0j\nnan+0j 50+0j\n")
+        assert run("coupling", "--matrix", str(path)) == 2
+        assert f"{path}:4:" in capsys.readouterr().err
+
     def test_singular_matrix_is_numerical_error(self, tmp_path):
         path = tmp_path / "z.txt"
         path.write_text("frequency = 867 MHz\nports = I\n-2.8+76j\n")
@@ -155,6 +178,18 @@ class TestStats:
         assert run("stats", "--records", str(records)) == 0
         again = json.loads(capsys.readouterr().out)
         assert again["ccd_percent"] == payload["ccd_percent"]
+
+    def test_generate_obeys_config(self, tmp_path):
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text("window = 30\n")
+        default, configured = tmp_path / "a.json", tmp_path / "b.json"
+        assert run("stats", "--generate", "--records-out", str(default)) == 0
+        assert run("--config", str(cfg), "stats", "--generate",
+                   "--records-out", str(configured)) == 0
+        expected = tmp_path / "expected.json"
+        save_records(generate_population(config=load_config(cfg)), expected)
+        assert configured.read_bytes() == expected.read_bytes()
+        assert configured.read_bytes() != default.read_bytes()
 
     def test_deterministic_reports(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -177,12 +212,19 @@ class TestExport:
         assert (tmp_path / "chart.csv").exists()
 
 
+# A fingerprint with a string among its values, which is also a trial record.
+_STRING_FP = {"values": {f: "a" if f == "I" else 10.0 for f in FINGERS},
+              "imputed": {f: False for f in FINGERS}, "n_responsive": 5}
+_STRING_RECORD = dict(_STRING_FP, subject="S01", material="olive_oil",
+                      responsive={f: True for f in FINGERS}, fingerprint=_STRING_FP)
+
 # Each malformed JSON input, as a baseline object and as a list of records.
 _BAD_JSON = {
     "malformed": ('{"codes": {"I": 1', '[{"values": '),
     "missing-field": ('{"timestamp": ""}', '[{}]'),
     "list-for-object": ('[]', '[[]]'),
     "nan": ('{"codes": {"I": NaN}}', '[{"values": {"I": NaN}}]'),
+    "string-value": ('{"codes": {"I": "a"}}', json.dumps([_STRING_RECORD])),
 }
 
 

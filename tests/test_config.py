@@ -4,11 +4,12 @@ import hashlib
 
 import pytest
 
+from rfad.cli import main
 from rfad.config import (SessionConfig, default_config, default_config_text,
                          load_config, parse_config_text)
 from rfad.errors import DataError
 from rfad.hand import FINGERS
-from rfad.materials import REFERENCE_LIQUIDS, builtin_materials, load_materials
+from rfad.materials import REFERENCE_LIQUIDS, load_materials
 from rfad.units import (dbm_from_watts, parse_complex_quantity, parse_quantity,
                         watts_from_dbm)
 
@@ -83,6 +84,23 @@ class TestParseConfigText:
         with pytest.raises(DataError, match=":2:"):
             parse_config_text("freq = 867 MHz\nnot a pair\n")
 
+    @pytest.mark.parametrize("line", [
+        "window.II = 5",
+        "freq.III = 1 Hz",
+        "span_code = nan",
+        "transducer_gain.I = inf",
+        "estimator = bogus",
+        "window = 0",
+        "freq = 1 parsec",
+    ])
+    def test_invalid_line_rejected_with_position(self, tmp_path, capsys, line):
+        path = tmp_path / "session.cfg"
+        path.write_text(line + "\n")
+        assert main(["--config", str(path), "classify", "--value", "10"]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:1: " in err
+        assert "Traceback" not in err
+
 
 class TestDefaults:
     def test_constants_catalog(self):
@@ -120,6 +138,19 @@ class TestDefaults:
         assert values == sorted(values)
         assert values[0] < values[1] < values[2]
 
+    def test_class_means_average_the_five_channels(self, tmp_path):
+        path = tmp_path / "session.cfg"
+        path.write_text("span_code.III = 120\n")
+        config = load_config(path)
+        materials = load_materials()
+        means = config.class_means()
+        for name in REFERENCE_LIQUIDS:
+            eps = materials[name].epsilon
+            expected = sum(config.air_code(c) - config.channel_code(c, eps)
+                           for c in FINGERS) / len(FINGERS)
+            assert means[name] == pytest.approx(expected)
+        assert means != default_config().class_means()
+
     def test_default_classes(self):
         classes = default_config().classes()
         assert [c.label for c in classes] == ["low", "medium", "high"]
@@ -144,7 +175,7 @@ class TestLoadConfig:
 
 class TestMaterials:
     def test_reference_liquids_shipped(self):
-        table = builtin_materials()
+        table = load_materials()
         assert table["olive_oil"].epsilon == 3.0
         assert table["olive_oil"].conductivity == pytest.approx(0.026)
         assert table["ethyl_alcohol"].epsilon == 17.0
@@ -153,30 +184,9 @@ class TestMaterials:
         assert table["deionized_water"].conductivity == pytest.approx(0.05)
 
     def test_liquids_in_permittivity_order(self):
-        table = builtin_materials()
+        table = load_materials()
         eps = [table[m].epsilon for m in REFERENCE_LIQUIDS]
         assert eps == sorted(eps)
-
-    def test_csv_override(self, tmp_path):
-        path = tmp_path / "materials.csv"
-        path.write_text("name,conductivity_s_per_m,epsilon\n"
-                        "olive_oil,0.03,3.2\nglycerol,0.01,42\n")
-        table = load_materials(path)
-        assert table["olive_oil"].epsilon == 3.2
-        assert table["glycerol"].epsilon == 42.0
-        assert "deionized_water" in table  # builtins retained
-
-    def test_csv_missing_columns(self, tmp_path):
-        path = tmp_path / "materials.csv"
-        path.write_text("name,epsilon\nfoo,2\n")
-        with pytest.raises(DataError, match="columns"):
-            load_materials(path)
-
-    def test_csv_bad_row_reports_line(self, tmp_path):
-        path = tmp_path / "materials.csv"
-        path.write_text("name,conductivity_s_per_m,epsilon\nfoo,abc,2\n")
-        with pytest.raises(DataError, match=":2:"):
-            load_materials(path)
 
 
 class TestSessionConfigIsValue:

@@ -8,7 +8,7 @@ import pytest
 from rfad.errors import DataError
 from rfad.hand import FINGERS
 from rfad.readlog import (ReadLogRow, calibrate, ingest_log, load_baseline,
-                          read_log, read_series, save_baseline,
+                          load_code_series, read_log, read_series, save_baseline,
                           series_from_rows, write_log, write_series)
 from rfad.signal import CodeSeries, FluctuationModel, synthesize_series
 
@@ -153,6 +153,15 @@ class TestSampleChecks:
                             f"0.0,I,200\n{timestamp},{channel},200\n")
         with pytest.raises(DataError, match=re.escape(f"{path}:3:")):
             reader(path)
+
+    @pytest.mark.parametrize("text", [
+        "timestamp_s,epc,channel,sensor_code,rssi_dbm\n0.0,x,I,200,\n0.0,x,I,201,\n",
+        "timestamp_s,channel,code\n0.0,I,200\n0.0,I,201\n"])
+    def test_duplicate_timestamp_names_the_file(self, tmp_path, text):
+        path = tmp_path / "dup.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=re.escape(f"{path}: duplicate")):
+            load_code_series(path)
 
     @pytest.mark.parametrize("body,error", [
         (b"0.0,I,200\n\xff\xfe,I,201\n", ": not UTF-8 text"),

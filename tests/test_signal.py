@@ -23,6 +23,11 @@ class TestCodeSeries:
         with pytest.raises(DataError, match="strictly increasing"):
             CodeSeries(times=np.array([0.0, 1.0, 1.0]), codes=np.array([1, 2, 3]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_times(self, bad):
+        with pytest.raises(DataError, match="finite"):
+            CodeSeries(times=np.array([0.0, bad]), codes=np.array([200, 201]))
+
     def test_rejects_out_of_range_codes(self):
         with pytest.raises(DataError, match="storage range"):
             _series([100, 600])
