@@ -52,6 +52,10 @@ class TrialRecord:
     def __post_init__(self):
         if set(self.responsive) != set(FINGERS):
             raise DataError("trial record needs exactly five channel slots")
+        if not all(isinstance(flag, bool) for flag in self.responsive.values()):
+            raise DataError(f"responsive flags must be true or false: {self.responsive}")
+        if not isinstance(self.subject, str) or not isinstance(self.material, str):
+            raise DataError("trial record subject and material must be strings")
 
     @property
     def n_responsive(self) -> int:

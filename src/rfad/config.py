@@ -16,7 +16,7 @@ from typing import Mapping
 from . import classify as _classify
 from . import ic as _ic
 from .errors import DataError
-from .files import finite
+from .files import finite, read_text
 from .hand import FINGERS
 from .materials import REFERENCE_LIQUIDS, load_materials
 from .units import parse_complex_quantity, parse_quantity
@@ -24,11 +24,14 @@ from .units import parse_complex_quantity, parse_quantity
 DEFAULTS_RESOURCE = "defaults.cfg"
 
 
-def _window(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"must be >= 1, got {value}")
-    return value
+def _above(parse, bound: float):
+    """``parse``, accepting only values greater than ``bound``."""
+    def checked(text: str):
+        value = parse(text)
+        if not value > bound:
+            raise ValueError(f"must be > {bound:g}, got {value:g}")
+        return value
+    return checked
 
 
 def _estimator(text: str) -> str:
@@ -49,13 +52,13 @@ _KEYS = {
     "ic_sensitivity": (parse_quantity, False),
     "g_a": (parse_quantity, True),
     "baseline_code": (int, True),
-    "span_code": (finite, True),
-    "span_epsilon": (finite, True),
+    "span_code": (_above(finite, 0), True),
+    "span_epsilon": (_above(finite, 1), True),
     "eps_half": (finite, True),
     "transducer_gain": (finite, True),
     "sawtooth_frequency": (parse_quantity, False),
     "sample_period": (parse_quantity, False),
-    "window": (_window, False),
+    "window": (_above(int, 0), False),
     "estimator": (_estimator, False),
 }
 
@@ -169,6 +172,5 @@ def load_config(path=None) -> SessionConfig:
     """Defaults, with an optional config file layered on top."""
     values = parse_config_text(default_config_text(), DEFAULTS_RESOURCE)
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            values.update(parse_config_text(fh.read(), str(path)))
+        values.update(parse_config_text(read_text(path), str(path)))
     return build_config(values)

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, SingularMatrixError
-from .files import write_csv, write_text
+from .files import read_text, write_csv, write_text
 from .hand import FINGERS
 from .units import parse_quantity
 
@@ -164,26 +164,28 @@ def load_impedance_matrix(path) -> ImpedanceMatrix:
     frequency = None
     ports = None
     rows, linenos = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" in line and not rows:
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key == "frequency":
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" in line and not rows:
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if key == "frequency":
+                try:
                     frequency = parse_quantity(value.strip())
-                elif key == "ports":
-                    ports = tuple(value.split())
-                else:
-                    raise DataError(f"{path}:{lineno}: unknown header key {key!r}")
-                continue
-            try:
-                rows.append([complex(tok) for tok in line.split()])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad complex token") from exc
-            linenos.append(lineno)
+                except DataError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
+            elif key == "ports":
+                ports = tuple(value.split())
+            else:
+                raise DataError(f"{path}:{lineno}: unknown header key {key!r}")
+            continue
+        try:
+            rows.append([complex(tok) for tok in line.split()])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: bad complex token") from exc
+        linenos.append(lineno)
     if frequency is None or ports is None or not rows:
         raise DataError(f"{path}: need frequency, ports and matrix rows")
     if any(len(r) != len(rows) for r in rows):

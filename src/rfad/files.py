@@ -3,8 +3,9 @@
 Each output goes to a uniquely named temporary file beside its target
 and is renamed over it; a failed write leaves the old target and no
 temporary file. CSV is UTF-8 with LF line endings and a header row;
-JSON is indented by two spaces and ends with a newline. Readers name
-``path:line`` or ``path: field`` in each ``DataError``.
+JSON is indented by two spaces and ends with a newline. Every reader
+decodes through ``read_text`` and names ``path:line`` or ``path: field``
+in each ``DataError``.
 """
 
 from __future__ import annotations
@@ -45,27 +46,36 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     write_text(path, csv_text(header, rows))
 
 
-def read_csv(path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(lineno, fields)`` for each non-empty data row of a file
-    that starts with ``header`` and has as many fields in every row."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+def read_text(path) -> str:
+    """The text of a UTF-8 file, with universal newlines; undecodable
+    bytes are a ``DataError`` naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
         try:
-            first = next(reader, None)
-            if first is None:
-                raise DataError(f"{path}: empty file")
-            if first != list(header):
-                raise DataError(f"{path}:1: bad header {first!r}")
-            for lineno, fields in enumerate(reader, start=2):
-                if not fields:
-                    continue
-                if len(fields) != len(header):
-                    raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
-                yield lineno, fields
-        except csv.Error as exc:
-            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+            return fh.read()
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_csv(path, headers: Sequence[Sequence[str]]) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(lineno, fields)`` for the header row, which must be one
+    of ``headers``, then for each non-empty data row, which must have as
+    many fields as the header."""
+    reader = csv.reader(io.StringIO(read_text(path)))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        if header not in [list(h) for h in headers]:
+            raise DataError(f"{path}:1: bad header {header!r}")
+        yield 1, header
+        for lineno, fields in enumerate(reader, start=2):
+            if not fields:
+                continue
+            if len(fields) != len(header):
+                raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
+            yield lineno, fields
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def json_text(payload) -> str:
@@ -87,13 +97,15 @@ def finite(token: str) -> float:
 def read_json(path, convert):
     """``convert`` applied to a parsed JSON file; a parse or shape
     failure becomes a ``DataError`` naming the file."""
+    text = read_text(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh, parse_float=finite, parse_constant=finite)
+        payload = json.loads(text, parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}:{exc.lineno}: {exc.msg}") from None
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise DataError(f"{path}: nested too deeply") from None
     try:
         return convert(payload)
     except KeyError as exc:

@@ -48,10 +48,13 @@ class CalibrationBaseline:
         for channel, code in self.codes.items():
             if channel not in FINGERS:
                 raise DataError(f"unknown channel {channel!r} in baseline")
-            if not 0 <= code <= 511:
+            if isinstance(code, bool) or not 0 <= code <= 511:
                 raise DataError(
                     f"baseline code {code} for channel {channel} outside "
                     f"storage range [0, 511]")
+        if any(gap not in FINGERS or gap in self.codes for gap in self.gaps):
+            raise DataError(f"baseline gaps {list(self.gaps)} must be fingers "
+                            f"without a code")
 
 
 @dataclass(frozen=True)
@@ -66,8 +69,11 @@ class Fingerprint:
     def __post_init__(self):
         if set(self.values) != set(FINGERS) or set(self.imputed) != set(FINGERS):
             raise DataError("fingerprint must cover exactly the five fingers")
-        if not 1 <= self.n_responsive <= len(FINGERS):
-            raise DataError(f"n_responsive out of range: {self.n_responsive}")
+        if not all(isinstance(flag, bool) for flag in self.imputed.values()):
+            raise DataError(f"imputed flags must be true or false: {self.imputed}")
+        if not 1 <= self.n_responsive == sum(not f for f in self.imputed.values()):
+            raise DataError(f"n_responsive {self.n_responsive} must count the "
+                            f"fingers not imputed, at least one")
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                    and math.isfinite(v) for v in self.values.values()):
             raise DataError(f"fingerprint values must be finite numbers: {self.values}")

@@ -23,7 +23,7 @@ from .fingerprint import (CalibrationBaseline, ChannelReading,
                           fingerprint_from_record, fingerprint_record)
 from .hand import FINGERS
 from .materials import REFERENCE_LIQUIDS, load_materials
-from .readlog import ReadLogRow, write_log
+from .readlog import write_log
 from .signal import material_fluctuation_model, synthesize_block, window_estimates
 
 DEFAULT_POPULATION_SEED = 20
@@ -199,11 +199,8 @@ def generate_population(spec: PopulationSpec = PopulationSpec(),
             epcs = [_epc(subject, material_idx, trial, ch) for ch in channels]
             # rows ordered by (timestamp, channel): finger order I..V is also
             # the channels' name order
-            rows = [ReadLogRow(timestamp=t, channel=ch, sensor_code=c, epc=epc)
-                    for t, column in zip(times.tolist(), codes.T.tolist())
-                    for ch, epc, c in zip(channels, epcs, column)]
             name = f"subject{subject + 1:02d}_{material}_trial{trial + 1}.csv"
-            write_log(rows, os.path.join(out_dir, name))
+            write_log((times, channels, epcs, codes), os.path.join(out_dir, name))
     return records
 
 

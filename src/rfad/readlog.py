@@ -1,32 +1,36 @@
 """Reader-log and series persistence, plus calibration.
 
-Two CSV formats are supported, read and written through ``rfad.files``:
+Two CSV formats carry the sensor codes, through ``rfad.files``:
 
 * read log: ``timestamp_s,epc,channel,sensor_code,rssi_dbm``
 * code series: ``timestamp_s,channel,code``
 
-Both check each sample alike (finite non-negative timestamp, known
-channel, code in storage range) and name ``path:line`` in each error.
-Samples are grouped per channel and sorted by timestamp; a timestamp
-repeated on one channel is an error.
+``load_code_series`` reads both; the header row picks the columns. Each
+sample is checked alike (finite non-negative timestamp, known channel,
+code in storage range), a read log's ``rssi_dbm`` must be empty or
+finite, and each error names ``path:line``. Samples are grouped per
+channel and sorted by timestamp; a timestamp repeated on one channel is
+an error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import DataError
-from .files import read_csv, read_json, write_csv, write_json
+from .files import finite, read_csv, read_json, write_csv, write_json
 from .fingerprint import CalibrationBaseline
 from .hand import FINGERS
 from .signal import CODE_STORAGE_MAX, CODE_STORAGE_MIN, CodeSeries, estimate_code
 
 READLOG_HEADER = ["timestamp_s", "epc", "channel", "sensor_code", "rssi_dbm"]
 SERIES_HEADER = ["timestamp_s", "channel", "code"]
+
+# header -> columns of (timestamp, channel, code, rssi or None)
+_COLUMNS = {tuple(READLOG_HEADER): (0, 2, 3, 4), tuple(SERIES_HEADER): (0, 1, 2, None)}
 
 
 def _sample(channel: str, timestamp: float, code: int) -> tuple:
@@ -40,40 +44,15 @@ def _sample(channel: str, timestamp: float, code: int) -> tuple:
     return channel, timestamp, code
 
 
-@dataclass(frozen=True)
-class ReadLogRow:
-    """One timestamped tag read."""
-
-    timestamp: float
-    epc: str
-    channel: str
-    sensor_code: int
-    rssi_dbm: Optional[float] = None
-
-    def __post_init__(self):
-        _sample(self.channel, self.timestamp, self.sensor_code)
-
-
-def write_log(rows: Iterable[ReadLogRow], path) -> None:
+def write_log(block, path) -> None:
+    """Write the code block ``(times, channels, epcs, codes)``, one row of
+    ``codes`` per channel, as a reader log: rows by timestamp, then in
+    ``channels`` order, with ``rssi_dbm`` empty."""
+    times, channels, epcs, codes = block
     write_csv(path, READLOG_HEADER, (
-        [repr(row.timestamp), row.epc, row.channel, row.sensor_code,
-         "" if row.rssi_dbm is None else repr(row.rssi_dbm)] for row in rows))
-
-
-def read_log(path) -> list[ReadLogRow]:
-    rows = []
-    for lineno, (t, epc, channel, code, rssi) in read_csv(path, READLOG_HEADER):
-        try:
-            rows.append(ReadLogRow(timestamp=float(t), epc=epc, channel=channel,
-                                   sensor_code=int(code),
-                                   rssi_dbm=float(rssi) if rssi else None))
-        except DataError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: malformed row") from exc
-    if not rows:
-        raise DataError(f"{path}: read log contains no rows")
-    return rows
+        [repr(t), epc, channel, code, ""]
+        for t, column in zip(np.asarray(times).tolist(), np.asarray(codes).T.tolist())
+        for channel, epc, code in zip(channels, epcs, column)))
 
 
 def _group(samples: Iterable[tuple], source) -> dict[str, CodeSeries]:
@@ -90,28 +69,25 @@ def _group(samples: Iterable[tuple], source) -> dict[str, CodeSeries]:
     return out
 
 
-def series_from_rows(rows: Sequence[ReadLogRow],
-                     source="<rows>") -> dict[str, CodeSeries]:
-    """Group log rows into per-channel series, sorted by timestamp."""
-    return _group(((r.channel, r.timestamp, r.sensor_code) for r in rows), source)
-
-
-def ingest_log(path) -> dict[str, CodeSeries]:
-    return series_from_rows(read_log(path), path)
-
-
 def load_code_series(path) -> dict[str, CodeSeries]:
-    """Load per-channel series from either supported CSV format.
-
-    Dispatches on the header line: full reader logs are grouped per
-    channel, plain code-series files are read directly.
-    """
-    # undecodable bytes are reported, with the path, by the full read
-    with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
-        header = fh.readline().strip()
-    if header == ",".join(READLOG_HEADER):
-        return ingest_log(path)
-    return read_series(path)
+    """Per-channel series from a reader log or a code-series file."""
+    rows = read_csv(path, (READLOG_HEADER, SERIES_HEADER))
+    _, header = next(rows)
+    t_col, channel_col, code_col, rssi_col = _COLUMNS[tuple(header)]
+    samples = []
+    for lineno, fields in rows:
+        try:
+            if rssi_col is not None and fields[rssi_col]:
+                finite(fields[rssi_col])
+            samples.append(_sample(fields[channel_col], float(fields[t_col]),
+                                   int(fields[code_col])))
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: malformed row") from exc
+    if not samples:
+        raise DataError(f"{path}: file contains no rows")
+    return _group(samples, path)
 
 
 def write_series(series_set: Mapping[str, CodeSeries], path) -> None:
@@ -119,20 +95,6 @@ def write_series(series_set: Mapping[str, CodeSeries], path) -> None:
         [repr(float(t)), channel, int(code)]
         for channel in sorted(series_set, key=FINGERS.index)
         for t, code in zip(series_set[channel].times, series_set[channel].codes)))
-
-
-def read_series(path) -> dict[str, CodeSeries]:
-    samples = []
-    for lineno, (t, channel, code) in read_csv(path, SERIES_HEADER):
-        try:
-            samples.append(_sample(channel, float(t), int(code)))
-        except DataError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: malformed row") from exc
-    if not samples:
-        raise DataError(f"{path}: series file contains no rows")
-    return _group(samples, path)
 
 
 def calibrate(series_set: Mapping[str, CodeSeries], window: int = 10,

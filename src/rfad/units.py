@@ -62,8 +62,11 @@ def parse_quantity(text: str) -> float:
         raise DataError(f"cannot parse number in quantity {text!r}") from exc
     if unit != "dBm" and unit not in _UNIT_SCALE:
         raise DataError(f"unknown unit {unit!r} in quantity {text!r}")
-    return _finite(watts_from_dbm(value) if unit == "dBm"
-                   else value * _UNIT_SCALE[unit], text)
+    try:
+        value = watts_from_dbm(value) if unit == "dBm" else value * _UNIT_SCALE[unit]
+    except OverflowError:
+        value = math.inf
+    return _finite(value, text)
 
 
 def parse_complex_quantity(text: str) -> complex:

@@ -9,7 +9,7 @@ from rfad.cli import main
 from rfad.config import load_config
 from rfad.hand import FINGERS
 from rfad.population import generate_population, save_records
-from rfad.readlog import ReadLogRow, read_series, write_log
+from rfad.readlog import load_code_series, write_log
 from rfad.signal import material_fluctuation_model, synthesize_series
 
 
@@ -61,7 +61,7 @@ class TestSimulate:
         expected = synthesize_series(
             material_fluctuation_model("deionized_water", baseline), 70.0,
             seed=1 + FINGERS.index("III"), channel="III")
-        assert list(read_series(out)["III"].codes) == list(expected.codes)
+        assert list(load_code_series(out)["III"].codes) == list(expected.codes)
 
     def test_channel_subset(self, tmp_path):
         out = tmp_path / "two.csv"
@@ -105,10 +105,9 @@ class TestFingerprintAndClassify:
         shuffled = tmp_path / "shuffled.csv"
         shuffled.write_text("\n".join([header] + rows) + "\n")
         log = tmp_path / "log.csv"
-        write_log([ReadLogRow(timestamp=float(t), epc="E280", channel=channel,
-                              sensor_code=int(code))
-                   for channel, s in read_series(touched).items()
-                   for t, code in zip(s.times, s.codes)], log)
+        series = load_code_series(touched)
+        write_log((series["I"].times, list(series), ["E280"] * len(series),
+                   [s.codes for s in series.values()]), log)
         outputs = []
         for source in (touched, shuffled, log):
             out = tmp_path / f"fp-{source.stem}.json"
@@ -158,6 +157,17 @@ class TestCoupling:
                         "50+0j 1+0j\nnan+0j 50+0j\n")
         assert run("coupling", "--matrix", str(path)) == 2
         assert f"{path}:4:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("first,place", [
+        (b"frequency = 1 parsec\n", ":1: unknown unit"),
+        (b"frequency = 1e300 dBm\n", ":1: non-finite"),
+        (b"frequency = 867 MHz  # \xff\n", ": not UTF-8 text")])
+    def test_bad_header_is_data_error_naming_the_file(self, tmp_path, capsys,
+                                                      first, place):
+        path = tmp_path / "z.txt"
+        path.write_bytes(first + b"ports = I II\n50+0j 1+0j\n1+0j 50+0j\n")
+        assert run("coupling", "--matrix", str(path)) == 2
+        assert f"{path}{place}" in capsys.readouterr().err
 
     def test_singular_matrix_is_numerical_error(self, tmp_path):
         path = tmp_path / "z.txt"
@@ -212,11 +222,27 @@ class TestExport:
         assert (tmp_path / "chart.csv").exists()
 
 
-# A fingerprint with a string among its values, which is also a trial record.
-_STRING_FP = {"values": {f: "a" if f == "I" else 10.0 for f in FINGERS},
-              "imputed": {f: False for f in FINGERS}, "n_responsive": 5}
-_STRING_RECORD = dict(_STRING_FP, subject="S01", material="olive_oil",
-                      responsive={f: True for f in FINGERS}, fingerprint=_STRING_FP)
+def _as_record(fp):
+    """A fingerprint that is also a trial record, so one list serves every command."""
+    return dict(fp, subject="S01", material="olive_oil",
+                responsive={f: True for f in FINGERS}, fingerprint=fp)
+
+
+def _fp(imputed=False):
+    """Five values of 10.0, each flagged ``imputed``, counted as five responsive."""
+    return {"values": {f: 10.0 for f in FINGERS},
+            "imputed": {f: imputed for f in FINGERS}, "n_responsive": 5}
+
+
+# A fingerprint with a string among its values.
+_STRING_FP = dict(_fp(), values={f: "a" if f == "I" else 10.0 for f in FINGERS})
+# One responsive finger, counted as five.
+_MISCOUNTED_FP = dict(_fp(), imputed={f: f != "I" for f in FINGERS})
+
+
+def _baseline(**fields):
+    return json.dumps(dict({"codes": {f: 300 for f in FINGERS}}, **fields))
+
 
 # Each malformed JSON input, as a baseline object and as a list of records.
 _BAD_JSON = {
@@ -224,7 +250,11 @@ _BAD_JSON = {
     "missing-field": ('{"timestamp": ""}', '[{}]'),
     "list-for-object": ('[]', '[[]]'),
     "nan": ('{"codes": {"I": NaN}}', '[{"values": {"I": NaN}}]'),
-    "string-value": ('{"codes": {"I": "a"}}', json.dumps([_STRING_RECORD])),
+    "string-value": ('{"codes": {"I": "a"}}', json.dumps([_as_record(_STRING_FP)])),
+    "miscounted": (_baseline(gaps=["I"]), json.dumps([_as_record(_MISCOUNTED_FP)])),
+    "non-bool-flag": (_baseline(codes={f: True for f in FINGERS}),
+                      json.dumps([_as_record(_fp(imputed="no"))])),
+    "deep-nesting": ("[" * 200_000, "[" * 200_000),
 }
 
 

@@ -92,6 +92,11 @@ class TestParseConfigText:
         "estimator = bogus",
         "window = 0",
         "freq = 1 parsec",
+        "span_epsilon = 1",
+        "span_epsilon = 0.5",
+        "span_epsilon.IV = 1",
+        "span_code = 0",
+        "span_code.II = -5",
     ])
     def test_invalid_line_rejected_with_position(self, tmp_path, capsys, line):
         path = tmp_path / "session.cfg"
@@ -100,6 +105,12 @@ class TestParseConfigText:
         err = capsys.readouterr().err
         assert f"{path}:1: " in err
         assert "Traceback" not in err
+
+    def test_undecodable_file_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "session.cfg"
+        path.write_bytes(b"window = 10  # \xff\n")
+        assert main(["--config", str(path), "classify", "--value", "10"]) == 2
+        assert f"{path}: not UTF-8 text" in capsys.readouterr().err
 
 
 class TestDefaults:

@@ -19,7 +19,7 @@ from rfad.population import (DEFAULT_POPULATION_SEED, PopulationSpec, _Chain,
                              _simulate, generate_population, load_records,
                              monte_carlo_classification, save_records,
                              simulate_hand)
-from rfad.readlog import read_log
+from rfad.readlog import load_code_series
 from rfad.signal import (CODE_STORAGE_MAX, CODE_STORAGE_MIN, _sawtooth,
                          material_fluctuation_model)
 
@@ -198,7 +198,7 @@ class TestStreamPreservation:
         rng = np.random.default_rng(9)
         for material in spec.materials:
             _, log_rows, _ = _oracle_simulate_hand(material, rng, config, spec)
-            # file order, which read_log would hide by sorting
+            # file order, which load_code_series would hide by sorting
             lines = (tmp_path / f"subject01_{material}_trial1.csv").read_text().splitlines()
             rows = [line.split(",") for line in lines[1:]]
             assert [(float(r[0]), r[2], int(r[3])) for r in rows] == [
@@ -244,8 +244,7 @@ class TestGeneratePopulation:
         records = generate_population(spec, seed=3, out_dir=tmp_path)
         files = sorted(tmp_path.glob("*.csv"))
         assert len(files) == 3  # one per material
-        rows = read_log(files[0])
-        responsive = {r.channel for r in rows}
+        responsive = set(load_code_series(files[0]))
         record = [r for r in records
                   if files[0].name.find(r.material) >= 0][0]
         assert responsive == {f for f in FINGERS if record.responsive[f]}

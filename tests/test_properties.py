@@ -16,7 +16,7 @@ from rfad.fingerprint import (CalibrationBaseline, ChannelReading,
 from rfad.hand import FINGERS
 from rfad.ic import (AntennaState, AutoTuneIC, antenna_response,
                      calibrated_antenna_model, ic_susceptance, sensor_code)
-from rfad.readlog import ReadLogRow, read_log, write_log
+from rfad.readlog import load_code_series, write_log, write_series
 from rfad.signal import CodeSeries, FluctuationModel, convergence_error, synthesize_series
 
 N_CASES = 1000
@@ -178,26 +178,36 @@ def run_delta_at_asymptote(n=N_CASES, seed=108):
 
 
 def run_log_round_trip(n=N_CASES, seed=109, tmp_dir=None):
-    """write_log / read_log is lossless field-for-field."""
+    """A random code block written as a reader log (write_log) and as a
+    code-series file in shuffled row order (write_series) loads back, from
+    both, as the block's per-channel times and codes."""
     import tempfile
     import os
     rng = np.random.default_rng(seed)
     failures = 0
     with tempfile.TemporaryDirectory(dir=tmp_dir) as work:
-        path = os.path.join(work, "log.csv")
+        log, series = os.path.join(work, "log.csv"), os.path.join(work, "series.csv")
         for _ in range(n):
-            n_rows = int(rng.integers(1, 8))
-            times = np.sort(rng.uniform(0.0, 100.0, size=n_rows))
-            rows = [ReadLogRow(
-                timestamp=float(t),
-                epc=f"E280{int(rng.integers(0, 2**32)):08X}",
-                channel=FINGERS[int(rng.integers(0, 5))],
-                sensor_code=int(rng.integers(0, 512)),
-                rssi_dbm=(None if rng.random() < 0.3
-                          else float(np.round(rng.uniform(-80.0, -30.0), 3))))
-                for t in times]
-            write_log(rows, path)
-            failures += read_log(path) != rows
+            n_samples = int(rng.integers(1, 8))
+            times = np.sort(rng.uniform(0.0, 100.0, size=n_samples))
+            channels = [f for f in FINGERS if rng.random() < 0.5] or ["III"]
+            codes = rng.integers(0, 512, size=(len(channels), n_samples))
+            epcs = [f"E280{int(rng.integers(0, 2**32)):08X}" for _ in channels]
+            write_log((times, channels, epcs, codes), log)
+            write_series({ch: CodeSeries(times, row, ch)
+                          for ch, row in zip(channels, codes)}, series)
+            with open(series) as fh:
+                header, *rows = fh.readlines()
+            rng.shuffle(rows)
+            with open(series, "w") as fh:
+                fh.writelines([header] + rows)
+            loaded = [load_code_series(path) for path in (log, series)]
+            failures += not all(
+                set(got) == set(channels) and all(
+                    np.array_equal(got[ch].times, times)
+                    and np.array_equal(got[ch].codes, row)
+                    for ch, row in zip(channels, codes))
+                for got in loaded)
     return failures
 
 

@@ -7,110 +7,135 @@ import pytest
 
 from rfad.errors import DataError
 from rfad.hand import FINGERS
-from rfad.readlog import (ReadLogRow, calibrate, ingest_log, load_baseline,
-                          load_code_series, read_log, read_series, save_baseline,
-                          series_from_rows, write_log, write_series)
+from rfad.readlog import (calibrate, load_baseline, load_code_series, save_baseline,
+                          write_log, write_series)
 from rfad.signal import CodeSeries, FluctuationModel, synthesize_series
 
+LOG_HEADER = "timestamp_s,epc,channel,sensor_code,rssi_dbm\n"
+SERIES_HEADER = "timestamp_s,channel,code\n"
 
-def _rows(channel="I", n=3, start=0.0):
-    return [ReadLogRow(timestamp=start + 0.7 * i, epc="E280" + "0" * 20,
-                       channel=channel, sensor_code=200 + i, rssi_dbm=-55.5)
-            for i in range(n)]
+# Each CSV format: its header and the form of one sample row, keyed by
+# the name the test ids give to reading it.
+FORMATS = {
+    "read_log": (LOG_HEADER, "{},x,{},{},\n"),
+    "read_series": (SERIES_HEADER, "{},{},{}\n"),
+}
+
+
+def _csv(fmt, *samples):
+    """Text of a file of format ``fmt`` holding ``(t, channel, code)`` samples."""
+    header, row = FORMATS[fmt]
+    return header + "".join(row.format(*sample) for sample in samples)
+
+
+def _block(channels=("I",), n=3, start=0.0):
+    """A code block: ``n`` shared timestamps, one code row per channel."""
+    times = start + 0.7 * np.arange(n)
+    codes = np.array([200 + 10 * k + np.arange(n) for k in range(len(channels))])
+    epcs = [f"E280{k:020X}" for k in range(len(channels))]
+    return times, list(channels), epcs, codes
 
 
 class TestReadLogRow:
-    def test_validation(self):
-        with pytest.raises(DataError):
-            ReadLogRow(timestamp=-1.0, epc="x", channel="I", sensor_code=100)
-        with pytest.raises(DataError):
-            ReadLogRow(timestamp=0.0, epc="x", channel="VI", sensor_code=100)
-        with pytest.raises(DataError):
-            ReadLogRow(timestamp=0.0, epc="x", channel="I", sensor_code=600)
+    def test_optional_rssi(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text(LOG_HEADER + "0.0,x,I,200,\n0.7,x,I,201,-55.5\n")
+        assert list(load_code_series(path)["I"].codes) == [200, 201]
 
-    def test_optional_rssi(self):
-        row = ReadLogRow(timestamp=0.0, epc="x", channel="I", sensor_code=100)
-        assert row.rssi_dbm is None
+    @pytest.mark.parametrize("rssi", ["nan", "inf", "-inf", "loud"])
+    def test_bad_rssi_names_the_line(self, tmp_path, rssi):
+        path = tmp_path / "log.csv"
+        path.write_text(LOG_HEADER + f"0.0,x,I,200,\n0.7,x,I,201,{rssi}\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}:3:")):
+            load_code_series(path)
 
 
 class TestLogRoundTrip:
     def test_lossless(self, tmp_path):
-        rows = _rows("I") + _rows("III", start=0.1)
+        times, channels, epcs, codes = block = _block(("I", "III"), start=0.1)
         path = tmp_path / "log.csv"
-        write_log(rows, path)
-        assert read_log(path) == rows
+        write_log(block, path)
+        series = load_code_series(path)
+        assert list(series) == channels
+        for channel, row in zip(channels, codes):
+            assert np.array_equal(series[channel].times, times)
+            assert np.array_equal(series[channel].codes, row)
+
+    def test_rows_by_timestamp_then_channel(self, tmp_path):
+        path = tmp_path / "log.csv"
+        write_log(_block(("II", "IV"), n=2), path)
+        assert path.read_text() == LOG_HEADER + (
+            "0.0,E28000000000000000000000,II,200,\n"
+            "0.0,E28000000000000000000001,IV,210,\n"
+            "0.7,E28000000000000000000000,II,201,\n"
+            "0.7,E28000000000000000000001,IV,211,\n")
 
     def test_header_and_line_endings(self, tmp_path):
         path = tmp_path / "log.csv"
-        write_log(_rows(), path)
+        write_log(_block(), path)
         raw = path.read_bytes()
         assert raw.startswith(b"timestamp_s,epc,channel,sensor_code,rssi_dbm\n")
         assert b"\r" not in raw
 
     def test_byte_identical_rewrites(self, tmp_path):
-        rows = _rows("II", n=5)
+        block = _block(("II",), n=5)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_log(rows, a)
-        write_log(rows, b)
+        write_log(block, a)
+        write_log(block, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "log.csv"
         path.write_text("")
         with pytest.raises(DataError, match="empty"):
-            read_log(path)
+            load_code_series(path)
 
     def test_header_only_rejected(self, tmp_path):
         path = tmp_path / "log.csv"
-        path.write_text("timestamp_s,epc,channel,sensor_code,rssi_dbm\n")
+        path.write_text(LOG_HEADER)
         with pytest.raises(DataError, match="no rows"):
-            read_log(path)
+            load_code_series(path)
 
     def test_bad_code_reports_line(self, tmp_path):
         path = tmp_path / "log.csv"
-        path.write_text("timestamp_s,epc,channel,sensor_code,rssi_dbm\n"
-                        "0.0,x,I,200,\n"
-                        "0.7,x,I,600,\n")
+        path.write_text(LOG_HEADER + "0.0,x,I,200,\n0.7,x,I,600,\n")
         with pytest.raises(DataError, match=":3:"):
-            read_log(path)
+            load_code_series(path)
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "log.csv"
-        path.write_text("timestamp_s,epc,channel,sensor_code,rssi_dbm\n"
-                        "zero,x,I,200,\n")
+        path.write_text(LOG_HEADER + "zero,x,I,200,\n")
         with pytest.raises(DataError, match=":2:"):
-            read_log(path)
+            load_code_series(path)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "log.csv"
         path.write_text("time,id,ch,code,rssi\n0,x,I,200,\n")
         with pytest.raises(DataError, match="header"):
-            read_log(path)
+            load_code_series(path)
 
 
 class TestSeriesFromRows:
-    def test_interleaved_channels_sorted(self):
-        rows = [
-            ReadLogRow(1.4, "x", "II", 203),
-            ReadLogRow(0.0, "x", "I", 200),
-            ReadLogRow(0.7, "x", "II", 202),
-            ReadLogRow(0.7, "x", "I", 201),
-        ]
-        series = series_from_rows(rows)
+    def test_interleaved_channels_sorted(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text(_csv("read_log", (1.4, "II", 203), (0.0, "I", 200),
+                             (0.7, "II", 202), (0.7, "I", 201)))
+        series = load_code_series(path)
         assert set(series) == {"I", "II"}
         assert list(series["I"].codes) == [200, 201]
         assert list(series["II"].codes) == [202, 203]
         assert list(series["II"].times) == [0.7, 1.4]
 
-    def test_duplicate_timestamp_rejected(self):
-        rows = [ReadLogRow(0.7, "x", "I", 200), ReadLogRow(0.7, "y", "I", 201)]
+    def test_duplicate_timestamp_rejected(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text(LOG_HEADER + "0.7,x,I,200,\n0.7,y,I,201,\n")
         with pytest.raises(DataError, match="duplicate"):
-            series_from_rows(rows)
+            load_code_series(path)
 
     def test_ingest_log(self, tmp_path):
         path = tmp_path / "log.csv"
-        write_log(_rows("IV", n=4), path)
-        series = ingest_log(path)
+        write_log(_block(("IV",), n=4), path)
+        series = load_code_series(path)
         assert len(series["IV"]) == 4
 
 
@@ -121,7 +146,7 @@ class TestSeriesFiles:
                     for i, ch in enumerate(("I", "III", "V"))}
         path = tmp_path / "series.csv"
         write_series(original, path)
-        loaded = read_series(path)
+        loaded = load_code_series(path)
         assert set(loaded) == set(original)
         for ch in original:
             assert np.array_equal(loaded[ch].codes, original[ch].codes)
@@ -134,25 +159,28 @@ class TestSeriesFiles:
 
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "series.csv"
-        path.write_text("timestamp_s,channel,code\n")
+        path.write_text(SERIES_HEADER)
         with pytest.raises(DataError, match="no rows"):
-            read_series(path)
+            load_code_series(path)
 
 
 class TestSampleChecks:
     @pytest.mark.parametrize("timestamp,channel", [
-        ("nan", "I"), ("inf", "I"), ("-inf", "I"), ("0.7", "VI")])
-    @pytest.mark.parametrize("reader", [read_log, read_series])
+        ("nan", "I"), ("inf", "I"), ("-inf", "I"), ("-1.0", "I"), ("0.7", "VI")])
+    @pytest.mark.parametrize("reader", sorted(FORMATS))
     def test_both_formats_name_the_line(self, tmp_path, reader, timestamp, channel):
         path = tmp_path / "in.csv"
-        if reader is read_log:
-            path.write_text("timestamp_s,epc,channel,sensor_code,rssi_dbm\n"
-                            f"0.0,x,I,200,\n{timestamp},x,{channel},200,\n")
-        else:
-            path.write_text("timestamp_s,channel,code\n"
-                            f"0.0,I,200\n{timestamp},{channel},200\n")
+        path.write_text(_csv(reader, (0.0, "I", 200), (timestamp, channel, 200)))
         with pytest.raises(DataError, match=re.escape(f"{path}:3:")):
-            reader(path)
+            load_code_series(path)
+
+    @pytest.mark.parametrize("code", ["600", "512", "-1"])
+    @pytest.mark.parametrize("reader", sorted(FORMATS))
+    def test_code_outside_storage_names_the_line(self, tmp_path, reader, code):
+        path = tmp_path / "in.csv"
+        path.write_text(_csv(reader, (0.0, "I", 200), (0.7, "I", code)))
+        with pytest.raises(DataError, match=re.escape(f"{path}:3: sensor_code")):
+            load_code_series(path)
 
     @pytest.mark.parametrize("text", [
         "timestamp_s,epc,channel,sensor_code,rssi_dbm\n0.0,x,I,200,\n0.0,x,I,201,\n",
@@ -170,7 +198,7 @@ class TestSampleChecks:
         path = tmp_path / "in.csv"
         path.write_bytes(b"timestamp_s,channel,code\n" + body)
         with pytest.raises(DataError, match=re.escape(f"{path}{error}")):
-            read_series(path)
+            load_code_series(path)
 
 
 class TestCalibrate:
