@@ -2,7 +2,8 @@
 
 The averaged fingerprint is the scalar feature; materials fall into
 low/medium/high permittivity classes separated by fixed thresholds.
-Reliability statistics summarize how many fingers of a hand respond.
+Reliability statistics summarize how many fingers of a hand respond,
+over trial records that persist as JSON.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .errors import DataError, UnclassifiableError
-from .fingerprint import Fingerprint
+from .files import read_json, write_json
+from .fingerprint import Fingerprint, fingerprint_from_record, fingerprint_record
 from .hand import FINGERS
 
 CLASS_ORDER = ("low", "medium", "high")
@@ -56,6 +58,10 @@ class TrialRecord:
             raise DataError(f"responsive flags must be true or false: {self.responsive}")
         if not isinstance(self.subject, str) or not isinstance(self.material, str):
             raise DataError("trial record subject and material must be strings")
+        if self.fingerprint is not None and any(
+                self.responsive[f] == self.fingerprint.imputed[f] for f in FINGERS):
+            raise DataError(f"responsive flags {self.responsive} disagree with the "
+                            f"fingerprint's imputed flags {self.fingerprint.imputed}")
 
     @property
     def n_responsive(self) -> int:
@@ -156,3 +162,34 @@ def suggest_channel_subset(joint_rates: Mapping[str, float], k: int) -> tuple:
     order = sorted(FINGERS, key=lambda f: (-joint_rates[f], FINGERS.index(f)))
     chosen = order[:k]
     return tuple(f for f in FINGERS if f in chosen)
+
+
+# ---------------------------------------------------------------------------
+# trial record persistence
+# ---------------------------------------------------------------------------
+
+# Seed of the default synthetic campaign (``rfad stats --generate``).
+DEFAULT_POPULATION_SEED = 20
+
+
+def save_records(records: Sequence[TrialRecord], path) -> None:
+    payload = []
+    for r in records:
+        payload.append({
+            "subject": r.subject, "material": r.material,
+            "responsive": {f: bool(r.responsive[f]) for f in FINGERS},
+            "fingerprint": (fingerprint_record(r.fingerprint)
+                            if r.fingerprint is not None else None),
+        })
+    write_json(path, payload)
+
+
+def _record(rec: dict) -> TrialRecord:
+    fp = rec.get("fingerprint")
+    return TrialRecord(subject=rec["subject"], material=rec["material"],
+                       responsive=dict(rec["responsive"]),
+                       fingerprint=fingerprint_from_record(fp) if fp else None)
+
+
+def load_records(path) -> list[TrialRecord]:
+    return read_json(path, lambda payload: [_record(rec) for rec in payload])

@@ -4,6 +4,12 @@ Subcommands: simulate, calibrate, fingerprint, classify, coupling,
 stats, export. Every subcommand is a pure pipeline over files: the same
 inputs, config and seed produce byte-identical outputs.
 
+Importing this module loads no numpy. The array modules (``signal``,
+``readlog``, ``coupling``, ``population``) are imported inside the
+commands that use them, so ``classify``, ``export`` and
+``stats --records`` run without numpy; each rfad call is a short
+process, and the numpy import is most of its start-up time.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
 """
 
@@ -12,13 +18,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import coupling as _coupling
 from . import kiviat as _kiviat
-from . import population as _population
-from . import readlog as _readlog
-from . import signal as _signal
+from .classify import (DEFAULT_POPULATION_SEED, load_records, reliability_report,
+                       save_records)
 from .classify import classify as _classify_value
-from .classify import reliability_report
 from .config import load_config
 from .errors import DataError, NumericalError, RfadError
 from .files import json_text, write_json
@@ -43,6 +46,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cmd_simulate(args, config):
+    from . import readlog as _readlog
+    from . import signal as _signal
     if args.material and args.material not in REFERENCE_LIQUIDS:
         raise DataError(f"unknown reference material {args.material!r}; "
                         f"known: {sorted(REFERENCE_LIQUIDS)}")
@@ -65,6 +70,7 @@ def _cmd_simulate(args, config):
 
 
 def _cmd_calibrate(args, config):
+    from . import readlog as _readlog
     series = _readlog.load_code_series(args.log)
     baseline = _readlog.calibrate(series, window=config.window)
     _readlog.save_baseline(baseline, args.output)
@@ -73,6 +79,8 @@ def _cmd_calibrate(args, config):
 
 
 def _cmd_fingerprint(args, config):
+    from . import readlog as _readlog
+    from . import signal as _signal
     baseline = _readlog.load_baseline(args.baseline)
     series = _readlog.load_code_series(args.log)
     readings = []
@@ -103,6 +111,7 @@ def _cmd_classify(args, config):
 
 
 def _cmd_coupling(args, config):
+    from . import coupling as _coupling
     if args.matrix:
         z = _coupling.load_impedance_matrix(args.matrix)
         k = _coupling.power_wave_scattering(
@@ -128,13 +137,14 @@ def _cmd_coupling(args, config):
 
 def _cmd_stats(args, config):
     if args.generate:
+        from . import population as _population
         records = _population.generate_population(
             _population.PopulationSpec(), seed=args.seed, config=config,
             out_dir=args.log_dir)
         if args.records_out:
-            _population.save_records(records, args.records_out)
+            save_records(records, args.records_out)
     else:
-        records = _population.load_records(args.records)
+        records = load_records(args.records)
     report = reliability_report(records)
     payload = {
         "trials": len(records),
@@ -200,7 +210,7 @@ def build_parser() -> _Parser:
     p.add_argument("--records", help="trial records JSON")
     p.add_argument("--generate", action="store_true",
                    help="generate the default synthetic campaign")
-    p.add_argument("--seed", type=int, default=_population.DEFAULT_POPULATION_SEED)
+    p.add_argument("--seed", type=int, default=DEFAULT_POPULATION_SEED)
     p.add_argument("--log-dir", default=None)
     p.add_argument("--records-out", default=None)
     p.add_argument("-o", "--output")

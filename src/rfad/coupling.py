@@ -8,12 +8,13 @@ a single-stage turn-on power estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, SingularMatrixError
+from .errors import DataError, NumericalError, SingularMatrixError
 from .files import read_text, write_csv, write_text
 from .hand import FINGERS
 from .units import parse_quantity
@@ -147,7 +148,12 @@ def turn_on_power(tau: float, transducer_gain: float, ic_sensitivity: float) -> 
         raise DataError(f"transducer gain must be positive, got {transducer_gain}")
     if ic_sensitivity <= 0:
         raise DataError(f"IC sensitivity must be positive, got {ic_sensitivity}")
-    return ic_sensitivity / (transducer_gain * tau)
+    link = transducer_gain * tau
+    power = ic_sensitivity / link if link > 0 else math.inf
+    if power == math.inf:
+        raise NumericalError(f"turn-on power overflows at tau={tau}, "
+                             f"transducer gain {transducer_gain}")
+    return power
 
 
 # ---------------------------------------------------------------------------

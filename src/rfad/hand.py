@@ -5,5 +5,3 @@ finger = V, in that fixed order.
 """
 
 FINGERS = ("I", "II", "III", "IV", "V")
-
-N_CHANNELS = len(FINGERS)

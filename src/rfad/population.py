@@ -14,19 +14,19 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .classify import TrialRecord, classify, default_classes
+# The record files and the default seed live beside TrialRecord, where
+# commands that never simulate find them without numpy; they stay bound
+# here for callers that persist what generate_population returns.
+from .classify import (DEFAULT_POPULATION_SEED, TrialRecord, classify,  # noqa: F401
+                       default_classes, load_records, save_records)
 from .config import SessionConfig, default_config
 from .errors import DataError
-from .files import read_json, write_json
 from .fingerprint import (CalibrationBaseline, ChannelReading,
-                          averaged_fingerprint, build_fingerprint,
-                          fingerprint_from_record, fingerprint_record)
+                          averaged_fingerprint, build_fingerprint)
 from .hand import FINGERS
 from .materials import REFERENCE_LIQUIDS, load_materials
 from .readlog import write_log
 from .signal import material_fluctuation_model, synthesize_block, window_estimates
-
-DEFAULT_POPULATION_SEED = 20
 
 # P(exactly m of 5 fingers respond), m = 1..5. At least one finger always
 # responds; all five never do.
@@ -227,29 +227,3 @@ def monte_carlo_classification(n_hands: int, seed: int,
         correct += label == expected[material]
     return correct / n_hands
 
-
-# ---------------------------------------------------------------------------
-# trial record persistence
-# ---------------------------------------------------------------------------
-
-def save_records(records: Sequence[TrialRecord], path) -> None:
-    payload = []
-    for r in records:
-        payload.append({
-            "subject": r.subject, "material": r.material,
-            "responsive": {f: bool(r.responsive[f]) for f in FINGERS},
-            "fingerprint": (fingerprint_record(r.fingerprint)
-                            if r.fingerprint is not None else None),
-        })
-    write_json(path, payload)
-
-
-def _record(rec: dict) -> TrialRecord:
-    fp = rec.get("fingerprint")
-    return TrialRecord(subject=rec["subject"], material=rec["material"],
-                       responsive=dict(rec["responsive"]),
-                       fingerprint=fingerprint_from_record(fp) if fp else None)
-
-
-def load_records(path) -> list[TrialRecord]:
-    return read_json(path, lambda payload: [_record(rec) for rec in payload])

@@ -21,6 +21,10 @@ from .files import write_csv
 CODE_STORAGE_MIN = 0
 CODE_STORAGE_MAX = 511
 
+# Most samples one series may hold (about eight days at the default
+# sample period); a block of five such series takes a few hundred MB.
+MAX_SERIES_SAMPLES = 1_000_000
+
 DEFAULT_SAMPLE_PERIOD = 0.7
 DEFAULT_SAWTOOTH_FREQUENCY = 0.7
 DEFAULT_ASYMPTOTIC_SAMPLES = 100
@@ -110,9 +114,24 @@ def synthesize_block(model: FluctuationModel, duration: float, seeds,
     ``default_rng(seeds[i]).normal(size=k)``, whose first values do not
     depend on ``k`` (pinned by the tests), so the truncated rows equal
     the leading columns of the full ones. Returns ``(times, codes)``.
+
+    Every argument is checked before any array is allocated: a series
+    may hold at most ``MAX_SERIES_SAMPLES`` samples, seeds must be
+    non-negative and baselines inside the code storage range.
     """
-    if duration < model.sample_period:
-        raise DataError("duration must cover at least one sample period")
+    if not math.isfinite(duration) or duration < model.sample_period:
+        raise DataError(f"duration must be finite and cover at least one sample "
+                        f"period ({model.sample_period} s), got {duration}")
+    if duration / model.sample_period > MAX_SERIES_SAMPLES:
+        raise DataError(f"{duration} s at {model.sample_period} s per sample exceeds "
+                        f"the limit of {MAX_SERIES_SAMPLES} samples per series")
+    if baselines is None:
+        baselines = [model.baseline] * len(seeds)
+    if any(seed < 0 for seed in seeds):
+        raise DataError(f"series seeds must be non-negative, got {list(seeds)}")
+    if not all(CODE_STORAGE_MIN <= b <= CODE_STORAGE_MAX for b in baselines):
+        raise DataError(f"baseline codes {list(baselines)} outside storage range "
+                        f"[{CODE_STORAGE_MIN}, {CODE_STORAGE_MAX}]")
     n = int(math.floor(duration / model.sample_period))
     k = n if samples is None else max(0, min(samples, n))
     t = np.arange(n) * model.sample_period
@@ -120,8 +139,6 @@ def synthesize_block(model: FluctuationModel, duration: float, seeds,
     # one the full series holds
     transient = model.transient_amplitude * np.exp(-t / model.transient_duration)
     sawtooth = model.sawtooth_amplitude * _sawtooth(t * model.sawtooth_frequency)
-    if baselines is None:
-        baselines = [model.baseline] * len(seeds)
     base = np.asarray(baselines)[:, None]
     values = (base + transient[:k]) + sawtooth[:k]
     if model.noise_sd > 0:

@@ -3,9 +3,11 @@
 import pytest
 
 from rfad.classify import (MaterialClass, TrialRecord, ccd, classify,
-                           default_classes, per_finger_rates,
-                           reliability_report, suggest_channel_subset)
+                           default_classes, load_records, per_finger_rates,
+                           reliability_report, save_records,
+                           suggest_channel_subset)
 from rfad.errors import DataError, UnclassifiableError
+from rfad.fingerprint import Fingerprint
 from rfad.hand import FINGERS
 
 CLASSES = [
@@ -153,3 +155,25 @@ class TestTrialRecord:
 
     def test_n_responsive(self):
         assert _record(3).n_responsive == 3
+
+    def test_responsive_flags_must_match_fingerprint(self):
+        fp = Fingerprint(values={f: 10.0 for f in FINGERS},
+                         imputed={f: f != "I" for f in FINGERS}, n_responsive=1)
+        only_thumb = {f: f == "I" for f in FINGERS}
+        assert TrialRecord("S01", "olive_oil", only_thumb, fp).n_responsive == 1
+        for responsive in ({f: True for f in FINGERS},
+                           {f: f == "II" for f in FINGERS}):
+            with pytest.raises(DataError, match="disagree"):
+                TrialRecord("S01", "olive_oil", responsive, fp)
+
+
+class TestRecordPersistence:
+    def test_round_trip(self, tmp_path):
+        fp = Fingerprint(values={f: 10.0 + i for i, f in enumerate(FINGERS)},
+                         imputed={f: f == "V" for f in FINGERS}, n_responsive=4,
+                         material_label="olive_oil")
+        records = [TrialRecord("S01", "olive_oil", {f: f != "V" for f in FINGERS}, fp),
+                   _record(2, material="deionized_water", subject="S02")]
+        path = tmp_path / "records.json"
+        save_records(records, path)
+        assert load_records(path) == records

@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from rfad.cli import main
+from rfad.cli import build_parser, main
 from rfad.config import load_config
 from rfad.hand import FINGERS
-from rfad.population import generate_population, save_records
+from rfad.population import DEFAULT_POPULATION_SEED, generate_population, save_records
 from rfad.readlog import load_code_series, write_log
 from rfad.signal import material_fluctuation_model, synthesize_series
 
@@ -206,6 +206,19 @@ class TestStats:
         for out in (a, b):
             assert run("stats", "--generate", "-o", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_generate_defaults_to_the_shipped_seed(self):
+        args = build_parser().parse_args(["stats", "--generate"])
+        assert args.seed == DEFAULT_POPULATION_SEED == 20
+
+    def test_record_whose_fingerprint_disagrees_is_data_error(self, tmp_path, capsys):
+        # all five fingers said responsive, but the fingerprint read only I
+        one_read = dict(_fp(), imputed={f: f != "I" for f in FINGERS}, n_responsive=1)
+        bad = tmp_path / "records.json"
+        bad.write_text(json.dumps([_as_record(one_read)]))
+        assert run("stats", "--records", str(bad)) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "disagree" in err
 
 
 class TestExport:

@@ -11,7 +11,7 @@ from rfad.coupling import (DEFAULT_IC_IMPEDANCE, REFERENCE_COUPLING_MAGNITUDES,
                            load_impedance_matrix, normalize_coupling,
                            power_wave_scattering, save_impedance_matrix,
                            turn_on_power)
-from rfad.errors import DataError, SingularMatrixError
+from rfad.errors import DataError, NumericalError, SingularMatrixError
 
 
 def _scalar_k(z, z_c):
@@ -122,6 +122,12 @@ class TestTurnOnPower:
         for args in ((0.0, 1.0, 1e-6), (1.1, 1.0, 1e-6),
                      (0.5, 0.0, 1e-6), (0.5, 1.0, 0.0)):
             with pytest.raises(DataError):
+                turn_on_power(*args)
+
+    def test_overflowing_budget_is_numerical_error(self):
+        # tau and gain in range, but their product underflows
+        for args in ((5e-324, 2.5e-3, 10e-6), (1e-300, 1e-20, 10e-6)):
+            with pytest.raises(NumericalError, match="overflows"):
                 turn_on_power(*args)
 
 

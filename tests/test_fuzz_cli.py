@@ -1,6 +1,7 @@
-"""Contract fuzzing of ``cli.main``: random text and bytes as each input file.
+"""Contract fuzzing of ``cli.main``: random text and bytes as each input
+file, and random numbers as each numeric argument.
 
-Whatever the file holds, a command ends with an exit code in {0, 1, 2, 3},
+Whatever the input holds, a command ends with an exit code in {0, 1, 2, 3},
 prints no traceback, raises nothing out of ``main`` and leaves no
 temporary ``*.tmp`` file. Examples are derandomized, so a run is
 repeatable, and bounded, so the module runs in a few seconds.
@@ -112,6 +113,75 @@ def test_classify_fingerprints_json(content):
 @example(b"[" * 200_000)
 def test_stats_records_json(content):
     _run(content, "stats", "--records", "{src}")
+
+
+@FUZZ
+@given(_json)
+@example(b"[" * 200_000)
+def test_export_fingerprints_json(content):
+    _run(content, "export", "{src}", "-o", "{dir}/chart.svg")
+
+
+_baseline_json = st.fixed_dictionaries(
+    {"codes": _per_finger},
+    optional={"timestamp": _leaf, "gaps": st.lists(_leaf, max_size=3) | _leaf})
+_baseline_doc = _noise | (_any_json | _baseline_json).map(lambda doc: json.dumps(doc).encode())
+
+
+def _log(work: str) -> str:
+    """A valid code series of all five fingers, 12 samples each."""
+    path = os.path.join(work, "log.csv")
+    with open(path, "w") as fh:
+        fh.write("timestamp_s,channel,code\n")
+        for i in range(12):
+            fh.writelines(f"{0.7 * i},{f},{250 + i}\n" for f in FINGERS)
+    return path
+
+
+@FUZZ
+@given(_baseline_doc)
+@example(b"[" * 200_000)
+def test_fingerprint_baseline_json(content):
+    with tempfile.TemporaryDirectory() as work:
+        _run(content, "fingerprint", _log(work), "--baseline", "{src}",
+             "-o", "{dir}/fp.json")
+
+
+# ---------------------------------------------------------------------------
+# numeric arguments
+# ---------------------------------------------------------------------------
+
+def _number(values):
+    return st.sampled_from(_NUMBERS) | values.map(repr)
+
+
+# Up to 300 s: a few hundred samples per channel. Longer durations that
+# pass the sample limit only make the run slow; the tokens of _NUMBERS
+# (1e308, inf, nan, 10**400) cover the rejected ones.
+_duration = _number(st.floats(min_value=-10.0, max_value=300.0))
+_code = _number(st.integers(min_value=-10 ** 30, max_value=10 ** 30)
+                | st.integers(min_value=-5, max_value=520))
+_seed = _number(st.integers(min_value=-10 ** 30, max_value=10 ** 30))
+_tau = _number(st.floats())
+
+
+@FUZZ
+@given(_duration, _code, _seed, st.sampled_from([[], ["--material", "olive_oil"]]))
+@example("1e9", "200", "1", [])
+@example("nan", "200", "1", [])
+@example("70", "200", "-5", [])
+@example("70", "1" + "0" * 23, "1", [])
+@example("70", "200", "1", ["--channels", "I"])
+def test_simulate_numbers(duration, baseline, seed, extra):
+    _run(b"", "simulate", "--duration", duration, "--baseline", baseline, "--seed", seed,
+         *extra, "-o", "{dir}/series.csv")
+
+
+@FUZZ
+@given(_tau)
+@example("5e-324")
+def test_coupling_tau(tau):
+    _run(b"", "coupling", "--turn-on", "--tau", tau)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Series synthesis, spectrum, and convergence-window tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rfad.errors import DataError, NotConvergedError
 from rfad.materials import REFERENCE_LIQUIDS
-from rfad.signal import (CODE_STORAGE_MAX, CodeSeries, FluctuationModel,
+from rfad.signal import (CODE_STORAGE_MAX, MAX_SERIES_SAMPLES, CodeSeries, FluctuationModel,
                          amplitude_spectrum, convergence_error,
                          dominant_frequency, estimate_code, export_spectrum,
                          material_fixture_series, material_fluctuation_model,
@@ -121,6 +123,39 @@ class TestSynthesizeBlock:
     def test_samples_beyond_series_length_give_full_series(self):
         _, codes = synthesize_block(FluctuationModel(), 7.0, [1], samples=50)
         assert codes.shape == (1, 10)
+
+    @pytest.mark.parametrize("duration, period, seeds, baselines", [
+        (float("nan"), 0.7, [1], None),
+        (float("inf"), 0.7, [1], None),
+        (1e308, 0.7, [1], None),
+        (70.0, 1e-308, [1], None),
+        # one sample over the limit: without the check this would allocate
+        # several 8 MB arrays, which the traced peak below would show
+        (MAX_SERIES_SAMPLES + 1.0, 1.0, [1], None),
+        (70.0, 0.7, [-5], None),
+        (70.0, 0.7, [1, -1], [200, 200]),
+        (70.0, 0.7, [1], [10 ** 23]),
+        (70.0, 0.7, [1, 2], [200, CODE_STORAGE_MAX + 1]),
+        (70.0, 0.7, [1], [-1]),
+    ])
+    def test_bad_arguments_rejected_before_allocating(self, duration, period,
+                                                      seeds, baselines):
+        model = FluctuationModel(sample_period=period)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError):
+                synthesize_block(model, duration, seeds, baselines=baselines)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_series_at_the_sample_limit_is_made(self):
+        model = FluctuationModel(sample_period=1.0, noise_sd=0.0)
+        times, codes = synthesize_block(model, float(MAX_SERIES_SAMPLES), [1],
+                                        samples=3)
+        assert codes.shape == (1, 3)
+        assert times.tolist() == [0.0, 1.0, 2.0]
 
     def test_window_estimates_match_estimate_code(self):
         model = material_fluctuation_model("ethyl_alcohol", baseline=0)
