@@ -51,17 +51,16 @@ def _cmd_simulate(args, config):
     if args.material and args.material not in REFERENCE_LIQUIDS:
         raise DataError(f"unknown reference material {args.material!r}; "
                         f"known: {sorted(REFERENCE_LIQUIDS)}")
+    acquisition = dict(sample_period=config.sample_period,
+                       sawtooth_frequency=config.sawtooth_frequency)
     series = {}
     for channel in (args.channels or FINGERS):
         if args.material:
             fluct = _signal.material_fluctuation_model(
                 args.material, baseline=config.channel_code(
-                    channel, load_materials()[args.material].epsilon))
+                    channel, load_materials()[args.material].epsilon), **acquisition)
         else:
-            fluct = _signal.FluctuationModel(
-                baseline=args.baseline,
-                sawtooth_frequency=config.sawtooth_frequency,
-                sample_period=config.sample_period)
+            fluct = _signal.FluctuationModel(baseline=args.baseline, **acquisition)
         series[channel] = _signal.synthesize_series(
             fluct, args.duration, seed=args.seed + FINGERS.index(channel),
             channel=channel)

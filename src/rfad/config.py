@@ -3,15 +3,16 @@
 Configuration files are plain key-value text with explicit unit
 suffixes. ``_KEYS`` is the one table of keys: how each value parses
 and whether it may carry a per-channel dotted suffix, e.g.
-``g_a.III = 0.5 mS``. Values must be finite. The shipped defaults file
-is the single source for every default constant.
+``span_code.III = 120``. Values must be finite and inside each key's
+range; ``load_config`` checks the rules that join keys. The shipped
+defaults file is the single source for every default constant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 from . import classify as _classify
 from . import ic as _ic
@@ -25,11 +26,13 @@ DEFAULTS_RESOURCE = "defaults.cfg"
 
 
 def _above(parse, bound: float):
-    """``parse``, accepting only values greater than ``bound``."""
+    """``parse``, accepting only values whose real part (the value
+    itself unless complex) is greater than ``bound``."""
     def checked(text: str):
         value = parse(text)
-        if not value > bound:
-            raise ValueError(f"must be > {bound:g}, got {value:g}")
+        if not value.real > bound:
+            part = "real part " if isinstance(value, complex) else ""
+            raise ValueError(f"{part}must be > {bound:g}, got {value:g}")
         return value
     return checked
 
@@ -42,22 +45,17 @@ def _estimator(text: str) -> str:
 
 # key -> (parser, may carry a channel suffix)
 _KEYS = {
-    "freq": (parse_quantity, False),
-    "c_min": (parse_quantity, False),
-    "c_step": (parse_quantity, False),
-    "s_min": (int, False),
+    "s_min": (_above(int, -1), False),
     "s_max": (int, False),
-    "g_ic": (parse_quantity, False),
-    "ic_load": (parse_complex_quantity, False),
-    "ic_sensitivity": (parse_quantity, False),
-    "g_a": (parse_quantity, True),
+    "ic_load": (_above(parse_complex_quantity, 0), False),
+    "ic_sensitivity": (_above(parse_quantity, 0), False),
     "baseline_code": (int, True),
     "span_code": (_above(finite, 0), True),
     "span_epsilon": (_above(finite, 1), True),
-    "eps_half": (finite, True),
-    "transducer_gain": (finite, True),
-    "sawtooth_frequency": (parse_quantity, False),
-    "sample_period": (parse_quantity, False),
+    "eps_half": (_above(finite, -1), True),
+    "transducer_gain": (_above(finite, 0), True),
+    "sawtooth_frequency": (_above(parse_quantity, 0), False),
+    "sample_period": (_above(parse_quantity, 0), False),
     "window": (_above(int, 0), False),
     "estimator": (_estimator, False),
 }
@@ -68,11 +66,13 @@ def default_config_text() -> str:
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
-    """Parse key-value config text into a flat dict of SI values.
+    """Parse key-value config text into a flat dict of SI values, keyed
+    as written (``span_code.III`` for a channel's own value)."""
+    return {key: value for key, value, _ in _entries(text, source)}
 
-    Per-channel keys come back as ``(base_key, channel)`` tuples.
-    """
-    values = {}
+
+def _entries(text: str, source: str):
+    """``(key, value, lineno)`` for each setting of ``text``."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -91,15 +91,16 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             parsed = parse(value)
         except (ValueError, OverflowError) as exc:
             raise DataError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from None
-        values[(base, channel) if channel else base] = parsed
-    return values
+        yield key, parsed, lineno
 
 
 @dataclass(frozen=True)
 class SessionConfig:
     """Fully resolved session parameters and derived per-channel models."""
 
-    frequency: float
+    # the carrier cancels out of every code, so it is not a key
+    frequency: ClassVar[float] = _ic.EU_RFID_FREQUENCY
+
     ic: _ic.AutoTuneIC
     ic_load: complex
     ic_sensitivity: float
@@ -133,30 +134,25 @@ class SessionConfig:
 
 
 def _channel_value(values: dict, key: str, channel: str):
-    value = values.get((key, channel), values.get(key))
+    value = values.get(f"{key}.{channel}", values.get(key))
     if value is None:
         raise DataError(f"missing {key} for channel {channel}")
     return value
 
 
 def build_config(values: dict) -> SessionConfig:
-    ic = _ic.AutoTuneIC(
-        c_min=values["c_min"], c_step=values["c_step"],
-        s_min=values["s_min"], s_max=values["s_max"], g_ic=values["g_ic"])
-    frequency = values["freq"]
+    """The session from parsed values: the ladder and antenna physics keep
+    their defaults, and each channel's model fits its code-domain targets."""
+    ic = _ic.AutoTuneIC(s_min=values["s_min"], s_max=values["s_max"])
     models = {}
     gains = {}
     for channel in FINGERS:
-        models[channel] = _ic.calibrated_antenna_model(
-            ic=ic, frequency=frequency,
-            g_a=_channel_value(values, "g_a", channel),
-            baseline_code=_channel_value(values, "baseline_code", channel),
-            span_code=_channel_value(values, "span_code", channel),
-            span_epsilon=_channel_value(values, "span_epsilon", channel),
-            eps_half=_channel_value(values, "eps_half", channel))
+        models[channel] = _ic.calibrated_antenna_model(ic=ic, **{
+            key: _channel_value(values, key, channel)
+            for key in ("baseline_code", "span_code", "span_epsilon", "eps_half")})
         gains[channel] = _channel_value(values, "transducer_gain", channel)
     return SessionConfig(
-        frequency=frequency, ic=ic, ic_load=values["ic_load"],
+        ic=ic, ic_load=values["ic_load"],
         ic_sensitivity=values["ic_sensitivity"],
         antenna_models=models, transducer_gains=gains,
         sawtooth_frequency=values["sawtooth_frequency"],
@@ -168,9 +164,33 @@ def default_config() -> SessionConfig:
     return load_config()
 
 
+def _check_codes(values: dict, source: str, lines: dict) -> None:
+    """The rules that join keys: ``s_min < s_max``, and every
+    ``baseline_code`` inside ``[s_min, s_max]``. An error names the last
+    line of ``source`` that set one of the keys involved."""
+    s_min, s_max = values["s_min"], values["s_max"]
+    rules = [(("s_min", "s_max"), s_min < s_max,
+              f"s_min = {s_min} must be below s_max = {s_max}")]
+    rules += [((key, "s_min", "s_max"), s_min <= code <= s_max,
+               f"{key} = {code} outside [s_min, s_max] = [{s_min}, {s_max}]")
+              for key, code in values.items() if key.startswith("baseline_code")]
+    for keys, ok, message in rules:
+        if not ok:
+            line = max(lines.get(key, 0) for key in keys)
+            raise DataError(f"{source}:{line}: {message}")
+
+
 def load_config(path=None) -> SessionConfig:
-    """Defaults, with an optional config file layered on top."""
+    """Defaults, with an optional config file layered on top. The shipped
+    defaults obey the rules that join keys; the file must keep them."""
     values = parse_config_text(default_config_text(), DEFAULTS_RESOURCE)
-    if path is not None:
-        values.update(parse_config_text(read_text(path), str(path)))
+    if path is None:
+        return build_config(values)
+    layer, lines = {}, {}
+    for key, value, lineno in _entries(read_text(path), str(path)):
+        layer[key], lines[key] = value, lineno
+    # a key set without a suffix replaces the defaults of every channel
+    values = {key: value for key, value in values.items()
+              if key.partition(".")[0] not in layer} | layer
+    _check_codes(values, str(path), lines)
     return build_config(values)

@@ -2,10 +2,11 @@
 
 Each output goes to a uniquely named temporary file beside its target
 and is renamed over it; a failed write leaves the old target and no
-temporary file. CSV is UTF-8 with LF line endings and a header row;
-JSON is indented by two spaces and ends with a newline. Every reader
-decodes through ``read_text`` and names ``path:line`` or ``path: field``
-in each ``DataError``.
+temporary file. ``write_csv`` writes each row to that file as it comes
+and never holds the whole text. CSV is UTF-8 with LF line endings and a
+header row; JSON is indented by two spaces and ends with a newline.
+Every reader decodes through ``read_text`` and names ``path:line`` or
+``path: field`` in each ``DataError``.
 """
 
 from __future__ import annotations
@@ -15,35 +16,50 @@ import io
 import json
 import math
 import os
+from contextlib import contextmanager
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DataError
 
 
-def write_text(path, text: str) -> None:
-    """Replace ``path`` with ``text`` (UTF-8, line endings as given)."""
+@contextmanager
+def _replacing(path):
+    """A text file that replaces ``path`` when the block ends (UTF-8,
+    line endings as written)."""
     # Not tempfile.mkstemp: its 0600 mode would differ from open(path, "w").
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
         with fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
-def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def write_text(path, text: str) -> None:
+    """Replace ``path`` with ``text`` (UTF-8, line endings as given)."""
+    with _replacing(path) as fh:
+        fh.write(text)
+
+
+def _write_rows(fh, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    buf = io.StringIO()
+    _write_rows(buf, header, rows)
     return buf.getvalue()
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    write_text(path, csv_text(header, rows))
+    """Replace ``path`` with a CSV file, writing each row as it comes."""
+    with _replacing(path) as fh:
+        _write_rows(fh, header, rows)
 
 
 def read_text(path) -> str:

@@ -96,7 +96,9 @@ class _Chain:
             eps = self._materials[name].epsilon
             entry = self._per_material[name] = (
                 tuple(self.config.channel_code(channel, eps) for channel in FINGERS),
-                material_fluctuation_model(name, baseline=0))
+                material_fluctuation_model(
+                    name, baseline=0, sample_period=self.config.sample_period,
+                    sawtooth_frequency=self.config.sawtooth_frequency))
         return entry
 
 
@@ -148,25 +150,6 @@ def _simulate(chain: _Chain, rng: np.random.Generator, materials: Sequence[str],
                                    responsive=channel in estimates)
                     for channel in FINGERS]
         yield readings, channels, times, codes
-
-
-def simulate_hand(material: str, rng: np.random.Generator,
-                  config: SessionConfig, spec: PopulationSpec,
-                  responsive: Optional[Sequence[str]] = None):
-    """One hand-material trial through the full sensing chain.
-
-    Draws the touch-pressure offset, runs permittivity -> antenna ->
-    sensor code per finger, synthesizes the reader time series,
-    estimates the windowed code, and assembles the fingerprint.
-    Returns ``(readings, log_rows, baseline)``.
-    """
-    chain = _Chain(config, spec)
-    readings, channels, times, codes = next(
-        _simulate(chain, rng, [material], responsive, full_series=True))
-    log_rows = [] if codes is None else [
-        (channel, t, c) for channel, row in zip(channels, codes.tolist())
-        for t, c in zip(times.tolist(), row)]
-    return readings, log_rows, chain.baseline
 
 
 def generate_population(spec: PopulationSpec = PopulationSpec(),

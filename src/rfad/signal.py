@@ -286,15 +286,20 @@ _MATERIAL_FLUCTUATION = {
 DEFAULT_FIXTURE_SEED = 10
 
 
-def material_fluctuation_model(material: str, baseline: int) -> FluctuationModel:
-    """Fluctuation preset for one of the reference liquids."""
+def material_fluctuation_model(
+        material: str, baseline: int, *,
+        sample_period: float = DEFAULT_SAMPLE_PERIOD,
+        sawtooth_frequency: float = DEFAULT_SAWTOOTH_FREQUENCY) -> FluctuationModel:
+    """Fluctuation preset for one of the reference liquids, sampled and
+    swept at the given acquisition settings."""
     try:
         params = _MATERIAL_FLUCTUATION[material]
     except KeyError:
         raise DataError(
             f"no fluctuation preset for {material!r}; "
             f"known: {sorted(_MATERIAL_FLUCTUATION)}") from None
-    return FluctuationModel(baseline=baseline, **params)
+    return FluctuationModel(baseline=baseline, sample_period=sample_period,
+                            sawtooth_frequency=sawtooth_frequency, **params)
 
 
 def material_fixture_series(material: str, baseline: int = 200,

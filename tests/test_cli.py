@@ -63,6 +63,21 @@ class TestSimulate:
             seed=1 + FINGERS.index("III"), channel="III")
         assert list(load_code_series(out)["III"].codes) == list(expected.codes)
 
+    def test_acquisition_keys_reach_every_series(self, tmp_path):
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text("sample_period = 1 s\n")
+        water, logs = tmp_path / "water.csv", tmp_path / "logs"
+        logs.mkdir()
+        assert run("--config", str(cfg), "simulate", "--material", "deionized_water",
+                   "-o", str(water)) == 0
+        assert run("--config", str(cfg), "stats", "--generate",
+                   "--log-dir", str(logs)) == 0
+        paths = [water, *sorted(logs.glob("*.csv"))]
+        assert len(paths) == 91
+        for path in paths:
+            for series in load_code_series(path).values():
+                assert list(series.times) == [float(i) for i in range(70)]
+
     def test_channel_subset(self, tmp_path):
         out = tmp_path / "two.csv"
         assert run("simulate", "--channels", "II", "V", "-o", str(out)) == 0

@@ -2,13 +2,14 @@
 
 import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rfad.cli import main
 from rfad.coupling import ImpedanceMatrix, save_impedance_matrix
-from rfad.files import write_text
+from rfad.files import csv_text, write_csv, write_text
 from rfad.signal import FluctuationModel, export_spectrum, synthesize_series
 
 # SHA-256 of every output at the shipped seeds. An intended format change
@@ -111,3 +112,32 @@ class TestWriter:
         written = tmp_path / "written.txt"
         write_text(written, "x")
         assert os.stat(written).st_mode == os.stat(plain).st_mode
+
+    def test_failed_row_keeps_target_and_cleans_up(self, tmp_path):
+        def rows():
+            yield [1, "a"]
+            raise RuntimeError("row source failed")
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"old\n")
+        with pytest.raises(RuntimeError):
+            write_csv(target, ["n", "s"], rows())
+        assert target.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_csv_rows_stream_to_the_file(self, tmp_path):
+        # 200k reader-log rows: the text is never held in memory at once
+        header = ["timestamp_s", "epc", "channel", "sensor_code", "rssi_dbm"]
+        def rows():
+            return ([repr(0.7 * i), "E28000000000000000000000", "III", i % 512, ""]
+                    for i in range(200_000))
+        path = tmp_path / "log.csv"
+        tracemalloc.start()
+        try:
+            write_csv(path, header, rows())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 4_000_000
+        assert peak < size / 20
+        assert path.read_text() == csv_text(header, rows())

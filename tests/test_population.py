@@ -17,8 +17,7 @@ from rfad.hand import FINGERS
 from rfad.materials import load_materials
 from rfad.population import (DEFAULT_POPULATION_SEED, PopulationSpec, _Chain,
                              _simulate, generate_population, load_records,
-                             monte_carlo_classification, save_records,
-                             simulate_hand)
+                             monte_carlo_classification, save_records)
 from rfad.readlog import load_code_series
 from rfad.signal import (CODE_STORAGE_MAX, CODE_STORAGE_MIN, _sawtooth,
                          material_fluctuation_model)
@@ -95,6 +94,18 @@ def _oracle_simulate_hand(material, rng, config, spec, responsive=None):
     return readings, log_rows, baseline
 
 
+def _one_hand(material, rng, config, spec, responsive=None):
+    """One hand through the batched core, in the oracle's return shape:
+    ``(readings, log_rows, baseline)`` with ``(channel, t, code)`` rows."""
+    chain = _Chain(config, spec)
+    readings, channels, times, codes = next(
+        _simulate(chain, rng, [material], responsive, full_series=True))
+    log_rows = [] if codes is None else [
+        (channel, t, c) for channel, row in zip(channels, codes.tolist())
+        for t, c in zip(times.tolist(), row)]
+    return readings, log_rows, chain.baseline
+
+
 # SHA-256 of save_records output of the default campaign, recorded from
 # the hand-by-hand chain before the batched core replaced it.
 RECORDS_SHA256 = {
@@ -130,7 +141,7 @@ class TestSimulateHand:
     def test_forced_responsive_set(self):
         config = default_config()
         rng = np.random.default_rng(0)
-        readings, log_rows, baseline = simulate_hand(
+        readings, log_rows, baseline = _one_hand(
             "olive_oil", rng, config, PopulationSpec(),
             responsive=("II", "III"))
         by_channel = {r.channel: r for r in readings}
@@ -148,7 +159,7 @@ class TestSimulateHand:
         rng = np.random.default_rng(1)
         means = config.class_means()
         for material, expected in means.items():
-            readings, _, baseline = simulate_hand(
+            readings, _, baseline = _one_hand(
                 material, rng, config, spec, responsive=FINGERS)
             fp = build_fingerprint(readings, baseline)
             assert averaged_fingerprint(fp) == pytest.approx(expected, abs=3.0)
@@ -180,8 +191,8 @@ class TestStreamPreservation:
         config, spec = default_config(), PopulationSpec()
         for seed in (0, 1, 2):
             for material in spec.materials:
-                got = simulate_hand(material, np.random.default_rng(seed), config,
-                                    spec, responsive=responsive)
+                got = _one_hand(material, np.random.default_rng(seed), config,
+                                spec, responsive=responsive)
                 assert got == _oracle_simulate_hand(
                     material, np.random.default_rng(seed), config, spec,
                     responsive=responsive)
