@@ -16,12 +16,6 @@ from .files import read_json, write_json
 from .fingerprint import Fingerprint, fingerprint_from_record, fingerprint_record
 from .hand import FINGERS
 
-CLASS_ORDER = ("low", "medium", "high")
-
-# Physical span of a differential code given the usable register range.
-DELTA_S_SPAN = 320.0
-
-
 @dataclass(frozen=True)
 class MaterialClass:
     """One permittivity class: label plus half-open interval [lower, upper).
@@ -100,11 +94,14 @@ def classify(f_bar: float, classes: Sequence[MaterialClass]) -> str:
         distance=distance)
 
 
-def default_classes(class_means: Mapping[str, float]) -> list[MaterialClass]:
+def default_classes(class_means: Mapping[str, float],
+                    span: float) -> list[MaterialClass]:
     """Build low/medium/high classes from calibrated per-class means.
 
     Thresholds sit at the midpoints between adjacent class means, which
-    maximizes the margin for the reported per-class spreads.
+    maximizes the margin for the reported per-class spreads. The outer
+    bounds are ``-span`` and ``span``: with ``span = s_max - s_min`` they
+    hold every differential code the ladder can produce.
     """
     if len(class_means) != 3:
         raise DataError("expected exactly three calibrated class means")
@@ -113,9 +110,9 @@ def default_classes(class_means: Mapping[str, float]) -> list[MaterialClass]:
     t1 = 0.5 * (v_low + v_med)
     t2 = 0.5 * (v_med + v_high)
     return [
-        MaterialClass("low", -DELTA_S_SPAN, t1, reference_materials=(m_low,)),
+        MaterialClass("low", -span, t1, reference_materials=(m_low,)),
         MaterialClass("medium", t1, t2, reference_materials=(m_med,)),
-        MaterialClass("high", t2, DELTA_S_SPAN, reference_materials=(m_high,)),
+        MaterialClass("high", t2, span, reference_materials=(m_high,)),
     ]
 
 

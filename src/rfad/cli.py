@@ -25,9 +25,9 @@ from .classify import classify as _classify_value
 from .config import load_config
 from .errors import DataError, NumericalError, RfadError
 from .files import json_text, write_json
-from .fingerprint import (ChannelReading, averaged_fingerprint,
-                          build_fingerprint, fingerprint_record,
-                          load_fingerprints, save_fingerprints)
+from .fingerprint import (averaged_fingerprint, build_fingerprint,
+                          fingerprint_record, load_fingerprints, readings,
+                          save_fingerprints)
 from .hand import FINGERS
 from .materials import REFERENCE_LIQUIDS, load_materials
 from .units import dbm_from_watts
@@ -68,10 +68,19 @@ def _cmd_simulate(args, config):
     print(f"wrote {sum(len(s) for s in series.values())} samples to {args.output}")
 
 
+def _log_estimate(path, estimate, config):
+    """``estimate(series, window, estimator)`` of the log at ``path``; errors name it."""
+    from . import readlog as _readlog
+    series = _readlog.load_code_series(path)
+    try:
+        return estimate(series, config.window, config.estimator)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def _cmd_calibrate(args, config):
     from . import readlog as _readlog
-    series = _readlog.load_code_series(args.log)
-    baseline = _readlog.calibrate(series, window=config.window)
+    baseline = _log_estimate(args.log, _readlog.calibrate, config)
     _readlog.save_baseline(baseline, args.output)
     gaps = f", gaps: {', '.join(baseline.gaps)}" if baseline.gaps else ""
     print(f"baseline for {len(baseline.codes)} channels -> {args.output}{gaps}")
@@ -79,20 +88,9 @@ def _cmd_calibrate(args, config):
 
 def _cmd_fingerprint(args, config):
     from . import readlog as _readlog
-    from . import signal as _signal
     baseline = _readlog.load_baseline(args.baseline)
-    series = _readlog.load_code_series(args.log)
-    readings = []
-    for channel in FINGERS:
-        if channel in series:
-            code = _signal.estimate_code(series[channel], config.window,
-                                         config.estimator)
-            readings.append(ChannelReading(channel=channel, code=code,
-                                           responsive=True))
-        else:
-            readings.append(ChannelReading(channel=channel, code=None,
-                                           responsive=False))
-    fp = build_fingerprint(readings, baseline, material_label=args.label)
+    codes = _log_estimate(args.log, _readlog.channel_codes, config)
+    fp = build_fingerprint(readings(codes), baseline, material_label=args.label)
     save_fingerprints([fp], args.output)
     print(json_text(fingerprint_record(fp)), end="")
 

@@ -130,7 +130,10 @@ class SessionConfig:
                 for name in REFERENCE_LIQUIDS}
 
     def classes(self) -> list[_classify.MaterialClass]:
-        return _classify.default_classes(self.class_means())
+        """The reference liquids' classes, bounded by the largest
+        differential code the ladder allows, ``±(s_max - s_min)``."""
+        return _classify.default_classes(self.class_means(),
+                                         float(self.ic.s_max - self.ic.s_min))
 
 
 def _channel_value(values: dict, key: str, channel: str):

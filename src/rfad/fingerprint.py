@@ -23,7 +23,7 @@ PRESSURE_UNCERTAINTY_FACTOR = 0.3
 
 @dataclass(frozen=True)
 class ChannelReading:
-    """Windowed mean sensor code of one finger, or a missing-read marker."""
+    """Windowed sensor code of one finger, or a missing-read marker."""
 
     channel: str
     code: Optional[float]
@@ -80,6 +80,12 @@ class Fingerprint:
 
     def responsive_values(self) -> list[float]:
         return [self.values[f] for f in FINGERS if not self.imputed[f]]
+
+
+def readings(codes: Mapping[str, float]) -> list[ChannelReading]:
+    """One reading per finger, unresponsive where ``codes`` has none."""
+    return [ChannelReading(channel=f, code=codes.get(f), responsive=f in codes)
+            for f in FINGERS]
 
 
 def differential_code(baseline: CalibrationBaseline, reading: ChannelReading) -> float:

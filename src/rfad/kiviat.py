@@ -21,6 +21,8 @@ _SIZE = 420
 _MARGIN = 50
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf")
+# markup characters of a label, as entities in an attribute value
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
 
 
 def _axis_angles() -> list[float]:
@@ -73,7 +75,7 @@ def kiviat_svg(fingerprints: Sequence[Fingerprint]) -> str:
         pts = [_point(fp.values[f], a, scale, radius)
                for f, a in zip(FINGERS, angles)]
         point_attr = " ".join(f"{x:.1f},{y:.1f}" for x, y in pts)
-        label = fp.material_label or f"fingerprint-{idx + 1}"
+        label = str(fp.material_label or f"fingerprint-{idx + 1}").translate(_ESCAPES)
         parts.append(f'<polygon points="{point_attr}" fill="{color}" '
                      f'fill-opacity="0.15" stroke="{color}" stroke-width="2" '
                      f'class="fingerprint" data-label="{label}"/>')

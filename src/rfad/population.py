@@ -18,11 +18,11 @@ import numpy as np
 # commands that never simulate find them without numpy; they stay bound
 # here for callers that persist what generate_population returns.
 from .classify import (DEFAULT_POPULATION_SEED, TrialRecord, classify,  # noqa: F401
-                       default_classes, load_records, save_records)
+                       load_records, save_records)
 from .config import SessionConfig, default_config
 from .errors import DataError
-from .fingerprint import (CalibrationBaseline, ChannelReading,
-                          averaged_fingerprint, build_fingerprint)
+from .fingerprint import (CalibrationBaseline, averaged_fingerprint,
+                          build_fingerprint, readings)
 from .hand import FINGERS
 from .materials import REFERENCE_LIQUIDS, load_materials
 from .readlog import write_log
@@ -146,10 +146,7 @@ def _simulate(chain: _Chain, rng: np.random.Generator, materials: Sequence[str],
                                             baselines=targets, samples=samples)
             estimates = dict(zip(channels, window_estimates(
                 codes, config.window, config.estimator).tolist()))
-        readings = [ChannelReading(channel=channel, code=estimates.get(channel),
-                                   responsive=channel in estimates)
-                    for channel in FINGERS]
-        yield readings, channels, times, codes
+        yield readings(estimates), channels, times, codes
 
 
 def generate_population(spec: PopulationSpec = PopulationSpec(),
@@ -193,14 +190,11 @@ def monte_carlo_classification(n_hands: int, seed: int,
     """Fraction of simulated hands classified into the right class."""
     if config is None:
         config = default_config()
-    means = config.class_means()
-    classes = default_classes(means)
-    expected = {}
-    for cls in classes:
-        for material in cls.reference_materials:
-            expected[material] = cls.label
+    classes = config.classes()
+    expected = {material: cls.label for cls in classes
+                for material in cls.reference_materials}
     chain = _Chain(config, spec)
-    materials = [m for m in spec.materials if m in means]
+    materials = [m for m in spec.materials if m in expected]
     hand_materials = [materials[i % len(materials)] for i in range(n_hands)]
     correct = 0
     for material, (readings, _, _, _) in zip(

@@ -1,4 +1,4 @@
-"""Reader-log and series persistence, plus calibration.
+"""Reader-log and series persistence, channel codes and calibration.
 
 Two CSV formats carry the sensor codes, through ``rfad.files``:
 
@@ -11,6 +11,12 @@ code in storage range), a read log's ``rssi_dbm`` must be empty or
 finite, and each error names ``path:line``. Samples are grouped per
 channel and sorted by timestamp; a timestamp repeated on one channel is
 an error.
+
+``channel_codes`` turns a set of series into one code per channel with
+the session's ``window`` and ``estimator``; it is the estimate both
+``calibrate`` (the air baseline) and ``rfad fingerprint`` (the touched
+codes) read, so the two sides of a differential code always agree. A
+channel with fewer than ``window`` samples is an error that names it.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ from .errors import DataError
 from .files import finite, read_csv, read_json, write_csv, write_json
 from .fingerprint import CalibrationBaseline
 from .hand import FINGERS
-from .signal import CODE_STORAGE_MAX, CODE_STORAGE_MIN, CodeSeries, estimate_code
+from .signal import (CODE_STORAGE_MAX, CODE_STORAGE_MIN, CodeSeries, Estimator,
+                     window_estimates)
 
 READLOG_HEADER = ["timestamp_s", "epc", "channel", "sensor_code", "rssi_dbm"]
 SERIES_HEADER = ["timestamp_s", "channel", "code"]
@@ -97,27 +104,28 @@ def write_series(series_set: Mapping[str, CodeSeries], path) -> None:
         for t, code in zip(series_set[channel].times, series_set[channel].codes)))
 
 
-def calibrate(series_set: Mapping[str, CodeSeries], window: int = 10,
-              timestamp: str = "") -> CalibrationBaseline:
-    """Per-channel air baseline from an untouched-hand acquisition.
+def channel_codes(series_set: Mapping[str, CodeSeries], window: int,
+                  estimator: Estimator) -> dict[str, float]:
+    """``estimator`` over the first ``window`` samples of each channel
+    present, in finger order, as one ``window_estimates`` call."""
+    channels = [channel for channel in FINGERS if channel in series_set]
+    if not channels:
+        raise DataError("no channels present in the input")
+    for channel in channels:
+        if (n := len(series_set[channel])) < window:
+            raise DataError(f"channel {channel} has {n} samples, needs >= {window}")
+    # equal rows for any window, so that window_estimates judges a bad one
+    block = np.stack([series_set[channel].codes[:max(window, 0)] for channel in channels])
+    return dict(zip(channels, window_estimates(block, window, estimator).tolist()))
 
-    Channels absent from the input are reported in ``gaps`` rather than
-    silently defaulted.
-    """
-    codes = {}
-    gaps = []
-    for channel in FINGERS:
-        if channel not in series_set:
-            gaps.append(channel)
-            continue
-        series = series_set[channel]
-        if len(series) < window:
-            raise DataError(
-                f"channel {channel} has {len(series)} samples, needs >= {window}")
-        codes[channel] = estimate_code(series, window, "mean")
-    if not codes:
-        raise DataError("no channels present in calibration input")
-    return CalibrationBaseline(codes=codes, timestamp=timestamp, gaps=tuple(gaps))
+
+def calibrate(series_set: Mapping[str, CodeSeries], window: int,
+              estimator: Estimator, timestamp: str = "") -> CalibrationBaseline:
+    """Air baseline of an untouched-hand acquisition; the channels absent
+    from it are its ``gaps``, not defaulted."""
+    codes = channel_codes(series_set, window, estimator)
+    return CalibrationBaseline(codes=codes, timestamp=timestamp,
+                               gaps=tuple(f for f in FINGERS if f not in codes))
 
 
 def save_baseline(baseline: CalibrationBaseline, path) -> None:

@@ -61,7 +61,7 @@ class TestClassify:
 class TestDefaultClasses:
     def test_midpoint_thresholds(self):
         classes = default_classes({"olive_oil": 20.0, "ethyl_alcohol": 99.0,
-                                   "deionized_water": 180.0})
+                                   "deionized_water": 180.0}, 320.0)
         assert [(c.label, c.lower, c.upper) for c in classes] == [
             ("low", -320.0, 59.5), ("medium", 59.5, 139.5), ("high", 139.5, 320.0)]
         assert classes[0].reference_materials == ("olive_oil",)
@@ -69,12 +69,12 @@ class TestDefaultClasses:
 
     def test_means_sorted_regardless_of_input_order(self):
         classes = default_classes({"deionized_water": 180.0, "olive_oil": 20.0,
-                                   "ethyl_alcohol": 99.0})
+                                   "ethyl_alcohol": 99.0}, 320.0)
         assert classes[1].reference_materials == ("ethyl_alcohol",)
 
     def test_needs_three_means(self):
         with pytest.raises(DataError):
-            default_classes({"a": 1.0, "b": 2.0})
+            default_classes({"a": 1.0, "b": 2.0}, 320.0)
 
 
 class TestCcd:

@@ -2,6 +2,7 @@
 
 import json
 import random
+from xml.etree import ElementTree
 
 import pytest
 
@@ -10,7 +11,7 @@ from rfad.config import load_config
 from rfad.hand import FINGERS
 from rfad.population import DEFAULT_POPULATION_SEED, generate_population, save_records
 from rfad.readlog import load_code_series, write_log
-from rfad.signal import material_fluctuation_model, synthesize_series
+from rfad.signal import estimate_code, material_fluctuation_model, synthesize_series
 
 
 def run(*argv):
@@ -97,6 +98,30 @@ class TestCalibrate:
         assert run("calibrate", str(tmp_path / "nope.csv"),
                    "-o", str(tmp_path / "b.json")) == 2
 
+    def test_obeys_the_estimator(self, tmp_path, air_log):
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text("estimator = median\n")
+        out = tmp_path / "baseline.json"
+        assert run("--config", str(cfg), "calibrate", str(air_log), "-o", str(out)) == 0
+        series = load_code_series(air_log)
+        medians = {ch: estimate_code(series[ch], 10, "median") for ch in FINGERS}
+        assert medians != {ch: estimate_code(series[ch], 10, "mean") for ch in FINGERS}
+        assert json.loads(out.read_text())["codes"] == medians
+
+    @pytest.mark.parametrize("command", ["calibrate", "fingerprint"])
+    def test_short_channel_names_file_and_channel(self, tmp_path, capsys,
+                                                  baseline_file, command):
+        log = tmp_path / "short.csv"
+        log.write_text("timestamp_s,channel,code\n" + "".join(
+            f"{0.7 * i!r},{ch},300\n" for ch, n in (("I", 12), ("III", 5))
+            for i in range(n)))
+        argv = {"calibrate": ["calibrate", log],
+                "fingerprint": ["fingerprint", log, "--baseline", baseline_file]}[command]
+        capsys.readouterr()
+        assert run(*map(str, argv), "-o", str(tmp_path / "out.json")) == 2
+        err = capsys.readouterr().err
+        assert err == f"rfad: {log}: channel III has 5 samples, needs >= 10\n"
+
 
 class TestFingerprintAndClassify:
     def test_full_pipeline(self, tmp_path, baseline_file, capsys):
@@ -139,6 +164,14 @@ class TestFingerprintAndClassify:
 
     def test_unclassifiable_value_is_data_error(self):
         assert run("classify", "--value", "1000") == 2
+
+    def test_outer_bounds_follow_the_ladder(self, tmp_path, capsys):
+        # water's class mean here is 400, beyond the shipped ladder's 320
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("s_min = 0\ns_max = 500\nbaseline_code = 450\nspan_code = 400\n")
+        capsys.readouterr()
+        assert run("--config", str(cfg), "classify", "--value", "400") == 0
+        assert capsys.readouterr().out == "value: F=400.00 -> high\n"
 
     def test_classify_requires_an_input(self):
         assert run("classify") == 1
@@ -248,6 +281,16 @@ class TestExport:
         assert run("export", str(fps), "-o", str(out)) == 0
         assert out.exists()
         assert (tmp_path / "chart.csv").exists()
+
+    def test_label_with_markup_characters(self, tmp_path):
+        label = 'a"b<&c>'
+        fps = tmp_path / "fps.json"
+        fps.write_text(json.dumps([dict(_fp(), material=label)]))
+        out = tmp_path / "chart.svg"
+        assert run("export", str(fps), "-o", str(out)) == 0
+        root = ElementTree.parse(out).getroot()
+        labels = {e.get("data-label") for e in root if e.get("data-label") is not None}
+        assert labels == {label}
 
 
 def _as_record(fp):

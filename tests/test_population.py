@@ -9,7 +9,7 @@ import pytest
 
 from rfad import ic as _ic
 from rfad.classify import reliability_report
-from rfad.config import default_config
+from rfad.config import default_config, load_config
 from rfad.errors import DataError
 from rfad.fingerprint import (CalibrationBaseline, ChannelReading,
                               averaged_fingerprint, build_fingerprint)
@@ -281,3 +281,9 @@ class TestMonteCarlo:
     def test_small_run_accuracy(self):
         # 60 hands, 20 per material; the calibrated margins are ~3 SD
         assert monte_carlo_classification(60, seed=17) >= 0.95
+
+    def test_classes_follow_a_wider_ladder(self, tmp_path):
+        # water's class mean here is 400, beyond the shipped ladder's 320
+        path = tmp_path / "wide.cfg"
+        path.write_text("s_min = 0\ns_max = 500\nbaseline_code = 450\nspan_code = 400\n")
+        assert monte_carlo_classification(60, seed=17, config=load_config(path)) >= 0.95

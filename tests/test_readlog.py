@@ -7,9 +7,9 @@ import pytest
 
 from rfad.errors import DataError
 from rfad.hand import FINGERS
-from rfad.readlog import (calibrate, load_baseline, load_code_series, save_baseline,
-                          write_log, write_series)
-from rfad.signal import CodeSeries, FluctuationModel, synthesize_series
+from rfad.readlog import (calibrate, channel_codes, load_baseline, load_code_series,
+                          save_baseline, write_log, write_series)
+from rfad.signal import CodeSeries, FluctuationModel, estimate_code, synthesize_series
 
 LOG_HEADER = "timestamp_s,epc,channel,sensor_code,rssi_dbm\n"
 SERIES_HEADER = "timestamp_s,channel,code\n"
@@ -201,6 +201,39 @@ class TestSampleChecks:
             load_code_series(path)
 
 
+def _ragged(**lengths):
+    """Constant series of the given length per channel."""
+    return {ch: CodeSeries(times=0.7 * np.arange(n), codes=np.full(n, 200), channel=ch)
+            for ch, n in lengths.items()}
+
+
+class TestChannelCodes:
+    @pytest.mark.parametrize("estimator", ["mean", "median"])
+    def test_equals_estimate_code_per_channel(self, estimator):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            window = int(rng.integers(1, 30))
+            present = [ch for ch in FINGERS if rng.random() < 0.6] or ["III"]
+            series_set = {}
+            for ch in rng.permutation(present).tolist():  # any insertion order
+                n = window + int(rng.integers(0, 40))
+                series_set[ch] = CodeSeries(times=0.7 * np.arange(n),
+                                            codes=rng.integers(0, 512, n), channel=ch)
+            codes = channel_codes(series_set, window, estimator)
+            assert list(codes) == present
+            assert codes == {ch: estimate_code(series, window, estimator)
+                             for ch, series in series_set.items()}
+
+    def test_short_channel_is_named(self):
+        with pytest.raises(DataError, match="^channel IV has 5 samples, needs >= 10$"):
+            channel_codes(_ragged(I=12, IV=5), 10, "mean")
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_bad_window_is_a_data_error(self, window):
+        with pytest.raises(DataError, match="window must be >= 1"):
+            channel_codes(_ragged(I=12, IV=5), window, "mean")
+
+
 class TestCalibrate:
     def _constant_series(self, code, channels=FINGERS, n=12):
         return {ch: CodeSeries(times=np.arange(n) * 0.7,
@@ -208,12 +241,13 @@ class TestCalibrate:
                 for ch in channels}
 
     def test_constant_air_series(self):
-        baseline = calibrate(self._constant_series(150))
+        baseline = calibrate(self._constant_series(150), 10, "mean")
         assert all(baseline.codes[ch] == 150.0 for ch in FINGERS)
         assert baseline.gaps == ()
 
     def test_missing_channel_reported_as_gap(self):
-        baseline = calibrate(self._constant_series(150, channels=("I", "II", "IV", "V")))
+        baseline = calibrate(self._constant_series(150, channels=("I", "II", "IV", "V")),
+                             10, "mean")
         assert baseline.gaps == ("III",)
         assert "III" not in baseline.codes
 
@@ -221,19 +255,20 @@ class TestCalibrate:
         model = FluctuationModel(baseline=300, transient_amplitude=0.0,
                                  noise_sd=0.0)
         series = {"I": synthesize_series(model, 70.0, seed=0)}
-        baseline = calibrate(series, window=10)
+        baseline = calibrate(series, 10, "mean")
         assert abs(baseline.codes["I"] - 300.0) <= 2.0
 
     def test_short_series_rejected(self):
         with pytest.raises(DataError, match="needs >= 10"):
-            calibrate(self._constant_series(150, n=5))
+            calibrate(self._constant_series(150, n=5), 10, "mean")
 
     def test_no_channels_rejected(self):
         with pytest.raises(DataError):
-            calibrate({})
+            calibrate({}, 10, "mean")
 
     def test_baseline_persistence(self, tmp_path):
-        baseline = calibrate(self._constant_series(150), timestamp="2026-08-24")
+        baseline = calibrate(self._constant_series(150), 10, "mean",
+                             timestamp="2026-08-24")
         path = tmp_path / "baseline.json"
         save_baseline(baseline, path)
         loaded = load_baseline(path)
