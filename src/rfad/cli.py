@@ -5,10 +5,12 @@ stats, export. Every subcommand is a pure pipeline over files: the same
 inputs, config and seed produce byte-identical outputs.
 
 Importing this module loads no numpy. The array modules (``signal``,
-``readlog``, ``coupling``, ``population``) are imported inside the
-commands that use them, so ``classify``, ``export`` and
-``stats --records`` run without numpy; each rfad call is a short
-process, and the numpy import is most of its start-up time.
+``coupling``, ``population``) are imported inside the commands that
+use them, so ``calibrate``, ``fingerprint``, ``classify``, ``export``
+and ``stats --records`` run without numpy: reader logs, code series and
+their windowed estimate live in the numpy-free ``readlog``. Each rfad
+call is a short process, and the numpy import is most of its start-up
+time.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
 """
@@ -19,6 +21,7 @@ import argparse
 import sys
 
 from . import kiviat as _kiviat
+from . import readlog as _readlog
 from .classify import (DEFAULT_POPULATION_SEED, load_records, reliability_report,
                        save_records)
 from .classify import classify as _classify_value
@@ -46,7 +49,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cmd_simulate(args, config):
-    from . import readlog as _readlog
     from . import signal as _signal
     if args.material and args.material not in REFERENCE_LIQUIDS:
         raise DataError(f"unknown reference material {args.material!r}; "
@@ -70,7 +72,6 @@ def _cmd_simulate(args, config):
 
 def _log_estimate(path, estimate, config):
     """``estimate(series, window, estimator)`` of the log at ``path``; errors name it."""
-    from . import readlog as _readlog
     series = _readlog.load_code_series(path)
     try:
         return estimate(series, config.window, config.estimator)
@@ -79,7 +80,6 @@ def _log_estimate(path, estimate, config):
 
 
 def _cmd_calibrate(args, config):
-    from . import readlog as _readlog
     baseline = _log_estimate(args.log, _readlog.calibrate, config)
     _readlog.save_baseline(baseline, args.output)
     gaps = f", gaps: {', '.join(baseline.gaps)}" if baseline.gaps else ""
@@ -87,7 +87,6 @@ def _cmd_calibrate(args, config):
 
 
 def _cmd_fingerprint(args, config):
-    from . import readlog as _readlog
     baseline = _readlog.load_baseline(args.baseline)
     codes = _log_estimate(args.log, _readlog.channel_codes, config)
     fp = build_fingerprint(readings(codes), baseline, material_label=args.label)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from typing import Sequence
 
 from .errors import DataError
@@ -21,8 +22,20 @@ _SIZE = 420
 _MARGIN = 50
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf")
-# markup characters of a label, as entities in an attribute value
-_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
+# markup characters of a label, and the whitespace a parser would turn
+# into spaces in an attribute value, as character references
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+                          "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"})
+# characters XML 1.0 allows in no form, not even as a reference
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _label(fp: Fingerprint, idx: int) -> str:
+    """The chart label of a fingerprint, escaped for an attribute value."""
+    label = str(fp.material_label or f"fingerprint-{idx + 1}")
+    if bad := _NOT_XML.search(label):
+        raise DataError(f"label {label!r} holds {bad.group()!r}, which XML 1.0 forbids")
+    return label.translate(_ESCAPES)
 
 
 def _axis_angles() -> list[float]:
@@ -75,7 +88,7 @@ def kiviat_svg(fingerprints: Sequence[Fingerprint]) -> str:
         pts = [_point(fp.values[f], a, scale, radius)
                for f, a in zip(FINGERS, angles)]
         point_attr = " ".join(f"{x:.1f},{y:.1f}" for x, y in pts)
-        label = str(fp.material_label or f"fingerprint-{idx + 1}").translate(_ESCAPES)
+        label = _label(fp, idx)
         parts.append(f'<polygon points="{point_attr}" fill="{color}" '
                      f'fill-opacity="0.15" stroke="{color}" stroke-width="2" '
                      f'class="fingerprint" data-label="{label}"/>')

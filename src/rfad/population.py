@@ -25,8 +25,8 @@ from .fingerprint import (CalibrationBaseline, averaged_fingerprint,
                           build_fingerprint, readings)
 from .hand import FINGERS
 from .materials import REFERENCE_LIQUIDS, load_materials
-from .readlog import write_log
-from .signal import material_fluctuation_model, synthesize_block, window_estimates
+from .readlog import estimate_window, write_log
+from .signal import material_fluctuation_model, synthesize_block
 
 # P(exactly m of 5 fingers respond), m = 1..5. At least one finger always
 # responds; all five never do.
@@ -144,8 +144,8 @@ def _simulate(chain: _Chain, rng: np.random.Generator, materials: Sequence[str],
         if channels:
             times, codes = synthesize_block(fluct, spec.series_duration, seeds,
                                             baselines=targets, samples=samples)
-            estimates = dict(zip(channels, window_estimates(
-                codes, config.window, config.estimator).tolist()))
+            estimates = {channel: estimate_window(row, config.window, config.estimator)
+                         for channel, row in zip(channels, codes.tolist())}
         yield readings(estimates), channels, times, codes
 
 

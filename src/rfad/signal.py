@@ -5,21 +5,26 @@ sawtooth fluctuation (charge/discharge of the tuning capacitor during
 interrogation) on top of the material-dependent baseline. The
 convergence-error procedure here determines how many samples must be
 averaged before the reading is stable.
+
+The series type, its storage range and its estimator live in the
+numpy-free ``rfad.readlog`` and are bound here too: ``CodeSeries``,
+``CODE_STORAGE_MIN``/``MAX``, ``Estimator``, and ``estimate_code``,
+which applies ``readlog.estimate_window`` to a series. This module
+needs numpy for synthesis, spectra and window sizing, and converts a
+series' tuples to arrays where it does array work.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 from .errors import DataError, NotConvergedError
 from .files import write_csv
-
-CODE_STORAGE_MIN = 0
-CODE_STORAGE_MAX = 511
+from .readlog import (CODE_STORAGE_MAX, CODE_STORAGE_MIN, CodeSeries,
+                      Estimator, estimate_window)
 
 # Most samples one series may hold (about eight days at the default
 # sample period); a block of five such series takes a few hundred MB.
@@ -28,8 +33,6 @@ MAX_SERIES_SAMPLES = 1_000_000
 DEFAULT_SAMPLE_PERIOD = 0.7
 DEFAULT_SAWTOOTH_FREQUENCY = 0.7
 DEFAULT_ASYMPTOTIC_SAMPLES = 100
-
-Estimator = Literal["mean", "median"]
 
 
 @dataclass(frozen=True)
@@ -55,29 +58,8 @@ class FluctuationModel:
             raise DataError("transient time constant must be positive")
 
 
-@dataclass(frozen=True)
-class CodeSeries:
-    """Timestamped integer sensor codes for one channel."""
-
-    times: np.ndarray
-    codes: np.ndarray
-    channel: str = "I"
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        codes = np.asarray(self.codes, dtype=int)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "codes", codes)
-        if times.shape != codes.shape or times.ndim != 1:
-            raise DataError("times and codes must be 1-D arrays of equal length")
-        _check_samples(times, codes)
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-
 def _check_samples(times: np.ndarray, codes: np.ndarray) -> None:
-    """Finite, strictly increasing times; every code (of any shape) in storage range."""
+    """Finite, strictly increasing times; every code of a block in storage range."""
     if not np.isfinite(times).all() or (np.diff(times) <= 0).any():
         raise DataError("timestamps must be finite and strictly increasing")
     if ((codes < CODE_STORAGE_MIN) | (codes > CODE_STORAGE_MAX)).any():
@@ -98,7 +80,7 @@ def synthesize_series(model: FluctuationModel, duration: float, seed: int,
                       channel: str = "I") -> CodeSeries:
     """Deterministically generate a sensor-code series of the given duration."""
     times, codes = synthesize_block(model, duration, [seed])
-    return CodeSeries(times=times, codes=codes[0], channel=channel)
+    return CodeSeries(times.tolist(), codes[0].tolist(), channel)
 
 
 def synthesize_block(model: FluctuationModel, duration: float, seeds,
@@ -158,9 +140,9 @@ def amplitude_spectrum(series: CodeSeries) -> tuple[np.ndarray, np.ndarray]:
     Rectangular window; bin resolution is 1 / (N * sample period).
     """
     _check_uniform(series)
-    x = series.codes.astype(float)
+    x = np.asarray(series.codes, dtype=float)
     x = x - x.mean()
-    dt = float(series.times[1] - series.times[0])
+    dt = series.times[1] - series.times[0]
     amps = np.abs(np.fft.rfft(x)) / len(x)
     freqs = np.fft.rfftfreq(len(x), dt)
     return freqs, amps
@@ -173,7 +155,8 @@ def dominant_frequency(series: CodeSeries) -> float | None:
         raise DataError(f"need at least 16 samples, got {len(series)}")
     freqs, amps = amplitude_spectrum(series)
     nondc = amps[1:]
-    if nondc.max() <= 1e-12 * max(1.0, np.abs(series.codes).max()):
+    # codes are non-negative, so the largest is the largest magnitude
+    if nondc.max() <= 1e-12 * max(1.0, max(series.codes)):
         return None
     return float(freqs[1 + int(np.argmax(nondc))])
 
@@ -181,7 +164,7 @@ def dominant_frequency(series: CodeSeries) -> float | None:
 def _check_uniform(series: CodeSeries, rtol: float = 1e-6) -> None:
     if len(series) < 2:
         raise DataError("need at least 2 samples")
-    dts = np.diff(series.times)
+    dts = np.diff(np.asarray(series.times))
     jitter = np.abs(dts - dts.mean()).max()
     if jitter > rtol * dts.mean():
         raise DataError(f"non-uniform sampling: max timestamp jitter {jitter:.3g} s")
@@ -195,7 +178,11 @@ def convergence_error(series: CodeSeries, m: int,
         raise DataError(f"need 2 <= m <= m_inf, got m={m}, m_inf={m_inf}")
     if m_inf > len(series):
         raise DataError(f"m_inf={m_inf} exceeds series length {len(series)}")
-    x = series.codes.astype(float)
+    return _dispersion_error(np.asarray(series.codes, dtype=float), m, m_inf)
+
+
+def _dispersion_error(x: np.ndarray, m: int, m_inf: int) -> float:
+    """``convergence_error`` of the codes ``x``, as floats."""
     return float(np.std(x[:m]) - np.std(x[:m_inf]))
 
 
@@ -220,11 +207,12 @@ def minimum_samples(series: CodeSeries, tolerance: float,
         raise DataError(f"series length {len(series)} below m_inf={m_inf}")
     if estimator == "median":
         target = estimate_code(series, m_inf, "median")
+    x = np.asarray(series.codes[:m_inf], dtype=float)
     last = None
     # the asymptotic reference itself is not an admissible window
     # (delta[m_inf] = 0 identically, which certifies nothing)
     for m in range(2, m_inf):
-        last = convergence_error(series, m, m_inf)
+        last = _dispersion_error(x, m, m_inf)
         settled = (estimator == "mean"
                    or abs(estimate_code(series, m, "median") - target) < tolerance)
         if abs(last) < tolerance and settled:
@@ -237,26 +225,7 @@ def minimum_samples(series: CodeSeries, tolerance: float,
 def estimate_code(series: CodeSeries, window: int,
                   estimator: Estimator = "mean") -> float:
     """Mean or median sensor code over the first ``window`` samples."""
-    return float(window_estimates(series.codes, window, estimator))
-
-
-def window_estimates(codes: np.ndarray, window: int,
-                     estimator: Estimator = "mean") -> np.ndarray:
-    """``estimate_code`` of each row of a codes array, along its last axis.
-
-    The codes are integers, so a row's sum is exact and every row gets
-    the value a single series would.
-    """
-    if window < 1:
-        raise DataError(f"window must be >= 1, got {window}")
-    if window > codes.shape[-1]:
-        raise DataError(f"window {window} exceeds series length {codes.shape[-1]}")
-    x = codes[..., :window].astype(float)
-    if estimator == "mean":
-        return np.mean(x, axis=-1)
-    if estimator == "median":
-        return np.median(x, axis=-1)
-    raise DataError(f"unknown estimator {estimator!r}")
+    return estimate_window(series.codes, window, estimator)
 
 
 def export_spectrum(series: CodeSeries, path) -> None:

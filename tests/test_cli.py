@@ -292,6 +292,25 @@ class TestExport:
         labels = {e.get("data-label") for e in root if e.get("data-label") is not None}
         assert labels == {label}
 
+    def test_label_with_whitespace_reads_back_exactly(self, tmp_path):
+        label = "a\nb\tc\rd  e"
+        fps = tmp_path / "fps.json"
+        fps.write_text(json.dumps([dict(_fp(), material=label)]))
+        out = tmp_path / "chart.svg"
+        assert run("export", str(fps), "-o", str(out)) == 0
+        root = ElementTree.parse(out).getroot()
+        labels = {e.get("data-label") for e in root if e.get("data-label") is not None}
+        assert labels == {label}
+
+    @pytest.mark.parametrize("char", ["\x00", "\x01", "\x0b", "\x1f", "\ufffe", "\ud800"])
+    def test_label_xml_forbids_is_a_data_error(self, tmp_path, capsys, char):
+        label = f"x{char}y"
+        fps = tmp_path / "fps.json"
+        fps.write_text(json.dumps([dict(_fp(), material=label)]))
+        assert run("export", str(fps), "-o", str(tmp_path / "chart.svg")) == 2
+        assert repr(label) in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fps.json"]
+
 
 def _as_record(fp):
     """A fingerprint that is also a trial record, so one list serves every command."""

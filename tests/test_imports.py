@@ -1,10 +1,11 @@
 """Which commands load numpy.
 
 Each rfad call is a short process, and importing numpy is most of its
-start-up time. ``classify``, ``export`` and ``stats --records`` do no
-array work, so they must run without numpy in ``sys.modules``; the
-array commands load it inside the command. Each case runs in a fresh
-interpreter, because this test process has numpy loaded already.
+start-up time. ``calibrate``, ``fingerprint``, ``classify``, ``export``
+and ``stats --records`` do no array work, so they must run without numpy
+in ``sys.modules``; the array commands load it inside the command. Each
+case runs in a fresh interpreter, because this test process has numpy
+loaded already.
 """
 
 import json
@@ -23,6 +24,12 @@ _FP = {"material": "olive_oil", "values": {f: 10.0 for f in FINGERS},
        "imputed": {f: f == "V" for f in FINGERS}, "n_responsive": 4}
 _RECORD = {"subject": "S01", "material": "olive_oil",
            "responsive": {f: f != "V" for f in FINGERS}, "fingerprint": _FP}
+
+
+def _series_csv(base: int) -> str:
+    """A code-series file: twelve samples on each channel."""
+    return "timestamp_s,channel,code\n" + "".join(
+        f"{0.7 * i!r},{f},{base + i % 3}\n" for f in FINGERS for i in range(12))
 
 
 def _numpy_loaded(cwd, script: str) -> bool:
@@ -44,6 +51,10 @@ def _command(*argv) -> str:
 def work(tmp_path):
     (tmp_path / "fps.json").write_text(json.dumps([_FP]))
     (tmp_path / "records.json").write_text(json.dumps([_RECORD]))
+    (tmp_path / "air.csv").write_text(_series_csv(300))
+    (tmp_path / "touched.csv").write_text(_series_csv(260))
+    (tmp_path / "baseline.json").write_text(
+        json.dumps({"codes": {f: 300.0 for f in FINGERS}, "timestamp": "", "gaps": []}))
     return tmp_path
 
 
@@ -54,8 +65,10 @@ def work(tmp_path):
     _command("classify", "--fingerprints", "fps.json"),
     _command("export", "fps.json", "-o", "chart.svg"),
     _command("stats", "--records", "records.json"),
+    _command("calibrate", "air.csv", "-o", "b.json"),
+    _command("fingerprint", "touched.csv", "--baseline", "baseline.json", "-o", "f.json"),
 ], ids=["import-rfad", "import-cli", "classify-value", "classify-fingerprints",
-        "export", "stats-records"])
+        "export", "stats-records", "calibrate", "fingerprint"])
 def test_command_runs_without_numpy(work, script):
     assert not _numpy_loaded(work, script)
 

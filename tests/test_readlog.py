@@ -1,14 +1,16 @@
-"""Reader-log CSV, series persistence, and calibration tests."""
+"""Reader-log CSV, series persistence, the window estimator, and calibration tests."""
 
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfad.errors import DataError
 from rfad.hand import FINGERS
-from rfad.readlog import (calibrate, channel_codes, load_baseline, load_code_series,
-                          save_baseline, write_log, write_series)
+from rfad.readlog import (calibrate, channel_codes, estimate_window, load_baseline,
+                          load_code_series, save_baseline, write_log, write_series)
 from rfad.signal import CodeSeries, FluctuationModel, estimate_code, synthesize_series
 
 LOG_HEADER = "timestamp_s,epc,channel,sensor_code,rssi_dbm\n"
@@ -77,6 +79,14 @@ class TestLogRoundTrip:
         assert raw.startswith(b"timestamp_s,epc,channel,sensor_code,rssi_dbm\n")
         assert b"\r" not in raw
 
+    def test_lists_and_arrays_write_the_same_bytes(self, tmp_path):
+        times, channels, epcs, codes = _block(("I", "III", "V"), n=4, start=0.1)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_log((times, channels, epcs, codes), a)
+        write_log((times.tolist(), channels, epcs, codes.tolist()), b)
+        assert a.read_bytes() == b.read_bytes()
+        assert b"np." not in a.read_bytes()
+
     def test_byte_identical_rewrites(self, tmp_path):
         block = _block(("II",), n=5)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -137,6 +147,16 @@ class TestSeriesFromRows:
         write_log(_block(("IV",), n=4), path)
         series = load_code_series(path)
         assert len(series["IV"]) == 4
+
+
+class TestEstimateWindow:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.lists(st.integers(0, 511), min_size=1, max_size=60))
+    def test_matches_numpy_mean_and_median(self, codes):
+        x = np.array(codes, dtype=float)
+        for window in range(1, len(codes) + 1):
+            assert estimate_window(codes, window, "mean") == float(np.mean(x[:window]))
+            assert estimate_window(codes, window, "median") == float(np.median(x[:window]))
 
 
 class TestSeriesFiles:

@@ -11,8 +11,7 @@ from rfad.signal import (CODE_STORAGE_MAX, MAX_SERIES_SAMPLES, CodeSeries, Fluct
                          amplitude_spectrum, convergence_error,
                          dominant_frequency, estimate_code, export_spectrum,
                          material_fixture_series, material_fluctuation_model,
-                         minimum_samples, synthesize_block, synthesize_series,
-                         window_estimates)
+                         minimum_samples, synthesize_block, synthesize_series)
 
 
 def _series(codes, dt=0.7):
@@ -40,13 +39,33 @@ class TestCodeSeries:
         with pytest.raises(DataError):
             CodeSeries(times=np.array([0.0, 1.0]), codes=np.array([1]))
 
+    def test_rejects_fractional_codes(self):
+        with pytest.raises(DataError, match="integers"):
+            CodeSeries(times=[0.0, 0.7], codes=[200.7, 201])
+
+    def test_rejects_bool_codes(self):
+        with pytest.raises(DataError, match="integers"):
+            CodeSeries(times=[0.0, 0.7], codes=[True, 201])
+        with pytest.raises(DataError, match="integers"):
+            CodeSeries(times=[0.0, 0.7], codes=np.array([True, False]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_codes(self, bad):
+        with pytest.raises(DataError, match="integers"):
+            CodeSeries(times=[0.0, 0.7], codes=[bad, 201])
+
+    def test_stores_python_numbers(self):
+        series = CodeSeries(times=np.array([0.0, 0.7]), codes=[np.int64(200), 201.0])
+        assert series.times == (0.0, 0.7) and series.codes == (200, 201)
+        assert [type(v) for v in series.times + series.codes] == [float, float, int, int]
+
 
 class TestSynthesize:
     def test_all_amplitudes_zero_is_constant(self):
         model = FluctuationModel(baseline=200, sawtooth_amplitude=0.0,
                                  transient_amplitude=0.0, noise_sd=0.0)
         series = synthesize_series(model, 70.0, seed=4)
-        assert np.all(series.codes == 200)
+        assert set(series.codes) == {200}
 
     def test_deterministic_for_fixed_seed(self):
         model = FluctuationModel()
@@ -77,7 +96,7 @@ class TestSynthesize:
         model = FluctuationModel(baseline=508, transient_amplitude=50.0,
                                  noise_sd=0.0)
         series = synthesize_series(model, 70.0, seed=0)
-        assert series.codes.max() == CODE_STORAGE_MAX
+        assert max(series.codes) == CODE_STORAGE_MAX
 
 
 class TestNormalPrefix:
@@ -157,16 +176,6 @@ class TestSynthesizeBlock:
         assert codes.shape == (1, 3)
         assert times.tolist() == [0.0, 1.0, 2.0]
 
-    def test_window_estimates_match_estimate_code(self):
-        model = material_fluctuation_model("ethyl_alcohol", baseline=0)
-        _, codes = synthesize_block(model, 70.0, [11, 12, 13], baselines=[180, 181, 182])
-        for estimator in ("mean", "median"):
-            for window in (1, 4, 10, 99):
-                est = window_estimates(codes, window, estimator)
-                for row, value in zip(codes, est):
-                    series = CodeSeries(times=np.arange(len(row)) * 0.7, codes=row)
-                    assert value == estimate_code(series, window, estimator)
-
 
 class TestSpectrum:
     def test_dominant_frequency_of_default_fixture(self):
@@ -212,7 +221,7 @@ class TestConvergenceError:
 
     def test_matches_two_pass_sigma(self):
         series = synthesize_series(FluctuationModel(), 70.0, seed=8)
-        x = series.codes.astype(float)
+        x = np.asarray(series.codes, dtype=float)
 
         def sigma(m):
             mu = sum(x[:m]) / m
