@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import kiviat as _kiviat
@@ -55,17 +56,20 @@ def _cmd_simulate(args, config):
                         f"known: {sorted(REFERENCE_LIQUIDS)}")
     acquisition = dict(sample_period=config.sample_period,
                        sawtooth_frequency=config.sawtooth_frequency)
-    series = {}
-    for channel in (args.channels or FINGERS):
-        if args.material:
-            fluct = _signal.material_fluctuation_model(
-                args.material, baseline=config.channel_code(
-                    channel, load_materials()[args.material].epsilon), **acquisition)
-        else:
-            fluct = _signal.FluctuationModel(baseline=args.baseline, **acquisition)
-        series[channel] = _signal.synthesize_series(
-            fluct, args.duration, seed=args.seed + FINGERS.index(channel),
-            channel=channel)
+    channels = [channel for channel in FINGERS if channel in (args.channels or FINGERS)]
+    if args.material:
+        eps = load_materials()[args.material].epsilon
+        fluct = _signal.material_fluctuation_model(args.material, baseline=0, **acquisition)
+        baselines = [config.channel_code(channel, eps) for channel in channels]
+    else:
+        fluct = _signal.FluctuationModel(baseline=args.baseline, **acquisition)
+        baselines = [args.baseline] * len(channels)
+    times, codes = _signal.synthesize_block(
+        fluct, args.duration, [args.seed + FINGERS.index(channel) for channel in channels],
+        baselines=baselines)
+    times = times.tolist()
+    series = {channel: _readlog.CodeSeries(times, row, channel)
+              for channel, row in zip(channels, codes.tolist())}
     _readlog.write_series(series, args.output)
     print(f"wrote {sum(len(s) for s in series.values())} samples to {args.output}")
 
@@ -133,6 +137,8 @@ def _cmd_coupling(args, config):
 
 def _cmd_stats(args, config):
     if args.generate:
+        if args.log_dir is not None and not os.path.isdir(args.log_dir):
+            raise DataError(f"--log-dir {args.log_dir}: not an existing directory")
         from . import population as _population
         records = _population.generate_population(
             _population.PopulationSpec(), seed=args.seed, config=config,

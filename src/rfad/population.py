@@ -8,6 +8,8 @@ uncontrolled touch pressure. Every draw is seeded and deterministic.
 
 from __future__ import annotations
 
+import bisect
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
@@ -40,6 +42,16 @@ DEFAULT_FINGER_WEIGHTS = {"I": 14.5, "II": 47.0, "III": 77.0, "IV": 24.0, "V": 3
 # Population spread of the averaged fingerprint per reference liquid.
 DEFAULT_CLASS_SDS = {"olive_oil": 5.0, "ethyl_alcohol": 11.0, "deionized_water": 11.0}
 
+# How far the count probabilities may sum from 1: the tolerance of
+# numpy's ``Generator.choice``, whose draw ``_draw_responsive`` makes.
+_PROB_SUM_TOLERANCE = math.sqrt(np.finfo(np.float64).eps)
+
+# Most series samples one material block of a chunk of hands holds. A
+# chunk takes as many hands as fit at five channels each, so memory stays
+# bounded however long the series are, and the seeding of each block is
+# shared by enough rows to be cheap per hand.
+_CHUNK_SAMPLES = 1 << 16
+
 
 @dataclass(frozen=True)
 class PopulationSpec:
@@ -59,9 +71,14 @@ class PopulationSpec:
     def __post_init__(self):
         if self.subjects < 1 or self.trials < 1 or not self.materials:
             raise DataError("population spec needs subjects, trials and materials")
-        probs = np.asarray(self.count_probs, dtype=float)
-        if probs.shape != (len(FINGERS),) or np.any(probs < 0) or not np.isclose(probs.sum(), 1.0):
-            raise DataError("count_probs must be 5 non-negative values summing to 1")
+        try:
+            probs = [float(p) for p in self.count_probs]
+        except (TypeError, ValueError):
+            probs = []
+        if (len(probs) != len(FINGERS) or not all(p >= 0 for p in probs)
+                or not abs(math.fsum(probs) - 1.0) <= _PROB_SUM_TOLERANCE):
+            raise DataError(f"count_probs must be 5 non-negative values summing to 1 "
+                            f"within {_PROB_SUM_TOLERANCE:.2g}, got {self.count_probs!r}")
         if any(sd < 0 for sd in self.class_sds.values()):
             raise DataError("class SDs must be non-negative")
 
@@ -80,7 +97,10 @@ class _Chain:
         self.spec = spec
         self.baseline = CalibrationBaseline(
             codes={channel: float(config.air_code(channel)) for channel in FINGERS})
-        self.count_probs = np.asarray(spec.count_probs)
+        # entry m: P(at most m + 1 fingers respond), scaled to end at 1
+        # as numpy's ``choice`` scales it
+        cdf = np.cumsum(np.asarray(spec.count_probs, dtype=float))
+        self.count_cdf = (cdf / cdf[-1]).tolist()
         self.weights = np.array([spec.finger_weights[f] for f in FINGERS], dtype=float)
         self._materials = load_materials()
         self._per_material = {}
@@ -103,11 +123,23 @@ class _Chain:
 
 
 def _draw_responsive(rng: np.random.Generator, chain: _Chain) -> list[str]:
-    m = 1 + int(rng.choice(len(FINGERS), p=chain.count_probs))
+    # the draw numpy's choice(5, p=count_probs) makes: one uniform, placed
+    # on the cumulative probabilities
+    m = 1 + bisect.bisect_right(chain.count_cdf, rng.random())
     # weighted sampling without replacement (exponential race)
-    keys = rng.exponential(size=len(FINGERS)) / chain.weights
-    chosen = np.argsort(keys)[:m]
+    keys = (rng.exponential(size=len(FINGERS)) / chain.weights).tolist()
+    chosen = sorted(range(len(FINGERS)), key=keys.__getitem__)[:m]
     return [FINGERS[i] for i in sorted(chosen)]
+
+
+def _chunk_hands(chain: _Chain, full_series: bool) -> int:
+    """Hands per chunk: as many as fit ``_CHUNK_SAMPLES`` at five rows each."""
+    row = chain.spec.series_duration / chain.config.sample_period
+    if not full_series:
+        row = min(row, chain.config.window)
+    if not math.isfinite(row):
+        return 1  # synthesize_block rejects the duration
+    return max(1, int(_CHUNK_SAMPLES // (len(FINGERS) * max(row, 1.0))))
 
 
 def _simulate(chain: _Chain, rng: np.random.Generator, materials: Sequence[str],
@@ -115,38 +147,53 @@ def _simulate(chain: _Chain, rng: np.random.Generator, materials: Sequence[str],
     """The sensing chain for a batch of hands, one code block per hand.
 
     The scalar draws of each hand keep one order, which every seeded
-    output depends on: the responsive set (``choice``, then
+    output depends on: the responsive set (a uniform for the count, then
     ``exponential``) unless ``responsive`` is given, the hand's pressure
     offset, then per responsive channel in finger order its jitter and
     its series seed. The series themselves come from their own seeds,
-    so without ``full_series`` only the estimation window is made.
-    Yields ``(readings, channels, times, codes)`` per hand; ``codes``
-    has one row per responsive channel.
+    so they are made in a second pass over a chunk of hands, one
+    ``synthesize_block`` per material; without ``full_series`` only the
+    estimation window is made. Yields ``(readings, channels, times,
+    codes)`` per hand; ``codes`` has one row per responsive channel.
     """
     config, spec = chain.config, chain.spec
     s_min, s_max = config.ic.s_min, config.ic.s_max
     samples = None if full_series else config.window
-    for material in materials:
-        touched, fluct = chain.material(material)
-        chosen = _draw_responsive(rng, chain) if responsive is None else responsive
-        hand_offset = rng.normal(0.0, spec.class_sds.get(material, 0.0))
-        channels, targets, seeds = [], [], []
-        for channel, code in zip(FINGERS, touched):
-            if channel not in chosen:
-                continue
-            jitter = rng.normal(0.0, spec.channel_jitter_sd)
-            target = int(round(code - hand_offset - jitter))
-            targets.append(min(max(target, s_min), s_max))
-            seeds.append(int(rng.integers(0, 2 ** 31)))
-            channels.append(channel)
-        times = codes = None
-        estimates = {}
-        if channels:
-            times, codes = synthesize_block(fluct, spec.series_duration, seeds,
-                                            baselines=targets, samples=samples)
-            estimates = {channel: estimate_window(row, config.window, config.estimator)
-                         for channel, row in zip(channels, codes.tolist())}
-        yield readings(estimates), channels, times, codes
+    chunk = _chunk_hands(chain, full_series)
+    for start in range(0, len(materials), chunk):
+        hands = []
+        for material in materials[start:start + chunk]:
+            touched, _ = chain.material(material)
+            chosen = _draw_responsive(rng, chain) if responsive is None else responsive
+            hand_offset = rng.normal(0.0, spec.class_sds.get(material, 0.0))
+            channels, targets, seeds = [], [], []
+            for channel, code in zip(FINGERS, touched):
+                if channel not in chosen:
+                    continue
+                jitter = rng.normal(0.0, spec.channel_jitter_sd)
+                target = int(round(code - hand_offset - jitter))
+                targets.append(min(max(target, s_min), s_max))
+                seeds.append(int(rng.integers(0, 2 ** 31)))
+                channels.append(channel)
+            hands.append((material, channels, targets, seeds))
+        out = [None] * len(hands)
+        for material in dict.fromkeys(hand[0] for hand in hands):
+            mine = [i for i, hand in enumerate(hands) if hand[0] == material]
+            times, codes = synthesize_block(
+                chain.material(material)[1], spec.series_duration,
+                [seed for i in mine for seed in hands[i][3]],
+                baselines=[target for i in mine for target in hands[i][2]],
+                samples=samples)
+            windows = codes[:, :config.window].tolist()
+            row = 0
+            for i in mine:
+                channels = hands[i][1]
+                end = row + len(channels)
+                estimates = {channel: estimate_window(w, config.window, config.estimator)
+                             for channel, w in zip(channels, windows[row:end])}
+                out[i] = readings(estimates), channels, times, codes[row:end]
+                row = end
+        yield from out
 
 
 def generate_population(spec: PopulationSpec = PopulationSpec(),

@@ -76,6 +76,98 @@ def _sawtooth(phase: np.ndarray) -> np.ndarray:
     return -2.0 * (phase - np.floor(phase + 0.5))
 
 
+# numpy's SeedSequence: the pool size, its hash constants and multipliers,
+# and PCG64's 128-bit LCG multiplier
+_POOL_WORDS = 4
+_HASH_A = (0x43B0D7E5, 0x931E8875)
+_HASH_B = (0x8B51F9DD, 0x58F38DED)
+_MIX_LEFT, _MIX_RIGHT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The multiplier of each of ``n`` successive hash steps before and
+    after it advances, as ``(n, 1)`` columns. The sequence is the same
+    for every seed, so it is worked out once, in Python integers."""
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _MASK32)
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    return column[:-1], column[1:]
+
+
+def _hashmix(words: np.ndarray, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
+    value = (words ^ pre) * post
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = _MIX_LEFT * x - _MIX_RIGHT * y
+    return value ^ (value >> np.uint32(16))
+
+
+def pcg64_states(seeds) -> list[tuple[int, int]]:
+    """``(state, inc)`` of ``np.random.PCG64(seed)`` for each non-negative
+    integer seed, all seeds hashed at once.
+
+    Follows numpy's ``SeedSequence``: the seed's little-endian 32-bit
+    words are hashed into a pool of four (a shorter seed behaves as if
+    padded with zero words), the pool words are mixed with each other,
+    and each word beyond the fourth (seeds >= 2**128) is mixed into all
+    of them; ``generate_state`` then hashes out four 64-bit words, and
+    PCG64's ``set_seed`` takes the first two as the initial state and
+    the last two as the stream. The hash steps are uint32 array
+    arithmetic over all seeds, which wraps as numpy's C code does. The
+    equality with ``PCG64(seed).state`` is pinned by tests, not implied
+    by numpy's interface.
+    """
+    seeds = [int(seed) for seed in seeds]
+    width = max(_POOL_WORDS, -(-max(seeds, default=0).bit_length() // 32))
+    raw = b"".join(seed.to_bytes(4 * width, "little") for seed in seeds)
+    words = np.frombuffer(raw, dtype="<u4").reshape(len(seeds), width).T.astype(np.uint32)
+    pre, post = _hash_constants(*_HASH_A, _POOL_WORDS * width)
+    pool = _hashmix(words[:_POOL_WORDS], pre[:_POOL_WORDS], post[:_POOL_WORDS])
+    step = _POOL_WORDS
+    for src in range(_POOL_WORDS):
+        dst = [i for i in range(_POOL_WORDS) if i != src]
+        hashed = _hashmix(pool[src], pre[step:step + len(dst)], post[step:step + len(dst)])
+        pool[dst] = _mix(pool[dst], hashed)
+        step += len(dst)
+    for src in range(_POOL_WORDS, width):
+        hashed = _hashmix(words[src], pre[step:step + _POOL_WORDS],
+                          post[step:step + _POOL_WORDS])
+        # a seed's word count ends at its highest non-zero word
+        pool = np.where((words[src:] != 0).any(axis=0), _mix(pool, hashed), pool)
+        step += _POOL_WORDS
+    pre, post = _hash_constants(*_HASH_B, 2 * _POOL_WORDS)
+    state_words = _hashmix(np.tile(pool, (2, 1)), pre, post)
+    # pairs of 32-bit words, low word first, make the 64-bit words
+    columns = np.ascontiguousarray(state_words.T, dtype="<u4").view("<u8").T.tolist()
+    states = []
+    for seed_hi, seed_lo, seq_hi, seq_lo in zip(*columns):
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULTIPLIER + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
+def _normal_rows(seeds, sd: float, k: int) -> np.ndarray:
+    """Row ``i`` is ``np.random.default_rng(seeds[i]).normal(0.0, sd, size=k)``.
+
+    The generators are not built one by one: ``pcg64_states`` seeds all
+    rows at once, and one generator is set to each row's state in turn.
+    """
+    rows = np.empty((len(seeds), k))
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    for row, (state, inc) in zip(rows, pcg64_states(seeds)):
+        bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                               "state": {"state": state, "inc": inc}}
+        row[:] = generator.normal(0.0, sd, size=k)
+    return rows
+
+
 def synthesize_series(model: FluctuationModel, duration: float, seed: int,
                       channel: str = "I") -> CodeSeries:
     """Deterministically generate a sensor-code series of the given duration."""
@@ -95,7 +187,8 @@ def synthesize_block(model: FluctuationModel, duration: float, seeds,
     values of each series are made: the noise of row ``i`` is
     ``default_rng(seeds[i]).normal(size=k)``, whose first values do not
     depend on ``k`` (pinned by the tests), so the truncated rows equal
-    the leading columns of the full ones. Returns ``(times, codes)``.
+    the leading columns of the full ones (see ``_normal_rows``).
+    Returns ``(times, codes)``.
 
     Every argument is checked before any array is allocated: a series
     may hold at most ``MAX_SERIES_SAMPLES`` samples, seeds must be
@@ -124,10 +217,7 @@ def synthesize_block(model: FluctuationModel, duration: float, seeds,
     base = np.asarray(baselines)[:, None]
     values = (base + transient[:k]) + sawtooth[:k]
     if model.noise_sd > 0:
-        noise = np.empty(values.shape)
-        for row, seed in zip(noise, seeds):
-            row[:] = np.random.default_rng(seed).normal(0.0, model.noise_sd, size=k)
-        values = values + np.rint(noise)
+        values = values + np.rint(_normal_rows(seeds, model.noise_sd, k))
     codes = np.clip(np.rint(values), CODE_STORAGE_MIN, CODE_STORAGE_MAX).astype(int)
     times = t[:k]
     _check_samples(times, codes)

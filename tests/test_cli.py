@@ -6,12 +6,15 @@ from xml.etree import ElementTree
 
 import pytest
 
+from rfad import population, signal
 from rfad.cli import build_parser, main
 from rfad.config import load_config
 from rfad.hand import FINGERS
+from rfad.materials import load_materials
 from rfad.population import DEFAULT_POPULATION_SEED, generate_population, save_records
 from rfad.readlog import load_code_series, write_log
-from rfad.signal import estimate_code, material_fluctuation_model, synthesize_series
+from rfad.signal import (FluctuationModel, estimate_code, material_fluctuation_model,
+                         synthesize_series)
 
 
 def run(*argv):
@@ -78,6 +81,32 @@ class TestSimulate:
         for path in paths:
             for series in load_code_series(path).values():
                 assert list(series.times) == [float(i) for i in range(70)]
+
+    @pytest.mark.parametrize("argv", [
+        ("--material", "ethyl_alcohol", "--seed", "3"),
+        ("--baseline", "120", "--seed", "11", "--channels", "V", "I", "V"),
+    ])
+    def test_channels_made_in_one_block_equal_single_series(self, tmp_path, monkeypatch,
+                                                            argv):
+        calls = []
+        block = signal.synthesize_block
+        monkeypatch.setattr(signal, "synthesize_block",
+                            lambda *a, **kw: calls.append(a) or block(*a, **kw))
+        out = tmp_path / "s.csv"
+        assert run("simulate", *argv, "-o", str(out)) == 0
+        assert len(calls) == 1
+        series = load_code_series(out)
+        config, seed = load_config(), int(argv[argv.index("--seed") + 1])
+        for channel in series:
+            if argv[0] == "--material":
+                eps = load_materials()["ethyl_alcohol"].epsilon
+                model = material_fluctuation_model(
+                    "ethyl_alcohol", config.channel_code(channel, eps))
+            else:
+                model = FluctuationModel(baseline=120)
+            expected = synthesize_series(model, 70.0, seed + FINGERS.index(channel))
+            assert series[channel].codes == expected.codes
+        assert list(series) == (list(FINGERS) if argv[0] == "--material" else ["I", "V"])
 
     def test_channel_subset(self, tmp_path):
         out = tmp_path / "two.csv"
@@ -248,6 +277,22 @@ class TestStats:
         save_records(generate_population(config=load_config(cfg)), expected)
         assert configured.read_bytes() == expected.read_bytes()
         assert configured.read_bytes() != default.read_bytes()
+
+    @pytest.mark.parametrize("make", [None, "file"])
+    def test_missing_log_dir_exits_before_simulating(self, tmp_path, capsys,
+                                                     monkeypatch, make):
+        logs = tmp_path / "logs"
+        if make == "file":
+            logs.write_text("")
+        monkeypatch.setattr(population, "generate_population",
+                            lambda *a, **kw: pytest.fail("simulation started"))
+        before = sorted(tmp_path.iterdir())
+        assert run("stats", "--generate", "--log-dir", str(logs),
+                   "--records-out", str(tmp_path / "records.json"),
+                   "-o", str(tmp_path / "report.json")) == 2
+        err = capsys.readouterr().err
+        assert err == f"rfad: --log-dir {logs}: not an existing directory\n"
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_deterministic_reports(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -16,7 +16,8 @@ from rfad.fingerprint import (CalibrationBaseline, ChannelReading,
 from rfad.hand import FINGERS
 from rfad.materials import load_materials
 from rfad.population import (DEFAULT_POPULATION_SEED, PopulationSpec, _Chain,
-                             _simulate, generate_population, load_records,
+                             _chunk_hands, _draw_responsive, _simulate,
+                             generate_population, load_records,
                              monte_carlo_classification, save_records)
 from rfad.readlog import load_code_series
 from rfad.signal import (CODE_STORAGE_MAX, CODE_STORAGE_MIN, _sawtooth,
@@ -100,9 +101,8 @@ def _one_hand(material, rng, config, spec, responsive=None):
     chain = _Chain(config, spec)
     readings, channels, times, codes = next(
         _simulate(chain, rng, [material], responsive, full_series=True))
-    log_rows = [] if codes is None else [
-        (channel, t, c) for channel, row in zip(channels, codes.tolist())
-        for t, c in zip(times.tolist(), row)]
+    log_rows = [(channel, t, c) for channel, row in zip(channels, codes.tolist())
+                for t, c in zip(times.tolist(), row)]
     return readings, log_rows, chain.baseline
 
 
@@ -135,6 +135,25 @@ class TestPopulationSpec:
             PopulationSpec(count_probs=(0.5, 0.5, 0.5, 0.0, 0.0))
         with pytest.raises(DataError):
             PopulationSpec(class_sds={"olive_oil": -1.0})
+
+    @pytest.mark.parametrize("count_probs", [
+        (0.1, 0.3, 0.55, 0.05, 1e-6),       # sums to 1 + 1e-6
+        (0.1, 0.3, 0.55, 0.05 - 1e-7, 0.0),
+        (0.1, 0.3, 0.55, 0.05, float("nan")),
+        (0.1, 0.3, 0.65, -0.05, 0.0),
+        (0.1, 0.3, 0.55, 0.05, float("inf")),
+        (0.1, 0.3, 0.6),
+        (0.1, 0.3, 0.55, 0.05, 0.0, 0.0),
+        (0.1, 0.3, 0.55, 0.05, None),
+        ("a", 0.3, 0.55, 0.05, 0.1),
+    ])
+    def test_count_probs_rejected_as_choice_rejected_them(self, count_probs):
+        with pytest.raises(DataError, match="count_probs"):
+            PopulationSpec(count_probs=count_probs)
+
+    def test_count_probs_within_tolerance_run(self):
+        spec = PopulationSpec(count_probs=(0.1, 0.3, 0.55, 0.05, 1e-9))
+        assert monte_carlo_classification(30, seed=2, spec=spec) >= 0.9
 
 
 class TestSimulateHand:
@@ -184,6 +203,42 @@ class TestStreamPreservation:
             assert (build_fingerprint(readings, chain.baseline, material)
                     == build_fingerprint(expected, baseline, material))
         # no draw added or lost
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("full_series", [False, True])
+    def test_hands_beyond_one_chunk_match_oracle(self, full_series):
+        config, spec = default_config(), PopulationSpec()
+        chain = _Chain(config, spec)
+        n = _chunk_hands(chain, full_series) + 7
+        # materials in no fixed order, so a chunk's blocks differ in size
+        pick = np.random.default_rng(0).integers(0, len(spec.materials), size=n)
+        materials = [spec.materials[i] for i in pick]
+        oracle_rng, rng = np.random.default_rng(31), np.random.default_rng(31)
+        for material, (readings, channels, times, codes) in zip(
+                materials, _simulate(chain, rng, materials, full_series=full_series)):
+            expected, log_rows, _ = _oracle_simulate_hand(material, oracle_rng, config, spec)
+            assert readings == expected
+            rows = [(channel, t, c) for channel, row in zip(channels, codes.tolist())
+                    for t, c in zip(times.tolist(), row)]
+            if not full_series:
+                assert codes.shape[1] == config.window
+                log_rows = [r for channel in channels
+                            for r in [r for r in log_rows if r[0] == channel][:config.window]]
+            assert rows == log_rows
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("count_probs", [
+        (0.0, 0.0, 1.0, 0.0, 0.0),
+        (0.5, 0.0, 0.0, 0.0, 0.5),
+        (0.0, 0.0, 0.0, 0.0, 1.0),
+        (0.0, 0.25, 0.0, 0.75, 0.0),
+    ])
+    def test_draw_responsive_matches_oracle_with_zero_probabilities(self, count_probs):
+        spec = PopulationSpec(count_probs=count_probs)
+        chain = _Chain(default_config(), spec)
+        oracle_rng, rng = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(500):
+            assert _draw_responsive(rng, chain) == _oracle_draw_responsive(oracle_rng, spec)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     @pytest.mark.parametrize("responsive", [None, ("II", "III"), FINGERS])

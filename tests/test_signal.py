@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfad.errors import DataError, NotConvergedError
 from rfad.materials import REFERENCE_LIQUIDS
@@ -11,7 +13,9 @@ from rfad.signal import (CODE_STORAGE_MAX, MAX_SERIES_SAMPLES, CodeSeries, Fluct
                          amplitude_spectrum, convergence_error,
                          dominant_frequency, estimate_code, export_spectrum,
                          material_fixture_series, material_fluctuation_model,
-                         minimum_samples, synthesize_block, synthesize_series)
+                         minimum_samples, pcg64_states, synthesize_block,
+                         synthesize_series)
+from rfad.signal import _normal_rows
 
 
 def _series(codes, dt=0.7):
@@ -115,6 +119,40 @@ class TestNormalPrefix:
             for k in (1, 2, 10, 33, n - 1):
                 short = np.random.default_rng(seed).normal(0.0, sd, size=k)
                 assert np.array_equal(short, full[:k]), (seed, k)
+
+
+# One seed word; two to four words (zero-padded to the pool of four);
+# more than four words, which take numpy's extra mixing rounds.
+_SEEDS = st.one_of(st.integers(0, 2 ** 31 - 1), st.integers(2 ** 32, 2 ** 128 - 1),
+                   st.integers(2 ** 128, 2 ** 300))
+
+
+class TestSeedingKernel:
+    """``pcg64_states`` re-implements numpy's seeding. Nothing in numpy's
+    interface promises that it matches, so it is held to numpy here."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.lists(_SEEDS, max_size=6))
+    def test_equals_pcg64_state(self, seeds):
+        got = pcg64_states(seeds)
+        assert len(got) == len(seeds)
+        for seed, (state, inc) in zip(seeds, got):
+            assert np.random.PCG64(seed).state["state"] == {"state": state, "inc": inc}
+
+    def test_word_boundaries_in_one_batch(self):
+        seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 96,
+                 2 ** 128 - 1, 2 ** 128, 2 ** 160 - 1, 2 ** 160, 2 ** 200 + 5]
+        assert pcg64_states(seeds) == [
+            tuple(np.random.PCG64(seed).state["state"].values()) for seed in seeds]
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.lists(_SEEDS, max_size=4), st.integers(0, 40),
+           st.sampled_from([0.4, 0.8, 1.0, 1.5]))
+    def test_normal_rows_equal_default_rng(self, seeds, k, sd):
+        rows = _normal_rows(seeds, sd, k)
+        assert rows.shape == (len(seeds), k)
+        for row, seed in zip(rows, seeds):
+            assert np.array_equal(row, np.random.default_rng(seed).normal(0.0, sd, size=k))
 
 
 class TestSynthesizeBlock:
