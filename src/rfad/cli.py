@@ -28,7 +28,7 @@ from .classify import (DEFAULT_POPULATION_SEED, load_records, reliability_report
 from .classify import classify as _classify_value
 from .config import load_config
 from .errors import DataError, NumericalError, RfadError
-from .files import json_text, write_json
+from .files import check_output_dir, json_text, write_json
 from .fingerprint import (averaged_fingerprint, build_fingerprint,
                           fingerprint_record, load_fingerprints, readings,
                           save_fingerprints)
@@ -137,8 +137,12 @@ def _cmd_coupling(args, config):
 
 def _cmd_stats(args, config):
     if args.generate:
+        # every output place is checked before the campaign runs
         if args.log_dir is not None and not os.path.isdir(args.log_dir):
             raise DataError(f"--log-dir {args.log_dir}: not an existing directory")
+        for target in (args.records_out, args.output):
+            if target is not None:
+                check_output_dir(target)
         from . import population as _population
         records = _population.generate_population(
             _population.PopulationSpec(), seed=args.seed, config=config,

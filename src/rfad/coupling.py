@@ -69,8 +69,14 @@ class ImpedanceMatrix:
         if len(self.port_labels) != z.shape[0]:
             raise DataError(
                 f"{len(self.port_labels)} port labels for {z.shape[0]} ports")
-        if self.frequency <= 0:
-            raise DataError(f"frequency must be positive, got {self.frequency}")
+        for label in self.port_labels:
+            # the file format separates labels by whitespace and ends a line at '#'
+            if not isinstance(label, str) or label.split() != [label] or "#" in label:
+                raise DataError(f"port label {label!r} is empty or holds whitespace or '#'")
+        if not np.isfinite(z).all():
+            raise DataError("impedance matrix has a non-finite entry")
+        if not 0 < self.frequency < math.inf:
+            raise DataError(f"frequency must be positive and finite, got {self.frequency}")
         scale = np.abs(z).max()
         if scale > 0 and np.abs(z - z.T).max() > RECIPROCITY_RTOL * scale:
             raise DataError("impedance matrix violates reciprocity beyond 1e-9 relative")
@@ -204,9 +210,17 @@ def load_impedance_matrix(path) -> ImpedanceMatrix:
 
 
 def save_impedance_matrix(z: ImpedanceMatrix, path) -> None:
-    lines = [f"frequency = {z.frequency / 1e6:.6g} MHz",
+    """Write the format ``load_impedance_matrix`` reads, 12 significant digits.
+
+    Each row is one ``%`` template applied to Python floats: a numpy
+    scalar per entry costs several times more to format.
+    """
+    n = z.n_ports
+    row = " ".join(["%.12g%+.12gj"] * n)
+    parts = np.stack([z.z.real, z.z.imag], axis=-1).reshape(n, -1).tolist()
+    lines = [f"frequency = {z.frequency / 1e6:.12g} MHz",
              "ports = " + " ".join(z.port_labels)]
-    lines += [" ".join(f"{c.real:.12g}{c.imag:+.12g}j" for c in row) for row in z.z]
+    lines += [row % tuple(values) for values in parts]
     write_text(path, "\n".join(lines) + "\n")
 
 

@@ -22,10 +22,18 @@ from typing import Iterable, Iterator, Sequence
 from .errors import DataError
 
 
+def check_output_dir(path) -> None:
+    """Raise ``DataError`` unless the directory that would hold ``path`` exists."""
+    directory = os.path.dirname(os.fspath(path))
+    if directory and not os.path.isdir(directory):
+        raise DataError(f"{path}: directory {directory!r} does not exist")
+
+
 @contextmanager
 def _replacing(path):
     """A text file that replaces ``path`` when the block ends (UTF-8,
     line endings as written)."""
+    check_output_dir(path)
     # Not tempfile.mkstemp: its 0600 mode would differ from open(path, "w").
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     fh = open(tmp, "x", encoding="utf-8", newline="")

@@ -235,6 +235,8 @@ def monte_carlo_classification(n_hands: int, seed: int,
                                spec: PopulationSpec = PopulationSpec(),
                                config: Optional[SessionConfig] = None) -> float:
     """Fraction of simulated hands classified into the right class."""
+    if n_hands < 1:
+        raise DataError(f"need at least one hand, got n_hands={n_hands}")
     if config is None:
         config = default_config()
     classes = config.classes()

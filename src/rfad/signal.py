@@ -268,11 +268,7 @@ def convergence_error(series: CodeSeries, m: int,
         raise DataError(f"need 2 <= m <= m_inf, got m={m}, m_inf={m_inf}")
     if m_inf > len(series):
         raise DataError(f"m_inf={m_inf} exceeds series length {len(series)}")
-    return _dispersion_error(np.asarray(series.codes, dtype=float), m, m_inf)
-
-
-def _dispersion_error(x: np.ndarray, m: int, m_inf: int) -> float:
-    """``convergence_error`` of the codes ``x``, as floats."""
+    x = np.asarray(series.codes, dtype=float)
     return float(np.std(x[:m]) - np.std(x[:m_inf]))
 
 
@@ -293,16 +289,19 @@ def minimum_samples(series: CodeSeries, tolerance: float,
     Raises NotConvergedError (carrying the final convergence error) if
     no admissible window qualifies.
     """
+    # the asymptotic reference itself is not an admissible window
+    # (delta[m_inf] = 0 identically, which certifies nothing), so the
+    # windows are 2 .. m_inf - 1
+    if m_inf < 3:
+        raise DataError(f"m_inf={m_inf} leaves no window between 2 and m_inf - 1")
     if len(series) < m_inf:
         raise DataError(f"series length {len(series)} below m_inf={m_inf}")
     if estimator == "median":
         target = estimate_code(series, m_inf, "median")
     x = np.asarray(series.codes[:m_inf], dtype=float)
-    last = None
-    # the asymptotic reference itself is not an admissible window
-    # (delta[m_inf] = 0 identically, which certifies nothing)
+    asymptotic = np.std(x)
     for m in range(2, m_inf):
-        last = _dispersion_error(x, m, m_inf)
+        last = float(np.std(x[:m]) - asymptotic)
         settled = (estimator == "mean"
                    or abs(estimate_code(series, m, "median") - target) < tolerance)
         if abs(last) < tolerance and settled:

@@ -11,7 +11,8 @@ from rfad.cli import build_parser, main
 from rfad.config import load_config
 from rfad.hand import FINGERS
 from rfad.materials import load_materials
-from rfad.population import DEFAULT_POPULATION_SEED, generate_population, save_records
+from rfad.population import (DEFAULT_POPULATION_SEED, PopulationSpec, generate_population,
+                             save_records)
 from rfad.readlog import load_code_series, write_log
 from rfad.signal import (FluctuationModel, estimate_code, material_fluctuation_model,
                          synthesize_series)
@@ -294,6 +295,17 @@ class TestStats:
         assert err == f"rfad: --log-dir {logs}: not an existing directory\n"
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("flag", ["--records-out", "-o"])
+    def test_missing_output_directory_exits_before_simulating(self, tmp_path, capsys,
+                                                              monkeypatch, flag):
+        out = tmp_path / "nodir" / "out.json"
+        monkeypatch.setattr(population, "generate_population",
+                            lambda *a, **kw: pytest.fail("simulation started"))
+        assert run("stats", "--generate", flag, str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == f"rfad: {out}: directory {str(tmp_path / 'nodir')!r} does not exist\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_deterministic_reports(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -413,6 +425,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(bad) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "calibrate", "coupling", "stats"])
+    def test_missing_output_directory_is_data_error(self, tmp_path, capsys, air_log,
+                                                    command):
+        out = tmp_path / "nodir" / "out"
+        argv = {
+            "simulate": ["simulate", "-o", out],
+            "calibrate": ["calibrate", air_log, "-o", out],
+            "coupling": ["coupling", "--turn-on", "-o", out],
+            "stats": ["stats", "--records", tmp_path / "records.json", "-o", out],
+        }[command]
+        if command == "stats":
+            save_records(generate_population(PopulationSpec(subjects=1)),
+                         tmp_path / "records.json")
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert run(*map(str, argv)) == 2
+        err = capsys.readouterr().err
+        assert err == f"rfad: {out}: directory {str(tmp_path / 'nodir')!r} does not exist\n"
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_no_arguments_is_usage_error(self):
         assert run() == 1

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rfad.coupling import (DEFAULT_IC_IMPEDANCE, REFERENCE_COUPLING_MAGNITUDES,
                            CouplingReport, ImpedanceMatrix, PortLoad,
@@ -79,6 +81,69 @@ class TestImpedanceMatrix:
             ImpedanceMatrix(np.eye(2), frequency=867e6, port_labels=("I",))
         with pytest.raises(DataError):
             ImpedanceMatrix(np.eye(2), frequency=0.0, port_labels=("I", "II"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan), complex(-np.inf, 1)])
+    def test_nonfinite_entries_rejected(self, bad):
+        z = np.eye(2, dtype=complex)
+        z[1, 1] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            ImpedanceMatrix(z, frequency=867e6, port_labels=("I", "II"))
+
+    @pytest.mark.parametrize("frequency", [np.nan, np.inf])
+    def test_frequency_positive_and_finite(self, frequency):
+        with pytest.raises(DataError, match="frequency"):
+            ImpedanceMatrix(np.eye(2), frequency=frequency, port_labels=("I", "II"))
+
+    @pytest.mark.parametrize("label", ["", "a b", "a\tb", "a\nb", "a\u2028b", "a#b", "#", 7])
+    def test_labels_the_file_format_cannot_carry(self, label):
+        with pytest.raises(DataError, match="port label"):
+            ImpedanceMatrix(np.eye(2), frequency=867e6, port_labels=(label, "c"))
+
+
+def _per_entry_rows(z):
+    """The matrix rows as the per-entry formatter wrote them: one
+    f-string per numpy complex scalar (the reference for the row template)."""
+    return [" ".join(f"{c.real:.12g}{c.imag:+.12g}j" for c in row) for row in z.z]
+
+
+# -0.0, subnormals, +-1e300 and integers, besides whatever finite floats
+# Hypothesis draws
+_PARTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.5e-310, 1e300, -1e300]),
+    st.integers(-10 ** 15, 10 ** 15).map(float))
+
+
+class TestMatrixFile:
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(1, 70), pool=st.lists(st.tuples(_PARTS, _PARTS), min_size=1,
+                                                max_size=40),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_match_the_per_entry_formatter(self, tmp_path, n, pool, seed):
+        values = np.array([complex(re, im) for re, im in pool])
+        upper = np.triu(values[np.random.default_rng(seed).integers(len(values), size=(n, n))])
+        z = ImpedanceMatrix(upper + np.triu(upper, 1).T, frequency=867e6,
+                            port_labels=tuple(f"P{k}" for k in range(n)))
+        save_impedance_matrix(z, tmp_path / "z.txt")
+        text = (tmp_path / "z.txt").read_text()
+        assert text.split("\n")[2:] == _per_entry_rows(z) + [""]
+
+    def test_frequency_keeps_twelve_digits(self, tmp_path):
+        z = ImpedanceMatrix(np.eye(2), frequency=867.1234567e6, port_labels=("I", "II"))
+        save_impedance_matrix(z, tmp_path / "z.txt")
+        assert (tmp_path / "z.txt").read_text().splitlines()[0] == (
+            "frequency = 867.1234567 MHz")
+        assert load_impedance_matrix(tmp_path / "z.txt").frequency == pytest.approx(
+            867.1234567e6, rel=1e-15)
+
+    def test_labels_round_trip(self, tmp_path):
+        labels = ("a=b", "é", "P-1")
+        z = ImpedanceMatrix(np.eye(3) * (50 - 2j), frequency=867e6, port_labels=labels)
+        save_impedance_matrix(z, tmp_path / "z.txt")
+        loaded = load_impedance_matrix(tmp_path / "z.txt")
+        assert loaded.port_labels == labels
+        assert np.array_equal(loaded.z, z.z)
 
 
 class TestNormalizeCoupling:

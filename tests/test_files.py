@@ -9,6 +9,7 @@ import pytest
 
 from rfad.cli import main
 from rfad.coupling import ImpedanceMatrix, save_impedance_matrix
+from rfad.errors import DataError
 from rfad.files import csv_text, write_csv, write_text
 from rfad.signal import FluctuationModel, export_spectrum, synthesize_series
 
@@ -104,6 +105,16 @@ class TestWriter:
             write_text(target, "new\n\ud800")
         assert target.read_bytes() == b"old\n"
         assert os.listdir(tmp_path) == ["out.csv"]
+
+    @pytest.mark.parametrize("parent", ["nodir", "file"])
+    def test_missing_directory_is_named(self, tmp_path, parent):
+        (tmp_path / "file").write_text("")
+        target = tmp_path / parent / "out.csv"
+        with pytest.raises(DataError) as excinfo:
+            write_text(target, "x\n")
+        assert str(excinfo.value) == (
+            f"{target}: directory {str(tmp_path / parent)!r} does not exist")
+        assert os.listdir(tmp_path) == ["file"]
 
     def test_mode_matches_plain_open(self, tmp_path):
         plain = tmp_path / "plain.txt"

@@ -333,6 +333,11 @@ class TestRecordPersistence:
 
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize("n_hands", [0, -3])
+    def test_needs_a_hand(self, n_hands):
+        with pytest.raises(DataError, match="at least one hand"):
+            monte_carlo_classification(n_hands, seed=1)
+
     def test_small_run_accuracy(self):
         # 60 hands, 20 per material; the calibrated margins are ~3 SD
         assert monte_carlo_classification(60, seed=17) >= 0.95

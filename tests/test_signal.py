@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from rfad.errors import DataError, NotConvergedError
 from rfad.materials import REFERENCE_LIQUIDS
-from rfad.signal import (CODE_STORAGE_MAX, MAX_SERIES_SAMPLES, CodeSeries, FluctuationModel,
-                         amplitude_spectrum, convergence_error,
+from rfad.signal import (CODE_STORAGE_MAX, CODE_STORAGE_MIN, MAX_SERIES_SAMPLES, CodeSeries,
+                         FluctuationModel, amplitude_spectrum, convergence_error,
                          dominant_frequency, estimate_code, export_spectrum,
                          material_fixture_series, material_fluctuation_model,
                          minimum_samples, pcg64_states, synthesize_block,
@@ -279,7 +279,58 @@ class TestConvergenceError:
             convergence_error(_series([1] * 50), 10)
 
 
+def _dispersion_error(x, m: int, m_inf: int) -> float:
+    return float(np.std(x[:m]) - np.std(x[:m_inf]))
+
+
+def _per_window_minimum_samples(series, tolerance, m_inf=100, estimator="mean"):
+    """The sizing loop that recomputes the asymptotic dispersion for
+    every window (the reference for ``minimum_samples``)."""
+    if len(series) < m_inf:
+        raise DataError(f"series length {len(series)} below m_inf={m_inf}")
+    if estimator == "median":
+        target = estimate_code(series, m_inf, "median")
+    x = np.asarray(series.codes[:m_inf], dtype=float)
+    last = None
+    # the asymptotic reference itself is not an admissible window
+    # (delta[m_inf] = 0 identically, which certifies nothing)
+    for m in range(2, m_inf):
+        last = _dispersion_error(x, m, m_inf)
+        settled = (estimator == "mean"
+                   or abs(estimate_code(series, m, "median") - target) < tolerance)
+        if abs(last) < tolerance and settled:
+            return m
+    raise NotConvergedError(
+        f"no window up to {m_inf} samples meets tolerance {tolerance}",
+        delta=last)
+
+
+def _outcome(sizing, *args):
+    try:
+        return sizing(*args)
+    except NotConvergedError as exc:
+        return ("not converged", str(exc), exc.delta)
+
+
 class TestMinimumSamples:
+    @pytest.mark.parametrize("estimator", ["mean", "median"])
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(m_inf=st.integers(3, 400), extra=st.integers(0, 20),
+           seed=st.integers(0, 2 ** 32 - 1), base=st.integers(0, 511),
+           noise=st.floats(0.0, 30.0), drift=st.floats(-0.5, 0.5),
+           tolerance=st.floats(1e-3, 20.0))
+    def test_matches_the_per_window_loop(self, estimator, m_inf, extra, seed, base, noise,
+                                         drift, tolerance):
+        rng = np.random.default_rng(seed)
+        n = m_inf + extra
+        codes = np.clip(np.rint(base + drift * np.arange(n) + rng.normal(0, noise, n)),
+                        CODE_STORAGE_MIN, CODE_STORAGE_MAX).astype(int)
+        series = _series(codes)
+        expected = _outcome(_per_window_minimum_samples, series, tolerance, m_inf, estimator)
+        got = _outcome(minimum_samples, series, tolerance, m_inf, estimator)
+        assert got == expected
+        assert type(got) is type(expected)
+
     def test_constant_series_converges_immediately(self):
         assert minimum_samples(_series([150] * 100), 1.0) == 2
 
@@ -303,6 +354,13 @@ class TestMinimumSamples:
         with pytest.raises(NotConvergedError) as excinfo:
             minimum_samples(_series(codes), 0.1)
         assert excinfo.value.delta is not None
+
+    @pytest.mark.parametrize("estimator", ["mean", "median"])
+    @pytest.mark.parametrize("m_inf", [2, 1, 0, -1])
+    def test_asymptotic_window_below_three_is_data_error(self, m_inf, estimator):
+        # windows run from 2 to m_inf - 1; below m_inf = 3 there is none
+        with pytest.raises(DataError, match="no window"):
+            minimum_samples(_series([150] * 10), 1.0, m_inf, estimator)
 
     def test_needs_full_asymptotic_window(self):
         with pytest.raises(DataError):
