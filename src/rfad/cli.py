@@ -112,6 +112,8 @@ def _cmd_classify(args, config):
 
 def _cmd_coupling(args, config):
     from . import coupling as _coupling
+    if args.output:
+        check_output_dir(args.output)  # before the summary is printed
     if args.matrix:
         z = _coupling.load_impedance_matrix(args.matrix)
         k = _coupling.power_wave_scattering(

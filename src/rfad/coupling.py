@@ -75,8 +75,9 @@ class ImpedanceMatrix:
                 raise DataError(f"port label {label!r} is empty or holds whitespace or '#'")
         if not np.isfinite(z).all():
             raise DataError("impedance matrix has a non-finite entry")
-        if not 0 < self.frequency < math.inf:
-            raise DataError(f"frequency must be positive and finite, got {self.frequency}")
+        # the file keeps MHz to 12 digits: far below 1 Hz that reads back as 0
+        if not 1 <= self.frequency < math.inf:
+            raise DataError(f"frequency must be finite and >= 1 Hz, got {self.frequency}")
         scale = np.abs(z).max()
         if scale > 0 and np.abs(z - z.T).max() > RECIPROCITY_RTOL * scale:
             raise DataError("impedance matrix violates reciprocity beyond 1e-9 relative")
@@ -212,12 +213,16 @@ def load_impedance_matrix(path) -> ImpedanceMatrix:
 def save_impedance_matrix(z: ImpedanceMatrix, path) -> None:
     """Write the format ``load_impedance_matrix`` reads, 12 significant digits.
 
-    Each row is one ``%`` template applied to Python floats: a numpy
-    scalar per entry costs several times more to format.
+    The symmetric part ``(z + z.T) / 2`` is written, so that rounding cannot
+    push a pair past the reciprocity bound on reading. It is taken from
+    halves, which cannot overflow, and a pair that is already equal keeps
+    its bits. Each row is one ``%`` template applied to Python floats: a
+    numpy scalar per entry costs several times more to format.
     """
     n = z.n_ports
     row = " ".join(["%.12g%+.12gj"] * n)
-    parts = np.stack([z.z.real, z.z.imag], axis=-1).reshape(n, -1).tolist()
+    sym = np.where(z.z == z.z.T, z.z, z.z / 2 + z.z.T / 2)
+    parts = np.stack([sym.real, sym.imag], axis=-1).reshape(n, -1).tolist()
     lines = [f"frequency = {z.frequency / 1e6:.12g} MHz",
              "ports = " + " ".join(z.port_labels)]
     lines += [row % tuple(values) for values in parts]

@@ -97,6 +97,12 @@ def differential_code(baseline: CalibrationBaseline, reading: ChannelReading) ->
     return baseline.codes[reading.channel] - reading.code
 
 
+def imputed_values(deltas: Mapping[str, float]) -> list[float]:
+    """Each finger's differential code, or the mean of ``deltas`` if it has none."""
+    fill = sum(deltas.values()) / len(deltas)
+    return [deltas.get(f, fill) for f in FINGERS]
+
+
 def build_fingerprint(readings: Sequence[ChannelReading],
                       baseline: CalibrationBaseline,
                       material_label: Optional[str] = None) -> Fingerprint:
@@ -112,10 +118,8 @@ def build_fingerprint(readings: Sequence[ChannelReading],
     if not responsive:
         raise HandUnreadError("no finger of the hand produced a reading")
     deltas = {f: differential_code(baseline, by_channel[f]) for f in responsive}
-    fill = sum(deltas.values()) / len(deltas)
-    values = {f: deltas.get(f, fill) for f in FINGERS}
-    imputed = {f: f not in deltas for f in FINGERS}
-    return Fingerprint(values=values, imputed=imputed,
+    return Fingerprint(values=dict(zip(FINGERS, imputed_values(deltas))),
+                       imputed={f: f not in deltas for f in FINGERS},
                        n_responsive=len(responsive),
                        material_label=material_label)
 

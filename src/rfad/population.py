@@ -23,8 +23,8 @@ from .classify import (DEFAULT_POPULATION_SEED, TrialRecord, classify,  # noqa: 
                        load_records, save_records)
 from .config import SessionConfig, default_config
 from .errors import DataError
-from .fingerprint import (CalibrationBaseline, averaged_fingerprint,
-                          build_fingerprint, readings)
+from .fingerprint import (CalibrationBaseline, build_fingerprint, imputed_values,
+                          readings)
 from .hand import FINGERS
 from .materials import REFERENCE_LIQUIDS, load_materials
 from .readlog import estimate_window, write_log
@@ -71,6 +71,8 @@ class PopulationSpec:
     def __post_init__(self):
         if self.subjects < 1 or self.trials < 1 or not self.materials:
             raise DataError("population spec needs subjects, trials and materials")
+        if unknown := [m for m in self.materials if m not in REFERENCE_LIQUIDS]:
+            raise DataError(f"not a reference liquid: {', '.join(map(repr, unknown))}")
         try:
             probs = [float(p) for p in self.count_probs]
         except (TypeError, ValueError):
@@ -102,24 +104,15 @@ class _Chain:
         cdf = np.cumsum(np.asarray(spec.count_probs, dtype=float))
         self.count_cdf = (cdf / cdf[-1]).tolist()
         self.weights = np.array([spec.finger_weights[f] for f in FINGERS], dtype=float)
-        self._materials = load_materials()
-        self._per_material = {}
-
-    def material(self, name: str) -> tuple:
-        """(touched code of each channel, fluctuation preset) of a material.
-
-        The preset's baseline is a placeholder: each synthesized row gets
-        its own.
-        """
-        entry = self._per_material.get(name)
-        if entry is None:
-            eps = self._materials[name].epsilon
-            entry = self._per_material[name] = (
-                tuple(self.config.channel_code(channel, eps) for channel in FINGERS),
-                material_fluctuation_model(
-                    name, baseline=0, sample_period=self.config.sample_period,
-                    sawtooth_frequency=self.config.sawtooth_frequency))
-        return entry
+        eps = {name: material.epsilon for name, material in load_materials().items()}
+        # per material of the spec: the touched code of each channel, and the
+        # fluctuation preset, whose baseline is a placeholder (each
+        # synthesized row gets its own)
+        self.touched = {name: tuple(config.channel_code(ch, eps[name]) for ch in FINGERS)
+                        for name in spec.materials}
+        self.fluctuation = {name: material_fluctuation_model(
+            name, baseline=0, sample_period=config.sample_period,
+            sawtooth_frequency=config.sawtooth_frequency) for name in spec.materials}
 
 
 def _draw_responsive(rng: np.random.Generator, chain: _Chain) -> list[str]:
@@ -153,8 +146,9 @@ def _simulate(chain: _Chain, rng: np.random.Generator, materials: Sequence[str],
     its series seed. The series themselves come from their own seeds,
     so they are made in a second pass over a chunk of hands, one
     ``synthesize_block`` per material; without ``full_series`` only the
-    estimation window is made. Yields ``(readings, channels, times,
-    codes)`` per hand; ``codes`` has one row per responsive channel.
+    estimation window is made. Yields ``(estimates, channels, times,
+    codes)`` per hand: the windowed code of each responsive channel by
+    name, and one row of ``codes`` per responsive channel.
     """
     config, spec = chain.config, chain.spec
     s_min, s_max = config.ic.s_min, config.ic.s_max
@@ -163,7 +157,7 @@ def _simulate(chain: _Chain, rng: np.random.Generator, materials: Sequence[str],
     for start in range(0, len(materials), chunk):
         hands = []
         for material in materials[start:start + chunk]:
-            touched, _ = chain.material(material)
+            touched = chain.touched[material]
             chosen = _draw_responsive(rng, chain) if responsive is None else responsive
             hand_offset = rng.normal(0.0, spec.class_sds.get(material, 0.0))
             channels, targets, seeds = [], [], []
@@ -180,7 +174,7 @@ def _simulate(chain: _Chain, rng: np.random.Generator, materials: Sequence[str],
         for material in dict.fromkeys(hand[0] for hand in hands):
             mine = [i for i, hand in enumerate(hands) if hand[0] == material]
             times, codes = synthesize_block(
-                chain.material(material)[1], spec.series_duration,
+                chain.fluctuation[material], spec.series_duration,
                 [seed for i in mine for seed in hands[i][3]],
                 baselines=[target for i in mine for target in hands[i][2]],
                 samples=samples)
@@ -191,7 +185,7 @@ def _simulate(chain: _Chain, rng: np.random.Generator, materials: Sequence[str],
                 end = row + len(channels)
                 estimates = {channel: estimate_window(w, config.window, config.estimator)
                              for channel, w in zip(channels, windows[row:end])}
-                out[i] = readings(estimates), channels, times, codes[row:end]
+                out[i] = estimates, channels, times, codes[row:end]
                 row = end
         yield from out
 
@@ -216,12 +210,11 @@ def generate_population(spec: PopulationSpec = PopulationSpec(),
                       full_series=out_dir is not None)
     records = []
     for (subject, material_idx, material, trial), hand in zip(trials, hands):
-        readings, channels, times, codes = hand
-        fp = build_fingerprint(readings, chain.baseline, material_label=material)
-        responsive = {r.channel: r.responsive for r in readings}
+        estimates, channels, times, codes = hand
+        fp = build_fingerprint(readings(estimates), chain.baseline, material)
         records.append(TrialRecord(
             subject=f"S{subject + 1:02d}", material=material,
-            responsive=responsive, fingerprint=fp))
+            responsive={f: f in estimates for f in FINGERS}, fingerprint=fp))
         if out_dir is not None:
             epcs = [_epc(subject, material_idx, trial, ch) for ch in channels]
             # rows ordered by (timestamp, channel): finger order I..V is also
@@ -229,6 +222,12 @@ def generate_population(spec: PopulationSpec = PopulationSpec(),
             name = f"subject{subject + 1:02d}_{material}_trial{trial + 1}.csv"
             write_log((times, channels, epcs, codes), os.path.join(out_dir, name))
     return records
+
+
+def _averaged(estimates: Mapping[str, float], air: Mapping[str, float]) -> float:
+    """A hand's averaged fingerprint from its windowed codes, without building one."""
+    deltas = {channel: air[channel] - code for channel, code in estimates.items()}
+    return sum(imputed_values(deltas)) / len(FINGERS)
 
 
 def monte_carlo_classification(n_hands: int, seed: int,
@@ -243,13 +242,11 @@ def monte_carlo_classification(n_hands: int, seed: int,
     expected = {material: cls.label for cls in classes
                 for material in cls.reference_materials}
     chain = _Chain(config, spec)
-    materials = [m for m in spec.materials if m in expected]
-    hand_materials = [materials[i % len(materials)] for i in range(n_hands)]
+    air = chain.baseline.codes
+    hand_materials = [spec.materials[i % len(spec.materials)] for i in range(n_hands)]
     correct = 0
-    for material, (readings, _, _, _) in zip(
+    for material, (estimates, _, _, _) in zip(
             hand_materials, _simulate(chain, np.random.default_rng(seed), hand_materials)):
-        fp = build_fingerprint(readings, chain.baseline, material_label=material)
-        label = classify(averaged_fingerprint(fp), classes)
-        correct += label == expected[material]
+        correct += classify(_averaged(estimates, air), classes) == expected[material]
     return correct / n_hands
 

@@ -442,8 +442,10 @@ class TestExitCodes:
         before = sorted(tmp_path.iterdir())
         capsys.readouterr()
         assert run(*map(str, argv)) == 2
-        err = capsys.readouterr().err
-        assert err == f"rfad: {out}: directory {str(tmp_path / 'nodir')!r} does not exist\n"
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"rfad: {out}: directory {str(tmp_path / 'nodir')!r} does not exist\n")
+        assert captured.out == ""  # a failed run prints no report
         assert sorted(tmp_path.iterdir()) == before
 
     def test_no_arguments_is_usage_error(self):

@@ -89,7 +89,8 @@ class TestImpedanceMatrix:
         with pytest.raises(DataError, match="non-finite"):
             ImpedanceMatrix(z, frequency=867e6, port_labels=("I", "II"))
 
-    @pytest.mark.parametrize("frequency", [np.nan, np.inf])
+    # below 1 Hz, 5e-324 Hz for one, the file's MHz value could read back as 0
+    @pytest.mark.parametrize("frequency", [np.nan, np.inf, 5e-324, 0.5])
     def test_frequency_positive_and_finite(self, frequency):
         with pytest.raises(DataError, match="frequency"):
             ImpedanceMatrix(np.eye(2), frequency=frequency, port_labels=("I", "II"))
@@ -136,6 +137,25 @@ class TestMatrixFile:
             "frequency = 867.1234567 MHz")
         assert load_impedance_matrix(tmp_path / "z.txt").frequency == pytest.approx(
             867.1234567e6, rel=1e-15)
+
+    @pytest.mark.parametrize("upper, lower", [
+        # inside the 1e-9 bound, but rounding each to 12 digits left them
+        # 1.0000000005 apart
+        (1.0000000000004, 1.0000000000004 * (1 + 1e-9) * (1 - 4e-13)),
+        (1.7e308, 1.7e308 * (1 - 9e-10)),  # their sum would overflow
+    ])
+    def test_near_reciprocal_matrix_loads_back(self, tmp_path, upper, lower):
+        z = ImpedanceMatrix(np.array([[1, upper], [lower, 1]]), frequency=867e6,
+                            port_labels=("I", "II"))
+        save_impedance_matrix(z, tmp_path / "z.txt")
+        loaded = load_impedance_matrix(tmp_path / "z.txt").z
+        assert loaded[0, 1] == loaded[1, 0]
+        assert loaded[0, 1].real == pytest.approx(upper / 2 + lower / 2, rel=1e-11)
+
+    def test_lowest_frequency_loads_back(self, tmp_path):
+        z = ImpedanceMatrix(np.eye(2), frequency=1.0, port_labels=("I", "II"))
+        save_impedance_matrix(z, tmp_path / "z.txt")
+        assert load_impedance_matrix(tmp_path / "z.txt").frequency == 1.0
 
     def test_labels_round_trip(self, tmp_path):
         labels = ("a=b", "é", "P-1")

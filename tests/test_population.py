@@ -6,20 +6,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfad import ic as _ic
-from rfad.classify import reliability_report
+from rfad.classify import classify, reliability_report
 from rfad.config import default_config, load_config
-from rfad.errors import DataError
+from rfad.errors import DataError, UnclassifiableError
 from rfad.fingerprint import (CalibrationBaseline, ChannelReading,
-                              averaged_fingerprint, build_fingerprint)
+                              averaged_fingerprint, build_fingerprint,
+                              readings)
 from rfad.hand import FINGERS
 from rfad.materials import load_materials
-from rfad.population import (DEFAULT_POPULATION_SEED, PopulationSpec, _Chain,
-                             _chunk_hands, _draw_responsive, _simulate,
+from rfad.population import (DEFAULT_CLASS_SDS, DEFAULT_POPULATION_SEED,
+                             PopulationSpec, _Chain, _chunk_hands,
+                             _averaged, _draw_responsive, _simulate,
                              generate_population, load_records,
                              monte_carlo_classification, save_records)
-from rfad.readlog import load_code_series
+from rfad.readlog import estimate_window, load_code_series
 from rfad.signal import (CODE_STORAGE_MAX, CODE_STORAGE_MIN, _sawtooth,
                          material_fluctuation_model)
 
@@ -99,11 +103,11 @@ def _one_hand(material, rng, config, spec, responsive=None):
     """One hand through the batched core, in the oracle's return shape:
     ``(readings, log_rows, baseline)`` with ``(channel, t, code)`` rows."""
     chain = _Chain(config, spec)
-    readings, channels, times, codes = next(
+    estimates, channels, times, codes = next(
         _simulate(chain, rng, [material], responsive, full_series=True))
     log_rows = [(channel, t, c) for channel, row in zip(channels, codes.tolist())
                 for t, c in zip(times.tolist(), row)]
-    return readings, log_rows, chain.baseline
+    return readings(estimates), log_rows, chain.baseline
 
 
 # SHA-256 of save_records output of the default campaign, recorded from
@@ -135,6 +139,15 @@ class TestPopulationSpec:
             PopulationSpec(count_probs=(0.5, 0.5, 0.5, 0.0, 0.0))
         with pytest.raises(DataError):
             PopulationSpec(class_sds={"olive_oil": -1.0})
+
+    @pytest.mark.parametrize("materials, message", [
+        (("silbione",), "'silbione'"),
+        (("foo",), "'foo'"),
+        (("olive_oil", "foo", "water"), "'foo', 'water'"),
+    ])
+    def test_materials_must_be_reference_liquids(self, materials, message):
+        with pytest.raises(DataError, match=f"^not a reference liquid: {message}$"):
+            PopulationSpec(materials=materials, subjects=1, trials=1)
 
     @pytest.mark.parametrize("count_probs", [
         (0.1, 0.3, 0.55, 0.05, 1e-6),       # sums to 1 + 1e-6
@@ -193,14 +206,14 @@ class TestStreamPreservation:
         materials = [spec.materials[i % len(spec.materials)] for i in range(150)]
         oracle_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         chain = _Chain(config, spec)
-        for material, (readings, _, _, codes) in zip(
+        for material, (estimates, _, _, codes) in zip(
                 materials, _simulate(chain, rng, materials)):
             expected, _, baseline = _oracle_simulate_hand(
                 material, oracle_rng, config, spec)
-            assert readings == expected
+            assert readings(estimates) == expected
             assert chain.baseline == baseline
             assert codes.shape[1] == config.window
-            assert (build_fingerprint(readings, chain.baseline, material)
+            assert (build_fingerprint(readings(estimates), chain.baseline, material)
                     == build_fingerprint(expected, baseline, material))
         # no draw added or lost
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
@@ -214,10 +227,10 @@ class TestStreamPreservation:
         pick = np.random.default_rng(0).integers(0, len(spec.materials), size=n)
         materials = [spec.materials[i] for i in pick]
         oracle_rng, rng = np.random.default_rng(31), np.random.default_rng(31)
-        for material, (readings, channels, times, codes) in zip(
+        for material, (estimates, channels, times, codes) in zip(
                 materials, _simulate(chain, rng, materials, full_series=full_series)):
             expected, log_rows, _ = _oracle_simulate_hand(material, oracle_rng, config, spec)
-            assert readings == expected
+            assert readings(estimates) == expected
             rows = [(channel, t, c) for channel, row in zip(channels, codes.tolist())
                     for t, c in zip(times.tolist(), row)]
             if not full_series:
@@ -347,3 +360,71 @@ class TestMonteCarlo:
         path = tmp_path / "wide.cfg"
         path.write_text("s_min = 0\ns_max = 500\nbaseline_code = 450\nspan_code = 400\n")
         assert monte_carlo_classification(60, seed=17, config=load_config(path)) >= 0.95
+
+    # recorded from the per-hand readings/build_fingerprint path; triple
+    # the class SDs so that some hands land in the wrong class
+    _WIDE = PopulationSpec(class_sds={m: 3 * sd for m, sd in DEFAULT_CLASS_SDS.items()})
+
+    @pytest.mark.parametrize("estimator, n_hands, seed, correct, chunks", [
+        ("mean", 300, 7, 275, 1),
+        ("median", 300, 7, 274, 1),
+        ("mean", 1400, 8, 1250, 2),
+    ])
+    def test_exact_accuracy(self, estimator, n_hands, seed, correct, chunks):
+        config = dataclasses.replace(default_config(), estimator=estimator)
+        chunk = _chunk_hands(_Chain(config, self._WIDE), False)
+        assert math.ceil(n_hands / chunk) == chunks
+        assert (monte_carlo_classification(n_hands, seed, spec=self._WIDE, config=config)
+                == correct / n_hands)
+
+    def test_window_longer_than_series(self):
+        # 70 s at the default 0.7 s sample period is 100 samples
+        config = dataclasses.replace(default_config(), window=1000)
+        with pytest.raises(DataError, match="^window 1000 exceeds series length 100$"):
+            monte_carlo_classification(3, seed=1, config=config)
+        with pytest.raises(DataError, match="^window 1000 exceeds series length 100$"):
+            generate_population(PopulationSpec(subjects=1, trials=1), config=config)
+
+
+_CLASSES = default_config().classes()
+# the class thresholds and the outer bounds +-span, and the floats beside them
+_EDGES = sorted({x for cls in _CLASSES for bound in (cls.lower, cls.upper)
+                 for x in (math.nextafter(bound, -math.inf), bound,
+                           math.nextafter(bound, math.inf))})
+
+
+@st.composite
+def _touched_codes(draw):
+    """Touched codes of 1-5 responsive fingers: a window estimate of integer
+    codes, or the code whose differential code is a class edge."""
+    air = draw(st.lists(st.integers(0, 511), min_size=5, max_size=5))
+    responsive = draw(st.lists(st.sampled_from(FINGERS), min_size=1, max_size=5,
+                               unique=True))
+    estimator = draw(st.sampled_from(["mean", "median"]))
+    codes = {}
+    for channel in sorted(responsive, key=FINGERS.index):
+        if draw(st.booleans()):
+            codes[channel] = air[FINGERS.index(channel)] - draw(st.sampled_from(_EDGES))
+        else:
+            window = draw(st.lists(st.integers(0, 511), min_size=1, max_size=12))
+            codes[channel] = estimate_window(window, len(window), estimator)
+    return CalibrationBaseline(codes=dict(zip(FINGERS, map(float, air)))), codes
+
+
+def _label(f_bar):
+    try:
+        return classify(f_bar, _CLASSES)
+    except UnclassifiableError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(_touched_codes())
+def test_monte_carlo_average_matches_the_fingerprint_objects(case):
+    """The Monte Carlo's per-hand average is, bit for bit, the averaged
+    fingerprint of the objects it no longer builds, and gets its label."""
+    baseline, codes = case
+    f_bar = _averaged(codes, baseline.codes)
+    expected = averaged_fingerprint(build_fingerprint(readings(codes), baseline))
+    assert f_bar == expected
+    assert _label(f_bar) == _label(expected)
