@@ -4,7 +4,7 @@ from .hand import FINGERS
 from .ic import (AntennaModel, AntennaState, AutoTuneIC, SensorCode,
                  antenna_response, calibrated_antenna_model, capacitance,
                  ic_susceptance, power_transfer, sensor_code)
-from .config import SessionConfig, default_config, load_config
+from .config import SessionConfig, load_config
 
 __version__ = "0.1.0"
 
@@ -13,6 +13,6 @@ __all__ = [
     "AntennaModel", "AntennaState", "AutoTuneIC", "SensorCode",
     "antenna_response", "calibrated_antenna_model", "capacitance",
     "ic_susceptance", "power_transfer", "sensor_code",
-    "SessionConfig", "default_config", "load_config",
+    "SessionConfig", "load_config",
     "__version__",
 ]

@@ -71,18 +71,9 @@ class ReliabilityReport:
     joint_rates: Mapping[str, float]
 
 
-def _check_classes(classes: Sequence[MaterialClass]) -> None:
-    if not classes:
-        raise DataError("need at least one material class")
-    for a, b in zip(classes, classes[1:]):
-        if a.upper != b.lower:
-            raise DataError(
-                f"classes {a.label!r} and {b.label!r} are not contiguous")
-
-
 def classify(f_bar: float, classes: Sequence[MaterialClass]) -> str:
-    """Label of the class interval containing the averaged fingerprint."""
-    _check_classes(classes)
+    """Label of the class interval containing the averaged fingerprint;
+    ``classes`` are contiguous and ordered, as ``default_classes`` builds them."""
     for i, cls in enumerate(classes):
         is_top = i == len(classes) - 1
         if cls.lower <= f_bar < cls.upper or (is_top and f_bar == cls.upper):

@@ -2,15 +2,17 @@
 
 Configuration files are plain key-value text with explicit unit
 suffixes. ``_KEYS`` is the one table of keys: how each value parses
-and whether it may carry a per-channel dotted suffix, e.g.
-``span_code.III = 120``. Values must be finite and inside each key's
-range; ``load_config`` checks the rules that join keys. The shipped
-defaults file is the single source for every default constant.
+(a quantity takes only the units of its dimension) and whether it may
+carry a per-channel dotted suffix, e.g. ``span_code.III = 120``. Values
+must be finite and inside each key's range; ``load_config`` checks the
+rules on the codes. The shipped defaults file is the single source for
+every default constant; it is parsed and checked as a user file is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from typing import ClassVar, Mapping
 
@@ -45,17 +47,18 @@ def _estimator(text: str) -> str:
 
 # key -> (parser, may carry a channel suffix)
 _KEYS = {
-    "s_min": (_above(int, -1), False),
+    "s_min": (int, False),
     "s_max": (int, False),
     "ic_load": (_above(parse_complex_quantity, 0), False),
-    "ic_sensitivity": (_above(parse_quantity, 0), False),
+    "ic_sensitivity": (_above(partial(parse_quantity, dimension="power"), 0), False),
     "baseline_code": (int, True),
     "span_code": (_above(finite, 0), True),
     "span_epsilon": (_above(finite, 1), True),
     "eps_half": (_above(finite, -1), True),
     "transducer_gain": (_above(finite, 0), True),
-    "sawtooth_frequency": (_above(parse_quantity, 0), False),
-    "sample_period": (_above(parse_quantity, 0), False),
+    "sawtooth_frequency": (_above(partial(parse_quantity, dimension="frequency"), 0),
+                           False),
+    "sample_period": (_above(partial(parse_quantity, dimension="time"), 0), False),
     "window": (_above(int, 0), False),
     "estimator": (_estimator, False),
 }
@@ -63,12 +66,6 @@ _KEYS = {
 
 def default_config_text() -> str:
     return (resources.files("rfad") / "data" / DEFAULTS_RESOURCE).read_text("utf-8")
-
-
-def parse_config_text(text: str, source: str = "<config>") -> dict:
-    """Parse key-value config text into a flat dict of SI values, keyed
-    as written (``span_code.III`` for a channel's own value)."""
-    return {key: value for key, value, _ in _entries(text, source)}
 
 
 def _entries(text: str, source: str):
@@ -163,16 +160,16 @@ def build_config(values: dict) -> SessionConfig:
         window=values["window"], estimator=values["estimator"])
 
 
-def default_config() -> SessionConfig:
-    return load_config()
-
-
 def _check_codes(values: dict, source: str, lines: dict) -> None:
-    """The rules that join keys: ``s_min < s_max``, and every
-    ``baseline_code`` inside ``[s_min, s_max]``. An error names the last
-    line of ``source`` that set one of the keys involved."""
+    """The rules on the codes: ``s_min < s_max`` inside the code register,
+    and every ``baseline_code`` inside ``[s_min, s_max]``. An error names
+    the last line of ``source`` that set one of the keys involved."""
     s_min, s_max = values["s_min"], values["s_max"]
-    rules = [(("s_min", "s_max"), s_min < s_max,
+    rules = [(("s_min",), s_min >= _ic.CODE_STORAGE_MIN,
+              f"s_min = {s_min} below the code storage minimum {_ic.CODE_STORAGE_MIN}"),
+             (("s_max",), s_max <= _ic.CODE_STORAGE_MAX,
+              f"s_max = {s_max} above the code storage maximum {_ic.CODE_STORAGE_MAX}"),
+             (("s_min", "s_max"), s_min < s_max,
               f"s_min = {s_min} must be below s_max = {s_max}")]
     rules += [((key, "s_min", "s_max"), s_min <= code <= s_max,
                f"{key} = {code} outside [s_min, s_max] = [{s_min}, {s_max}]")
@@ -184,16 +181,19 @@ def _check_codes(values: dict, source: str, lines: dict) -> None:
 
 
 def load_config(path=None) -> SessionConfig:
-    """Defaults, with an optional config file layered on top. The shipped
-    defaults obey the rules that join keys; the file must keep them."""
-    values = parse_config_text(default_config_text(), DEFAULTS_RESOURCE)
-    if path is None:
-        return build_config(values)
-    layer, lines = {}, {}
-    for key, value, lineno in _entries(read_text(path), str(path)):
-        layer[key], lines[key] = value, lineno
-    # a key set without a suffix replaces the defaults of every channel
-    values = {key: value for key, value in values.items()
-              if key.partition(".")[0] not in layer} | layer
-    _check_codes(values, str(path), lines)
+    """The shipped defaults, with an optional config file layered on top.
+    Each layer is parsed and checked alike, and must keep the rules on
+    the codes."""
+    sources = [(DEFAULTS_RESOURCE, default_config_text())]
+    if path is not None:
+        sources.append((str(path), read_text(path)))
+    values = {}
+    for source, text in sources:
+        layer, lines = {}, {}
+        for key, value, lineno in _entries(text, source):
+            layer[key], lines[key] = value, lineno
+        # a key set without a suffix replaces the values of every channel
+        values = {key: value for key, value in values.items()
+                  if key.partition(".")[0] not in layer} | layer
+        _check_codes(values, source, lines)
     return build_config(values)

@@ -186,7 +186,7 @@ def load_impedance_matrix(path) -> ImpedanceMatrix:
             key = key.strip()
             if key == "frequency":
                 try:
-                    frequency = parse_quantity(value.strip())
+                    frequency = parse_quantity(value.strip(), "frequency")
                 except DataError as exc:
                     raise DataError(f"{path}:{lineno}: {exc}") from None
             elif key == "ports":

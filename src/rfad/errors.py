@@ -36,10 +36,6 @@ class NotConvergedError(NumericalError):
         self.delta = delta
 
 
-class UnreadChannelError(DataError):
-    """A sensor channel produced no reading where one is required."""
-
-
 class HandUnreadError(DataError):
     """No channel of the hand produced a reading."""
 

@@ -12,9 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .errors import DataError, HandUnreadError, UnreadChannelError
+from .errors import DataError, HandUnreadError
 from .files import read_json, write_json
 from .hand import FINGERS
+from .ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
 
 # Conservative bound on the relative precision of a single differential
 # code under uncontrolled touch pressure.
@@ -48,10 +49,10 @@ class CalibrationBaseline:
         for channel, code in self.codes.items():
             if channel not in FINGERS:
                 raise DataError(f"unknown channel {channel!r} in baseline")
-            if isinstance(code, bool) or not 0 <= code <= 511:
+            if isinstance(code, bool) or not CODE_STORAGE_MIN <= code <= CODE_STORAGE_MAX:
                 raise DataError(
                     f"baseline code {code} for channel {channel} outside "
-                    f"storage range [0, 511]")
+                    f"storage range [{CODE_STORAGE_MIN}, {CODE_STORAGE_MAX}]")
         if any(gap not in FINGERS or gap in self.codes for gap in self.gaps):
             raise DataError(f"baseline gaps {list(self.gaps)} must be fingers "
                             f"without a code")
@@ -88,15 +89,6 @@ def readings(codes: Mapping[str, float]) -> list[ChannelReading]:
             for f in FINGERS]
 
 
-def differential_code(baseline: CalibrationBaseline, reading: ChannelReading) -> float:
-    """Air code minus touched code for one finger."""
-    if not reading.responsive:
-        raise UnreadChannelError(f"channel {reading.channel} gave no reading")
-    if reading.channel not in baseline.codes:
-        raise DataError(f"no calibration baseline for channel {reading.channel}")
-    return baseline.codes[reading.channel] - reading.code
-
-
 def imputed_values(deltas: Mapping[str, float]) -> list[float]:
     """Each finger's differential code, or the mean of ``deltas`` if it has none."""
     fill = sum(deltas.values()) / len(deltas)
@@ -108,8 +100,8 @@ def build_fingerprint(readings: Sequence[ChannelReading],
                       material_label: Optional[str] = None) -> Fingerprint:
     """Assemble a hand fingerprint, imputing unresponsive fingers.
 
-    Each missing finger receives the mean differential code of the
-    responsive ones and is flagged as imputed.
+    Each missing finger receives the mean differential code (air minus
+    touched) of the responsive ones and is flagged as imputed.
     """
     by_channel = {r.channel: r for r in readings}
     if set(by_channel) != set(FINGERS):
@@ -117,7 +109,9 @@ def build_fingerprint(readings: Sequence[ChannelReading],
     responsive = [f for f in FINGERS if by_channel[f].responsive]
     if not responsive:
         raise HandUnreadError("no finger of the hand produced a reading")
-    deltas = {f: differential_code(baseline, by_channel[f]) for f in responsive}
+    if uncalibrated := [f for f in responsive if f not in baseline.codes]:
+        raise DataError(f"no calibration baseline for channel {uncalibrated[0]}")
+    deltas = {f: baseline.codes[f] - by_channel[f].code for f in responsive}
     return Fingerprint(values=dict(zip(FINGERS, imputed_values(deltas))),
                        imputed={f: f not in deltas for f in FINGERS},
                        n_responsive=len(responsive),

@@ -21,6 +21,10 @@ EU_RFID_FREQUENCY = 867e6
 EPSILON_MIN = 1.0
 EPSILON_MAX = 100.0
 
+# The chip's code register; the usable ladder s_min..s_max lies inside it.
+CODE_STORAGE_MIN = 0
+CODE_STORAGE_MAX = 511
+
 
 @dataclass(frozen=True)
 class AutoTuneIC:
@@ -41,9 +45,10 @@ class AutoTuneIC:
             raise DataError(f"c_min must be positive, got {self.c_min}")
         if self.c_step < 0:
             raise DataError(f"c_step must be non-negative, got {self.c_step}")
-        if not 0 <= self.s_min < self.s_max:
+        if not CODE_STORAGE_MIN <= self.s_min < self.s_max <= CODE_STORAGE_MAX:
             raise DataError(
-                f"need 0 <= s_min < s_max, got ({self.s_min}, {self.s_max})")
+                f"need {CODE_STORAGE_MIN} <= s_min < s_max <= {CODE_STORAGE_MAX}, "
+                f"got ({self.s_min}, {self.s_max})")
         if self.g_ic <= 0:
             raise DataError(f"g_ic must be positive, got {self.g_ic}")
 

@@ -21,7 +21,7 @@ import numpy as np
 # here for callers that persist what generate_population returns.
 from .classify import (DEFAULT_POPULATION_SEED, TrialRecord, classify,  # noqa: F401
                        load_records, save_records)
-from .config import SessionConfig, default_config
+from .config import SessionConfig, load_config
 from .errors import DataError
 from .fingerprint import (CalibrationBaseline, build_fingerprint, imputed_values,
                           readings)
@@ -73,16 +73,36 @@ class PopulationSpec:
             raise DataError("population spec needs subjects, trials and materials")
         if unknown := [m for m in self.materials if m not in REFERENCE_LIQUIDS]:
             raise DataError(f"not a reference liquid: {', '.join(map(repr, unknown))}")
-        try:
-            probs = [float(p) for p in self.count_probs]
-        except (TypeError, ValueError):
-            probs = []
+        probs = _floats(self.count_probs)
         if (len(probs) != len(FINGERS) or not all(p >= 0 for p in probs)
                 or not abs(math.fsum(probs) - 1.0) <= _PROB_SUM_TOLERANCE):
             raise DataError(f"count_probs must be 5 non-negative values summing to 1 "
                             f"within {_PROB_SUM_TOLERANCE:.2g}, got {self.count_probs!r}")
-        if any(sd < 0 for sd in self.class_sds.values()):
-            raise DataError("class SDs must be non-negative")
+        weights = _floats(self.finger_weights.get(f) for f in FINGERS)
+        if (set(self.finger_weights) != set(FINGERS)
+                or not all(0 < w < math.inf for w in weights)):
+            raise DataError(f"finger_weights need a positive finite weight for each "
+                            f"finger and no other key, got {dict(self.finger_weights)!r}")
+        if not all(0 <= sd < math.inf
+                   for sd in _floats(self.class_sds.get(m) for m in self.materials)):
+            raise DataError(f"class_sds need a finite non-negative SD for each material, "
+                            f"got {dict(self.class_sds)!r}")
+
+
+def _floats(values) -> list[float]:
+    """``values`` as floats; ``[nan]``, which fails every range check, if
+    one of them is not a number."""
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError):
+        return [math.nan]
+
+
+def _rng(seed: int) -> np.random.Generator:
+    """The run's generator; a seed is a non-negative integer."""
+    if seed < 0:
+        raise DataError(f"seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def _epc(subject: int, material_idx: int, trial: int, finger: str) -> str:
@@ -159,7 +179,7 @@ def _simulate(chain: _Chain, rng: np.random.Generator, materials: Sequence[str],
         for material in materials[start:start + chunk]:
             touched = chain.touched[material]
             chosen = _draw_responsive(rng, chain) if responsive is None else responsive
-            hand_offset = rng.normal(0.0, spec.class_sds.get(material, 0.0))
+            hand_offset = rng.normal(0.0, spec.class_sds[material])
             channels, targets, seeds = [], [], []
             for channel, code in zip(FINGERS, touched):
                 if channel not in chosen:
@@ -200,13 +220,13 @@ def generate_population(spec: PopulationSpec = PopulationSpec(),
     alongside (byte-identical across runs with the same seed).
     """
     if config is None:
-        config = default_config()
+        config = load_config()
     chain = _Chain(config, spec)
     trials = [(subject, material_idx, material, trial)
               for subject in range(spec.subjects)
               for material_idx, material in enumerate(spec.materials)
               for trial in range(spec.trials)]
-    hands = _simulate(chain, np.random.default_rng(seed), [t[2] for t in trials],
+    hands = _simulate(chain, _rng(seed), [t[2] for t in trials],
                       full_series=out_dir is not None)
     records = []
     for (subject, material_idx, material, trial), hand in zip(trials, hands):
@@ -237,7 +257,7 @@ def monte_carlo_classification(n_hands: int, seed: int,
     if n_hands < 1:
         raise DataError(f"need at least one hand, got n_hands={n_hands}")
     if config is None:
-        config = default_config()
+        config = load_config()
     classes = config.classes()
     expected = {material: cls.label for cls in classes
                 for material in cls.reference_materials}
@@ -246,7 +266,7 @@ def monte_carlo_classification(n_hands: int, seed: int,
     hand_materials = [spec.materials[i % len(spec.materials)] for i in range(n_hands)]
     correct = 0
     for material, (estimates, _, _, _) in zip(
-            hand_materials, _simulate(chain, np.random.default_rng(seed), hand_materials)):
+            hand_materials, _simulate(chain, _rng(seed), hand_materials)):
         correct += classify(_averaged(estimates, air), classes) == expected[material]
     return correct / n_hands
 

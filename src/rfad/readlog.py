@@ -36,9 +36,7 @@ from .errors import DataError
 from .files import finite, read_csv, read_json, write_csv, write_json
 from .fingerprint import CalibrationBaseline
 from .hand import FINGERS
-
-CODE_STORAGE_MIN = 0
-CODE_STORAGE_MAX = 511
+from .ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
 
 Estimator = Literal["mean", "median"]
 

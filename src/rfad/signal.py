@@ -6,12 +6,11 @@ interrogation) on top of the material-dependent baseline. The
 convergence-error procedure here determines how many samples must be
 averaged before the reading is stable.
 
-The series type, its storage range and its estimator live in the
-numpy-free ``rfad.readlog`` and are bound here too: ``CodeSeries``,
-``CODE_STORAGE_MIN``/``MAX``, ``Estimator``, and ``estimate_code``,
-which applies ``readlog.estimate_window`` to a series. This module
-needs numpy for synthesis, spectra and window sizing, and converts a
-series' tuples to arrays where it does array work.
+The series type and its estimator live in the numpy-free
+``rfad.readlog``; ``estimate_code`` applies ``readlog.estimate_window``
+to a series. This module needs numpy for synthesis, spectra and window
+sizing, and converts a series' tuples to arrays where it does array
+work.
 """
 
 from __future__ import annotations
@@ -22,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NotConvergedError
-from .files import write_csv
-from .readlog import (CODE_STORAGE_MAX, CODE_STORAGE_MIN, CodeSeries,
-                      Estimator, estimate_window)
+from .ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
+from .readlog import CodeSeries, Estimator, estimate_window
 
 # Most samples one series may hold (about eight days at the default
 # sample period); a block of five such series takes a few hundred MB.
@@ -48,23 +46,19 @@ class FluctuationModel:
     sample_period: float = DEFAULT_SAMPLE_PERIOD
 
     def __post_init__(self):
-        if self.sawtooth_frequency <= 0:
-            raise DataError("sawtooth frequency must be positive")
-        if self.sample_period <= 0:
-            raise DataError("sample period must be positive")
+        # every parameter finite, and so the code before noise and the sawtooth
+        # phase of the longest series: synthesize_block's arrays need no check
+        if not all(map(math.isfinite, (
+                self.transient_duration, self.noise_sd,
+                CODE_STORAGE_MAX + self.transient_amplitude + self.sawtooth_amplitude,
+                MAX_SERIES_SAMPLES * self.sample_period * self.sawtooth_frequency))):
+            raise DataError(f"fluctuation parameters must be finite, and so must the "
+                            f"peak code and sawtooth phase they give: {self}")
+        if min(self.sawtooth_frequency, self.sample_period, self.transient_duration) <= 0:
+            raise DataError("sawtooth frequency, sample period and transient time "
+                            "constant must be positive")
         if min(self.sawtooth_amplitude, self.transient_amplitude, self.noise_sd) < 0:
             raise DataError("amplitudes must be non-negative")
-        if self.transient_duration <= 0:
-            raise DataError("transient time constant must be positive")
-
-
-def _check_samples(times: np.ndarray, codes: np.ndarray) -> None:
-    """Finite, strictly increasing times; every code of a block in storage range."""
-    if not np.isfinite(times).all() or (np.diff(times) <= 0).any():
-        raise DataError("timestamps must be finite and strictly increasing")
-    if ((codes < CODE_STORAGE_MIN) | (codes > CODE_STORAGE_MAX)).any():
-        raise DataError(
-            f"codes outside storage range [{CODE_STORAGE_MIN}, {CODE_STORAGE_MAX}]")
 
 
 def _sawtooth(phase: np.ndarray) -> np.ndarray:
@@ -219,9 +213,7 @@ def synthesize_block(model: FluctuationModel, duration: float, seeds,
     if model.noise_sd > 0:
         values = values + np.rint(_normal_rows(seeds, model.noise_sd, k))
     codes = np.clip(np.rint(values), CODE_STORAGE_MIN, CODE_STORAGE_MAX).astype(int)
-    times = t[:k]
-    _check_samples(times, codes)
-    return times, codes
+    return t[:k], codes
 
 
 def amplitude_spectrum(series: CodeSeries) -> tuple[np.ndarray, np.ndarray]:
@@ -315,13 +307,6 @@ def estimate_code(series: CodeSeries, window: int,
                   estimator: Estimator = "mean") -> float:
     """Mean or median sensor code over the first ``window`` samples."""
     return estimate_window(series.codes, window, estimator)
-
-
-def export_spectrum(series: CodeSeries, path) -> None:
-    """Write the amplitude spectrum as ``freq_hz,amplitude`` CSV rows."""
-    freqs, amps = amplitude_spectrum(series)
-    write_csv(path, ["freq_hz", "amplitude"],
-              ([repr(float(f)), repr(float(a))] for f, a in zip(freqs, amps)))
 
 
 # ---------------------------------------------------------------------------

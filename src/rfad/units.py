@@ -1,9 +1,10 @@
 """Parsing of physical quantities with explicit unit suffixes.
 
-All internal computation is SI (farads, siemens, hertz, watts, seconds,
-ohms); configuration files carry human-scale suffixes like ``1.9 pF`` or
-``867 MHz``. Unit matching is case-sensitive so that seconds (``s``) and
-siemens (``S``) stay distinct.
+All internal computation is SI (hertz, seconds, watts, ohms);
+configuration files carry human-scale suffixes like ``0.7 s`` or
+``867 MHz``. Each quantity names its dimension and takes only that
+dimension's suffixes, or none for a bare SI number, so ``0.7 pF`` is
+not a sample period. Unit matching is case-sensitive.
 """
 
 from __future__ import annotations
@@ -14,21 +15,13 @@ import re
 
 from .errors import DataError
 
-# Scale to SI base units, keyed by the literal (case-sensitive) suffix.
-_UNIT_SCALE = {
-    "": 1.0,
-    # frequency
-    "Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9,
-    # capacitance
-    "F": 1.0, "uF": 1e-6, "nF": 1e-9, "pF": 1e-12, "fF": 1e-15,
-    # conductance
-    "S": 1.0, "mS": 1e-3, "uS": 1e-6,
-    # time
-    "s": 1.0, "ms": 1e-3, "us": 1e-6,
-    # power (dBm handled separately)
-    "W": 1.0, "mW": 1e-3, "uW": 1e-6, "nW": 1e-9,
-    # resistance / impedance
-    "Ohm": 1.0, "ohm": 1.0, "kOhm": 1e3,
+# Scale to SI of each (case-sensitive) suffix, by dimension; dBm, which
+# is logarithmic, has no scale.
+_UNITS = {
+    "frequency": {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9},
+    "time": {"s": 1.0, "ms": 1e-3, "us": 1e-6},
+    "power": {"W": 1.0, "mW": 1e-3, "uW": 1e-6, "nW": 1e-9, "dBm": None},
+    "impedance": {"Ohm": 1.0, "ohm": 1.0, "kOhm": 1e3},
 }
 
 _QUANTITY_RE = re.compile(r"^\s*([-+0-9.eEjJ]+)\s*([A-Za-z]*)\s*$")
@@ -50,8 +43,19 @@ def _finite(value, text: str):
     return value
 
 
-def parse_quantity(text: str) -> float:
-    """Parse a real-valued quantity like ``867 MHz`` into SI units."""
+def _scale(unit: str, dimension: str, text: str) -> float | None:
+    """SI scale of ``unit``: empty, or a suffix of ``dimension``."""
+    if not unit:
+        return 1.0
+    units = _UNITS[dimension]
+    if unit not in units:
+        raise DataError(f"unknown unit {unit!r} in quantity {text!r} "
+                        f"(units of {dimension}: {', '.join(units)})")
+    return units[unit]
+
+
+def parse_quantity(text: str, dimension: str) -> float:
+    """Parse a real-valued quantity of ``dimension``, like ``867 MHz``, into SI units."""
     m = _QUANTITY_RE.match(text)
     if not m:
         raise DataError(f"cannot parse quantity: {text!r}")
@@ -60,17 +64,16 @@ def parse_quantity(text: str) -> float:
         value = float(number)
     except ValueError as exc:
         raise DataError(f"cannot parse number in quantity {text!r}") from exc
-    if unit != "dBm" and unit not in _UNIT_SCALE:
-        raise DataError(f"unknown unit {unit!r} in quantity {text!r}")
+    scale = _scale(unit, dimension, text)
     try:
-        value = watts_from_dbm(value) if unit == "dBm" else value * _UNIT_SCALE[unit]
+        value = watts_from_dbm(value) if scale is None else value * scale
     except OverflowError:
         value = math.inf
     return _finite(value, text)
 
 
 def parse_complex_quantity(text: str) -> complex:
-    """Parse a complex quantity like ``2.8-76j Ohm`` into SI units."""
+    """Parse a complex impedance like ``2.8-76j Ohm`` into ohms."""
     m = _QUANTITY_RE.match(text)
     if not m:
         raise DataError(f"cannot parse complex quantity: {text!r}")
@@ -83,8 +86,4 @@ def parse_complex_quantity(text: str) -> complex:
         value = complex(number)
     except ValueError as exc:
         raise DataError(f"cannot parse number in quantity {text!r}") from exc
-    if unit == "dBm":
-        raise DataError("dBm is not valid for complex quantities")
-    if unit not in _UNIT_SCALE:
-        raise DataError(f"unknown unit {unit!r} in quantity {text!r}")
-    return _finite(value * _UNIT_SCALE[unit], text)
+    return _finite(value * _scale(unit, "impedance", text), text)

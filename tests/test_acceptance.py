@@ -13,7 +13,7 @@ import numpy as np
 
 from rfad.coupling import (REFERENCE_COUPLING_MAGNITUDES, normalize_coupling,
                            turn_on_power)
-from rfad.config import default_config
+from rfad.config import load_config as default_config
 from rfad.fingerprint import (CalibrationBaseline, ChannelReading,
                               build_fingerprint, pressure_uncertainty,
                               propagated_uncertainty)

@@ -52,11 +52,6 @@ class TestClassify:
         labels = [order[classify(v, CLASSES)] for v in values]
         assert labels == sorted(labels)
 
-    def test_non_contiguous_classes_rejected(self):
-        broken = [MaterialClass("low", 0.0, 10.0), MaterialClass("high", 20.0, 30.0)]
-        with pytest.raises(DataError, match="contiguous"):
-            classify(5.0, broken)
-
 
 class TestDefaultClasses:
     def test_midpoint_thresholds(self):

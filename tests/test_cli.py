@@ -238,7 +238,10 @@ class TestCoupling:
 
     @pytest.mark.parametrize("first,place", [
         (b"frequency = 1 parsec\n", ":1: unknown unit"),
-        (b"frequency = 1e300 dBm\n", ":1: non-finite"),
+        (b"frequency = 1e309 Hz\n", ":1: non-finite"),
+        # a frequency takes only frequency units
+        (b"frequency = 867 s\n", ":1: unknown unit 's'"),
+        (b"frequency = 10 dBm\n", ":1: unknown unit 'dBm'"),
         (b"frequency = 867 MHz  # \xff\n", ": not UTF-8 text")])
     def test_bad_header_is_data_error_naming_the_file(self, tmp_path, capsys,
                                                       first, place):
@@ -294,6 +297,12 @@ class TestStats:
         err = capsys.readouterr().err
         assert err == f"rfad: --log-dir {logs}: not an existing directory\n"
         assert sorted(tmp_path.iterdir()) == before
+
+    def test_negative_seed_is_data_error(self, tmp_path, capsys):
+        records = tmp_path / "records.json"
+        assert run("stats", "--generate", "--seed", "-1", "--records-out", str(records)) == 2
+        assert capsys.readouterr().err == "rfad: seed must be non-negative, got -1\n"
+        assert not records.exists()
 
     @pytest.mark.parametrize("flag", ["--records-out", "-o"])
     def test_missing_output_directory_exits_before_simulating(self, tmp_path, capsys,

@@ -8,8 +8,7 @@ import io
 import pytest
 
 from rfad.cli import main
-from rfad.config import (_KEYS, SessionConfig, default_config, default_config_text,
-                         load_config, parse_config_text)
+from rfad.config import _KEYS, SessionConfig, _entries, default_config_text, load_config
 from rfad.errors import DataError
 from rfad.hand import FINGERS
 from rfad.ic import EU_RFID_FREQUENCY
@@ -25,26 +24,24 @@ DEFAULTS_SHA256 = "5aa73c090ea3deeb2e25acb52b569875d005eaf44a9cbaa69654d2458a97a
 
 class TestUnits:
     def test_scalar_quantities(self):
-        assert parse_quantity("867 MHz") == pytest.approx(867e6)
-        assert parse_quantity("1.9 pF") == pytest.approx(1.9e-12)
-        assert parse_quantity("3.1 fF") == pytest.approx(3.1e-15)
-        assert parse_quantity("0.482 mS") == pytest.approx(0.482e-3)
-        assert parse_quantity("0.7 s") == pytest.approx(0.7)
-        assert parse_quantity("10 uW") == pytest.approx(10e-6)
-        assert parse_quantity("42") == pytest.approx(42.0)
+        assert parse_quantity("867 MHz", "frequency") == pytest.approx(867e6)
+        assert parse_quantity("0.7 s", "time") == pytest.approx(0.7)
+        assert parse_quantity("500 ms", "time") == pytest.approx(0.5)
+        assert parse_quantity("10 uW", "power") == pytest.approx(10e-6)
+        assert parse_quantity("42", "time") == pytest.approx(42.0)
 
     def test_case_sensitivity(self):
-        # seconds and siemens must stay distinct
-        assert parse_quantity("2 s") == 2.0
-        assert parse_quantity("2 S") == 2.0
-        assert parse_quantity("2 ms") == pytest.approx(2e-3)
-        assert parse_quantity("2 mS") == pytest.approx(2e-3)
+        assert parse_quantity("2 s", "time") == 2.0
+        assert parse_quantity("2 ms", "time") == pytest.approx(2e-3)
+        for text in ("2 S", "2 mS", "2 MS"):
+            with pytest.raises(DataError):
+                parse_quantity(text, "time")
         with pytest.raises(DataError):
-            parse_quantity("2 HZ")
+            parse_quantity("2 HZ", "frequency")
 
     def test_dbm(self):
-        assert parse_quantity("0 dBm") == pytest.approx(1e-3)
-        assert parse_quantity("25 dBm") == pytest.approx(316.2e-3, rel=1e-3)
+        assert parse_quantity("0 dBm", "power") == pytest.approx(1e-3)
+        assert parse_quantity("25 dBm", "power") == pytest.approx(316.2e-3, rel=1e-3)
 
     def test_complex_quantities(self):
         assert parse_complex_quantity("2.8-76j Ohm") == pytest.approx(2.8 - 76j)
@@ -54,9 +51,20 @@ class TestUnits:
     def test_bad_quantities(self):
         for text in ("", "pF", "1.2 parsec", "2,5 pF"):
             with pytest.raises(DataError):
-                parse_quantity(text)
+                parse_quantity(text, "time")
         with pytest.raises(DataError):
             parse_complex_quantity("1+1j dBm")
+
+    @pytest.mark.parametrize("text,dimension", [
+        ("0.7 pF", "time"), ("10 Hz", "power"), ("0.7 s", "frequency"),
+        ("1 dBm", "time"), ("1 kOhm", "power"), ("1 W", "impedance"),
+        ("1.9 pF", "frequency"), ("0.482 mS", "power"), ("1 F", "time"), ("1 S", "power")])
+    def test_unit_of_another_dimension_rejected(self, text, dimension):
+        with pytest.raises(DataError, match=f"unknown unit .* \\(units of {dimension}: "):
+            if dimension == "impedance":
+                parse_complex_quantity(text)
+            else:
+                parse_quantity(text, dimension)
 
     def test_dbm_round_trip(self):
         assert dbm_from_watts(watts_from_dbm(13.0)) == pytest.approx(13.0)
@@ -64,29 +72,34 @@ class TestUnits:
             dbm_from_watts(0.0)
 
 
+def _values(text: str) -> dict:
+    """The settings of config ``text`` by key as written, in SI units."""
+    return {key: value for key, value, _ in _entries(text, "<config>")}
+
+
 class TestParseConfigText:
     def test_units_and_comments(self):
-        values = parse_config_text(
+        values = _values(
             "# comment\nsample_period = 500 ms\nwindow = 12  # inline\n")
         assert values["sample_period"] == pytest.approx(0.5)
         assert values["window"] == 12
 
     def test_per_channel_override(self):
-        values = parse_config_text("span_code = 150\nspan_code.III = 120\n")
+        values = _values("span_code = 150\nspan_code.III = 120\n")
         assert values["span_code"] == pytest.approx(150.0)
         assert values["span_code.III"] == pytest.approx(120.0)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(DataError, match="unknown key"):
-            parse_config_text("bogus = 1\n")
+            _values("bogus = 1\n")
 
     def test_unknown_channel_rejected(self):
         with pytest.raises(DataError, match="channel suffix"):
-            parse_config_text("span_code.VI = 120\n")
+            _values("span_code.VI = 120\n")
 
     def test_malformed_line_reports_position(self):
         with pytest.raises(DataError, match=":2:"):
-            parse_config_text("window = 10\nnot a pair\n")
+            _values("window = 10\nnot a pair\n")
 
     @pytest.mark.parametrize("line", [
         "window.II = 5",
@@ -106,6 +119,8 @@ class TestParseConfigText:
         "s_min = 500",
         "s_min = -1",
         "s_max = 299",
+        "s_max = 512",
+        "s_max = 600",
         "sample_period = 0 s",
         "sawtooth_frequency = -0.7 Hz",
         "ic_sensitivity = 0 W",
@@ -113,6 +128,13 @@ class TestParseConfigText:
         "transducer_gain.II = 0",
         "sample_period.III = 1 s",
         "sawtooth_frequency = 1 parsec",
+        # a unit of another dimension
+        "sample_period = 0.7 pF",
+        "sample_period = 1 Hz",
+        "sawtooth_frequency = 0.7 s",
+        "ic_sensitivity = 10 Hz",
+        "ic_sensitivity = 10 s",
+        "ic_load = 2.8-76j uW",
         # deleted keys: they cancelled out of every sensor code
         "freq = 1 parsec",
         "freq.III = 1 Hz",
@@ -148,12 +170,18 @@ class TestParseConfigText:
         ("window = 10\ns_max = 250\n",
          ":2: baseline_code = 300 outside [s_min, s_max] = [80, 250]"),
         ("s_max = 500\nbaseline_code = 450\n", None),
+        # the register holds codes 0..511 only
+        ("s_max = 600\nbaseline_code = 550\n",
+         ":1: s_max = 600 above the code storage maximum 511"),
+        ("s_min = -1\n", ":1: s_min = -1 below the code storage minimum 0"),
+        ("s_max = 511\nbaseline_code = 511\n", None),
     ])
     def test_cross_key_rules_name_the_file(self, tmp_path, text, message):
         path = tmp_path / "session.cfg"
         path.write_text(text)
         if message is None:
-            assert load_config(path).air_code("I") == 450
+            baseline_code = int(text.rpartition("baseline_code = ")[2])
+            assert load_config(path).air_code("I") == baseline_code
             return
         with pytest.raises(DataError) as info:
             load_config(path)
@@ -168,7 +196,7 @@ class TestParseConfigText:
 
 class TestDefaults:
     def test_constants_catalog(self):
-        config = default_config()
+        config = load_config()
         assert config.frequency == pytest.approx(867e6)
         assert config.ic.c_min == pytest.approx(1.9e-12)
         assert config.ic.c_step == pytest.approx(3.1e-15)
@@ -182,7 +210,7 @@ class TestDefaults:
         assert config.estimator == "mean"
 
     def test_acquisition_window_identity(self):
-        config = default_config()
+        config = load_config()
         assert config.window * config.sample_period == pytest.approx(7.0)
 
     def test_catalog_checksum(self):
@@ -190,13 +218,13 @@ class TestDefaults:
         assert digest == DEFAULTS_SHA256
 
     def test_per_channel_models_and_gains(self):
-        config = default_config()
+        config = load_config()
         assert set(config.antenna_models) == set(FINGERS)
         assert set(config.transducer_gains) == set(FINGERS)
         assert all(g > 0 for g in config.transducer_gains.values())
 
     def test_class_means_ordered(self):
-        means = default_config().class_means()
+        means = load_config().class_means()
         assert list(means) == list(REFERENCE_LIQUIDS)
         values = [means[m] for m in REFERENCE_LIQUIDS]
         assert values == sorted(values)
@@ -213,10 +241,10 @@ class TestDefaults:
             expected = sum(config.air_code(c) - config.channel_code(c, eps)
                            for c in FINGERS) / len(FINGERS)
             assert means[name] == pytest.approx(expected)
-        assert means != default_config().class_means()
+        assert means != load_config().class_means()
 
     def test_default_classes(self):
-        classes = default_config().classes()
+        classes = load_config().classes()
         assert [c.label for c in classes] == ["low", "medium", "high"]
 
 
@@ -235,8 +263,17 @@ class TestLoadConfig:
         gains = load_config(path).transducer_gains
         assert gains == {**{c: 2e-3 for c in FINGERS}, "II": 1e-3}
 
-    def test_none_is_pure_defaults(self):
-        assert load_config(None) == default_config()
+    def test_shipped_defaults_as_a_user_file_change_nothing(self, tmp_path):
+        path = tmp_path / "defaults.cfg"
+        path.write_text(default_config_text())
+        assert load_config(path) == load_config(None)
+
+    def test_shipped_defaults_are_checked_as_a_user_file(self, monkeypatch):
+        text = default_config_text().replace("s_max = 400", "s_max = 600")
+        monkeypatch.setattr("rfad.config.default_config_text", lambda: text)
+        line = text.splitlines().index("s_max = 600") + 1
+        with pytest.raises(DataError, match=rf"^defaults\.cfg:{line}: s_max = 600 above"):
+            load_config()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -261,13 +298,13 @@ class TestMaterials:
 
 class TestSessionConfigIsValue:
     def test_frozen(self):
-        config = default_config()
+        config = load_config()
         with pytest.raises(AttributeError):
             config.window = 99
 
     def test_frequency_is_a_constant(self):
         assert "frequency" not in {f.name for f in dataclasses.fields(SessionConfig)}
-        assert default_config().frequency == EU_RFID_FREQUENCY
+        assert load_config().frequency == EU_RFID_FREQUENCY
 
     def test_build_requires_transducer_gain(self):
         text = default_config_text()
@@ -275,7 +312,7 @@ class TestSessionConfigIsValue:
                              if not line.startswith("transducer_gain"))
         from rfad.config import build_config
         with pytest.raises(DataError, match="transducer_gain"):
-            build_config(parse_config_text(stripped))
+            build_config(_values(stripped))
 
 
 # One valid setting per key, away from its shipped value.

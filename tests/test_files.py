@@ -11,7 +11,7 @@ from rfad.cli import main
 from rfad.coupling import ImpedanceMatrix, save_impedance_matrix
 from rfad.errors import DataError
 from rfad.files import csv_text, write_csv, write_text
-from rfad.signal import FluctuationModel, export_spectrum, synthesize_series
+from rfad.signal import FluctuationModel, amplitude_spectrum, synthesize_series
 
 # SHA-256 of every output at the shipped seeds. An intended format change
 # updates these together with a note of what changed.
@@ -68,8 +68,10 @@ class TestWriter:
                                       [1.5 - 0.25j, 42.125 - 7j]]),
                             frequency=867e6, port_labels=("I", "II"))
         save_impedance_matrix(z, p / "matrix.txt")
-        export_spectrum(synthesize_series(FluctuationModel(), 70.0, seed=1),
-                        p / "spectrum.csv")
+        # the amplitude spectrum, pinned through the rows its values give
+        freqs, amps = amplitude_spectrum(synthesize_series(FluctuationModel(), 70.0, seed=1))
+        write_csv(p / "spectrum.csv", ["freq_hz", "amplitude"],
+                  ([repr(float(f)), repr(float(a))] for f, a in zip(freqs, amps)))
         capsys.readouterr()
 
         logs = sorted((p / "logs").iterdir())

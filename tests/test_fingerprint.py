@@ -4,10 +4,10 @@ import math
 
 import pytest
 
-from rfad.errors import DataError, HandUnreadError, UnreadChannelError
+from rfad.errors import DataError, HandUnreadError
 from rfad.fingerprint import (CalibrationBaseline, ChannelReading, Fingerprint,
                               averaged_fingerprint, build_fingerprint,
-                              differential_code, fingerprint_from_record,
+                              fingerprint_from_record,
                               fingerprint_record, load_fingerprints,
                               pressure_uncertainty, propagated_uncertainty,
                               save_fingerprints)
@@ -40,29 +40,21 @@ class TestCalibrationBaseline:
             CalibrationBaseline(codes={"X": 100.0})
 
     def test_out_of_range_code_rejected(self):
-        with pytest.raises(DataError, match="storage range"):
+        with pytest.raises(DataError, match=r"storage range \[0, 511\]"):
             CalibrationBaseline(codes={"I": 600.0})
 
 
 class TestDifferentialCode:
     def test_self_calibration_is_zero(self):
-        reading = ChannelReading(channel="I", code=150.0, responsive=True)
-        assert differential_code(BASELINE, reading) == 0.0
+        assert build_fingerprint(_readings({"I": 150.0}), BASELINE).values["I"] == 0.0
 
     def test_arithmetic(self):
-        reading = ChannelReading(channel="II", code=120.0, responsive=True)
-        assert differential_code(BASELINE, reading) == 30.0
-
-    def test_unresponsive_is_an_error_not_zero(self):
-        reading = ChannelReading(channel="III", code=None, responsive=False)
-        with pytest.raises(UnreadChannelError):
-            differential_code(BASELINE, reading)
+        assert build_fingerprint(_readings({"II": 120.0}), BASELINE).values["II"] == 30.0
 
     def test_missing_baseline_channel(self):
         partial = CalibrationBaseline(codes={"I": 150.0})
-        reading = ChannelReading(channel="II", code=120.0, responsive=True)
-        with pytest.raises(DataError):
-            differential_code(partial, reading)
+        with pytest.raises(DataError, match="no calibration baseline for channel II"):
+            build_fingerprint(_readings({"I": 140.0, "II": 120.0}), partial)
 
 
 class TestBuildFingerprint:

@@ -177,6 +177,14 @@ def test_simulate_numbers(duration, baseline, seed, extra):
          *extra, "-o", "{dir}/series.csv")
 
 
+# each example simulates the default 90-trial campaign, so fewer of them
+@settings(FUZZ, max_examples=12)
+@given(_seed)
+@example("-1")
+def test_stats_seed(seed):
+    _run(b"", "stats", "--generate", "--seed", seed)
+
+
 @FUZZ
 @given(_tau)
 @example("5e-324")

@@ -45,6 +45,12 @@ class TestCapacitance:
         with pytest.raises(DataError):
             AutoTuneIC(g_ic=0.0)
 
+    @pytest.mark.parametrize("s_min, s_max", [(-1, 400), (80, 512), (80, 600)])
+    def test_ladder_inside_the_code_register(self, s_min, s_max):
+        with pytest.raises(DataError, match=r"need 0 <= s_min < s_max <= 511"):
+            AutoTuneIC(s_min=s_min, s_max=s_max)
+        assert AutoTuneIC(s_min=0, s_max=511).s_max == 511
+
 
 class TestIcSusceptance:
     def test_against_arithmetic(self):

@@ -11,21 +11,22 @@ from hypothesis import strategies as st
 
 from rfad import ic as _ic
 from rfad.classify import classify, reliability_report
-from rfad.config import default_config, load_config
+from rfad.config import load_config
 from rfad.errors import DataError, UnclassifiableError
 from rfad.fingerprint import (CalibrationBaseline, ChannelReading,
                               averaged_fingerprint, build_fingerprint,
                               readings)
 from rfad.hand import FINGERS
 from rfad.materials import load_materials
-from rfad.population import (DEFAULT_CLASS_SDS, DEFAULT_POPULATION_SEED,
+from rfad.population import (DEFAULT_CLASS_SDS, DEFAULT_FINGER_WEIGHTS,
+                             DEFAULT_POPULATION_SEED,
                              PopulationSpec, _Chain, _chunk_hands,
                              _averaged, _draw_responsive, _simulate,
                              generate_population, load_records,
                              monte_carlo_classification, save_records)
+from rfad.ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
 from rfad.readlog import estimate_window, load_code_series
-from rfad.signal import (CODE_STORAGE_MAX, CODE_STORAGE_MIN, _sawtooth,
-                         material_fluctuation_model)
+from rfad.signal import _sawtooth, material_fluctuation_model
 
 # ---------------------------------------------------------------------------
 # Oracle: the hand-by-hand chain as first written (one full series per
@@ -138,7 +139,7 @@ class TestPopulationSpec:
         with pytest.raises(DataError):
             PopulationSpec(count_probs=(0.5, 0.5, 0.5, 0.0, 0.0))
         with pytest.raises(DataError):
-            PopulationSpec(class_sds={"olive_oil": -1.0})
+            PopulationSpec(class_sds={**DEFAULT_CLASS_SDS, "olive_oil": -1.0})
 
     @pytest.mark.parametrize("materials, message", [
         (("silbione",), "'silbione'"),
@@ -164,6 +165,29 @@ class TestPopulationSpec:
         with pytest.raises(DataError, match="count_probs"):
             PopulationSpec(count_probs=count_probs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("finger_weights", {"I": 1.0}),
+        ("finger_weights", {**DEFAULT_FINGER_WEIGHTS, "VI": 1.0}),
+        ("finger_weights", {**DEFAULT_FINGER_WEIGHTS, "III": 0.0}),
+        ("finger_weights", {**DEFAULT_FINGER_WEIGHTS, "III": -1.0}),
+        ("finger_weights", {**DEFAULT_FINGER_WEIGHTS, "III": float("inf")}),
+        ("finger_weights", {**DEFAULT_FINGER_WEIGHTS, "III": float("nan")}),
+        ("finger_weights", {**DEFAULT_FINGER_WEIGHTS, "III": None}),
+        # every liquid but olive oil would be drawn without pressure spread
+        ("class_sds", {"olive_oil": 50.0}),
+        ("class_sds", {**DEFAULT_CLASS_SDS, "ethyl_alcohol": -1.0}),
+        ("class_sds", {**DEFAULT_CLASS_SDS, "ethyl_alcohol": float("nan")}),
+        ("class_sds", {**DEFAULT_CLASS_SDS, "ethyl_alcohol": float("inf")}),
+        ("class_sds", {**DEFAULT_CLASS_SDS, "ethyl_alcohol": "a"}),
+    ])
+    def test_mappings_cover_the_fingers_and_materials(self, field, value):
+        with pytest.raises(DataError, match=f"^{field} need"):
+            PopulationSpec(**{field: value})
+
+    def test_class_sds_need_only_the_spec_materials(self):
+        spec = PopulationSpec(materials=("olive_oil",), class_sds={"olive_oil": 5.0})
+        assert monte_carlo_classification(10, seed=1, spec=spec) == 1.0
+
     def test_count_probs_within_tolerance_run(self):
         spec = PopulationSpec(count_probs=(0.1, 0.3, 0.55, 0.05, 1e-9))
         assert monte_carlo_classification(30, seed=2, spec=spec) >= 0.9
@@ -171,7 +195,7 @@ class TestPopulationSpec:
 
 class TestSimulateHand:
     def test_forced_responsive_set(self):
-        config = default_config()
+        config = load_config()
         rng = np.random.default_rng(0)
         readings, log_rows, baseline = _one_hand(
             "olive_oil", rng, config, PopulationSpec(),
@@ -183,7 +207,7 @@ class TestSimulateHand:
         assert set(baseline.codes) == set(FINGERS)
 
     def test_fingerprint_lands_near_class_mean(self):
-        config = default_config()
+        config = load_config()
         spec = PopulationSpec(class_sds={m: 0.0 for m in
                                          ("olive_oil", "ethyl_alcohol",
                                           "deionized_water")},
@@ -202,7 +226,7 @@ class TestStreamPreservation:
 
     @pytest.mark.parametrize("seed", [5, 17, 123])
     def test_monte_carlo_hands_match_oracle(self, seed):
-        config, spec = default_config(), PopulationSpec()
+        config, spec = load_config(), PopulationSpec()
         materials = [spec.materials[i % len(spec.materials)] for i in range(150)]
         oracle_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         chain = _Chain(config, spec)
@@ -220,7 +244,7 @@ class TestStreamPreservation:
 
     @pytest.mark.parametrize("full_series", [False, True])
     def test_hands_beyond_one_chunk_match_oracle(self, full_series):
-        config, spec = default_config(), PopulationSpec()
+        config, spec = load_config(), PopulationSpec()
         chain = _Chain(config, spec)
         n = _chunk_hands(chain, full_series) + 7
         # materials in no fixed order, so a chunk's blocks differ in size
@@ -248,7 +272,7 @@ class TestStreamPreservation:
     ])
     def test_draw_responsive_matches_oracle_with_zero_probabilities(self, count_probs):
         spec = PopulationSpec(count_probs=count_probs)
-        chain = _Chain(default_config(), spec)
+        chain = _Chain(load_config(), spec)
         oracle_rng, rng = np.random.default_rng(8), np.random.default_rng(8)
         for _ in range(500):
             assert _draw_responsive(rng, chain) == _oracle_draw_responsive(oracle_rng, spec)
@@ -256,7 +280,7 @@ class TestStreamPreservation:
 
     @pytest.mark.parametrize("responsive", [None, ("II", "III"), FINGERS])
     def test_simulate_hand_matches_oracle(self, responsive):
-        config, spec = default_config(), PopulationSpec()
+        config, spec = load_config(), PopulationSpec()
         for seed in (0, 1, 2):
             for material in spec.materials:
                 got = _one_hand(material, np.random.default_rng(seed), config,
@@ -272,7 +296,7 @@ class TestStreamPreservation:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == RECORDS_SHA256[seed]
 
     def test_log_rows_match_oracle(self, tmp_path):
-        config, spec = default_config(), PopulationSpec(subjects=1, trials=1)
+        config, spec = load_config(), PopulationSpec(subjects=1, trials=1)
         generate_population(spec, seed=9, config=config, out_dir=tmp_path)
         rng = np.random.default_rng(9)
         for material in spec.materials:
@@ -291,7 +315,7 @@ class TestStreamPreservation:
 
     @pytest.mark.parametrize("window", [0, -1])
     def test_bad_window_is_a_data_error(self, window):
-        config = dataclasses.replace(default_config(), window=window)
+        config = dataclasses.replace(load_config(), window=window)
         with pytest.raises(DataError, match="window must be >= 1"):
             generate_population(PopulationSpec(subjects=1, trials=1), config=config)
         with pytest.raises(DataError, match="window must be >= 1"):
@@ -351,6 +375,12 @@ class TestMonteCarlo:
         with pytest.raises(DataError, match="at least one hand"):
             monte_carlo_classification(n_hands, seed=1)
 
+    def test_negative_seed_is_data_error(self):
+        with pytest.raises(DataError, match="seed must be non-negative, got -1"):
+            monte_carlo_classification(3, -1)
+        with pytest.raises(DataError, match="seed must be non-negative, got -1"):
+            generate_population(seed=-1)
+
     def test_small_run_accuracy(self):
         # 60 hands, 20 per material; the calibrated margins are ~3 SD
         assert monte_carlo_classification(60, seed=17) >= 0.95
@@ -371,7 +401,7 @@ class TestMonteCarlo:
         ("mean", 1400, 8, 1250, 2),
     ])
     def test_exact_accuracy(self, estimator, n_hands, seed, correct, chunks):
-        config = dataclasses.replace(default_config(), estimator=estimator)
+        config = dataclasses.replace(load_config(), estimator=estimator)
         chunk = _chunk_hands(_Chain(config, self._WIDE), False)
         assert math.ceil(n_hands / chunk) == chunks
         assert (monte_carlo_classification(n_hands, seed, spec=self._WIDE, config=config)
@@ -379,14 +409,14 @@ class TestMonteCarlo:
 
     def test_window_longer_than_series(self):
         # 70 s at the default 0.7 s sample period is 100 samples
-        config = dataclasses.replace(default_config(), window=1000)
+        config = dataclasses.replace(load_config(), window=1000)
         with pytest.raises(DataError, match="^window 1000 exceeds series length 100$"):
             monte_carlo_classification(3, seed=1, config=config)
         with pytest.raises(DataError, match="^window 1000 exceeds series length 100$"):
             generate_population(PopulationSpec(subjects=1, trials=1), config=config)
 
 
-_CLASSES = default_config().classes()
+_CLASSES = load_config().classes()
 # the class thresholds and the outer bounds +-span, and the floats beside them
 _EDGES = sorted({x for cls in _CLASSES for bound in (cls.lower, cls.upper)
                  for x in (math.nextafter(bound, -math.inf), bound,

@@ -14,17 +14,18 @@ from rfad.coupling import ImpedanceMatrix, PortLoad, power_wave_scattering
 from rfad.fingerprint import (CalibrationBaseline, ChannelReading,
                               build_fingerprint)
 from rfad.hand import FINGERS
-from rfad.ic import (AntennaState, AutoTuneIC, antenna_response,
+from rfad.ic import (CODE_STORAGE_MAX, AntennaState, AutoTuneIC, antenna_response,
                      calibrated_antenna_model, ic_susceptance, sensor_code)
-from rfad.readlog import load_code_series, write_log, write_series
-from rfad.signal import CodeSeries, FluctuationModel, convergence_error, synthesize_series
+from rfad.readlog import CodeSeries, load_code_series, write_log, write_series
+from rfad.signal import FluctuationModel, convergence_error, synthesize_series
 
 N_CASES = 1000
 
 
 def _random_ic(rng):
     s_min = int(rng.integers(0, 100))
-    s_max = s_min + int(rng.integers(10, 500))
+    # one draw per bound, the upper one capped at the top of the code register
+    s_max = min(s_min + int(rng.integers(10, 500)), CODE_STORAGE_MAX)
     return AutoTuneIC(c_min=float(rng.uniform(0.5e-12, 5e-12)),
                       c_step=float(rng.uniform(1e-15, 10e-15)),
                       s_min=s_min, s_max=s_max,

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from rfad.errors import DataError
 from rfad.hand import FINGERS
-from rfad.readlog import (calibrate, channel_codes, estimate_window, load_baseline,
-                          load_code_series, save_baseline, write_log, write_series)
-from rfad.signal import CodeSeries, FluctuationModel, estimate_code, synthesize_series
+from rfad.readlog import (CodeSeries, calibrate, channel_codes, estimate_window,
+                          load_baseline, load_code_series, save_baseline, write_log,
+                          write_series)
+from rfad.signal import FluctuationModel, estimate_code, synthesize_series
 
 LOG_HEADER = "timestamp_s,epc,channel,sensor_code,rssi_dbm\n"
 SERIES_HEADER = "timestamp_s,channel,code\n"

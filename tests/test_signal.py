@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from rfad.errors import DataError, NotConvergedError
 from rfad.materials import REFERENCE_LIQUIDS
-from rfad.signal import (CODE_STORAGE_MAX, CODE_STORAGE_MIN, MAX_SERIES_SAMPLES, CodeSeries,
-                         FluctuationModel, amplitude_spectrum, convergence_error,
-                         dominant_frequency, estimate_code, export_spectrum,
+from rfad.ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
+from rfad.readlog import CodeSeries
+from rfad.signal import (MAX_SERIES_SAMPLES, FluctuationModel, amplitude_spectrum,
+                         convergence_error, dominant_frequency, estimate_code,
                          material_fixture_series, material_fluctuation_model,
                          minimum_samples, pcg64_states, synthesize_block,
                          synthesize_series)
@@ -95,6 +96,22 @@ class TestSynthesize:
     def test_duration_below_one_period_rejected(self):
         with pytest.raises(DataError):
             synthesize_series(FluctuationModel(), 0.5, seed=0)
+
+    @pytest.mark.parametrize("params", [
+        dict(sample_period=float("nan")),
+        dict(noise_sd=float("inf")),
+        dict(sawtooth_amplitude=float("nan")),
+        dict(sawtooth_frequency=float("inf")),
+        dict(transient_amplitude=float("-inf")),
+        dict(transient_duration=float("nan")),
+        # finite, but the sawtooth phase of a long series overflows
+        dict(sawtooth_frequency=1e308),
+        # finite, but the code before noise overflows
+        dict(transient_amplitude=1e308, sawtooth_amplitude=1e308),
+    ])
+    def test_non_finite_model_rejected(self, params):
+        with pytest.raises(DataError, match="must be finite"):
+            FluctuationModel(**params)
 
     def test_codes_clamped_to_storage_range(self):
         model = FluctuationModel(baseline=508, transient_amplitude=50.0,
@@ -239,14 +256,6 @@ class TestSpectrum:
                             codes=np.full(20, 200))
         with pytest.raises(DataError, match="jitter"):
             amplitude_spectrum(series)
-
-    def test_spectrum_export(self, tmp_path):
-        series = synthesize_series(FluctuationModel(), 70.0, seed=5)
-        path = tmp_path / "spectrum.csv"
-        export_spectrum(series, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "freq_hz,amplitude"
-        assert len(lines) == 52  # header + 51 one-sided bins of 100 samples
 
 
 class TestConvergenceError:
