@@ -29,7 +29,7 @@ from .classify import classify as _classify_value
 from .config import load_config
 from .errors import DataError, NumericalError, RfadError
 from .files import check_output_dir, json_text, write_json
-from .fingerprint import (averaged_fingerprint, build_fingerprint,
+from .fingerprint import (averaged_fingerprint, build_fingerprint, fingerprint_label,
                           fingerprint_record, load_fingerprints, readings,
                           save_fingerprints)
 from .hand import FINGERS
@@ -68,7 +68,7 @@ def _cmd_simulate(args, config):
         fluct, args.duration, [args.seed + FINGERS.index(channel) for channel in channels],
         baselines=baselines)
     times = times.tolist()
-    series = {channel: _readlog.CodeSeries(times, row, channel)
+    series = {channel: _readlog.CodeSeries(times, row)
               for channel, row in zip(channels, codes.tolist())}
     _readlog.write_series(series, args.output)
     print(f"wrote {sum(len(s) for s in series.values())} samples to {args.output}")
@@ -104,16 +104,20 @@ def _cmd_classify(args, config):
         values = [("value", args.value)]
     else:
         fps = load_fingerprints(args.fingerprints)
-        values = [(fp.material_label or f"fingerprint-{i + 1}",
-                   averaged_fingerprint(fp)) for i, fp in enumerate(fps)]
+        values = [(fingerprint_label(fp, i), averaged_fingerprint(fp))
+                  for i, fp in enumerate(fps)]
     for label, value in values:
         print(f"{label}: F={value:.2f} -> {_classify_value(value, classes)}")
 
 
 def _cmd_coupling(args, config):
     from . import coupling as _coupling
+    # the output place and the turn-on levels are checked before the summary is printed
     if args.output:
-        check_output_dir(args.output)  # before the summary is printed
+        check_output_dir(args.output)
+    turn_on = [(channel, _coupling.turn_on_power(args.tau, config.transducer_gains[channel],
+                                                 config.ic_sensitivity))
+               for channel in FINGERS] if args.turn_on else []
     if args.matrix:
         z = _coupling.load_impedance_matrix(args.matrix)
         k = _coupling.power_wave_scattering(
@@ -128,12 +132,9 @@ def _cmd_coupling(args, config):
     if args.output:
         _coupling.export_coupling_csv(report, labels, args.output)
         print(f"wrote {args.output}")
-    if args.turn_on:
+    if turn_on:
         print("Turn-on power per channel:")
-        for channel in FINGERS:
-            p = _coupling.turn_on_power(args.tau,
-                                        config.transducer_gains[channel],
-                                        config.ic_sensitivity)
+        for channel, p in turn_on:
             print(f"  {channel}: {1e3 * p:.3g} mW ({dbm_from_watts(p):.1f} dBm)")
 
 

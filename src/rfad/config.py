@@ -5,12 +5,14 @@ suffixes. ``_KEYS`` is the one table of keys: how each value parses
 (a quantity takes only the units of its dimension) and whether it may
 carry a per-channel dotted suffix, e.g. ``span_code.III = 120``. Values
 must be finite and inside each key's range; ``load_config`` checks the
-rules on the codes. The shipped defaults file is the single source for
-every default constant; it is parsed and checked as a user file is.
+rules that join keys: those on the codes, and a finite sawtooth phase.
+The shipped defaults file is the single source for every default
+constant; it is parsed and checked as a user file is.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
@@ -22,6 +24,7 @@ from .errors import DataError
 from .files import finite, read_text
 from .hand import FINGERS
 from .materials import REFERENCE_LIQUIDS, load_materials
+from .readlog import MAX_SERIES_SAMPLES
 from .units import parse_complex_quantity, parse_quantity
 
 DEFAULTS_RESOURCE = "defaults.cfg"
@@ -160,11 +163,13 @@ def build_config(values: dict) -> SessionConfig:
         window=values["window"], estimator=values["estimator"])
 
 
-def _check_codes(values: dict, source: str, lines: dict) -> None:
-    """The rules on the codes: ``s_min < s_max`` inside the code register,
-    and every ``baseline_code`` inside ``[s_min, s_max]``. An error names
-    the last line of ``source`` that set one of the keys involved."""
+def _check_rules(values: dict, source: str, lines: dict) -> None:
+    """The rules that join keys: ``s_min < s_max`` inside the code
+    register, every ``baseline_code`` inside ``[s_min, s_max]``, and a
+    sawtooth phase that stays finite over the longest series. An error
+    names the last line of ``source`` that set one of the keys involved."""
     s_min, s_max = values["s_min"], values["s_max"]
+    period, frequency = values["sample_period"], values["sawtooth_frequency"]
     rules = [(("s_min",), s_min >= _ic.CODE_STORAGE_MIN,
               f"s_min = {s_min} below the code storage minimum {_ic.CODE_STORAGE_MIN}"),
              (("s_max",), s_max <= _ic.CODE_STORAGE_MAX,
@@ -174,6 +179,10 @@ def _check_codes(values: dict, source: str, lines: dict) -> None:
     rules += [((key, "s_min", "s_max"), s_min <= code <= s_max,
                f"{key} = {code} outside [s_min, s_max] = [{s_min}, {s_max}]")
               for key, code in values.items() if key.startswith("baseline_code")]
+    rules.append((("sample_period", "sawtooth_frequency"),
+                  math.isfinite(MAX_SERIES_SAMPLES * period * frequency),
+                  f"sample_period = {period:g} s and sawtooth_frequency = {frequency:g} Hz "
+                  f"overflow the sawtooth phase over {MAX_SERIES_SAMPLES} samples"))
     for keys, ok, message in rules:
         if not ok:
             line = max(lines.get(key, 0) for key in keys)
@@ -182,8 +191,8 @@ def _check_codes(values: dict, source: str, lines: dict) -> None:
 
 def load_config(path=None) -> SessionConfig:
     """The shipped defaults, with an optional config file layered on top.
-    Each layer is parsed and checked alike, and must keep the rules on
-    the codes."""
+    Each layer is parsed and checked alike, and must keep the rules that
+    join keys."""
     sources = [(DEFAULTS_RESOURCE, default_config_text())]
     if path is not None:
         sources.append((str(path), read_text(path)))
@@ -195,5 +204,5 @@ def load_config(path=None) -> SessionConfig:
         # a key set without a suffix replaces the values of every channel
         values = {key: value for key, value in values.items()
                   if key.partition(".")[0] not in layer} | layer
-        _check_codes(values, source, lines)
+        _check_rules(values, source, lines)
     return build_config(values)

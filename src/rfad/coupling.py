@@ -8,6 +8,7 @@ a single-stage turn-on power estimate.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,9 +21,6 @@ from .hand import FINGERS
 from .units import parse_quantity
 
 RECIPROCITY_RTOL = 1e-9
-
-# Default chip impedance, fixed in the middle of the tuning range.
-DEFAULT_IC_IMPEDANCE = 2.8 - 76j
 
 # Normalized coupling-magnitude reference for the five-finger array at
 # 867 MHz (percent of the strongest port reflection). Shipped as the
@@ -41,12 +39,12 @@ REFERENCE_COUPLING_MAGNITUDES = np.array([
 class PortLoad:
     """Complex termination impedance of one port (the chip)."""
 
-    z_c: complex = DEFAULT_IC_IMPEDANCE
+    z_c: complex
 
     def __post_init__(self):
-        if self.z_c.real <= 0:
+        if not (cmath.isfinite(self.z_c) and self.z_c.real > 0):
             raise DataError(
-                f"port load must have positive resistance, got {self.z_c}")
+                f"port load must be finite with positive resistance, got {self.z_c}")
 
 
 @dataclass(frozen=True)
@@ -91,23 +89,20 @@ class ImpedanceMatrix:
 class CouplingReport:
     """Normalized coupling magnitudes and the worst off-diagonal ratio."""
 
-    k: np.ndarray
     normalized_magnitudes: np.ndarray
     max_offdiag_ratio: float
 
 
-def _loads_as_array(loads, n_ports: int) -> np.ndarray:
+def _loads_as_array(loads: PortLoad | Sequence[PortLoad], n_ports: int) -> np.ndarray:
     if isinstance(loads, PortLoad):
         loads = [loads] * n_ports
-    z_c = np.array([l.z_c if isinstance(l, PortLoad) else complex(l) for l in loads])
-    if len(z_c) != n_ports:
-        raise DataError(f"{len(z_c)} loads for {n_ports} ports")
-    if np.any(z_c.real <= 0):
-        raise DataError("every port load needs positive resistance")
-    return z_c
+    if len(loads) != n_ports:
+        raise DataError(f"{len(loads)} loads for {n_ports} ports")
+    return np.array([load.z_c for load in loads], dtype=complex)
 
 
-def power_wave_scattering(z: ImpedanceMatrix, loads=PortLoad()) -> np.ndarray:
+def power_wave_scattering(z: ImpedanceMatrix,
+                          loads: PortLoad | Sequence[PortLoad]) -> np.ndarray:
     """Kurokawa generalized scattering matrix for complex port loads.
 
     K = G (Z - H^+) (Z + H)^-1 G^-1 with H = diag(z_c) and
@@ -138,7 +133,7 @@ def normalize_coupling(k: np.ndarray) -> CouplingReport:
     normalized = 100.0 * mags / peak
     off = mags - np.diag(np.diag(mags))
     max_offdiag_ratio = off.max() / peak
-    return CouplingReport(k=k, normalized_magnitudes=normalized,
+    return CouplingReport(normalized_magnitudes=normalized,
                           max_offdiag_ratio=float(max_offdiag_ratio))
 
 

@@ -118,6 +118,12 @@ def build_fingerprint(readings: Sequence[ChannelReading],
                        material_label=material_label)
 
 
+def fingerprint_label(fp: Fingerprint, index: int) -> str:
+    """The material label of the ``index``-th fingerprint of a file, or
+    ``fingerprint-<index + 1>`` where it has none."""
+    return str(fp.material_label or f"fingerprint-{index + 1}")
+
+
 def averaged_fingerprint(fp: Fingerprint) -> float:
     """Mean of the five post-imputation differential codes."""
     return sum(fp.values[f] for f in FINGERS) / len(FINGERS)

@@ -26,18 +26,19 @@ CODE_STORAGE_MIN = 0
 CODE_STORAGE_MAX = 511
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class AutoTuneIC:
     """Parameter set of an auto-tuning RFID chip.
 
-    Defaults match the Axzon Magnus-S3 style front end: 1.9 pF ladder
-    base, 3.1 fF step, usable codes 80..400, 0.482 mS input conductance.
+    The usable codes ``s_min..s_max`` are session settings. The physical
+    defaults match the Axzon Magnus-S3 style front end: 1.9 pF ladder
+    base, 3.1 fF step, 0.482 mS input conductance.
     """
 
     c_min: float = 1.9e-12
     c_step: float = 3.1e-15
-    s_min: int = 80
-    s_max: int = 400
+    s_min: int
+    s_max: int
     g_ic: float = 0.482e-3
 
     def __post_init__(self):
@@ -175,25 +176,17 @@ def antenna_response(model: AntennaModel, epsilon: float) -> AntennaState:
     return AntennaState(g_a=model.g_a, b_a=b_a, frequency=model.frequency)
 
 
-def calibrated_antenna_model(
-    ic: AutoTuneIC = AutoTuneIC(),
-    frequency: float = EU_RFID_FREQUENCY,
-    g_a: float = 0.482e-3,
-    baseline_code: int = 300,
-    span_code: float = 180.0,
-    span_epsilon: float = 78.0,
-    eps_half: float = 20.0,
-) -> AntennaModel:
+def calibrated_antenna_model(ic: AutoTuneIC, *, baseline_code: int, span_code: float,
+                             span_epsilon: float, eps_half: float) -> AntennaModel:
     """Build an AntennaModel from code-domain calibration targets.
 
     ``baseline_code`` is the air (eps = 1) sensor code; ``span_code`` is
-    the differential code produced at ``span_epsilon``. The defaults
-    keep the code inside the linear range up to eps = 78 while spreading
-    the three reference liquids far enough apart for robust threshold
-    classification.
+    the differential code produced at ``span_epsilon``. The session's
+    targets come from its config. The model holds at the EU RFID carrier,
+    with a 0.482 mS antenna conductance.
     """
-    omega = 2.0 * math.pi * frequency
-    b_ref = -ic_susceptance(ic, baseline_code, frequency)
+    omega = 2.0 * math.pi * EU_RFID_FREQUENCY
+    b_ref = -ic_susceptance(ic, baseline_code, EU_RFID_FREQUENCY)
     k = span_code * omega * ic.c_step * (span_epsilon + eps_half) / (span_epsilon - 1.0)
-    return AntennaModel(b_ref=b_ref, k=k, eps_half=eps_half, g_a=g_a,
-                        frequency=frequency)
+    return AntennaModel(b_ref=b_ref, k=k, eps_half=eps_half, g_a=0.482e-3,
+                        frequency=EU_RFID_FREQUENCY)

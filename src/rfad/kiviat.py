@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .errors import DataError
 from .files import csv_text, write_text
-from .fingerprint import Fingerprint, averaged_fingerprint
+from .fingerprint import Fingerprint, averaged_fingerprint, fingerprint_label
 from .hand import FINGERS
 
 _SIZE = 420
@@ -32,7 +32,7 @@ _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 def _label(fp: Fingerprint, idx: int) -> str:
     """The chart label of a fingerprint, escaped for an attribute value."""
-    label = str(fp.material_label or f"fingerprint-{idx + 1}")
+    label = fingerprint_label(fp, idx)
     if bad := _NOT_XML.search(label):
         raise DataError(f"label {label!r} holds {bad.group()!r}, which XML 1.0 forbids")
     return label.translate(_ESCAPES)
@@ -104,7 +104,7 @@ def kiviat_svg(fingerprints: Sequence[Fingerprint]) -> str:
 def kiviat_csv(fingerprints: Sequence[Fingerprint]) -> str:
     rows = []
     for idx, fp in enumerate(fingerprints):
-        label = fp.material_label or f"fingerprint-{idx + 1}"
+        label = fingerprint_label(fp, idx)
         f_bar = averaged_fingerprint(fp)
         for finger in FINGERS:
             rows.append([label, finger, repr(fp.values[finger]),

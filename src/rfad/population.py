@@ -156,12 +156,12 @@ def _chunk_hands(chain: _Chain, full_series: bool) -> int:
 
 
 def _simulate(chain: _Chain, rng: np.random.Generator, materials: Sequence[str],
-              responsive: Optional[Sequence[str]] = None, full_series: bool = False):
+              full_series: bool = False):
     """The sensing chain for a batch of hands, one code block per hand.
 
     The scalar draws of each hand keep one order, which every seeded
     output depends on: the responsive set (a uniform for the count, then
-    ``exponential``) unless ``responsive`` is given, the hand's pressure
+    ``exponential``), the hand's pressure
     offset, then per responsive channel in finger order its jitter and
     its series seed. The series themselves come from their own seeds,
     so they are made in a second pass over a chunk of hands, one
@@ -178,7 +178,7 @@ def _simulate(chain: _Chain, rng: np.random.Generator, materials: Sequence[str],
         hands = []
         for material in materials[start:start + chunk]:
             touched = chain.touched[material]
-            chosen = _draw_responsive(rng, chain) if responsive is None else responsive
+            chosen = _draw_responsive(rng, chain)
             hand_offset = rng.normal(0.0, spec.class_sds[material])
             channels, targets, seeds = [], [], []
             for channel, code in zip(FINGERS, touched):

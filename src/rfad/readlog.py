@@ -40,6 +40,10 @@ from .ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
 
 Estimator = Literal["mean", "median"]
 
+# Most samples one series may hold (about eight days at the default
+# sample period); a block of five such series takes a few hundred MB.
+MAX_SERIES_SAMPLES = 1_000_000
+
 
 def _plain(values):
     """``values``, with an array or numpy scalar turned into Python numbers."""
@@ -68,7 +72,6 @@ class CodeSeries:
 
     times: tuple
     codes: tuple
-    channel: str = "I"
 
     def __post_init__(self):
         try:
@@ -93,8 +96,7 @@ class CodeSeries:
         return len(self.codes)
 
 
-def estimate_window(codes: Sequence[int], window: int,
-                    estimator: Estimator = "mean") -> float:
+def estimate_window(codes: Sequence[int], window: int, estimator: Estimator) -> float:
     """Mean or median of the first ``window`` of the integer ``codes``.
 
     The median is the middle value of the sorted window, or the mean of
@@ -155,7 +157,7 @@ def _group(samples: Iterable[tuple], source) -> dict[str, CodeSeries]:
         times, codes = zip(*sorted(points))
         if len(set(times)) != len(times):
             raise DataError(f"{source}: duplicate timestamps on channel {channel}")
-        out[channel] = CodeSeries(times, codes, channel)
+        out[channel] = CodeSeries(times, codes)
     return out
 
 
@@ -202,11 +204,11 @@ def channel_codes(series_set: Mapping[str, CodeSeries], window: int,
 
 
 def calibrate(series_set: Mapping[str, CodeSeries], window: int,
-              estimator: Estimator, timestamp: str = "") -> CalibrationBaseline:
+              estimator: Estimator) -> CalibrationBaseline:
     """Air baseline of an untouched-hand acquisition; the channels absent
     from it are its ``gaps``, not defaulted."""
     codes = channel_codes(series_set, window, estimator)
-    return CalibrationBaseline(codes=codes, timestamp=timestamp,
+    return CalibrationBaseline(codes=codes,
                                gaps=tuple(f for f in FINGERS if f not in codes))
 
 

@@ -22,11 +22,7 @@ import numpy as np
 
 from .errors import DataError, NotConvergedError
 from .ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
-from .readlog import CodeSeries, Estimator, estimate_window
-
-# Most samples one series may hold (about eight days at the default
-# sample period); a block of five such series takes a few hundred MB.
-MAX_SERIES_SAMPLES = 1_000_000
+from .readlog import MAX_SERIES_SAMPLES, CodeSeries, Estimator, estimate_window
 
 DEFAULT_SAMPLE_PERIOD = 0.7
 DEFAULT_SAWTOOTH_FREQUENCY = 0.7
@@ -162,31 +158,29 @@ def _normal_rows(seeds, sd: float, k: int) -> np.ndarray:
     return rows
 
 
-def synthesize_series(model: FluctuationModel, duration: float, seed: int,
-                      channel: str = "I") -> CodeSeries:
+def synthesize_series(model: FluctuationModel, duration: float, seed: int) -> CodeSeries:
     """Deterministically generate a sensor-code series of the given duration."""
-    times, codes = synthesize_block(model, duration, [seed])
-    return CodeSeries(times.tolist(), codes[0].tolist(), channel)
+    times, codes = synthesize_block(model, duration, [seed], [model.baseline])
+    return CodeSeries(times.tolist(), codes[0].tolist())
 
 
-def synthesize_block(model: FluctuationModel, duration: float, seeds,
-                     baselines=None, samples: int | None = None,
-                     ) -> tuple[np.ndarray, np.ndarray]:
+def synthesize_block(model: FluctuationModel, duration: float, seeds, baselines,
+                     samples: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Sensor-code series of several channels that share one time base.
 
     Row ``i`` of the returned ``(rows, k)`` codes is the series
     ``synthesize_series`` gives for ``model`` with its baseline replaced
-    by ``baselines[i]`` (default: ``model.baseline``) and seed
-    ``seeds[i]``. With ``samples`` set, only the first ``samples``
-    values of each series are made: the noise of row ``i`` is
-    ``default_rng(seeds[i]).normal(size=k)``, whose first values do not
-    depend on ``k`` (pinned by the tests), so the truncated rows equal
-    the leading columns of the full ones (see ``_normal_rows``).
+    by ``baselines[i]`` and seed ``seeds[i]``. With ``samples`` set, only
+    the first ``samples`` values of each series are made: the noise of row
+    ``i`` is ``default_rng(seeds[i]).normal(size=k)``, whose first values
+    do not depend on ``k`` (pinned by the tests), so the truncated rows
+    equal the leading columns of the full ones (see ``_normal_rows``).
     Returns ``(times, codes)``.
 
     Every argument is checked before any array is allocated: a series
-    may hold at most ``MAX_SERIES_SAMPLES`` samples, seeds must be
-    non-negative and baselines inside the code storage range.
+    may hold at most ``MAX_SERIES_SAMPLES`` samples, there must be one
+    baseline per seed, seeds must be non-negative and baselines inside the
+    code storage range.
     """
     if not math.isfinite(duration) or duration < model.sample_period:
         raise DataError(f"duration must be finite and cover at least one sample "
@@ -194,8 +188,8 @@ def synthesize_block(model: FluctuationModel, duration: float, seeds,
     if duration / model.sample_period > MAX_SERIES_SAMPLES:
         raise DataError(f"{duration} s at {model.sample_period} s per sample exceeds "
                         f"the limit of {MAX_SERIES_SAMPLES} samples per series")
-    if baselines is None:
-        baselines = [model.baseline] * len(seeds)
+    if len(seeds) != len(baselines):
+        raise DataError(f"{len(seeds)} series seeds for {len(baselines)} baselines")
     if any(seed < 0 for seed in seeds):
         raise DataError(f"series seeds must be non-negative, got {list(seeds)}")
     if not all(CODE_STORAGE_MIN <= b <= CODE_STORAGE_MAX for b in baselines):
@@ -243,12 +237,12 @@ def dominant_frequency(series: CodeSeries) -> float | None:
     return float(freqs[1 + int(np.argmax(nondc))])
 
 
-def _check_uniform(series: CodeSeries, rtol: float = 1e-6) -> None:
+def _check_uniform(series: CodeSeries) -> None:
     if len(series) < 2:
         raise DataError("need at least 2 samples")
     dts = np.diff(np.asarray(series.times))
     jitter = np.abs(dts - dts.mean()).max()
-    if jitter > rtol * dts.mean():
+    if jitter > 1e-6 * dts.mean():
         raise DataError(f"non-uniform sampling: max timestamp jitter {jitter:.3g} s")
 
 
@@ -303,8 +297,7 @@ def minimum_samples(series: CodeSeries, tolerance: float,
         delta=last)
 
 
-def estimate_code(series: CodeSeries, window: int,
-                  estimator: Estimator = "mean") -> float:
+def estimate_code(series: CodeSeries, window: int, estimator: Estimator) -> float:
     """Mean or median sensor code over the first ``window`` samples."""
     return estimate_window(series.codes, window, estimator)
 

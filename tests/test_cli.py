@@ -65,7 +65,7 @@ class TestSimulate:
         baseline = load_config(cfg).channel_code("III", 78.0)
         expected = synthesize_series(
             material_fluctuation_model("deionized_water", baseline), 70.0,
-            seed=1 + FINGERS.index("III"), channel="III")
+            seed=1 + FINGERS.index("III"))
         assert list(load_code_series(out)["III"].codes) == list(expected.codes)
 
     def test_acquisition_keys_reach_every_series(self, tmp_path):
@@ -206,6 +206,14 @@ class TestFingerprintAndClassify:
     def test_classify_requires_an_input(self):
         assert run("classify") == 1
 
+    def test_unlabelled_fingerprint_gets_its_position(self, tmp_path, capsys):
+        fps = tmp_path / "fps.json"
+        fps.write_text(json.dumps([dict(_fp(), material="oil"), _fp()]))
+        capsys.readouterr()
+        assert run("classify", "--fingerprints", str(fps)) == 0
+        assert capsys.readouterr().out == ("oil: F=10.00 -> low\n"
+                                           "fingerprint-2: F=10.00 -> low\n")
+
 
 class TestCoupling:
     def test_default_fixture_summary(self, capsys):
@@ -217,6 +225,14 @@ class TestCoupling:
         assert run("coupling", "--turn-on") == 0
         out = capsys.readouterr().out
         assert "dBm" in out
+
+    def test_bad_tau_fails_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert run("coupling", "--turn-on", "--tau", "0", "-o", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tau must be in (0, 1]" in captured.err
+        assert not out.exists()
 
     def test_csv_output(self, tmp_path):
         out = tmp_path / "coupling.csv"

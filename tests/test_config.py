@@ -3,10 +3,14 @@
 import contextlib
 import dataclasses
 import hashlib
+import importlib
+import inspect
 import io
+import pkgutil
 
 import pytest
 
+import rfad
 from rfad.cli import main
 from rfad.config import _KEYS, SessionConfig, _entries, default_config_text, load_config
 from rfad.errors import DataError
@@ -19,7 +23,7 @@ from rfad.units import (dbm_from_watts, parse_complex_quantity, parse_quantity,
 # Guard against accidental drift of the shipped constants catalog. If a
 # default deliberately changes, update this digest together with the
 # documented constants below.
-DEFAULTS_SHA256 = "5aa73c090ea3deeb2e25acb52b569875d005eaf44a9cbaa69654d2458a97a4a4"
+DEFAULTS_SHA256 = "1712c13f13c427b04445503b747c508b990fb1a7628502a6899bc5874f5735a9"
 
 
 class TestUnits:
@@ -128,6 +132,8 @@ class TestParseConfigText:
         "transducer_gain.II = 0",
         "sample_period.III = 1 s",
         "sawtooth_frequency = 1 parsec",
+        # finite, but the sawtooth phase of the longest series overflows
+        "sawtooth_frequency = 1e308 Hz",
         # a unit of another dimension
         "sample_period = 0.7 pF",
         "sample_period = 1 Hz",
@@ -175,6 +181,10 @@ class TestParseConfigText:
          ":1: s_max = 600 above the code storage maximum 511"),
         ("s_min = -1\n", ":1: s_min = -1 below the code storage minimum 0"),
         ("s_max = 511\nbaseline_code = 511\n", None),
+        # the later of the two acquisition lines is named
+        ("sawtooth_frequency = 1e300 Hz\nwindow = 10\nsample_period = 1e10 s\n",
+         ":3: sample_period = 1e+10 s and sawtooth_frequency = 1e+300 Hz overflow "
+         "the sawtooth phase over 1000000 samples"),
     ])
     def test_cross_key_rules_name_the_file(self, tmp_path, text, message):
         path = tmp_path / "session.cfg"
@@ -385,3 +395,43 @@ class TestEveryKeyChangesAnOutput:
         assert set(perturbed) == set(shipped_session)
         assert [name for name in perturbed
                 if perturbed[name] != shipped_session[name]]
+
+
+# The only parameters or fields of rfad that may default a config key, each
+# with the reason it keeps the default.
+_KEY_DEFAULTS_KEPT = {
+    # the benchmark passes the estimator positionally after m_inf, and
+    # acceptance criterion 4 relies on m_inf's default, which a parameter
+    # without a default could not follow
+    ("rfad.signal", "minimum_samples", "estimator"),
+    # the benchmark and acceptance criteria 4-5 build series and fluctuation
+    # presets without a session config
+    ("rfad.signal", "FluctuationModel", "sample_period"),
+    ("rfad.signal", "FluctuationModel", "sawtooth_frequency"),
+    ("rfad.signal", "material_fluctuation_model", "sample_period"),
+    ("rfad.signal", "material_fluctuation_model", "sawtooth_frequency"),
+}
+
+
+def _key_defaults():
+    """``(module, callable, parameter)`` of every public function and class
+    of rfad whose signature defaults a parameter named after a config key."""
+    found = set()
+    for info in pkgutil.iter_modules(rfad.__path__, "rfad."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if (name.startswith("_") or not (inspect.isroutine(obj) or inspect.isclass(obj))
+                    or obj.__module__ != module.__name__):
+                continue
+            try:
+                parameters = inspect.signature(obj).parameters.values()
+            except (TypeError, ValueError):
+                continue
+            found |= {(module.__name__, name, p.name) for p in parameters
+                      if p.name in _KEYS and p.default is not inspect.Parameter.empty}
+    return found
+
+
+def test_config_keys_have_no_second_default():
+    # the shipped defaults file is the one source of a key's value
+    assert _key_defaults() == _KEY_DEFAULTS_KEPT

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rfad.coupling import (DEFAULT_IC_IMPEDANCE, REFERENCE_COUPLING_MAGNITUDES,
-                           CouplingReport, ImpedanceMatrix, PortLoad,
+from rfad.config import load_config
+from rfad.coupling import (REFERENCE_COUPLING_MAGNITUDES, ImpedanceMatrix, PortLoad,
                            coupling_summary, export_coupling_csv,
                            load_impedance_matrix, normalize_coupling,
                            power_wave_scattering, save_impedance_matrix,
@@ -23,11 +23,11 @@ def _scalar_k(z, z_c):
 
 class TestPowerWaveScattering:
     def test_conjugate_match_null(self):
-        z_c = DEFAULT_IC_IMPEDANCE
+        z_c = load_config().ic_load
         assert abs(_scalar_k(z_c.conjugate(), z_c)) < 1e-12
 
     def test_open_circuit_limit(self):
-        k = _scalar_k(1e12 + 0j, DEFAULT_IC_IMPEDANCE)
+        k = _scalar_k(1e12 + 0j, load_config().ic_load)
         assert abs(k - 1.0) < 1e-9
 
     def test_matches_scalar_formula(self):
@@ -63,9 +63,12 @@ class TestPowerWaveScattering:
         k = power_wave_scattering(z, [PortLoad(2.8 - 76j), PortLoad(50 + 0j)])
         assert np.abs(np.diag(k)).max() < 1e-12
 
-    def test_load_needs_positive_resistance(self):
-        with pytest.raises(DataError):
-            PortLoad(-1 + 5j)
+    # a NaN load once reached numpy's SVD, which failed with LinAlgError
+    @pytest.mark.parametrize("z_c", [-1 + 5j, 0j, complex("nan"), math.inf,
+                                     complex(1, math.inf), complex(1, math.nan)])
+    def test_load_needs_finite_positive_resistance(self, z_c):
+        with pytest.raises(DataError, match="port load must be finite"):
+            PortLoad(z_c)
 
 
 class TestImpedanceMatrix:

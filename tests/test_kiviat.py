@@ -80,6 +80,13 @@ class TestKiviatCsv:
         assert len(lines) == 6
         assert lines[3].split(",")[:4] == ["x", "III", "25.0", "1"]
 
+    def test_unlabelled_fingerprint_gets_its_position(self):
+        fps = [_fp([10, 20, 25, 30, 40], label="a"), _fp([5, 5, 5, 5, 5])]
+        assert kiviat_csv(fps).splitlines()[-1].startswith("fingerprint-2,V,")
+        polys = [p for p in ET.fromstring(kiviat_svg(fps)).iter(f"{SVG_NS}polygon")
+                 if p.get("class") == "fingerprint"]
+        assert [p.get("data-label") for p in polys] == ["a", "fingerprint-2"]
+
     def test_export_writes_twin_files(self, tmp_path):
         path = tmp_path / "chart.svg"
         export_kiviat([_fp([10, 20, 25, 30, 40])], path)

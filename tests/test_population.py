@@ -18,8 +18,8 @@ from rfad.fingerprint import (CalibrationBaseline, ChannelReading,
                               readings)
 from rfad.hand import FINGERS
 from rfad.materials import load_materials
-from rfad.population import (DEFAULT_CLASS_SDS, DEFAULT_FINGER_WEIGHTS,
-                             DEFAULT_POPULATION_SEED,
+from rfad.population import (DEFAULT_CLASS_SDS, DEFAULT_COUNT_PROBS,
+                             DEFAULT_FINGER_WEIGHTS, DEFAULT_POPULATION_SEED,
                              PopulationSpec, _Chain, _chunk_hands,
                              _averaged, _draw_responsive, _simulate,
                              generate_population, load_records,
@@ -71,12 +71,11 @@ def _oracle_estimate(codes, window, estimator):
     return float(np.mean(x)) if estimator == "mean" else float(np.median(x))
 
 
-def _oracle_simulate_hand(material, rng, config, spec, responsive=None):
+def _oracle_simulate_hand(material, rng, config, spec):
     materials = load_materials()
     eps = materials[material].epsilon
     baseline = _oracle_air_baseline(config)
-    if responsive is None:
-        responsive = _oracle_draw_responsive(rng, spec)
+    responsive = _oracle_draw_responsive(rng, spec)
     hand_offset = rng.normal(0.0, spec.class_sds.get(material, 0.0))
     readings = []
     log_rows = []
@@ -100,12 +99,12 @@ def _oracle_simulate_hand(material, rng, config, spec, responsive=None):
     return readings, log_rows, baseline
 
 
-def _one_hand(material, rng, config, spec, responsive=None):
+def _one_hand(material, rng, config, spec):
     """One hand through the batched core, in the oracle's return shape:
     ``(readings, log_rows, baseline)`` with ``(channel, t, code)`` rows."""
     chain = _Chain(config, spec)
     estimates, channels, times, codes = next(
-        _simulate(chain, rng, [material], responsive, full_series=True))
+        _simulate(chain, rng, [material], full_series=True))
     log_rows = [(channel, t, c) for channel, row in zip(channels, codes.tolist())
                 for t, c in zip(times.tolist(), row)]
     return readings(estimates), log_rows, chain.baseline
@@ -194,29 +193,18 @@ class TestPopulationSpec:
 
 
 class TestSimulateHand:
-    def test_forced_responsive_set(self):
-        config = load_config()
-        rng = np.random.default_rng(0)
-        readings, log_rows, baseline = _one_hand(
-            "olive_oil", rng, config, PopulationSpec(),
-            responsive=("II", "III"))
-        by_channel = {r.channel: r for r in readings}
-        assert by_channel["II"].responsive and by_channel["III"].responsive
-        assert not by_channel["I"].responsive
-        assert {ch for ch, _, _ in log_rows} == {"II", "III"}
-        assert set(baseline.codes) == set(FINGERS)
-
     def test_fingerprint_lands_near_class_mean(self):
         config = load_config()
+        # all five fingers respond
         spec = PopulationSpec(class_sds={m: 0.0 for m in
                                          ("olive_oil", "ethyl_alcohol",
                                           "deionized_water")},
-                              channel_jitter_sd=0.0)
+                              channel_jitter_sd=0.0, count_probs=(0, 0, 0, 0, 1))
         rng = np.random.default_rng(1)
         means = config.class_means()
         for material, expected in means.items():
-            readings, _, baseline = _one_hand(
-                material, rng, config, spec, responsive=FINGERS)
+            readings, _, baseline = _one_hand(material, rng, config, spec)
+            assert all(r.responsive for r in readings)
             fp = build_fingerprint(readings, baseline)
             assert averaged_fingerprint(fp) == pytest.approx(expected, abs=3.0)
 
@@ -278,16 +266,15 @@ class TestStreamPreservation:
             assert _draw_responsive(rng, chain) == _oracle_draw_responsive(oracle_rng, spec)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
-    @pytest.mark.parametrize("responsive", [None, ("II", "III"), FINGERS])
-    def test_simulate_hand_matches_oracle(self, responsive):
-        config, spec = load_config(), PopulationSpec()
+    @pytest.mark.parametrize("count_probs", [
+        DEFAULT_COUNT_PROBS, (0, 1, 0, 0, 0), (0, 0, 0, 0, 1)])
+    def test_simulate_hand_matches_oracle(self, count_probs):
+        config, spec = load_config(), PopulationSpec(count_probs=count_probs)
         for seed in (0, 1, 2):
             for material in spec.materials:
-                got = _one_hand(material, np.random.default_rng(seed), config,
-                                spec, responsive=responsive)
+                got = _one_hand(material, np.random.default_rng(seed), config, spec)
                 assert got == _oracle_simulate_hand(
-                    material, np.random.default_rng(seed), config, spec,
-                    responsive=responsive)
+                    material, np.random.default_rng(seed), config, spec)
 
     @pytest.mark.parametrize("seed", sorted(RECORDS_SHA256))
     def test_saved_records_byte_identical(self, seed, tmp_path):

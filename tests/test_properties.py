@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from rfad.classify import TrialRecord, ccd
+from rfad.config import load_config
 from rfad.coupling import ImpedanceMatrix, PortLoad, power_wave_scattering
 from rfad.fingerprint import (CalibrationBaseline, ChannelReading,
                               build_fingerprint)
@@ -69,8 +70,8 @@ def run_delta_s_monotonicity(n=N_CASES, seed=103):
     """Differential code is non-decreasing in permittivity."""
     rng = np.random.default_rng(seed)
     failures = 0
+    ic = load_config().ic
     for _ in range(n):
-        ic = AutoTuneIC()
         model = calibrated_antenna_model(
             ic,
             baseline_code=int(rng.integers(200, 400)),
@@ -195,7 +196,7 @@ def run_log_round_trip(n=N_CASES, seed=109, tmp_dir=None):
             codes = rng.integers(0, 512, size=(len(channels), n_samples))
             epcs = [f"E280{int(rng.integers(0, 2**32)):08X}" for _ in channels]
             write_log((times, channels, epcs, codes), log)
-            write_series({ch: CodeSeries(times, row, ch)
+            write_series({ch: CodeSeries(times, row)
                           for ch, row in zip(channels, codes)}, series)
             with open(series) as fh:
                 header, *rows = fh.readlines()

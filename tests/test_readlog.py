@@ -1,5 +1,6 @@
 """Reader-log CSV, series persistence, the window estimator, and calibration tests."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -163,7 +164,7 @@ class TestEstimateWindow:
 class TestSeriesFiles:
     def test_round_trip(self, tmp_path):
         model = FluctuationModel()
-        original = {ch: synthesize_series(model, 21.0, seed=i, channel=ch)
+        original = {ch: synthesize_series(model, 21.0, seed=i)
                     for i, ch in enumerate(("I", "III", "V"))}
         path = tmp_path / "series.csv"
         write_series(original, path)
@@ -224,7 +225,7 @@ class TestSampleChecks:
 
 def _ragged(**lengths):
     """Constant series of the given length per channel."""
-    return {ch: CodeSeries(times=0.7 * np.arange(n), codes=np.full(n, 200), channel=ch)
+    return {ch: CodeSeries(times=0.7 * np.arange(n), codes=np.full(n, 200))
             for ch, n in lengths.items()}
 
 
@@ -239,7 +240,7 @@ class TestChannelCodes:
             for ch in rng.permutation(present).tolist():  # any insertion order
                 n = window + int(rng.integers(0, 40))
                 series_set[ch] = CodeSeries(times=0.7 * np.arange(n),
-                                            codes=rng.integers(0, 512, n), channel=ch)
+                                            codes=rng.integers(0, 512, n))
             codes = channel_codes(series_set, window, estimator)
             assert list(codes) == present
             assert codes == {ch: estimate_code(series, window, estimator)
@@ -258,7 +259,7 @@ class TestChannelCodes:
 class TestCalibrate:
     def _constant_series(self, code, channels=FINGERS, n=12):
         return {ch: CodeSeries(times=np.arange(n) * 0.7,
-                               codes=np.full(n, code), channel=ch)
+                               codes=np.full(n, code))
                 for ch in channels}
 
     def test_constant_air_series(self):
@@ -288,8 +289,8 @@ class TestCalibrate:
             calibrate({}, 10, "mean")
 
     def test_baseline_persistence(self, tmp_path):
-        baseline = calibrate(self._constant_series(150), 10, "mean",
-                             timestamp="2026-08-24")
+        baseline = dataclasses.replace(calibrate(self._constant_series(150), 10, "mean"),
+                                       timestamp="2026-08-24")
         path = tmp_path / "baseline.json"
         save_baseline(baseline, path)
         loaded = load_baseline(path)

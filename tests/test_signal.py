@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from rfad.errors import DataError, NotConvergedError
 from rfad.materials import REFERENCE_LIQUIDS
 from rfad.ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
-from rfad.readlog import CodeSeries
-from rfad.signal import (MAX_SERIES_SAMPLES, FluctuationModel, amplitude_spectrum,
+from rfad.readlog import MAX_SERIES_SAMPLES, CodeSeries
+from rfad.signal import (FluctuationModel, amplitude_spectrum,
                          convergence_error, dominant_frequency, estimate_code,
                          material_fixture_series, material_fluctuation_model,
                          minimum_samples, pcg64_states, synthesize_block,
@@ -195,18 +195,21 @@ class TestSynthesizeBlock:
             assert np.array_equal(t_cut, t_full[:10])
 
     def test_samples_beyond_series_length_give_full_series(self):
-        _, codes = synthesize_block(FluctuationModel(), 7.0, [1], samples=50)
+        _, codes = synthesize_block(FluctuationModel(), 7.0, [1], [200], samples=50)
         assert codes.shape == (1, 10)
 
     @pytest.mark.parametrize("duration, period, seeds, baselines", [
-        (float("nan"), 0.7, [1], None),
-        (float("inf"), 0.7, [1], None),
-        (1e308, 0.7, [1], None),
-        (70.0, 1e-308, [1], None),
+        (float("nan"), 0.7, [1], [200]),
+        (float("inf"), 0.7, [1], [200]),
+        (1e308, 0.7, [1], [200]),
+        (70.0, 1e-308, [1], [200]),
         # one sample over the limit: without the check this would allocate
         # several 8 MB arrays, which the traced peak below would show
-        (MAX_SERIES_SAMPLES + 1.0, 1.0, [1], None),
-        (70.0, 0.7, [-5], None),
+        (MAX_SERIES_SAMPLES + 1.0, 1.0, [1], [200]),
+        (70.0, 0.7, [-5], [200]),
+        # numpy would broadcast one row to two
+        (70.0, 0.7, [1], [200, 300]),
+        (70.0, 0.7, [1, 2], [250]),
         (70.0, 0.7, [1, -1], [200, 200]),
         (70.0, 0.7, [1], [10 ** 23]),
         (70.0, 0.7, [1, 2], [200, CODE_STORAGE_MAX + 1]),
@@ -226,7 +229,7 @@ class TestSynthesizeBlock:
 
     def test_series_at_the_sample_limit_is_made(self):
         model = FluctuationModel(sample_period=1.0, noise_sd=0.0)
-        times, codes = synthesize_block(model, float(MAX_SERIES_SAMPLES), [1],
+        times, codes = synthesize_block(model, float(MAX_SERIES_SAMPLES), [1], [200],
                                         samples=3)
         assert codes.shape == (1, 3)
         assert times.tolist() == [0.0, 1.0, 2.0]
@@ -378,7 +381,7 @@ class TestMinimumSamples:
 
 class TestEstimateCode:
     def test_mean_oracle(self):
-        assert estimate_code(_series([200, 202, 198, 200]), 4) == 200.0
+        assert estimate_code(_series([200, 202, 198, 200]), 4, "mean") == 200.0
 
     def test_median_robust_to_outlier(self):
         codes = [200] * 11
@@ -393,9 +396,9 @@ class TestEstimateCode:
     def test_window_checks(self):
         series = _series([1, 2, 3])
         with pytest.raises(DataError):
-            estimate_code(series, 0)
+            estimate_code(series, 0, "mean")
         with pytest.raises(DataError):
-            estimate_code(series, 4)
+            estimate_code(series, 4, "mean")
         with pytest.raises(DataError):
             estimate_code(series, 2, "mode")
 
@@ -405,7 +408,7 @@ class TestEstimateCode:
                                  sawtooth_frequency=0.5, transient_amplitude=0.0,
                                  noise_sd=0.0, sample_period=0.1)
         series = synthesize_series(model, 8.0, seed=0)
-        assert abs(estimate_code(series, 40) - 200.0) <= 0.5
+        assert abs(estimate_code(series, 40, "mean") - 200.0) <= 0.5
 
 
 class TestMaterialFixtures:
