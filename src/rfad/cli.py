@@ -216,9 +216,10 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_coupling)
 
     p = sub.add_parser("stats", help="population reliability statistics")
-    p.add_argument("--records", help="trial records JSON")
-    p.add_argument("--generate", action="store_true",
-                   help="generate the default synthetic campaign")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--records", help="trial records JSON")
+    group.add_argument("--generate", action="store_true",
+                       help="generate the default synthetic campaign")
     p.add_argument("--seed", type=int, default=DEFAULT_POPULATION_SEED)
     p.add_argument("--log-dir", default=None)
     p.add_argument("--records-out", default=None)

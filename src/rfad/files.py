@@ -2,11 +2,13 @@
 
 Each output goes to a uniquely named temporary file beside its target
 and is renamed over it; a failed write leaves the old target and no
-temporary file. ``write_csv`` writes each row to that file as it comes
-and never holds the whole text. CSV is UTF-8 with LF line endings and a
-header row; JSON is indented by two spaces and ends with a newline.
-Every reader decodes through ``read_text`` and names ``path:line`` or
-``path: field`` in each ``DataError``.
+temporary file. ``write_csv`` writes each row to that file as it comes,
+and ``write_lines`` each line of text already formatted (a reader log is
+streamed from one line template), so neither holds the whole text. CSV
+is UTF-8 with LF line endings and a header row; JSON is indented by two
+spaces and ends with a newline. Every reader decodes through
+``read_text`` and names ``path:line`` or ``path: field`` in each
+``DataError``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DataError
 
@@ -70,6 +72,14 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         _write_rows(fh, header, rows)
 
 
+def write_lines(path, header: Sequence[str], lines: Iterable[str]) -> None:
+    """Replace ``path`` with the CSV ``header`` row, then ``lines``, rows
+    already formatted as CSV text, each written as it comes."""
+    with _replacing(path) as fh:
+        fh.write(csv_text(header, ()))
+        fh.writelines(lines)
+
+
 def read_text(path) -> str:
     """The text of a UTF-8 file, with universal newlines; undecodable
     bytes are a ``DataError`` naming the file."""
@@ -78,28 +88,6 @@ def read_text(path) -> str:
             return fh.read()
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
-def read_csv(path, headers: Sequence[Sequence[str]]) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(lineno, fields)`` for the header row, which must be one
-    of ``headers``, then for each non-empty data row, which must have as
-    many fields as the header."""
-    reader = csv.reader(io.StringIO(read_text(path)))
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        if header not in [list(h) for h in headers]:
-            raise DataError(f"{path}:1: bad header {header!r}")
-        yield 1, header
-        for lineno, fields in enumerate(reader, start=2):
-            if not fields:
-                continue
-            if len(fields) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
-            yield lineno, fields
-    except csv.Error as exc:
-        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def json_text(payload) -> str:

@@ -11,12 +11,17 @@ Two CSV formats carry the sensor codes, through ``rfad.files``:
 * read log: ``timestamp_s,epc,channel,sensor_code,rssi_dbm``
 * code series: ``timestamp_s,channel,code``
 
-``load_code_series`` reads both; the header row picks the columns. Each
-sample is checked alike (finite non-negative timestamp, known channel,
-code in storage range), a read log's ``rssi_dbm`` must be empty or
-finite, and each error names ``path:line``. Samples are grouped per
-channel and sorted by timestamp; a timestamp repeated on one channel is
-an error.
+``write_log`` and ``write_series`` stream each file from one line
+template (the constant fields quoted by ``csv``, the timestamps and codes
+filled in by ``str.format``) through the one atomic writer; the bytes are
+those ``csv.writer`` writes. ``load_code_series`` reads both formats; the
+header row picks the columns. It parses the text once and reads it
+column by column: each sample is checked alike in bulk (finite
+non-negative timestamp, known channel, code in storage range), and a
+read log's ``rssi_dbm`` must be empty or finite. If a check fails, the
+text is read again row by row, so each error still names the first bad
+``path:line``. Samples are grouped per channel and sorted by timestamp;
+a timestamp repeated on one channel is an error.
 
 ``channel_codes`` turns a set of series into one code per channel with
 the session's ``window`` and ``estimator``; it is the estimate both
@@ -27,13 +32,16 @@ channel with fewer than ``window`` samples is an error that names it.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Literal, Mapping, Sequence
+from itertools import chain, compress, islice
+from typing import Literal, Mapping, NoReturn, Sequence
 
 from .errors import DataError
-from .files import finite, read_csv, read_json, write_csv, write_json
+from .files import csv_text, finite, read_json, read_text, write_json, write_lines
 from .fingerprint import CalibrationBaseline
 from .hand import FINGERS
 from .ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
@@ -95,6 +103,15 @@ class CodeSeries:
     def __len__(self) -> int:
         return len(self.codes)
 
+    @classmethod
+    def _checked(cls, times: list, codes: list) -> "CodeSeries":
+        """A series of Python floats and ints that already hold what
+        ``__post_init__`` checks; ``load_code_series`` checks them in bulk."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "times", tuple(times))
+        object.__setattr__(series, "codes", tuple(codes))
+        return series
+
 
 def estimate_window(codes: Sequence[int], window: int, estimator: Estimator) -> float:
     """Mean or median of the first ``window`` of the integer ``codes``.
@@ -122,8 +139,60 @@ SERIES_HEADER = ["timestamp_s", "channel", "code"]
 # header -> columns of (timestamp, channel, code, rssi or None)
 _COLUMNS = {tuple(READLOG_HEADER): (0, 2, 3, 4), tuple(SERIES_HEADER): (0, 1, 2, None)}
 
+# Each channel name mapped to itself: one lookup checks a name and makes
+# every row of a channel share one string.
+_CHANNELS = {channel: channel for channel in FINGERS}
 
-def _sample(channel: str, timestamp: float, code: int) -> tuple:
+# Rows parsed per step of ``load_code_series``: their text fields are
+# dropped once the step's columns are converted.
+_CHUNK_ROWS = 1 << 14
+
+
+def _escaped(field) -> str:
+    """``field`` as text that ``str.format`` turns back into itself."""
+    return str(field).replace("{", "{{").replace("}", "}}")
+
+
+def write_log(block, path) -> None:
+    """Write the code block ``(times, channels, epcs, codes)``, one row of
+    ``codes`` per channel, as a reader log: rows by timestamp, then in
+    ``channels`` order, with ``rssi_dbm`` empty. Lists and numpy arrays
+    write the same bytes: timestamps are written as Python floats.
+
+    The lines of one timestamp come from one template, filled in with the
+    timestamp and that column of codes; the bytes are those
+    ``csv.writer`` writes. Parts of the block that disagree in length, or
+    a repeated channel, are a ``DataError`` before any file is made.
+    """
+    times, channels, epcs, codes = block
+    times = list(map(float, _plain(times)))
+    rows = [_plain(row) for row in _plain(codes)]
+    if not len(channels) == len(epcs) == len(rows):
+        raise DataError(f"a code block needs one EPC and one code row per channel, got "
+                        f"{len(channels)} channels, {len(epcs)} EPCs, {len(rows)} code rows")
+    for channel, row in zip(channels, rows):
+        if len(row) != len(times):
+            raise DataError(f"channel {channel} has {len(row)} codes "
+                            f"for {len(times)} timestamps")
+    if len(set(channels)) != len(channels):
+        raise DataError(f"a code block names a channel twice: {list(channels)}")
+    # csv quotes the constant fields; braces are no CSV syntax, so doubling
+    # them first leaves the quoting as it is
+    template = "".join(csv_text(["{0}", _escaped(epc), _escaped(channel), f"{{{k}}}", ""], ())
+                       for k, (epc, channel) in enumerate(zip(epcs, channels), start=1))
+    write_lines(path, READLOG_HEADER, map(template.format, times, *rows))
+
+
+def write_series(series_set: Mapping[str, CodeSeries], path) -> None:
+    """Write code series, channel by channel in finger order, from one
+    line template per channel."""
+    write_lines(path, SERIES_HEADER, chain.from_iterable(
+        map(csv_text(["{0}", _escaped(channel), "{1}"], ()).format,
+            series_set[channel].times, series_set[channel].codes)
+        for channel in sorted(series_set, key=FINGERS.index)))
+
+
+def _check_sample(channel: str, timestamp: float, code: int) -> None:
     if not 0 <= timestamp < math.inf:
         raise DataError(f"timestamp must be finite and non-negative, got {timestamp}")
     if channel not in FINGERS:
@@ -131,62 +200,106 @@ def _sample(channel: str, timestamp: float, code: int) -> tuple:
     if not CODE_STORAGE_MIN <= code <= CODE_STORAGE_MAX:
         raise DataError(
             f"sensor_code {code} outside [{CODE_STORAGE_MIN}, {CODE_STORAGE_MAX}]")
-    return channel, timestamp, code
 
 
-def write_log(block, path) -> None:
-    """Write the code block ``(times, channels, epcs, codes)``, one row of
-    ``codes`` per channel, as a reader log: rows by timestamp, then in
-    ``channels`` order, with ``rssi_dbm`` empty. Lists and numpy arrays
-    write the same bytes: timestamps are written as Python floats."""
-    times, channels, epcs, codes = block
-    rows = [_plain(row) for row in _plain(codes)]
-    write_csv(path, READLOG_HEADER, (
-        [repr(t), epc, channel, code, ""]
-        for t, column in zip(map(float, _plain(times)), zip(*rows))
-        for channel, epc, code in zip(channels, epcs, column)))
+def _raise_first_error(path, text: str) -> NoReturn:
+    """Check ``text`` row by row, as it is read, and raise the error that
+    comes first: an empty file, a bad header, a CSV syntax error, the
+    first bad row by ``path:line``, or a file with no rows."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        if tuple(header) not in _COLUMNS:
+            raise DataError(f"{path}:1: bad header {header!r}")
+        t_col, channel_col, code_col, rssi_col = _COLUMNS[tuple(header)]
+        for lineno, fields in enumerate(reader, start=2):
+            if not fields:
+                continue
+            if len(fields) != len(header):
+                raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
+            try:
+                if rssi_col is not None and fields[rssi_col]:
+                    finite(fields[rssi_col])
+                _check_sample(fields[channel_col], float(fields[t_col]), int(fields[code_col]))
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: malformed row") from exc
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    raise DataError(f"{path}: file contains no rows")
 
 
-def _group(samples: Iterable[tuple], source) -> dict[str, CodeSeries]:
-    """Per-channel series from ``(channel, t, code)`` triples, sorted by time."""
-    grouped: dict[str, list] = {}
-    for channel, t, code in samples:
-        grouped.setdefault(channel, []).append((t, code))
-    out = {}
-    for channel, points in grouped.items():
-        times, codes = zip(*sorted(points))
-        if len(set(times)) != len(times):
-            raise DataError(f"{source}: duplicate timestamps on channel {channel}")
-        out[channel] = CodeSeries(times, codes)
-    return out
+def _columns(text: str) -> tuple[list, list, list] | None:
+    """The timestamps, channels and codes of the rows of ``text``, or None
+    if ``_raise_first_error`` would raise on it. Each step converts and
+    checks a chunk of rows column by column."""
+    reader = csv.reader(io.StringIO(text))
+    times, channels, codes = [], [], []
+    try:
+        header = next(reader, None)
+        if tuple(header or ()) not in _COLUMNS:
+            return None
+        t_col, channel_col, code_col, rssi_col = _COLUMNS[tuple(header)]
+        while chunk := list(islice(reader, _CHUNK_ROWS)):
+            widths = set(map(len, chunk))
+            if 0 in widths:   # blank lines
+                chunk = list(filter(None, chunk))
+                widths.discard(0)
+            if widths - {len(header)}:
+                return None
+            if not chunk:
+                continue
+            fields = list(zip(*chunk))
+            if rssi_col is not None and (rssi := list(filter(None, fields[rssi_col]))):
+                if not all(map(math.isfinite, map(float, rssi))):
+                    return None
+            times += map(float, fields[t_col])
+            channels += map(_CHANNELS.__getitem__, fields[channel_col])
+            codes += map(int, fields[code_col])
+    except (csv.Error, ValueError, KeyError):
+        return None
+    if not (times and 0 <= min(times) and max(times) < math.inf
+            and not math.isnan(sum(times))
+            and CODE_STORAGE_MIN <= min(codes) and max(codes) <= CODE_STORAGE_MAX):
+        return None
+    return times, channels, codes
 
 
 def load_code_series(path) -> dict[str, CodeSeries]:
-    """Per-channel series from a reader log or a code-series file."""
-    rows = read_csv(path, (READLOG_HEADER, SERIES_HEADER))
-    _, header = next(rows)
-    t_col, channel_col, code_col, rssi_col = _COLUMNS[tuple(header)]
-    samples = []
-    for lineno, fields in rows:
-        try:
-            if rssi_col is not None and fields[rssi_col]:
-                finite(fields[rssi_col])
-            samples.append(_sample(fields[channel_col], float(fields[t_col]),
-                                   int(fields[code_col])))
-        except DataError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: malformed row") from exc
-    if not samples:
-        raise DataError(f"{path}: file contains no rows")
-    return _group(samples, path)
+    """Per-channel series from a reader log or a code-series file, keyed
+    in the order the channels first appear.
 
-
-def write_series(series_set: Mapping[str, CodeSeries], path) -> None:
-    write_csv(path, SERIES_HEADER, (
-        [repr(t), channel, code]
-        for channel in sorted(series_set, key=FINGERS.index)
-        for t, code in zip(series_set[channel].times, series_set[channel].codes)))
+    The text is parsed once and read column by column: the fields are
+    converted and checked in bulk, and each channel's samples are taken
+    out (by stride when the rows cycle through the channels, as
+    ``write_log`` writes them, else with ``itertools.compress``) and
+    sorted only if they are not in time order already. If a check fails,
+    the text is read again row by row to name the first bad ``path:line``.
+    """
+    text = read_text(path)
+    columns = _columns(text)
+    if columns is None:
+        _raise_first_error(path, text)
+    times, channels, codes = columns
+    order = list(dict.fromkeys(channels))
+    cycled = channels == order * (len(channels) // len(order))
+    out = {}
+    for k, channel in enumerate(order):
+        if cycled:
+            t, c = times[k::len(order)], codes[k::len(order)]
+        else:
+            mask = list(map(channel.__eq__, channels))
+            t, c = list(compress(times, mask)), list(compress(codes, mask))
+        if not all(map(operator.lt, t, t[1:])):
+            by_time = sorted(range(len(t)), key=t.__getitem__)
+            t, c = list(map(t.__getitem__, by_time)), list(map(c.__getitem__, by_time))
+            if not all(map(operator.lt, t, t[1:])):
+                raise DataError(f"{path}: duplicate timestamps on channel {channel}")
+        out[channel] = CodeSeries._checked(t, c)
+    return out
 
 
 def channel_codes(series_set: Mapping[str, CodeSeries], window: int,

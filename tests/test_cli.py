@@ -331,6 +331,22 @@ class TestStats:
         assert err == f"rfad: {out}: directory {str(tmp_path / 'nodir')!r} does not exist\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_source_is_required(self, capsys, monkeypatch):
+        monkeypatch.setattr(population, "generate_population",
+                            lambda *a, **kw: pytest.fail("simulation started"))
+        assert run("stats") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rfad stats")
+        assert "one of the arguments --records --generate is required" in err
+
+    def test_records_and_generate_exclude_each_other(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(population, "generate_population",
+                            lambda *a, **kw: pytest.fail("simulation started"))
+        assert run("stats", "--generate", "--records", str(tmp_path / "r.json")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rfad stats")
+        assert "not allowed with argument" in err
+
     def test_deterministic_reports(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
