@@ -180,4 +180,4 @@ def _record(rec: dict) -> TrialRecord:
 
 
 def load_records(path) -> list[TrialRecord]:
-    return read_json(path, lambda payload: [_record(rec) for rec in payload])
+    return read_json(path, "record list", lambda payload: [_record(rec) for rec in payload])

@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -168,6 +169,23 @@ def _cmd_stats(args, config):
         print(json_text(payload), end="")
 
 
+class _GenerateOnly(argparse.Action):
+    """Stores an option that only ``stats --generate`` reads, and notes
+    that it was given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.generate_only += (self.option_strings[0],)
+
+
+def _check_stats(parser, args):
+    """``--records`` reads a campaign: the options that shape a generated
+    one are a usage error with it, not silently ignored."""
+    if args.records is not None and args.generate_only:
+        parser.error(f"{', '.join(dict.fromkeys(args.generate_only))}: not allowed with "
+                     f"--records (only --generate reads them)")
+
+
 def _cmd_export(args, config):
     fps = load_fingerprints(args.fingerprints)
     _kiviat.export_kiviat(fps, args.output)
@@ -220,11 +238,12 @@ def build_parser() -> _Parser:
     group.add_argument("--records", help="trial records JSON")
     group.add_argument("--generate", action="store_true",
                        help="generate the default synthetic campaign")
-    p.add_argument("--seed", type=int, default=DEFAULT_POPULATION_SEED)
-    p.add_argument("--log-dir", default=None)
-    p.add_argument("--records-out", default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_POPULATION_SEED, action=_GenerateOnly)
+    p.add_argument("--log-dir", default=None, action=_GenerateOnly)
+    p.add_argument("--records-out", default=None, action=_GenerateOnly)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_stats)
+    p.set_defaults(func=_cmd_stats, generate_only=(),
+                   check=functools.partial(_check_stats, p))
 
     p = sub.add_parser("export", help="Kiviat radar chart (SVG + CSV)")
     p.add_argument("fingerprints")
@@ -238,6 +257,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if hasattr(args, "check"):
+            args.check(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -110,16 +111,17 @@ def power_wave_scattering(z: ImpedanceMatrix,
     nothing; port-to-port entries quantify inter-sensor coupling.
     """
     z_c = _loads_as_array(loads, z.n_ports)
-    h = np.diag(z_c)
-    g = np.diag(0.5 / np.sqrt(z_c.real))
-    g_inv = np.diag(2.0 * np.sqrt(z_c.real))
-    a = z.z + h
+    a = z.z + np.diag(z_c)
     cond = np.linalg.cond(a)
     if not np.isfinite(cond) or cond > 1.0 / np.finfo(float).eps:
         raise SingularMatrixError(
             f"Z + H is singular or near-singular (condition estimate {cond:.3e})",
             condition=cond)
-    return g @ (z.z - h.conj().T) @ np.linalg.inv(a) @ g_inv
+    # the diagonal G and G^-1 scale rows and columns: the products of the
+    # dense diagonal matrices, without their zero terms
+    root = np.sqrt(z_c.real)
+    left = (z.z - np.diag(z_c.conj())) * (0.5 / root)[:, None]
+    return (left @ np.linalg.inv(a)) * (2.0 * root)
 
 
 def normalize_coupling(k: np.ndarray) -> CouplingReport:
@@ -167,11 +169,13 @@ def load_impedance_matrix(path) -> ImpedanceMatrix:
 
     Header lines ``frequency = 867 MHz`` and ``ports = I II III IV V``
     followed by one row per port of whitespace-separated ``re+imj``
-    tokens. ``#`` starts a comment.
+    tokens. ``#`` starts a comment. All tokens are converted in one pass;
+    only if one is bad are the rows converted again, one by one, so that
+    the error names its line.
     """
     frequency = None
     ports = None
-    rows, linenos = [], []
+    rows, linenos = [], []  # the tokens of each matrix row, and its line
     for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -189,16 +193,21 @@ def load_impedance_matrix(path) -> ImpedanceMatrix:
             else:
                 raise DataError(f"{path}:{lineno}: unknown header key {key!r}")
             continue
-        try:
-            rows.append([complex(tok) for tok in line.split()])
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: bad complex token") from exc
+        rows.append(line.split())
         linenos.append(lineno)
+    try:
+        values = list(map(complex, chain.from_iterable(rows)))
+    except ValueError:
+        for tokens, lineno in zip(rows, linenos):
+            try:
+                list(map(complex, tokens))
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: bad complex token") from exc
     if frequency is None or ports is None or not rows:
         raise DataError(f"{path}: need frequency, ports and matrix rows")
     if any(len(r) != len(rows) for r in rows):
         raise DataError(f"{path}: matrix rows are not square")
-    z = np.array(rows)
+    z = np.array(values, dtype=complex).reshape(len(rows), len(rows))
     bad = np.flatnonzero(~np.isfinite(z).all(axis=1))
     if bad.size:
         raise DataError(f"{path}:{linenos[bad[0]]}: non-finite complex token")
@@ -211,16 +220,22 @@ def save_impedance_matrix(z: ImpedanceMatrix, path) -> None:
     The symmetric part ``(z + z.T) / 2`` is written, so that rounding cannot
     push a pair past the reciprocity bound on reading. It is taken from
     halves, which cannot overflow, and a pair that is already equal keeps
-    its bits. Each row is one ``%`` template applied to Python floats: a
-    numpy scalar per entry costs several times more to format.
+    the upper entry's bits (so a pair of zeros of opposite sign is written
+    with the upper one's sign). Only the upper triangle is formatted, by
+    one ``%`` template over Python floats, and each token is written in
+    both places of its pair.
     """
     n = z.n_ports
-    row = " ".join(["%.12g%+.12gj"] * n)
-    sym = np.where(z.z == z.z.T, z.z, z.z / 2 + z.z.T / 2)
-    parts = np.stack([sym.real, sym.imag], axis=-1).reshape(n, -1).tolist()
+    upper = np.triu_indices(n)
+    above, below = z.z[upper], z.z.T[upper]
+    sym = np.where(above == below, above, above / 2 + below / 2)
+    tokens = (" ".join(["%.12g%+.12gj"] * len(sym))
+              % tuple(np.stack([sym.real, sym.imag], axis=-1).ravel().tolist())).split(" ")
+    index = np.empty((n, n), dtype=int)
+    index[upper] = index.T[upper] = np.arange(len(sym))
     lines = [f"frequency = {z.frequency / 1e6:.12g} MHz",
              "ports = " + " ".join(z.port_labels)]
-    lines += [row % tuple(values) for values in parts]
+    lines += [" ".join([tokens[k] for k in row]) for row in index.tolist()]
     write_text(path, "\n".join(lines) + "\n")
 
 

@@ -106,9 +106,15 @@ def finite(token: str) -> float:
     return value
 
 
-def read_json(path, convert):
-    """``convert`` applied to a parsed JSON file; a parse or shape
-    failure becomes a ``DataError`` naming the file."""
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
+
+
+def read_json(path, kind: str, convert):
+    """``convert`` applied to a parsed JSON file that holds ``kind``: a
+    "... list" is an array of objects, any other kind one object. A
+    parse or shape failure becomes a ``DataError`` naming the file; a
+    file of another shape names the kind expected and what it holds."""
     text = read_text(path)
     try:
         payload = json.loads(text, parse_float=finite, parse_constant=finite)
@@ -118,6 +124,14 @@ def read_json(path, convert):
         raise DataError(f"{path}: {exc}") from None
     except RecursionError:
         raise DataError(f"{path}: nested too deeply") from None
+    many = kind.endswith(" list")
+    if not isinstance(payload, list if many else dict):
+        raise DataError(f"{path}: expected a {kind} (a JSON {'array' if many else 'object'}), "
+                        f"found {_JSON_KINDS[type(payload)]}")
+    for index, entry in enumerate(payload if many else ()):
+        if not isinstance(entry, dict):
+            raise DataError(f"{path}: entry {index} of the {kind} is "
+                            f"{_JSON_KINDS[type(entry)]}, not an object")
     try:
         return convert(payload)
     except KeyError as exc:

@@ -172,5 +172,5 @@ def save_fingerprints(fps: Sequence[Fingerprint], path) -> None:
 
 
 def load_fingerprints(path) -> list[Fingerprint]:
-    return read_json(path, lambda payload: [fingerprint_from_record(rec)
-                                            for rec in payload])
+    return read_json(path, "fingerprint list", lambda payload: [
+        fingerprint_from_record(rec) for rec in payload])

@@ -18,7 +18,8 @@ those ``csv.writer`` writes. ``load_code_series`` reads both formats; the
 header row picks the columns. It parses the text once and reads it
 column by column: each sample is checked alike in bulk (finite
 non-negative timestamp, known channel, code in storage range), and a
-read log's ``rssi_dbm`` must be empty or finite. If a check fails, the
+read log's ``rssi_dbm`` must be empty or finite. ``write_log`` refuses,
+before any file is made, a block that breaks the same column rules. If a check fails, the
 text is read again row by row, so each error still names the first bad
 ``path:line``. Samples are grouped per channel and sorted by timestamp;
 a timestamp repeated on one channel is an error.
@@ -35,6 +36,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from itertools import chain, compress, islice
@@ -127,10 +129,14 @@ def estimate_window(codes: Sequence[int], window: int, estimator: Estimator) -> 
     if estimator == "mean":
         return sum(codes[:window]) / window
     if estimator == "median":
-        head = sorted(codes[:window])
-        middle = window // 2
-        return float(head[middle]) if window % 2 else (head[middle - 1] + head[middle]) / 2
+        return sorted_median(sorted(codes[:window]))
     raise DataError(f"unknown estimator {estimator!r}")
+
+
+def sorted_median(head: Sequence[int]) -> float:
+    """Median of the sorted, non-empty integer ``head``."""
+    middle = len(head) // 2
+    return float(head[middle]) if len(head) % 2 else (head[middle - 1] + head[middle]) / 2
 
 
 READLOG_HEADER = ["timestamp_s", "epc", "channel", "sensor_code", "rssi_dbm"]
@@ -161,8 +167,12 @@ def write_log(block, path) -> None:
 
     The lines of one timestamp come from one template, filled in with the
     timestamp and that column of codes; the bytes are those
-    ``csv.writer`` writes. Parts of the block that disagree in length, or
-    a repeated channel, are a ``DataError`` before any file is made.
+    ``csv.writer`` writes. A block the loader would refuse is a
+    ``DataError`` before any file is made: parts that disagree in length,
+    an unknown or repeated channel, an EPC that is no string, or a sample
+    that breaks the loader's column rules (``_samples_ok``): a timestamp
+    that is negative or not finite, a code that is no integer or lies
+    outside the storage range.
     """
     times, channels, epcs, codes = block
     times = list(map(float, _plain(times)))
@@ -170,12 +180,23 @@ def write_log(block, path) -> None:
     if not len(channels) == len(epcs) == len(rows):
         raise DataError(f"a code block needs one EPC and one code row per channel, got "
                         f"{len(channels)} channels, {len(epcs)} EPCs, {len(rows)} code rows")
-    for channel, row in zip(channels, rows):
+    for channel, epc, row in zip(channels, epcs, rows):
+        if not (isinstance(channel, str) and channel in _CHANNELS):
+            raise DataError(f"unknown channel {channel!r}")
+        if not isinstance(epc, str):
+            raise DataError(f"EPCs must be strings, got {epc!r}")
         if len(row) != len(times):
             raise DataError(f"channel {channel} has {len(row)} codes "
                             f"for {len(times)} timestamps")
     if len(set(channels)) != len(channels):
         raise DataError(f"a code block names a channel twice: {list(channels)}")
+    if times and rows and not _samples_ok(times, *_code_extremes(codes, rows)):
+        # the first sample, in file order, that the loader would refuse
+        for t, *column in zip(times, *rows):
+            for channel, code in zip(channels, column):
+                if not isinstance(code, numbers.Integral) or isinstance(code, bool):
+                    raise DataError(f"codes must be integers, got {code!r}")
+                _check_sample(channel, t, code)
     # csv quotes the constant fields; braces are no CSV syntax, so doubling
     # them first leaves the quoting as it is
     template = "".join(csv_text(["{0}", _escaped(epc), _escaped(channel), f"{{{k}}}", ""], ())
@@ -190,6 +211,26 @@ def write_series(series_set: Mapping[str, CodeSeries], path) -> None:
         map(csv_text(["{0}", _escaped(channel), "{1}"], ()).format,
             series_set[channel].times, series_set[channel].codes)
         for channel in sorted(series_set, key=FINGERS.index)))
+
+
+def _code_extremes(codes, rows: list) -> tuple:
+    """The least and greatest code of a block of an integer array or of
+    Python ints, else ``(-inf, inf)``, outside any range, so that each
+    code is checked on its own. An array is judged by its dtype and its
+    own extremes, Python rows by the type of each code."""
+    if hasattr(codes, "dtype"):
+        integral = codes.dtype.kind in "iu"
+        return (codes.min(), codes.max()) if integral else (-math.inf, math.inf)
+    flat = list(chain.from_iterable(rows))
+    return (min(flat), max(flat)) if set(map(type, flat)) <= {int} else (-math.inf, math.inf)
+
+
+def _samples_ok(times: Sequence[float], code_min, code_max) -> bool:
+    """The column rules of every file: each timestamp finite and non-negative,
+    each code, from the least and the greatest, in the storage range.
+    ``_check_sample`` is the same rule for one sample, naming what breaks it."""
+    return (0 <= min(times) and max(times) < math.inf and not math.isnan(sum(times))
+            and CODE_STORAGE_MIN <= code_min and code_max <= CODE_STORAGE_MAX)
 
 
 def _check_sample(channel: str, timestamp: float, code: int) -> None:
@@ -261,9 +302,7 @@ def _columns(text: str) -> tuple[list, list, list] | None:
             codes += map(int, fields[code_col])
     except (csv.Error, ValueError, KeyError):
         return None
-    if not (times and 0 <= min(times) and max(times) < math.inf
-            and not math.isnan(sum(times))
-            and CODE_STORAGE_MIN <= min(codes) and max(codes) <= CODE_STORAGE_MAX):
+    if not (times and _samples_ok(times, min(codes), max(codes))):
         return None
     return times, channels, codes
 
@@ -331,6 +370,6 @@ def save_baseline(baseline: CalibrationBaseline, path) -> None:
 
 
 def load_baseline(path) -> CalibrationBaseline:
-    return read_json(path, lambda payload: CalibrationBaseline(
+    return read_json(path, "baseline object", lambda payload: CalibrationBaseline(
         codes=payload["codes"], timestamp=payload.get("timestamp", ""),
         gaps=tuple(payload.get("gaps", ()))))

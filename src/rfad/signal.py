@@ -2,27 +2,24 @@
 
 A freshly touched sensor shows a decaying transient, then settles into a
 sawtooth fluctuation (charge/discharge of the tuning capacitor during
-interrogation) on top of the material-dependent baseline. The
-convergence-error procedure here determines how many samples must be
-averaged before the reading is stable.
-
-The series type and its estimator live in the numpy-free
-``rfad.readlog``; ``estimate_code`` applies ``readlog.estimate_window``
-to a series. This module needs numpy for synthesis, spectra and window
-sizing, and converts a series' tuples to arrays where it does array
-work.
+interrogation) on top of the material-dependent baseline. Window sizing,
+pure Python over the integer codes, finds how many samples must be
+averaged before the reading is stable; synthesis and spectra use numpy.
+The series type and its estimator live in the numpy-free ``rfad.readlog``.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, NotConvergedError
 from .ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
-from .readlog import MAX_SERIES_SAMPLES, CodeSeries, Estimator, estimate_window
+from .readlog import MAX_SERIES_SAMPLES, CodeSeries, Estimator, estimate_window, sorted_median
 
 DEFAULT_SAMPLE_PERIOD = 0.7
 DEFAULT_SAWTOOTH_FREQUENCY = 0.7
@@ -58,11 +55,9 @@ class FluctuationModel:
 
 
 def _sawtooth(phase: np.ndarray) -> np.ndarray:
-    """Unit-amplitude sawtooth: slow fall from 1 to -1, sharp reset.
-
-    Mirrors the charge/discharge cycle of the tuning capacitor; the
-    orientation only fixes the sign convention, not the spectrum.
-    """
+    """Unit-amplitude sawtooth, a slow fall from 1 to -1 and a sharp reset:
+    the charge/discharge cycle of the tuning capacitor (the orientation
+    fixes only the sign convention, not the spectrum)."""
     return -2.0 * (phase - np.floor(phase + 0.5))
 
 
@@ -145,9 +140,8 @@ def pcg64_states(seeds) -> list[tuple[int, int]]:
 def _normal_rows(seeds, sd: float, k: int) -> np.ndarray:
     """Row ``i`` is ``np.random.default_rng(seeds[i]).normal(0.0, sd, size=k)``.
 
-    The generators are not built one by one: ``pcg64_states`` seeds all
-    rows at once, and one generator is set to each row's state in turn.
-    """
+    ``pcg64_states`` seeds all rows at once, and one generator is set to
+    each row's state in turn, instead of one generator built per row."""
     rows = np.empty((len(seeds), k))
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
@@ -211,17 +205,12 @@ def synthesize_block(model: FluctuationModel, duration: float, seeds, baselines,
 
 
 def amplitude_spectrum(series: CodeSeries) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided amplitude spectrum of the mean-removed series.
-
-    Rectangular window; bin resolution is 1 / (N * sample period).
-    """
+    """One-sided amplitude spectrum of the mean-removed series, with a
+    rectangular window; bin resolution is 1 / (N * sample period)."""
     _check_uniform(series)
     x = np.asarray(series.codes, dtype=float)
-    x = x - x.mean()
-    dt = series.times[1] - series.times[0]
-    amps = np.abs(np.fft.rfft(x)) / len(x)
-    freqs = np.fft.rfftfreq(len(x), dt)
-    return freqs, amps
+    amps = np.abs(np.fft.rfft(x - x.mean())) / len(x)
+    return np.fft.rfftfreq(len(x), series.times[1] - series.times[0]), amps
 
 
 def dominant_frequency(series: CodeSeries) -> float | None:
@@ -246,16 +235,26 @@ def _check_uniform(series: CodeSeries) -> None:
         raise DataError(f"non-uniform sampling: max timestamp jitter {jitter:.3g} s")
 
 
+def _dispersion(s1: int, s2: int, m: int) -> float:
+    """Population SD of ``m`` integer codes from their exact sum and sum of squares."""
+    return math.sqrt((m * s2 - s1 * s1) / (m * m))
+
+
+def _sums(head) -> tuple[int, int]:
+    return sum(head), sum(map(operator.mul, head, head))
+
+
 def convergence_error(series: CodeSeries, m: int,
                       m_inf: int = DEFAULT_ASYMPTOTIC_SAMPLES) -> float:
     """Population standard deviation over the first ``m`` samples minus
-    the asymptotic one over the first ``m_inf`` samples (code units)."""
+    the asymptotic one over the first ``m_inf`` samples (code units): the
+    dispersion error that ``minimum_samples`` walks, bit for bit."""
     if not 2 <= m <= m_inf:
         raise DataError(f"need 2 <= m <= m_inf, got m={m}, m_inf={m_inf}")
     if m_inf > len(series):
         raise DataError(f"m_inf={m_inf} exceeds series length {len(series)}")
-    x = np.asarray(series.codes, dtype=float)
-    return float(np.std(x[:m]) - np.std(x[:m_inf]))
+    codes = series.codes
+    return _dispersion(*_sums(codes[:m]), m) - _dispersion(*_sums(codes[:m_inf]), m_inf)
 
 
 def minimum_samples(series: CodeSeries, tolerance: float,
@@ -263,38 +262,42 @@ def minimum_samples(series: CodeSeries, tolerance: float,
                     estimator: Estimator = "mean") -> int:
     """Smallest window M whose measurement is converged within ``tolerance``.
 
-    For the mean, a window qualifies when the dispersion convergence
-    error is below tolerance: the dispersion is measured about the mean,
-    so its convergence directly bounds the mean's stability. The median
-    is not certified by the dispersion (the near-Nyquist sawtooth keeps
-    the running median pinned to one of its two sampled branches long
-    after the dispersion settles), so the median additionally requires
-    the running median itself to sit within tolerance of its asymptotic
-    value. The median window is therefore never shorter than the mean's.
+    For the mean, a window qualifies when ``convergence_error`` is below
+    tolerance: the dispersion is measured about the mean, so its
+    convergence bounds the mean's stability. The median is not certified
+    by the dispersion (the near-Nyquist sawtooth keeps the running median
+    pinned to one of its two sampled branches long after the dispersion
+    settles), so the running median must also sit within tolerance of its
+    asymptotic value, and the median window is never shorter than the
+    mean's. One pass walks the windows: running integer sums give each
+    dispersion, and a sorted prefix each median.
 
     Raises NotConvergedError (carrying the final convergence error) if
     no admissible window qualifies.
     """
-    # the asymptotic reference itself is not an admissible window
-    # (delta[m_inf] = 0 identically, which certifies nothing), so the
-    # windows are 2 .. m_inf - 1
+    # the asymptotic reference is no admissible window (delta[m_inf] = 0
+    # identically, which certifies nothing): the windows are 2 .. m_inf - 1
     if m_inf < 3:
         raise DataError(f"m_inf={m_inf} leaves no window between 2 and m_inf - 1")
     if len(series) < m_inf:
         raise DataError(f"series length {len(series)} below m_inf={m_inf}")
-    if estimator == "median":
-        target = estimate_code(series, m_inf, "median")
-    x = np.asarray(series.codes[:m_inf], dtype=float)
-    asymptotic = np.std(x)
-    for m in range(2, m_inf):
-        last = float(np.std(x[:m]) - asymptotic)
-        settled = (estimator == "mean"
-                   or abs(estimate_code(series, m, "median") - target) < tolerance)
-        if abs(last) < tolerance and settled:
+    codes, median = series.codes, estimator == "median"
+    if median:
+        target, prefix = sorted_median(sorted(codes[:m_inf])), [codes[0]]
+    elif estimator != "mean":
+        raise DataError(f"unknown estimator {estimator!r}")
+    asymptotic = _dispersion(*_sums(codes[:m_inf]), m_inf)
+    s1, s2 = codes[0], codes[0] * codes[0]
+    for m, code in enumerate(codes[1:m_inf - 1], start=2):
+        s1, s2 = s1 + code, s2 + code * code
+        last = _dispersion(s1, s2, m) - asymptotic
+        if median:
+            bisect.insort(prefix, code)
+        if abs(last) < tolerance and (
+                not median or abs(sorted_median(prefix) - target) < tolerance):
             return m
-    raise NotConvergedError(
-        f"no window up to {m_inf} samples meets tolerance {tolerance}",
-        delta=last)
+    raise NotConvergedError(f"no window up to {m_inf} samples meets tolerance {tolerance}",
+                            delta=last)
 
 
 def estimate_code(series: CodeSeries, window: int, estimator: Estimator) -> float:
@@ -331,15 +334,13 @@ def material_fluctuation_model(
     try:
         params = _MATERIAL_FLUCTUATION[material]
     except KeyError:
-        raise DataError(
-            f"no fluctuation preset for {material!r}; "
-            f"known: {sorted(_MATERIAL_FLUCTUATION)}") from None
+        raise DataError(f"no fluctuation preset for {material!r}; "
+                        f"known: {sorted(_MATERIAL_FLUCTUATION)}") from None
     return FluctuationModel(baseline=baseline, sample_period=sample_period,
                             sawtooth_frequency=sawtooth_frequency, **params)
 
 
-def material_fixture_series(material: str, baseline: int = 200,
-                            duration: float = 70.0,
+def material_fixture_series(material: str, baseline: int = 200, duration: float = 70.0,
                             seed: int = DEFAULT_FIXTURE_SEED) -> CodeSeries:
     """Canonical seeded series for one of the reference liquids."""
     return synthesize_series(material_fluctuation_model(material, baseline),

@@ -347,6 +347,24 @@ class TestStats:
         assert err.startswith("usage: rfad stats")
         assert "not allowed with argument" in err
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--seed", "5"], "--seed"),
+        (["--log-dir", "nodir"], "--log-dir"),
+        (["--records-out", "nodir/x.json"], "--records-out"),
+        (["--seed", "5", "--log-dir", "nodir", "--records-out", "nodir/x.json", "--seed", "6"],
+         "--seed, --log-dir, --records-out"),
+        (["--records-out=nodir/x.json"], "--records-out"),
+    ])
+    def test_records_refuses_the_generate_flags(self, tmp_path, capsys, flags, named):
+        records, report = tmp_path / "r.json", tmp_path / "report.json"
+        save_records(generate_population(PopulationSpec(subjects=1)), records)
+        capsys.readouterr()
+        assert run("stats", "--records", str(records), *flags, "-o", str(report)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rfad stats")
+        assert f"error: {named}: not allowed with --records" in err
+        assert not report.exists()
+
     def test_deterministic_reports(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -444,6 +462,46 @@ _BAD_JSON = {
                       json.dumps([_as_record(_fp(imputed="no"))])),
     "deep-nesting": ("[" * 200_000, "[" * 200_000),
 }
+
+
+class TestJsonKinds:
+    """A JSON file of another kind is refused by the kind expected and the
+    JSON it holds, not by a Python error about indexing it."""
+
+    @pytest.fixture()
+    def files(self, tmp_path, air_log, baseline_file):
+        fps = tmp_path / "fps.json"
+        assert run("fingerprint", str(air_log), "--baseline", str(baseline_file),
+                   "-o", str(fps)) == 0
+        scalar = tmp_path / "scalar.json"
+        scalar.write_text("7\n")
+        strings = tmp_path / "strings.json"
+        strings.write_text('["a"]\n')
+        return {"baseline": baseline_file, "fps": fps, "scalar": scalar,
+                "strings": strings, "log": air_log, "out": tmp_path / "out.json"}
+
+    @pytest.mark.parametrize("argv, given, error", [
+        (["classify", "--fingerprints", "{given}"], "baseline",
+         "expected a fingerprint list (a JSON array), found an object"),
+        (["export", "{given}", "-o", "{out}"], "baseline",
+         "expected a fingerprint list (a JSON array), found an object"),
+        (["stats", "--records", "{given}"], "baseline",
+         "expected a record list (a JSON array), found an object"),
+        (["fingerprint", "{log}", "--baseline", "{given}", "-o", "{out}"], "fps",
+         "expected a baseline object (a JSON object), found an array"),
+        (["fingerprint", "{log}", "--baseline", "{given}", "-o", "{out}"], "scalar",
+         "expected a baseline object (a JSON object), found a number"),
+        (["stats", "--records", "{given}"], "strings",
+         "entry 0 of the record list is a string, not an object"),
+        (["classify", "--fingerprints", "{given}"], "scalar",
+         "expected a fingerprint list (a JSON array), found a number"),
+    ])
+    def test_wrong_kind_names_what_was_expected(self, files, capsys, argv, given, error):
+        paths = dict(files, given=files[given])
+        capsys.readouterr()
+        assert run(*[arg.format(**paths) for arg in argv]) == 2
+        assert capsys.readouterr().err == f"rfad: {files[given]}: {error}\n"
+        assert not files["out"].exists()
 
 
 class TestExitCodes:

@@ -1,6 +1,7 @@
 """Power-wave scattering, coupling normalization, and turn-on budget tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -118,7 +119,64 @@ _PARTS = st.one_of(
     st.integers(-10 ** 15, 10 ** 15).map(float))
 
 
+def _row_template_text(z):
+    """The former writer: all n * n entries formatted, one ``%`` template
+    per row (the reference for the upper-triangle writer)."""
+    n = z.n_ports
+    row = " ".join(["%.12g%+.12gj"] * n)
+    sym = np.where(z.z == z.z.T, z.z, z.z / 2 + z.z.T / 2)
+    parts = np.stack([sym.real, sym.imag], axis=-1).reshape(n, -1).tolist()
+    lines = [f"frequency = {z.frequency / 1e6:.12g} MHz",
+             "ports = " + " ".join(z.port_labels)]
+    lines += [row % tuple(values) for values in parts]
+    return "\n".join(lines) + "\n"
+
+
+def _dense_scattering(z, z_c):
+    """Kurokawa's K as the product of the dense matrices G, Z - H*,
+    (Z + H)^-1 and G^-1 (the reference for ``power_wave_scattering``)."""
+    h = np.diag(z_c)
+    g = np.diag(0.5 / np.sqrt(z_c.real))
+    g_inv = np.diag(2.0 * np.sqrt(z_c.real))
+    return g @ (z.z - h.conj().T) @ np.linalg.inv(z.z + h) @ g_inv
+
+
 class TestMatrixFile:
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(1, 70), pool=st.lists(st.tuples(_PARTS, _PARTS), min_size=1,
+                                                max_size=40),
+           seed=st.integers(0, 2 ** 32 - 1), near=st.booleans())
+    def test_bytes_match_the_row_template_writer(self, tmp_path, n, pool, seed, near):
+        rng = np.random.default_rng(seed)
+        values = np.array([complex(re, im) for re, im in pool])
+        upper = np.triu(values[rng.integers(len(values), size=(n, n))])
+        lower = np.triu(upper, 1).T
+        if near:
+            # each lower entry shrunk by less than 5e-10 per part: inside the
+            # reciprocity bound, but no longer equal to its upper partner
+            shrink = 1 - 5e-10 * rng.random((n, n, 2))
+            lower = lower.real * shrink[..., 0] + 1j * (lower.imag * shrink[..., 1])
+        z = ImpedanceMatrix(upper + lower, frequency=867e6,
+                            port_labels=tuple(f"P{k}" for k in range(n)))
+        save_impedance_matrix(z, tmp_path / "z.txt")
+        assert (tmp_path / "z.txt").read_text() == _row_template_text(z)
+
+    @pytest.mark.parametrize("upper, lower, token", [
+        (complex(0.0, 5.0), complex(-0.0, 5.0), "0+5j"),
+        (complex(-0.0, 5.0), complex(0.0, 5.0), "-0+5j"),
+        (complex(3.0, -0.0), complex(3.0, 0.0), "3-0j"),
+    ])
+    def test_zeros_of_opposite_sign_take_the_upper_sign(self, tmp_path, upper, lower,
+                                                        token):
+        # the pair compares equal, so it is written as is: both places get
+        # the upper entry's token (the row template wrote each its own sign)
+        z = ImpedanceMatrix(np.array([[1, upper], [lower, 1]]), frequency=867e6,
+                            port_labels=("I", "II"))
+        save_impedance_matrix(z, tmp_path / "z.txt")
+        rows = (tmp_path / "z.txt").read_text().splitlines()[2:]
+        assert rows == [f"1+0j {token}", f"{token} 1+0j"]
+
     @settings(derandomize=True, max_examples=150, deadline=None, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(n=st.integers(1, 70), pool=st.lists(st.tuples(_PARTS, _PARTS), min_size=1,
@@ -167,6 +225,31 @@ class TestMatrixFile:
         loaded = load_impedance_matrix(tmp_path / "z.txt")
         assert loaded.port_labels == labels
         assert np.array_equal(loaded.z, z.z)
+
+
+class TestScatteringBits:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(n=st.integers(1, 24), seed=st.integers(0, 2 ** 32 - 1), shared=st.booleans())
+    def test_equals_the_dense_product(self, n, seed, shared):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        z = ImpedanceMatrix(a + a.T + 30 * np.eye(n), frequency=867e6,
+                            port_labels=tuple(f"P{k}" for k in range(n)))
+        z_c = rng.uniform(0.5, 60, size=n) + 1j * rng.uniform(-100, 100, size=n)
+        if shared:
+            z_c[:] = z_c[0]
+        loads = PortLoad(z_c[0]) if shared else [PortLoad(c) for c in z_c]
+        k = power_wave_scattering(z, loads)
+        assert k.tobytes() == _dense_scattering(z, z_c).tobytes()
+
+    def test_exact_zeros_equal_up_to_their_sign(self):
+        # a diagonal Z leaves exact zeros off the diagonal, whose sign the
+        # dense zero terms may flip
+        z = ImpedanceMatrix(np.diag([20 + 5j, 35 - 60j, 50 + 0j]), frequency=867e6,
+                            port_labels=("I", "II", "III"))
+        z_c = np.array([2.8 - 76j, 10 + 1j, 50 + 0j])
+        k = power_wave_scattering(z, [PortLoad(c) for c in z_c])
+        assert np.array_equal(k, _dense_scattering(z, z_c))
 
 
 class TestNormalizeCoupling:
@@ -236,6 +319,25 @@ class TestFileFormats:
         path = tmp_path / "z.txt"
         path.write_text("frequency = 867 MHz\nports = I\nnot-a-number\n")
         with pytest.raises(DataError, match="bad complex token"):
+            load_impedance_matrix(path)
+
+    @pytest.mark.parametrize("rows", [
+        ["1+0j 2+0j 3+0j", "2+0j 1+0j 0+0j", "3+0j 0+0j 1+0j"],
+        ["1+0j 2+0j 3+0j", "2+0j 1+0j", "3+0j 0+0j 1+0j 4+0j"],  # not square
+    ])
+    @pytest.mark.parametrize("bad_row", [0, 1, 2])
+    def test_bad_token_names_its_line(self, tmp_path, rows, bad_row):
+        # comments and blank lines between the rows keep the line numbers honest;
+        # a bad token is reported before the shape of the rows is checked
+        rows = list(rows)
+        rows[bad_row] = rows[bad_row].replace("1+0j", "1+0x")
+        text = "# header\nfrequency = 867 MHz\n\nports = I II III\n"
+        text += "".join(f"{row}  # row {k}\n\n" for k, row in enumerate(rows))
+        path = tmp_path / "z.txt"
+        path.write_text(text)
+        line = 5 + 2 * bad_row
+        assert text.splitlines()[line - 1].startswith(rows[bad_row])
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:{line}: bad complex"):
             load_impedance_matrix(path)
 
     def test_load_requires_headers(self, tmp_path):

@@ -123,7 +123,7 @@ class TestLogRoundTrip:
     @pytest.mark.parametrize("labels", [
         None,
         (["I", "III", "V"], ODD_EPCS[:3]),
-        (["{1}", "%d,%s", 'x"y'], ODD_EPCS[3:]),
+        (["II", "IV", "V"], ODD_EPCS[3:]),
     ])
     def test_lists_and_arrays_write_the_same_bytes(self, tmp_path, labels):
         times, channels, epcs, codes = _block(("I", "III", "V"), n=4, start=0.1)
@@ -198,6 +198,61 @@ class TestWriteLogChecks:
             write_log(block, target)
         assert target.read_bytes() == b"old\n"
         assert os.listdir(tmp_path) == ["log.csv"]
+
+
+def _times(n=2):
+    return [0.7 * k for k in range(n)]
+
+
+class TestWriteLogRefusesWhatTheLoaderRefuses:
+    """What ``write_log`` would write only for ``load_code_series`` to
+    refuse is a ``DataError`` before any file is made, with the message
+    the loader gives for the sample."""
+
+    @pytest.mark.parametrize("block,error", [
+        ((_times(1), ["VI"], ["E"], [[200]]), "unknown channel 'VI'"),
+        ((_times(1), ["I", "{1}"], ["E", "F"], [[200], [200]]), "unknown channel '{1}'"),
+        ((_times(1), ["I", 'x"y'], ["E", "F"], [[200], [200]]), "unknown channel 'x\"y'"),
+        ((_times(1), [1], ["E"], [[200]]), "unknown channel 1"),
+        ((_times(1), [["I"]], ["E"], [[200]]), "unknown channel ['I']"),
+        ((_times(1), ["I"], [None], [[200]]), "EPCs must be strings, got None"),
+        ((_times(1), ["I"], [7], [[200]]), "EPCs must be strings, got 7"),
+        ((_times(2), ["I", "II"], ["E", "F"], [[200, 201], [202, 600]]),
+         "sensor_code 600 outside [0, 511]"),
+        ((_times(2), ["I"], ["E"], [[-1, 200]]), "sensor_code -1 outside [0, 511]"),
+        ((_times(1), ["I"], ["E"], [[600.5]]), "codes must be integers, got 600.5"),
+        ((_times(1), ["I"], ["E"], [[200.0]]), "codes must be integers, got 200.0"),
+        ((_times(1), ["I"], ["E"], [[True]]), "codes must be integers, got True"),
+        ((_times(1), ["I"], ["E"], [["200"]]), "codes must be integers, got '200'"),
+        ((_times(2), ["I"], ["E"], np.array([[200.0, 201.0]])),
+         "codes must be integers, got 200.0"),
+        ((_times(2), ["I"], ["E"], np.array([[200, 512]])), "sensor_code 512 outside"),
+        ((_times(2), ["I"], ["E"], np.array([[200, 201]], dtype=np.uint16) + 500),
+         "sensor_code 700 outside"),
+        ((_times(2), ["I"], ["E"], np.array([[True, False]])),
+         "codes must be integers, got True"),
+        (([0.0, -0.7], ["I"], ["E"], [[200, 201]]),
+         "timestamp must be finite and non-negative, got -0.7"),
+        (([0.0, math.nan], ["I"], ["E"], [[200, 201]]),
+         "timestamp must be finite and non-negative, got nan"),
+        ((np.array([0.0, math.inf]), ["I"], ["E"], np.array([[200, 201]])),
+         "timestamp must be finite and non-negative, got inf"),
+    ])
+    def test_refused_before_any_file(self, tmp_path, block, error):
+        target = tmp_path / "log.csv"
+        target.write_bytes(b"old\n")
+        with pytest.raises(DataError, match=re.escape(error)):
+            write_log(block, target)
+        assert target.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["log.csv"]
+
+    @pytest.mark.parametrize("codes", [
+        [[0, 511]], np.array([[0, 511]]), np.array([[0, 511]], dtype=np.uint16),
+        [np.array([0, 511])], [[np.int64(0), np.int32(511)]],
+    ])
+    def test_the_whole_code_range_loads_back(self, tmp_path, codes):
+        write_log(([0.0, 0.7], ["V"], [""], codes), tmp_path / "log.csv")
+        assert load_code_series(tmp_path / "log.csv")["V"].codes == (0, 511)
 
 
 class TestSeriesFromRows:

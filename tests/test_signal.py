@@ -1,5 +1,6 @@
 """Series synthesis, spectrum, and convergence-window tests."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfad import signal as signal_module
 from rfad.errors import DataError, NotConvergedError
 from rfad.materials import REFERENCE_LIQUIDS
 from rfad.ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
@@ -291,23 +293,32 @@ class TestConvergenceError:
             convergence_error(_series([1] * 50), 10)
 
 
-def _dispersion_error(x, m: int, m_inf: int) -> float:
-    return float(np.std(x[:m]) - np.std(x[:m_inf]))
+def _exact_sd(codes, m: int) -> float:
+    """The population SD of the first ``m`` codes from exact integer sums,
+    recomputed from scratch."""
+    head = [int(c) for c in codes[:m]]
+    s1, s2 = sum(head), sum(c * c for c in head)
+    return math.sqrt((m * s2 - s1 * s1) / (m * m))
 
 
-def _per_window_minimum_samples(series, tolerance, m_inf=100, estimator="mean"):
-    """The sizing loop that recomputes the asymptotic dispersion for
+def _numpy_sd(codes, m: int) -> float:
+    """The former dispersion: ``np.std`` of the window as floats."""
+    return float(np.std(np.asarray(codes[:m], dtype=float)))
+
+
+def _per_window_minimum_samples(series, tolerance, m_inf=100, estimator="mean",
+                                sd=_exact_sd):
+    """The sizing loop that recomputes both dispersions and the median for
     every window (the reference for ``minimum_samples``)."""
     if len(series) < m_inf:
         raise DataError(f"series length {len(series)} below m_inf={m_inf}")
     if estimator == "median":
         target = estimate_code(series, m_inf, "median")
-    x = np.asarray(series.codes[:m_inf], dtype=float)
     last = None
     # the asymptotic reference itself is not an admissible window
     # (delta[m_inf] = 0 identically, which certifies nothing)
     for m in range(2, m_inf):
-        last = _dispersion_error(x, m, m_inf)
+        last = sd(series.codes, m) - sd(series.codes, m_inf)
         settled = (estimator == "mean"
                    or abs(estimate_code(series, m, "median") - target) < tolerance)
         if abs(last) < tolerance and settled:
@@ -317,9 +328,9 @@ def _per_window_minimum_samples(series, tolerance, m_inf=100, estimator="mean"):
         delta=last)
 
 
-def _outcome(sizing, *args):
+def _outcome(sizing, *args, **kwargs):
     try:
-        return sizing(*args)
+        return sizing(*args, **kwargs)
     except NotConvergedError as exc:
         return ("not converged", str(exc), exc.delta)
 
@@ -342,6 +353,15 @@ class TestMinimumSamples:
         got = _outcome(minimum_samples, series, tolerance, m_inf, estimator)
         assert got == expected
         assert type(got) is type(expected)
+        # the np.std dispersion gives the same window: a flip is a failure
+        former = _outcome(_per_window_minimum_samples, series, tolerance, m_inf, estimator,
+                          sd=_numpy_sd)
+        assert type(got) is type(former)
+        if isinstance(former, int):
+            assert got == former
+        else:
+            assert got[1] == former[1]
+            assert got[2] == pytest.approx(former[2], rel=0, abs=1e-9)
 
     def test_constant_series_converges_immediately(self):
         assert minimum_samples(_series([150] * 100), 1.0) == 2
@@ -377,6 +397,17 @@ class TestMinimumSamples:
     def test_needs_full_asymptotic_window(self):
         with pytest.raises(DataError):
             minimum_samples(_series([1] * 50), 1.0)
+
+    def test_unknown_estimator_is_data_error(self):
+        with pytest.raises(DataError, match="unknown estimator 'mode'"):
+            minimum_samples(_series([150] * 100), 1.0, estimator="mode")
+
+    def test_uses_no_numpy(self, monkeypatch):
+        # window sizing and its dispersion are integer arithmetic on the codes
+        monkeypatch.setattr(signal_module, "np", None)
+        series = _series([150, 152, 149, 151] * 30)
+        assert minimum_samples(series, 1.0, estimator="median") == 2
+        assert convergence_error(series, 4) == 0.0
 
 
 class TestEstimateCode:
