@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .errors import DataError, UnclassifiableError
-from .files import read_json, write_json
+from .files import json_field, read_json, write_json
 from .fingerprint import Fingerprint, fingerprint_from_record, fingerprint_record
 from .hand import FINGERS
 
@@ -173,11 +173,11 @@ def save_records(records: Sequence[TrialRecord], path) -> None:
 
 
 def _record(rec: dict) -> TrialRecord:
-    fp = rec.get("fingerprint")
+    fp = json_field(rec, "fingerprint", dict, type(None), default=None)
     return TrialRecord(subject=rec["subject"], material=rec["material"],
-                       responsive=dict(rec["responsive"]),
+                       responsive=dict(json_field(rec, "responsive", dict)),
                        fingerprint=fingerprint_from_record(fp) if fp else None)
 
 
 def load_records(path) -> list[TrialRecord]:
-    return read_json(path, "record list", lambda payload: [_record(rec) for rec in payload])
+    return read_json(path, "record list", _record)

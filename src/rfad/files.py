@@ -111,10 +111,11 @@ _JSON_KINDS = {dict: "an object", list: "an array", str: "a string", bool: "a bo
 
 
 def read_json(path, kind: str, convert):
-    """``convert`` applied to a parsed JSON file that holds ``kind``: a
-    "... list" is an array of objects, any other kind one object. A
-    parse or shape failure becomes a ``DataError`` naming the file; a
-    file of another shape names the kind expected and what it holds."""
+    """``convert`` applied to a parsed JSON file that holds ``kind``: to
+    each entry of a "... list", an array of objects, else to the one
+    object. A parse, shape or conversion failure becomes a ``DataError``
+    naming the file, and the entry where it is one of a list; a file of
+    another shape names the kind expected and what it holds."""
     text = read_text(path)
     try:
         payload = json.loads(text, parse_float=finite, parse_constant=finite)
@@ -128,13 +129,37 @@ def read_json(path, kind: str, convert):
     if not isinstance(payload, list if many else dict):
         raise DataError(f"{path}: expected a {kind} (a JSON {'array' if many else 'object'}), "
                         f"found {_JSON_KINDS[type(payload)]}")
-    for index, entry in enumerate(payload if many else ()):
+    if not many:
+        return _converted(f"{path}: ", convert, payload)
+    for index, entry in enumerate(payload):
         if not isinstance(entry, dict):
             raise DataError(f"{path}: entry {index} of the {kind} is "
                             f"{_JSON_KINDS[type(entry)]}, not an object")
+    return [_converted(f"{path}: entry {index}: ", convert, entry)
+            for index, entry in enumerate(payload)]
+
+
+def _converted(where: str, convert, entry: dict):
     try:
-        return convert(payload)
+        return convert(entry)
     except KeyError as exc:
-        raise DataError(f"{path}: missing field {exc.args[0]!r}") from None
+        raise DataError(f"{where}missing field {exc.args[0]!r}") from None
     except (TypeError, AttributeError, ValueError) as exc:
-        raise DataError(f"{path}: {exc}") from None
+        raise DataError(f"{where}{exc}") from None
+
+
+_REQUIRED = object()
+
+
+def json_field(record: dict, name: str, *kinds: type, default=_REQUIRED):
+    """``record[name]``, refused with a ``DataError`` naming the field
+    unless its type is one of ``kinds`` (a JSON ``true`` is no number);
+    ``default`` where the field is missing, if one is given."""
+    if default is not _REQUIRED and name not in record:
+        return default
+    value = record[name]
+    if type(value) not in kinds:
+        expected = " or ".join(dict.fromkeys(_JSON_KINDS[kind] for kind in kinds))
+        raise DataError(f"field {name!r} must be {expected}, "
+                        f"found {_JSON_KINDS[type(value)]}")
+    return value

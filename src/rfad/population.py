@@ -12,22 +12,21 @@ import bisect
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 # The record files and the default seed live beside TrialRecord, where
 # commands that never simulate find them without numpy; they stay bound
 # here for callers that persist what generate_population returns.
-from .classify import (DEFAULT_POPULATION_SEED, TrialRecord, classify,  # noqa: F401
-                       load_records, save_records)
+from .classify import (DEFAULT_POPULATION_SEED, MaterialClass, TrialRecord,  # noqa: F401
+                       classify, load_records, save_records)
 from .config import SessionConfig, load_config
 from .errors import DataError
-from .fingerprint import (CalibrationBaseline, build_fingerprint, imputed_values,
-                          readings)
+from .fingerprint import CalibrationBaseline, build_fingerprint, readings, total
 from .hand import FINGERS
 from .materials import REFERENCE_LIQUIDS, load_materials
-from .readlog import estimate_window, write_log
+from .readlog import Estimator, check_window, write_log
 from .signal import material_fluctuation_model, synthesize_block
 
 # P(exactly m of 5 fingers respond), m = 1..5. At least one finger always
@@ -87,6 +86,9 @@ class PopulationSpec:
                    for sd in _floats(self.class_sds.get(m) for m in self.materials)):
             raise DataError(f"class_sds need a finite non-negative SD for each material, "
                             f"got {dict(self.class_sds)!r}")
+        if not 0 <= _floats([self.channel_jitter_sd])[0] < math.inf:
+            raise DataError(f"channel_jitter_sd must be a finite non-negative SD, "
+                            f"got {self.channel_jitter_sd!r}")
 
 
 def _floats(values) -> list[float]:
@@ -135,14 +137,14 @@ class _Chain:
             sawtooth_frequency=config.sawtooth_frequency) for name in spec.materials}
 
 
-def _draw_responsive(rng: np.random.Generator, chain: _Chain) -> list[str]:
+def _draw_responsive(rng: np.random.Generator, chain: _Chain) -> list[int]:
+    """Indices of the hand's responsive fingers, in finger order."""
     # the draw numpy's choice(5, p=count_probs) makes: one uniform, placed
     # on the cumulative probabilities
     m = 1 + bisect.bisect_right(chain.count_cdf, rng.random())
     # weighted sampling without replacement (exponential race)
     keys = (rng.exponential(size=len(FINGERS)) / chain.weights).tolist()
-    chosen = sorted(range(len(FINGERS)), key=keys.__getitem__)[:m]
-    return [FINGERS[i] for i in sorted(chosen)]
+    return sorted(sorted(range(len(FINGERS)), key=keys.__getitem__)[:m])
 
 
 def _chunk_hands(chain: _Chain, full_series: bool) -> int:
@@ -155,59 +157,85 @@ def _chunk_hands(chain: _Chain, full_series: bool) -> int:
     return max(1, int(_CHUNK_SAMPLES // (len(FINGERS) * max(row, 1.0))))
 
 
+class _Chunk(NamedTuple):
+    """A chunk of simulated hands as arrays, one row per hand and one
+    column per finger: which fingers responded, and the window estimate
+    of each responsive finger's code (NaN where none). ``codes`` holds
+    the code series, one row per responsive finger in hand order, then
+    finger order (the order of ``responsive``'s true entries), over the
+    time base ``times``."""
+
+    responsive: np.ndarray
+    estimates: np.ndarray
+    times: np.ndarray
+    codes: np.ndarray
+
+
+def _window_estimates(codes: np.ndarray, window: int, estimator: Estimator) -> np.ndarray:
+    """``estimate_window`` of each row of the integer ``codes``, bit for
+    bit: the exact integer sum of the window divided by ``window``, or
+    the middle value(s) of the sorted window."""
+    check_window(window, codes.shape[1], estimator)
+    head = codes[:, :window]
+    if estimator == "mean":
+        return head.sum(axis=1) / window
+    ordered, middle = np.sort(head, axis=1), window // 2
+    if window % 2:
+        return ordered[:, middle].astype(float)
+    return (ordered[:, middle - 1] + ordered[:, middle]) / 2
+
+
 def _simulate(chain: _Chain, rng: np.random.Generator, materials: Sequence[str],
-              full_series: bool = False):
-    """The sensing chain for a batch of hands, one code block per hand.
+              full_series: bool = False) -> Iterator[_Chunk]:
+    """The sensing chain for a batch of hands, one ``_Chunk`` at a time.
 
     The scalar draws of each hand keep one order, which every seeded
     output depends on: the responsive set (a uniform for the count, then
-    ``exponential``), the hand's pressure
-    offset, then per responsive channel in finger order its jitter and
-    its series seed. The series themselves come from their own seeds,
-    so they are made in a second pass over a chunk of hands, one
+    ``exponential``), the hand's pressure offset, then per responsive
+    channel in finger order its jitter and its series seed. Each normal
+    draw is taken as ``0.0 + sd * standard_normal()``, the value and the
+    stream of ``normal(0.0, sd)``. The series themselves come from their
+    own seeds, so they are made after the draws of a chunk of hands, one
     ``synthesize_block`` per material; without ``full_series`` only the
-    estimation window is made. Yields ``(estimates, channels, times,
-    codes)`` per hand: the windowed code of each responsive channel by
-    name, and one row of ``codes`` per responsive channel.
+    estimation window is made.
     """
     config, spec = chain.config, chain.spec
     s_min, s_max = config.ic.s_min, config.ic.s_max
+    jitter_sd = spec.channel_jitter_sd
     samples = None if full_series else config.window
-    chunk = _chunk_hands(chain, full_series)
-    for start in range(0, len(materials), chunk):
-        hands = []
-        for material in materials[start:start + chunk]:
-            touched = chain.touched[material]
+    size = _chunk_hands(chain, full_series)
+    for start in range(0, len(materials), size):
+        names = materials[start:start + size]
+        # hand * 5 + finger of each series row of the chunk, in row order;
+        # per material, its rows, their target codes and their seeds
+        positions = []
+        blocks = {material: ([], [], []) for material in names}
+        for hand, material in enumerate(names):
+            touched, (rows, targets, seeds) = chain.touched[material], blocks[material]
             chosen = _draw_responsive(rng, chain)
-            hand_offset = rng.normal(0.0, spec.class_sds[material])
-            channels, targets, seeds = [], [], []
-            for channel, code in zip(FINGERS, touched):
-                if channel not in chosen:
-                    continue
-                jitter = rng.normal(0.0, spec.channel_jitter_sd)
-                target = int(round(code - hand_offset - jitter))
+            hand_offset = 0.0 + spec.class_sds[material] * rng.standard_normal()
+            for finger in chosen:
+                jitter = 0.0 + jitter_sd * rng.standard_normal()
+                target = round(touched[finger] - hand_offset - jitter)
                 targets.append(min(max(target, s_min), s_max))
-                seeds.append(int(rng.integers(0, 2 ** 31)))
-                channels.append(channel)
-            hands.append((material, channels, targets, seeds))
-        out = [None] * len(hands)
-        for material in dict.fromkeys(hand[0] for hand in hands):
-            mine = [i for i, hand in enumerate(hands) if hand[0] == material]
-            times, codes = synthesize_block(
-                chain.fluctuation[material], spec.series_duration,
-                [seed for i in mine for seed in hands[i][3]],
-                baselines=[target for i in mine for target in hands[i][2]],
-                samples=samples)
-            windows = codes[:, :config.window].tolist()
-            row = 0
-            for i in mine:
-                channels = hands[i][1]
-                end = row + len(channels)
-                estimates = {channel: estimate_window(w, config.window, config.estimator)
-                             for channel, w in zip(channels, windows[row:end])}
-                out[i] = estimates, channels, times, codes[row:end]
-                row = end
-        yield from out
+                seeds.append(int(rng.integers(2 ** 31)))
+                rows.append(len(positions))
+                positions.append(hand * len(FINGERS) + finger)
+        codes = None
+        for material, (rows, targets, seeds) in blocks.items():
+            times, block = synthesize_block(chain.fluctuation[material],
+                                            spec.series_duration, seeds,
+                                            baselines=targets, samples=samples)
+            if codes is None:  # every material shares the session's time base
+                codes = np.empty((len(positions), block.shape[1]), dtype=block.dtype)
+            codes[rows] = block
+        shape = (len(names), len(FINGERS))
+        responsive = np.zeros(shape[0] * shape[1], dtype=bool)
+        responsive[positions] = True
+        estimates = np.full(responsive.shape, math.nan)
+        estimates[positions] = _window_estimates(codes, config.window, config.estimator)
+        responsive, estimates = responsive.reshape(shape), estimates.reshape(shape)
+        yield _Chunk(responsive, estimates, times, codes)
 
 
 def generate_population(spec: PopulationSpec = PopulationSpec(),
@@ -226,28 +254,49 @@ def generate_population(spec: PopulationSpec = PopulationSpec(),
               for subject in range(spec.subjects)
               for material_idx, material in enumerate(spec.materials)
               for trial in range(spec.trials)]
-    hands = _simulate(chain, _rng(seed), [t[2] for t in trials],
-                      full_series=out_dir is not None)
-    records = []
-    for (subject, material_idx, material, trial), hand in zip(trials, hands):
-        estimates, channels, times, codes = hand
-        fp = build_fingerprint(readings(estimates), chain.baseline, material)
-        records.append(TrialRecord(
-            subject=f"S{subject + 1:02d}", material=material,
-            responsive={f: f in estimates for f in FINGERS}, fingerprint=fp))
-        if out_dir is not None:
-            epcs = [_epc(subject, material_idx, trial, ch) for ch in channels]
-            # rows ordered by (timestamp, channel): finger order I..V is also
-            # the channels' name order
-            name = f"subject{subject + 1:02d}_{material}_trial{trial + 1}.csv"
-            write_log((times, channels, epcs, codes), os.path.join(out_dir, name))
+    records, next_trial = [], iter(trials).__next__
+    for chunk in _simulate(chain, _rng(seed), [t[2] for t in trials],
+                           full_series=out_dir is not None):
+        row = 0
+        for flags, codes in zip(chunk.responsive.tolist(), chunk.estimates.tolist()):
+            subject, material_idx, material, trial = next_trial()
+            estimates = {f: code for f, code, flag in zip(FINGERS, codes, flags) if flag}
+            fp = build_fingerprint(readings(estimates), chain.baseline, material)
+            records.append(TrialRecord(
+                subject=f"S{subject + 1:02d}", material=material,
+                responsive=dict(zip(FINGERS, flags)), fingerprint=fp))
+            if out_dir is not None:
+                channels = list(estimates)
+                epcs = [_epc(subject, material_idx, trial, ch) for ch in channels]
+                # rows ordered by (timestamp, channel): finger order I..V is
+                # also the channels' name order
+                name = f"subject{subject + 1:02d}_{material}_trial{trial + 1}.csv"
+                write_log((chunk.times, channels, epcs, chunk.codes[row:row + len(channels)]),
+                          os.path.join(out_dir, name))
+            row += len(estimates)
     return records
 
 
-def _averaged(estimates: Mapping[str, float], air: Mapping[str, float]) -> float:
-    """A hand's averaged fingerprint from its windowed codes, without building one."""
-    deltas = {channel: air[channel] - code for channel, code in estimates.items()}
-    return sum(imputed_values(deltas)) / len(FINGERS)
+def _averaged(estimates: np.ndarray, responsive: np.ndarray, air: np.ndarray) -> np.ndarray:
+    """The averaged fingerprint of each hand of a chunk, bit for bit what
+    ``averaged_fingerprint(build_fingerprint(...))`` gives: the
+    differential codes, the unresponsive fingers filled with the mean of
+    the responsive ones, and each sum made by ``fingerprint.total`` over
+    the columns, so that every hand's sum is added finger by finger, left
+    to right from 0.0 (a missing finger adds 0.0, which changes no sum)."""
+    deltas = np.where(responsive, air - estimates, 0.0)
+    fill = total(deltas.T) / np.count_nonzero(responsive, axis=1)
+    return total(np.where(responsive, deltas, fill[:, None]).T) / len(FINGERS)
+
+
+def _class_indices(f_bar: np.ndarray, classes: Sequence[MaterialClass]) -> np.ndarray:
+    """The index of the class ``classify`` gives each averaged fingerprint:
+    the number of inner thresholds at or below it. The first value outside
+    the outer bounds goes to ``classify``, which raises for it."""
+    outside = (f_bar < classes[0].lower) | (f_bar > classes[-1].upper)
+    if outside.any():
+        classify(float(f_bar[outside.argmax()]), classes)
+    return np.searchsorted([cls.lower for cls in classes[1:]], f_bar, side="right")
 
 
 def monte_carlo_classification(n_hands: int, seed: int,
@@ -259,14 +308,15 @@ def monte_carlo_classification(n_hands: int, seed: int,
     if config is None:
         config = load_config()
     classes = config.classes()
-    expected = {material: cls.label for cls in classes
+    expected = {material: i for i, cls in enumerate(classes)
                 for material in cls.reference_materials}
     chain = _Chain(config, spec)
-    air = chain.baseline.codes
+    air = np.array([chain.baseline.codes[f] for f in FINGERS])
     hand_materials = [spec.materials[i % len(spec.materials)] for i in range(n_hands)]
-    correct = 0
-    for material, (estimates, _, _, _) in zip(
-            hand_materials, _simulate(chain, _rng(seed), hand_materials)):
-        correct += classify(_averaged(estimates, air), classes) == expected[material]
+    targets = np.array([expected[material] for material in hand_materials])
+    correct = start = 0
+    for chunk in _simulate(chain, _rng(seed), hand_materials):
+        labels = _class_indices(_averaged(chunk.estimates, chunk.responsive, air), classes)
+        correct += int(np.count_nonzero(labels == targets[start:start + len(labels)]))
+        start += len(labels)
     return correct / n_hands
-

@@ -18,8 +18,9 @@ those ``csv.writer`` writes. ``load_code_series`` reads both formats; the
 header row picks the columns. It parses the text once and reads it
 column by column: each sample is checked alike in bulk (finite
 non-negative timestamp, known channel, code in storage range), and a
-read log's ``rssi_dbm`` must be empty or finite. ``write_log`` refuses,
-before any file is made, a block that breaks the same column rules. If a check fails, the
+read log's ``rssi_dbm`` must be empty or finite. ``write_log`` and
+``write_series`` refuse, before any file is made, what breaks the same
+column rules or would not load back as written. If a check fails, the
 text is read again row by row, so each error still names the first bad
 ``path:line``. Samples are grouped per channel and sorted by timestamp;
 a timestamp repeated on one channel is an error.
@@ -43,7 +44,8 @@ from itertools import chain, compress, islice
 from typing import Literal, Mapping, NoReturn, Sequence
 
 from .errors import DataError
-from .files import csv_text, finite, read_json, read_text, write_json, write_lines
+from .files import (csv_text, finite, json_field, read_json, read_text, write_json,
+                    write_lines)
 from .fingerprint import CalibrationBaseline
 from .hand import FINGERS
 from .ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
@@ -122,15 +124,21 @@ def estimate_window(codes: Sequence[int], window: int, estimator: Estimator) -> 
     its two middle values. Integer sums are exact, so both equal, bit
     for bit, what ``np.mean`` and ``np.median`` give for the window.
     """
-    if window < 1:
-        raise DataError(f"window must be >= 1, got {window}")
-    if window > len(codes):
-        raise DataError(f"window {window} exceeds series length {len(codes)}")
+    check_window(window, len(codes), estimator)
     if estimator == "mean":
         return sum(codes[:window]) / window
-    if estimator == "median":
-        return sorted_median(sorted(codes[:window]))
-    raise DataError(f"unknown estimator {estimator!r}")
+    return sorted_median(sorted(codes[:window]))
+
+
+def check_window(window: int, length: int, estimator: Estimator) -> None:
+    """Raise ``DataError`` unless a series of ``length`` codes has a window
+    of ``window`` and ``estimator`` names an estimator."""
+    if window < 1:
+        raise DataError(f"window must be >= 1, got {window}")
+    if window > length:
+        raise DataError(f"window {window} exceeds series length {length}")
+    if estimator not in ("mean", "median"):
+        raise DataError(f"unknown estimator {estimator!r}")
 
 
 def sorted_median(head: Sequence[int]) -> float:
@@ -169,10 +177,12 @@ def write_log(block, path) -> None:
     timestamp and that column of codes; the bytes are those
     ``csv.writer`` writes. A block the loader would refuse is a
     ``DataError`` before any file is made: parts that disagree in length,
-    an unknown or repeated channel, an EPC that is no string, or a sample
-    that breaks the loader's column rules (``_samples_ok``): a timestamp
-    that is negative or not finite, a code that is no integer or lies
-    outside the storage range.
+    no timestamp or no channel, an unknown or repeated channel, an EPC
+    that is no string or holds a line break, a sample that breaks the
+    loader's column rules (``_samples_ok``): a timestamp that is negative
+    or not finite, a code that is no integer or lies outside the storage
+    range; and, so that the file loads back as written, timestamps that
+    do not strictly increase.
     """
     times, channels, epcs, codes = block
     times = list(map(float, _plain(times)))
@@ -185,18 +195,26 @@ def write_log(block, path) -> None:
             raise DataError(f"unknown channel {channel!r}")
         if not isinstance(epc, str):
             raise DataError(f"EPCs must be strings, got {epc!r}")
+        if "\r" in epc or "\n" in epc:
+            # csv leaves a lone "\r" unquoted, and the reader ends the row there
+            raise DataError(f"EPCs must be one line, got {epc!r}")
         if len(row) != len(times):
             raise DataError(f"channel {channel} has {len(row)} codes "
                             f"for {len(times)} timestamps")
     if len(set(channels)) != len(channels):
         raise DataError(f"a code block names a channel twice: {list(channels)}")
-    if times and rows and not _samples_ok(times, *_code_extremes(codes, rows)):
+    if not (times and rows):
+        raise DataError(f"a code block needs a timestamp and a channel, got "
+                        f"{len(times)} timestamps and {len(rows)} channels")
+    if not _samples_ok(times, *_code_extremes(codes, rows)):
         # the first sample, in file order, that the loader would refuse
         for t, *column in zip(times, *rows):
             for channel, code in zip(channels, column):
                 if not isinstance(code, numbers.Integral) or isinstance(code, bool):
                     raise DataError(f"codes must be integers, got {code!r}")
                 _check_sample(channel, t, code)
+    if not all(map(operator.lt, times, times[1:])):
+        raise DataError("timestamps must be strictly increasing")
     # csv quotes the constant fields; braces are no CSV syntax, so doubling
     # them first leaves the quoting as it is
     template = "".join(csv_text(["{0}", _escaped(epc), _escaped(channel), f"{{{k}}}", ""], ())
@@ -206,7 +224,19 @@ def write_log(block, path) -> None:
 
 def write_series(series_set: Mapping[str, CodeSeries], path) -> None:
     """Write code series, channel by channel in finger order, from one
-    line template per channel."""
+    line template per channel. A set the loader would refuse, or would
+    not load back equal, is a ``DataError`` before any file is made: no
+    series, an unknown channel, a series without samples or with a
+    negative timestamp."""
+    if not series_set:
+        raise DataError("no code series to write")
+    for channel, series in series_set.items():
+        if channel not in _CHANNELS:
+            raise DataError(f"unknown channel {channel!r}")
+        if not len(series):
+            raise DataError(f"channel {channel} has no samples")
+        # a series' timestamps are finite and increasing, its codes in range
+        _check_sample(channel, series.times[0], series.codes[0])
     write_lines(path, SERIES_HEADER, chain.from_iterable(
         map(csv_text(["{0}", _escaped(channel), "{1}"], ()).format,
             series_set[channel].times, series_set[channel].codes)
@@ -371,5 +401,6 @@ def save_baseline(baseline: CalibrationBaseline, path) -> None:
 
 def load_baseline(path) -> CalibrationBaseline:
     return read_json(path, "baseline object", lambda payload: CalibrationBaseline(
-        codes=payload["codes"], timestamp=payload.get("timestamp", ""),
-        gaps=tuple(payload.get("gaps", ()))))
+        codes=json_field(payload, "codes", dict),
+        timestamp=json_field(payload, "timestamp", str, default=""),
+        gaps=tuple(json_field(payload, "gaps", list, default=()))))

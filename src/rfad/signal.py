@@ -148,8 +148,9 @@ def _normal_rows(seeds, sd: float, k: int) -> np.ndarray:
     for row, (state, inc) in zip(rows, pcg64_states(seeds)):
         bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                                "state": {"state": state, "inc": inc}}
-        row[:] = generator.normal(0.0, sd, size=k)
-    return rows
+        generator.standard_normal(out=row)
+    # normal(0.0, sd) is 0.0 + sd * standard_normal(), draw for draw
+    return 0.0 + sd * rows
 
 
 def synthesize_series(model: FluctuationModel, duration: float, seed: int) -> CodeSeries:

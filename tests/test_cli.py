@@ -504,6 +504,60 @@ class TestJsonKinds:
         assert not files["out"].exists()
 
 
+class TestJsonFieldTypes:
+    """A field of the wrong JSON type is refused by the path, the entry
+    and the field, not by a Python error about using it."""
+
+    @pytest.mark.parametrize("command, payload, error", [
+        ("stats", [dict(_as_record(_fp()), fingerprint=5)],
+         "entry 0: field 'fingerprint' must be an object or null, found a number"),
+        ("stats", [_as_record(_fp()), dict(_as_record(_fp()), responsive=["I"])],
+         "entry 1: field 'responsive' must be an object, found an array"),
+        ("stats", [_as_record(dict(_fp(), values=5))],
+         "entry 0: field 'values' must be an object, found a number"),
+        ("classify", [dict(_fp(), values=5)],
+         "entry 0: field 'values' must be an object, found a number"),
+        ("classify", [_fp(), _fp(), dict(_fp(), imputed="no")],
+         "entry 2: field 'imputed' must be an object, found a string"),
+        ("export", [dict(_fp(), n_responsive=True)],
+         "entry 0: field 'n_responsive' must be a number, found a boolean"),
+        ("export", [dict(_fp(), n_responsive=None)],
+         "entry 0: field 'n_responsive' must be a number, found null"),
+        ("classify", [{"imputed": {}}], "entry 0: missing field 'values'"),
+        ("fingerprint", {"codes": 5}, "field 'codes' must be an object, found a number"),
+        ("fingerprint", {"codes": {f: 300 for f in FINGERS}, "gaps": "I"},
+         "field 'gaps' must be an array, found a string"),
+        ("fingerprint", {"codes": {f: 300 for f in FINGERS}, "timestamp": 0},
+         "field 'timestamp' must be a string, found a number"),
+        ("fingerprint", {"codes": {"I": "a"}},
+         "baseline code 'a' for channel I must be a number in the storage range"),
+    ])
+    def test_wrong_type_names_path_entry_and_field(self, tmp_path, capsys, air_log,
+                                                    command, payload, error):
+        given = tmp_path / "given.json"
+        given.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        argv = {"stats": ["stats", "--records", given],
+                "classify": ["classify", "--fingerprints", given],
+                "export": ["export", given, "-o", out],
+                "fingerprint": ["fingerprint", air_log, "--baseline", given, "-o", out],
+                }[command]
+        capsys.readouterr()
+        assert run(*map(str, argv)) == 2
+        assert capsys.readouterr().err.startswith(f"rfad: {given}: {error}")
+        assert not out.exists()
+
+    def test_valid_files_load_as_before(self, tmp_path, capsys):
+        records = tmp_path / "records.json"
+        records.write_text(json.dumps([_as_record(_fp()),
+                                       dict(_as_record(_fp()), fingerprint=None),
+                                       dict(_as_record(_fp()), fingerprint={})]))
+        assert run("stats", "--records", str(records)) == 0
+        fps = tmp_path / "fps.json"
+        fps.write_text(json.dumps([dict(_fp(), n_responsive=5.0)]))
+        assert run("classify", "--fingerprints", str(fps)) == 0
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("case", sorted(_BAD_JSON))
     @pytest.mark.parametrize("command", ["classify", "export", "stats", "fingerprint"])

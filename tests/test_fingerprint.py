@@ -8,9 +8,9 @@ from rfad.errors import DataError, HandUnreadError
 from rfad.fingerprint import (CalibrationBaseline, ChannelReading, Fingerprint,
                               averaged_fingerprint, build_fingerprint,
                               fingerprint_from_record,
-                              fingerprint_record, load_fingerprints,
+                              fingerprint_record, imputed_values, load_fingerprints,
                               pressure_uncertainty, propagated_uncertainty,
-                              save_fingerprints)
+                              save_fingerprints, total)
 from rfad.hand import FINGERS
 
 BASELINE = CalibrationBaseline(codes={f: 150.0 for f in FINGERS})
@@ -108,6 +108,20 @@ class TestAveragedFingerprint:
             {"I": 140.0, "II": 160.0, "III": 145.0, "IV": 155.0, "V": 150.0}),
             BASELINE)
         assert averaged_fingerprint(fp) == 0.0
+
+    def test_sums_add_left_to_right_from_zero(self):
+        # a compensated sum (Python >= 3.12 sum, math.fsum) keeps the two 1.0s
+        values = {"I": 1e16, "II": 1.0, "III": 1.0, "IV": -1e16, "V": 0.5}
+        assert total(values.values()) == 0.5
+        assert math.fsum(values.values()) == 2.5
+        assert imputed_values(dict(list(values.items())[:4])) == [
+            1e16, 1.0, 1.0, -1e16, 0.0]
+        fp = Fingerprint(values=values, imputed=dict.fromkeys(FINGERS, False),
+                         n_responsive=5)
+        assert averaged_fingerprint(fp) == 0.5 / 5
+        squares = [(0.3 * abs(v)) ** 2 for v in values.values()]
+        folded = ((((0.0 + squares[0]) + squares[1]) + squares[2]) + squares[3]) + squares[4]
+        assert propagated_uncertainty(fp) == math.sqrt(folded) / 5
 
 
 class TestUncertainty:

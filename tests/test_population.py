@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfad import ic as _ic
-from rfad.classify import classify, reliability_report
+from rfad.classify import classify, default_classes, reliability_report
 from rfad.config import load_config
 from rfad.errors import DataError, UnclassifiableError
 from rfad.fingerprint import (CalibrationBaseline, ChannelReading,
@@ -18,11 +19,12 @@ from rfad.fingerprint import (CalibrationBaseline, ChannelReading,
                               readings)
 from rfad.hand import FINGERS
 from rfad.materials import load_materials
+from rfad import population
 from rfad.population import (DEFAULT_CLASS_SDS, DEFAULT_COUNT_PROBS,
                              DEFAULT_FINGER_WEIGHTS, DEFAULT_POPULATION_SEED,
-                             PopulationSpec, _Chain, _chunk_hands,
-                             _averaged, _draw_responsive, _simulate,
-                             generate_population, load_records,
+                             PopulationSpec, _Chain, _chunk_hands, _averaged,
+                             _class_indices, _draw_responsive, _simulate,
+                             _window_estimates, generate_population, load_records,
                              monte_carlo_classification, save_records)
 from rfad.ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
 from rfad.readlog import estimate_window, load_code_series
@@ -99,12 +101,28 @@ def _oracle_simulate_hand(material, rng, config, spec):
     return readings, log_rows, baseline
 
 
+def _per_hand(chunks):
+    """The hands of ``_simulate``'s chunks one at a time, as
+    ``(estimates, channels, times, codes)``: the window estimate of each
+    responsive channel by name, and one row of ``codes`` per responsive
+    channel."""
+    for chunk in chunks:
+        assert np.isnan(chunk.estimates[~chunk.responsive]).all()
+        assert not np.isnan(chunk.estimates[chunk.responsive]).any()
+        row = 0
+        for flags, values in zip(chunk.responsive.tolist(), chunk.estimates.tolist()):
+            estimates = {f: v for f, v, flag in zip(FINGERS, values, flags) if flag}
+            yield estimates, list(estimates), chunk.times, chunk.codes[row:row + len(estimates)]
+            row += len(estimates)
+        assert row == len(chunk.codes)
+
+
 def _one_hand(material, rng, config, spec):
     """One hand through the batched core, in the oracle's return shape:
     ``(readings, log_rows, baseline)`` with ``(channel, t, code)`` rows."""
     chain = _Chain(config, spec)
     estimates, channels, times, codes = next(
-        _simulate(chain, rng, [material], full_series=True))
+        _per_hand(_simulate(chain, rng, [material], full_series=True)))
     log_rows = [(channel, t, c) for channel, row in zip(channels, codes.tolist())
                 for t, c in zip(times.tolist(), row)]
     return readings(estimates), log_rows, chain.baseline
@@ -183,6 +201,16 @@ class TestPopulationSpec:
         with pytest.raises(DataError, match=f"^{field} need"):
             PopulationSpec(**{field: value})
 
+    @pytest.mark.parametrize("sd", [-1.0, -1e-300, float("nan"), float("inf"), "a", None])
+    def test_channel_jitter_sd_must_be_finite_and_non_negative(self, sd):
+        with pytest.raises(DataError, match="^channel_jitter_sd must be a finite "
+                                            "non-negative SD, got "):
+            PopulationSpec(channel_jitter_sd=sd)
+
+    def test_zero_channel_jitter_runs(self):
+        spec = PopulationSpec(channel_jitter_sd=0.0)
+        assert monte_carlo_classification(30, seed=2, spec=spec) >= 0.9
+
     def test_class_sds_need_only_the_spec_materials(self):
         spec = PopulationSpec(materials=("olive_oil",), class_sds={"olive_oil": 5.0})
         assert monte_carlo_classification(10, seed=1, spec=spec) == 1.0
@@ -219,7 +247,7 @@ class TestStreamPreservation:
         oracle_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         chain = _Chain(config, spec)
         for material, (estimates, _, _, codes) in zip(
-                materials, _simulate(chain, rng, materials)):
+                materials, _per_hand(_simulate(chain, rng, materials))):
             expected, _, baseline = _oracle_simulate_hand(
                 material, oracle_rng, config, spec)
             assert readings(estimates) == expected
@@ -240,7 +268,8 @@ class TestStreamPreservation:
         materials = [spec.materials[i] for i in pick]
         oracle_rng, rng = np.random.default_rng(31), np.random.default_rng(31)
         for material, (estimates, channels, times, codes) in zip(
-                materials, _simulate(chain, rng, materials, full_series=full_series)):
+                materials, _per_hand(_simulate(chain, rng, materials,
+                                               full_series=full_series))):
             expected, log_rows, _ = _oracle_simulate_hand(material, oracle_rng, config, spec)
             assert readings(estimates) == expected
             rows = [(channel, t, c) for channel, row in zip(channels, codes.tolist())
@@ -250,6 +279,14 @@ class TestStreamPreservation:
                 log_rows = [r for channel in channels
                             for r in [r for r in log_rows if r[0] == channel][:config.window]]
             assert rows == log_rows
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("sd", [0.0, 1e-300, 0.37, 2.0, 5.0, 11.0, 33.0])
+    def test_scaled_standard_normal_is_the_normal_draw(self, sd):
+        rng, oracle_rng = np.random.default_rng(6), np.random.default_rng(6)
+        for _ in range(2000):
+            # repr, so that the sign of a zero counts too
+            assert repr(0.0 + sd * rng.standard_normal()) == repr(oracle_rng.normal(0.0, sd))
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     @pytest.mark.parametrize("count_probs", [
@@ -263,7 +300,8 @@ class TestStreamPreservation:
         chain = _Chain(load_config(), spec)
         oracle_rng, rng = np.random.default_rng(8), np.random.default_rng(8)
         for _ in range(500):
-            assert _draw_responsive(rng, chain) == _oracle_draw_responsive(oracle_rng, spec)
+            assert ([FINGERS[i] for i in _draw_responsive(rng, chain)]
+                    == _oracle_draw_responsive(oracle_rng, spec))
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     @pytest.mark.parametrize("count_probs", [
@@ -438,10 +476,86 @@ def _label(f_bar):
 @settings(derandomize=True, max_examples=500, deadline=None, database=None)
 @given(_touched_codes())
 def test_monte_carlo_average_matches_the_fingerprint_objects(case):
-    """The Monte Carlo's per-hand average is, bit for bit, the averaged
-    fingerprint of the objects it no longer builds, and gets its label."""
+    """The Monte Carlo's average of a hand's row is, bit for bit, the
+    averaged fingerprint of the objects it no longer builds, and gets its
+    label."""
     baseline, codes = case
-    f_bar = _averaged(codes, baseline.codes)
+    air = np.array([baseline.codes[f] for f in FINGERS])
+    responsive = np.array([[f in codes for f in FINGERS]])
+    estimates = np.array([[codes.get(f, math.nan) for f in FINGERS]])
+    f_bar = _averaged(estimates, responsive, air)
     expected = averaged_fingerprint(build_fingerprint(readings(codes), baseline))
-    assert f_bar == expected
-    assert _label(f_bar) == _label(expected)
+    assert f_bar.tolist() == [expected]
+    try:
+        label = _CLASSES[_class_indices(f_bar, _CLASSES)[0]].label
+    except UnclassifiableError as exc:
+        label = str(exc)
+    assert label == _label(expected)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.lists(st.lists(st.integers(0, 511), min_size=12, max_size=12), min_size=1,
+                max_size=6), st.integers(1, 12), st.sampled_from(["mean", "median"]))
+def test_window_estimates_match_estimate_window(rows, window, estimator):
+    got = _window_estimates(np.array(rows), window, estimator)
+    assert got.tolist() == [estimate_window(row, window, estimator) for row in rows]
+
+
+class TestChunkOracle:
+    """The Monte Carlo's chunk path against the scalar path of the
+    hand-by-hand oracle: readings -> build_fingerprint ->
+    averaged_fingerprint -> classify, hand by hand, across a chunk
+    boundary."""
+
+    @pytest.mark.parametrize("seed", [2, 11, 40])
+    @pytest.mark.parametrize("estimator", ["mean", "median"])
+    @pytest.mark.parametrize("class_sds", [DEFAULT_CLASS_SDS,
+                                           dict.fromkeys(DEFAULT_CLASS_SDS, 0.0)])
+    def test_average_and_label_per_hand(self, seed, estimator, class_sds):
+        config = dataclasses.replace(load_config(), estimator=estimator)
+        spec = PopulationSpec(class_sds=class_sds)
+        chain, classes = _Chain(config, spec), config.classes()
+        air = np.array([chain.baseline.codes[f] for f in FINGERS])
+        n = _chunk_hands(chain, False) + 4
+        materials = [spec.materials[i % len(spec.materials)] for i in range(n)]
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        chunks = list(_simulate(chain, rng, materials))
+        assert len(chunks) == 2
+        f_bars = [_averaged(c.estimates, c.responsive, air) for c in chunks]
+        labels = np.concatenate([_class_indices(f_bar, classes) for f_bar in f_bars])
+        f_bars = np.concatenate(f_bars)
+        for material, f_bar, label in zip(materials, f_bars.tolist(), labels.tolist()):
+            hand, _, baseline = _oracle_simulate_hand(material, oracle_rng, config, spec)
+            expected = averaged_fingerprint(build_fingerprint(hand, baseline))
+            assert f_bar == expected
+            assert classes[label].label == classify(expected, classes)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_first_hand_outside_the_classes_raises_as_classify_does(self, monkeypatch):
+        # hands 5 and 8 of the second chunk land beyond +-span
+        chunk = _chunk_hands(_Chain(load_config(), PopulationSpec()), False)
+        averaged, pushed = population._averaged, []
+
+        def pushing(estimates, responsive, air):
+            f_bar = averaged(estimates, responsive, air)
+            if pushed:
+                f_bar[5] = -1000.5
+                f_bar[8] = 2000.0
+            pushed.append(len(f_bar))
+            return f_bar
+
+        monkeypatch.setattr(population, "_averaged", pushing)
+        span = load_config().classes()[-1].upper
+        message = f"value -1000.5 is {1000.5 - span:.3g} outside [{-span}, {span}]"
+        with pytest.raises(UnclassifiableError, match=f"^{re.escape(message)}$") as exc:
+            monte_carlo_classification(chunk + 20, seed=3)
+        assert exc.value.distance == 1000.5 - span
+        assert pushed == [chunk, 20]
+
+    def test_class_indices_follow_classify(self):
+        classes = default_classes({"a": 10.0, "b": 50.0, "c": 90.0}, span=200.0)
+        f_bar = np.array([-200.0, 29.999, 30.0, 69.9, 70.0, 200.0])
+        assert _class_indices(f_bar, classes).tolist() == [
+            [cls.label for cls in classes].index(classify(x, classes)) for x in f_bar.tolist()]
+        with pytest.raises(UnclassifiableError, match="^value 200.5 is 0.5 outside"):
+            _class_indices(np.array([0.0, 200.5, -300.0]), classes)

@@ -217,6 +217,9 @@ class TestWriteLogRefusesWhatTheLoaderRefuses:
         ((_times(1), [["I"]], ["E"], [[200]]), "unknown channel ['I']"),
         ((_times(1), ["I"], [None], [[200]]), "EPCs must be strings, got None"),
         ((_times(1), ["I"], [7], [[200]]), "EPCs must be strings, got 7"),
+        ((_times(1), ["I"], ["\r"], [[200]]), "EPCs must be one line, got '\\r'"),
+        ((_times(1), ["I", "II"], ["E", "a\nb"], [[200], [200]]),
+         "EPCs must be one line, got 'a\\nb'"),
         ((_times(2), ["I", "II"], ["E", "F"], [[200, 201], [202, 600]]),
          "sensor_code 600 outside [0, 511]"),
         ((_times(2), ["I"], ["E"], [[-1, 200]]), "sensor_code -1 outside [0, 511]"),
@@ -237,6 +240,13 @@ class TestWriteLogRefusesWhatTheLoaderRefuses:
          "timestamp must be finite and non-negative, got nan"),
         ((np.array([0.0, math.inf]), ["I"], ["E"], np.array([[200, 201]])),
          "timestamp must be finite and non-negative, got inf"),
+        (([], ["I"], ["E"], [[]]), "needs a timestamp and a channel, got 0 timestamps"),
+        ((np.array([]), ["I", "II"], ["E", "F"], np.zeros((2, 0), dtype=int)),
+         "needs a timestamp and a channel, got 0 timestamps"),
+        ((_times(2), [], [], []), "needs a timestamp and a channel, got 2 timestamps "
+                                  "and 0 channels"),
+        (([0.7, 0.7], ["I"], ["E"], [[200, 201]]), "timestamps must be strictly increasing"),
+        (([0.7, 0.0], ["I"], ["E"], [[200, 201]]), "timestamps must be strictly increasing"),
     ])
     def test_refused_before_any_file(self, tmp_path, block, error):
         target = tmp_path / "log.csv"
@@ -253,6 +263,76 @@ class TestWriteLogRefusesWhatTheLoaderRefuses:
     def test_the_whole_code_range_loads_back(self, tmp_path, codes):
         write_log(([0.0, 0.7], ["V"], [""], codes), tmp_path / "log.csv")
         assert load_code_series(tmp_path / "log.csv")["V"].codes == (0, 511)
+
+
+class TestWriteSeriesRefusesWhatTheLoaderRefuses:
+    @pytest.mark.parametrize("series_set,error", [
+        ({}, "no code series to write"),
+        ({"VI": CodeSeries([0.0], [200])}, "unknown channel 'VI'"),
+        ({"I": CodeSeries([0.0], [200]), 3: CodeSeries([0.0], [200])}, "unknown channel 3"),
+        ({"I": CodeSeries([], [])}, "channel I has no samples"),
+        ({"I": CodeSeries([0.0], [200]), "II": CodeSeries([], [])},
+         "channel II has no samples"),
+        ({"II": CodeSeries([-0.7, 0.0], [200, 201])},
+         "timestamp must be finite and non-negative, got -0.7"),
+    ])
+    def test_refused_before_any_file(self, tmp_path, series_set, error):
+        target = tmp_path / "series.csv"
+        target.write_bytes(b"old\n")
+        with pytest.raises(DataError, match=re.escape(error)):
+            write_series(series_set, target)
+        assert target.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["series.csv"]
+
+
+# strictly increasing non-negative timestamps, and code rows to match
+_RISING_TIMES = st.lists(st.floats(0.0, 1e12, allow_nan=False), min_size=1,
+                         max_size=8, unique=True).map(sorted)
+_CODE = st.integers(CODE_STORAGE_MIN, CODE_STORAGE_MAX)
+
+
+@st.composite
+def _log_blocks(draw):
+    times = draw(_RISING_TIMES)
+    channels = draw(st.lists(st.sampled_from(FINGERS), min_size=1, max_size=5, unique=True))
+    epc = st.text(st.characters(codec="utf-8", exclude_characters="\r\n"), max_size=6)
+    epcs = draw(st.lists(epc, min_size=len(channels), max_size=len(channels)))
+    codes = draw(st.lists(st.lists(_CODE, min_size=len(times), max_size=len(times)),
+                          min_size=len(channels), max_size=len(channels)))
+    return times, channels, epcs, codes
+
+
+@st.composite
+def _series_sets(draw):
+    channels = draw(st.lists(st.sampled_from(FINGERS), min_size=1, max_size=5, unique=True))
+    series_set = {}
+    for channel in channels:
+        times = draw(_RISING_TIMES)
+        codes = draw(st.lists(_CODE, min_size=len(times), max_size=len(times)))
+        series_set[channel] = CodeSeries(times, codes)
+    return series_set
+
+
+class TestWritersRoundTrip:
+    """Whatever a writer accepts loads back equal."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(_log_blocks())
+    def test_write_log(self, block):
+        times, channels, _, codes = block
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "log.csv")
+            write_log(block, path)
+            assert load_code_series(path) == {
+                channel: CodeSeries(times, row) for channel, row in zip(channels, codes)}
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(_series_sets())
+    def test_write_series(self, series_set):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "series.csv")
+            write_series(series_set, path)
+            assert load_code_series(path) == series_set
 
 
 class TestSeriesFromRows:
