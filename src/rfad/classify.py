@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .errors import DataError, UnclassifiableError
-from .files import json_field, read_json, write_json
+from .files import is_utf8_text, json_field, read_json, write_json
 from .fingerprint import Fingerprint, fingerprint_from_record, fingerprint_record
 from .hand import FINGERS
 
@@ -50,8 +50,9 @@ class TrialRecord:
             raise DataError("trial record needs exactly five channel slots")
         if not all(isinstance(flag, bool) for flag in self.responsive.values()):
             raise DataError(f"responsive flags must be true or false: {self.responsive}")
-        if not isinstance(self.subject, str) or not isinstance(self.material, str):
-            raise DataError("trial record subject and material must be strings")
+        if not (is_utf8_text(self.subject) and is_utf8_text(self.material)):
+            raise DataError(f"trial record subject and material must be strings UTF-8 "
+                            f"can encode, got {self.subject!r} and {self.material!r}")
         if self.fingerprint is not None and any(
                 self.responsive[f] == self.fingerprint.imputed[f] for f in FINGERS):
             raise DataError(f"responsive flags {self.responsive} disagree with the "

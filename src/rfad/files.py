@@ -90,12 +90,34 @@ def read_text(path) -> str:
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def is_utf8_text(value) -> bool:
+    """Whether ``value`` is a str that UTF-8 can encode, as every file
+    rfad writes must: a lone surrogate, which a JSON escape such as
+    ``"\\ud800"`` or an undecodable byte of a command line makes, is not."""
+    if not isinstance(value, str):
+        return False
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """``payload`` as JSON text; a NaN or an infinity, which no loader
+    reads back, is a ``DataError``."""
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise DataError("a NaN or an infinity cannot be written as JSON") from None
 
 
 def write_json(path, payload) -> None:
-    write_text(path, json_text(payload))
+    try:
+        text = json_text(payload)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    write_text(path, text)
 
 
 def finite(token: str) -> float:

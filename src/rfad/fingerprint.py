@@ -11,11 +11,12 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DataError, HandUnreadError
-from .files import json_field, read_json, write_json
+from .files import is_utf8_text, json_field, read_json, write_json
 from .hand import FINGERS
 from .ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
 
@@ -78,9 +79,13 @@ class Fingerprint:
         if not 1 <= self.n_responsive == sum(not f for f in self.imputed.values()):
             raise DataError(f"n_responsive {self.n_responsive} must count the "
                             f"fingers not imputed, at least one")
+        # an int beyond the float range is refused too, so every value has a float
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                   and math.isfinite(v) for v in self.values.values()):
+                   and abs(v) <= sys.float_info.max for v in self.values.values()):
             raise DataError(f"fingerprint values must be finite numbers: {self.values}")
+        if self.material_label is not None and not is_utf8_text(self.material_label):
+            raise DataError(f"material label {self.material_label!r} must be None "
+                            f"or a string UTF-8 can encode")
 
     def responsive_values(self) -> list[float]:
         return [self.values[f] for f in FINGERS if not self.imputed[f]]
@@ -131,7 +136,7 @@ def build_fingerprint(readings: Sequence[ChannelReading],
 def fingerprint_label(fp: Fingerprint, index: int) -> str:
     """The material label of the ``index``-th fingerprint of a file, or
     ``fingerprint-<index + 1>`` where it has none."""
-    return str(fp.material_label or f"fingerprint-{index + 1}")
+    return fp.material_label or f"fingerprint-{index + 1}"
 
 
 def averaged_fingerprint(fp: Fingerprint) -> float:
@@ -178,7 +183,8 @@ def fingerprint_from_record(record: dict) -> Fingerprint:
     return Fingerprint(values=dict(json_field(record, "values", dict)),
                        imputed=dict(json_field(record, "imputed", dict)),
                        n_responsive=int(json_field(record, "n_responsive", int, float)),
-                       material_label=record.get("material"))
+                       material_label=json_field(record, "material", str, type(None),
+                                                 default=None))
 
 
 def save_fingerprints(fps: Sequence[Fingerprint], path) -> None:

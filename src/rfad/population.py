@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -23,7 +24,7 @@ from .classify import (DEFAULT_POPULATION_SEED, MaterialClass, TrialRecord,  # n
                        classify, load_records, save_records)
 from .config import SessionConfig, load_config
 from .errors import DataError
-from .fingerprint import CalibrationBaseline, build_fingerprint, readings, total
+from .fingerprint import CalibrationBaseline, Fingerprint, total
 from .hand import FINGERS
 from .materials import REFERENCE_LIQUIDS, load_materials
 from .readlog import Estimator, check_window, write_log
@@ -121,11 +122,12 @@ class _Chain:
         self.spec = spec
         self.baseline = CalibrationBaseline(
             codes={channel: float(config.air_code(channel)) for channel in FINGERS})
+        self.air = np.array([self.baseline.codes[f] for f in FINGERS])
         # entry m: P(at most m + 1 fingers respond), scaled to end at 1
         # as numpy's ``choice`` scales it
         cdf = np.cumsum(np.asarray(spec.count_probs, dtype=float))
         self.count_cdf = (cdf / cdf[-1]).tolist()
-        self.weights = np.array([spec.finger_weights[f] for f in FINGERS], dtype=float)
+        self.weights = [float(spec.finger_weights[f]) for f in FINGERS]
         eps = {name: material.epsilon for name, material in load_materials().items()}
         # per material of the spec: the touched code of each channel, and the
         # fluctuation preset, whose baseline is a placeholder (each
@@ -142,8 +144,10 @@ def _draw_responsive(rng: np.random.Generator, chain: _Chain) -> list[int]:
     # the draw numpy's choice(5, p=count_probs) makes: one uniform, placed
     # on the cumulative probabilities
     m = 1 + bisect.bisect_right(chain.count_cdf, rng.random())
-    # weighted sampling without replacement (exponential race)
-    keys = (rng.exponential(size=len(FINGERS)) / chain.weights).tolist()
+    # weighted sampling without replacement (exponential race); a Python
+    # float quotient is the IEEE quotient numpy's division gives
+    keys = list(map(operator.truediv, rng.exponential(size=len(FINGERS)).tolist(),
+                    chain.weights))
     return sorted(sorted(range(len(FINGERS)), key=keys.__getitem__)[:m])
 
 
@@ -194,18 +198,27 @@ def _simulate(chain: _Chain, rng: np.random.Generator, materials: Sequence[str],
     ``exponential``), the hand's pressure offset, then per responsive
     channel in finger order its jitter and its series seed. Each normal
     draw is taken as ``0.0 + sd * standard_normal()``, the value and the
-    stream of ``normal(0.0, sd)``. The series themselves come from their
-    own seeds, so they are made after the draws of a chunk of hands, one
-    ``synthesize_block`` per material; without ``full_series`` only the
-    estimation window is made.
+    stream of ``normal(0.0, sd)``. Each series seed is the value of
+    ``integers(2 ** 31)``, which on PCG64 is ``next_uint32() >> 1``
+    (Lemire's method never rejects a range of 2**31): the low half of a
+    fresh 64-bit word from ``random_raw``, whose high half the generator
+    keeps for its next 32-bit draw, or that kept half. No other draw
+    here reads the kept half, so each chunk reads it from
+    ``bit_generator.state`` once and writes it back after its draws. The
+    series themselves come from their own seeds, so they are made after
+    the draws of a chunk of hands, one ``synthesize_block`` per material;
+    without ``full_series`` only the estimation window is made.
     """
     config, spec = chain.config, chain.spec
     s_min, s_max = config.ic.s_min, config.ic.s_max
     jitter_sd = spec.channel_jitter_sd
     samples = None if full_series else config.window
     size = _chunk_hands(chain, full_series)
+    bits = rng.bit_generator
     for start in range(0, len(materials), size):
         names = materials[start:start + size]
+        state = bits.state
+        kept, upper = state["has_uint32"], state["uinteger"]
         # hand * 5 + finger of each series row of the chunk, in row order;
         # per material, its rows, their target codes and their seeds
         positions = []
@@ -218,9 +231,18 @@ def _simulate(chain: _Chain, rng: np.random.Generator, materials: Sequence[str],
                 jitter = 0.0 + jitter_sd * rng.standard_normal()
                 target = round(touched[finger] - hand_offset - jitter)
                 targets.append(min(max(target, s_min), s_max))
-                seeds.append(int(rng.integers(2 ** 31)))
+                if kept:
+                    seeds.append(upper >> 1)
+                else:
+                    word = bits.random_raw()
+                    seeds.append((word & 0xFFFFFFFF) >> 1)
+                    upper = word >> 32
+                kept ^= 1
                 rows.append(len(positions))
                 positions.append(hand * len(FINGERS) + finger)
+        state = bits.state
+        state["has_uint32"], state["uinteger"] = kept, upper
+        bits.state = state
         codes = None
         for material, (rows, targets, seeds) in blocks.items():
             times, block = synthesize_block(chain.fluctuation[material],
@@ -258,35 +280,44 @@ def generate_population(spec: PopulationSpec = PopulationSpec(),
     for chunk in _simulate(chain, _rng(seed), [t[2] for t in trials],
                            full_series=out_dir is not None):
         row = 0
-        for flags, codes in zip(chunk.responsive.tolist(), chunk.estimates.tolist()):
+        for flags, values in zip(chunk.responsive.tolist(),
+                                 _imputed(chunk.estimates, chunk.responsive, chain.air).tolist()):
             subject, material_idx, material, trial = next_trial()
-            estimates = {f: code for f, code, flag in zip(FINGERS, codes, flags) if flag}
-            fp = build_fingerprint(readings(estimates), chain.baseline, material)
+            fp = Fingerprint(values=dict(zip(FINGERS, values)),
+                             imputed={f: not flag for f, flag in zip(FINGERS, flags)},
+                             n_responsive=flags.count(True), material_label=material)
             records.append(TrialRecord(
                 subject=f"S{subject + 1:02d}", material=material,
                 responsive=dict(zip(FINGERS, flags)), fingerprint=fp))
             if out_dir is not None:
-                channels = list(estimates)
+                channels = [f for f, flag in zip(FINGERS, flags) if flag]
                 epcs = [_epc(subject, material_idx, trial, ch) for ch in channels]
                 # rows ordered by (timestamp, channel): finger order I..V is
                 # also the channels' name order
                 name = f"subject{subject + 1:02d}_{material}_trial{trial + 1}.csv"
                 write_log((chunk.times, channels, epcs, chunk.codes[row:row + len(channels)]),
                           os.path.join(out_dir, name))
-            row += len(estimates)
+            row += fp.n_responsive
     return records
+
+
+def _imputed(estimates: np.ndarray, responsive: np.ndarray, air: np.ndarray) -> np.ndarray:
+    """The five differential codes of each hand of a chunk, bit for bit
+    the values ``build_fingerprint`` gives: air minus estimate, and the
+    unresponsive fingers filled with the mean of the responsive ones. The
+    sum is made by ``fingerprint.total`` over the columns, so that every
+    hand's sum is added finger by finger, left to right from 0.0 (a
+    missing finger adds 0.0, which changes no sum)."""
+    deltas = np.where(responsive, air - estimates, 0.0)
+    fill = total(deltas.T) / np.count_nonzero(responsive, axis=1)
+    return np.where(responsive, deltas, fill[:, None])
 
 
 def _averaged(estimates: np.ndarray, responsive: np.ndarray, air: np.ndarray) -> np.ndarray:
     """The averaged fingerprint of each hand of a chunk, bit for bit what
-    ``averaged_fingerprint(build_fingerprint(...))`` gives: the
-    differential codes, the unresponsive fingers filled with the mean of
-    the responsive ones, and each sum made by ``fingerprint.total`` over
-    the columns, so that every hand's sum is added finger by finger, left
-    to right from 0.0 (a missing finger adds 0.0, which changes no sum)."""
-    deltas = np.where(responsive, air - estimates, 0.0)
-    fill = total(deltas.T) / np.count_nonzero(responsive, axis=1)
-    return total(np.where(responsive, deltas, fill[:, None]).T) / len(FINGERS)
+    ``averaged_fingerprint`` gives: the ``_imputed`` values summed by
+    ``fingerprint.total`` over the columns, divided by five."""
+    return total(_imputed(estimates, responsive, air).T) / len(FINGERS)
 
 
 def _class_indices(f_bar: np.ndarray, classes: Sequence[MaterialClass]) -> np.ndarray:
@@ -311,12 +342,12 @@ def monte_carlo_classification(n_hands: int, seed: int,
     expected = {material: i for i, cls in enumerate(classes)
                 for material in cls.reference_materials}
     chain = _Chain(config, spec)
-    air = np.array([chain.baseline.codes[f] for f in FINGERS])
     hand_materials = [spec.materials[i % len(spec.materials)] for i in range(n_hands)]
     targets = np.array([expected[material] for material in hand_materials])
     correct = start = 0
     for chunk in _simulate(chain, _rng(seed), hand_materials):
-        labels = _class_indices(_averaged(chunk.estimates, chunk.responsive, air), classes)
+        labels = _class_indices(_averaged(chunk.estimates, chunk.responsive, chain.air),
+                                classes)
         correct += int(np.count_nonzero(labels == targets[start:start + len(labels)]))
         start += len(labels)
     return correct / n_hands

@@ -44,8 +44,8 @@ from itertools import chain, compress, islice
 from typing import Literal, Mapping, NoReturn, Sequence
 
 from .errors import DataError
-from .files import (csv_text, finite, json_field, read_json, read_text, write_json,
-                    write_lines)
+from .files import (csv_text, finite, is_utf8_text, json_field, read_json, read_text,
+                    write_json, write_lines)
 from .fingerprint import CalibrationBaseline
 from .hand import FINGERS
 from .ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
@@ -178,11 +178,11 @@ def write_log(block, path) -> None:
     ``csv.writer`` writes. A block the loader would refuse is a
     ``DataError`` before any file is made: parts that disagree in length,
     no timestamp or no channel, an unknown or repeated channel, an EPC
-    that is no string or holds a line break, a sample that breaks the
-    loader's column rules (``_samples_ok``): a timestamp that is negative
-    or not finite, a code that is no integer or lies outside the storage
-    range; and, so that the file loads back as written, timestamps that
-    do not strictly increase.
+    that is no string, holds a line break or is not UTF-8 text, a sample
+    that breaks the loader's column rules (``_samples_ok``): a timestamp
+    that is negative or not finite, a code that is no integer or lies
+    outside the storage range; and, so that the file loads back as
+    written, timestamps that do not strictly increase.
     """
     times, channels, epcs, codes = block
     times = list(map(float, _plain(times)))
@@ -195,6 +195,8 @@ def write_log(block, path) -> None:
             raise DataError(f"unknown channel {channel!r}")
         if not isinstance(epc, str):
             raise DataError(f"EPCs must be strings, got {epc!r}")
+        if not is_utf8_text(epc):
+            raise DataError(f"EPCs must be strings UTF-8 can encode, got {epc!r}")
         if "\r" in epc or "\n" in epc:
             # csv leaves a lone "\r" unquoted, and the reader ends the row there
             raise DataError(f"EPCs must be one line, got {epc!r}")

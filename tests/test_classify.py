@@ -1,13 +1,20 @@
 """Threshold classification and reliability statistics tests."""
 
+import math
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfad.classify import (MaterialClass, TrialRecord, ccd, classify,
                            default_classes, load_records, per_finger_rates,
                            reliability_report, save_records,
                            suggest_channel_subset)
 from rfad.errors import DataError, UnclassifiableError
-from rfad.fingerprint import Fingerprint
+from rfad.fingerprint import (Fingerprint, averaged_fingerprint, load_fingerprints,
+                              propagated_uncertainty, save_fingerprints)
 from rfad.hand import FINGERS
 
 CLASSES = [
@@ -162,6 +169,14 @@ class TestTrialRecord:
                 TrialRecord("S01", "olive_oil", responsive, fp)
 
 
+    @pytest.mark.parametrize("subject, material", [
+        ("\ud800", "olive_oil"), ("S01", "oil\udcff"), (5, "olive_oil"), ("S01", None)])
+    def test_subject_and_material_must_be_utf8_text(self, subject, material):
+        with pytest.raises(DataError, match="^trial record subject and material must be "
+                                            "strings UTF-8 can encode, got "):
+            TrialRecord(subject, material, {f: True for f in FINGERS})
+
+
 class TestRecordPersistence:
     def test_round_trip(self, tmp_path):
         fp = Fingerprint(values={f: 10.0 + i for i, f in enumerate(FINGERS)},
@@ -172,3 +187,69 @@ class TestRecordPersistence:
         path = tmp_path / "records.json"
         save_records(records, path)
         assert load_records(path) == records
+
+
+# every kind of finite value a fingerprint holds: ints up to the largest a
+# float holds, both zeros, subnormals and the largest floats
+_VALUES = (st.integers(-(2 ** 1023), 2 ** 1023)
+           | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                              1.7976931348623157e308, -1e300])
+           | st.floats(allow_nan=False, allow_infinity=False))
+_TEXT = st.text(st.characters(codec="utf-8"), max_size=8)
+_MASKS = st.lists(st.booleans(), min_size=len(FINGERS), max_size=len(FINGERS))
+
+
+@st.composite
+def _fingerprints(draw):
+    responsive = draw(_MASKS.filter(any))
+    return Fingerprint(values=dict(zip(FINGERS, draw(st.lists(_VALUES, min_size=5,
+                                                               max_size=5)))),
+                       imputed={f: not flag for f, flag in zip(FINGERS, responsive)},
+                       n_responsive=responsive.count(True),
+                       material_label=draw(st.none() | _TEXT))
+
+
+@st.composite
+def _records(draw):
+    fp = draw(st.none() | _fingerprints())
+    responsive = (draw(_MASKS) if fp is None
+                  else [not fp.imputed[f] for f in FINGERS])
+    return TrialRecord(subject=draw(_TEXT), material=draw(_TEXT),
+                       responsive=dict(zip(FINGERS, responsive)), fingerprint=fp)
+
+
+def _round_trip(save, load, items, fps):
+    """Whatever ``save`` writes, ``load`` returns equal, and saving that
+    again writes the same bytes (ints stay ints, -0.0 stays -0.0). It
+    refuses, writing nothing, exactly the items whose averaged fingerprint
+    or uncertainty, which the file carries, is no finite float."""
+    writable = all(math.isfinite(averaged_fingerprint(fp))
+                   and math.isfinite(propagated_uncertainty(fp)) for fp in fps)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")
+        if not writable:
+            with pytest.raises(DataError, match="a NaN or an infinity cannot be written"):
+                save(items, path)
+            assert os.listdir(tmp) == []
+            return
+        save(items, path)
+        loaded = load(path)
+        assert loaded == items
+        save(loaded, again)
+        with open(path, "rb") as a, open(again, "rb") as b:
+            assert a.read() == b.read()
+
+
+class TestFilesRoundTrip:
+    """Whatever ``save_records`` and ``save_fingerprints`` accept loads back equal."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.lists(_records(), max_size=4))
+    def test_records(self, records):
+        _round_trip(save_records, load_records, records,
+                    [r.fingerprint for r in records if r.fingerprint is not None])
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.lists(_fingerprints(), max_size=4))
+    def test_fingerprints(self, fps):
+        _round_trip(save_fingerprints, load_fingerprints, fps, fps)

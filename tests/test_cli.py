@@ -523,6 +523,10 @@ class TestJsonFieldTypes:
          "entry 0: field 'n_responsive' must be a number, found a boolean"),
         ("export", [dict(_fp(), n_responsive=None)],
          "entry 0: field 'n_responsive' must be a number, found null"),
+        ("classify", [_fp(), dict(_fp(), material=5)],
+         "entry 1: field 'material' must be a string or null, found a number"),
+        ("export", [dict(_fp(), material=["oil"])],
+         "entry 0: field 'material' must be a string or null, found an array"),
         ("classify", [{"imputed": {}}], "entry 0: missing field 'values'"),
         ("fingerprint", {"codes": 5}, "field 'codes' must be an object, found a number"),
         ("fingerprint", {"codes": {f: 300 for f in FINGERS}, "gaps": "I"},
@@ -556,6 +560,52 @@ class TestJsonFieldTypes:
         fps = tmp_path / "fps.json"
         fps.write_text(json.dumps([dict(_fp(), n_responsive=5.0)]))
         assert run("classify", "--fingerprints", str(fps)) == 0
+
+
+class TestValuesNoFileCanHold:
+    """Text that UTF-8 cannot encode (a lone surrogate, from a JSON escape
+    or an undecodable byte of the command line) and integers beyond the
+    float range are refused where they enter: exit 2, a message naming
+    the path and the entry, and no output."""
+
+    @pytest.mark.parametrize("command, payload, error", [
+        ("classify", [_fp(), dict(_fp(), material="\ud800")],
+         "entry 1: material label '\\ud800' must be None or a string UTF-8 can encode"),
+        ("export", [dict(_fp(), material="oil\udcff")],
+         "entry 0: material label 'oil\\udcff' must be None or a string UTF-8 can encode"),
+        ("stats", [dict(_as_record(_fp()), subject="\ud800")],
+         "entry 0: trial record subject and material must be strings UTF-8 can encode, "
+         "got '\\ud800' and 'olive_oil'"),
+        ("stats", [_as_record(dict(_fp(), material="\udfff"))],
+         "entry 0: material label '\\udfff' must be None"),
+        ("classify", [dict(_fp(), values={**_fp()["values"], "II": 10 ** 400})],
+         "entry 0: fingerprint values must be finite numbers"),
+    ])
+    def test_input_file_is_refused(self, tmp_path, capsys, command, payload, error):
+        given = tmp_path / "given.json"
+        given.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        argv = {"stats": ["stats", "--records", given, "-o", out],
+                "classify": ["classify", "--fingerprints", given],
+                "export": ["export", given, "-o", out]}[command]
+        assert run(*map(str, argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"rfad: {given}: {error}")
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["given.json"]
+
+    def test_label_utf8_cannot_encode_is_refused(self, tmp_path, capsys, air_log,
+                                                 baseline_file):
+        # what Python makes of the command-line bytes b"oil\xff"
+        out = tmp_path / "fps.json"
+        capsys.readouterr()
+        assert run("fingerprint", str(air_log), "--baseline", str(baseline_file),
+                   "--label", "oil\udcff", "-o", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("rfad: material label 'oil\\udcff' must be None or "
+                                "a string UTF-8 can encode\n")
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestExitCodes:

@@ -1,7 +1,9 @@
 """The file layer: atomic writes and byte-identical outputs."""
 
 import hashlib
+import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from rfad.cli import main
 from rfad.coupling import ImpedanceMatrix, save_impedance_matrix
 from rfad.errors import DataError
-from rfad.files import csv_text, write_csv, write_text
+from rfad.files import csv_text, json_text, write_csv, write_json, write_text
 from rfad.signal import FluctuationModel, amplitude_spectrum, synthesize_series
 
 # SHA-256 of every output at the shipped seeds. An intended format change
@@ -107,6 +109,18 @@ class TestWriter:
             write_text(target, "new\n\ud800")
         assert target.read_bytes() == b"old\n"
         assert os.listdir(tmp_path) == ["out.csv"]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_json_refuses_what_no_loader_reads(self, tmp_path, value):
+        with pytest.raises(DataError, match="^a NaN or an infinity cannot be written as JSON$"):
+            json_text({"x": [1.0, value]})
+        target = tmp_path / "out.json"
+        target.write_bytes(b"old\n")
+        message = f"{target}: a NaN or an infinity cannot be written as JSON"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            write_json(target, {"x": [1.0, value]})
+        assert target.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["out.json"]
 
     @pytest.mark.parametrize("parent", ["nodir", "file"])
     def test_missing_directory_is_named(self, tmp_path, parent):

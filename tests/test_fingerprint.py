@@ -1,6 +1,7 @@
 """Differential codes, imputation, and uncertainty propagation tests."""
 
 import math
+import re
 
 import pytest
 
@@ -207,3 +208,30 @@ class TestFingerprintValidation:
             Fingerprint(values=values, imputed=imputed, n_responsive=0)
         with pytest.raises(DataError):
             Fingerprint(values=values, imputed=imputed, n_responsive=6)
+
+    @pytest.mark.parametrize("value", [10 ** 400, -(10 ** 400), 2 ** 1024],
+                             ids=["10**400", "-10**400", "2**1024"])
+    def test_int_beyond_the_float_range_is_refused(self, value):
+        with pytest.raises(DataError, match="^fingerprint values must be finite numbers"):
+            Fingerprint(values={**dict.fromkeys(FINGERS, 1.0), "III": value},
+                        imputed=dict.fromkeys(FINGERS, False), n_responsive=5)
+
+    def test_largest_int_a_float_holds_is_accepted(self):
+        fp = Fingerprint(values={**dict.fromkeys(FINGERS, 1.0), "III": 2 ** 1023},
+                         imputed=dict.fromkeys(FINGERS, False), n_responsive=5)
+        assert fp.values["III"] == 2 ** 1023
+
+    @pytest.mark.parametrize("label", [5, b"oil", "\ud800", "oil\udcff"])
+    def test_material_label_must_be_utf8_text(self, label):
+        message = f"material label {label!r} must be None or a string UTF-8 can encode"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            Fingerprint(values=dict.fromkeys(FINGERS, 1.0),
+                        imputed=dict.fromkeys(FINGERS, False), n_responsive=5,
+                        material_label=label)
+
+    @pytest.mark.parametrize("label", [None, "", "olive_oil", "\u00e9\u2603\U0001f600\x00"])
+    def test_material_label_may_be_any_utf8_text(self, label):
+        fp = Fingerprint(values=dict.fromkeys(FINGERS, 1.0),
+                         imputed=dict.fromkeys(FINGERS, False), n_responsive=5,
+                         material_label=label)
+        assert fp.material_label == label

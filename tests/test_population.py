@@ -22,7 +22,7 @@ from rfad.materials import load_materials
 from rfad import population
 from rfad.population import (DEFAULT_CLASS_SDS, DEFAULT_COUNT_PROBS,
                              DEFAULT_FINGER_WEIGHTS, DEFAULT_POPULATION_SEED,
-                             PopulationSpec, _Chain, _chunk_hands, _averaged,
+                             PopulationSpec, _Chain, _chunk_hands, _averaged, _imputed,
                              _class_indices, _draw_responsive, _simulate,
                              _window_estimates, generate_population, load_records,
                              monte_carlo_classification, save_records)
@@ -126,6 +126,19 @@ def _one_hand(material, rng, config, spec):
     log_rows = [(channel, t, c) for channel, row in zip(channels, codes.tolist())
                 for t, c in zip(times.tolist(), row)]
     return readings(estimates), log_rows, chain.baseline
+
+
+def _assert_oracle_hand(hand, material, oracle_rng, config, spec):
+    """One hand of ``_per_hand`` against the oracle's next hand: the same
+    readings, and the same log rows, or their first ``window`` codes."""
+    estimates, channels, times, codes = hand
+    expected, log_rows, _ = _oracle_simulate_hand(material, oracle_rng, config, spec)
+    assert readings(estimates) == expected
+    if codes.shape[1] == config.window:
+        log_rows = [r for channel in channels
+                    for r in [r for r in log_rows if r[0] == channel][:config.window]]
+    assert [(channel, t, c) for channel, row in zip(channels, codes.tolist())
+            for t, c in zip(times.tolist(), row)] == log_rows
 
 
 # SHA-256 of save_records output of the default campaign, recorded from
@@ -280,6 +293,43 @@ class TestStreamPreservation:
                             for r in [r for r in log_rows if r[0] == channel][:config.window]]
             assert rows == log_rows
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("full_series", [False, True])
+    def test_seed_draw_takes_the_half_word_kept_on_entry(self, full_series):
+        """The generator holds the upper half of a 64-bit word when
+        ``_simulate`` starts: the first series seed is drawn from it."""
+        config, spec = load_config(), PopulationSpec()
+        materials = [spec.materials[i % len(spec.materials)] for i in range(40)]
+        oracle_rng, rng = np.random.default_rng(12), np.random.default_rng(12)
+        assert rng.integers(2 ** 31) == oracle_rng.integers(2 ** 31)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        chain = _Chain(config, spec)
+        for material, hand in zip(materials, _per_hand(
+                _simulate(chain, rng, materials, full_series=full_series))):
+            _assert_oracle_hand(hand, material, oracle_rng, config, spec)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert rng.integers(2 ** 31) == oracle_rng.integers(2 ** 31)
+
+    @pytest.mark.parametrize("full_series", [False, True])
+    def test_chunks_that_end_on_a_kept_half_word(self, monkeypatch, full_series):
+        """Chunks of three hands, some of which end after an odd number of
+        seed draws: each writes the kept half back, and after each chunk
+        the generator is where the oracle is after the same hands."""
+        config, spec = load_config(), PopulationSpec()
+        row = spec.series_duration / config.sample_period if full_series else config.window
+        monkeypatch.setattr(population, "_CHUNK_SAMPLES", int(3 * len(FINGERS) * row))
+        chain = _Chain(config, spec)
+        assert _chunk_hands(chain, full_series) == 3
+        materials = [spec.materials[i % len(spec.materials)] for i in range(60)]
+        oracle_rng, rng = np.random.default_rng(44), np.random.default_rng(44)
+        hands, kept = iter(materials), []
+        for chunk in _simulate(chain, rng, materials, full_series=full_series):
+            for hand in _per_hand([chunk]):
+                _assert_oracle_hand(hand, next(hands), oracle_rng, config, spec)
+            state = rng.bit_generator.state
+            assert state == oracle_rng.bit_generator.state
+            kept.append(state["has_uint32"])
+        assert len(kept) == 20 and 0 in kept and 1 in kept
 
     @pytest.mark.parametrize("sd", [0.0, 1e-300, 0.37, 2.0, 5.0, 11.0, 33.0])
     def test_scaled_standard_normal_is_the_normal_draw(self, sd):
@@ -484,8 +534,10 @@ def test_monte_carlo_average_matches_the_fingerprint_objects(case):
     responsive = np.array([[f in codes for f in FINGERS]])
     estimates = np.array([[codes.get(f, math.nan) for f in FINGERS]])
     f_bar = _averaged(estimates, responsive, air)
-    expected = averaged_fingerprint(build_fingerprint(readings(codes), baseline))
+    fp = build_fingerprint(readings(codes), baseline)
+    expected = averaged_fingerprint(fp)
     assert f_bar.tolist() == [expected]
+    assert _imputed(estimates, responsive, air).tolist() == [[fp.values[f] for f in FINGERS]]
     try:
         label = _CLASSES[_class_indices(f_bar, _CLASSES)[0]].label
     except UnclassifiableError as exc:

@@ -218,6 +218,8 @@ class TestWriteLogRefusesWhatTheLoaderRefuses:
         ((_times(1), ["I"], [None], [[200]]), "EPCs must be strings, got None"),
         ((_times(1), ["I"], [7], [[200]]), "EPCs must be strings, got 7"),
         ((_times(1), ["I"], ["\r"], [[200]]), "EPCs must be one line, got '\\r'"),
+        ((_times(1), ["I", "II"], ["E", "a\ud800"], [[200], [200]]),
+         "EPCs must be strings UTF-8 can encode, got 'a\\ud800'"),
         ((_times(1), ["I", "II"], ["E", "a\nb"], [[200], [200]]),
          "EPCs must be one line, got 'a\\nb'"),
         ((_times(2), ["I", "II"], ["E", "F"], [[200, 201], [202, 600]]),
