@@ -169,21 +169,20 @@ def _cmd_stats(args, config):
         print(json_text(payload), end="")
 
 
-class _GenerateOnly(argparse.Action):
-    """Stores an option that only ``stats --generate`` reads, and notes
+class _OneModeOnly(argparse.Action):
+    """Stores an option that its command reads in one mode only, and notes
     that it was given."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         setattr(namespace, self.dest, values)
-        namespace.generate_only += (self.option_strings[0],)
+        namespace.one_mode_only += (self.option_strings[0],)
 
 
-def _check_stats(parser, args):
-    """``--records`` reads a campaign: the options that shape a generated
-    one are a usage error with it, not silently ignored."""
-    if args.records is not None and args.generate_only:
-        parser.error(f"{', '.join(dict.fromkeys(args.generate_only))}: not allowed with "
-                     f"--records (only --generate reads them)")
+def _check_mode(parser, ignored, why, args):
+    """The options of one mode are a usage error where ``ignored(args)``
+    says the command would not read them, not silently ignored."""
+    if args.one_mode_only and ignored(args):
+        parser.error(f"{', '.join(dict.fromkeys(args.one_mode_only))}: {why}")
 
 
 def _cmd_export(args, config):
@@ -200,13 +199,15 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="synthesize sensor-code series")
-    p.add_argument("--baseline", type=int, default=200)
+    p.add_argument("--baseline", type=int, default=200, action=_OneModeOnly)
     p.add_argument("--duration", type=float, default=70.0)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--material", default=None)
-    p.add_argument("--channels", nargs="*", choices=FINGERS, default=None)
+    p.add_argument("--channels", nargs="+", choices=FINGERS, default=None)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, one_mode_only=(), check=functools.partial(
+        _check_mode, p, lambda args: args.material,
+        "not allowed with --material (its material sets the baseline)"))
 
     p = sub.add_parser("calibrate", help="air baseline from a reader log")
     p.add_argument("log")
@@ -229,21 +230,24 @@ def build_parser() -> _Parser:
     p = sub.add_parser("coupling", help="multiport coupling report")
     p.add_argument("--matrix", help="impedance matrix file (default: shipped fixture)")
     p.add_argument("--turn-on", action="store_true")
-    p.add_argument("--tau", type=float, default=0.85)
+    p.add_argument("--tau", type=float, default=0.85, action=_OneModeOnly)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_coupling)
+    p.set_defaults(func=_cmd_coupling, one_mode_only=(), check=functools.partial(
+        _check_mode, p, lambda args: not args.turn_on,
+        "not allowed without --turn-on (only --turn-on reads it)"))
 
     p = sub.add_parser("stats", help="population reliability statistics")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--records", help="trial records JSON")
     group.add_argument("--generate", action="store_true",
                        help="generate the default synthetic campaign")
-    p.add_argument("--seed", type=int, default=DEFAULT_POPULATION_SEED, action=_GenerateOnly)
-    p.add_argument("--log-dir", default=None, action=_GenerateOnly)
-    p.add_argument("--records-out", default=None, action=_GenerateOnly)
+    p.add_argument("--seed", type=int, default=DEFAULT_POPULATION_SEED, action=_OneModeOnly)
+    p.add_argument("--log-dir", default=None, action=_OneModeOnly)
+    p.add_argument("--records-out", default=None, action=_OneModeOnly)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_stats, generate_only=(),
-                   check=functools.partial(_check_stats, p))
+    p.set_defaults(func=_cmd_stats, one_mode_only=(), check=functools.partial(
+        _check_mode, p, lambda args: args.records is not None,
+        "not allowed with --records (only --generate reads them)"))
 
     p = sub.add_parser("export", help="Kiviat radar chart (SVG + CSV)")
     p.add_argument("fingerprints")

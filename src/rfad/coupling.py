@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, NumericalError, SingularMatrixError
-from .files import read_text, write_csv, write_text
+from .files import is_utf8_text, read_text, write_csv, write_text
 from .hand import FINGERS
 from .units import parse_quantity
 
@@ -70,8 +70,9 @@ class ImpedanceMatrix:
                 f"{len(self.port_labels)} port labels for {z.shape[0]} ports")
         for label in self.port_labels:
             # the file format separates labels by whitespace and ends a line at '#'
-            if not isinstance(label, str) or label.split() != [label] or "#" in label:
-                raise DataError(f"port label {label!r} is empty or holds whitespace or '#'")
+            if not is_utf8_text(label) or label.split() != [label] or "#" in label:
+                raise DataError(f"port label {label!r} is no UTF-8 text, is empty "
+                                f"or holds whitespace or '#'")
         if not np.isfinite(z).all():
             raise DataError("impedance matrix has a non-finite entry")
         # the file keeps MHz to 12 digits: far below 1 Hz that reads back as 0

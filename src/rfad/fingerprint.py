@@ -180,9 +180,12 @@ def fingerprint_record(fp: Fingerprint) -> dict:
 
 
 def fingerprint_from_record(record: dict) -> Fingerprint:
-    return Fingerprint(values=dict(json_field(record, "values", dict)),
-                       imputed=dict(json_field(record, "imputed", dict)),
-                       n_responsive=int(json_field(record, "n_responsive", int, float)),
+    values = dict(json_field(record, "values", dict))
+    imputed = dict(json_field(record, "imputed", dict))
+    n_responsive = json_field(record, "n_responsive", int, float)
+    if n_responsive != int(n_responsive):
+        raise DataError(f"field 'n_responsive' must be an integral number, found {n_responsive}")
+    return Fingerprint(values=values, imputed=imputed, n_responsive=int(n_responsive),
                        material_label=json_field(record, "material", str, type(None),
                                                  default=None))
 

@@ -27,7 +27,7 @@ from .errors import DataError
 from .fingerprint import CalibrationBaseline, Fingerprint, total
 from .hand import FINGERS
 from .materials import REFERENCE_LIQUIDS, load_materials
-from .readlog import Estimator, check_window, write_log
+from .readlog import CodeSeries, Estimator, check_window, write_log
 from .signal import material_fluctuation_model, synthesize_block
 
 # P(exactly m of 5 fingers respond), m = 1..5. At least one finger always
@@ -279,7 +279,7 @@ def generate_population(spec: PopulationSpec = PopulationSpec(),
     records, next_trial = [], iter(trials).__next__
     for chunk in _simulate(chain, _rng(seed), [t[2] for t in trials],
                            full_series=out_dir is not None):
-        row = 0
+        row, times = 0, chunk.times.tolist()
         for flags, values in zip(chunk.responsive.tolist(),
                                  _imputed(chunk.estimates, chunk.responsive, chain.air).tolist()):
             subject, material_idx, material, trial = next_trial()
@@ -291,12 +291,11 @@ def generate_population(spec: PopulationSpec = PopulationSpec(),
                 responsive=dict(zip(FINGERS, flags)), fingerprint=fp))
             if out_dir is not None:
                 channels = [f for f, flag in zip(FINGERS, flags) if flag]
-                epcs = [_epc(subject, material_idx, trial, ch) for ch in channels]
-                # rows ordered by (timestamp, channel): finger order I..V is
-                # also the channels' name order
                 name = f"subject{subject + 1:02d}_{material}_trial{trial + 1}.csv"
-                write_log((chunk.times, channels, epcs, chunk.codes[row:row + len(channels)]),
-                          os.path.join(out_dir, name))
+                write_log({ch: CodeSeries(times, codes) for ch, codes
+                           in zip(channels, chunk.codes[row:row + len(channels)])},
+                          os.path.join(out_dir, name),
+                          {ch: _epc(subject, material_idx, trial, ch) for ch in channels})
             row += fp.n_responsive
     return records
 

@@ -11,19 +11,22 @@ Two CSV formats carry the sensor codes, through ``rfad.files``:
 * read log: ``timestamp_s,epc,channel,sensor_code,rssi_dbm``
 * code series: ``timestamp_s,channel,code``
 
-``write_log`` and ``write_series`` stream each file from one line
-template (the constant fields quoted by ``csv``, the timestamps and codes
-filled in by ``str.format``) through the one atomic writer; the bytes are
-those ``csv.writer`` writes. ``load_code_series`` reads both formats; the
-header row picks the columns. It parses the text once and reads it
-column by column: each sample is checked alike in bulk (finite
-non-negative timestamp, known channel, code in storage range), and a
-read log's ``rssi_dbm`` must be empty or finite. ``write_log`` and
-``write_series`` refuse, before any file is made, what breaks the same
-column rules or would not load back as written. If a check fails, the
-text is read again row by row, so each error still names the first bad
-``path:line``. Samples are grouped per channel and sorted by timestamp;
-a timestamp repeated on one channel is an error.
+Both writers take the type the loader returns, ``CodeSeries`` keyed by
+channel: ``write_series`` any such set, ``write_log`` series that share
+their timestamps, with one EPC per channel. Each streams its file from
+one line template (the constant fields quoted by ``csv``, the timestamps
+and codes filled in by ``str.format``) through the one atomic writer;
+the bytes are those ``csv.writer`` writes. ``CodeSeries`` checks the
+samples, and the writers refuse, before any file is made, what the
+loader would still refuse or would not load back as written.
+``load_code_series`` reads both formats; the header row picks the
+columns. It parses the text once and reads it column by column: each
+sample is checked alike in bulk (finite non-negative timestamp, known
+channel, code in storage range), and a read log's ``rssi_dbm`` must be
+empty or finite. If a check fails, the text is read again row by row,
+so each error still names the first bad ``path:line``. Samples are
+grouped per channel and sorted by timestamp; a timestamp repeated on
+one channel is an error.
 
 ``channel_codes`` turns a set of series into one code per channel with
 the session's ``window`` and ``estimator``; it is the estimate both
@@ -37,7 +40,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from itertools import chain, compress, islice
@@ -53,7 +55,7 @@ from .ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
 Estimator = Literal["mean", "median"]
 
 # Most samples one series may hold (about eight days at the default
-# sample period); a block of five such series takes a few hundred MB.
+# sample period); five such series take a few hundred MB.
 MAX_SERIES_SAMPLES = 1_000_000
 
 
@@ -162,74 +164,16 @@ _CHANNELS = {channel: channel for channel in FINGERS}
 _CHUNK_ROWS = 1 << 14
 
 
-def _escaped(field) -> str:
+def _escaped(field: str) -> str:
     """``field`` as text that ``str.format`` turns back into itself."""
-    return str(field).replace("{", "{{").replace("}", "}}")
+    return field.replace("{", "{{").replace("}", "}}")
 
 
-def write_log(block, path) -> None:
-    """Write the code block ``(times, channels, epcs, codes)``, one row of
-    ``codes`` per channel, as a reader log: rows by timestamp, then in
-    ``channels`` order, with ``rssi_dbm`` empty. Lists and numpy arrays
-    write the same bytes: timestamps are written as Python floats.
-
-    The lines of one timestamp come from one template, filled in with the
-    timestamp and that column of codes; the bytes are those
-    ``csv.writer`` writes. A block the loader would refuse is a
-    ``DataError`` before any file is made: parts that disagree in length,
-    no timestamp or no channel, an unknown or repeated channel, an EPC
-    that is no string, holds a line break or is not UTF-8 text, a sample
-    that breaks the loader's column rules (``_samples_ok``): a timestamp
-    that is negative or not finite, a code that is no integer or lies
-    outside the storage range; and, so that the file loads back as
-    written, timestamps that do not strictly increase.
-    """
-    times, channels, epcs, codes = block
-    times = list(map(float, _plain(times)))
-    rows = [_plain(row) for row in _plain(codes)]
-    if not len(channels) == len(epcs) == len(rows):
-        raise DataError(f"a code block needs one EPC and one code row per channel, got "
-                        f"{len(channels)} channels, {len(epcs)} EPCs, {len(rows)} code rows")
-    for channel, epc, row in zip(channels, epcs, rows):
-        if not (isinstance(channel, str) and channel in _CHANNELS):
-            raise DataError(f"unknown channel {channel!r}")
-        if not isinstance(epc, str):
-            raise DataError(f"EPCs must be strings, got {epc!r}")
-        if not is_utf8_text(epc):
-            raise DataError(f"EPCs must be strings UTF-8 can encode, got {epc!r}")
-        if "\r" in epc or "\n" in epc:
-            # csv leaves a lone "\r" unquoted, and the reader ends the row there
-            raise DataError(f"EPCs must be one line, got {epc!r}")
-        if len(row) != len(times):
-            raise DataError(f"channel {channel} has {len(row)} codes "
-                            f"for {len(times)} timestamps")
-    if len(set(channels)) != len(channels):
-        raise DataError(f"a code block names a channel twice: {list(channels)}")
-    if not (times and rows):
-        raise DataError(f"a code block needs a timestamp and a channel, got "
-                        f"{len(times)} timestamps and {len(rows)} channels")
-    if not _samples_ok(times, *_code_extremes(codes, rows)):
-        # the first sample, in file order, that the loader would refuse
-        for t, *column in zip(times, *rows):
-            for channel, code in zip(channels, column):
-                if not isinstance(code, numbers.Integral) or isinstance(code, bool):
-                    raise DataError(f"codes must be integers, got {code!r}")
-                _check_sample(channel, t, code)
-    if not all(map(operator.lt, times, times[1:])):
-        raise DataError("timestamps must be strictly increasing")
-    # csv quotes the constant fields; braces are no CSV syntax, so doubling
-    # them first leaves the quoting as it is
-    template = "".join(csv_text(["{0}", _escaped(epc), _escaped(channel), f"{{{k}}}", ""], ())
-                       for k, (epc, channel) in enumerate(zip(epcs, channels), start=1))
-    write_lines(path, READLOG_HEADER, map(template.format, times, *rows))
-
-
-def write_series(series_set: Mapping[str, CodeSeries], path) -> None:
-    """Write code series, channel by channel in finger order, from one
-    line template per channel. A set the loader would refuse, or would
-    not load back equal, is a ``DataError`` before any file is made: no
-    series, an unknown channel, a series without samples or with a
-    negative timestamp."""
+def _finger_order(series_set: Mapping[str, CodeSeries]) -> list[str]:
+    """The channels of ``series_set`` in finger order. What the loader
+    would refuse is a ``DataError``: no series, an unknown channel, a
+    series without samples or with a negative first timestamp (each
+    series' timestamps are finite and increasing, its codes in range)."""
     if not series_set:
         raise DataError("no code series to write")
     for channel, series in series_set.items():
@@ -237,24 +181,50 @@ def write_series(series_set: Mapping[str, CodeSeries], path) -> None:
             raise DataError(f"unknown channel {channel!r}")
         if not len(series):
             raise DataError(f"channel {channel} has no samples")
-        # a series' timestamps are finite and increasing, its codes in range
         _check_sample(channel, series.times[0], series.codes[0])
+    return sorted(series_set, key=FINGERS.index)
+
+
+def write_log(series_set: Mapping[str, CodeSeries], path, epcs: Mapping[str, str]) -> None:
+    """Write code series that share their timestamps as a reader log: rows
+    by timestamp, then in finger order, each tagged with its channel's
+    EPC from ``epcs``, with ``rssi_dbm`` empty.
+
+    The lines of one timestamp come from one template, filled in with the
+    timestamp and that column of codes; the bytes are those
+    ``csv.writer`` writes. Besides what ``write_series`` refuses, a
+    ``DataError`` before any file is made refuses series whose timestamps
+    differ and a channel whose EPC is missing, no string, holds a line
+    break or is not UTF-8 text.
+    """
+    channels = _finger_order(series_set)
+    times = series_set[channels[0]].times
+    for channel in channels:
+        if channel not in epcs:
+            raise DataError(f"no EPC for channel {channel}")
+        epc = epcs[channel]
+        if not is_utf8_text(epc) or "\r" in epc or "\n" in epc:
+            # csv leaves a lone "\r" unquoted, and the reader ends the row there
+            raise DataError(f"EPCs must be one-line strings UTF-8 can encode, got {epc!r}")
+        if series_set[channel].times != times:
+            raise DataError(f"channel {channel} has other timestamps than channel {channels[0]}")
+    # csv quotes the constant fields; braces are no CSV syntax, so doubling
+    # them first leaves the quoting as it is
+    template = "".join(csv_text(["{0}", _escaped(epcs[channel]), channel, f"{{{k}}}", ""], ())
+                       for k, channel in enumerate(channels, start=1))
+    write_lines(path, READLOG_HEADER, map(template.format, times,
+                                          *(series_set[channel].codes for channel in channels)))
+
+
+def write_series(series_set: Mapping[str, CodeSeries], path) -> None:
+    """Write code series, channel by channel in finger order, from one
+    line template per channel. What ``load_code_series`` would refuse is
+    refused as ``_finger_order`` says, before any file is made."""
+    channels = _finger_order(series_set)
     write_lines(path, SERIES_HEADER, chain.from_iterable(
-        map(csv_text(["{0}", _escaped(channel), "{1}"], ()).format,
+        map(csv_text(["{0}", channel, "{1}"], ()).format,
             series_set[channel].times, series_set[channel].codes)
-        for channel in sorted(series_set, key=FINGERS.index)))
-
-
-def _code_extremes(codes, rows: list) -> tuple:
-    """The least and greatest code of a block of an integer array or of
-    Python ints, else ``(-inf, inf)``, outside any range, so that each
-    code is checked on its own. An array is judged by its dtype and its
-    own extremes, Python rows by the type of each code."""
-    if hasattr(codes, "dtype"):
-        integral = codes.dtype.kind in "iu"
-        return (codes.min(), codes.max()) if integral else (-math.inf, math.inf)
-    flat = list(chain.from_iterable(rows))
-    return (min(flat), max(flat)) if set(map(type, flat)) <= {int} else (-math.inf, math.inf)
+        for channel in channels))
 
 
 def _samples_ok(times: Sequence[float], code_min, code_max) -> bool:

@@ -258,9 +258,8 @@ def convergence_error(series: CodeSeries, m: int,
     return _dispersion(*_sums(codes[:m]), m) - _dispersion(*_sums(codes[:m_inf]), m_inf)
 
 
-def minimum_samples(series: CodeSeries, tolerance: float,
-                    m_inf: int = DEFAULT_ASYMPTOTIC_SAMPLES,
-                    estimator: Estimator = "mean") -> int:
+def minimum_samples(series: CodeSeries, tolerance: float, m_inf: int,
+                    estimator: Estimator) -> int:
     """Smallest window M whose measurement is converged within ``tolerance``.
 
     For the mean, a window qualifies when ``convergence_error`` is below

@@ -22,8 +22,9 @@ from rfad.ic import antenna_response, power_transfer
 from rfad.population import (DEFAULT_POPULATION_SEED, generate_population,
                              monte_carlo_classification)
 from rfad.classify import reliability_report
-from rfad.signal import (dominant_frequency, material_fixture_series,
-                         minimum_samples, synthesize_series, FluctuationModel)
+from rfad.signal import (DEFAULT_ASYMPTOTIC_SAMPLES, dominant_frequency,
+                         material_fixture_series, minimum_samples, synthesize_series,
+                         FluctuationModel)
 from rfad.units import dbm_from_watts
 
 import test_properties
@@ -83,8 +84,8 @@ def test_criterion_4_convergence_windows():
     ok = True
     for material in ("olive_oil", "ethyl_alcohol", "deionized_water"):
         series = material_fixture_series(material)
-        m_mean = minimum_samples(series, 1.0, estimator="mean")
-        m_median = minimum_samples(series, 1.0, estimator="median")
+        m_mean = minimum_samples(series, 1.0, DEFAULT_ASYMPTOTIC_SAMPLES, "mean")
+        m_median = minimum_samples(series, 1.0, DEFAULT_ASYMPTOTIC_SAMPLES, "median")
         ok = ok and m_mean <= 10 and m_mean <= m_median
         details.append(f"{material}: mean {m_mean}, median {m_median}")
     elapsed = time.perf_counter() - start

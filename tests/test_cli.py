@@ -1,5 +1,6 @@
 """Command-line interface tests: pipelines, determinism, exit codes."""
 
+import argparse
 import json
 import random
 from xml.etree import ElementTree
@@ -176,8 +177,7 @@ class TestFingerprintAndClassify:
         shuffled.write_text("\n".join([header] + rows) + "\n")
         log = tmp_path / "log.csv"
         series = load_code_series(touched)
-        write_log((series["I"].times, list(series), ["E280"] * len(series),
-                   [s.codes for s in series.values()]), log)
+        write_log(series, log, dict.fromkeys(series, "E280"))
         outputs = []
         for source in (touched, shuffled, log):
             out = tmp_path / f"fp-{source.stem}.json"
@@ -523,6 +523,11 @@ class TestJsonFieldTypes:
          "entry 0: field 'n_responsive' must be a number, found a boolean"),
         ("export", [dict(_fp(), n_responsive=None)],
          "entry 0: field 'n_responsive' must be a number, found null"),
+        # four fingers not imputed: int() would have made 4.9 the count 4
+        ("classify", [dict(_fp(), imputed=dict(_fp()["imputed"], I=True), n_responsive=4.9)],
+         "entry 0: field 'n_responsive' must be an integral number, found 4.9"),
+        ("stats", [_as_record(_fp()), _as_record(dict(_fp(), n_responsive=5.5))],
+         "entry 1: field 'n_responsive' must be an integral number, found 5.5"),
         ("classify", [_fp(), dict(_fp(), material=5)],
          "entry 1: field 'material' must be a string or null, found a number"),
         ("export", [dict(_fp(), material=["oil"])],
@@ -660,3 +665,118 @@ class TestExitCodes:
     def test_bad_config_path_is_data_error(self, tmp_path):
         assert run("--config", str(tmp_path / "nope.cfg"),
                    "classify", "--value", "10") == 2
+
+
+# Each mode of each subcommand, as the arguments that select it ("{name}"
+# stands for an input file), and the output every mode needs where one is
+# required.
+_MODES = {
+    "simulate": ["", "--material olive_oil"],
+    "calibrate": ["{air}"],
+    "fingerprint": ["{touched} --baseline {baseline}"],
+    "classify": ["--fingerprints {fps}", "--value 50"],
+    "coupling": ["", "--turn-on", "--matrix {matrix}"],
+    "stats": ["--records {records}", "--generate"],
+    "export": ["{fps}"],
+}
+_REQUIRED_OUTPUT = {"simulate": "out.csv", "calibrate": "out.json",
+                    "fingerprint": "out.json", "export": "out.svg"}
+# Every other flag of a subcommand, with a value that is not its default.
+_FLAGS = {
+    "simulate": {"--baseline": "250", "--duration": "35", "--seed": "2",
+                 "--material": "ethyl_alcohol", "--channels": "I III"},
+    "fingerprint": {"--label": "olive_oil"},
+    "coupling": {"--matrix": "{matrix}", "--turn-on": "", "--tau": "0.5",
+                 "-o": "out.csv"},
+    "stats": {"--seed": "3", "--log-dir": "logs", "--records-out": "records.json",
+              "-o": "report.json"},
+}
+# The flags that their mode would not read, so refuses.
+_REFUSED = {
+    ("simulate", "--material olive_oil", "--baseline"),
+    ("coupling", "", "--tau"),
+    ("coupling", "--matrix {matrix}", "--tau"),
+    ("stats", "--records {records}", "--seed"),
+    ("stats", "--records {records}", "--log-dir"),
+    ("stats", "--records {records}", "--records-out"),
+}
+_FLAG_CASES = [(command, mode, flag) for command, modes in _MODES.items()
+               for mode in modes for flag in _FLAGS.get(command, {})
+               if flag not in mode.split()]
+
+
+@pytest.fixture(scope="module")
+def guard_inputs(tmp_path_factory):
+    """The input files the modes of ``_MODES`` read, by name."""
+    from rfad.coupling import ImpedanceMatrix, save_impedance_matrix
+    work = tmp_path_factory.mktemp("inputs")
+    paths = {name: work / name for name in ("air.csv", "touched.csv", "baseline.json",
+                                            "fps.json", "records.json", "matrix.txt")}
+    run("simulate", "--baseline", "300", "--seed", "5", "-o", str(paths["air.csv"]))
+    run("simulate", "--material", "olive_oil", "--seed", "4", "-o", str(paths["touched.csv"]))
+    run("calibrate", str(paths["air.csv"]), "-o", str(paths["baseline.json"]))
+    run("fingerprint", str(paths["touched.csv"]), "--baseline", str(paths["baseline.json"]),
+        "-o", str(paths["fps.json"]))
+    save_records(generate_population(PopulationSpec(subjects=1)), paths["records.json"])
+    save_impedance_matrix(ImpedanceMatrix([[50 - 2j, 5j], [5j, 40 + 1j]], 867e6, ("I", "II")),
+                          paths["matrix.txt"])
+    assert all(path.exists() for path in paths.values())
+    return {name.split(".")[0]: str(path) for name, path in paths.items()}
+
+
+class TestEveryFlagChangesAnOutputOrIsRefused:
+    """A flag that its mode does not read is a usage error, not silently
+    ignored: in each mode of each subcommand, every flag either changes
+    the printed report or a written file, or exits 1 with the usage and
+    writes nothing."""
+
+    def test_table_covers_every_flag(self):
+        subcommands = next(action.choices for action in build_parser()._actions
+                           if isinstance(action, argparse._SubParsersAction))
+        for command, parser in subcommands.items():
+            flags = {action.option_strings[0] for action in parser._actions
+                     if action.option_strings} - {"-h"}
+            in_modes = {arg for mode in _MODES[command] for arg in mode.split()
+                        if arg.startswith("-")}
+            required = {"-o"} if command in _REQUIRED_OUTPUT else set()
+            assert flags == set(_FLAGS.get(command, {})) | in_modes | required, command
+
+    @staticmethod
+    def _outcome(workdir, monkeypatch, capsys, command, args, inputs):
+        """Exit status, stdout and every file written, of one run in an
+        empty ``workdir`` (but for an empty ``logs`` directory)."""
+        (workdir / "logs").mkdir(parents=True)
+        monkeypatch.chdir(workdir)
+        argv = [command, *(arg.format(**inputs) for arg in args.split())]
+        if command in _REQUIRED_OUTPUT:
+            argv += ["-o", _REQUIRED_OUTPUT[command]]
+        capsys.readouterr()
+        status = main(argv)
+        out, err = capsys.readouterr()
+        files = {path.relative_to(workdir).as_posix(): path.read_bytes()
+                 for path in sorted(workdir.rglob("*")) if path.is_file()}
+        return status, out, err, files
+
+    @pytest.mark.parametrize("command, mode, flag", _FLAG_CASES)
+    def test_flag_changes_an_output_or_is_refused(self, tmp_path, monkeypatch, capsys,
+                                                   guard_inputs, command, mode, flag):
+        args = f"{mode} {flag} {_FLAGS[command][flag]}"
+        status, out, _, files = self._outcome(tmp_path / "base", monkeypatch, capsys,
+                                              command, mode, guard_inputs)
+        assert status == 0
+        flagged = self._outcome(tmp_path / "flagged", monkeypatch, capsys,
+                                command, args, guard_inputs)
+        if (command, mode, flag) in _REFUSED:
+            assert flagged[0] == 1
+            assert flagged[2].startswith(f"usage: rfad {command}")
+            assert f"error: {flag}: not allowed" in flagged[2]
+            assert flagged[1] == "" and flagged[3] == {}
+        else:
+            assert flagged[0] == 0
+            assert (flagged[1], flagged[3]) != (out, files)
+
+    def test_channels_needs_a_channel(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run("simulate", "--channels", "-o", str(out)) == 1
+        assert capsys.readouterr().err.startswith("usage: rfad simulate")
+        assert not out.exists()

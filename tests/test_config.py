@@ -400,10 +400,6 @@ class TestEveryKeyChangesAnOutput:
 # The only parameters or fields of rfad that may default a config key, each
 # with the reason it keeps the default.
 _KEY_DEFAULTS_KEPT = {
-    # the benchmark passes the estimator positionally after m_inf, and
-    # acceptance criterion 4 relies on m_inf's default, which a parameter
-    # without a default could not follow
-    ("rfad.signal", "minimum_samples", "estimator"),
     # the benchmark and acceptance criteria 4-5 build series and fluctuation
     # presets without a session config
     ("rfad.signal", "FluctuationModel", "sample_period"),

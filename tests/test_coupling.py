@@ -1,7 +1,9 @@
 """Power-wave scattering, coupling normalization, and turn-on budget tests."""
 
 import math
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -99,7 +101,8 @@ class TestImpedanceMatrix:
         with pytest.raises(DataError, match="frequency"):
             ImpedanceMatrix(np.eye(2), frequency=frequency, port_labels=("I", "II"))
 
-    @pytest.mark.parametrize("label", ["", "a b", "a\tb", "a\nb", "a\u2028b", "a#b", "#", 7])
+    @pytest.mark.parametrize("label", ["", "a b", "a\tb", "a\nb", "a\u2028b", "a#b", "#", 7,
+                                       "a\ud800"])
     def test_labels_the_file_format_cannot_carry(self, label):
         with pytest.raises(DataError, match="port label"):
             ImpedanceMatrix(np.eye(2), frequency=867e6, port_labels=(label, "c"))
@@ -225,6 +228,40 @@ class TestMatrixFile:
         loaded = load_impedance_matrix(tmp_path / "z.txt")
         assert loaded.port_labels == labels
         assert np.array_equal(loaded.z, z.z)
+
+
+_LABELS = st.text(st.characters(codec="utf-8"), min_size=1, max_size=4)
+
+
+@st.composite
+def _matrices(draw):
+    """Reciprocal matrices of any finite entries, frequency and file-safe
+    port labels, as ``ImpedanceMatrix`` accepts them."""
+    n = draw(st.integers(1, 5))
+    labels = tuple(draw(st.lists(_LABELS.filter(lambda label: label.split() == [label]
+                                                and "#" not in label),
+                                 min_size=n, max_size=n)))
+    upper = np.triu(np.reshape([complex(*draw(st.tuples(_PARTS, _PARTS)))
+                                for _ in range(n * n)], (n, n)))
+    near = draw(st.booleans())  # the lower triangle only within the reciprocity bound
+    lower = np.triu(upper, 1).T * (1 - 4e-10 if near else 1)
+    return ImpedanceMatrix(upper + lower, frequency=draw(st.floats(1.0, 1e300)),
+                           port_labels=labels)
+
+
+class TestMatrixFileRoundTrip:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(_matrices())
+    def test_what_is_written_loads_back_and_rewrites_the_same_bytes(self, z):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = os.path.join(tmp, "a.txt"), os.path.join(tmp, "b.txt")
+            save_impedance_matrix(z, first)
+            loaded = load_impedance_matrix(first)
+            assert loaded.port_labels == z.port_labels
+            assert loaded.frequency == pytest.approx(z.frequency, rel=1e-11)
+            save_impedance_matrix(loaded, second)
+            with open(first, "rb") as a, open(second, "rb") as b:
+                assert a.read() == b.read()
 
 
 class TestScatteringBits:

@@ -180,9 +180,9 @@ def run_delta_at_asymptote(n=N_CASES, seed=108):
 
 
 def run_log_round_trip(n=N_CASES, seed=109, tmp_dir=None):
-    """A random code block written as a reader log (write_log) and as a
-    code-series file in shuffled row order (write_series) loads back, from
-    both, as the block's per-channel times and codes."""
+    """Random code series over shared timestamps, written as a reader log
+    (write_log) and as a code-series file in shuffled row order
+    (write_series), load back from both as their times and codes."""
     import tempfile
     import os
     rng = np.random.default_rng(seed)
@@ -195,9 +195,9 @@ def run_log_round_trip(n=N_CASES, seed=109, tmp_dir=None):
             channels = [f for f in FINGERS if rng.random() < 0.5] or ["III"]
             codes = rng.integers(0, 512, size=(len(channels), n_samples))
             epcs = [f"E280{int(rng.integers(0, 2**32)):08X}" for _ in channels]
-            write_log((times, channels, epcs, codes), log)
-            write_series({ch: CodeSeries(times, row)
-                          for ch, row in zip(channels, codes)}, series)
+            series_set = {ch: CodeSeries(times, row) for ch, row in zip(channels, codes)}
+            write_log(series_set, log, dict(zip(channels, epcs)))
+            write_series(series_set, series)
             with open(series) as fh:
                 header, *rows = fh.readlines()
             rng.shuffle(rows)

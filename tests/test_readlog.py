@@ -10,12 +10,13 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from rfad import readlog
 from rfad.errors import DataError
 from rfad.files import csv_text, finite, read_text
+from rfad.fingerprint import CalibrationBaseline
 from rfad.hand import FINGERS
 from rfad.ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
 from rfad.readlog import READLOG_HEADER as LOG_FIELDS
@@ -42,26 +43,20 @@ def _csv(fmt, *samples):
     return header + "".join(row.format(*sample) for sample in samples)
 
 
-def _block(channels=("I",), n=3, start=0.0):
-    """A code block: ``n`` shared timestamps, one code row per channel."""
+def _log(channels=("I",), n=3, start=0.0):
+    """Series of ``n`` shared timestamps, one per channel, and their EPCs."""
     times = start + 0.7 * np.arange(n)
-    codes = np.array([200 + 10 * k + np.arange(n) for k in range(len(channels))])
-    epcs = [f"E280{k:020X}" for k in range(len(channels))]
-    return times, list(channels), epcs, codes
+    series_set = {channel: CodeSeries(times, 200 + 10 * k + np.arange(n))
+                  for k, channel in enumerate(channels)}
+    return series_set, {channel: f"E280{k:020X}" for k, channel in enumerate(channels)}
 
 
-def _plain(values):
-    return values.tolist() if hasattr(values, "tolist") else values
-
-
-def _reference_log(block) -> str:
+def _reference_log(series_set, epcs) -> str:
     """The text ``write_log`` writes, as ``csv.writer`` writes it row by row."""
-    times, channels, epcs, codes = block
-    rows = [_plain(row) for row in _plain(codes)]
+    channels = sorted(series_set, key=FINGERS.index)
     return csv_text(LOG_FIELDS, (
-        [repr(t), epc, channel, code, ""]
-        for t, column in zip(map(float, _plain(times)), zip(*rows))
-        for channel, epc, code in zip(channels, epcs, column)))
+        [repr(t), epcs[channel], channel, series_set[channel].codes[i], ""]
+        for i, t in enumerate(series_set[channels[0]].times) for channel in channels))
 
 
 def _reference_series(series_set) -> str:
@@ -93,56 +88,62 @@ class TestReadLogRow:
 class TestLogRoundTrip:
     @pytest.mark.parametrize("odd_epcs", [False, True])
     def test_lossless(self, tmp_path, odd_epcs):
-        times, channels, epcs, codes = _block(("I", "III"), start=0.1)
-        block = times, channels, ODD_EPCS[:2] if odd_epcs else epcs, codes
+        series_set, epcs = _log(("I", "III"), start=0.1)
+        if odd_epcs:
+            epcs = dict(zip(epcs, ODD_EPCS))
         path = tmp_path / "log.csv"
-        write_log(block, path)
-        assert path.read_text() == _reference_log(block)
-        series = load_code_series(path)
-        assert list(series) == channels
-        for channel, row in zip(channels, codes):
-            assert np.array_equal(series[channel].times, times)
-            assert np.array_equal(series[channel].codes, row)
+        write_log(series_set, path, epcs)
+        assert path.read_text() == _reference_log(series_set, epcs)
+        loaded = load_code_series(path)
+        assert list(loaded) == ["I", "III"]
+        assert loaded == series_set
 
     def test_rows_by_timestamp_then_channel(self, tmp_path):
         path = tmp_path / "log.csv"
-        write_log(_block(("II", "IV"), n=2), path)
+        series_set, epcs = _log(("II", "IV"), n=2)
+        write_log(series_set, path, epcs)
         assert path.read_text() == LOG_HEADER + (
             "0.0,E28000000000000000000000,II,200,\n"
             "0.0,E28000000000000000000001,IV,210,\n"
             "0.7,E28000000000000000000000,II,201,\n"
             "0.7,E28000000000000000000001,IV,211,\n")
 
+    def test_channels_in_finger_order(self, tmp_path):
+        series_set, epcs = _log(("V", "I", "III"), n=2)
+        path = tmp_path / "log.csv"
+        write_log(series_set, path, epcs)
+        assert path.read_text() == _reference_log(series_set, epcs)
+        assert list(load_code_series(path)) == ["I", "III", "V"]
+
     def test_header_and_line_endings(self, tmp_path):
         path = tmp_path / "log.csv"
-        write_log(_block(), path)
+        series_set, epcs = _log()
+        write_log(series_set, path, epcs)
         raw = path.read_bytes()
         assert raw.startswith(b"timestamp_s,epc,channel,sensor_code,rssi_dbm\n")
         assert b"\r" not in raw
 
-    @pytest.mark.parametrize("labels", [
-        None,
-        (["I", "III", "V"], ODD_EPCS[:3]),
-        (["II", "IV", "V"], ODD_EPCS[3:]),
-    ])
-    def test_lists_and_arrays_write_the_same_bytes(self, tmp_path, labels):
-        times, channels, epcs, codes = _block(("I", "III", "V"), n=4, start=0.1)
-        if labels is not None:
-            channels, epcs = labels
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_log((times, channels, epcs, codes), a)
-        write_log((times.tolist(), channels, epcs, codes.tolist()), b)
-        assert a.read_bytes() == b.read_bytes()
+    @pytest.mark.parametrize("epcs", [None, ODD_EPCS[:3], ODD_EPCS[3:]])
+    def test_lists_and_arrays_write_the_same_bytes(self, tmp_path, epcs):
+        times = 0.1 + 0.7 * np.arange(4)
+        codes = np.array([[200, 201, 202, 203], [0, 511, 7, 8], [300, 301, 302, 303]])
+        channels = ["I", "III", "V"]
+        epcs = dict(zip(channels, epcs or ["E1", "E2", "E3"]))
+        a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+        arrays = dict(zip(channels, (CodeSeries(times, row) for row in codes.astype(np.uint16))))
+        write_log(arrays, a, epcs)
+        write_log(dict(zip(channels, (CodeSeries(times.tolist(), row)
+                                      for row in codes.tolist()))), b, epcs)
+        write_log(dict(zip(channels, (CodeSeries(times, row) for row in 1.0 * codes))), c, epcs)
+        assert a.read_bytes() == b.read_bytes() == c.read_bytes()
         assert b"np." not in a.read_bytes()
-        assert a.read_bytes() == _reference_log((times, channels, epcs, codes)).encode()
-        assert a.read_bytes() == _reference_log((times.tolist(), channels, epcs,
-                                                 codes.tolist())).encode()
+        assert a.read_bytes() == _reference_log(arrays, epcs).encode()
 
     def test_byte_identical_rewrites(self, tmp_path):
-        block = _block(("II",), n=5)
+        series_set, epcs = _log(("II",), n=5)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_log(block, a)
-        write_log(block, b)
+        write_log(series_set, a, epcs)
+        write_log(series_set, b, epcs)
         assert a.read_bytes() == b.read_bytes()
 
     def test_empty_file_rejected(self, tmp_path):
@@ -176,95 +177,82 @@ class TestLogRoundTrip:
             load_code_series(path)
 
 
-class TestWriteLogChecks:
-    """A code block whose parts disagree is refused before any file is made."""
-
-    @pytest.mark.parametrize("block,error", [
-        (([0.0, 0.7], ["I", "II"], ["E1", "E2"], [[100, 101], [102]]),
-         "channel II has 1 codes for 2 timestamps"),
-        (([0.0], ["I", "II"], ["E1", "E2"], [[100, 101], [102, 103]]),
-         "channel I has 2 codes for 1 timestamps"),
-        (([0.0], ["I", "II"], ["E1"], [[100], [102]]),
-         "2 channels, 1 EPCs, 2 code rows"),
-        (([0.0], ["I"], ["E1"], [[100], [102]]),
-         "1 channels, 1 EPCs, 2 code rows"),
-        (([0.0, 0.7], ["I", "II", "I"], ["E1", "E2", "E3"], np.full((3, 2), 100)),
-         "names a channel twice"),
-    ])
-    def test_refused_before_any_file(self, tmp_path, block, error):
-        target = tmp_path / "log.csv"
-        target.write_bytes(b"old\n")
-        with pytest.raises(DataError, match=re.escape(error)):
-            write_log(block, target)
-        assert target.read_bytes() == b"old\n"
-        assert os.listdir(tmp_path) == ["log.csv"]
-
-
-def _times(n=2):
-    return [0.7 * k for k in range(n)]
+def _one(times=(0.0,), codes=(200,)):
+    return CodeSeries(times, codes)
 
 
 class TestWriteLogRefusesWhatTheLoaderRefuses:
-    """What ``write_log`` would write only for ``load_code_series`` to
-    refuse is a ``DataError`` before any file is made, with the message
-    the loader gives for the sample."""
+    """A set of series that would not load back as written, or a missing
+    or unwritable EPC, is a ``DataError`` before any file is made."""
 
-    @pytest.mark.parametrize("block,error", [
-        ((_times(1), ["VI"], ["E"], [[200]]), "unknown channel 'VI'"),
-        ((_times(1), ["I", "{1}"], ["E", "F"], [[200], [200]]), "unknown channel '{1}'"),
-        ((_times(1), ["I", 'x"y'], ["E", "F"], [[200], [200]]), "unknown channel 'x\"y'"),
-        ((_times(1), [1], ["E"], [[200]]), "unknown channel 1"),
-        ((_times(1), [["I"]], ["E"], [[200]]), "unknown channel ['I']"),
-        ((_times(1), ["I"], [None], [[200]]), "EPCs must be strings, got None"),
-        ((_times(1), ["I"], [7], [[200]]), "EPCs must be strings, got 7"),
-        ((_times(1), ["I"], ["\r"], [[200]]), "EPCs must be one line, got '\\r'"),
-        ((_times(1), ["I", "II"], ["E", "a\ud800"], [[200], [200]]),
-         "EPCs must be strings UTF-8 can encode, got 'a\\ud800'"),
-        ((_times(1), ["I", "II"], ["E", "a\nb"], [[200], [200]]),
-         "EPCs must be one line, got 'a\\nb'"),
-        ((_times(2), ["I", "II"], ["E", "F"], [[200, 201], [202, 600]]),
-         "sensor_code 600 outside [0, 511]"),
-        ((_times(2), ["I"], ["E"], [[-1, 200]]), "sensor_code -1 outside [0, 511]"),
-        ((_times(1), ["I"], ["E"], [[600.5]]), "codes must be integers, got 600.5"),
-        ((_times(1), ["I"], ["E"], [[200.0]]), "codes must be integers, got 200.0"),
-        ((_times(1), ["I"], ["E"], [[True]]), "codes must be integers, got True"),
-        ((_times(1), ["I"], ["E"], [["200"]]), "codes must be integers, got '200'"),
-        ((_times(2), ["I"], ["E"], np.array([[200.0, 201.0]])),
-         "codes must be integers, got 200.0"),
-        ((_times(2), ["I"], ["E"], np.array([[200, 512]])), "sensor_code 512 outside"),
-        ((_times(2), ["I"], ["E"], np.array([[200, 201]], dtype=np.uint16) + 500),
-         "sensor_code 700 outside"),
-        ((_times(2), ["I"], ["E"], np.array([[True, False]])),
-         "codes must be integers, got True"),
-        (([0.0, -0.7], ["I"], ["E"], [[200, 201]]),
+    @pytest.mark.parametrize("series_set,epcs,error", [
+        ({}, {}, "no code series to write"),
+        ({"VI": _one()}, {"VI": "E"}, "unknown channel 'VI'"),
+        ({"I": _one(), "{1}": _one()}, {"I": "E", "{1}": "F"}, "unknown channel '{1}'"),
+        ({"I": _one(), 'x"y': _one()}, {"I": "E", 'x"y': "F"}, "unknown channel 'x\"y'"),
+        ({1: _one()}, {1: "E"}, "unknown channel 1"),
+        ({("I",): _one()}, {("I",): "E"}, "unknown channel ('I',)"),
+        ({"I": _one([], [])}, {"I": "E"}, "channel I has no samples"),
+        ({"I": _one([], []), "II": _one([], [])}, {"I": "E", "II": "F"},
+         "channel I has no samples"),
+        ({"I": _one([-0.7, 0.0], [200, 201])}, {"I": "E"},
          "timestamp must be finite and non-negative, got -0.7"),
-        (([0.0, math.nan], ["I"], ["E"], [[200, 201]]),
-         "timestamp must be finite and non-negative, got nan"),
-        ((np.array([0.0, math.inf]), ["I"], ["E"], np.array([[200, 201]])),
-         "timestamp must be finite and non-negative, got inf"),
-        (([], ["I"], ["E"], [[]]), "needs a timestamp and a channel, got 0 timestamps"),
-        ((np.array([]), ["I", "II"], ["E", "F"], np.zeros((2, 0), dtype=int)),
-         "needs a timestamp and a channel, got 0 timestamps"),
-        ((_times(2), [], [], []), "needs a timestamp and a channel, got 2 timestamps "
-                                  "and 0 channels"),
-        (([0.7, 0.7], ["I"], ["E"], [[200, 201]]), "timestamps must be strictly increasing"),
-        (([0.7, 0.0], ["I"], ["E"], [[200, 201]]), "timestamps must be strictly increasing"),
+        ({"I": _one(), "II": _one()}, {"I": "E1"}, "no EPC for channel II"),
+        ({"I": _one()}, {"II": "E1"}, "no EPC for channel I"),
+        ({"I": _one()}, {"I": None}, "EPCs must be one-line strings UTF-8 can encode, got None"),
+        ({"I": _one()}, {"I": 7}, "EPCs must be one-line strings UTF-8 can encode, got 7"),
+        ({"I": _one()}, {"I": "\r"}, "EPCs must be one-line strings UTF-8 can encode, got '\\r'"),
+        ({"I": _one(), "II": _one()}, {"I": "E", "II": "a\ud800"},
+         "EPCs must be one-line strings UTF-8 can encode, got 'a\\ud800'"),
+        ({"I": _one(), "II": _one()}, {"I": "E", "II": "a\nb"},
+         "EPCs must be one-line strings UTF-8 can encode, got 'a\\nb'"),
+        ({"I": _one([0.0, 0.7], [100, 101]), "II": _one([0.0], [102])},
+         {"I": "E1", "II": "E2"}, "channel II has other timestamps than channel I"),
+        ({"II": _one([0.0], [100]), "I": _one([0.7], [102])},
+         {"I": "E1", "II": "E2"}, "channel II has other timestamps than channel I"),
     ])
-    def test_refused_before_any_file(self, tmp_path, block, error):
+    def test_refused_before_any_file(self, tmp_path, series_set, epcs, error):
         target = tmp_path / "log.csv"
         target.write_bytes(b"old\n")
         with pytest.raises(DataError, match=re.escape(error)):
-            write_log(block, target)
+            write_log(series_set, target, epcs)
         assert target.read_bytes() == b"old\n"
         assert os.listdir(tmp_path) == ["log.csv"]
 
     @pytest.mark.parametrize("codes", [
-        [[0, 511]], np.array([[0, 511]]), np.array([[0, 511]], dtype=np.uint16),
-        [np.array([0, 511])], [[np.int64(0), np.int32(511)]],
+        [0, 511], np.array([0, 511]), np.array([0, 511], dtype=np.uint16),
+        [np.int64(0), np.int32(511)], [0.0, 511.0], np.array([0.0, 511.0]),
     ])
     def test_the_whole_code_range_loads_back(self, tmp_path, codes):
-        write_log(([0.0, 0.7], ["V"], [""], codes), tmp_path / "log.csv")
+        write_log({"V": CodeSeries([0.0, 0.7], codes)}, tmp_path / "log.csv", {"V": ""})
+        assert (tmp_path / "log.csv").read_text().splitlines()[1:] == [
+            "0.0,,V,0,", "0.7,,V,511,"]
         assert load_code_series(tmp_path / "log.csv")["V"].codes == (0, 511)
+
+
+class TestCodeSeriesRefusesWhatTheLoaderRefuses:
+    """Samples no file may hold cannot make a ``CodeSeries``, so neither
+    writer sees them."""
+
+    @pytest.mark.parametrize("times,codes,error", [
+        ([0.0, 0.7], [202, 600], "codes outside storage range [0, 511]"),
+        ([0.0, 0.7], [-1, 200], "codes outside storage range [0, 511]"),
+        ([0.0], [600.5], "codes must be integers, got 600.5"),
+        ([0.0], [True], "codes must be integers, got True"),
+        ([0.0], ["200"], "codes must be integers, got '200'"),
+        ([0.0, 0.7], np.array([200, 512]), "codes outside storage range"),
+        ([0.0, 0.7], np.array([200, 201], dtype=np.uint16) + 500, "codes outside storage range"),
+        ([0.0, 0.7], np.array([True, False]), "codes must be integers, got True"),
+        ([0.0, -0.7], [200, 201], "timestamps must be finite and strictly increasing"),
+        ([0.0, math.nan], [200, 201], "timestamps must be finite and strictly increasing"),
+        (np.array([0.0, math.inf]), [200, 201], "timestamps must be finite and strictly"),
+        ([0.7, 0.7], [200, 201], "timestamps must be finite and strictly increasing"),
+        ([0.7, 0.0], [200, 201], "timestamps must be finite and strictly increasing"),
+        ([0.0, 0.7], [100], "times and codes must be 1-D sequences of equal length"),
+    ])
+    def test_refused(self, times, codes, error):
+        with pytest.raises(DataError, match=re.escape(error)):
+            CodeSeries(times, codes)
 
 
 class TestWriteSeriesRefusesWhatTheLoaderRefuses:
@@ -294,14 +282,15 @@ _CODE = st.integers(CODE_STORAGE_MIN, CODE_STORAGE_MAX)
 
 
 @st.composite
-def _log_blocks(draw):
+def _logs(draw):
+    """Series of a few channels over shared timestamps, and their EPCs."""
     times = draw(_RISING_TIMES)
     channels = draw(st.lists(st.sampled_from(FINGERS), min_size=1, max_size=5, unique=True))
     epc = st.text(st.characters(codec="utf-8", exclude_characters="\r\n"), max_size=6)
-    epcs = draw(st.lists(epc, min_size=len(channels), max_size=len(channels)))
-    codes = draw(st.lists(st.lists(_CODE, min_size=len(times), max_size=len(times)),
-                          min_size=len(channels), max_size=len(channels)))
-    return times, channels, epcs, codes
+    series_set = {channel: CodeSeries(times, draw(st.lists(_CODE, min_size=len(times),
+                                                           max_size=len(times))))
+                  for channel in channels}
+    return series_set, {channel: draw(epc) for channel in channels}
 
 
 @st.composite
@@ -319,14 +308,13 @@ class TestWritersRoundTrip:
     """Whatever a writer accepts loads back equal."""
 
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
-    @given(_log_blocks())
-    def test_write_log(self, block):
-        times, channels, _, codes = block
+    @given(_logs())
+    def test_write_log(self, log):
+        series_set, epcs = log
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "log.csv")
-            write_log(block, path)
-            assert load_code_series(path) == {
-                channel: CodeSeries(times, row) for channel, row in zip(channels, codes)}
+            write_log(series_set, path, epcs)
+            assert load_code_series(path) == series_set
 
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(_series_sets())
@@ -356,7 +344,8 @@ class TestSeriesFromRows:
 
     def test_ingest_log(self, tmp_path):
         path = tmp_path / "log.csv"
-        write_log(_block(("IV",), n=4), path)
+        series_set, epcs = _log(("IV",), n=4)
+        write_log(series_set, path, epcs)
         series = load_code_series(path)
         assert len(series["IV"]) == 4
 
@@ -688,6 +677,23 @@ class TestCalibrate:
     def test_no_channels_rejected(self):
         with pytest.raises(DataError):
             calibrate({}, 10, "mean")
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(codes=st.dictionaries(st.sampled_from(FINGERS),
+                                 st.integers(-1, 512) | st.floats(-1.0, 512.0) | st.booleans(),
+                                 max_size=5),
+           timestamp=st.text(st.characters(codec="utf-8") | st.just("\ud800")),
+           gaps=st.lists(st.sampled_from(FINGERS), max_size=5))
+    def test_saved_baselines_load_back_equal(self, codes, timestamp, gaps):
+        try:
+            baseline = CalibrationBaseline(codes=codes, timestamp=timestamp,
+                                           gaps=tuple(g for g in gaps if g not in codes))
+        except DataError:
+            reject()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "baseline.json")
+            save_baseline(baseline, path)
+            assert load_baseline(path) == baseline
 
     def test_baseline_persistence(self, tmp_path):
         baseline = dataclasses.replace(calibrate(self._constant_series(150), 10, "mean"),

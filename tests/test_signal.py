@@ -18,6 +18,7 @@ from rfad.signal import (FluctuationModel, amplitude_spectrum,
                          material_fixture_series, material_fluctuation_model,
                          minimum_samples, pcg64_states, synthesize_block,
                          synthesize_series)
+from rfad.signal import DEFAULT_ASYMPTOTIC_SAMPLES as M_INF
 from rfad.signal import _normal_rows
 
 
@@ -366,18 +367,19 @@ class TestMinimumSamples:
             assert got[2] == pytest.approx(former[2], rel=0, abs=1e-9)
 
     def test_constant_series_converges_immediately(self):
-        assert minimum_samples(_series([150] * 100), 1.0) == 2
+        assert minimum_samples(_series([150] * 100), 1.0, M_INF, "mean") == 2
 
     def test_tolerance_monotonicity(self):
         for mat in ("olive_oil", "ethyl_alcohol", "deionized_water"):
             series = material_fixture_series(mat)
-            assert minimum_samples(series, 2.0) <= minimum_samples(series, 1.0)
+            assert (minimum_samples(series, 2.0, M_INF, "mean")
+                    <= minimum_samples(series, 1.0, M_INF, "mean"))
 
     def test_fixture_windows(self):
         for mat in ("olive_oil", "ethyl_alcohol", "deionized_water"):
             series = material_fixture_series(mat)
-            m_mean = minimum_samples(series, 1.0, estimator="mean")
-            m_median = minimum_samples(series, 1.0, estimator="median")
+            m_mean = minimum_samples(series, 1.0, M_INF, "mean")
+            m_median = minimum_samples(series, 1.0, M_INF, "median")
             assert m_mean <= 10
             assert abs(convergence_error(series, 10)) < 1.0
             assert m_median >= m_mean
@@ -386,7 +388,7 @@ class TestMinimumSamples:
         # strongly drifting series never settles within tolerance
         codes = 100 + np.arange(100)
         with pytest.raises(NotConvergedError) as excinfo:
-            minimum_samples(_series(codes), 0.1)
+            minimum_samples(_series(codes), 0.1, M_INF, "mean")
         assert excinfo.value.delta is not None
 
     @pytest.mark.parametrize("estimator", ["mean", "median"])
@@ -398,17 +400,17 @@ class TestMinimumSamples:
 
     def test_needs_full_asymptotic_window(self):
         with pytest.raises(DataError):
-            minimum_samples(_series([1] * 50), 1.0)
+            minimum_samples(_series([1] * 50), 1.0, M_INF, "mean")
 
     def test_unknown_estimator_is_data_error(self):
         with pytest.raises(DataError, match="unknown estimator 'mode'"):
-            minimum_samples(_series([150] * 100), 1.0, estimator="mode")
+            minimum_samples(_series([150] * 100), 1.0, M_INF, "mode")
 
     def test_uses_no_numpy(self, monkeypatch):
         # window sizing and its dispersion are integer arithmetic on the codes
         monkeypatch.setattr(signal_module, "np", None)
         series = _series([150, 152, 149, 151] * 30)
-        assert minimum_samples(series, 1.0, estimator="median") == 2
+        assert minimum_samples(series, 1.0, M_INF, "median") == 2
         assert convergence_error(series, 4) == 0.0
 
 
