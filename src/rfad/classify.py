@@ -8,6 +8,7 @@ over trial records that persist as JSON.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -74,11 +75,15 @@ class ReliabilityReport:
 
 def classify(f_bar: float, classes: Sequence[MaterialClass]) -> str:
     """Label of the class interval containing the averaged fingerprint;
-    ``classes`` are contiguous and ordered, as ``default_classes`` builds them."""
+    ``classes`` are contiguous and ordered, as ``default_classes`` builds them.
+    A value outside them is an ``UnclassifiableError`` that carries its
+    distance; a NaN, at no distance from any class, is a ``DataError``."""
     for i, cls in enumerate(classes):
         is_top = i == len(classes) - 1
         if cls.lower <= f_bar < cls.upper or (is_top and f_bar == cls.upper):
             return cls.label
+    if math.isnan(f_bar):
+        raise DataError(f"value {f_bar} is not a number")
     lo, hi = classes[0].lower, classes[-1].upper
     distance = lo - f_bar if f_bar < lo else f_bar - hi
     raise UnclassifiableError(

@@ -49,6 +49,9 @@ class CalibrationBaseline:
     gaps: tuple = ()
 
     def __post_init__(self):
+        if not isinstance(self.timestamp, str):
+            raise DataError(f"baseline timestamp {self.timestamp!r} must be a string")
+        object.__setattr__(self, "gaps", tuple(self.gaps))
         for channel, code in self.codes.items():
             if channel not in FINGERS:
                 raise DataError(f"unknown channel {channel!r} in baseline")

@@ -17,16 +17,16 @@ their timestamps, with one EPC per channel. Each streams its file from
 one line template (the constant fields quoted by ``csv``, the timestamps
 and codes filled in by ``str.format``) through the one atomic writer;
 the bytes are those ``csv.writer`` writes. ``CodeSeries`` checks the
-samples, and the writers refuse, before any file is made, what the
-loader would still refuse or would not load back as written.
+samples (a negative timestamp included), and the writers refuse,
+before any file is made, what the loader would still refuse of a set.
 ``load_code_series`` reads both formats; the header row picks the
-columns. It parses the text once and reads it column by column: each
-sample is checked alike in bulk (finite non-negative timestamp, known
-channel, code in storage range), and a read log's ``rssi_dbm`` must be
-empty or finite. If a check fails, the text is read again row by row,
-so each error still names the first bad ``path:line``. Samples are
-grouped per channel and sorted by timestamp; a timestamp repeated on
-one channel is an error.
+columns. It reads the text once, with one ``csv.reader``, and converts
+and checks its rows a chunk at a time, column by column: each sample
+alike (finite non-negative timestamp, known channel, code in storage
+range), and a read log's ``rssi_dbm`` must be empty or finite. A chunk
+that fails is re-checked row by row, that chunk only, so each error
+names the first bad ``path:line``. Samples are grouped per channel and
+sorted by timestamp; a timestamp repeated on one channel is an error.
 
 ``channel_codes`` turns a set of series into one code per channel with
 the session's ``window`` and ``estimator``; it is the estimate both
@@ -79,9 +79,9 @@ class CodeSeries:
     """Timestamped integer sensor codes for one channel.
 
     Any 1-D sequences or arrays may be given; they are stored as tuples
-    of Python floats and ints. The times must be finite and strictly
-    increasing, and every code an integral number (not a bool) in the
-    storage range.
+    of Python floats and ints. The times must be finite, non-negative
+    and strictly increasing, and every code an integral number (not a
+    bool) in the storage range.
     """
 
     times: tuple
@@ -97,9 +97,9 @@ class CodeSeries:
             codes = tuple(map(_code, codes))
         if len(times) != len(codes):
             raise DataError("times and codes must be 1-D sequences of equal length")
-        if not (all(map(math.isfinite, times))
+        if not (all(map(math.isfinite, times)) and (not times or times[0] >= 0)
                 and all(map(operator.lt, times, times[1:]))):
-            raise DataError("timestamps must be finite and strictly increasing")
+            raise DataError("timestamps must be finite, non-negative and strictly increasing")
         if codes and not CODE_STORAGE_MIN <= min(codes) <= max(codes) <= CODE_STORAGE_MAX:
             raise DataError(
                 f"codes outside storage range [{CODE_STORAGE_MIN}, {CODE_STORAGE_MAX}]")
@@ -112,7 +112,7 @@ class CodeSeries:
     @classmethod
     def _checked(cls, times: list, codes: list) -> "CodeSeries":
         """A series of Python floats and ints that already hold what
-        ``__post_init__`` checks; ``load_code_series`` checks them in bulk."""
+        ``__post_init__`` checks; ``load_code_series`` checks them by chunk."""
         series = object.__new__(cls)
         object.__setattr__(series, "times", tuple(times))
         object.__setattr__(series, "codes", tuple(codes))
@@ -170,10 +170,9 @@ def _escaped(field: str) -> str:
 
 
 def _finger_order(series_set: Mapping[str, CodeSeries]) -> list[str]:
-    """The channels of ``series_set`` in finger order. What the loader
-    would refuse is a ``DataError``: no series, an unknown channel, a
-    series without samples or with a negative first timestamp (each
-    series' timestamps are finite and increasing, its codes in range)."""
+    """The channels of ``series_set`` in finger order; what the loader would
+    refuse of a set, no series, an unknown channel or an empty series, is
+    a ``DataError`` (``CodeSeries`` checks each series' samples)."""
     if not series_set:
         raise DataError("no code series to write")
     for channel, series in series_set.items():
@@ -181,7 +180,6 @@ def _finger_order(series_set: Mapping[str, CodeSeries]) -> list[str]:
             raise DataError(f"unknown channel {channel!r}")
         if not len(series):
             raise DataError(f"channel {channel} has no samples")
-        _check_sample(channel, series.times[0], series.codes[0])
     return sorted(series_set, key=FINGERS.index)
 
 
@@ -195,7 +193,7 @@ def write_log(series_set: Mapping[str, CodeSeries], path, epcs: Mapping[str, str
     ``csv.writer`` writes. Besides what ``write_series`` refuses, a
     ``DataError`` before any file is made refuses series whose timestamps
     differ and a channel whose EPC is missing, no string, holds a line
-    break or is not UTF-8 text.
+    break or is not UTF-8 text. ``CodeSeries`` refuses a negative timestamp.
     """
     channels = _finger_order(series_set)
     times = series_set[channels[0]].times
@@ -218,8 +216,9 @@ def write_log(series_set: Mapping[str, CodeSeries], path, epcs: Mapping[str, str
 
 def write_series(series_set: Mapping[str, CodeSeries], path) -> None:
     """Write code series, channel by channel in finger order, from one
-    line template per channel. What ``load_code_series`` would refuse is
-    refused as ``_finger_order`` says, before any file is made."""
+    line template per channel. What ``load_code_series`` would refuse of
+    a set is refused as ``_finger_order`` says, before any file is made;
+    ``CodeSeries``, not the writer, refuses a negative timestamp."""
     channels = _finger_order(series_set)
     write_lines(path, SERIES_HEADER, chain.from_iterable(
         map(csv_text(["{0}", channel, "{1}"], ()).format,
@@ -227,15 +226,21 @@ def write_series(series_set: Mapping[str, CodeSeries], path) -> None:
         for channel in channels))
 
 
-def _samples_ok(times: Sequence[float], code_min, code_max) -> bool:
-    """The column rules of every file: each timestamp finite and non-negative,
-    each code, from the least and the greatest, in the storage range.
-    ``_check_sample`` is the same rule for one sample, naming what breaks it."""
-    return (0 <= min(times) and max(times) < math.inf and not math.isnan(sum(times))
-            and CODE_STORAGE_MIN <= code_min and code_max <= CODE_STORAGE_MAX)
+def _next_rows(reader, n: int, errors: list) -> list[list[str]]:
+    """Up to ``n`` more rows of ``reader``. A CSV syntax error ends the rows
+    for good and goes to ``errors``; the rows read before it, which
+    ``list.extend`` keeps (unlike ``list()``), are returned to be checked first."""
+    rows = []
+    if not errors:
+        try:
+            rows.extend(islice(reader, n))
+        except csv.Error as exc:
+            errors.append(exc)
+    return rows
 
 
 def _check_sample(channel: str, timestamp: float, code: int) -> None:
+    """The sample rule of every file, for one sample, naming what breaks it."""
     if not 0 <= timestamp < math.inf:
         raise DataError(f"timestamp must be finite and non-negative, got {timestamp}")
     if channel not in FINGERS:
@@ -245,86 +250,77 @@ def _check_sample(channel: str, timestamp: float, code: int) -> None:
             f"sensor_code {code} outside [{CODE_STORAGE_MIN}, {CODE_STORAGE_MAX}]")
 
 
-def _raise_first_error(path, text: str) -> NoReturn:
-    """Check ``text`` row by row, as it is read, and raise the error that
-    comes first: an empty file, a bad header, a CSV syntax error, the
-    first bad row by ``path:line``, or a file with no rows."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        if tuple(header) not in _COLUMNS:
-            raise DataError(f"{path}:1: bad header {header!r}")
-        t_col, channel_col, code_col, rssi_col = _COLUMNS[tuple(header)]
-        for lineno, fields in enumerate(reader, start=2):
-            if not fields:
-                continue
-            if len(fields) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
-            try:
-                if rssi_col is not None and fields[rssi_col]:
-                    finite(fields[rssi_col])
-                _check_sample(fields[channel_col], float(fields[t_col]), int(fields[code_col]))
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: malformed row") from exc
-    except csv.Error as exc:
-        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
-    raise DataError(f"{path}: file contains no rows")
-
-
-def _columns(text: str) -> tuple[list, list, list] | None:
-    """The timestamps, channels and codes of the rows of ``text``, or None
-    if ``_raise_first_error`` would raise on it. Each step converts and
-    checks a chunk of rows column by column."""
-    reader = csv.reader(io.StringIO(text))
-    times, channels, codes = [], [], []
-    try:
-        header = next(reader, None)
-        if tuple(header or ()) not in _COLUMNS:
-            return None
-        t_col, channel_col, code_col, rssi_col = _COLUMNS[tuple(header)]
-        while chunk := list(islice(reader, _CHUNK_ROWS)):
-            widths = set(map(len, chunk))
-            if 0 in widths:   # blank lines
-                chunk = list(filter(None, chunk))
-                widths.discard(0)
-            if widths - {len(header)}:
-                return None
-            if not chunk:
-                continue
-            fields = list(zip(*chunk))
-            if rssi_col is not None and (rssi := list(filter(None, fields[rssi_col]))):
-                if not all(map(math.isfinite, map(float, rssi))):
-                    return None
-            times += map(float, fields[t_col])
-            channels += map(_CHANNELS.__getitem__, fields[channel_col])
-            codes += map(int, fields[code_col])
-    except (csv.Error, ValueError, KeyError):
-        return None
-    if not (times and _samples_ok(times, min(codes), max(codes))):
-        return None
-    return times, channels, codes
+def _raise_bad_row(path, header: list, chunk: list, lineno: int) -> NoReturn:
+    """Raise the error of the first bad row of ``chunk``, whose first row
+    is line ``lineno`` of ``path``; blank lines are skipped, but count."""
+    t_col, channel_col, code_col, rssi_col = _COLUMNS[tuple(header)]
+    for lineno, fields in enumerate(chunk, start=lineno):
+        if not fields:
+            continue
+        if len(fields) != len(header):
+            raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
+        try:
+            if rssi_col is not None and fields[rssi_col]:
+                finite(fields[rssi_col])
+            _check_sample(fields[channel_col], float(fields[t_col]), int(fields[code_col]))
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: malformed row") from exc
 
 
 def load_code_series(path) -> dict[str, CodeSeries]:
     """Per-channel series from a reader log or a code-series file, keyed
     in the order the channels first appear.
 
-    The text is parsed once and read column by column: the fields are
-    converted and checked in bulk, and each channel's samples are taken
-    out (by stride when the rows cycle through the channels, as
-    ``write_log`` writes them, else with ``itertools.compress``) and
-    sorted only if they are not in time order already. If a check fails,
-    the text is read again row by row to name the first bad ``path:line``.
+    The text is read once, its rows checked ``_CHUNK_ROWS`` at a time,
+    column by column; a chunk that fails is walked again, row by row, to
+    name the first bad ``path:line``, and a CSV syntax error is the error
+    if no row before it is bad. Each channel's samples are taken out (by
+    stride when the rows cycle through the channels, as ``write_log``
+    writes them, else with ``itertools.compress``) and sorted only if
+    they are not in time order already.
     """
-    text = read_text(path)
-    columns = _columns(text)
-    if columns is None:
-        _raise_first_error(path, text)
-    times, channels, codes = columns
+    reader = csv.reader(io.StringIO(read_text(path)))
+    syntax_errors: list[csv.Error] = []
+    header = (_next_rows(reader, 1, syntax_errors) or [None])[0]
+    if header is not None and tuple(header) not in _COLUMNS:
+        raise DataError(f"{path}:1: bad header {header!r}")
+    times, channels, codes = [], [], []
+    lineno = 2   # of the chunk's first row
+    while chunk := _next_rows(reader, _CHUNK_ROWS, syntax_errors):
+        t_col, channel_col, code_col, rssi_col = _COLUMNS[tuple(header)]
+        first, lineno = lineno, lineno + len(chunk)
+        samples, widths = chunk, set(map(len, chunk))
+        if 0 in widths:   # blank lines
+            samples = list(filter(None, chunk))
+            widths.discard(0)
+        if not samples:
+            continue
+        try:
+            if widths != {len(header)}:
+                raise ValueError("a row of another width")
+            fields = list(zip(*samples))
+            if rssi_col is not None and (rssi := list(filter(None, fields[rssi_col]))):
+                if not all(map(math.isfinite, map(float, rssi))):
+                    raise ValueError("a non-finite rssi_dbm")
+            t = list(map(float, fields[t_col]))
+            c = list(map(int, fields[code_col]))
+            # _check_sample's rule on each column's extremes; a NaN makes the sum NaN
+            if not (0 <= min(t) and max(t) < math.inf and not math.isnan(sum(t))
+                    and CODE_STORAGE_MIN <= min(c) and max(c) <= CODE_STORAGE_MAX):
+                raise ValueError("a sample out of range")
+            channels += map(_CHANNELS.__getitem__, fields[channel_col])
+            times += t
+            codes += c
+        except (ValueError, KeyError):
+            _raise_bad_row(path, header, chunk, first)
+    if syntax_errors:
+        raise DataError(f"{path}:{reader.line_num}: {syntax_errors[0]}")
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    if not times:
+        raise DataError(f"{path}: file contains no rows")
     order = list(dict.fromkeys(channels))
     cycled = channels == order * (len(channels) // len(order))
     out = {}
@@ -375,4 +371,4 @@ def load_baseline(path) -> CalibrationBaseline:
     return read_json(path, "baseline object", lambda payload: CalibrationBaseline(
         codes=json_field(payload, "codes", dict),
         timestamp=json_field(payload, "timestamp", str, default=""),
-        gaps=tuple(json_field(payload, "gaps", list, default=()))))
+        gaps=json_field(payload, "gaps", list, default=())))

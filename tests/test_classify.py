@@ -53,6 +53,11 @@ class TestClassify:
             classify(-321.0, CLASSES)
         assert excinfo.value.distance == pytest.approx(1.0)
 
+    def test_nan_is_not_a_number(self):
+        with pytest.raises(DataError, match="^value nan is not a number$") as excinfo:
+            classify(math.nan, CLASSES)
+        assert not isinstance(excinfo.value, UnclassifiableError)
+
     def test_order_respecting(self):
         order = {"low": 0, "medium": 1, "high": 2}
         values = [-100.0, 0.0, 30.0, 59.5, 100.0, 139.5, 200.0, 319.0]

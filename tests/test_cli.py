@@ -192,8 +192,10 @@ class TestFingerprintAndClassify:
         assert run("classify", "--value", "100") == 0
         assert "medium" in capsys.readouterr().out
 
-    def test_unclassifiable_value_is_data_error(self):
+    def test_unclassifiable_value_is_data_error(self, capsys):
         assert run("classify", "--value", "1000") == 2
+        assert run("classify", "--value", "nan") == 2
+        assert capsys.readouterr().err.endswith("rfad: value nan is not a number\n")
 
     def test_outer_bounds_follow_the_ladder(self, tmp_path, capsys):
         # water's class mean here is 400, beyond the shipped ladder's 320

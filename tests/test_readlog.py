@@ -195,8 +195,6 @@ class TestWriteLogRefusesWhatTheLoaderRefuses:
         ({"I": _one([], [])}, {"I": "E"}, "channel I has no samples"),
         ({"I": _one([], []), "II": _one([], [])}, {"I": "E", "II": "F"},
          "channel I has no samples"),
-        ({"I": _one([-0.7, 0.0], [200, 201])}, {"I": "E"},
-         "timestamp must be finite and non-negative, got -0.7"),
         ({"I": _one(), "II": _one()}, {"I": "E1"}, "no EPC for channel II"),
         ({"I": _one()}, {"II": "E1"}, "no EPC for channel I"),
         ({"I": _one()}, {"I": None}, "EPCs must be one-line strings UTF-8 can encode, got None"),
@@ -230,6 +228,9 @@ class TestWriteLogRefusesWhatTheLoaderRefuses:
         assert load_code_series(tmp_path / "log.csv")["V"].codes == (0, 511)
 
 
+_TIMES_RULE = "timestamps must be finite, non-negative and strictly increasing"
+
+
 class TestCodeSeriesRefusesWhatTheLoaderRefuses:
     """Samples no file may hold cannot make a ``CodeSeries``, so neither
     writer sees them."""
@@ -243,11 +244,13 @@ class TestCodeSeriesRefusesWhatTheLoaderRefuses:
         ([0.0, 0.7], np.array([200, 512]), "codes outside storage range"),
         ([0.0, 0.7], np.array([200, 201], dtype=np.uint16) + 500, "codes outside storage range"),
         ([0.0, 0.7], np.array([True, False]), "codes must be integers, got True"),
-        ([0.0, -0.7], [200, 201], "timestamps must be finite and strictly increasing"),
-        ([0.0, math.nan], [200, 201], "timestamps must be finite and strictly increasing"),
-        (np.array([0.0, math.inf]), [200, 201], "timestamps must be finite and strictly"),
-        ([0.7, 0.7], [200, 201], "timestamps must be finite and strictly increasing"),
-        ([0.7, 0.0], [200, 201], "timestamps must be finite and strictly increasing"),
+        ([0.0, -0.7], [200, 201], _TIMES_RULE),
+        ([0.0, math.nan], [200, 201], _TIMES_RULE),
+        (np.array([0.0, math.inf]), [200, 201], _TIMES_RULE),
+        ([-0.7, 0.0], [200, 201], _TIMES_RULE),
+        (np.array([-0.7]), [200], _TIMES_RULE),
+        ([0.7, 0.7], [200, 201], _TIMES_RULE),
+        ([0.7, 0.0], [200, 201], _TIMES_RULE),
         ([0.0, 0.7], [100], "times and codes must be 1-D sequences of equal length"),
     ])
     def test_refused(self, times, codes, error):
@@ -263,8 +266,6 @@ class TestWriteSeriesRefusesWhatTheLoaderRefuses:
         ({"I": CodeSeries([], [])}, "channel I has no samples"),
         ({"I": CodeSeries([0.0], [200]), "II": CodeSeries([], [])},
          "channel II has no samples"),
-        ({"II": CodeSeries([-0.7, 0.0], [200, 201])},
-         "timestamp must be finite and non-negative, got -0.7"),
     ])
     def test_refused_before_any_file(self, tmp_path, series_set, error):
         target = tmp_path / "series.csv"
@@ -606,6 +607,11 @@ class TestLoaderMatchesRowByRow:
         SERIES_HEADER + "0.0,I,200\n0.7,II,201\ninf,I,202\n",
         LOG_HEADER + '"0.7","x,y","III","200",""\n',       # every field quoted
         SERIES_HEADER + "0.0,I,200\n0.0,I," + _OVERSIZED + "\n0.0,I,-1\n",
+        pytest.param(SERIES_HEADER + "0.0,I,200\n0.7,I,600\n0.0,I," + _OVERSIZED + "\n",
+                     id="bad-row-then-syntax-error"),
+        pytest.param(SERIES_HEADER + "\n\n" + "".join(f"{k},I,200\n"
+                                                      for k in range(readlog._CHUNK_ROWS))
+                     + "\n9e9,I,512\n", id="bad-row-in-second-chunk-after-blank-lines"),
     ])
     def test_examples(self, tmp_path, text):
         path = tmp_path / "in.csv"
@@ -682,12 +688,13 @@ class TestCalibrate:
     @given(codes=st.dictionaries(st.sampled_from(FINGERS),
                                  st.integers(-1, 512) | st.floats(-1.0, 512.0) | st.booleans(),
                                  max_size=5),
-           timestamp=st.text(st.characters(codec="utf-8") | st.just("\ud800")),
+           timestamp=st.text(st.characters(codec="utf-8") | st.just("\ud800"))
+           | st.integers() | st.floats() | st.none(),
            gaps=st.lists(st.sampled_from(FINGERS), max_size=5))
     def test_saved_baselines_load_back_equal(self, codes, timestamp, gaps):
         try:
             baseline = CalibrationBaseline(codes=codes, timestamp=timestamp,
-                                           gaps=tuple(g for g in gaps if g not in codes))
+                                           gaps=[g for g in gaps if g not in codes])
         except DataError:
             reject()
         with tempfile.TemporaryDirectory() as tmp:
