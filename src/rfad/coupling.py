@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, NumericalError, SingularMatrixError
-from .files import is_utf8_text, read_text, write_csv, write_text
+from .files import csv_text, is_utf8_text, read_text, write_text
 from .hand import FINGERS
 from .units import parse_quantity
 
@@ -68,11 +68,15 @@ class ImpedanceMatrix:
         if len(self.port_labels) != z.shape[0]:
             raise DataError(
                 f"{len(self.port_labels)} port labels for {z.shape[0]} ports")
+        seen = set()
         for label in self.port_labels:
             # the file format separates labels by whitespace and ends a line at '#'
             if not is_utf8_text(label) or label.split() != [label] or "#" in label:
                 raise DataError(f"port label {label!r} is no UTF-8 text, is empty "
                                 f"or holds whitespace or '#'")
+            if label in seen:
+                raise DataError(f"port label {label!r} is repeated")
+            seen.add(label)
         if not np.isfinite(z).all():
             raise DataError("impedance matrix has a non-finite entry")
         # the file keeps MHz to 12 digits: far below 1 Hz that reads back as 0
@@ -212,7 +216,10 @@ def load_impedance_matrix(path) -> ImpedanceMatrix:
     bad = np.flatnonzero(~np.isfinite(z).all(axis=1))
     if bad.size:
         raise DataError(f"{path}:{linenos[bad[0]]}: non-finite complex token")
-    return ImpedanceMatrix(z, frequency=frequency, port_labels=ports)
+    try:
+        return ImpedanceMatrix(z, frequency=frequency, port_labels=ports)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def save_impedance_matrix(z: ImpedanceMatrix, path) -> None:
@@ -242,9 +249,9 @@ def save_impedance_matrix(z: ImpedanceMatrix, path) -> None:
 
 def export_coupling_csv(report: CouplingReport, port_labels: Sequence[str], path) -> None:
     """Write the normalized magnitudes as CSV with labelled rows/columns."""
-    write_csv(path, ["port"] + list(port_labels),
-              ([label] + [f"{v:.6g}" for v in row]
-               for label, row in zip(port_labels, report.normalized_magnitudes)))
+    rows = ([label] + [f"{v:.6g}" for v in row]
+            for label, row in zip(port_labels, report.normalized_magnitudes))
+    write_text(path, csv_text(["port"] + list(port_labels), rows))
 
 
 def coupling_summary(report: CouplingReport, port_labels: Sequence[str]) -> str:

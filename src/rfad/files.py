@@ -2,13 +2,13 @@
 
 Each output goes to a uniquely named temporary file beside its target
 and is renamed over it; a failed write leaves the old target and no
-temporary file. ``write_csv`` writes each row to that file as it comes,
-and ``write_lines`` each line of text already formatted (a reader log is
-streamed from one line template), so neither holds the whole text. CSV
-is UTF-8 with LF line endings and a header row; JSON is indented by two
-spaces and ends with a newline. Every reader decodes through
-``read_text`` and names ``path:line`` or ``path: field`` in each
-``DataError``.
+temporary file. There are two writers: ``write_text`` for a whole text,
+and ``write_lines`` for lines already formatted, each written to that
+file as it comes (a reader log is streamed from one line template), so
+the whole text is never held. CSV is UTF-8 with LF line endings and a
+header row; JSON is indented by two spaces and ends with a newline.
+Every reader decodes through ``read_text`` and names ``path:line`` or
+``path: field`` in each ``DataError``.
 """
 
 from __future__ import annotations
@@ -54,22 +54,12 @@ def write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def _write_rows(fh, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     buf = io.StringIO()
-    _write_rows(buf, header, rows)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
-
-
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Replace ``path`` with a CSV file, writing each row as it comes."""
-    with _replacing(path) as fh:
-        _write_rows(fh, header, rows)
 
 
 def write_lines(path, header: Sequence[str], lines: Iterable[str]) -> None:

@@ -51,6 +51,8 @@ class CalibrationBaseline:
     def __post_init__(self):
         if not isinstance(self.timestamp, str):
             raise DataError(f"baseline timestamp {self.timestamp!r} must be a string")
+        if isinstance(self.gaps, str) or not isinstance(self.gaps, Iterable):
+            raise DataError(f"baseline gaps {self.gaps!r} must be a sequence of fingers")
         object.__setattr__(self, "gaps", tuple(self.gaps))
         for channel, code in self.codes.items():
             if channel not in FINGERS:
@@ -60,8 +62,9 @@ class CalibrationBaseline:
                 raise DataError(
                     f"baseline code {code!r} for channel {channel} must be a number in "
                     f"the storage range [{CODE_STORAGE_MIN}, {CODE_STORAGE_MAX}]")
-        if any(gap not in FINGERS or gap in self.codes for gap in self.gaps):
-            raise DataError(f"baseline gaps {list(self.gaps)} must be fingers "
+        if (any(gap not in FINGERS or gap in self.codes for gap in self.gaps)
+                or len(set(self.gaps)) < len(self.gaps)):
+            raise DataError(f"baseline gaps {list(self.gaps)} must be distinct fingers "
                             f"without a code")
 
 

@@ -90,6 +90,9 @@ class PopulationSpec:
         if not 0 <= _floats([self.channel_jitter_sd])[0] < math.inf:
             raise DataError(f"channel_jitter_sd must be a finite non-negative SD, "
                             f"got {self.channel_jitter_sd!r}")
+        if not 0 < _floats([self.series_duration])[0] < math.inf:
+            raise DataError(f"series_duration must be a finite positive number of seconds, "
+                            f"got {self.series_duration!r}")
 
 
 def _floats(values) -> list[float]:
@@ -156,8 +159,6 @@ def _chunk_hands(chain: _Chain, full_series: bool) -> int:
     row = chain.spec.series_duration / chain.config.sample_period
     if not full_series:
         row = min(row, chain.config.window)
-    if not math.isfinite(row):
-        return 1  # synthesize_block rejects the duration
     return max(1, int(_CHUNK_SAMPLES // (len(FINGERS) * max(row, 1.0))))
 
 

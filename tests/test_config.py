@@ -182,9 +182,10 @@ class TestParseConfigText:
         ("s_min = -1\n", ":1: s_min = -1 below the code storage minimum 0"),
         ("s_max = 511\nbaseline_code = 511\n", None),
         # the later of the two acquisition lines is named
-        ("sawtooth_frequency = 1e300 Hz\nwindow = 10\nsample_period = 1e10 s\n",
-         ":3: sample_period = 1e+10 s and sawtooth_frequency = 1e+300 Hz overflow "
-         "the sawtooth phase over 1000000 samples"),
+        pytest.param("sawtooth_frequency = 1e300 Hz\nwindow = 10\nsample_period = 1e10 s\n",
+                     ":3: sample_period = 1e+10 s and sawtooth_frequency = 1e+300 Hz "
+                     "overflow the sawtooth phase over 1000000 samples",
+                     id="sawtooth-phase-overflow"),
     ])
     def test_cross_key_rules_name_the_file(self, tmp_path, text, message):
         path = tmp_path / "session.cfg"

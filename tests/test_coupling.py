@@ -107,6 +107,11 @@ class TestImpedanceMatrix:
         with pytest.raises(DataError, match="port label"):
             ImpedanceMatrix(np.eye(2), frequency=867e6, port_labels=(label, "c"))
 
+    def test_repeated_label_is_named(self):
+        # a repeated label would make the CSV header "port,I,II,I" ambiguous
+        with pytest.raises(DataError, match="^port label 'I' is repeated$"):
+            ImpedanceMatrix(np.eye(3), frequency=867e6, port_labels=("I", "II", "I"))
+
 
 def _per_entry_rows(z):
     """The matrix rows as the per-entry formatter wrote them: one
@@ -240,7 +245,7 @@ def _matrices(draw):
     n = draw(st.integers(1, 5))
     labels = tuple(draw(st.lists(_LABELS.filter(lambda label: label.split() == [label]
                                                 and "#" not in label),
-                                 min_size=n, max_size=n)))
+                                 min_size=n, max_size=n, unique=True)))
     upper = np.triu(np.reshape([complex(*draw(st.tuples(_PARTS, _PARTS)))
                                 for _ in range(n * n)], (n, n)))
     near = draw(st.booleans())  # the lower triangle only within the reciprocity bound
@@ -375,6 +380,22 @@ class TestFileFormats:
         line = 5 + 2 * bad_row
         assert text.splitlines()[line - 1].startswith(rows[bad_row])
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}:{line}: bad complex"):
+            load_impedance_matrix(path)
+
+    @pytest.mark.parametrize("header, rows, error", [
+        ("frequency = 867 MHz\nports = I II III\n", "50+0j 1+0j\n1+0j 50+0j\n",
+         "3 port labels for 2 ports"),
+        ("frequency = 867 MHz\nports = I I\n", "50+0j 1+0j\n1+0j 50+0j\n",
+         "port label 'I' is repeated"),
+        ("frequency = 867 MHz\nports = I II\n", "50+0j 1+0j\n2+0j 50+0j\n",
+         "impedance matrix violates reciprocity beyond 1e-9 relative"),
+        ("frequency = 0.5 Hz\nports = I II\n", "50+0j 1+0j\n1+0j 50+0j\n",
+         "frequency must be finite and >= 1 Hz, got 0.5"),
+    ], ids=["label-count", "repeated-label", "reciprocity", "frequency"])
+    def test_what_the_matrix_refuses_names_the_file(self, tmp_path, header, rows, error):
+        path = tmp_path / "z.txt"
+        path.write_text(header + rows)
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {error}')}$"):
             load_impedance_matrix(path)
 
     def test_load_requires_headers(self, tmp_path):

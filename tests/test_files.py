@@ -12,7 +12,8 @@ import pytest
 from rfad.cli import main
 from rfad.coupling import ImpedanceMatrix, save_impedance_matrix
 from rfad.errors import DataError
-from rfad.files import csv_text, json_text, write_csv, write_json, write_text
+from rfad.files import csv_text, json_text, write_json, write_lines, write_text
+from rfad.readlog import CodeSeries, write_log, write_series
 from rfad.signal import FluctuationModel, amplitude_spectrum, synthesize_series
 
 # SHA-256 of every output at the shipped seeds. An intended format change
@@ -72,8 +73,9 @@ class TestWriter:
         save_impedance_matrix(z, p / "matrix.txt")
         # the amplitude spectrum, pinned through the rows its values give
         freqs, amps = amplitude_spectrum(synthesize_series(FluctuationModel(), 70.0, seed=1))
-        write_csv(p / "spectrum.csv", ["freq_hz", "amplitude"],
-                  ([repr(float(f)), repr(float(a))] for f, a in zip(freqs, amps)))
+        write_text(p / "spectrum.csv", csv_text(
+            ["freq_hz", "amplitude"],
+            ([repr(float(f)), repr(float(a))] for f, a in zip(freqs, amps))))
         capsys.readouterr()
 
         logs = sorted((p / "logs").iterdir())
@@ -140,31 +142,35 @@ class TestWriter:
         write_text(written, "x")
         assert os.stat(written).st_mode == os.stat(plain).st_mode
 
-    def test_failed_row_keeps_target_and_cleans_up(self, tmp_path):
-        def rows():
-            yield [1, "a"]
-            raise RuntimeError("row source failed")
+    def test_failed_line_keeps_target_and_cleans_up(self, tmp_path):
+        def lines():
+            yield "1,a\n"
+            raise RuntimeError("line source failed")
         target = tmp_path / "out.csv"
         target.write_bytes(b"old\n")
-        with pytest.raises(RuntimeError):
-            write_csv(target, ["n", "s"], rows())
+        with pytest.raises(RuntimeError, match="^line source failed$"):
+            write_lines(target, ["n", "s"], lines())
         assert target.read_bytes() == b"old\n"
         assert os.listdir(tmp_path) == ["out.csv"]
 
-    def test_csv_rows_stream_to_the_file(self, tmp_path):
-        # 200k reader-log rows: the text is never held in memory at once
-        header = ["timestamp_s", "epc", "channel", "sensor_code", "rssi_dbm"]
-        def rows():
-            return ([repr(0.7 * i), "E28000000000000000000000", "III", i % 512, ""]
-                    for i in range(200_000))
+    @pytest.mark.parametrize("writer", ["write_log", "write_series"])
+    def test_reader_logs_stream_to_the_file(self, tmp_path, writer):
+        # 200k rows, 40k timestamps on each of the five channels: the text
+        # is never held in memory at once
+        times = [0.7 * i for i in range(40_000)]
+        series_set = {channel: CodeSeries(times, [(i + k) % 512 for i in range(40_000)])
+                      for k, channel in enumerate(("I", "II", "III", "IV", "V"))}
         path = tmp_path / "log.csv"
         tracemalloc.start()
         try:
-            write_csv(path, header, rows())
+            if writer == "write_log":
+                write_log(series_set, path,
+                          {channel: "E28000000000000000000000" for channel in series_set})
+            else:
+                write_series(series_set, path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         size = path.stat().st_size
-        assert size > 4_000_000
+        assert size > 3_000_000
         assert peak < size / 20
-        assert path.read_text() == csv_text(header, rows())

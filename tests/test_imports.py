@@ -32,15 +32,19 @@ def _series_csv(base: int) -> str:
         f"{0.7 * i!r},{f},{base + i % 3}\n" for f in FINGERS for i in range(12))
 
 
-def _numpy_loaded(cwd, script: str) -> bool:
-    """Run ``script`` in a fresh interpreter; whether numpy got imported."""
+def _last_line(cwd, script: str) -> str:
+    """Run ``script`` in a fresh interpreter; the last line it prints."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", script + "\nimport sys; print('numpy' in sys.modules)"],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1] == "True"
+    return proc.stdout.splitlines()[-1]
+
+
+def _numpy_loaded(cwd, script: str) -> bool:
+    """Run ``script`` in a fresh interpreter; whether numpy got imported."""
+    return _last_line(cwd, script + "\nimport sys; print('numpy' in sys.modules)") == "True"
 
 
 def _command(*argv) -> str:
@@ -76,3 +80,9 @@ def test_command_runs_without_numpy(work, script):
 def test_array_command_loads_numpy(work):
     # the probe itself works: a command that synthesizes does load numpy
     assert _numpy_loaded(work, _command("simulate", "--duration", "7", "-o", "x.csv"))
+
+
+def test_import_rfad_loads_no_submodule(tmp_path):
+    # the package holds only its version; each caller imports the module it uses
+    script = "import sys, rfad\nprint([m for m in sys.modules if m.startswith('rfad.')])"
+    assert _last_line(tmp_path, script) == "[]"

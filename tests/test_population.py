@@ -220,6 +220,12 @@ class TestPopulationSpec:
                                             "non-negative SD, got "):
             PopulationSpec(channel_jitter_sd=sd)
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), 0.0, -1.0, "a", None])
+    def test_series_duration_must_be_finite_and_positive(self, duration):
+        with pytest.raises(DataError, match="^series_duration must be a finite positive "
+                                            "number of seconds, got "):
+            PopulationSpec(series_duration=duration)
+
     def test_zero_channel_jitter_runs(self):
         spec = PopulationSpec(channel_jitter_sd=0.0)
         assert monte_carlo_classification(30, seed=2, spec=spec) >= 0.9

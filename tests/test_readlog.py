@@ -416,7 +416,8 @@ class TestSampleChecks:
 
     @pytest.mark.parametrize("body,error", [
         (b"0.0,I,200\n\xff\xfe,I,201\n", ": not UTF-8 text"),
-        (b"0.0,I," + b"2" * 200_000 + b"\n", ":2: field larger")])
+        pytest.param(b"0.0,I," + b"2" * 200_000 + b"\n", ":2: field larger",
+                     id="oversized-field")])
     def test_undecodable_or_oversized_input(self, tmp_path, body, error):
         path = tmp_path / "in.csv"
         path.write_bytes(b"timestamp_s,channel,code\n" + body)
@@ -599,14 +600,20 @@ class TestLoaderMatchesRowByRow:
                 assert _outcome(load_code_series, path) == expected
 
     @pytest.mark.parametrize("text", [
-        LOG_HEADER + "0.7,x,I,200,\n0.7,x,I,999,\n",      # bad code after a duplicate
-        LOG_HEADER + "0.0,x,I,200,\n0.0,x,I,201,\n0.7,x,II,5,\n",
-        SERIES_HEADER + "0.0,II,200\n0.7,I,200\n0.0,II,201\n",
-        SERIES_HEADER + "\n\n",                          # blank lines only
-        LOG_HEADER + "0.0,x,I,200,\n0.7,x,I,201,\nnan,x,I,202,\n",
-        SERIES_HEADER + "0.0,I,200\n0.7,II,201\ninf,I,202\n",
-        LOG_HEADER + '"0.7","x,y","III","200",""\n',       # every field quoted
-        SERIES_HEADER + "0.0,I,200\n0.0,I," + _OVERSIZED + "\n0.0,I,-1\n",
+        pytest.param(LOG_HEADER + "0.7,x,I,200,\n0.7,x,I,999,\n",
+                     id="bad-code-after-a-duplicate"),
+        pytest.param(LOG_HEADER + "0.0,x,I,200,\n0.0,x,I,201,\n0.7,x,II,5,\n",
+                     id="duplicate-then-other-channel"),
+        pytest.param(SERIES_HEADER + "0.0,II,200\n0.7,I,200\n0.0,II,201\n",
+                     id="duplicate-across-other-channel"),
+        pytest.param(SERIES_HEADER + "\n\n", id="blank-lines-only"),
+        pytest.param(LOG_HEADER + "0.0,x,I,200,\n0.7,x,I,201,\nnan,x,I,202,\n",
+                     id="nan-timestamp"),
+        pytest.param(SERIES_HEADER + "0.0,I,200\n0.7,II,201\ninf,I,202\n",
+                     id="inf-timestamp"),
+        pytest.param(LOG_HEADER + '"0.7","x,y","III","200",""\n', id="every-field-quoted"),
+        pytest.param(SERIES_HEADER + "0.0,I,200\n0.0,I," + _OVERSIZED + "\n0.0,I,-1\n",
+                     id="oversized-field"),
         pytest.param(SERIES_HEADER + "0.0,I,200\n0.7,I,600\n0.0,I," + _OVERSIZED + "\n",
                      id="bad-row-then-syntax-error"),
         pytest.param(SERIES_HEADER + "\n\n" + "".join(f"{k},I,200\n"
@@ -690,8 +697,13 @@ class TestCalibrate:
                                  max_size=5),
            timestamp=st.text(st.characters(codec="utf-8") | st.just("\ud800"))
            | st.integers() | st.floats() | st.none(),
-           gaps=st.lists(st.sampled_from(FINGERS), max_size=5))
+           gaps=st.lists(st.sampled_from(FINGERS), max_size=5)
+           | st.text(st.sampled_from("IV"), max_size=3))
     def test_saved_baselines_load_back_equal(self, codes, timestamp, gaps):
+        if isinstance(gaps, str) or len(set(gaps)) < len(gaps):
+            with pytest.raises(DataError):
+                CalibrationBaseline(codes=codes, timestamp=timestamp, gaps=gaps)
+            return
         try:
             baseline = CalibrationBaseline(codes=codes, timestamp=timestamp,
                                            gaps=[g for g in gaps if g not in codes])
@@ -701,6 +713,19 @@ class TestCalibrate:
             path = os.path.join(tmp, "baseline.json")
             save_baseline(baseline, path)
             assert load_baseline(path) == baseline
+
+    @pytest.mark.parametrize("gaps, error", [
+        ("II", "baseline gaps 'II' must be a sequence of fingers"),
+        ("", "baseline gaps '' must be a sequence of fingers"),
+        (None, "baseline gaps None must be a sequence of fingers"),
+        (5, "baseline gaps 5 must be a sequence of fingers"),
+        (("II", "II"), "baseline gaps ['II', 'II'] must be distinct fingers without a code"),
+        (["I", "III", "I"], "baseline gaps ['I', 'III', 'I'] must be distinct fingers "
+                            "without a code"),
+    ], ids=["string", "empty-string", "none", "number", "repeated-tuple", "repeated-list"])
+    def test_gaps_refused(self, gaps, error):
+        with pytest.raises(DataError, match=f"^{re.escape(error)}$"):
+            CalibrationBaseline(codes={"IV": 300.0}, gaps=gaps)
 
     def test_baseline_persistence(self, tmp_path):
         baseline = dataclasses.replace(calibrate(self._constant_series(150), 10, "mean"),
