@@ -187,8 +187,7 @@ def _check_mode(parser, ignored, why, args):
 
 def _cmd_export(args, config):
     fps = load_fingerprints(args.fingerprints)
-    _kiviat.export_kiviat(fps, args.output)
-    print(f"wrote {args.output} (+ CSV twin)")
+    print(f"wrote {_kiviat.export_kiviat(fps, args.output)} (+ CSV twin)")
 
 
 def build_parser() -> _Parser:

@@ -127,7 +127,8 @@ def read_json(path, kind: str, convert):
     each entry of a "... list", an array of objects, else to the one
     object. A parse, shape or conversion failure becomes a ``DataError``
     naming the file, and the entry where it is one of a list; a file of
-    another shape names the kind expected and what it holds."""
+    another shape names the kind expected and what it holds, and an
+    empty list is refused."""
     text = read_text(path)
     try:
         payload = json.loads(text, parse_float=finite, parse_constant=finite)
@@ -143,6 +144,8 @@ def read_json(path, kind: str, convert):
                         f"found {_JSON_KINDS[type(payload)]}")
     if not many:
         return _converted(f"{path}: ", convert, payload)
+    if not payload:
+        raise DataError(f"{path}: the {kind} is empty")
     for index, entry in enumerate(payload):
         if not isinstance(entry, dict):
             raise DataError(f"{path}: entry {index} of the {kind} is "

@@ -6,6 +6,12 @@ code. This module provides the ladder arithmetic, the code inversion
 with saturation, the power-transfer coefficient of the auto-tuned
 front end, and a parametric permittivity -> antenna-susceptance forward
 model standing in for full-wave simulation data.
+
+The front end is an Axzon Magnus-S3 style chip at the EU RFID carrier
+``EU_RFID_FREQUENCY``, with ladder base ``C_MIN``, step ``C_STEP``,
+input conductance ``G_IC`` and antenna conductance ``G_A``. These are
+module constants: they cancel out of every sensor code, but they set
+the power-transfer coefficient of the auto-tuned front end.
 """
 
 from __future__ import annotations
@@ -18,6 +24,12 @@ from .errors import DataError
 
 EU_RFID_FREQUENCY = 867e6
 
+C_MIN = 1.9e-12
+C_STEP = 3.1e-15
+G_IC = G_A = 0.482e-3
+# the carrier's angular frequency
+_OMEGA = 2.0 * math.pi * EU_RFID_FREQUENCY
+
 EPSILON_MIN = 1.0
 EPSILON_MAX = 100.0
 
@@ -28,50 +40,21 @@ CODE_STORAGE_MAX = 511
 
 @dataclass(frozen=True, kw_only=True)
 class AutoTuneIC:
-    """Parameter set of an auto-tuning RFID chip.
+    """The usable codes ``s_min..s_max`` of the chip's ladder, a session setting."""
 
-    The usable codes ``s_min..s_max`` are session settings. The physical
-    defaults match the Axzon Magnus-S3 style front end: 1.9 pF ladder
-    base, 3.1 fF step, 0.482 mS input conductance.
-    """
-
-    c_min: float = 1.9e-12
-    c_step: float = 3.1e-15
     s_min: int
     s_max: int
-    g_ic: float = 0.482e-3
 
     def __post_init__(self):
-        if self.c_min <= 0:
-            raise DataError(f"c_min must be positive, got {self.c_min}")
-        if self.c_step < 0:
-            raise DataError(f"c_step must be non-negative, got {self.c_step}")
         if not CODE_STORAGE_MIN <= self.s_min < self.s_max <= CODE_STORAGE_MAX:
             raise DataError(
                 f"need {CODE_STORAGE_MIN} <= s_min < s_max <= {CODE_STORAGE_MAX}, "
                 f"got ({self.s_min}, {self.s_max})")
-        if self.g_ic <= 0:
-            raise DataError(f"g_ic must be positive, got {self.g_ic}")
-
-
-@dataclass(frozen=True)
-class AntennaState:
-    """Input admittance of one fingertip antenna at a single frequency."""
-
-    g_a: float
-    b_a: float
-    frequency: float
-
-    def __post_init__(self):
-        if self.g_a <= 0:
-            raise DataError(f"antenna conductance must be positive, got {self.g_a}")
-        if self.frequency <= 0:
-            raise DataError(f"frequency must be positive, got {self.frequency}")
 
 
 @dataclass(frozen=True)
 class AntennaModel:
-    """Permittivity -> admittance forward model for one fingertip antenna.
+    """Permittivity -> susceptance forward model for one fingertip antenna.
 
     The susceptance follows a two-parameter saturating law
 
@@ -86,14 +69,8 @@ class AntennaModel:
     b_ref: float
     k: float
     eps_half: float
-    g_a: float
-    frequency: float
 
     def __post_init__(self):
-        if self.g_a <= 0:
-            raise DataError(f"antenna conductance must be positive, got {self.g_a}")
-        if self.frequency <= 0:
-            raise DataError(f"frequency must be positive, got {self.frequency}")
         if self.eps_half <= -EPSILON_MIN:
             raise DataError(f"eps_half must exceed -1, got {self.eps_half}")
 
@@ -114,17 +91,15 @@ def capacitance(ic: AutoTuneIC, s: int) -> float:
     if not ic.s_min <= s <= ic.s_max:
         raise DataError(
             f"sensor code {s} outside valid interval [{ic.s_min}, {ic.s_max}]")
-    return ic.c_min + s * ic.c_step
+    return C_MIN + s * C_STEP
 
 
-def ic_susceptance(ic: AutoTuneIC, s: int, frequency: float) -> float:
+def ic_susceptance(ic: AutoTuneIC, s: int) -> float:
     """IC susceptance 2*pi*f*C(s) at code ``s`` (siemens)."""
-    if frequency <= 0:
-        raise DataError(f"frequency must be positive, got {frequency}")
-    return 2.0 * math.pi * frequency * capacitance(ic, s)
+    return _OMEGA * capacitance(ic, s)
 
 
-def sensor_code(ic: AutoTuneIC, antenna: AntennaState) -> SensorCode:
+def sensor_code(ic: AutoTuneIC, b_a: float) -> SensorCode:
     """Invert the self-tuning balance for the reported integer code.
 
     The chip picks the ladder step whose susceptance best cancels the
@@ -132,10 +107,7 @@ def sensor_code(ic: AutoTuneIC, antenna: AntennaState) -> SensorCode:
     integer (ties to even) and clamped to the usable code range.
     Saturation is a valid result, flagged instead of raised.
     """
-    if ic.c_step == 0:
-        raise DataError("zero-step ladder cannot be inverted to a sensor code")
-    omega = 2.0 * math.pi * antenna.frequency
-    exact = (-antenna.b_a / omega - ic.c_min) / ic.c_step
+    exact = (-b_a / _OMEGA - C_MIN) / C_STEP
     code = round(exact)
     if code < ic.s_min:
         return SensorCode(ic.s_min, "low")
@@ -144,7 +116,7 @@ def sensor_code(ic: AutoTuneIC, antenna: AntennaState) -> SensorCode:
     return SensorCode(code, "none")
 
 
-def power_transfer(ic: AutoTuneIC, antenna: AntennaState) -> float:
+def power_transfer(ic: AutoTuneIC, b_a: float) -> float:
     """Power-transfer coefficient of the auto-tuned front end, in [0, 1].
 
     Inside the compensable susceptance window the ladder absorbs the
@@ -153,27 +125,25 @@ def power_transfer(ic: AutoTuneIC, antenna: AntennaState) -> float:
     rail degrades the match. Window boundaries count as compensated,
     keeping the coefficient continuous.
     """
-    omega = 2.0 * math.pi * antenna.frequency
-    upper = -omega * ic.c_min
-    lower = -omega * (ic.c_min + ic.s_max * ic.c_step)
-    if antenna.b_a > upper:
-        residual = antenna.b_a + omega * ic.c_min
-    elif antenna.b_a < lower:
-        residual = antenna.b_a + omega * (ic.c_min + ic.s_max * ic.c_step)
+    upper = -_OMEGA * C_MIN
+    lower = -_OMEGA * (C_MIN + ic.s_max * C_STEP)
+    if b_a > upper:
+        residual = b_a + _OMEGA * C_MIN
+    elif b_a < lower:
+        residual = b_a + _OMEGA * (C_MIN + ic.s_max * C_STEP)
     else:
         residual = 0.0
-    denom = (ic.g_ic + antenna.g_a) ** 2 + residual ** 2
-    return 4.0 * ic.g_ic * antenna.g_a / denom
+    denom = (G_IC + G_A) ** 2 + residual ** 2
+    return 4.0 * G_IC * G_A / denom
 
 
-def antenna_response(model: AntennaModel, epsilon: float) -> AntennaState:
-    """Evaluate the forward model at a touched permittivity."""
+def antenna_response(model: AntennaModel, epsilon: float) -> float:
+    """Antenna susceptance (siemens) at a touched permittivity."""
     if not EPSILON_MIN <= epsilon <= EPSILON_MAX:
         raise DataError(
             f"permittivity {epsilon} outside validity range "
             f"[{EPSILON_MIN}, {EPSILON_MAX}]")
-    b_a = model.b_ref + model.k * (epsilon - 1.0) / (epsilon + model.eps_half)
-    return AntennaState(g_a=model.g_a, b_a=b_a, frequency=model.frequency)
+    return model.b_ref + model.k * (epsilon - 1.0) / (epsilon + model.eps_half)
 
 
 def calibrated_antenna_model(ic: AutoTuneIC, *, baseline_code: int, span_code: float,
@@ -182,11 +152,8 @@ def calibrated_antenna_model(ic: AutoTuneIC, *, baseline_code: int, span_code: f
 
     ``baseline_code`` is the air (eps = 1) sensor code; ``span_code`` is
     the differential code produced at ``span_epsilon``. The session's
-    targets come from its config. The model holds at the EU RFID carrier,
-    with a 0.482 mS antenna conductance.
+    targets come from its config.
     """
-    omega = 2.0 * math.pi * EU_RFID_FREQUENCY
-    b_ref = -ic_susceptance(ic, baseline_code, EU_RFID_FREQUENCY)
-    k = span_code * omega * ic.c_step * (span_epsilon + eps_half) / (span_epsilon - 1.0)
-    return AntennaModel(b_ref=b_ref, k=k, eps_half=eps_half, g_a=0.482e-3,
-                        frequency=EU_RFID_FREQUENCY)
+    b_ref = -ic_susceptance(ic, baseline_code)
+    k = span_code * _OMEGA * C_STEP * (span_epsilon + eps_half) / (span_epsilon - 1.0)
+    return AntennaModel(b_ref=b_ref, k=k, eps_half=eps_half)

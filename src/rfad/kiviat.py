@@ -112,8 +112,9 @@ def kiviat_csv(fingerprints: Sequence[Fingerprint]) -> str:
     return csv_text(["label", "channel", "value", "imputed", "averaged"], rows)
 
 
-def export_kiviat(fingerprints: Sequence[Fingerprint], path) -> None:
-    """Write ``path`` (SVG) and its CSV twin next to it."""
+def export_kiviat(fingerprints: Sequence[Fingerprint], path) -> str:
+    """Write ``path`` (SVG) and its CSV twin next to it; return the SVG's
+    path, which gains ``.svg`` unless ``path`` ends in it."""
     path = os.fspath(path)
     base = path[:-4] if path.endswith(".svg") else path
     svg_path = base + ".svg"
@@ -123,3 +124,4 @@ def export_kiviat(fingerprints: Sequence[Fingerprint], path) -> None:
         write_text(csv_path, kiviat_csv(fingerprints))
     except OSError as exc:
         raise DataError(f"cannot write radar chart near {path}: {exc}") from exc
+    return svg_path

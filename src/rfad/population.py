@@ -24,7 +24,7 @@ from .classify import (DEFAULT_POPULATION_SEED, MaterialClass, TrialRecord,  # n
                        classify, load_records, save_records)
 from .config import SessionConfig, load_config
 from .errors import DataError
-from .fingerprint import CalibrationBaseline, Fingerprint, total
+from .fingerprint import Fingerprint, total
 from .hand import FINGERS
 from .materials import REFERENCE_LIQUIDS, load_materials
 from .readlog import CodeSeries, Estimator, check_window, write_log
@@ -123,9 +123,7 @@ class _Chain:
     def __init__(self, config: SessionConfig, spec: PopulationSpec):
         self.config = config
         self.spec = spec
-        self.baseline = CalibrationBaseline(
-            codes={channel: float(config.air_code(channel)) for channel in FINGERS})
-        self.air = np.array([self.baseline.codes[f] for f in FINGERS])
+        self.air = np.array([float(config.air_code(f)) for f in FINGERS])
         # entry m: P(at most m + 1 fingers respond), scaled to end at 1
         # as numpy's ``choice`` scales it
         cdf = np.cumsum(np.asarray(spec.count_probs, dtype=float))

@@ -246,15 +246,16 @@ def _round_trip(save, load, items, fps):
 
 
 class TestFilesRoundTrip:
-    """Whatever ``save_records`` and ``save_fingerprints`` accept loads back equal."""
+    """Whatever non-empty list ``save_records`` and ``save_fingerprints``
+    accept loads back equal; the loaders refuse an empty list."""
 
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
-    @given(st.lists(_records(), max_size=4))
+    @given(st.lists(_records(), min_size=1, max_size=4))
     def test_records(self, records):
         _round_trip(save_records, load_records, records,
                     [r.fingerprint for r in records if r.fingerprint is not None])
 
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
-    @given(st.lists(_fingerprints(), max_size=4))
+    @given(st.lists(_fingerprints(), min_size=1, max_size=4))
     def test_fingerprints(self, fps):
         _round_trip(save_fingerprints, load_fingerprints, fps, fps)

@@ -400,6 +400,15 @@ class TestExport:
         assert out.exists()
         assert (tmp_path / "chart.csv").exists()
 
+    @pytest.mark.parametrize("given, written", [
+        ("chart.svg", "chart.svg"), ("chart", "chart.svg"), ("chart.SVG", "chart.SVG.svg")])
+    def test_names_the_svg_it_wrote(self, tmp_path, capsys, given, written):
+        fps = tmp_path / "fps.json"
+        fps.write_text(json.dumps([_fp()]))
+        assert run("export", str(fps), "-o", str(tmp_path / given)) == 0
+        assert capsys.readouterr().out == f"wrote {tmp_path / written} (+ CSV twin)\n"
+        assert (tmp_path / written).exists()
+
     def test_label_with_markup_characters(self, tmp_path):
         label = 'a"b<&c>'
         fps = tmp_path / "fps.json"
@@ -479,8 +488,11 @@ class TestJsonKinds:
         scalar.write_text("7\n")
         strings = tmp_path / "strings.json"
         strings.write_text('["a"]\n')
+        empty = tmp_path / "empty.json"
+        empty.write_text("[]\n")
         return {"baseline": baseline_file, "fps": fps, "scalar": scalar,
-                "strings": strings, "log": air_log, "out": tmp_path / "out.json"}
+                "strings": strings, "empty": empty, "log": air_log,
+                "out": tmp_path / "out.json"}
 
     @pytest.mark.parametrize("argv, given, error", [
         (["classify", "--fingerprints", "{given}"], "baseline",
@@ -497,6 +509,9 @@ class TestJsonKinds:
          "entry 0 of the record list is a string, not an object"),
         (["classify", "--fingerprints", "{given}"], "scalar",
          "expected a fingerprint list (a JSON array), found a number"),
+        (["classify", "--fingerprints", "{given}"], "empty", "the fingerprint list is empty"),
+        (["export", "{given}", "-o", "{out}"], "empty", "the fingerprint list is empty"),
+        (["stats", "--records", "{given}"], "empty", "the record list is empty"),
     ])
     def test_wrong_kind_names_what_was_expected(self, files, capsys, argv, given, error):
         paths = dict(files, given=files[given])

@@ -15,7 +15,7 @@ from rfad.cli import main
 from rfad.config import _KEYS, SessionConfig, _entries, default_config_text, load_config
 from rfad.errors import DataError
 from rfad.hand import FINGERS
-from rfad.ic import EU_RFID_FREQUENCY
+from rfad.ic import C_MIN, C_STEP, EU_RFID_FREQUENCY, G_A, G_IC
 from rfad.materials import REFERENCE_LIQUIDS, load_materials
 from rfad.units import (dbm_from_watts, parse_complex_quantity, parse_quantity,
                         watts_from_dbm)
@@ -209,10 +209,10 @@ class TestDefaults:
     def test_constants_catalog(self):
         config = load_config()
         assert config.frequency == pytest.approx(867e6)
-        assert config.ic.c_min == pytest.approx(1.9e-12)
-        assert config.ic.c_step == pytest.approx(3.1e-15)
+        assert C_MIN == pytest.approx(1.9e-12)
+        assert C_STEP == pytest.approx(3.1e-15)
         assert (config.ic.s_min, config.ic.s_max) == (80, 400)
-        assert config.ic.g_ic == pytest.approx(0.482e-3)
+        assert G_IC == G_A == pytest.approx(0.482e-3)
         assert config.ic_load == pytest.approx(2.8 - 76j)
         assert config.ic_sensitivity == pytest.approx(10e-6)
         assert config.sawtooth_frequency == pytest.approx(0.7)

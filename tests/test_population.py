@@ -50,8 +50,8 @@ def _oracle_air_baseline(config):
     codes = {}
     for channel in FINGERS:
         model = config.antenna_models[channel]
-        state = _ic.antenna_response(model, 1.0)
-        codes[channel] = float(_ic.sensor_code(config.ic, state).code)
+        b_a = _ic.antenna_response(model, 1.0)
+        codes[channel] = float(_ic.sensor_code(config.ic, b_a).code)
     return CalibrationBaseline(codes=codes)
 
 
@@ -125,7 +125,12 @@ def _one_hand(material, rng, config, spec):
         _per_hand(_simulate(chain, rng, [material], full_series=True)))
     log_rows = [(channel, t, c) for channel, row in zip(channels, codes.tolist())
                 for t, c in zip(times.tolist(), row)]
-    return readings(estimates), log_rows, chain.baseline
+    return readings(estimates), log_rows, _chain_baseline(chain)
+
+
+def _chain_baseline(chain):
+    """The chain's air codes as the baseline ``build_fingerprint`` takes."""
+    return CalibrationBaseline(codes=dict(zip(FINGERS, chain.air.tolist())))
 
 
 def _assert_oracle_hand(hand, material, oracle_rng, config, spec):
@@ -270,9 +275,9 @@ class TestStreamPreservation:
             expected, _, baseline = _oracle_simulate_hand(
                 material, oracle_rng, config, spec)
             assert readings(estimates) == expected
-            assert chain.baseline == baseline
+            assert chain.air.tolist() == [baseline.codes[f] for f in FINGERS]
             assert codes.shape[1] == config.window
-            assert (build_fingerprint(readings(estimates), chain.baseline, material)
+            assert (build_fingerprint(readings(estimates), _chain_baseline(chain), material)
                     == build_fingerprint(expected, baseline, material))
         # no draw added or lost
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
@@ -573,13 +578,12 @@ class TestChunkOracle:
         config = dataclasses.replace(load_config(), estimator=estimator)
         spec = PopulationSpec(class_sds=class_sds)
         chain, classes = _Chain(config, spec), config.classes()
-        air = np.array([chain.baseline.codes[f] for f in FINGERS])
         n = _chunk_hands(chain, False) + 4
         materials = [spec.materials[i % len(spec.materials)] for i in range(n)]
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         chunks = list(_simulate(chain, rng, materials))
         assert len(chunks) == 2
-        f_bars = [_averaged(c.estimates, c.responsive, air) for c in chunks]
+        f_bars = [_averaged(c.estimates, c.responsive, chain.air) for c in chunks]
         labels = np.concatenate([_class_indices(f_bar, classes) for f_bar in f_bars])
         f_bars = np.concatenate(f_bars)
         for material, f_bar, label in zip(materials, f_bars.tolist(), labels.tolist()):

@@ -15,7 +15,7 @@ from rfad.coupling import ImpedanceMatrix, PortLoad, power_wave_scattering
 from rfad.fingerprint import (CalibrationBaseline, ChannelReading,
                               build_fingerprint)
 from rfad.hand import FINGERS
-from rfad.ic import (CODE_STORAGE_MAX, AntennaState, AutoTuneIC, antenna_response,
+from rfad.ic import (CODE_STORAGE_MAX, AutoTuneIC, antenna_response,
                      calibrated_antenna_model, ic_susceptance, sensor_code)
 from rfad.readlog import CodeSeries, load_code_series, write_log, write_series
 from rfad.signal import FluctuationModel, convergence_error, synthesize_series
@@ -27,10 +27,7 @@ def _random_ic(rng):
     s_min = int(rng.integers(0, 100))
     # one draw per bound, the upper one capped at the top of the code register
     s_max = min(s_min + int(rng.integers(10, 500)), CODE_STORAGE_MAX)
-    return AutoTuneIC(c_min=float(rng.uniform(0.5e-12, 5e-12)),
-                      c_step=float(rng.uniform(1e-15, 10e-15)),
-                      s_min=s_min, s_max=s_max,
-                      g_ic=float(rng.uniform(1e-4, 2e-3)))
+    return AutoTuneIC(s_min=s_min, s_max=s_max)
 
 
 def run_saturation_clamping(n=N_CASES, seed=101):
@@ -40,8 +37,7 @@ def run_saturation_clamping(n=N_CASES, seed=101):
     for _ in range(n):
         ic = _random_ic(rng)
         b_a = float(rng.uniform(-5e-2, 5e-2))
-        state = AntennaState(g_a=0.482e-3, b_a=b_a, frequency=867e6)
-        result = sensor_code(ic, state)
+        result = sensor_code(ic, b_a)
         ok = ic.s_min <= result.code <= ic.s_max
         if result.saturated == "low":
             ok = ok and result.code == ic.s_min
@@ -58,10 +54,7 @@ def run_code_round_trip(n=N_CASES, seed=102):
     for _ in range(n):
         ic = _random_ic(rng)
         s_star = int(rng.integers(ic.s_min, ic.s_max + 1))
-        state = AntennaState(g_a=0.482e-3,
-                             b_a=-ic_susceptance(ic, s_star, 867e6),
-                             frequency=867e6)
-        result = sensor_code(ic, state)
+        result = sensor_code(ic, -ic_susceptance(ic, s_star))
         failures += not (result.code == s_star and result.saturated == "none")
     return failures
 
