@@ -114,19 +114,33 @@ def power_wave_scattering(z: ImpedanceMatrix,
     K = G (Z - H^+) (Z + H)^-1 G^-1 with H = diag(z_c) and
     G = diag(0.5 / sqrt(Re z_c)). A conjugate-matched port reflects
     nothing; port-to-port entries quantify inter-sensor coupling.
+
+    Z + H is inverted once. Its 1-norm condition number
+    ``||Z + H||_1 * ||(Z + H)^-1||_1`` is taken from that inverse, and
+    ``SingularMatrixError`` is raised when it is not finite or exceeds
+    1/eps. When the LU factorisation meets a zero pivot, it is ``inf``.
     """
     z_c = _loads_as_array(loads, z.n_ports)
     a = z.z + np.diag(z_c)
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > 1.0 / np.finfo(float).eps:
+    try:
+        inverse = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        condition = math.inf
+    else:
+        # an inverse that holds inf or NaN, or norms whose product
+        # overflows, give a condition that is not finite: refused below
+        with np.errstate(all="ignore"):
+            condition = float(np.abs(a).sum(axis=0).max()
+                              * np.abs(inverse).sum(axis=0).max())
+    if not condition <= 1.0 / np.finfo(float).eps:
         raise SingularMatrixError(
-            f"Z + H is singular or near-singular (condition estimate {cond:.3e})",
-            condition=cond)
+            f"Z + H is singular or near-singular (1-norm condition {condition:.3e})",
+            condition=condition)
     # the diagonal G and G^-1 scale rows and columns: the products of the
     # dense diagonal matrices, without their zero terms
     root = np.sqrt(z_c.real)
     left = (z.z - np.diag(z_c.conj())) * (0.5 / root)[:, None]
-    return (left @ np.linalg.inv(a)) * (2.0 * root)
+    return (left @ inverse) * (2.0 * root)
 
 
 def normalize_coupling(k: np.ndarray) -> CouplingReport:
@@ -174,12 +188,13 @@ def load_impedance_matrix(path) -> ImpedanceMatrix:
 
     Header lines ``frequency = 867 MHz`` and ``ports = I II III IV V``
     followed by one row per port of whitespace-separated ``re+imj``
-    tokens. ``#`` starts a comment. All tokens are converted in one pass;
-    only if one is bad are the rows converted again, one by one, so that
-    the error names its line.
+    tokens. ``#`` starts a comment, and a repeated header key is refused.
+    All tokens are converted in one pass; only if one is bad are the rows
+    converted again, one by one, so that the error names its line.
     """
     frequency = None
     ports = None
+    keys = set()
     rows, linenos = [], []  # the tokens of each matrix row, and its line
     for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -188,6 +203,9 @@ def load_impedance_matrix(path) -> ImpedanceMatrix:
         if "=" in line and not rows:
             key, _, value = line.partition("=")
             key = key.strip()
+            if key in keys:
+                raise DataError(f"{path}:{lineno}: repeated header key {key!r}")
+            keys.add(key)
             if key == "frequency":
                 try:
                     frequency = parse_quantity(value.strip(), "frequency")
@@ -230,8 +248,8 @@ def save_impedance_matrix(z: ImpedanceMatrix, path) -> None:
     halves, which cannot overflow, and a pair that is already equal keeps
     the upper entry's bits (so a pair of zeros of opposite sign is written
     with the upper one's sign). Only the upper triangle is formatted, by
-    one ``%`` template over Python floats, and each token is written in
-    both places of its pair.
+    one ``%`` template over Python floats; each token fills both places of
+    its pair in an ``(n, n)`` grid, whose rows are the file's lines.
     """
     n = z.n_ports
     upper = np.triu_indices(n)
@@ -239,11 +257,11 @@ def save_impedance_matrix(z: ImpedanceMatrix, path) -> None:
     sym = np.where(above == below, above, above / 2 + below / 2)
     tokens = (" ".join(["%.12g%+.12gj"] * len(sym))
               % tuple(np.stack([sym.real, sym.imag], axis=-1).ravel().tolist())).split(" ")
-    index = np.empty((n, n), dtype=int)
-    index[upper] = index.T[upper] = np.arange(len(sym))
+    full = np.empty((n, n), dtype=object)
+    full[upper] = full.T[upper] = tokens
     lines = [f"frequency = {z.frequency / 1e6:.12g} MHz",
              "ports = " + " ".join(z.port_labels)]
-    lines += [" ".join([tokens[k] for k in row]) for row in index.tolist()]
+    lines += map(" ".join, full.tolist())
     write_text(path, "\n".join(lines) + "\n")
 
 

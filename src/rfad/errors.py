@@ -18,7 +18,12 @@ class NumericalError(RfadError, ArithmeticError):
 
 
 class SingularMatrixError(NumericalError):
-    """Matrix solve failed; carries the estimated condition number."""
+    """A matrix is singular or near-singular.
+
+    ``condition`` is its 1-norm condition number, taken from the one
+    inverse computed: above 1/eps, NaN, or ``inf`` when the LU
+    factorisation meets a zero pivot.
+    """
 
     def __init__(self, message, condition=None):
         super().__init__(message)

@@ -114,10 +114,12 @@ def kiviat_csv(fingerprints: Sequence[Fingerprint]) -> str:
 
 def export_kiviat(fingerprints: Sequence[Fingerprint], path) -> str:
     """Write ``path`` (SVG) and its CSV twin next to it; return the SVG's
-    path, which gains ``.svg`` unless ``path`` ends in it."""
+    path, which gains ``.svg`` unless ``path`` ends in it, in any case."""
     path = os.fspath(path)
-    base = path[:-4] if path.endswith(".svg") else path
-    svg_path = base + ".svg"
+    if path[-4:].lower() == ".svg":
+        svg_path, base = path, path[:-4]
+    else:
+        svg_path, base = path + ".svg", path
     csv_path = base + ".csv"
     try:
         write_text(svg_path, kiviat_svg(fingerprints))

@@ -268,10 +268,23 @@ class TestCoupling:
         assert run("coupling", "--matrix", str(path)) == 2
         assert f"{path}{place}" in capsys.readouterr().err
 
-    def test_singular_matrix_is_numerical_error(self, tmp_path):
+    # exactly singular, and singular up to rounding (Z + H near [[1, 2], [2, 4]])
+    @pytest.mark.parametrize("ports, rows", [
+        ("I", "-2.8+76j\n"), ("I II", "-1.8+76j 2+0j\n2+0j 1.2+76j\n")],
+        ids=["singular", "near-singular"])
+    def test_singular_matrix_is_numerical_error(self, tmp_path, capsys, ports, rows):
         path = tmp_path / "z.txt"
-        path.write_text("frequency = 867 MHz\nports = I\n-2.8+76j\n")
+        path.write_text(f"frequency = 867 MHz\nports = {ports}\n{rows}")
         assert run("coupling", "--matrix", str(path)) == 3
+        assert "Z + H is singular or near-singular" in capsys.readouterr().err
+
+    def test_repeated_header_is_data_error(self, tmp_path, capsys):
+        # the second frequency once replaced the first
+        path = tmp_path / "z.txt"
+        path.write_text("frequency = 867 MHz\nfrequency = 5 GHz\nports = I II\n"
+                        "50+0j 1+0j\n1+0j 50+0j\n")
+        assert run("coupling", "--matrix", str(path)) == 2
+        assert f"{path}:2: repeated header key 'frequency'" in capsys.readouterr().err
 
 
 class TestStats:
@@ -401,13 +414,14 @@ class TestExport:
         assert (tmp_path / "chart.csv").exists()
 
     @pytest.mark.parametrize("given, written", [
-        ("chart.svg", "chart.svg"), ("chart", "chart.svg"), ("chart.SVG", "chart.SVG.svg")])
+        ("chart.svg", "chart.svg"), ("chart", "chart.svg"), ("chart.SVG", "chart.SVG")])
     def test_names_the_svg_it_wrote(self, tmp_path, capsys, given, written):
         fps = tmp_path / "fps.json"
         fps.write_text(json.dumps([_fp()]))
         assert run("export", str(fps), "-o", str(tmp_path / given)) == 0
         assert capsys.readouterr().out == f"wrote {tmp_path / written} (+ CSV twin)\n"
         assert (tmp_path / written).exists()
+        assert (tmp_path / "chart.csv").exists()
 
     def test_label_with_markup_characters(self, tmp_path):
         label = 'a"b<&c>'

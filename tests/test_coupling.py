@@ -1,5 +1,6 @@
 """Power-wave scattering, coupling normalization, and turn-on budget tests."""
 
+import hashlib
 import math
 import os
 import re
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rfad.cli import main
 from rfad.config import load_config
 from rfad.coupling import (REFERENCE_COUPLING_MAGNITUDES, ImpedanceMatrix, PortLoad,
                            coupling_summary, export_coupling_csv,
@@ -17,6 +19,7 @@ from rfad.coupling import (REFERENCE_COUPLING_MAGNITUDES, ImpedanceMatrix, PortL
                            power_wave_scattering, save_impedance_matrix,
                            turn_on_power)
 from rfad.errors import DataError, NumericalError, SingularMatrixError
+from rfad.hand import FINGERS
 
 
 def _scalar_k(z, z_c):
@@ -54,11 +57,53 @@ class TestPowerWaveScattering:
         assert np.abs(k - k.T).max() <= 1e-9 * np.abs(k).max()
 
     def test_singular_sum_raises(self):
+        # Z + H is exactly zero: the LU factorisation meets a zero pivot
         z_c = 2.8 - 76j
         z = ImpedanceMatrix(np.array([[-z_c]]), frequency=867e6, port_labels=("I",))
         with pytest.raises(SingularMatrixError) as excinfo:
             power_wave_scattering(z, PortLoad(z_c))
-        assert excinfo.value.condition is None or excinfo.value.condition > 1e10
+        assert excinfo.value.condition == math.inf
+
+    def test_near_singular_sum_raises(self):
+        # Z + H is [[1, 2], [2, 4]] up to rounding, with determinant about -8.9e-16:
+        # the inverse exists, but its 1-norm condition is above 1/eps
+        z = ImpedanceMatrix(np.array([[-1.8 + 76j, 2], [2, 1.2 + 76j]]), frequency=867e6,
+                            port_labels=("I", "II"))
+        with pytest.raises(SingularMatrixError, match="near-singular") as excinfo:
+            power_wave_scattering(z, PortLoad(2.8 - 76j))
+        assert 1 / np.finfo(float).eps < excinfo.value.condition < math.inf
+
+    # numpy warns when a product or a column sum of the norms overflows;
+    # pytest turns that RuntimeWarning into an error
+    @pytest.mark.parametrize("entries", [
+        # ||Z + H||_1 = 1e300 and ||(Z + H)^-1||_1 about 1e15: their product overflows
+        [[1e300, 0], [0, -2.8 + 1e-15 + 76j]],
+        # the column sums of |Z + H| overflow
+        [[1.7e308, 1.7e308], [1.7e308, 1.7e308 * (1 - 2e-16)]],
+    ], ids=["norm-product", "column-sum"])
+    def test_overflowing_condition_is_refused_without_warning(self, entries):
+        z = ImpedanceMatrix(np.array(entries), frequency=867e6, port_labels=("I", "II"))
+        with pytest.raises(SingularMatrixError) as excinfo:
+            power_wave_scattering(z, PortLoad(2.8 - 76j))
+        assert not excinfo.value.condition <= 1 / np.finfo(float).eps
+
+    def test_one_inverse_and_no_svd(self, monkeypatch):
+        inverses, inverse = [], np.linalg.inv
+
+        def inv(a):
+            inverses.append(a)
+            return inverse(a)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the condition number comes from the one inverse")
+
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        monkeypatch.setattr(np.linalg, "cond", refused)
+        monkeypatch.setattr(np.linalg, "svd", refused)
+        z = ImpedanceMatrix(np.array([[50, 1 + 2j], [1 + 2j, 40 - 5j]]), frequency=867e6,
+                            port_labels=("I", "II"))
+        power_wave_scattering(z, PortLoad(2.8 - 76j))
+        assert len(inverses) == 1
 
     def test_per_port_loads(self):
         z = ImpedanceMatrix(np.diag([2.8 + 76j, 50 + 0j]), frequency=867e6,
@@ -294,6 +339,41 @@ class TestScatteringBits:
         assert np.array_equal(k, _dense_scattering(z, z_c))
 
 
+def _seeded_matrix(n):
+    """A well-conditioned reciprocal n-port built from seed n by elementwise
+    arithmetic only, so that no BLAS routine sets its bits."""
+    rng = np.random.default_rng(n)
+    r = rng.normal(size=(n, n))
+    x = rng.normal(scale=30.0, size=(n, n))
+    labels = FINGERS if n == len(FINGERS) else tuple(f"P{k + 1}" for k in range(n))
+    return ImpedanceMatrix(r + r.T + 40.0 * np.eye(n) + 0.5j * (x + x.T), frequency=867e6,
+                           port_labels=labels)
+
+
+# SHA-256 of the saved matrix, the coupling summary on stdout (the CSV path
+# in its "wrote" line replaced by "C") and the coupling CSV, per port count
+SCREEN_SHA256 = {
+    5: ("2fd2743a32a62520daa5f5a8e032da624a2ef06731e3a2824ecea644647ef0f8",
+        "5a92afd78d6f58c0bc08468ae6f11fad334ee4b7496eaa1c69cbd361f82d4202",
+        "26bb70b505c8a6871b5ae364c3ba88168dfc0c587f0f6de4514f27070e065877"),
+    64: ("ab6b717f129fce292fe5dc8d87bf15c6d882d515f16410e5f2cb0216d413aad3",
+         "87fcdc83dcf0ce66a06093eec0ef39ea6ebb5ddfe47930a09515e51960546c3a",
+         "8496c97fd938f56833747c9de5b3241869c56e91885526b0ec24975c60685e50"),
+}
+
+
+class TestPinnedScreens:
+    @pytest.mark.parametrize("n", sorted(SCREEN_SHA256))
+    def test_matrix_file_summary_and_csv(self, tmp_path, capsys, n):
+        matrix, csv = tmp_path / "z.txt", tmp_path / "c.csv"
+        save_impedance_matrix(_seeded_matrix(n), matrix)
+        assert main(["coupling", "--matrix", str(matrix), "-o", str(csv)]) == 0
+        stdout = capsys.readouterr().out.replace(str(csv), "C")
+        digests = tuple(hashlib.sha256(data).hexdigest() for data in
+                        (matrix.read_bytes(), stdout.encode(), csv.read_bytes()))
+        assert digests == SCREEN_SHA256[n]
+
+
 class TestNormalizeCoupling:
     def test_reference_matrix_ratio(self):
         report = normalize_coupling(REFERENCE_COUPLING_MAGNITUDES)
@@ -396,6 +476,19 @@ class TestFileFormats:
         path = tmp_path / "z.txt"
         path.write_text(header + rows)
         with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {error}')}$"):
+            load_impedance_matrix(path)
+
+    @pytest.mark.parametrize("header, error", [
+        ("frequency = 867 MHz\nfrequency = 5 GHz\nports = I II\n",
+         ":2: repeated header key 'frequency'"),
+        ("frequency = 867 MHz\nports = I II\nports = III IV\n",
+         ":3: repeated header key 'ports'"),
+    ], ids=["frequency", "ports"])
+    def test_repeated_header_key_names_its_line(self, tmp_path, header, error):
+        # the second line once replaced the first
+        path = tmp_path / "z.txt"
+        path.write_text(header + "50+0j 1+0j\n1+0j 50+0j\n")
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}{error}')}$"):
             load_impedance_matrix(path)
 
     def test_load_requires_headers(self, tmp_path):
