@@ -102,13 +102,17 @@ def _cmd_fingerprint(args, config):
 def _cmd_classify(args, config):
     classes = config.classes()
     if args.value is not None:
-        values = [("value", args.value)]
-    else:
-        fps = load_fingerprints(args.fingerprints)
-        values = [(fingerprint_label(fp, i), averaged_fingerprint(fp))
-                  for i, fp in enumerate(fps)]
-    for label, value in values:
-        print(f"{label}: F={value:.2f} -> {_classify_value(value, classes)}")
+        print(f"value: F={args.value:.2f} -> {_classify_value(args.value, classes)}")
+        return
+    # every fingerprint is classified before any line is printed, so a failure prints none
+    lines = []
+    for i, fp in enumerate(load_fingerprints(args.fingerprints)):
+        label, value = fingerprint_label(fp, i), averaged_fingerprint(fp)
+        try:
+            lines.append(f"{label}: F={value:.2f} -> {_classify_value(value, classes)}")
+        except DataError as exc:
+            raise DataError(f"{args.fingerprints}: {label}: {exc}") from None
+    print("\n".join(lines))
 
 
 def _cmd_coupling(args, config):

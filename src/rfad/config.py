@@ -191,8 +191,8 @@ def _check_rules(values: dict, source: str, lines: dict) -> None:
 
 def load_config(path=None) -> SessionConfig:
     """The shipped defaults, with an optional config file layered on top.
-    Each layer is parsed and checked alike, and must keep the rules that
-    join keys."""
+    Each layer is parsed and checked alike, sets a key at most once, and
+    must keep the rules that join keys."""
     sources = [(DEFAULTS_RESOURCE, default_config_text())]
     if path is not None:
         sources.append((str(path), read_text(path)))
@@ -200,6 +200,8 @@ def load_config(path=None) -> SessionConfig:
     for source, text in sources:
         layer, lines = {}, {}
         for key, value, lineno in _entries(text, source):
+            if key in layer:
+                raise DataError(f"{source}:{lineno}: repeated key {key!r}")
             layer[key], lines[key] = value, lineno
         # a key set without a suffix replaces the values of every channel
         values = {key: value for key, value in values.items()

@@ -19,12 +19,11 @@ and codes filled in by ``str.format``) through the one atomic writer;
 the bytes are those ``csv.writer`` writes. ``CodeSeries`` checks the
 samples (a negative timestamp included), and the writers refuse,
 before any file is made, what the loader would still refuse of a set.
-``load_code_series`` reads both formats; the header row picks the
-columns. It reads the text once, with one ``csv.reader``, and converts
-and checks its rows a chunk at a time, column by column: each sample
-alike (finite non-negative timestamp, known channel, code in storage
-range), and a read log's ``rssi_dbm`` must be empty or finite. A chunk
-that fails is re-checked row by row, that chunk only, so each error
+``load_code_series`` reads both formats, once, with one ``csv.reader``;
+the header row picks the columns. One check of the sample rule (finite
+non-negative timestamp, known channel, code in storage range, a read
+log's ``rssi_dbm`` empty or finite) runs over each chunk of rows, column
+by column, then again row by row over a chunk that fails, so each error
 names the first bad ``path:line``. Samples are grouped per channel and
 sorted by timestamp; a timestamp repeated on one channel is an error.
 
@@ -43,7 +42,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import chain, compress, islice
-from typing import Literal, Mapping, NoReturn, Sequence
+from typing import Literal, Mapping, Sequence
 
 from .errors import DataError
 from .files import (csv_text, finite, is_utf8_text, json_field, read_json, read_text,
@@ -226,99 +225,86 @@ def write_series(series_set: Mapping[str, CodeSeries], path) -> None:
         for channel in channels))
 
 
-def _next_rows(reader, n: int, errors: list) -> list[list[str]]:
-    """Up to ``n`` more rows of ``reader``. A CSV syntax error ends the rows
-    for good and goes to ``errors``; the rows read before it, which
-    ``list.extend`` keeps (unlike ``list()``), are returned to be checked first."""
-    rows = []
-    if not errors:
-        try:
-            rows.extend(islice(reader, n))
-        except csv.Error as exc:
-            errors.append(exc)
-    return rows
-
-
-def _check_sample(channel: str, timestamp: float, code: int) -> None:
-    """The sample rule of every file, for one sample, naming what breaks it."""
-    if not 0 <= timestamp < math.inf:
-        raise DataError(f"timestamp must be finite and non-negative, got {timestamp}")
-    if channel not in FINGERS:
-        raise DataError(f"unknown channel {channel!r}")
-    if not CODE_STORAGE_MIN <= code <= CODE_STORAGE_MAX:
-        raise DataError(
-            f"sensor_code {code} outside [{CODE_STORAGE_MIN}, {CODE_STORAGE_MAX}]")
-
-
-def _raise_bad_row(path, header: list, chunk: list, lineno: int) -> NoReturn:
-    """Raise the error of the first bad row of ``chunk``, whose first row
-    is line ``lineno`` of ``path``; blank lines are skipped, but count."""
+def _columns(header: list, rows: list) -> tuple[list, list, list]:
+    """Timestamps, channels and codes of the data rows ``rows`` of a file with
+    ``header``, blank rows skipped. The sample rule is checked column by
+    column, in the order of a row's checks (width, ``rssi_dbm``, numbers,
+    timestamp, channel, code range); a ``DataError`` names the rule broken."""
     t_col, channel_col, code_col, rssi_col = _COLUMNS[tuple(header)]
-    for lineno, fields in enumerate(chunk, start=lineno):
-        if not fields:
-            continue
-        if len(fields) != len(header):
-            raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
-        try:
-            if rssi_col is not None and fields[rssi_col]:
-                finite(fields[rssi_col])
-            _check_sample(fields[channel_col], float(fields[t_col]), int(fields[code_col]))
-        except DataError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: malformed row") from exc
+    widths = set(map(len, rows))
+    if 0 in widths:
+        rows = list(filter(None, rows))
+    if not rows:
+        return [], [], []
+    if widths - {0} != {len(header)}:
+        raise DataError(f"expected {len(header)} fields")
+    fields = list(zip(*rows))
+    try:
+        if rssi_col is not None:
+            list(map(finite, filter(None, fields[rssi_col])))
+        times = list(map(float, fields[t_col]))
+        codes = list(map(int, fields[code_col]))
+    except ValueError as exc:
+        raise DataError("malformed row") from exc
+    # a NaN makes the sum NaN, whatever it does to min and max
+    if not (0 <= min(times) and max(times) < math.inf and not math.isnan(sum(times))):
+        raise DataError("timestamp must be finite and non-negative, got "
+                        f"{next(t for t in times if not 0 <= t < math.inf)}")
+    try:
+        channels = list(map(_CHANNELS.__getitem__, fields[channel_col]))
+    except KeyError as exc:
+        raise DataError(f"unknown channel {exc.args[0]!r}") from None
+    low, high = min(codes), max(codes)
+    if not CODE_STORAGE_MIN <= low <= high <= CODE_STORAGE_MAX:
+        raise DataError(f"sensor_code {low if low < CODE_STORAGE_MIN else high} "
+                        f"outside [{CODE_STORAGE_MIN}, {CODE_STORAGE_MAX}]")
+    return times, channels, codes
 
 
 def load_code_series(path) -> dict[str, CodeSeries]:
     """Per-channel series from a reader log or a code-series file, keyed
     in the order the channels first appear.
 
-    The text is read once, its rows checked ``_CHUNK_ROWS`` at a time,
-    column by column; a chunk that fails is walked again, row by row, to
-    name the first bad ``path:line``, and a CSV syntax error is the error
-    if no row before it is bad. Each channel's samples are taken out (by
-    stride when the rows cycle through the channels, as ``write_log``
-    writes them, else with ``itertools.compress``) and sorted only if
-    they are not in time order already.
+    ``_columns`` checks the rows ``_CHUNK_ROWS`` at a time, then a failing
+    chunk's rows one by one to name the first bad ``path:line``; a CSV
+    syntax error is the error if no row before it is bad. Each channel's
+    samples are taken out by stride when the rows cycle through the
+    channels, as ``write_log`` writes them, else by ``itertools.compress``.
     """
     reader = csv.reader(io.StringIO(read_text(path)))
-    syntax_errors: list[csv.Error] = []
-    header = (_next_rows(reader, 1, syntax_errors) or [None])[0]
-    if header is not None and tuple(header) not in _COLUMNS:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    if tuple(header) not in _COLUMNS:
         raise DataError(f"{path}:1: bad header {header!r}")
     times, channels, codes = [], [], []
-    lineno = 2   # of the chunk's first row
-    while chunk := _next_rows(reader, _CHUNK_ROWS, syntax_errors):
-        t_col, channel_col, code_col, rssi_col = _COLUMNS[tuple(header)]
-        first, lineno = lineno, lineno + len(chunk)
-        samples, widths = chunk, set(map(len, chunk))
-        if 0 in widths:   # blank lines
-            samples = list(filter(None, chunk))
-            widths.discard(0)
-        if not samples:
-            continue
+    lineno, syntax_error = 2, None   # the line of the chunk's first row
+    while not syntax_error:
+        chunk = []
+        try:   # extend, unlike list(), keeps the rows read before a syntax error
+            chunk.extend(islice(reader, _CHUNK_ROWS))
+        except csv.Error as exc:
+            syntax_error = DataError(f"{path}:{reader.line_num}: {exc}")
+        if not chunk:
+            break
         try:
-            if widths != {len(header)}:
-                raise ValueError("a row of another width")
-            fields = list(zip(*samples))
-            if rssi_col is not None and (rssi := list(filter(None, fields[rssi_col]))):
-                if not all(map(math.isfinite, map(float, rssi))):
-                    raise ValueError("a non-finite rssi_dbm")
-            t = list(map(float, fields[t_col]))
-            c = list(map(int, fields[code_col]))
-            # _check_sample's rule on each column's extremes; a NaN makes the sum NaN
-            if not (0 <= min(t) and max(t) < math.inf and not math.isnan(sum(t))
-                    and CODE_STORAGE_MIN <= min(c) and max(c) <= CODE_STORAGE_MAX):
-                raise ValueError("a sample out of range")
-            channels += map(_CHANNELS.__getitem__, fields[channel_col])
-            times += t
-            codes += c
-        except (ValueError, KeyError):
-            _raise_bad_row(path, header, chunk, first)
-    if syntax_errors:
-        raise DataError(f"{path}:{reader.line_num}: {syntax_errors[0]}")
-    if header is None:
-        raise DataError(f"{path}: empty file")
+            t, ch, c = _columns(header, chunk)
+        except DataError:
+            for k, row in enumerate(chunk, start=lineno):
+                try:
+                    _columns(header, [row])
+                except DataError as exc:
+                    raise DataError(f"{path}:{k}: {exc}") from None
+            raise
+        times += t
+        channels += ch
+        codes += c
+        lineno += len(chunk)
+    if syntax_error:
+        raise syntax_error
     if not times:
         raise DataError(f"{path}: file contains no rows")
     order = list(dict.fromkeys(channels))

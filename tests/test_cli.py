@@ -216,6 +216,18 @@ class TestFingerprintAndClassify:
         assert capsys.readouterr().out == ("oil: F=10.00 -> low\n"
                                            "fingerprint-2: F=10.00 -> low\n")
 
+    def test_fingerprint_outside_the_classes_prints_no_line(self, tmp_path, capsys):
+        # the first fingerprint's line was once printed before the second failed
+        fps = tmp_path / "fps.json"
+        fps.write_text(json.dumps([dict(_fp(), material="a"),
+                                   dict(_fp(), material="b",
+                                        values={f: 1000.0 for f in FINGERS})]))
+        capsys.readouterr()
+        assert run("classify", "--fingerprints", str(fps)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"rfad: {fps}: b: value 1000.0 is 680 outside [-320.0, 320.0]\n"
+
 
 class TestCoupling:
     def test_default_fixture_summary(self, capsys):
@@ -696,6 +708,15 @@ class TestExitCodes:
     def test_bad_config_path_is_data_error(self, tmp_path):
         assert run("--config", str(tmp_path / "nope.cfg"),
                    "classify", "--value", "10") == 2
+
+    def test_repeated_config_key_is_data_error(self, tmp_path, capsys):
+        # the second window once replaced the first
+        path = tmp_path / "rep.cfg"
+        path.write_text("window = 5\nwindow = 20\n")
+        assert run("--config", str(path), "classify", "--value", "50") == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"rfad: {path}:2: repeated key 'window'\n"
+        assert captured.out == ""
 
 
 # Each mode of each subcommand, as the arguments that select it ("{name}"

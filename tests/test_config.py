@@ -290,6 +290,19 @@ class TestLoadConfig:
         with pytest.raises(OSError):
             load_config(tmp_path / "nope.cfg")
 
+    @pytest.mark.parametrize("text, line, key", [
+        ("window = 5\nwindow = 20\n", 2, "window"),
+        ("span_code.III = 120\n# a comment\nspan_code = 150\nspan_code.III = 130\n",
+         4, "span_code.III"),
+        ("sample_period = 0.7 s\nsample_period = 700 ms\n", 2, "sample_period"),
+    ], ids=["window", "channel-suffix", "same-value-other-unit"])
+    def test_repeated_key_names_its_line(self, tmp_path, text, line, key):
+        path = tmp_path / "session.cfg"
+        path.write_text(text)
+        with pytest.raises(DataError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}:{line}: repeated key {key!r}"
+
 
 class TestMaterials:
     def test_reference_liquids_shipped(self):

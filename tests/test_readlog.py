@@ -619,6 +619,12 @@ class TestLoaderMatchesRowByRow:
         pytest.param(SERIES_HEADER + "\n\n" + "".join(f"{k},I,200\n"
                                                       for k in range(readlog._CHUNK_ROWS))
                      + "\n9e9,I,512\n", id="bad-row-in-second-chunk-after-blank-lines"),
+        pytest.param("timestamp_s,channel," + _OVERSIZED + "\n0.0,I,200\n",
+                     id="oversized-header-field"),
+        pytest.param(SERIES_HEADER + "".join(f"{k},I,200\n" for k in range(readlog._CHUNK_ROWS))
+                     + "0.0,I," + _OVERSIZED + "\n", id="syntax-error-after-a-full-chunk"),
+        pytest.param(SERIES_HEADER + "".join(f"{k},I,200\n" for k in range(readlog._CHUNK_ROWS))
+                     + "9e9,I\n", id="short-row-opens-second-chunk"),
     ])
     def test_examples(self, tmp_path, text):
         path = tmp_path / "in.csv"
