@@ -2,13 +2,16 @@
 
 The averaged fingerprint is the scalar feature; materials fall into
 low/medium/high permittivity classes separated by fixed thresholds.
-Reliability statistics summarize how many fingers of a hand respond,
-over trial records that persist as JSON.
+``reliability_report`` is the one reliability statistic: over trial
+records, which persist as JSON, it counts how many fingers of a hand
+respond (the CCD) and how often each finger responds, per material and
+over all trials.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -113,49 +116,23 @@ def default_classes(class_means: Mapping[str, float],
     ]
 
 
-def ccd(records: Sequence[TrialRecord]) -> tuple:
-    """CCD(m) for m = 1..5: percent of trials with >= m responsive fingers."""
-    if not records:
-        raise DataError("no trial records")
-    counts = [r.n_responsive for r in records]
-    return tuple(100.0 * sum(c >= m for c in counts) / len(counts)
-                 for m in range(1, len(FINGERS) + 1))
-
-
-def per_finger_rates(records: Sequence[TrialRecord]):
-    """Response rate per finger per material, plus all-materials joint rate.
-
-    Returns ``(rates, joint)`` where ``rates[finger][material]`` and
-    ``joint[finger]`` are percentages.
-    """
-    if not records:
-        raise DataError("no trial records")
-    materials = sorted({r.material for r in records})
-    rates = {}
-    joint = {}
-    for finger in FINGERS:
-        rates[finger] = {}
-        for material in materials:
-            rel = [r for r in records if r.material == material]
-            rates[finger][material] = (
-                100.0 * sum(r.responsive[finger] for r in rel) / len(rel))
-        joint[finger] = 100.0 * sum(r.responsive[finger] for r in records) / len(records)
-    return rates, joint
-
-
 def reliability_report(records: Sequence[TrialRecord]) -> ReliabilityReport:
-    rates, joint = per_finger_rates(records)
-    return ReliabilityReport(ccd=ccd(records), per_finger_rates=rates,
-                             joint_rates=joint)
-
-
-def suggest_channel_subset(joint_rates: Mapping[str, float], k: int) -> tuple:
-    """The k most reliable fingers; ties break toward the thumb side."""
-    if not 1 <= k <= len(FINGERS):
-        raise DataError(f"k must be in [1, {len(FINGERS)}], got {k}")
-    order = sorted(FINGERS, key=lambda f: (-joint_rates[f], FINGERS.index(f)))
-    chosen = order[:k]
-    return tuple(f for f in FINGERS if f in chosen)
+    """CCD(m) for m = 1..5, the percent of trials with >= m responsive
+    fingers; per finger, its response rate per material (sorted) and over
+    all trials. Each is a percentage of counts, taken in one pass over the
+    records per statistic and finger."""
+    if not records:
+        raise DataError("no trial records")
+    trials = Counter(r.material for r in records)
+    at_count = Counter(r.n_responsive for r in records)
+    ccd = tuple(100.0 * sum(c for n, c in at_count.items() if n >= m) / len(records)
+                for m in range(1, len(FINGERS) + 1))
+    rates, joint = {}, {}
+    for finger in FINGERS:
+        hits = Counter(r.material for r in records if r.responsive[finger])
+        rates[finger] = {m: 100.0 * hits[m] / trials[m] for m in sorted(trials)}
+        joint[finger] = 100.0 * hits.total() / len(records)
+    return ReliabilityReport(ccd=ccd, per_finger_rates=rates, joint_rates=joint)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +159,7 @@ def _record(rec: dict) -> TrialRecord:
     fp = json_field(rec, "fingerprint", dict, type(None), default=None)
     return TrialRecord(subject=rec["subject"], material=rec["material"],
                        responsive=dict(json_field(rec, "responsive", dict)),
-                       fingerprint=fingerprint_from_record(fp) if fp else None)
+                       fingerprint=fingerprint_from_record(fp) if fp is not None else None)
 
 
 def load_records(path) -> list[TrialRecord]:

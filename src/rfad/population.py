@@ -73,6 +73,8 @@ class PopulationSpec:
             raise DataError("population spec needs subjects, trials and materials")
         if unknown := [m for m in self.materials if m not in REFERENCE_LIQUIDS]:
             raise DataError(f"not a reference liquid: {', '.join(map(repr, unknown))}")
+        if repeated := [m for i, m in enumerate(self.materials) if m in self.materials[:i]]:
+            raise DataError(f"material {repeated[0]!r} is repeated")
         probs = _floats(self.count_probs)
         if (len(probs) != len(FINGERS) or not all(p >= 0 for p in probs)
                 or not abs(math.fsum(probs) - 1.0) <= _PROB_SUM_TOLERANCE):

@@ -1,17 +1,18 @@
 """Threshold classification and reliability statistics tests."""
 
+import json
 import math
 import os
+import re
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfad.classify import (MaterialClass, TrialRecord, ccd, classify,
-                           default_classes, load_records, per_finger_rates,
-                           reliability_report, save_records,
-                           suggest_channel_subset)
+from rfad.classify import (MaterialClass, ReliabilityReport, TrialRecord, classify,
+                           default_classes, load_records, reliability_report,
+                           save_records)
 from rfad.errors import DataError, UnclassifiableError
 from rfad.fingerprint import (Fingerprint, averaged_fingerprint, load_fingerprints,
                               propagated_uncertainty, save_fingerprints)
@@ -23,12 +24,37 @@ CLASSES = [
     MaterialClass("high", 139.5, 320.0, reference_materials=("deionized_water",)),
 ]
 
-PAPER_JOINT_RATES = {"I": 20.0, "II": 50.0, "III": 70.0, "IV": 30.0, "V": 50.0}
-
-
 def _record(n_responsive, material="olive_oil", subject="S01"):
     responsive = {f: i < n_responsive for i, f in enumerate(FINGERS)}
     return TrialRecord(subject=subject, material=material, responsive=responsive)
+
+
+def ccd(records):
+    """Reference CCD: one scan of the records per m."""
+    counts = [r.n_responsive for r in records]
+    return tuple(100.0 * sum(c >= m for c in counts) / len(counts)
+                 for m in range(1, len(FINGERS) + 1))
+
+
+def per_finger_rates(records):
+    """Reference rates: one scan of the records per finger and material,
+    returning ``(rates, joint)`` with materials sorted."""
+    materials = sorted({r.material for r in records})
+    rates = {}
+    joint = {}
+    for finger in FINGERS:
+        rates[finger] = {}
+        for material in materials:
+            rel = [r for r in records if r.material == material]
+            rates[finger][material] = (
+                100.0 * sum(r.responsive[finger] for r in rel) / len(rel))
+        joint[finger] = 100.0 * sum(r.responsive[finger] for r in records) / len(records)
+    return rates, joint
+
+
+def _reference_report(records):
+    rates, joint = per_finger_rates(records)
+    return ReliabilityReport(ccd=ccd(records), per_finger_rates=rates, joint_rates=joint)
 
 
 class TestClassify:
@@ -87,23 +113,23 @@ class TestDefaultClasses:
 class TestCcd:
     def test_paper_style_fixture(self):
         records = ([_record(1)] * 1 + [_record(2)] * 3 + [_record(3)] * 6)
-        result = ccd(records)
+        result = reliability_report(records).ccd
         assert result == (100.0, 90.0, 60.0, 0.0, 0.0)
 
     def test_all_responsive(self):
-        assert ccd([_record(5)] * 4) == (100.0,) * 5
+        assert reliability_report([_record(5)] * 4).ccd == (100.0,) * 5
 
     def test_single_record(self):
-        assert ccd([_record(2)]) == (100.0, 100.0, 0.0, 0.0, 0.0)
+        assert reliability_report([_record(2)]).ccd == (100.0, 100.0, 0.0, 0.0, 0.0)
 
     def test_monotone_non_increasing(self):
         records = [_record(n) for n in (1, 2, 2, 3, 4, 5, 1)]
-        result = ccd(records)
+        result = reliability_report(records).ccd
         assert all(a >= b for a, b in zip(result, result[1:]))
 
     def test_empty_rejected(self):
-        with pytest.raises(DataError):
-            ccd([])
+        with pytest.raises(DataError, match="^no trial records$"):
+            reliability_report([])
 
 
 class TestPerFingerRates:
@@ -114,7 +140,8 @@ class TestPerFingerRates:
             TrialRecord("S01", "deionized_water",
                         {"I": False, "II": True, "III": True, "IV": False, "V": False}),
         ]
-        rates, joint = per_finger_rates(records)
+        report = reliability_report(records)
+        rates, joint = report.per_finger_rates, report.joint_rates
         assert rates["I"]["olive_oil"] == 100.0
         assert rates["I"]["deionized_water"] == 0.0
         assert joint["I"] == 50.0
@@ -124,7 +151,8 @@ class TestPerFingerRates:
     def test_rates_bounded(self):
         records = [_record(n, material=m) for n in (1, 3, 4)
                    for m in ("olive_oil", "deionized_water")]
-        rates, joint = per_finger_rates(records)
+        report = reliability_report(records)
+        rates, joint = report.per_finger_rates, report.joint_rates
         for finger in FINGERS:
             assert 0.0 <= joint[finger] <= 100.0
             for value in rates[finger].values():
@@ -137,22 +165,21 @@ class TestPerFingerRates:
         assert report.joint_rates == per_finger_rates(records)[1]
 
 
-class TestSuggestChannelSubset:
-    def test_paper_rates_top_three(self):
-        assert suggest_channel_subset(PAPER_JOINT_RATES, 3) == ("II", "III", "V")
+class TestReportMatchesReference:
+    """``reliability_report`` counts in one pass per statistic what the
+    reference definitions scan for per finger and material: the floats
+    and the key order (fingers, then sorted materials) agree."""
 
-    def test_k_five_is_everything(self):
-        assert suggest_channel_subset(PAPER_JOINT_RATES, 5) == FINGERS
-
-    def test_uniform_rates_tie_break_thumbward(self):
-        uniform = {f: 50.0 for f in FINGERS}
-        assert suggest_channel_subset(uniform, 2) == ("I", "II")
-
-    def test_k_range(self):
-        with pytest.raises(DataError):
-            suggest_channel_subset(PAPER_JOINT_RATES, 0)
-        with pytest.raises(DataError):
-            suggest_channel_subset(PAPER_JOINT_RATES, 6)
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.lists(st.tuples(st.sampled_from(["olive_oil", "ethyl_alcohol", "a", "Z"]),
+                              st.lists(st.booleans(), min_size=5, max_size=5)),
+                    min_size=1, max_size=40))
+    def test_random_records(self, trials):
+        records = [TrialRecord(f"S{i}", material, dict(zip(FINGERS, mask)))
+                   for i, (material, mask) in enumerate(trials)]
+        report, expected = reliability_report(records), _reference_report(records)
+        assert report == expected
+        assert repr(report) == repr(expected)  # dict == ignores key order
 
 
 class TestTrialRecord:
@@ -192,6 +219,16 @@ class TestRecordPersistence:
         path = tmp_path / "records.json"
         save_records(records, path)
         assert load_records(path) == records
+
+    def test_empty_fingerprint_object_is_refused(self, tmp_path):
+        """``{}`` is a fingerprint with no fields, not the absence of one."""
+        path = tmp_path / "records.json"
+        path.write_text(json.dumps([{"subject": "S01", "material": "olive_oil",
+                                     "responsive": {f: f == "I" for f in FINGERS},
+                                     "fingerprint": {}}]))
+        error = f"{path}: entry 0: missing field 'values'"
+        with pytest.raises(DataError, match=f"^{re.escape(error)}$"):
+            load_records(path)
 
 
 # every kind of finite value a fingerprint holds: ints up to the largest a

@@ -299,7 +299,83 @@ class TestCoupling:
         assert f"{path}:2: repeated header key 'frequency'" in capsys.readouterr().err
 
 
+def _flags(*fingers):
+    return {f: f in fingers for f in FINGERS}
+
+
+# Three materials out of sorted order with 3, 2 and 1 trials, a trial where
+# no finger responded and one where all five did, and four records without
+# a fingerprint (null or no field).
+_HAND_RECORDS = [
+    {"subject": "S01", "material": "olive_oil", "fingerprint": None, "responsive": _flags()},
+    {"subject": "S01", "material": "deionized_water", "responsive": _flags(*FINGERS),
+     "fingerprint": {"values": {"I": 10.0, "II": 12.0, "III": 14.0, "IV": 16.0, "V": 18.0},
+                     "imputed": _flags(), "n_responsive": 5}},
+    {"subject": "S02", "material": "olive_oil", "responsive": _flags("II", "III")},
+    {"subject": "S02", "material": "ethyl_alcohol", "responsive": _flags("I", "II"),
+     "fingerprint": {"values": {"I": 90.0, "II": 80.0, "III": 85.0, "IV": 85.0, "V": 85.0},
+                     "imputed": _flags("III", "IV", "V"), "n_responsive": 2}},
+    {"subject": "S03", "material": "olive_oil", "fingerprint": None,
+     "responsive": _flags("III", "IV", "V")},
+    {"subject": "S03", "material": "deionized_water", "responsive": _flags("I", "II", "IV", "V")},
+]
+
+_HAND_REPORT = """\
+{
+  "trials": 6,
+  "ccd_percent": [
+    83.33333333333333,
+    83.33333333333333,
+    50.0,
+    33.333333333333336,
+    16.666666666666668
+  ],
+  "per_finger_rates": {
+    "I": {
+      "deionized_water": 100.0,
+      "ethyl_alcohol": 100.0,
+      "olive_oil": 0.0
+    },
+    "II": {
+      "deionized_water": 100.0,
+      "ethyl_alcohol": 100.0,
+      "olive_oil": 33.333333333333336
+    },
+    "III": {
+      "deionized_water": 50.0,
+      "ethyl_alcohol": 0.0,
+      "olive_oil": 66.66666666666667
+    },
+    "IV": {
+      "deionized_water": 100.0,
+      "ethyl_alcohol": 0.0,
+      "olive_oil": 33.333333333333336
+    },
+    "V": {
+      "deionized_water": 100.0,
+      "ethyl_alcohol": 0.0,
+      "olive_oil": 33.333333333333336
+    }
+  },
+  "joint_rates": {
+    "I": 50.0,
+    "II": 66.66666666666667,
+    "III": 50.0,
+    "IV": 50.0,
+    "V": 50.0
+  }
+}
+"""
+
+
 class TestStats:
+    def test_records_report_is_pinned(self, tmp_path, capsys):
+        records = tmp_path / "records.json"
+        records.write_text(json.dumps(_HAND_RECORDS))
+        capsys.readouterr()
+        assert run("stats", "--records", str(records)) == 0
+        assert capsys.readouterr().out == _HAND_REPORT
+
     def test_generate_and_reload(self, tmp_path, capsys):
         records = tmp_path / "records.json"
         report = tmp_path / "report.json"
@@ -583,6 +659,8 @@ class TestJsonFieldTypes:
          "field 'timestamp' must be a string, found a number"),
         ("fingerprint", {"codes": {"I": "a"}},
          "baseline code 'a' for channel I must be a number in the storage range"),
+        # {} is a fingerprint without its fields; only null or no field means none
+        ("stats", [dict(_as_record(_fp()), fingerprint={})], "entry 0: missing field 'values'"),
     ])
     def test_wrong_type_names_path_entry_and_field(self, tmp_path, capsys, air_log,
                                                     command, payload, error):
@@ -601,9 +679,9 @@ class TestJsonFieldTypes:
 
     def test_valid_files_load_as_before(self, tmp_path, capsys):
         records = tmp_path / "records.json"
+        no_field = {k: v for k, v in _as_record(_fp()).items() if k != "fingerprint"}
         records.write_text(json.dumps([_as_record(_fp()),
-                                       dict(_as_record(_fp()), fingerprint=None),
-                                       dict(_as_record(_fp()), fingerprint={})]))
+                                       dict(_as_record(_fp()), fingerprint=None), no_field]))
         assert run("stats", "--records", str(records)) == 0
         fps = tmp_path / "fps.json"
         fps.write_text(json.dumps([dict(_fp(), n_responsive=5.0)]))

@@ -185,6 +185,17 @@ class TestPopulationSpec:
         with pytest.raises(DataError, match=f"^not a reference liquid: {message}$"):
             PopulationSpec(materials=materials, subjects=1, trials=1)
 
+    @pytest.mark.parametrize("materials, repeated", [
+        (("olive_oil", "olive_oil"), "olive_oil"),
+        (("ethyl_alcohol", "deionized_water", "deionized_water", "ethyl_alcohol"),
+         "deionized_water"),
+    ])
+    def test_repeated_material_is_refused(self, materials, repeated):
+        # a second trial of the same material would overwrite its reader log
+        # and merge into the first in the per-material rates
+        with pytest.raises(DataError, match=f"^material '{repeated}' is repeated$"):
+            PopulationSpec(materials=materials, subjects=1, trials=1)
+
     @pytest.mark.parametrize("count_probs", [
         (0.1, 0.3, 0.55, 0.05, 1e-6),       # sums to 1 + 1e-6
         (0.1, 0.3, 0.55, 0.05 - 1e-7, 0.0),

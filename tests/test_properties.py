@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from rfad.classify import TrialRecord, ccd
+from rfad.classify import TrialRecord, reliability_report
 from rfad.config import load_config
 from rfad.coupling import ImpedanceMatrix, PortLoad, power_wave_scattering
 from rfad.fingerprint import (CalibrationBaseline, ChannelReading,
@@ -123,7 +123,7 @@ def run_ccd_monotonicity(n=N_CASES, seed=106):
             records.append(TrialRecord(
                 subject=f"S{i}", material="olive_oil",
                 responsive=dict(zip(FINGERS, map(bool, flags)))))
-        result = ccd(records)
+        result = reliability_report(records).ccd
         ok = all(a >= b for a, b in zip(result, result[1:]))
         ok = ok and all(0.0 <= v <= 100.0 for v in result)
         failures += not ok
