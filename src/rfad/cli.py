@@ -28,13 +28,13 @@ from .classify import (DEFAULT_POPULATION_SEED, load_records, reliability_report
                        save_records)
 from .classify import classify as _classify_value
 from .config import load_config
-from .errors import DataError, NumericalError, RfadError
+from .errors import DataError, NumericalError, RfadError, UncalibratedChannelError
 from .files import check_output_dir, json_text, write_json
 from .fingerprint import (averaged_fingerprint, build_fingerprint, fingerprint_label,
                           fingerprint_record, load_fingerprints, readings,
                           save_fingerprints)
 from .hand import FINGERS
-from .materials import REFERENCE_LIQUIDS, load_materials
+from .materials import PERMITTIVITY, REFERENCE_LIQUIDS
 from .units import dbm_from_watts
 
 EXIT_OK = 0
@@ -52,6 +52,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _cmd_simulate(args, config):
     from . import signal as _signal
+    # channel k's seed is --seed + k: refuse a negative --seed whatever --channels
+    if args.seed < 0:
+        raise DataError(f"seed must be non-negative, got {args.seed}")
     if args.material and args.material not in REFERENCE_LIQUIDS:
         raise DataError(f"unknown reference material {args.material!r}; "
                         f"known: {sorted(REFERENCE_LIQUIDS)}")
@@ -59,7 +62,7 @@ def _cmd_simulate(args, config):
                        sawtooth_frequency=config.sawtooth_frequency)
     channels = [channel for channel in FINGERS if channel in (args.channels or FINGERS)]
     if args.material:
-        eps = load_materials()[args.material].epsilon
+        eps = PERMITTIVITY[args.material]
         fluct = _signal.material_fluctuation_model(args.material, baseline=0, **acquisition)
         baselines = [config.channel_code(channel, eps) for channel in channels]
     else:
@@ -94,7 +97,10 @@ def _cmd_calibrate(args, config):
 def _cmd_fingerprint(args, config):
     baseline = _readlog.load_baseline(args.baseline)
     codes = _log_estimate(args.log, _readlog.channel_codes, config)
-    fp = build_fingerprint(readings(codes), baseline, material_label=args.label)
+    try:
+        fp = build_fingerprint(readings(codes), baseline, material_label=args.label)
+    except UncalibratedChannelError as exc:
+        raise DataError(f"{args.baseline}: {exc}") from None
     save_fingerprints([fp], args.output)
     print(json_text(fingerprint_record(fp)), end="")
 
@@ -151,6 +157,9 @@ def _cmd_stats(args, config):
         for target in (args.records_out, args.output):
             if target is not None:
                 check_output_dir(target)
+        if (args.records_out is not None and args.output is not None
+                and os.path.realpath(args.records_out) == os.path.realpath(args.output)):
+            raise DataError(f"{args.output}: --records-out and -o name the same file")
         from . import population as _population
         records = _population.generate_population(
             _population.PopulationSpec(), seed=args.seed, config=config,

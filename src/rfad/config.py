@@ -23,7 +23,7 @@ from . import ic as _ic
 from .errors import DataError
 from .files import finite, read_text
 from .hand import FINGERS
-from .materials import REFERENCE_LIQUIDS, load_materials
+from .materials import PERMITTIVITY
 from .readlog import MAX_SERIES_SAMPLES
 from .units import parse_complex_quantity, parse_quantity
 
@@ -123,11 +123,10 @@ class SessionConfig:
     def class_means(self) -> dict[str, float]:
         """Differential-code means of the reference liquids, averaged
         over the five channels' models."""
-        materials = load_materials()
         air = [self.air_code(channel) for channel in FINGERS]
-        return {name: sum(a - self.channel_code(channel, materials[name].epsilon)
+        return {name: sum(a - self.channel_code(channel, eps)
                           for channel, a in zip(FINGERS, air)) / len(FINGERS)
-                for name in REFERENCE_LIQUIDS}
+                for name, eps in PERMITTIVITY.items()}
 
     def classes(self) -> list[_classify.MaterialClass]:
         """The reference liquids' classes, bounded by the largest

@@ -45,6 +45,10 @@ class HandUnreadError(DataError):
     """No channel of the hand produced a reading."""
 
 
+class UncalibratedChannelError(DataError):
+    """A channel that produced a reading has no code in the calibration baseline."""
+
+
 class UnclassifiableError(DataError):
     """Value falls outside every class interval.
 

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import DataError, HandUnreadError
+from .errors import DataError, HandUnreadError, UncalibratedChannelError
 from .files import is_utf8_text, json_field, read_json, write_json
 from .hand import FINGERS
 from .ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
@@ -131,7 +131,7 @@ def build_fingerprint(readings: Sequence[ChannelReading],
     if not responsive:
         raise HandUnreadError("no finger of the hand produced a reading")
     if uncalibrated := [f for f in responsive if f not in baseline.codes]:
-        raise DataError(f"no calibration baseline for channel {uncalibrated[0]}")
+        raise UncalibratedChannelError(f"no calibration baseline for channel {uncalibrated[0]}")
     deltas = {f: baseline.codes[f] - by_channel[f].code for f in responsive}
     return Fingerprint(values=dict(zip(FINGERS, imputed_values(deltas))),
                        imputed={f: f not in deltas for f in FINGERS},

@@ -26,7 +26,7 @@ from .config import SessionConfig, load_config
 from .errors import DataError
 from .fingerprint import Fingerprint, total
 from .hand import FINGERS
-from .materials import REFERENCE_LIQUIDS, load_materials
+from .materials import PERMITTIVITY, REFERENCE_LIQUIDS
 from .readlog import CodeSeries, Estimator, check_window, write_log
 from .signal import material_fluctuation_model, synthesize_block
 
@@ -131,11 +131,10 @@ class _Chain:
         cdf = np.cumsum(np.asarray(spec.count_probs, dtype=float))
         self.count_cdf = (cdf / cdf[-1]).tolist()
         self.weights = [float(spec.finger_weights[f]) for f in FINGERS]
-        eps = {name: material.epsilon for name, material in load_materials().items()}
         # per material of the spec: the touched code of each channel, and the
         # fluctuation preset, whose baseline is a placeholder (each
         # synthesized row gets its own)
-        self.touched = {name: tuple(config.channel_code(ch, eps[name]) for ch in FINGERS)
+        self.touched = {name: tuple(config.channel_code(ch, PERMITTIVITY[name]) for ch in FINGERS)
                         for name in spec.materials}
         self.fluctuation = {name: material_fluctuation_model(
             name, baseline=0, sample_period=config.sample_period,

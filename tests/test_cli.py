@@ -11,7 +11,7 @@ from rfad import population, signal
 from rfad.cli import build_parser, main
 from rfad.config import load_config
 from rfad.hand import FINGERS
-from rfad.materials import load_materials
+from rfad.materials import PERMITTIVITY
 from rfad.population import (DEFAULT_POPULATION_SEED, PopulationSpec, generate_population,
                              save_records)
 from rfad.readlog import load_code_series, write_log
@@ -53,9 +53,22 @@ class TestSimulate:
                    "--duration", "70", "-o", str(out)) == 0
         assert out.exists()
 
-    def test_unknown_material_is_data_error(self, tmp_path):
-        assert run("simulate", "--material", "lava",
-                   "-o", str(tmp_path / "x.csv")) == 2
+    @pytest.mark.parametrize("material", ["lava", "ecoflex_00_30"])
+    def test_unknown_material_is_data_error(self, tmp_path, capsys, material):
+        out = tmp_path / "x.csv"
+        assert run("simulate", "--material", material, "-o", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"rfad: unknown reference material {material!r}; "
+            "known: ['deionized_water', 'ethyl_alcohol', 'olive_oil']\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("channels", [(), ("--channels", "V")])
+    def test_negative_seed_is_data_error(self, tmp_path, capsys, channels):
+        # channel V's seed is --seed + 4, which is 2 here
+        out = tmp_path / "n.csv"
+        assert run("simulate", "--seed", "-2", *channels, "-o", str(out)) == 2
+        assert capsys.readouterr().err == "rfad: seed must be non-negative, got -2\n"
+        assert not out.exists()
 
     def test_material_baseline_follows_channel_model(self, tmp_path):
         cfg = tmp_path / "session.cfg"
@@ -101,7 +114,7 @@ class TestSimulate:
         config, seed = load_config(), int(argv[argv.index("--seed") + 1])
         for channel in series:
             if argv[0] == "--material":
-                eps = load_materials()["ethyl_alcohol"].epsilon
+                eps = PERMITTIVITY["ethyl_alcohol"]
                 model = material_fluctuation_model(
                     "ethyl_alcohol", config.channel_code(channel, eps))
             else:
@@ -185,6 +198,19 @@ class TestFingerprintAndClassify:
                        "-o", str(out)) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_baseline_gap_names_the_baseline(self, tmp_path, capsys):
+        air, baseline = tmp_path / "air.csv", tmp_path / "b.json"
+        touched, out = tmp_path / "touched.csv", tmp_path / "f.json"
+        assert run("simulate", "--baseline", "300", "--channels", "I", "-o", str(air)) == 0
+        assert run("calibrate", str(air), "-o", str(baseline)) == 0
+        assert run("simulate", "--material", "olive_oil", "-o", str(touched)) == 0
+        capsys.readouterr()
+        assert run("fingerprint", str(touched), "--baseline", str(baseline),
+                   "-o", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"rfad: {baseline}: no calibration baseline for channel II\n")
+        assert not out.exists()
 
     def test_classify_value(self, capsys):
         assert run("classify", "--value", "25") == 0
@@ -432,6 +458,18 @@ class TestStats:
         assert run("stats", "--generate", flag, str(out)) == 2
         err = capsys.readouterr().err
         assert err == f"rfad: {out}: directory {str(tmp_path / 'nodir')!r} does not exist\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("records_out", ["same.json", "{dir}/same.json"])
+    def test_records_out_and_output_must_differ(self, tmp_path, capsys, monkeypatch,
+                                                records_out):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(population, "generate_population",
+                            lambda *a, **kw: pytest.fail("simulation started"))
+        assert run("stats", "--generate", "--records-out", records_out.format(dir=tmp_path),
+                   "-o", "same.json") == 2
+        err = capsys.readouterr().err
+        assert err == "rfad: same.json: --records-out and -o name the same file\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_a_source_is_required(self, capsys, monkeypatch):

@@ -16,7 +16,7 @@ from rfad.config import _KEYS, SessionConfig, _entries, default_config_text, loa
 from rfad.errors import DataError
 from rfad.hand import FINGERS
 from rfad.ic import C_MIN, C_STEP, EU_RFID_FREQUENCY, G_A, G_IC
-from rfad.materials import REFERENCE_LIQUIDS, load_materials
+from rfad.materials import PERMITTIVITY, REFERENCE_LIQUIDS
 from rfad.units import (dbm_from_watts, parse_complex_quantity, parse_quantity,
                         watts_from_dbm)
 
@@ -245,10 +245,8 @@ class TestDefaults:
         path = tmp_path / "session.cfg"
         path.write_text("span_code.III = 120\n")
         config = load_config(path)
-        materials = load_materials()
         means = config.class_means()
-        for name in REFERENCE_LIQUIDS:
-            eps = materials[name].epsilon
+        for name, eps in PERMITTIVITY.items():
             expected = sum(config.air_code(c) - config.channel_code(c, eps)
                            for c in FINGERS) / len(FINGERS)
             assert means[name] == pytest.approx(expected)
@@ -306,17 +304,13 @@ class TestLoadConfig:
 
 class TestMaterials:
     def test_reference_liquids_shipped(self):
-        table = load_materials()
-        assert table["olive_oil"].epsilon == 3.0
-        assert table["olive_oil"].conductivity == pytest.approx(0.026)
-        assert table["ethyl_alcohol"].epsilon == 17.0
-        assert table["ethyl_alcohol"].conductivity == pytest.approx(1e-5)
-        assert table["deionized_water"].epsilon == 78.0
-        assert table["deionized_water"].conductivity == pytest.approx(0.05)
+        assert PERMITTIVITY["olive_oil"] == 3.0
+        assert PERMITTIVITY["ethyl_alcohol"] == 17.0
+        assert PERMITTIVITY["deionized_water"] == 78.0
 
     def test_liquids_in_permittivity_order(self):
-        table = load_materials()
-        eps = [table[m].epsilon for m in REFERENCE_LIQUIDS]
+        assert REFERENCE_LIQUIDS == tuple(PERMITTIVITY)
+        eps = [PERMITTIVITY[m] for m in REFERENCE_LIQUIDS]
         assert eps == sorted(eps)
 
 

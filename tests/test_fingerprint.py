@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from rfad.errors import DataError, HandUnreadError
+from rfad.errors import DataError, HandUnreadError, UncalibratedChannelError
 from rfad.fingerprint import (CalibrationBaseline, ChannelReading, Fingerprint,
                               averaged_fingerprint, build_fingerprint,
                               fingerprint_from_record,
@@ -54,7 +54,8 @@ class TestDifferentialCode:
 
     def test_missing_baseline_channel(self):
         partial = CalibrationBaseline(codes={"I": 150.0})
-        with pytest.raises(DataError, match="no calibration baseline for channel II"):
+        with pytest.raises(UncalibratedChannelError,
+                           match="^no calibration baseline for channel II$"):
             build_fingerprint(_readings({"I": 140.0, "II": 120.0}), partial)
 
 

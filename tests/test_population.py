@@ -18,7 +18,7 @@ from rfad.fingerprint import (CalibrationBaseline, ChannelReading,
                               averaged_fingerprint, build_fingerprint,
                               readings)
 from rfad.hand import FINGERS
-from rfad.materials import load_materials
+from rfad.materials import PERMITTIVITY
 from rfad import population
 from rfad.population import (DEFAULT_CLASS_SDS, DEFAULT_COUNT_PROBS,
                              DEFAULT_FINGER_WEIGHTS, DEFAULT_POPULATION_SEED,
@@ -74,8 +74,7 @@ def _oracle_estimate(codes, window, estimator):
 
 
 def _oracle_simulate_hand(material, rng, config, spec):
-    materials = load_materials()
-    eps = materials[material].epsilon
+    eps = PERMITTIVITY[material]
     baseline = _oracle_air_baseline(config)
     responsive = _oracle_draw_responsive(rng, spec)
     hand_offset = rng.normal(0.0, spec.class_sds.get(material, 0.0))
