@@ -154,16 +154,22 @@ def _cmd_stats(args, config):
         # every output place is checked before the campaign runs
         if args.log_dir is not None and not os.path.isdir(args.log_dir):
             raise DataError(f"--log-dir {args.log_dir}: not an existing directory")
-        for target in (args.records_out, args.output):
+        from . import population as _population
+        spec = _population.PopulationSpec()
+        # the reader logs the run will write, which no other output may replace
+        logs = set() if args.log_dir is None else {
+            os.path.realpath(os.path.join(args.log_dir, _population.log_name(s, m, t)))
+            for s in range(spec.subjects) for m in spec.materials for t in range(spec.trials)}
+        for flag, target in (("--records-out", args.records_out), ("-o", args.output)):
             if target is not None:
                 check_output_dir(target)
+                if os.path.realpath(target) in logs:
+                    raise DataError(f"{target}: {flag} names a reader log of --log-dir")
         if (args.records_out is not None and args.output is not None
                 and os.path.realpath(args.records_out) == os.path.realpath(args.output)):
             raise DataError(f"{args.output}: --records-out and -o name the same file")
-        from . import population as _population
         records = _population.generate_population(
-            _population.PopulationSpec(), seed=args.seed, config=config,
-            out_dir=args.log_dir)
+            spec, seed=args.seed, config=config, out_dir=args.log_dir)
         if args.records_out:
             save_records(records, args.records_out)
     else:
@@ -282,7 +288,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"rfad: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (DataError, RfadError, OSError) as exc:
+    except (RfadError, OSError) as exc:
         print(f"rfad: {exc}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK

@@ -25,10 +25,13 @@ from .errors import DataError
 
 
 def check_output_dir(path) -> None:
-    """Raise ``DataError`` unless the directory that would hold ``path`` exists."""
+    """Raise ``DataError`` unless the directory that would hold ``path``
+    exists and ``path`` is not itself a directory."""
     directory = os.path.dirname(os.fspath(path))
     if directory and not os.path.isdir(directory):
         raise DataError(f"{path}: directory {directory!r} does not exist")
+    if os.path.isdir(path):
+        raise DataError(f"{path}: is a directory, not a file")
 
 
 @contextmanager

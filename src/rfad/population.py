@@ -4,6 +4,8 @@ Reproduces, at desk scale, the statistics of a volunteer campaign: how
 many fingers of a hand respond per trial, which fingers those tend to
 be, and the per-material spread of the averaged fingerprint caused by
 uncontrolled touch pressure. Every draw is seeded and deterministic.
+The model's numbers are module constants; ``PopulationSpec`` is only the
+campaign's shape.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ import bisect
 import math
 import operator
 import os
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -42,9 +44,11 @@ DEFAULT_FINGER_WEIGHTS = {"I": 14.5, "II": 47.0, "III": 77.0, "IV": 24.0, "V": 3
 # Population spread of the averaged fingerprint per reference liquid.
 DEFAULT_CLASS_SDS = {"olive_oil": 5.0, "ethyl_alcohol": 11.0, "deionized_water": 11.0}
 
-# How far the count probabilities may sum from 1: the tolerance of
-# numpy's ``Generator.choice``, whose draw ``_draw_responsive`` makes.
-_PROB_SUM_TOLERANCE = math.sqrt(np.finfo(np.float64).eps)
+# SD of each responsive channel's own pressure jitter, in codes.
+CHANNEL_JITTER_SD = 2.0
+
+# Length of each trial's code series, in seconds.
+SERIES_DURATION = 70.0
 
 # Most series samples one material block of a chunk of hands holds. A
 # chunk takes as many hands as fit at five channels each, so memory stays
@@ -60,13 +64,6 @@ class PopulationSpec:
     subjects: int = 10
     trials: int = 3
     materials: tuple = REFERENCE_LIQUIDS
-    count_probs: tuple = DEFAULT_COUNT_PROBS
-    finger_weights: Mapping[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_FINGER_WEIGHTS))
-    class_sds: Mapping[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_CLASS_SDS))
-    channel_jitter_sd: float = 2.0
-    series_duration: float = 70.0
 
     def __post_init__(self):
         if self.subjects < 1 or self.trials < 1 or not self.materials:
@@ -75,35 +72,11 @@ class PopulationSpec:
             raise DataError(f"not a reference liquid: {', '.join(map(repr, unknown))}")
         if repeated := [m for i, m in enumerate(self.materials) if m in self.materials[:i]]:
             raise DataError(f"material {repeated[0]!r} is repeated")
-        probs = _floats(self.count_probs)
-        if (len(probs) != len(FINGERS) or not all(p >= 0 for p in probs)
-                or not abs(math.fsum(probs) - 1.0) <= _PROB_SUM_TOLERANCE):
-            raise DataError(f"count_probs must be 5 non-negative values summing to 1 "
-                            f"within {_PROB_SUM_TOLERANCE:.2g}, got {self.count_probs!r}")
-        weights = _floats(self.finger_weights.get(f) for f in FINGERS)
-        if (set(self.finger_weights) != set(FINGERS)
-                or not all(0 < w < math.inf for w in weights)):
-            raise DataError(f"finger_weights need a positive finite weight for each "
-                            f"finger and no other key, got {dict(self.finger_weights)!r}")
-        if not all(0 <= sd < math.inf
-                   for sd in _floats(self.class_sds.get(m) for m in self.materials)):
-            raise DataError(f"class_sds need a finite non-negative SD for each material, "
-                            f"got {dict(self.class_sds)!r}")
-        if not 0 <= _floats([self.channel_jitter_sd])[0] < math.inf:
-            raise DataError(f"channel_jitter_sd must be a finite non-negative SD, "
-                            f"got {self.channel_jitter_sd!r}")
-        if not 0 < _floats([self.series_duration])[0] < math.inf:
-            raise DataError(f"series_duration must be a finite positive number of seconds, "
-                            f"got {self.series_duration!r}")
 
 
-def _floats(values) -> list[float]:
-    """``values`` as floats; ``[nan]``, which fails every range check, if
-    one of them is not a number."""
-    try:
-        return [float(v) for v in values]
-    except (TypeError, ValueError):
-        return [math.nan]
+def log_name(subject: int, material: str, trial: int) -> str:
+    """The reader log's file name of a trial (``subject``, ``trial`` from 0)."""
+    return f"subject{subject + 1:02d}_{material}_trial{trial + 1}.csv"
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -120,30 +93,29 @@ def _epc(subject: int, material_idx: int, trial: int, finger: str) -> str:
 
 class _Chain:
     """Per-run constants of the sensing chain: they depend only on the
-    config, the spec and the touched material, never on a draw."""
+    config and the touched material, never on a draw."""
 
-    def __init__(self, config: SessionConfig, spec: PopulationSpec):
+    def __init__(self, config: SessionConfig):
         self.config = config
-        self.spec = spec
         self.air = np.array([float(config.air_code(f)) for f in FINGERS])
         # entry m: P(at most m + 1 fingers respond), scaled to end at 1
         # as numpy's ``choice`` scales it
-        cdf = np.cumsum(np.asarray(spec.count_probs, dtype=float))
+        cdf = np.cumsum(np.asarray(DEFAULT_COUNT_PROBS, dtype=float))
         self.count_cdf = (cdf / cdf[-1]).tolist()
-        self.weights = [float(spec.finger_weights[f]) for f in FINGERS]
-        # per material of the spec: the touched code of each channel, and the
+        self.weights = [float(DEFAULT_FINGER_WEIGHTS[f]) for f in FINGERS]
+        # per reference liquid: the touched code of each channel, and the
         # fluctuation preset, whose baseline is a placeholder (each
         # synthesized row gets its own)
         self.touched = {name: tuple(config.channel_code(ch, PERMITTIVITY[name]) for ch in FINGERS)
-                        for name in spec.materials}
+                        for name in REFERENCE_LIQUIDS}
         self.fluctuation = {name: material_fluctuation_model(
             name, baseline=0, sample_period=config.sample_period,
-            sawtooth_frequency=config.sawtooth_frequency) for name in spec.materials}
+            sawtooth_frequency=config.sawtooth_frequency) for name in REFERENCE_LIQUIDS}
 
 
 def _draw_responsive(rng: np.random.Generator, chain: _Chain) -> list[int]:
     """Indices of the hand's responsive fingers, in finger order."""
-    # the draw numpy's choice(5, p=count_probs) makes: one uniform, placed
+    # the draw numpy's choice(5, p=DEFAULT_COUNT_PROBS) makes: one uniform, placed
     # on the cumulative probabilities
     m = 1 + bisect.bisect_right(chain.count_cdf, rng.random())
     # weighted sampling without replacement (exponential race); a Python
@@ -155,7 +127,7 @@ def _draw_responsive(rng: np.random.Generator, chain: _Chain) -> list[int]:
 
 def _chunk_hands(chain: _Chain, full_series: bool) -> int:
     """Hands per chunk: as many as fit ``_CHUNK_SAMPLES`` at five rows each."""
-    row = chain.spec.series_duration / chain.config.sample_period
+    row = SERIES_DURATION / chain.config.sample_period
     if not full_series:
         row = min(row, chain.config.window)
     return max(1, int(_CHUNK_SAMPLES // (len(FINGERS) * max(row, 1.0))))
@@ -209,9 +181,9 @@ def _simulate(chain: _Chain, rng: np.random.Generator, materials: Sequence[str],
     the draws of a chunk of hands, one ``synthesize_block`` per material;
     without ``full_series`` only the estimation window is made.
     """
-    config, spec = chain.config, chain.spec
+    config = chain.config
     s_min, s_max = config.ic.s_min, config.ic.s_max
-    jitter_sd = spec.channel_jitter_sd
+    class_sds, jitter_sd = DEFAULT_CLASS_SDS, CHANNEL_JITTER_SD
     samples = None if full_series else config.window
     size = _chunk_hands(chain, full_series)
     bits = rng.bit_generator
@@ -226,7 +198,7 @@ def _simulate(chain: _Chain, rng: np.random.Generator, materials: Sequence[str],
         for hand, material in enumerate(names):
             touched, (rows, targets, seeds) = chain.touched[material], blocks[material]
             chosen = _draw_responsive(rng, chain)
-            hand_offset = 0.0 + spec.class_sds[material] * rng.standard_normal()
+            hand_offset = 0.0 + class_sds[material] * rng.standard_normal()
             for finger in chosen:
                 jitter = 0.0 + jitter_sd * rng.standard_normal()
                 target = round(touched[finger] - hand_offset - jitter)
@@ -246,7 +218,7 @@ def _simulate(chain: _Chain, rng: np.random.Generator, materials: Sequence[str],
         codes = None
         for material, (rows, targets, seeds) in blocks.items():
             times, block = synthesize_block(chain.fluctuation[material],
-                                            spec.series_duration, seeds,
+                                            SERIES_DURATION, seeds,
                                             baselines=targets, samples=samples)
             if codes is None:  # every material shares the session's time base
                 codes = np.empty((len(positions), block.shape[1]), dtype=block.dtype)
@@ -271,7 +243,7 @@ def generate_population(spec: PopulationSpec = PopulationSpec(),
     """
     if config is None:
         config = load_config()
-    chain = _Chain(config, spec)
+    chain = _Chain(config)
     trials = [(subject, material_idx, material, trial)
               for subject in range(spec.subjects)
               for material_idx, material in enumerate(spec.materials)
@@ -291,10 +263,9 @@ def generate_population(spec: PopulationSpec = PopulationSpec(),
                 responsive=dict(zip(FINGERS, flags)), fingerprint=fp))
             if out_dir is not None:
                 channels = [f for f, flag in zip(FINGERS, flags) if flag]
-                name = f"subject{subject + 1:02d}_{material}_trial{trial + 1}.csv"
                 write_log({ch: CodeSeries(times, codes) for ch, codes
                            in zip(channels, chunk.codes[row:row + len(channels)])},
-                          os.path.join(out_dir, name),
+                          os.path.join(out_dir, log_name(subject, material, trial)),
                           {ch: _epc(subject, material_idx, trial, ch) for ch in channels})
             row += fp.n_responsive
     return records
@@ -330,9 +301,9 @@ def _class_indices(f_bar: np.ndarray, classes: Sequence[MaterialClass]) -> np.nd
 
 
 def monte_carlo_classification(n_hands: int, seed: int,
-                               spec: PopulationSpec = PopulationSpec(),
                                config: Optional[SessionConfig] = None) -> float:
-    """Fraction of simulated hands classified into the right class."""
+    """Fraction of simulated hands classified into the right class; the
+    hands cycle through the reference liquids."""
     if n_hands < 1:
         raise DataError(f"need at least one hand, got n_hands={n_hands}")
     if config is None:
@@ -340,8 +311,8 @@ def monte_carlo_classification(n_hands: int, seed: int,
     classes = config.classes()
     expected = {material: i for i, cls in enumerate(classes)
                 for material in cls.reference_materials}
-    chain = _Chain(config, spec)
-    hand_materials = [spec.materials[i % len(spec.materials)] for i in range(n_hands)]
+    chain = _Chain(config)
+    hand_materials = [REFERENCE_LIQUIDS[i % len(REFERENCE_LIQUIDS)] for i in range(n_hands)]
     targets = np.array([expected[material] for material in hand_materials])
     correct = start = 0
     for chunk in _simulate(chain, _rng(seed), hand_materials):

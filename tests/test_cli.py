@@ -472,6 +472,66 @@ class TestStats:
         assert err == "rfad: same.json: --records-out and -o name the same file\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, name", [
+        ("--records-out", "subject01_olive_oil_trial1.csv"),
+        ("-o", "subject02_ethyl_alcohol_trial3.csv"),
+        ("-o", "subject10_deionized_water_trial3.csv"),
+    ])
+    def test_an_output_that_is_a_log_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                flag, name):
+        # the file would overwrite, or be overwritten by, the log of that trial
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "logs").mkdir()
+        monkeypatch.setattr(population, "generate_population",
+                            lambda *a, **kw: pytest.fail("simulation started"))
+        target = f"{tmp_path}/logs/{name}" if flag == "-o" else f"logs/{name}"
+        assert run("stats", "--generate", "--log-dir", "logs", flag, target) == 2
+        err = capsys.readouterr().err
+        assert err == f"rfad: {target}: {flag} names a reader log of --log-dir\n"
+        assert list((tmp_path / "logs").iterdir()) == []
+
+    @pytest.mark.parametrize("spelling", ["./logs/{}", "logs/../logs/{}", "logs//{}",
+                                          "link/{}"],
+                             ids=["dot", "parent", "double-slash", "symlink"])
+    def test_a_log_spelled_another_way_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                  spelling):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "logs").mkdir()
+        (tmp_path / "link").symlink_to("logs")
+        monkeypatch.setattr(population, "generate_population",
+                            lambda *a, **kw: pytest.fail("simulation started"))
+        target = spelling.format("subject03_ethyl_alcohol_trial2.csv")
+        assert run("stats", "--generate", "--log-dir", "logs", "-o", target) == 2
+        err = capsys.readouterr().err
+        assert err == f"rfad: {target}: -o names a reader log of --log-dir\n"
+        assert list((tmp_path / "logs").iterdir()) == []
+
+    @pytest.mark.parametrize("log_dir, target", [
+        (None, "subject01_olive_oil_trial1.csv"),  # no log is written
+        ("logs", "logs/subject11_olive_oil_trial1.csv"),  # beyond the 10 subjects
+        ("logs", "logs/report.json"),
+    ])
+    def test_an_output_beside_the_logs_is_written(self, tmp_path, monkeypatch,
+                                                  log_dir, target):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "logs").mkdir()
+        records = generate_population(PopulationSpec(subjects=1, trials=1))
+        monkeypatch.setattr(population, "generate_population", lambda *a, **kw: records)
+        log_flags = [] if log_dir is None else ["--log-dir", log_dir]
+        assert run("stats", "--generate", *log_flags, "-o", target) == 0
+        assert json.loads((tmp_path / target).read_text())["trials"] == len(records)
+
+    @pytest.mark.parametrize("flag", ["--records-out", "-o"])
+    def test_an_output_that_is_a_directory_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                      flag):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "logs").mkdir()
+        monkeypatch.setattr(population, "generate_population",
+                            lambda *a, **kw: pytest.fail("simulation started"))
+        assert run("stats", "--generate", "--log-dir", "logs", flag, "logs") == 2
+        assert capsys.readouterr().err == "rfad: logs: is a directory, not a file\n"
+        assert list((tmp_path / "logs").iterdir()) == []
+
     def test_a_source_is_required(self, capsys, monkeypatch):
         monkeypatch.setattr(population, "generate_population",
                             lambda *a, **kw: pytest.fail("simulation started"))
@@ -793,27 +853,55 @@ class TestExitCodes:
         assert str(bad) in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["simulate", "calibrate", "coupling", "stats"])
-    def test_missing_output_directory_is_data_error(self, tmp_path, capsys, air_log,
-                                                    command):
-        out = tmp_path / "nodir" / "out"
+    def _refused_output(self, tmp_path, capsys, air_log, command, out, message):
+        """Run ``command`` with ``-o out``: exit 2 with ``message``, before
+        any work, so nothing is printed and no file is made."""
+        inputs = {
+            "stats": tmp_path / "records.json",
+            "fingerprint": tmp_path / "baseline.json",
+            "export": tmp_path / "fps.json",
+        }
         argv = {
             "simulate": ["simulate", "-o", out],
             "calibrate": ["calibrate", air_log, "-o", out],
+            "fingerprint": ["fingerprint", air_log, "--baseline", inputs["fingerprint"],
+                            "-o", out],
             "coupling": ["coupling", "--turn-on", "-o", out],
-            "stats": ["stats", "--records", tmp_path / "records.json", "-o", out],
+            "stats": ["stats", "--records", inputs["stats"], "-o", out],
+            "export": ["export", inputs["export"], "-o", out],
         }[command]
         if command == "stats":
-            save_records(generate_population(PopulationSpec(subjects=1)),
-                         tmp_path / "records.json")
+            save_records(generate_population(PopulationSpec(subjects=1)), inputs["stats"])
+        elif command == "fingerprint":
+            assert run("calibrate", str(air_log), "-o", str(inputs["fingerprint"])) == 0
+        elif command == "export":
+            inputs["export"].write_text(json.dumps([_fp()]))
         before = sorted(tmp_path.iterdir())
         capsys.readouterr()
         assert run(*map(str, argv)) == 2
         captured = capsys.readouterr()
-        assert captured.err == (
-            f"rfad: {out}: directory {str(tmp_path / 'nodir')!r} does not exist\n")
+        assert captured.err == message
         assert captured.out == ""  # a failed run prints no report
         assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["simulate", "calibrate", "fingerprint", "coupling",
+                                         "stats", "export"])
+    def test_missing_output_directory_is_data_error(self, tmp_path, capsys, air_log,
+                                                    command):
+        out = tmp_path / "nodir" / ("chart.svg" if command == "export" else "out")
+        self._refused_output(
+            tmp_path, capsys, air_log, command, out,
+            f"rfad: {out}: directory {str(tmp_path / 'nodir')!r} does not exist\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "calibrate", "fingerprint", "coupling",
+                                         "stats", "export"])
+    def test_directory_output_is_data_error(self, tmp_path, capsys, air_log, command):
+        # refused before any work: coupling -o DIR once printed its summary first
+        out = tmp_path / ("chart.svg" if command == "export" else "out")
+        out.mkdir()
+        self._refused_output(tmp_path, capsys, air_log, command, out,
+                             f"rfad: {out}: is a directory, not a file\n")
+        assert list(out.iterdir()) == []
 
     def test_no_arguments_is_usage_error(self):
         assert run() == 1

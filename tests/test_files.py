@@ -134,6 +134,32 @@ class TestWriter:
             f"{target}: directory {str(tmp_path / parent)!r} does not exist")
         assert os.listdir(tmp_path) == ["file"]
 
+    def test_directory_target_is_named(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.mkdir()
+        with pytest.raises(DataError) as excinfo:
+            write_text(target, "x\n")
+        assert str(excinfo.value) == f"{target}: is a directory, not a file"
+        assert os.listdir(tmp_path) == ["out.csv"]
+        assert os.listdir(target) == []
+
+    def test_write_lines_names_a_directory_target(self, tmp_path):
+        target = tmp_path / "log.csv"
+        target.mkdir()
+        with pytest.raises(DataError, match=f"^{re.escape(str(target))}: is a directory"):
+            write_lines(target, ["t_s", "code"], iter(["0.0,300\n"]))
+        assert os.listdir(tmp_path) == ["log.csv"]
+        assert os.listdir(target) == []
+
+    def test_link_to_a_directory_is_a_directory_target(self, tmp_path):
+        (tmp_path / "dir").mkdir()
+        target = tmp_path / "link"
+        target.symlink_to("dir")
+        with pytest.raises(DataError, match=f"^{re.escape(str(target))}: is a directory"):
+            write_text(target, "x\n")
+        assert sorted(os.listdir(tmp_path)) == ["dir", "link"]
+        assert target.is_symlink() and os.listdir(target) == []
+
     def test_mode_matches_plain_open(self, tmp_path):
         plain = tmp_path / "plain.txt"
         with open(plain, "w") as fh:

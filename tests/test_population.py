@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import math
 import re
 
@@ -18,13 +19,13 @@ from rfad.fingerprint import (CalibrationBaseline, ChannelReading,
                               averaged_fingerprint, build_fingerprint,
                               readings)
 from rfad.hand import FINGERS
-from rfad.materials import PERMITTIVITY
+from rfad.materials import PERMITTIVITY, REFERENCE_LIQUIDS
 from rfad import population
 from rfad.population import (DEFAULT_CLASS_SDS, DEFAULT_COUNT_PROBS,
-                             DEFAULT_FINGER_WEIGHTS, DEFAULT_POPULATION_SEED,
-                             PopulationSpec, _Chain, _chunk_hands, _averaged, _imputed,
-                             _class_indices, _draw_responsive, _simulate,
-                             _window_estimates, generate_population, load_records,
+                             DEFAULT_POPULATION_SEED, PopulationSpec, _Chain,
+                             _chunk_hands, _averaged, _imputed, _class_indices,
+                             _draw_responsive, _simulate, _window_estimates,
+                             generate_population, load_records,
                              monte_carlo_classification, save_records)
 from rfad.ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
 from rfad.readlog import estimate_window, load_code_series
@@ -33,13 +34,14 @@ from rfad.signal import _sawtooth, material_fluctuation_model
 # ---------------------------------------------------------------------------
 # Oracle: the hand-by-hand chain as first written (one full series per
 # channel, one sensor-code evaluation per responsive channel). The
-# batched core must reproduce it draw for draw.
+# batched core must reproduce it draw for draw. It reads the model's
+# constants when it runs, so a test that patches one patches both.
 # ---------------------------------------------------------------------------
 
 
-def _oracle_draw_responsive(rng, spec):
-    m = 1 + int(rng.choice(len(FINGERS), p=np.asarray(spec.count_probs)))
-    weights = np.array([spec.finger_weights[f] for f in FINGERS], dtype=float)
+def _oracle_draw_responsive(rng):
+    m = 1 + int(rng.choice(len(FINGERS), p=np.asarray(population.DEFAULT_COUNT_PROBS)))
+    weights = np.array([population.DEFAULT_FINGER_WEIGHTS[f] for f in FINGERS], dtype=float)
     # weighted sampling without replacement (exponential race)
     keys = rng.exponential(size=len(FINGERS)) / weights
     chosen = np.argsort(keys)[:m]
@@ -73,11 +75,11 @@ def _oracle_estimate(codes, window, estimator):
     return float(np.mean(x)) if estimator == "mean" else float(np.median(x))
 
 
-def _oracle_simulate_hand(material, rng, config, spec):
+def _oracle_simulate_hand(material, rng, config):
     eps = PERMITTIVITY[material]
     baseline = _oracle_air_baseline(config)
-    responsive = _oracle_draw_responsive(rng, spec)
-    hand_offset = rng.normal(0.0, spec.class_sds.get(material, 0.0))
+    responsive = _oracle_draw_responsive(rng)
+    hand_offset = rng.normal(0.0, population.DEFAULT_CLASS_SDS[material])
     readings = []
     log_rows = []
     for channel in FINGERS:
@@ -87,12 +89,12 @@ def _oracle_simulate_hand(material, rng, config, spec):
             continue
         model = config.antenna_models[channel]
         touched = _ic.sensor_code(config.ic, _ic.antenna_response(model, eps)).code
-        jitter = rng.normal(0.0, spec.channel_jitter_sd)
+        jitter = rng.normal(0.0, population.CHANNEL_JITTER_SD)
         target = int(round(touched - hand_offset - jitter))
         target = min(max(target, config.ic.s_min), config.ic.s_max)
         fluct = material_fluctuation_model(material, baseline=target)
         times, codes = _oracle_synthesize_codes(
-            fluct, spec.series_duration, seed=int(rng.integers(0, 2 ** 31)))
+            fluct, population.SERIES_DURATION, seed=int(rng.integers(0, 2 ** 31)))
         code = _oracle_estimate(codes, config.window, config.estimator)
         readings.append(ChannelReading(channel=channel, code=code, responsive=True))
         for t, c in zip(times, codes):
@@ -116,10 +118,10 @@ def _per_hand(chunks):
         assert row == len(chunk.codes)
 
 
-def _one_hand(material, rng, config, spec):
+def _one_hand(material, rng, config):
     """One hand through the batched core, in the oracle's return shape:
     ``(readings, log_rows, baseline)`` with ``(channel, t, code)`` rows."""
-    chain = _Chain(config, spec)
+    chain = _Chain(config)
     estimates, channels, times, codes = next(
         _per_hand(_simulate(chain, rng, [material], full_series=True)))
     log_rows = [(channel, t, c) for channel, row in zip(channels, codes.tolist())
@@ -132,11 +134,11 @@ def _chain_baseline(chain):
     return CalibrationBaseline(codes=dict(zip(FINGERS, chain.air.tolist())))
 
 
-def _assert_oracle_hand(hand, material, oracle_rng, config, spec):
+def _assert_oracle_hand(hand, material, oracle_rng, config):
     """One hand of ``_per_hand`` against the oracle's next hand: the same
     readings, and the same log rows, or their first ``window`` codes."""
     estimates, channels, times, codes = hand
-    expected, log_rows, _ = _oracle_simulate_hand(material, oracle_rng, config, spec)
+    expected, log_rows, _ = _oracle_simulate_hand(material, oracle_rng, config)
     assert readings(estimates) == expected
     if codes.shape[1] == config.window:
         log_rows = [r for channel in channels
@@ -165,15 +167,15 @@ class TestPopulationSpec:
         # 10 subjects x 3 materials x 3 trials x 5 channels
         assert spec.subjects * len(spec.materials) * spec.trials * len(FINGERS) == 450
 
+    def test_the_spec_is_the_campaign_shape(self):
+        assert [f.name for f in dataclasses.fields(PopulationSpec)] == [
+            "subjects", "trials", "materials"]
+
     def test_validation(self):
         with pytest.raises(DataError):
             PopulationSpec(subjects=0)
         with pytest.raises(DataError):
             PopulationSpec(materials=())
-        with pytest.raises(DataError):
-            PopulationSpec(count_probs=(0.5, 0.5, 0.5, 0.0, 0.0))
-        with pytest.raises(DataError):
-            PopulationSpec(class_sds={**DEFAULT_CLASS_SDS, "olive_oil": -1.0})
 
     @pytest.mark.parametrize("materials, message", [
         (("silbione",), "'silbione'"),
@@ -195,77 +197,76 @@ class TestPopulationSpec:
         with pytest.raises(DataError, match=f"^material '{repeated}' is repeated$"):
             PopulationSpec(materials=materials, subjects=1, trials=1)
 
-    @pytest.mark.parametrize("count_probs", [
-        (0.1, 0.3, 0.55, 0.05, 1e-6),       # sums to 1 + 1e-6
-        (0.1, 0.3, 0.55, 0.05 - 1e-7, 0.0),
-        (0.1, 0.3, 0.55, 0.05, float("nan")),
-        (0.1, 0.3, 0.65, -0.05, 0.0),
-        (0.1, 0.3, 0.55, 0.05, float("inf")),
-        (0.1, 0.3, 0.6),
-        (0.1, 0.3, 0.55, 0.05, 0.0, 0.0),
-        (0.1, 0.3, 0.55, 0.05, None),
-        ("a", 0.3, 0.55, 0.05, 0.1),
+    def test_zero_channel_jitter_runs(self, monkeypatch):
+        monkeypatch.setattr(population, "CHANNEL_JITTER_SD", 0.0)
+        assert monte_carlo_classification(30, seed=2) >= 0.9
+
+    def test_count_probs_within_tolerance_run(self, monkeypatch):
+        monkeypatch.setattr(population, "DEFAULT_COUNT_PROBS", (0.1, 0.3, 0.55, 0.05, 1e-9))
+        assert monte_carlo_classification(30, seed=2) >= 0.9
+
+
+class TestModelConstants:
+    """The model's numbers are constants that nothing checks when it runs;
+    these are the rules each must keep for its draw to mean what it says."""
+
+    def test_count_probs_are_a_distribution_choice_accepts(self):
+        # the draw replays Generator.choice(5, p=DEFAULT_COUNT_PROBS)
+        probs = np.asarray(DEFAULT_COUNT_PROBS, dtype=float)
+        assert probs.shape == (len(FINGERS),)
+        assert np.isfinite(probs).all() and (probs >= 0).all()
+        assert abs(probs.sum() - 1.0) <= math.sqrt(np.finfo(np.float64).eps)
+        np.random.default_rng(0).choice(len(FINGERS), p=probs)
+
+    def test_finger_weights_cover_the_fingers_and_are_positive(self):
+        weights = population.DEFAULT_FINGER_WEIGHTS
+        assert list(weights) == list(FINGERS)
+        assert all(math.isfinite(w) and w > 0 for w in weights.values())
+
+    def test_class_sds_cover_the_reference_liquids(self):
+        assert set(DEFAULT_CLASS_SDS) == set(REFERENCE_LIQUIDS)
+        assert all(math.isfinite(sd) and sd >= 0 for sd in DEFAULT_CLASS_SDS.values())
+
+    def test_channel_jitter_sd_is_finite_and_non_negative(self):
+        assert math.isfinite(population.CHANNEL_JITTER_SD)
+        assert population.CHANNEL_JITTER_SD >= 0
+
+    def test_series_duration_holds_the_default_window(self):
+        config = load_config()
+        assert math.isfinite(population.SERIES_DURATION)
+        # 70 s at the default 0.7 s sample period is 100 samples
+        assert population.SERIES_DURATION / config.sample_period >= config.window
+
+
+class TestLogName:
+    @pytest.mark.parametrize("subject, material, trial, name", [
+        (0, "olive_oil", 0, "subject01_olive_oil_trial1.csv"),
+        (1, "ethyl_alcohol", 2, "subject02_ethyl_alcohol_trial3.csv"),
+        (9, "deionized_water", 2, "subject10_deionized_water_trial3.csv"),
     ])
-    def test_count_probs_rejected_as_choice_rejected_them(self, count_probs):
-        with pytest.raises(DataError, match="count_probs"):
-            PopulationSpec(count_probs=count_probs)
+    def test_numbers_count_from_one(self, subject, material, trial, name):
+        assert population.log_name(subject, material, trial) == name
 
-    @pytest.mark.parametrize("field, value", [
-        ("finger_weights", {"I": 1.0}),
-        ("finger_weights", {**DEFAULT_FINGER_WEIGHTS, "VI": 1.0}),
-        ("finger_weights", {**DEFAULT_FINGER_WEIGHTS, "III": 0.0}),
-        ("finger_weights", {**DEFAULT_FINGER_WEIGHTS, "III": -1.0}),
-        ("finger_weights", {**DEFAULT_FINGER_WEIGHTS, "III": float("inf")}),
-        ("finger_weights", {**DEFAULT_FINGER_WEIGHTS, "III": float("nan")}),
-        ("finger_weights", {**DEFAULT_FINGER_WEIGHTS, "III": None}),
-        # every liquid but olive oil would be drawn without pressure spread
-        ("class_sds", {"olive_oil": 50.0}),
-        ("class_sds", {**DEFAULT_CLASS_SDS, "ethyl_alcohol": -1.0}),
-        ("class_sds", {**DEFAULT_CLASS_SDS, "ethyl_alcohol": float("nan")}),
-        ("class_sds", {**DEFAULT_CLASS_SDS, "ethyl_alcohol": float("inf")}),
-        ("class_sds", {**DEFAULT_CLASS_SDS, "ethyl_alcohol": "a"}),
-    ])
-    def test_mappings_cover_the_fingers_and_materials(self, field, value):
-        with pytest.raises(DataError, match=f"^{field} need"):
-            PopulationSpec(**{field: value})
-
-    @pytest.mark.parametrize("sd", [-1.0, -1e-300, float("nan"), float("inf"), "a", None])
-    def test_channel_jitter_sd_must_be_finite_and_non_negative(self, sd):
-        with pytest.raises(DataError, match="^channel_jitter_sd must be a finite "
-                                            "non-negative SD, got "):
-            PopulationSpec(channel_jitter_sd=sd)
-
-    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), 0.0, -1.0, "a", None])
-    def test_series_duration_must_be_finite_and_positive(self, duration):
-        with pytest.raises(DataError, match="^series_duration must be a finite positive "
-                                            "number of seconds, got "):
-            PopulationSpec(series_duration=duration)
-
-    def test_zero_channel_jitter_runs(self):
-        spec = PopulationSpec(channel_jitter_sd=0.0)
-        assert monte_carlo_classification(30, seed=2, spec=spec) >= 0.9
-
-    def test_class_sds_need_only_the_spec_materials(self):
-        spec = PopulationSpec(materials=("olive_oil",), class_sds={"olive_oil": 5.0})
-        assert monte_carlo_classification(10, seed=1, spec=spec) == 1.0
-
-    def test_count_probs_within_tolerance_run(self):
-        spec = PopulationSpec(count_probs=(0.1, 0.3, 0.55, 0.05, 1e-9))
-        assert monte_carlo_classification(30, seed=2, spec=spec) >= 0.9
+    def test_the_logs_written_are_the_names(self, tmp_path):
+        spec = PopulationSpec(subjects=2, trials=2)
+        generate_population(spec, seed=3, out_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            population.log_name(s, m, t) for s in range(spec.subjects)
+            for m in spec.materials for t in range(spec.trials))
 
 
 class TestSimulateHand:
-    def test_fingerprint_lands_near_class_mean(self):
+    def test_fingerprint_lands_near_class_mean(self, monkeypatch):
         config = load_config()
-        # all five fingers respond
-        spec = PopulationSpec(class_sds={m: 0.0 for m in
-                                         ("olive_oil", "ethyl_alcohol",
-                                          "deionized_water")},
-                              channel_jitter_sd=0.0, count_probs=(0, 0, 0, 0, 1))
+        # all five fingers respond, with no pressure spread
+        monkeypatch.setattr(population, "DEFAULT_CLASS_SDS",
+                            dict.fromkeys(DEFAULT_CLASS_SDS, 0.0))
+        monkeypatch.setattr(population, "CHANNEL_JITTER_SD", 0.0)
+        monkeypatch.setattr(population, "DEFAULT_COUNT_PROBS", (0, 0, 0, 0, 1))
         rng = np.random.default_rng(1)
         means = config.class_means()
         for material, expected in means.items():
-            readings, _, baseline = _one_hand(material, rng, config, spec)
+            readings, _, baseline = _one_hand(material, rng, config)
             assert all(r.responsive for r in readings)
             fp = build_fingerprint(readings, baseline)
             assert averaged_fingerprint(fp) == pytest.approx(expected, abs=3.0)
@@ -276,14 +277,13 @@ class TestStreamPreservation:
 
     @pytest.mark.parametrize("seed", [5, 17, 123])
     def test_monte_carlo_hands_match_oracle(self, seed):
-        config, spec = load_config(), PopulationSpec()
-        materials = [spec.materials[i % len(spec.materials)] for i in range(150)]
+        config = load_config()
+        materials = [REFERENCE_LIQUIDS[i % 3] for i in range(150)]
         oracle_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        chain = _Chain(config, spec)
+        chain = _Chain(config)
         for material, (estimates, _, _, codes) in zip(
                 materials, _per_hand(_simulate(chain, rng, materials))):
-            expected, _, baseline = _oracle_simulate_hand(
-                material, oracle_rng, config, spec)
+            expected, _, baseline = _oracle_simulate_hand(material, oracle_rng, config)
             assert readings(estimates) == expected
             assert chain.air.tolist() == [baseline.codes[f] for f in FINGERS]
             assert codes.shape[1] == config.window
@@ -294,17 +294,17 @@ class TestStreamPreservation:
 
     @pytest.mark.parametrize("full_series", [False, True])
     def test_hands_beyond_one_chunk_match_oracle(self, full_series):
-        config, spec = load_config(), PopulationSpec()
-        chain = _Chain(config, spec)
+        config = load_config()
+        chain = _Chain(config)
         n = _chunk_hands(chain, full_series) + 7
         # materials in no fixed order, so a chunk's blocks differ in size
-        pick = np.random.default_rng(0).integers(0, len(spec.materials), size=n)
-        materials = [spec.materials[i] for i in pick]
+        pick = np.random.default_rng(0).integers(0, 3, size=n)
+        materials = [REFERENCE_LIQUIDS[i] for i in pick]
         oracle_rng, rng = np.random.default_rng(31), np.random.default_rng(31)
         for material, (estimates, channels, times, codes) in zip(
                 materials, _per_hand(_simulate(chain, rng, materials,
                                                full_series=full_series))):
-            expected, log_rows, _ = _oracle_simulate_hand(material, oracle_rng, config, spec)
+            expected, log_rows, _ = _oracle_simulate_hand(material, oracle_rng, config)
             assert readings(estimates) == expected
             rows = [(channel, t, c) for channel, row in zip(channels, codes.tolist())
                     for t, c in zip(times.tolist(), row)]
@@ -319,15 +319,15 @@ class TestStreamPreservation:
     def test_seed_draw_takes_the_half_word_kept_on_entry(self, full_series):
         """The generator holds the upper half of a 64-bit word when
         ``_simulate`` starts: the first series seed is drawn from it."""
-        config, spec = load_config(), PopulationSpec()
-        materials = [spec.materials[i % len(spec.materials)] for i in range(40)]
+        config = load_config()
+        materials = [REFERENCE_LIQUIDS[i % 3] for i in range(40)]
         oracle_rng, rng = np.random.default_rng(12), np.random.default_rng(12)
         assert rng.integers(2 ** 31) == oracle_rng.integers(2 ** 31)
         assert rng.bit_generator.state["has_uint32"] == 1
-        chain = _Chain(config, spec)
+        chain = _Chain(config)
         for material, hand in zip(materials, _per_hand(
                 _simulate(chain, rng, materials, full_series=full_series))):
-            _assert_oracle_hand(hand, material, oracle_rng, config, spec)
+            _assert_oracle_hand(hand, material, oracle_rng, config)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
         assert rng.integers(2 ** 31) == oracle_rng.integers(2 ** 31)
 
@@ -336,17 +336,17 @@ class TestStreamPreservation:
         """Chunks of three hands, some of which end after an odd number of
         seed draws: each writes the kept half back, and after each chunk
         the generator is where the oracle is after the same hands."""
-        config, spec = load_config(), PopulationSpec()
-        row = spec.series_duration / config.sample_period if full_series else config.window
+        config = load_config()
+        row = population.SERIES_DURATION / config.sample_period if full_series else config.window
         monkeypatch.setattr(population, "_CHUNK_SAMPLES", int(3 * len(FINGERS) * row))
-        chain = _Chain(config, spec)
+        chain = _Chain(config)
         assert _chunk_hands(chain, full_series) == 3
-        materials = [spec.materials[i % len(spec.materials)] for i in range(60)]
+        materials = [REFERENCE_LIQUIDS[i % 3] for i in range(60)]
         oracle_rng, rng = np.random.default_rng(44), np.random.default_rng(44)
         hands, kept = iter(materials), []
         for chunk in _simulate(chain, rng, materials, full_series=full_series):
             for hand in _per_hand([chunk]):
-                _assert_oracle_hand(hand, next(hands), oracle_rng, config, spec)
+                _assert_oracle_hand(hand, next(hands), oracle_rng, config)
             state = rng.bit_generator.state
             assert state == oracle_rng.bit_generator.state
             kept.append(state["has_uint32"])
@@ -366,24 +366,26 @@ class TestStreamPreservation:
         (0.0, 0.0, 0.0, 0.0, 1.0),
         (0.0, 0.25, 0.0, 0.75, 0.0),
     ])
-    def test_draw_responsive_matches_oracle_with_zero_probabilities(self, count_probs):
-        spec = PopulationSpec(count_probs=count_probs)
-        chain = _Chain(load_config(), spec)
+    def test_draw_responsive_matches_oracle_with_zero_probabilities(self, monkeypatch,
+                                                                    count_probs):
+        monkeypatch.setattr(population, "DEFAULT_COUNT_PROBS", count_probs)
+        chain = _Chain(load_config())
         oracle_rng, rng = np.random.default_rng(8), np.random.default_rng(8)
         for _ in range(500):
             assert ([FINGERS[i] for i in _draw_responsive(rng, chain)]
-                    == _oracle_draw_responsive(oracle_rng, spec))
+                    == _oracle_draw_responsive(oracle_rng))
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     @pytest.mark.parametrize("count_probs", [
         DEFAULT_COUNT_PROBS, (0, 1, 0, 0, 0), (0, 0, 0, 0, 1)])
-    def test_simulate_hand_matches_oracle(self, count_probs):
-        config, spec = load_config(), PopulationSpec(count_probs=count_probs)
+    def test_simulate_hand_matches_oracle(self, monkeypatch, count_probs):
+        monkeypatch.setattr(population, "DEFAULT_COUNT_PROBS", count_probs)
+        config = load_config()
         for seed in (0, 1, 2):
-            for material in spec.materials:
-                got = _one_hand(material, np.random.default_rng(seed), config, spec)
+            for material in REFERENCE_LIQUIDS:
+                got = _one_hand(material, np.random.default_rng(seed), config)
                 assert got == _oracle_simulate_hand(
-                    material, np.random.default_rng(seed), config, spec)
+                    material, np.random.default_rng(seed), config)
 
     @pytest.mark.parametrize("seed", sorted(RECORDS_SHA256))
     def test_saved_records_byte_identical(self, seed, tmp_path):
@@ -396,7 +398,7 @@ class TestStreamPreservation:
         generate_population(spec, seed=9, config=config, out_dir=tmp_path)
         rng = np.random.default_rng(9)
         for material in spec.materials:
-            _, log_rows, _ = _oracle_simulate_hand(material, rng, config, spec)
+            _, log_rows, _ = _oracle_simulate_hand(material, rng, config)
             # file order, which load_code_series would hide by sorting
             lines = (tmp_path / f"subject01_{material}_trial1.csv").read_text().splitlines()
             rows = [line.split(",") for line in lines[1:]]
@@ -487,21 +489,55 @@ class TestMonteCarlo:
         path.write_text("s_min = 0\ns_max = 500\nbaseline_code = 450\nspan_code = 400\n")
         assert monte_carlo_classification(60, seed=17, config=load_config(path)) >= 0.95
 
+    def test_takes_no_spec(self):
+        assert list(inspect.signature(monte_carlo_classification).parameters) == [
+            "n_hands", "seed", "config"]
+
+    def test_hands_cycle_the_reference_liquids(self, monkeypatch):
+        simulate, given = population._simulate, []
+
+        def recording(chain, rng, materials, **kw):
+            given.append(list(materials))
+            return simulate(chain, rng, materials, **kw)
+
+        monkeypatch.setattr(population, "_simulate", recording)
+        monte_carlo_classification(7, seed=1)
+        assert given == [[REFERENCE_LIQUIDS[i % 3] for i in range(7)]]
+
+    # SHA-256 of the averaged fingerprints of 3000 hands, recorded when the
+    # model's values were still fields of PopulationSpec
+    _AVERAGED_SHA256 = {
+        0: "01e54ac5be6ecb6760eaf98bc39147ec0bdadbc757806463d1a0551f1c7fec76",
+        1: "ecad5d87fa1335e7fc4c49f480c79c832e5f1d8440893876f0348a9b70a2a73e",
+        2: "180929335460fd70976039ba8e53c29dd13d535cfeb0beec91dc3afecb3c1b75",
+        3: "d8e09b4b910a1260f5ae9841260eefd130968704de5831861881250b91104230",
+        4: "fcb83b6f1968e428b52c6fd1202040014b33b888d924426928bd987a2ba38610",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(_AVERAGED_SHA256))
+    def test_averaged_fingerprints_byte_identical(self, seed):
+        chain = _Chain(load_config())
+        materials = [REFERENCE_LIQUIDS[i % 3] for i in range(3000)]
+        digest = hashlib.sha256()
+        for chunk in _simulate(chain, np.random.default_rng(seed), materials):
+            digest.update(_averaged(chunk.estimates, chunk.responsive, chain.air).tobytes())
+        assert digest.hexdigest() == self._AVERAGED_SHA256[seed]
+
     # recorded from the per-hand readings/build_fingerprint path; triple
     # the class SDs so that some hands land in the wrong class
-    _WIDE = PopulationSpec(class_sds={m: 3 * sd for m, sd in DEFAULT_CLASS_SDS.items()})
+    _WIDE = {m: 3 * sd for m, sd in DEFAULT_CLASS_SDS.items()}
 
     @pytest.mark.parametrize("estimator, n_hands, seed, correct, chunks", [
         ("mean", 300, 7, 275, 1),
         ("median", 300, 7, 274, 1),
         ("mean", 1400, 8, 1250, 2),
     ])
-    def test_exact_accuracy(self, estimator, n_hands, seed, correct, chunks):
+    def test_exact_accuracy(self, monkeypatch, estimator, n_hands, seed, correct, chunks):
+        monkeypatch.setattr(population, "DEFAULT_CLASS_SDS", self._WIDE)
         config = dataclasses.replace(load_config(), estimator=estimator)
-        chunk = _chunk_hands(_Chain(config, self._WIDE), False)
+        chunk = _chunk_hands(_Chain(config), False)
         assert math.ceil(n_hands / chunk) == chunks
-        assert (monte_carlo_classification(n_hands, seed, spec=self._WIDE, config=config)
-                == correct / n_hands)
+        assert monte_carlo_classification(n_hands, seed, config=config) == correct / n_hands
 
     def test_window_longer_than_series(self):
         # 70 s at the default 0.7 s sample period is 100 samples
@@ -584,12 +620,12 @@ class TestChunkOracle:
     @pytest.mark.parametrize("estimator", ["mean", "median"])
     @pytest.mark.parametrize("class_sds", [DEFAULT_CLASS_SDS,
                                            dict.fromkeys(DEFAULT_CLASS_SDS, 0.0)])
-    def test_average_and_label_per_hand(self, seed, estimator, class_sds):
+    def test_average_and_label_per_hand(self, monkeypatch, seed, estimator, class_sds):
+        monkeypatch.setattr(population, "DEFAULT_CLASS_SDS", class_sds)
         config = dataclasses.replace(load_config(), estimator=estimator)
-        spec = PopulationSpec(class_sds=class_sds)
-        chain, classes = _Chain(config, spec), config.classes()
+        chain, classes = _Chain(config), config.classes()
         n = _chunk_hands(chain, False) + 4
-        materials = [spec.materials[i % len(spec.materials)] for i in range(n)]
+        materials = [REFERENCE_LIQUIDS[i % 3] for i in range(n)]
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         chunks = list(_simulate(chain, rng, materials))
         assert len(chunks) == 2
@@ -597,7 +633,7 @@ class TestChunkOracle:
         labels = np.concatenate([_class_indices(f_bar, classes) for f_bar in f_bars])
         f_bars = np.concatenate(f_bars)
         for material, f_bar, label in zip(materials, f_bars.tolist(), labels.tolist()):
-            hand, _, baseline = _oracle_simulate_hand(material, oracle_rng, config, spec)
+            hand, _, baseline = _oracle_simulate_hand(material, oracle_rng, config)
             expected = averaged_fingerprint(build_fingerprint(hand, baseline))
             assert f_bar == expected
             assert classes[label].label == classify(expected, classes)
@@ -605,7 +641,7 @@ class TestChunkOracle:
 
     def test_first_hand_outside_the_classes_raises_as_classify_does(self, monkeypatch):
         # hands 5 and 8 of the second chunk land beyond +-span
-        chunk = _chunk_hands(_Chain(load_config(), PopulationSpec()), False)
+        chunk = _chunk_hands(_Chain(load_config()), False)
         averaged, pushed = population._averaged, []
 
         def pushing(estimates, responsive, air):
