@@ -29,7 +29,7 @@ from .classify import (DEFAULT_POPULATION_SEED, load_records, reliability_report
 from .classify import classify as _classify_value
 from .config import load_config
 from .errors import DataError, NumericalError, RfadError, UncalibratedChannelError
-from .files import check_output_dir, json_text, write_json
+from .files import check_outputs, json_text, write_json
 from .fingerprint import (averaged_fingerprint, build_fingerprint, fingerprint_label,
                           fingerprint_record, load_fingerprints, readings,
                           save_fingerprints)
@@ -51,6 +51,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cmd_simulate(args, config):
+    check_outputs([("-o", args.output)], [args.config])
     from . import signal as _signal
     # channel k's seed is --seed + k: refuse a negative --seed whatever --channels
     if args.seed < 0:
@@ -88,6 +89,7 @@ def _log_estimate(path, estimate, config):
 
 
 def _cmd_calibrate(args, config):
+    check_outputs([("-o", args.output)], [args.log, args.config])
     baseline = _log_estimate(args.log, _readlog.calibrate, config)
     _readlog.save_baseline(baseline, args.output)
     gaps = f", gaps: {', '.join(baseline.gaps)}" if baseline.gaps else ""
@@ -95,6 +97,7 @@ def _cmd_calibrate(args, config):
 
 
 def _cmd_fingerprint(args, config):
+    check_outputs([("-o", args.output)], [args.log, args.baseline, args.config])
     baseline = _readlog.load_baseline(args.baseline)
     codes = _log_estimate(args.log, _readlog.channel_codes, config)
     try:
@@ -122,10 +125,9 @@ def _cmd_classify(args, config):
 
 
 def _cmd_coupling(args, config):
-    from . import coupling as _coupling
     # the output place and the turn-on levels are checked before the summary is printed
-    if args.output:
-        check_output_dir(args.output)
+    check_outputs([("-o", args.output)], [args.matrix, args.config])
+    from . import coupling as _coupling
     turn_on = [(channel, _coupling.turn_on_power(args.tau, config.transducer_gains[channel],
                                                  config.ic_sensitivity))
                for channel in FINGERS] if args.turn_on else []
@@ -156,23 +158,19 @@ def _cmd_stats(args, config):
             raise DataError(f"--log-dir {args.log_dir}: not an existing directory")
         from . import population as _population
         spec = _population.PopulationSpec()
-        # the reader logs the run will write, which no other output may replace
-        logs = set() if args.log_dir is None else {
-            os.path.realpath(os.path.join(args.log_dir, _population.log_name(s, m, t)))
-            for s in range(spec.subjects) for m in spec.materials for t in range(spec.trials)}
-        for flag, target in (("--records-out", args.records_out), ("-o", args.output)):
-            if target is not None:
-                check_output_dir(target)
-                if os.path.realpath(target) in logs:
-                    raise DataError(f"{target}: {flag} names a reader log of --log-dir")
-        if (args.records_out is not None and args.output is not None
-                and os.path.realpath(args.records_out) == os.path.realpath(args.output)):
-            raise DataError(f"{args.output}: --records-out and -o name the same file")
+        # the run's reader logs come first, so an output that names one is refused as that log
+        logs = [] if args.log_dir is None else [
+            ("a reader log of --log-dir",
+             os.path.join(args.log_dir, _population.log_name(s, m, t)))
+            for s in range(spec.subjects) for m in spec.materials for t in range(spec.trials)]
+        check_outputs(logs + [("--records-out", args.records_out), ("-o", args.output)],
+                      [args.config])
         records = _population.generate_population(
             spec, seed=args.seed, config=config, out_dir=args.log_dir)
         if args.records_out:
             save_records(records, args.records_out)
     else:
+        check_outputs([("-o", args.output)], [args.records, args.config])
         records = load_records(args.records)
     report = reliability_report(records)
     payload = {

@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -189,13 +188,10 @@ def load_impedance_matrix(path) -> ImpedanceMatrix:
     Header lines ``frequency = 867 MHz`` and ``ports = I II III IV V``
     followed by one row per port of whitespace-separated ``re+imj``
     tokens. ``#`` starts a comment, and a repeated header key is refused.
-    All tokens are converted in one pass; only if one is bad are the rows
-    converted again, one by one, so that the error names its line.
+    Each row is converted as it is read, so a bad token names its line.
     """
-    frequency = None
-    ports = None
-    keys = set()
-    rows, linenos = [], []  # the tokens of each matrix row, and its line
+    header = {}  # the value of each header key, which may be given once
+    rows, linenos = [], []  # the entries of each matrix row, and its line
     for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -203,39 +199,33 @@ def load_impedance_matrix(path) -> ImpedanceMatrix:
         if "=" in line and not rows:
             key, _, value = line.partition("=")
             key = key.strip()
-            if key in keys:
+            if key in header:
                 raise DataError(f"{path}:{lineno}: repeated header key {key!r}")
-            keys.add(key)
             if key == "frequency":
                 try:
-                    frequency = parse_quantity(value.strip(), "frequency")
+                    header[key] = parse_quantity(value.strip(), "frequency")
                 except DataError as exc:
                     raise DataError(f"{path}:{lineno}: {exc}") from None
             elif key == "ports":
-                ports = tuple(value.split())
+                header[key] = tuple(value.split())
             else:
                 raise DataError(f"{path}:{lineno}: unknown header key {key!r}")
             continue
-        rows.append(line.split())
+        try:
+            rows.append(list(map(complex, line.split())))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: bad complex token") from exc
         linenos.append(lineno)
-    try:
-        values = list(map(complex, chain.from_iterable(rows)))
-    except ValueError:
-        for tokens, lineno in zip(rows, linenos):
-            try:
-                list(map(complex, tokens))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad complex token") from exc
-    if frequency is None or ports is None or not rows:
+    if header.keys() != {"frequency", "ports"} or not rows:
         raise DataError(f"{path}: need frequency, ports and matrix rows")
     if any(len(r) != len(rows) for r in rows):
         raise DataError(f"{path}: matrix rows are not square")
-    z = np.array(values, dtype=complex).reshape(len(rows), len(rows))
+    z = np.array(rows, dtype=complex)
     bad = np.flatnonzero(~np.isfinite(z).all(axis=1))
     if bad.size:
         raise DataError(f"{path}:{linenos[bad[0]]}: non-finite complex token")
     try:
-        return ImpedanceMatrix(z, frequency=frequency, port_labels=ports)
+        return ImpedanceMatrix(z, frequency=header["frequency"], port_labels=header["ports"])
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 

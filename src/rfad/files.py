@@ -1,4 +1,4 @@
-"""The file layer: atomic writes and the CSV and JSON formats.
+"""The file layer: output places, atomic writes, and the CSV and JSON formats.
 
 Each output goes to a uniquely named temporary file beside its target
 and is renamed over it; a failed write leaves the old target and no
@@ -32,6 +32,21 @@ def check_output_dir(path) -> None:
         raise DataError(f"{path}: directory {directory!r} does not exist")
     if os.path.isdir(path):
         raise DataError(f"{path}: is a directory, not a file")
+
+
+def check_outputs(targets, inputs) -> None:
+    """Refuse each target ``(flag or name, path)`` that ``check_output_dir`` refuses, then
+    one that resolves to an input or to an earlier target; ``None`` paths are skipped."""
+    targets = [(name, path) for name, path in targets if path is not None]
+    for _, path in targets:
+        check_output_dir(path)
+    owners = {os.path.realpath(path): "an input" for path in inputs if path is not None}
+    for name, path in targets:
+        real = os.path.realpath(path)
+        if owner := owners.get(real):
+            raise DataError(f"{path}: {owner} and {name} name the same file"
+                            if owner.startswith("-") else f"{path}: {name} names {owner}")
+        owners[real] = name
 
 
 @contextmanager

@@ -14,7 +14,7 @@ import re
 from typing import Sequence
 
 from .errors import DataError
-from .files import csv_text, write_text
+from .files import check_outputs, csv_text, write_text
 from .fingerprint import Fingerprint, averaged_fingerprint, fingerprint_label
 from .hand import FINGERS
 
@@ -121,9 +121,7 @@ def export_kiviat(fingerprints: Sequence[Fingerprint], path) -> str:
     else:
         svg_path, base = path + ".svg", path
     csv_path = base + ".csv"
-    try:
-        write_text(svg_path, kiviat_svg(fingerprints))
-        write_text(csv_path, kiviat_csv(fingerprints))
-    except OSError as exc:
-        raise DataError(f"cannot write radar chart near {path}: {exc}") from exc
+    check_outputs([("the chart", svg_path), ("its CSV twin", csv_path)], ())
+    write_text(svg_path, kiviat_svg(fingerprints))
+    write_text(csv_path, kiviat_csv(fingerprints))
     return svg_path

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import random
 from xml.etree import ElementTree
 
@@ -532,6 +533,18 @@ class TestStats:
         assert capsys.readouterr().err == "rfad: logs: is a directory, not a file\n"
         assert list((tmp_path / "logs").iterdir()) == []
 
+    def test_a_log_that_is_a_directory_is_refused_before_simulating(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        # the 90 log names pass the output-place check before the campaign
+        # runs; 36 logs were once written before this one was refused
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "logs" / "subject05_olive_oil_trial1.csv").mkdir(parents=True)
+        assert run("stats", "--generate", "--log-dir", "logs", "-o", "rep.json") == 2
+        assert capsys.readouterr() == (
+            "", "rfad: logs/subject05_olive_oil_trial1.csv: is a directory, not a file\n")
+        assert os.listdir(tmp_path / "logs") == ["subject05_olive_oil_trial1.csv"]
+        assert os.listdir(tmp_path) == ["logs"]
+
     def test_a_source_is_required(self, capsys, monkeypatch):
         monkeypatch.setattr(population, "generate_population",
                             lambda *a, **kw: pytest.fail("simulation started"))
@@ -921,6 +934,57 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err == f"rfad: {path}:2: repeated key 'window'\n"
         assert captured.out == ""
+
+
+class TestOutputsReplaceNoInput:
+    """An output that resolves to a file the command reads, its log,
+    baseline, matrix, records or ``--config``, is refused before any work,
+    as is an ``export`` whose CSV twin cannot be written."""
+
+    @pytest.fixture()
+    def workdir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run("simulate", "--seed", "5", "-o", "air.csv") == 0
+        assert run("calibrate", "air.csv", "-o", "baseline.json") == 0
+        save_records(generate_population(PopulationSpec(subjects=1)), "records.json")
+        (tmp_path / "z.txt").write_text(
+            "frequency = 867 MHz\nports = I II\n50+0j 1+0j\n1+0j 50+0j\n")
+        (tmp_path / "c.cfg").write_text("window = 10\n")
+        (tmp_path / "fps.json").write_text(json.dumps([_fp()]))
+        return tmp_path
+
+    @staticmethod
+    def _refused(workdir, capsys, argv, err):
+        """``argv`` exits 2 with ``err`` and no stdout, and leaves every
+        file of ``workdir`` as it was."""
+        before = {path.name: path.is_dir() or path.read_bytes() for path in workdir.iterdir()}
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert capsys.readouterr() == ("", err)
+        assert {path.name: path.is_dir() or path.read_bytes()
+                for path in workdir.iterdir()} == before
+
+    @pytest.mark.parametrize("argv, target", [
+        ("calibrate air.csv -o air.csv", "air.csv"),
+        ("calibrate air.csv -o ./air.csv", "./air.csv"),
+        ("fingerprint air.csv --baseline baseline.json -o air.csv", "air.csv"),
+        ("fingerprint air.csv --baseline baseline.json -o baseline.json", "baseline.json"),
+        ("coupling --matrix z.txt -o z.txt", "z.txt"),
+        ("stats --records records.json -o records.json", "records.json"),
+        ("--config c.cfg simulate -o c.cfg", "c.cfg"),
+        ("--config c.cfg calibrate air.csv -o c.cfg", "c.cfg"),
+    ], ids=["calibrate-log", "calibrate-dot-log", "fingerprint-log", "fingerprint-baseline",
+            "coupling-matrix", "stats-records", "simulate-config", "calibrate-config"])
+    def test_an_output_that_names_an_input_is_refused(self, workdir, capsys, argv, target):
+        self._refused(workdir, capsys, argv.split(), f"rfad: {target}: -o names an input\n")
+
+    def test_export_checks_its_csv_twin_before_writing_the_chart(self, workdir, capsys):
+        # the chart was once written before its twin was refused
+        (workdir / "chart.csv").mkdir()
+        self._refused(workdir, capsys, ["export", "fps.json", "-o", "chart.svg"],
+                      "rfad: chart.csv: is a directory, not a file\n")
+        assert not (workdir / "chart.svg").exists()
+        assert os.listdir(workdir / "chart.csv") == []
 
 
 # Each mode of each subcommand, as the arguments that select it ("{name}"

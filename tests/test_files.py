@@ -12,7 +12,7 @@ import pytest
 from rfad.cli import main
 from rfad.coupling import ImpedanceMatrix, save_impedance_matrix
 from rfad.errors import DataError
-from rfad.files import csv_text, json_text, write_json, write_lines, write_text
+from rfad.files import check_outputs, csv_text, json_text, write_json, write_lines, write_text
 from rfad.readlog import CodeSeries, write_log, write_series
 from rfad.signal import FluctuationModel, amplitude_spectrum, synthesize_series
 
@@ -200,3 +200,47 @@ class TestWriter:
         size = path.stat().st_size
         assert size > 3_000_000
         assert peak < size / 20
+
+
+class TestCheckOutputs:
+    def test_a_none_path_is_skipped(self, tmp_path):
+        check_outputs([("--records-out", None), ("-o", tmp_path / "out.json")],
+                      [None, tmp_path / "in.json"])
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("target", ["./dir/same.json", "link/same.json"],
+                             ids=["dot", "symlink"])
+    def test_two_flags_that_resolve_to_one_file_are_refused(self, tmp_path, monkeypatch,
+                                                            target):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "link").symlink_to("dir")
+        with pytest.raises(DataError) as excinfo:
+            check_outputs([("--records-out", "dir/same.json"), ("-o", target)], [])
+        assert str(excinfo.value) == f"{target}: --records-out and -o name the same file"
+        assert sorted(os.listdir(tmp_path)) == ["dir", "link"]
+
+    @pytest.mark.parametrize("target", ["in.csv", "./in.csv", "sub/../in.csv"])
+    def test_a_target_that_names_an_input_is_refused(self, tmp_path, monkeypatch, target):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        with pytest.raises(DataError) as excinfo:
+            check_outputs([("-o", target)], ["other.cfg", "in.csv"])
+        assert str(excinfo.value) == f"{target}: -o names an input"
+
+    def test_a_flag_that_names_a_target_named_by_what_it_is(self, tmp_path):
+        log = str(tmp_path / "subject01_olive_oil_trial1.csv")
+        with pytest.raises(DataError) as excinfo:
+            check_outputs([("a reader log of --log-dir", log), ("-o", log)], [])
+        assert str(excinfo.value) == f"{log}: -o names a reader log of --log-dir"
+
+    @pytest.mark.parametrize("bad, error", [
+        ("nodir/out.json", "nodir/out.json: directory 'nodir' does not exist"),
+        ("dir", "dir: is a directory, not a file")], ids=["missing-directory", "directory"])
+    def test_the_directory_errors_come_first(self, tmp_path, monkeypatch, bad, error):
+        # -o names the input, but the later target's place is refused first
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dir").mkdir()
+        with pytest.raises(DataError) as excinfo:
+            check_outputs([("-o", "in.json"), ("--records-out", bad)], ["in.json"])
+        assert str(excinfo.value) == error
