@@ -139,10 +139,6 @@ def reliability_report(records: Sequence[TrialRecord]) -> ReliabilityReport:
 # trial record persistence
 # ---------------------------------------------------------------------------
 
-# Seed of the default synthetic campaign (``rfad stats --generate``).
-DEFAULT_POPULATION_SEED = 20
-
-
 def save_records(records: Sequence[TrialRecord], path) -> None:
     payload = []
     for r in records:

@@ -4,13 +4,13 @@ Subcommands: simulate, calibrate, fingerprint, classify, coupling,
 stats, export. Every subcommand is a pure pipeline over files: the same
 inputs, config and seed produce byte-identical outputs.
 
-Importing this module loads no numpy. The array modules (``signal``,
-``coupling``, ``population``) are imported inside the commands that
-use them, so ``calibrate``, ``fingerprint``, ``classify``, ``export``
-and ``stats --records`` run without numpy: reader logs, code series and
-their windowed estimate live in the numpy-free ``readlog``. Each rfad
-call is a short process, and the numpy import is most of its start-up
-time.
+Each rfad call is a short process, and loading code is most of its
+start-up time, so a command loads only the modules it runs: this module
+imports at its top what ``main`` and ``build_parser`` need, and each
+command imports the rest. So ``calibrate``, ``fingerprint``, ``classify``,
+``export`` and ``stats --records`` load no numpy (the reader logs live in
+the numpy-free ``readlog``), only ``export`` loads ``kiviat``, and
+``classify``, ``export`` and ``stats --records`` load no ``readlog``.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
 """
@@ -22,20 +22,10 @@ import functools
 import os
 import sys
 
-from . import kiviat as _kiviat
-from . import readlog as _readlog
-from .classify import (DEFAULT_POPULATION_SEED, load_records, reliability_report,
-                       save_records)
-from .classify import classify as _classify_value
-from .config import load_config
+from .config import DEFAULT_POPULATION_SEED, load_config
 from .errors import DataError, NumericalError, RfadError, UncalibratedChannelError
 from .files import check_outputs, json_text, write_json
-from .fingerprint import (averaged_fingerprint, build_fingerprint, fingerprint_label,
-                          fingerprint_record, load_fingerprints, readings,
-                          save_fingerprints)
 from .hand import FINGERS
-from .materials import PERMITTIVITY, REFERENCE_LIQUIDS
-from .units import dbm_from_watts
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,6 +43,8 @@ class _Parser(argparse.ArgumentParser):
 def _cmd_simulate(args, config):
     check_outputs([("-o", args.output)], [args.config])
     from . import signal as _signal
+    from .materials import PERMITTIVITY, REFERENCE_LIQUIDS
+    from .readlog import CodeSeries, write_series
     # channel k's seed is --seed + k: refuse a negative --seed whatever --channels
     if args.seed < 0:
         raise DataError(f"seed must be non-negative, got {args.seed}")
@@ -73,15 +65,16 @@ def _cmd_simulate(args, config):
         fluct, args.duration, [args.seed + FINGERS.index(channel) for channel in channels],
         baselines=baselines)
     times = times.tolist()
-    series = {channel: _readlog.CodeSeries(times, row)
+    series = {channel: CodeSeries(times, row)
               for channel, row in zip(channels, codes.tolist())}
-    _readlog.write_series(series, args.output)
+    write_series(series, args.output)
     print(f"wrote {sum(len(s) for s in series.values())} samples to {args.output}")
 
 
 def _log_estimate(path, estimate, config):
     """``estimate(series, window, estimator)`` of the log at ``path``; errors name it."""
-    series = _readlog.load_code_series(path)
+    from .readlog import load_code_series
+    series = load_code_series(path)
     try:
         return estimate(series, config.window, config.estimator)
     except DataError as exc:
@@ -90,16 +83,19 @@ def _log_estimate(path, estimate, config):
 
 def _cmd_calibrate(args, config):
     check_outputs([("-o", args.output)], [args.log, args.config])
-    baseline = _log_estimate(args.log, _readlog.calibrate, config)
-    _readlog.save_baseline(baseline, args.output)
+    from .readlog import calibrate, save_baseline
+    baseline = _log_estimate(args.log, calibrate, config)
+    save_baseline(baseline, args.output)
     gaps = f", gaps: {', '.join(baseline.gaps)}" if baseline.gaps else ""
     print(f"baseline for {len(baseline.codes)} channels -> {args.output}{gaps}")
 
 
 def _cmd_fingerprint(args, config):
     check_outputs([("-o", args.output)], [args.log, args.baseline, args.config])
-    baseline = _readlog.load_baseline(args.baseline)
-    codes = _log_estimate(args.log, _readlog.channel_codes, config)
+    from .fingerprint import build_fingerprint, fingerprint_record, readings, save_fingerprints
+    from .readlog import channel_codes, load_baseline
+    baseline = load_baseline(args.baseline)
+    codes = _log_estimate(args.log, channel_codes, config)
     try:
         fp = build_fingerprint(readings(codes), baseline, material_label=args.label)
     except UncalibratedChannelError as exc:
@@ -109,16 +105,18 @@ def _cmd_fingerprint(args, config):
 
 
 def _cmd_classify(args, config):
+    from .classify import classify
+    from .fingerprint import averaged_fingerprint, fingerprint_label, load_fingerprints
     classes = config.classes()
     if args.value is not None:
-        print(f"value: F={args.value:.2f} -> {_classify_value(args.value, classes)}")
+        print(f"value: F={args.value:.2f} -> {classify(args.value, classes)}")
         return
     # every fingerprint is classified before any line is printed, so a failure prints none
     lines = []
     for i, fp in enumerate(load_fingerprints(args.fingerprints)):
         label, value = fingerprint_label(fp, i), averaged_fingerprint(fp)
         try:
-            lines.append(f"{label}: F={value:.2f} -> {_classify_value(value, classes)}")
+            lines.append(f"{label}: F={value:.2f} -> {classify(value, classes)}")
         except DataError as exc:
             raise DataError(f"{args.fingerprints}: {label}: {exc}") from None
     print("\n".join(lines))
@@ -128,6 +126,7 @@ def _cmd_coupling(args, config):
     # the output place and the turn-on levels are checked before the summary is printed
     check_outputs([("-o", args.output)], [args.matrix, args.config])
     from . import coupling as _coupling
+    from .units import dbm_from_watts
     turn_on = [(channel, _coupling.turn_on_power(args.tau, config.transducer_gains[channel],
                                                  config.ic_sensitivity))
                for channel in FINGERS] if args.turn_on else []
@@ -152,6 +151,7 @@ def _cmd_coupling(args, config):
 
 
 def _cmd_stats(args, config):
+    from .classify import load_records, reliability_report
     if args.generate:
         # every output place is checked before the campaign runs
         if args.log_dir is not None and not os.path.isdir(args.log_dir):
@@ -168,7 +168,7 @@ def _cmd_stats(args, config):
         records = _population.generate_population(
             spec, seed=args.seed, config=config, out_dir=args.log_dir)
         if args.records_out:
-            save_records(records, args.records_out)
+            _population.save_records(records, args.records_out)
     else:
         check_outputs([("-o", args.output)], [args.records, args.config])
         records = load_records(args.records)
@@ -203,6 +203,10 @@ def _check_mode(parser, ignored, why, args):
 
 
 def _cmd_export(args, config):
+    from . import kiviat as _kiviat
+    from .fingerprint import load_fingerprints
+    # the chart and its twin are checked before the fingerprints are read
+    check_outputs(_kiviat.chart_targets(args.output), [args.fingerprints, args.config])
     fps = load_fingerprints(args.fingerprints)
     print(f"wrote {_kiviat.export_kiviat(fps, args.output)} (+ CSV twin)")
 

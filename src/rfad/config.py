@@ -16,18 +16,22 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
-from typing import ClassVar, Mapping
+from typing import TYPE_CHECKING, ClassVar, Mapping
 
-from . import classify as _classify
 from . import ic as _ic
 from .errors import DataError
 from .files import finite, read_text
 from .hand import FINGERS
 from .materials import PERMITTIVITY
-from .readlog import MAX_SERIES_SAMPLES
 from .units import parse_complex_quantity, parse_quantity
 
+if TYPE_CHECKING:
+    from .classify import MaterialClass
+
 DEFAULTS_RESOURCE = "defaults.cfg"
+
+# Seed of the default synthetic campaign (``rfad stats --generate``).
+DEFAULT_POPULATION_SEED = 20
 
 
 def _above(parse, bound: float):
@@ -128,11 +132,11 @@ class SessionConfig:
                           for channel, a in zip(FINGERS, air)) / len(FINGERS)
                 for name, eps in PERMITTIVITY.items()}
 
-    def classes(self) -> list[_classify.MaterialClass]:
+    def classes(self) -> list[MaterialClass]:
         """The reference liquids' classes, bounded by the largest
         differential code the ladder allows, ``±(s_max - s_min)``."""
-        return _classify.default_classes(self.class_means(),
-                                         float(self.ic.s_max - self.ic.s_min))
+        from .classify import default_classes
+        return default_classes(self.class_means(), float(self.ic.s_max - self.ic.s_min))
 
 
 def _channel_value(values: dict, key: str, channel: str):
@@ -179,9 +183,9 @@ def _check_rules(values: dict, source: str, lines: dict) -> None:
                f"{key} = {code} outside [s_min, s_max] = [{s_min}, {s_max}]")
               for key, code in values.items() if key.startswith("baseline_code")]
     rules.append((("sample_period", "sawtooth_frequency"),
-                  math.isfinite(MAX_SERIES_SAMPLES * period * frequency),
+                  math.isfinite(_ic.MAX_SERIES_SAMPLES * period * frequency),
                   f"sample_period = {period:g} s and sawtooth_frequency = {frequency:g} Hz "
-                  f"overflow the sawtooth phase over {MAX_SERIES_SAMPLES} samples"))
+                  f"overflow the sawtooth phase over {_ic.MAX_SERIES_SAMPLES} samples"))
     for keys, ok, message in rules:
         if not ok:
             line = max(lines.get(key, 0) for key in keys)

@@ -37,6 +37,10 @@ EPSILON_MAX = 100.0
 CODE_STORAGE_MIN = 0
 CODE_STORAGE_MAX = 511
 
+# Most samples one series may hold (about eight days at the default
+# sample period); five such series take a few hundred MB.
+MAX_SERIES_SAMPLES = 1_000_000
+
 
 @dataclass(frozen=True, kw_only=True)
 class AutoTuneIC:

@@ -112,16 +112,21 @@ def kiviat_csv(fingerprints: Sequence[Fingerprint]) -> str:
     return csv_text(["label", "channel", "value", "imputed", "averaged"], rows)
 
 
-def export_kiviat(fingerprints: Sequence[Fingerprint], path) -> str:
-    """Write ``path`` (SVG) and its CSV twin next to it; return the SVG's
-    path, which gains ``.svg`` unless ``path`` ends in it, in any case."""
+def chart_targets(path) -> list[tuple[str, str]]:
+    """The chart that ``export_kiviat`` writes for ``path`` (gaining ``.svg`` unless it
+    ends in it, in any case) and its ``.csv`` twin, as ``check_outputs`` targets."""
     path = os.fspath(path)
-    if path[-4:].lower() == ".svg":
-        svg_path, base = path, path[:-4]
-    else:
-        svg_path, base = path + ".svg", path
-    csv_path = base + ".csv"
-    check_outputs([("the chart", svg_path), ("its CSV twin", csv_path)], ())
+    if path[-4:].lower() != ".svg":
+        path += ".svg"
+    return [("the chart", path), ("its CSV twin", path[:-4] + ".csv")]
+
+
+def export_kiviat(fingerprints: Sequence[Fingerprint], path) -> str:
+    """Write the chart of ``chart_targets(path)`` (SVG) and its CSV twin;
+    return the chart's path."""
+    targets = chart_targets(path)
+    check_outputs(targets, ())
+    (_, svg_path), (_, csv_path) = targets
     write_text(svg_path, kiviat_svg(fingerprints))
     write_text(csv_path, kiviat_csv(fingerprints))
     return svg_path

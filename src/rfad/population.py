@@ -19,12 +19,12 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-# The record files and the default seed live beside TrialRecord, where
-# commands that never simulate find them without numpy; they stay bound
-# here for callers that persist what generate_population returns.
-from .classify import (DEFAULT_POPULATION_SEED, MaterialClass, TrialRecord,  # noqa: F401
-                       classify, load_records, save_records)
-from .config import SessionConfig, load_config
+# The record files live beside TrialRecord, where commands that never
+# simulate find them without numpy; they stay bound here for callers that
+# persist what generate_population returns.
+from .classify import (MaterialClass, TrialRecord, classify, load_records,  # noqa: F401
+                       save_records)
+from .config import DEFAULT_POPULATION_SEED, SessionConfig, load_config
 from .errors import DataError
 from .fingerprint import Fingerprint, total
 from .hand import FINGERS

@@ -53,10 +53,6 @@ from .ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
 
 Estimator = Literal["mean", "median"]
 
-# Most samples one series may hold (about eight days at the default
-# sample period); five such series take a few hundred MB.
-MAX_SERIES_SAMPLES = 1_000_000
-
 
 def _plain(values):
     """``values``, with an array or numpy scalar turned into Python numbers."""

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NotConvergedError
-from .ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
-from .readlog import MAX_SERIES_SAMPLES, CodeSeries, Estimator, estimate_window, sorted_median
+from .ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN, MAX_SERIES_SAMPLES
+from .readlog import CodeSeries, Estimator, estimate_window, sorted_median
 
 DEFAULT_SAMPLE_PERIOD = 0.7
 DEFAULT_SAWTOOTH_FREQUENCY = 0.7

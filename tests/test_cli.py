@@ -10,11 +10,10 @@ import pytest
 
 from rfad import population, signal
 from rfad.cli import build_parser, main
-from rfad.config import load_config
+from rfad.config import DEFAULT_POPULATION_SEED, load_config
 from rfad.hand import FINGERS
 from rfad.materials import PERMITTIVITY
-from rfad.population import (DEFAULT_POPULATION_SEED, PopulationSpec, generate_population,
-                             save_records)
+from rfad.population import PopulationSpec, generate_population, save_records
 from rfad.readlog import load_code_series, write_log
 from rfad.signal import (FluctuationModel, estimate_code, material_fluctuation_model,
                          synthesize_series)
@@ -589,6 +588,12 @@ class TestStats:
         args = build_parser().parse_args(["stats", "--generate"])
         assert args.seed == DEFAULT_POPULATION_SEED == 20
 
+    def test_generate_without_seed_writes_the_shipped_seed_records(self, tmp_path):
+        default, seeded = tmp_path / "default.json", tmp_path / "seeded.json"
+        assert run("stats", "--generate", "--records-out", str(default)) == 0
+        assert run("stats", "--generate", "--seed", "20", "--records-out", str(seeded)) == 0
+        assert default.read_bytes() == seeded.read_bytes()
+
     def test_record_whose_fingerprint_disagrees_is_data_error(self, tmp_path, capsys):
         # all five fingers said responsive, but the fingerprint read only I
         one_read = dict(_fp(), imputed={f: f != "I" for f in FINGERS}, n_responsive=1)
@@ -985,6 +990,25 @@ class TestOutputsReplaceNoInput:
                       "rfad: chart.csv: is a directory, not a file\n")
         assert not (workdir / "chart.svg").exists()
         assert os.listdir(workdir / "chart.csv") == []
+
+    @pytest.mark.parametrize("given, out, target, name", [
+        ("fps.csv", "fps", "fps.csv", "its CSV twin"),
+        ("fps.csv", "fps.SVG", "fps.csv", "its CSV twin"),
+        ("fps.svg", "fps.svg", "fps.svg", "the chart"),
+        ("fps.svg", "./fps", "./fps.svg", "the chart"),
+    ], ids=["twin-suffixless", "twin-upper-svg", "chart", "chart-suffixless"])
+    def test_export_that_would_replace_its_fingerprints_is_refused(
+            self, workdir, capsys, given, out, target, name):
+        # the twin once replaced the fingerprints it was drawn from, with exit 0
+        (workdir / given).write_bytes((workdir / "fps.json").read_bytes())
+        self._refused(workdir, capsys, ["export", given, "-o", out],
+                      f"rfad: {target}: {name} names an input\n")
+
+    def test_export_that_would_replace_its_config_is_refused(self, workdir, capsys):
+        (workdir / "chart.csv").write_text("window = 10\n")
+        self._refused(workdir, capsys, ["--config", "chart.csv", "export", "fps.json",
+                                        "-o", "chart"],
+                      "rfad: chart.csv: its CSV twin names an input\n")
 
 
 # Each mode of each subcommand, as the arguments that select it ("{name}"

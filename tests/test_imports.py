@@ -1,11 +1,15 @@
-"""Which commands load numpy.
+"""Which modules each command loads.
 
-Each rfad call is a short process, and importing numpy is most of its
-start-up time. ``calibrate``, ``fingerprint``, ``classify``, ``export``
-and ``stats --records`` do no array work, so they must run without numpy
-in ``sys.modules``; the array commands load it inside the command. Each
-case runs in a fresh interpreter, because this test process has numpy
-loaded already.
+Each rfad call is a short process, and loading code is most of its
+start-up time, so a command loads only the modules it runs.
+``calibrate``, ``fingerprint``, ``classify``, ``export`` and ``stats
+--records`` do no array work, so they must run without numpy in
+``sys.modules``; the array commands load it inside the command. Of the
+rfad modules, ``import rfad.cli`` loads only what parsing the command
+line and loading the config need, and each command adds the ones it
+runs: only ``export`` loads ``kiviat``, and ``classify``, ``export`` and
+``stats --records`` load no ``readlog``. Each case runs in a fresh
+interpreter, because this test process has all of them loaded already.
 """
 
 import json
@@ -86,3 +90,30 @@ def test_import_rfad_loads_no_submodule(tmp_path):
     # the package holds only its version; each caller imports the module it uses
     script = "import sys, rfad\nprint([m for m in sys.modules if m.startswith('rfad.')])"
     assert _last_line(tmp_path, script) == "[]"
+
+
+# What ``import rfad.cli`` loads: the parser, the config and its checks.
+_START = {"cli", "config", "errors", "files", "hand", "ic", "materials", "units"}
+
+
+@pytest.mark.parametrize("script, added", [
+    ("import rfad.cli", set()),
+    (_command("classify", "--value", "50"), {"classify", "fingerprint"}),
+    (_command("classify", "--fingerprints", "fps.json"), {"classify", "fingerprint"}),
+    (_command("export", "fps.json", "-o", "chart.svg"), {"fingerprint", "kiviat"}),
+    (_command("stats", "--records", "records.json"), {"classify", "fingerprint"}),
+    (_command("calibrate", "air.csv", "-o", "b.json"), {"fingerprint", "readlog"}),
+    (_command("fingerprint", "touched.csv", "--baseline", "baseline.json", "-o", "f.json"),
+     {"fingerprint", "readlog"}),
+    (_command("simulate", "--duration", "7", "-o", "x.csv"),
+     {"fingerprint", "readlog", "signal"}),
+    (_command("coupling"), {"coupling"}),
+    (_command("stats", "--generate"),
+     {"classify", "fingerprint", "population", "readlog", "signal"}),
+], ids=["import-cli", "classify-value", "classify-fingerprints", "export", "stats-records",
+        "calibrate", "fingerprint", "simulate", "coupling", "stats-generate"])
+def test_command_loads_only_the_rfad_modules_it_runs(work, script, added):
+    # each module a command does not run would cost its compile time in every process
+    line = _last_line(work, script + "\nimport sys\nprint(' '.join(sorted("
+                            "m[5:] for m in sys.modules if m.startswith('rfad.'))))")
+    assert set(line.split()) == _START | added

@@ -7,7 +7,7 @@ import pytest
 from rfad.errors import DataError
 from rfad.fingerprint import Fingerprint
 from rfad.hand import FINGERS
-from rfad.kiviat import export_kiviat, kiviat_csv, kiviat_svg
+from rfad.kiviat import chart_targets, export_kiviat, kiviat_csv, kiviat_svg
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -92,6 +92,17 @@ class TestKiviatCsv:
         export_kiviat([_fp([10, 20, 25, 30, 40])], path)
         assert path.exists()
         assert (tmp_path / "chart.csv").exists()
+
+    @pytest.mark.parametrize("given, chart, twin", [
+        ("chart.svg", "chart.svg", "chart.csv"), ("chart", "chart.svg", "chart.csv"),
+        ("chart.SVG", "chart.SVG", "chart.csv"), ("chart.csv", "chart.csv.svg", "chart.csv.csv"),
+    ], ids=["svg", "suffixless", "upper-svg", "csv"])
+    def test_export_writes_the_targets_it_names(self, tmp_path, given, chart, twin):
+        assert chart_targets(tmp_path / given) == [("the chart", str(tmp_path / chart)),
+                                                   ("its CSV twin", str(tmp_path / twin))]
+        assert export_kiviat([_fp([10, 20, 25, 30, 40])], tmp_path / given) == str(
+            tmp_path / chart)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([chart, twin])
 
     def test_export_deterministic(self, tmp_path):
         fps = [_fp([10, 20, 25, 30, 40], label="m")]

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from rfad import signal as signal_module
 from rfad.errors import DataError, NotConvergedError
 from rfad.materials import REFERENCE_LIQUIDS
-from rfad.ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
-from rfad.readlog import MAX_SERIES_SAMPLES, CodeSeries
+from rfad.ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN, MAX_SERIES_SAMPLES
+from rfad.readlog import CodeSeries
 from rfad.signal import (FluctuationModel, amplitude_spectrum,
                          convergence_error, dominant_frequency, estimate_code,
                          material_fixture_series, material_fluctuation_model,
