@@ -48,13 +48,13 @@ def _cmd_simulate(args, config):
     # channel k's seed is --seed + k: refuse a negative --seed whatever --channels
     if args.seed < 0:
         raise DataError(f"seed must be non-negative, got {args.seed}")
-    if args.material and args.material not in REFERENCE_LIQUIDS:
+    if args.material is not None and args.material not in REFERENCE_LIQUIDS:
         raise DataError(f"unknown reference material {args.material!r}; "
                         f"known: {sorted(REFERENCE_LIQUIDS)}")
     acquisition = dict(sample_period=config.sample_period,
                        sawtooth_frequency=config.sawtooth_frequency)
     channels = [channel for channel in FINGERS if channel in (args.channels or FINGERS)]
-    if args.material:
+    if args.material is not None:
         eps = PERMITTIVITY[args.material]
         fluct = _signal.material_fluctuation_model(args.material, baseline=0, **acquisition)
         baselines = [config.channel_code(channel, eps) for channel in channels]
@@ -130,7 +130,7 @@ def _cmd_coupling(args, config):
     turn_on = [(channel, _coupling.turn_on_power(args.tau, config.transducer_gains[channel],
                                                  config.ic_sensitivity))
                for channel in FINGERS] if args.turn_on else []
-    if args.matrix:
+    if args.matrix is not None:
         z = _coupling.load_impedance_matrix(args.matrix)
         k = _coupling.power_wave_scattering(
             z, _coupling.PortLoad(config.ic_load))
@@ -141,7 +141,7 @@ def _cmd_coupling(args, config):
         report = _coupling.normalize_coupling(
             _coupling.REFERENCE_COUPLING_MAGNITUDES)
     print(_coupling.coupling_summary(report, labels))
-    if args.output:
+    if args.output is not None:
         _coupling.export_coupling_csv(report, labels, args.output)
         print(f"wrote {args.output}")
     if turn_on:
@@ -167,7 +167,7 @@ def _cmd_stats(args, config):
                       [args.config])
         records = _population.generate_population(
             spec, seed=args.seed, config=config, out_dir=args.log_dir)
-        if args.records_out:
+        if args.records_out is not None:
             _population.save_records(records, args.records_out)
     else:
         check_outputs([("-o", args.output)], [args.records, args.config])
@@ -179,7 +179,7 @@ def _cmd_stats(args, config):
         "per_finger_rates": report.per_finger_rates,
         "joint_rates": report.joint_rates,
     }
-    if args.output:
+    if args.output is not None:
         write_json(args.output, payload)
         print(f"wrote {args.output}")
     else:
@@ -226,7 +226,7 @@ def build_parser() -> _Parser:
     p.add_argument("--channels", nargs="+", choices=FINGERS, default=None)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_simulate, one_mode_only=(), check=functools.partial(
-        _check_mode, p, lambda args: args.material,
+        _check_mode, p, lambda args: args.material is not None,
         "not allowed with --material (its material sets the baseline)"))
 
     p = sub.add_parser("calibrate", help="air baseline from a reader log")

@@ -76,8 +76,9 @@ def default_config_text() -> str:
 
 
 def _entries(text: str, source: str):
-    """``(key, value, lineno)`` for each setting of ``text``."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    """``(key, value, lineno)`` for each setting of ``text``, counting lines at
+    line feeds only (``str.splitlines`` also counts form feeds and more)."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -35,10 +35,13 @@ def check_output_dir(path) -> None:
 
 
 def check_outputs(targets, inputs) -> None:
-    """Refuse each target ``(flag or name, path)`` that ``check_output_dir`` refuses, then
-    one that resolves to an input or to an earlier target; ``None`` paths are skipped."""
+    """Refuse each target ``(flag or name, path)`` whose path is empty or that
+    ``check_output_dir`` refuses, then one that resolves to an input or to an
+    earlier target; ``None`` paths are skipped."""
     targets = [(name, path) for name, path in targets if path is not None]
-    for _, path in targets:
+    for name, path in targets:
+        if not os.fspath(path):
+            raise DataError(f"{name}: an empty path names no file")
         check_output_dir(path)
     owners = {os.path.realpath(path): "an input" for path in inputs if path is not None}
     for name, path in targets:

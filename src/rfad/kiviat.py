@@ -116,6 +116,8 @@ def chart_targets(path) -> list[tuple[str, str]]:
     """The chart that ``export_kiviat`` writes for ``path`` (gaining ``.svg`` unless it
     ends in it, in any case) and its ``.csv`` twin, as ``check_outputs`` targets."""
     path = os.fspath(path)
+    if not path:  # it would name '.svg'; refuse it as an empty target
+        check_outputs([("the chart", path)], ())
     if path[-4:].lower() != ".svg":
         path += ".svg"
     return [("the chart", path), ("its CSV twin", path[:-4] + ".csv")]

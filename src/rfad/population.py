@@ -11,7 +11,6 @@ campaign's shape.
 from __future__ import annotations
 
 import bisect
-import math
 import operator
 import os
 from dataclasses import dataclass
@@ -91,58 +90,37 @@ def _epc(subject: int, material_idx: int, trial: int, finger: str) -> str:
             f"{FINGERS.index(finger):02X}").ljust(24, "0")
 
 
-class _Chain:
-    """Per-run constants of the sensing chain: they depend only on the
-    config and the touched material, never on a draw."""
-
-    def __init__(self, config: SessionConfig):
-        self.config = config
-        self.air = np.array([float(config.air_code(f)) for f in FINGERS])
-        # entry m: P(at most m + 1 fingers respond), scaled to end at 1
-        # as numpy's ``choice`` scales it
-        cdf = np.cumsum(np.asarray(DEFAULT_COUNT_PROBS, dtype=float))
-        self.count_cdf = (cdf / cdf[-1]).tolist()
-        self.weights = [float(DEFAULT_FINGER_WEIGHTS[f]) for f in FINGERS]
-        # per reference liquid: the touched code of each channel, and the
-        # fluctuation preset, whose baseline is a placeholder (each
-        # synthesized row gets its own)
-        self.touched = {name: tuple(config.channel_code(ch, PERMITTIVITY[name]) for ch in FINGERS)
-                        for name in REFERENCE_LIQUIDS}
-        self.fluctuation = {name: material_fluctuation_model(
-            name, baseline=0, sample_period=config.sample_period,
-            sawtooth_frequency=config.sawtooth_frequency) for name in REFERENCE_LIQUIDS}
-
-
-def _draw_responsive(rng: np.random.Generator, chain: _Chain) -> list[int]:
+def _draw_responsive(rng: np.random.Generator, count_cdf: list[float],
+                     weights: list[float]) -> list[int]:
     """Indices of the hand's responsive fingers, in finger order."""
     # the draw numpy's choice(5, p=DEFAULT_COUNT_PROBS) makes: one uniform, placed
     # on the cumulative probabilities
-    m = 1 + bisect.bisect_right(chain.count_cdf, rng.random())
+    m = 1 + bisect.bisect_right(count_cdf, rng.random())
     # weighted sampling without replacement (exponential race); a Python
     # float quotient is the IEEE quotient numpy's division gives
-    keys = list(map(operator.truediv, rng.exponential(size=len(FINGERS)).tolist(),
-                    chain.weights))
+    keys = list(map(operator.truediv, rng.exponential(size=len(FINGERS)).tolist(), weights))
     return sorted(sorted(range(len(FINGERS)), key=keys.__getitem__)[:m])
 
 
-def _chunk_hands(chain: _Chain, full_series: bool) -> int:
+def _chunk_hands(config: SessionConfig, full_series: bool) -> int:
     """Hands per chunk: as many as fit ``_CHUNK_SAMPLES`` at five rows each."""
-    row = SERIES_DURATION / chain.config.sample_period
+    row = SERIES_DURATION / config.sample_period
     if not full_series:
-        row = min(row, chain.config.window)
+        row = min(row, config.window)
     return max(1, int(_CHUNK_SAMPLES // (len(FINGERS) * max(row, 1.0))))
 
 
 class _Chunk(NamedTuple):
     """A chunk of simulated hands as arrays, one row per hand and one
-    column per finger: which fingers responded, and the window estimate
-    of each responsive finger's code (NaN where none). ``codes`` holds
+    column per finger: which fingers responded, and each finger's
+    differential code, the air code minus the window estimate of its
+    code series (0.0 where the finger did not respond). ``codes`` holds
     the code series, one row per responsive finger in hand order, then
     finger order (the order of ``responsive``'s true entries), over the
     time base ``times``."""
 
     responsive: np.ndarray
-    estimates: np.ndarray
+    deltas: np.ndarray
     times: np.ndarray
     codes: np.ndarray
 
@@ -161,7 +139,7 @@ def _window_estimates(codes: np.ndarray, window: int, estimator: Estimator) -> n
     return (ordered[:, middle - 1] + ordered[:, middle]) / 2
 
 
-def _simulate(chain: _Chain, rng: np.random.Generator, materials: Sequence[str],
+def _simulate(config: SessionConfig, rng: np.random.Generator, materials: Sequence[str],
               full_series: bool = False) -> Iterator[_Chunk]:
     """The sensing chain for a batch of hands, one ``_Chunk`` at a time.
 
@@ -181,11 +159,26 @@ def _simulate(chain: _Chain, rng: np.random.Generator, materials: Sequence[str],
     the draws of a chunk of hands, one ``synthesize_block`` per material;
     without ``full_series`` only the estimation window is made.
     """
-    config = chain.config
+    # per-run constants of the sensing chain: they depend only on the
+    # config and the touched material, never on a draw
+    air = np.array([float(config.air_code(f)) for f in FINGERS])
+    # entry m: P(at most m + 1 fingers respond), scaled to end at 1
+    # as numpy's ``choice`` scales it
+    cdf = np.cumsum(np.asarray(DEFAULT_COUNT_PROBS, dtype=float))
+    count_cdf = (cdf / cdf[-1]).tolist()
+    weights = [float(DEFAULT_FINGER_WEIGHTS[f]) for f in FINGERS]
+    # per reference liquid: the touched code of each channel, and the
+    # fluctuation preset, whose baseline is a placeholder (each
+    # synthesized row gets its own)
+    touched = {name: tuple(config.channel_code(ch, PERMITTIVITY[name]) for ch in FINGERS)
+               for name in REFERENCE_LIQUIDS}
+    fluctuation = {name: material_fluctuation_model(
+        name, baseline=0, sample_period=config.sample_period,
+        sawtooth_frequency=config.sawtooth_frequency) for name in REFERENCE_LIQUIDS}
     s_min, s_max = config.ic.s_min, config.ic.s_max
     class_sds, jitter_sd = DEFAULT_CLASS_SDS, CHANNEL_JITTER_SD
     samples = None if full_series else config.window
-    size = _chunk_hands(chain, full_series)
+    size = _chunk_hands(config, full_series)
     bits = rng.bit_generator
     for start in range(0, len(materials), size):
         names = materials[start:start + size]
@@ -196,12 +189,12 @@ def _simulate(chain: _Chain, rng: np.random.Generator, materials: Sequence[str],
         positions = []
         blocks = {material: ([], [], []) for material in names}
         for hand, material in enumerate(names):
-            touched, (rows, targets, seeds) = chain.touched[material], blocks[material]
-            chosen = _draw_responsive(rng, chain)
+            rows, targets, seeds = blocks[material]
+            chosen = _draw_responsive(rng, count_cdf, weights)
             hand_offset = 0.0 + class_sds[material] * rng.standard_normal()
             for finger in chosen:
                 jitter = 0.0 + jitter_sd * rng.standard_normal()
-                target = round(touched[finger] - hand_offset - jitter)
+                target = round(touched[material][finger] - hand_offset - jitter)
                 targets.append(min(max(target, s_min), s_max))
                 if kept:
                     seeds.append(upper >> 1)
@@ -217,19 +210,18 @@ def _simulate(chain: _Chain, rng: np.random.Generator, materials: Sequence[str],
         bits.state = state
         codes = None
         for material, (rows, targets, seeds) in blocks.items():
-            times, block = synthesize_block(chain.fluctuation[material],
+            times, block = synthesize_block(fluctuation[material],
                                             SERIES_DURATION, seeds,
                                             baselines=targets, samples=samples)
             if codes is None:  # every material shares the session's time base
                 codes = np.empty((len(positions), block.shape[1]), dtype=block.dtype)
             codes[rows] = block
-        shape = (len(names), len(FINGERS))
-        responsive = np.zeros(shape[0] * shape[1], dtype=bool)
-        responsive[positions] = True
-        estimates = np.full(responsive.shape, math.nan)
-        estimates[positions] = _window_estimates(codes, config.window, config.estimator)
-        responsive, estimates = responsive.reshape(shape), estimates.reshape(shape)
-        yield _Chunk(responsive, estimates, times, codes)
+        responsive = np.zeros((len(names), len(FINGERS)), dtype=bool)
+        responsive.flat[positions] = True
+        # the rows of codes are in the order of responsive's true entries
+        deltas = np.where(responsive, air, 0.0)
+        deltas[responsive] -= _window_estimates(codes, config.window, config.estimator)
+        yield _Chunk(responsive, deltas, times, codes)
 
 
 def generate_population(spec: PopulationSpec = PopulationSpec(),
@@ -243,17 +235,16 @@ def generate_population(spec: PopulationSpec = PopulationSpec(),
     """
     if config is None:
         config = load_config()
-    chain = _Chain(config)
     trials = [(subject, material_idx, material, trial)
               for subject in range(spec.subjects)
               for material_idx, material in enumerate(spec.materials)
               for trial in range(spec.trials)]
     records, next_trial = [], iter(trials).__next__
-    for chunk in _simulate(chain, _rng(seed), [t[2] for t in trials],
+    for chunk in _simulate(config, _rng(seed), [t[2] for t in trials],
                            full_series=out_dir is not None):
         row, times = 0, chunk.times.tolist()
         for flags, values in zip(chunk.responsive.tolist(),
-                                 _imputed(chunk.estimates, chunk.responsive, chain.air).tolist()):
+                                 _imputed(chunk.deltas, chunk.responsive).tolist()):
             subject, material_idx, material, trial = next_trial()
             fp = Fingerprint(values=dict(zip(FINGERS, values)),
                              imputed={f: not flag for f, flag in zip(FINGERS, flags)},
@@ -271,23 +262,22 @@ def generate_population(spec: PopulationSpec = PopulationSpec(),
     return records
 
 
-def _imputed(estimates: np.ndarray, responsive: np.ndarray, air: np.ndarray) -> np.ndarray:
+def _imputed(deltas: np.ndarray, responsive: np.ndarray) -> np.ndarray:
     """The five differential codes of each hand of a chunk, bit for bit
-    the values ``build_fingerprint`` gives: air minus estimate, and the
-    unresponsive fingers filled with the mean of the responsive ones. The
-    sum is made by ``fingerprint.total`` over the columns, so that every
-    hand's sum is added finger by finger, left to right from 0.0 (a
+    the values ``build_fingerprint`` gives: the chunk's ``deltas``, with
+    the unresponsive fingers filled with the mean of the responsive ones.
+    The sum is made by ``fingerprint.total`` over the columns, so that
+    every hand's sum is added finger by finger, left to right from 0.0 (a
     missing finger adds 0.0, which changes no sum)."""
-    deltas = np.where(responsive, air - estimates, 0.0)
     fill = total(deltas.T) / np.count_nonzero(responsive, axis=1)
     return np.where(responsive, deltas, fill[:, None])
 
 
-def _averaged(estimates: np.ndarray, responsive: np.ndarray, air: np.ndarray) -> np.ndarray:
+def _averaged(deltas: np.ndarray, responsive: np.ndarray) -> np.ndarray:
     """The averaged fingerprint of each hand of a chunk, bit for bit what
     ``averaged_fingerprint`` gives: the ``_imputed`` values summed by
     ``fingerprint.total`` over the columns, divided by five."""
-    return total(_imputed(estimates, responsive, air).T) / len(FINGERS)
+    return total(_imputed(deltas, responsive).T) / len(FINGERS)
 
 
 def _class_indices(f_bar: np.ndarray, classes: Sequence[MaterialClass]) -> np.ndarray:
@@ -311,13 +301,11 @@ def monte_carlo_classification(n_hands: int, seed: int,
     classes = config.classes()
     expected = {material: i for i, cls in enumerate(classes)
                 for material in cls.reference_materials}
-    chain = _Chain(config)
     hand_materials = [REFERENCE_LIQUIDS[i % len(REFERENCE_LIQUIDS)] for i in range(n_hands)]
     targets = np.array([expected[material] for material in hand_materials])
     correct = start = 0
-    for chunk in _simulate(chain, _rng(seed), hand_materials):
-        labels = _class_indices(_averaged(chunk.estimates, chunk.responsive, chain.air),
-                                classes)
+    for chunk in _simulate(config, _rng(seed), hand_materials):
+        labels = _class_indices(_averaged(chunk.deltas, chunk.responsive), classes)
         correct += int(np.count_nonzero(labels == targets[start:start + len(labels)]))
         start += len(labels)
     return correct / n_hands

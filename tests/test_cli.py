@@ -53,13 +53,21 @@ class TestSimulate:
                    "--duration", "70", "-o", str(out)) == 0
         assert out.exists()
 
-    @pytest.mark.parametrize("material", ["lava", "ecoflex_00_30"])
+    @pytest.mark.parametrize("material", ["lava", "ecoflex_00_30", ""],
+                             ids=["lava", "ecoflex", "empty"])
     def test_unknown_material_is_data_error(self, tmp_path, capsys, material):
+        # an empty material once wrote an untouched-hand series, with exit 0
         out = tmp_path / "x.csv"
         assert run("simulate", "--material", material, "-o", str(out)) == 2
         assert capsys.readouterr().err == (
             f"rfad: unknown reference material {material!r}; "
             "known: ['deionized_water', 'ethyl_alcohol', 'olive_oil']\n")
+        assert not out.exists()
+
+    def test_empty_material_with_baseline_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run("simulate", "--material", "", "--baseline", "250", "-o", str(out)) == 1
+        assert capsys.readouterr().err.startswith("usage: rfad simulate")
         assert not out.exists()
 
     @pytest.mark.parametrize("channels", [(), ("--channels", "V")])
@@ -265,6 +273,13 @@ class TestCoupling:
         assert run("coupling", "--turn-on") == 0
         out = capsys.readouterr().out
         assert "dBm" in out
+
+    def test_empty_matrix_path_is_data_error(self, capsys):
+        # an empty --matrix once screened the shipped fixture, with exit 0
+        assert run("coupling", "--matrix", "") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "rfad: [Errno 2] No such file or directory: ''\n"
 
     def test_bad_tau_fails_before_any_output(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
@@ -1009,6 +1024,40 @@ class TestOutputsReplaceNoInput:
         self._refused(workdir, capsys, ["--config", "chart.csv", "export", "fps.json",
                                         "-o", "chart"],
                       "rfad: chart.csv: its CSV twin names an input\n")
+
+
+class TestEmptyOutputPath:
+    """An empty output path names no file: every command refuses it by its
+    flag before any work. It was once taken as absent by some commands
+    (stdout, or no file), as ``.svg`` by ``export``, and as a file to
+    replace by others, after all their work."""
+
+    @pytest.fixture()
+    def workdir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run("simulate", "--seed", "5", "-o", "air.csv") == 0
+        assert run("calibrate", "air.csv", "-o", "baseline.json") == 0
+        save_records(generate_population(PopulationSpec(subjects=1)), "records.json")
+        (tmp_path / "fps.json").write_text(json.dumps([_fp()]))
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["simulate", "-o", ""], "-o"),
+        (["calibrate", "air.csv", "-o", ""], "-o"),
+        (["fingerprint", "air.csv", "--baseline", "baseline.json", "-o", ""], "-o"),
+        (["coupling", "-o", ""], "-o"),
+        (["stats", "--records", "records.json", "-o", ""], "-o"),
+        (["stats", "--generate", "-o", ""], "-o"),
+        (["stats", "--generate", "--records-out", "", "-o", "r.json"], "--records-out"),
+        (["export", "fps.json", "-o", ""], "the chart"),
+    ], ids=["simulate", "calibrate", "fingerprint", "coupling", "stats-records",
+            "stats-generate", "stats-records-out", "export"])
+    def test_empty_output_is_refused(self, workdir, capsys, argv, flag):
+        before = {path.name: path.read_bytes() for path in workdir.iterdir()}
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert capsys.readouterr() == ("", f"rfad: {flag}: an empty path names no file\n")
+        assert {path.name: path.read_bytes() for path in workdir.iterdir()} == before
 
 
 # Each mode of each subcommand, as the arguments that select it ("{name}"

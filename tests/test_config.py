@@ -301,6 +301,18 @@ class TestLoadConfig:
             load_config(path)
         assert str(info.value) == f"{path}:{line}: repeated key {key!r}"
 
+    @pytest.mark.parametrize("char", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                      "\u2028", "\u2029"],
+                             ids=["vt", "ff", "fs", "gs", "rs", "nel", "line-sep", "para-sep"])
+    def test_line_numbers_count_line_feeds_only(self, tmp_path, char):
+        # str.splitlines also ends a line at each of these, which once put
+        # the bad value on line 3
+        path = tmp_path / "session.cfg"
+        path.write_text(f"window = 12{char}\nwindow = 0\n", encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}:2: bad value for 'window': must be > 0, got 0"
+
 
 class TestMaterials:
     def test_reference_liquids_shipped(self):

@@ -234,6 +234,15 @@ class TestCheckOutputs:
             check_outputs([("a reader log of --log-dir", log), ("-o", log)], [])
         assert str(excinfo.value) == f"{log}: -o names a reader log of --log-dir"
 
+    def test_an_empty_path_is_refused_by_its_flag(self, tmp_path, monkeypatch):
+        # an empty path was once taken as absent by some commands and
+        # replaced by others, through a temporary file '.<hex>.tmp'
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(DataError) as excinfo:
+            check_outputs([("-o", "out.json"), ("--records-out", "")], [])
+        assert str(excinfo.value) == "--records-out: an empty path names no file"
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("bad, error", [
         ("nodir/out.json", "nodir/out.json: directory 'nodir' does not exist"),
         ("dir", "dir: is a directory, not a file")], ids=["missing-directory", "directory"])

@@ -104,6 +104,14 @@ class TestKiviatCsv:
             tmp_path / chart)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([chart, twin])
 
+    def test_an_empty_path_is_refused(self, tmp_path, monkeypatch):
+        # it once named the chart '.svg' and its twin '.csv'
+        monkeypatch.chdir(tmp_path)
+        for call in (lambda: chart_targets(""), lambda: export_kiviat([_fp([10] * 5)], "")):
+            with pytest.raises(DataError, match="^the chart: an empty path names no file$"):
+                call()
+        assert list(tmp_path.iterdir()) == []
+
     def test_export_deterministic(self, tmp_path):
         fps = [_fp([10, 20, 25, 30, 40], label="m")]
         export_kiviat(fps, tmp_path / "a.svg")

@@ -22,7 +22,7 @@ from rfad.hand import FINGERS
 from rfad.materials import PERMITTIVITY, REFERENCE_LIQUIDS
 from rfad import population
 from rfad.population import (DEFAULT_CLASS_SDS, DEFAULT_COUNT_PROBS,
-                             DEFAULT_POPULATION_SEED, PopulationSpec, _Chain,
+                             DEFAULT_POPULATION_SEED, PopulationSpec,
                              _chunk_hands, _averaged, _imputed, _class_indices,
                              _draw_responsive, _simulate, _window_estimates,
                              generate_population, load_records,
@@ -102,44 +102,51 @@ def _oracle_simulate_hand(material, rng, config):
     return readings, log_rows, baseline
 
 
+def _oracle_deltas(readings, baseline):
+    """The oracle hand's differential codes: air minus the window estimate
+    of each responsive channel, by name."""
+    return {r.channel: baseline.codes[r.channel] - r.code for r in readings if r.responsive}
+
+
 def _per_hand(chunks):
     """The hands of ``_simulate``'s chunks one at a time, as
-    ``(estimates, channels, times, codes)``: the window estimate of each
+    ``(deltas, channels, times, codes)``: the differential code of each
     responsive channel by name, and one row of ``codes`` per responsive
     channel."""
     for chunk in chunks:
-        assert np.isnan(chunk.estimates[~chunk.responsive]).all()
-        assert not np.isnan(chunk.estimates[chunk.responsive]).any()
+        assert (chunk.deltas[~chunk.responsive] == 0.0).all()
+        assert np.isfinite(chunk.deltas).all()
         row = 0
-        for flags, values in zip(chunk.responsive.tolist(), chunk.estimates.tolist()):
-            estimates = {f: v for f, v, flag in zip(FINGERS, values, flags) if flag}
-            yield estimates, list(estimates), chunk.times, chunk.codes[row:row + len(estimates)]
-            row += len(estimates)
+        for flags, values in zip(chunk.responsive.tolist(), chunk.deltas.tolist()):
+            deltas = {f: v for f, v, flag in zip(FINGERS, values, flags) if flag}
+            yield deltas, list(deltas), chunk.times, chunk.codes[row:row + len(deltas)]
+            row += len(deltas)
         assert row == len(chunk.codes)
 
 
 def _one_hand(material, rng, config):
-    """One hand through the batched core, in the oracle's return shape:
-    ``(readings, log_rows, baseline)`` with ``(channel, t, code)`` rows."""
-    chain = _Chain(config)
-    estimates, channels, times, codes = next(
-        _per_hand(_simulate(chain, rng, [material], full_series=True)))
+    """One hand through the batched core, as ``(deltas, log_rows)`` with
+    ``(channel, t, code)`` rows: compare with ``_oracle_hand``."""
+    deltas, channels, times, codes = next(
+        _per_hand(_simulate(config, rng, [material], full_series=True)))
     log_rows = [(channel, t, c) for channel, row in zip(channels, codes.tolist())
                 for t, c in zip(times.tolist(), row)]
-    return readings(estimates), log_rows, _chain_baseline(chain)
+    return deltas, log_rows
 
 
-def _chain_baseline(chain):
-    """The chain's air codes as the baseline ``build_fingerprint`` takes."""
-    return CalibrationBaseline(codes=dict(zip(FINGERS, chain.air.tolist())))
+def _oracle_hand(material, rng, config):
+    """The oracle's next hand in ``_one_hand``'s return shape."""
+    hand, log_rows, baseline = _oracle_simulate_hand(material, rng, config)
+    return _oracle_deltas(hand, baseline), log_rows
 
 
 def _assert_oracle_hand(hand, material, oracle_rng, config):
     """One hand of ``_per_hand`` against the oracle's next hand: the same
-    readings, and the same log rows, or their first ``window`` codes."""
-    estimates, channels, times, codes = hand
-    expected, log_rows, _ = _oracle_simulate_hand(material, oracle_rng, config)
-    assert readings(estimates) == expected
+    differential codes, and the same log rows, or their first ``window``
+    codes."""
+    deltas, channels, times, codes = hand
+    expected, log_rows = _oracle_hand(material, oracle_rng, config)
+    assert deltas == expected
     if codes.shape[1] == config.window:
         log_rows = [r for channel in channels
                     for r in [r for r in log_rows if r[0] == channel][:config.window]]
@@ -266,10 +273,9 @@ class TestSimulateHand:
         rng = np.random.default_rng(1)
         means = config.class_means()
         for material, expected in means.items():
-            readings, _, baseline = _one_hand(material, rng, config)
-            assert all(r.responsive for r in readings)
-            fp = build_fingerprint(readings, baseline)
-            assert averaged_fingerprint(fp) == pytest.approx(expected, abs=3.0)
+            deltas, _ = _one_hand(material, rng, config)
+            assert list(deltas) == list(FINGERS)
+            assert math.fsum(deltas.values()) / len(FINGERS) == pytest.approx(expected, abs=3.0)
 
 
 class TestStreamPreservation:
@@ -280,32 +286,29 @@ class TestStreamPreservation:
         config = load_config()
         materials = [REFERENCE_LIQUIDS[i % 3] for i in range(150)]
         oracle_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        chain = _Chain(config)
-        for material, (estimates, _, _, codes) in zip(
-                materials, _per_hand(_simulate(chain, rng, materials))):
+        for material, (deltas, _, _, codes) in zip(
+                materials, _per_hand(_simulate(config, rng, materials))):
             expected, _, baseline = _oracle_simulate_hand(material, oracle_rng, config)
-            assert readings(estimates) == expected
-            assert chain.air.tolist() == [baseline.codes[f] for f in FINGERS]
+            assert deltas == _oracle_deltas(expected, baseline)
             assert codes.shape[1] == config.window
-            assert (build_fingerprint(readings(estimates), _chain_baseline(chain), material)
-                    == build_fingerprint(expected, baseline, material))
+            fp = build_fingerprint(expected, baseline, material)
+            assert deltas == {f: fp.values[f] for f in FINGERS if not fp.imputed[f]}
         # no draw added or lost
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     @pytest.mark.parametrize("full_series", [False, True])
     def test_hands_beyond_one_chunk_match_oracle(self, full_series):
         config = load_config()
-        chain = _Chain(config)
-        n = _chunk_hands(chain, full_series) + 7
+        n = _chunk_hands(config, full_series) + 7
         # materials in no fixed order, so a chunk's blocks differ in size
         pick = np.random.default_rng(0).integers(0, 3, size=n)
         materials = [REFERENCE_LIQUIDS[i] for i in pick]
         oracle_rng, rng = np.random.default_rng(31), np.random.default_rng(31)
-        for material, (estimates, channels, times, codes) in zip(
-                materials, _per_hand(_simulate(chain, rng, materials,
+        for material, (deltas, channels, times, codes) in zip(
+                materials, _per_hand(_simulate(config, rng, materials,
                                                full_series=full_series))):
-            expected, log_rows, _ = _oracle_simulate_hand(material, oracle_rng, config)
-            assert readings(estimates) == expected
+            expected, log_rows = _oracle_hand(material, oracle_rng, config)
+            assert deltas == expected
             rows = [(channel, t, c) for channel, row in zip(channels, codes.tolist())
                     for t, c in zip(times.tolist(), row)]
             if not full_series:
@@ -324,9 +327,8 @@ class TestStreamPreservation:
         oracle_rng, rng = np.random.default_rng(12), np.random.default_rng(12)
         assert rng.integers(2 ** 31) == oracle_rng.integers(2 ** 31)
         assert rng.bit_generator.state["has_uint32"] == 1
-        chain = _Chain(config)
         for material, hand in zip(materials, _per_hand(
-                _simulate(chain, rng, materials, full_series=full_series))):
+                _simulate(config, rng, materials, full_series=full_series))):
             _assert_oracle_hand(hand, material, oracle_rng, config)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
         assert rng.integers(2 ** 31) == oracle_rng.integers(2 ** 31)
@@ -339,12 +341,11 @@ class TestStreamPreservation:
         config = load_config()
         row = population.SERIES_DURATION / config.sample_period if full_series else config.window
         monkeypatch.setattr(population, "_CHUNK_SAMPLES", int(3 * len(FINGERS) * row))
-        chain = _Chain(config)
-        assert _chunk_hands(chain, full_series) == 3
+        assert _chunk_hands(config, full_series) == 3
         materials = [REFERENCE_LIQUIDS[i % 3] for i in range(60)]
         oracle_rng, rng = np.random.default_rng(44), np.random.default_rng(44)
         hands, kept = iter(materials), []
-        for chunk in _simulate(chain, rng, materials, full_series=full_series):
+        for chunk in _simulate(config, rng, materials, full_series=full_series):
             for hand in _per_hand([chunk]):
                 _assert_oracle_hand(hand, next(hands), oracle_rng, config)
             state = rng.bit_generator.state
@@ -369,10 +370,13 @@ class TestStreamPreservation:
     def test_draw_responsive_matches_oracle_with_zero_probabilities(self, monkeypatch,
                                                                     count_probs):
         monkeypatch.setattr(population, "DEFAULT_COUNT_PROBS", count_probs)
-        chain = _Chain(load_config())
+        # the count CDF scaled to end at 1, as numpy's choice scales it
+        cdf = np.cumsum(np.asarray(count_probs, dtype=float))
+        count_cdf = (cdf / cdf[-1]).tolist()
+        weights = [float(population.DEFAULT_FINGER_WEIGHTS[f]) for f in FINGERS]
         oracle_rng, rng = np.random.default_rng(8), np.random.default_rng(8)
         for _ in range(500):
-            assert ([FINGERS[i] for i in _draw_responsive(rng, chain)]
+            assert ([FINGERS[i] for i in _draw_responsive(rng, count_cdf, weights)]
                     == _oracle_draw_responsive(oracle_rng))
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
@@ -384,8 +388,7 @@ class TestStreamPreservation:
         for seed in (0, 1, 2):
             for material in REFERENCE_LIQUIDS:
                 got = _one_hand(material, np.random.default_rng(seed), config)
-                assert got == _oracle_simulate_hand(
-                    material, np.random.default_rng(seed), config)
+                assert got == _oracle_hand(material, np.random.default_rng(seed), config)
 
     @pytest.mark.parametrize("seed", sorted(RECORDS_SHA256))
     def test_saved_records_byte_identical(self, seed, tmp_path):
@@ -496,9 +499,9 @@ class TestMonteCarlo:
     def test_hands_cycle_the_reference_liquids(self, monkeypatch):
         simulate, given = population._simulate, []
 
-        def recording(chain, rng, materials, **kw):
+        def recording(config, rng, materials, **kw):
             given.append(list(materials))
-            return simulate(chain, rng, materials, **kw)
+            return simulate(config, rng, materials, **kw)
 
         monkeypatch.setattr(population, "_simulate", recording)
         monte_carlo_classification(7, seed=1)
@@ -516,11 +519,10 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("seed", sorted(_AVERAGED_SHA256))
     def test_averaged_fingerprints_byte_identical(self, seed):
-        chain = _Chain(load_config())
         materials = [REFERENCE_LIQUIDS[i % 3] for i in range(3000)]
         digest = hashlib.sha256()
-        for chunk in _simulate(chain, np.random.default_rng(seed), materials):
-            digest.update(_averaged(chunk.estimates, chunk.responsive, chain.air).tobytes())
+        for chunk in _simulate(load_config(), np.random.default_rng(seed), materials):
+            digest.update(_averaged(chunk.deltas, chunk.responsive).tobytes())
         assert digest.hexdigest() == self._AVERAGED_SHA256[seed]
 
     # recorded from the per-hand readings/build_fingerprint path; triple
@@ -535,7 +537,7 @@ class TestMonteCarlo:
     def test_exact_accuracy(self, monkeypatch, estimator, n_hands, seed, correct, chunks):
         monkeypatch.setattr(population, "DEFAULT_CLASS_SDS", self._WIDE)
         config = dataclasses.replace(load_config(), estimator=estimator)
-        chunk = _chunk_hands(_Chain(config), False)
+        chunk = _chunk_hands(config, False)
         assert math.ceil(n_hands / chunk) == chunks
         assert monte_carlo_classification(n_hands, seed, config=config) == correct / n_hands
 
@@ -587,14 +589,13 @@ def test_monte_carlo_average_matches_the_fingerprint_objects(case):
     averaged fingerprint of the objects it no longer builds, and gets its
     label."""
     baseline, codes = case
-    air = np.array([baseline.codes[f] for f in FINGERS])
     responsive = np.array([[f in codes for f in FINGERS]])
-    estimates = np.array([[codes.get(f, math.nan) for f in FINGERS]])
-    f_bar = _averaged(estimates, responsive, air)
+    deltas = np.array([[baseline.codes[f] - codes[f] if f in codes else 0.0 for f in FINGERS]])
+    f_bar = _averaged(deltas, responsive)
     fp = build_fingerprint(readings(codes), baseline)
     expected = averaged_fingerprint(fp)
     assert f_bar.tolist() == [expected]
-    assert _imputed(estimates, responsive, air).tolist() == [[fp.values[f] for f in FINGERS]]
+    assert _imputed(deltas, responsive).tolist() == [[fp.values[f] for f in FINGERS]]
     try:
         label = _CLASSES[_class_indices(f_bar, _CLASSES)[0]].label
     except UnclassifiableError as exc:
@@ -623,13 +624,13 @@ class TestChunkOracle:
     def test_average_and_label_per_hand(self, monkeypatch, seed, estimator, class_sds):
         monkeypatch.setattr(population, "DEFAULT_CLASS_SDS", class_sds)
         config = dataclasses.replace(load_config(), estimator=estimator)
-        chain, classes = _Chain(config), config.classes()
-        n = _chunk_hands(chain, False) + 4
+        classes = config.classes()
+        n = _chunk_hands(config, False) + 4
         materials = [REFERENCE_LIQUIDS[i % 3] for i in range(n)]
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        chunks = list(_simulate(chain, rng, materials))
+        chunks = list(_simulate(config, rng, materials))
         assert len(chunks) == 2
-        f_bars = [_averaged(c.estimates, c.responsive, chain.air) for c in chunks]
+        f_bars = [_averaged(c.deltas, c.responsive) for c in chunks]
         labels = np.concatenate([_class_indices(f_bar, classes) for f_bar in f_bars])
         f_bars = np.concatenate(f_bars)
         for material, f_bar, label in zip(materials, f_bars.tolist(), labels.tolist()):
@@ -641,11 +642,11 @@ class TestChunkOracle:
 
     def test_first_hand_outside_the_classes_raises_as_classify_does(self, monkeypatch):
         # hands 5 and 8 of the second chunk land beyond +-span
-        chunk = _chunk_hands(_Chain(load_config()), False)
+        chunk = _chunk_hands(load_config(), False)
         averaged, pushed = population._averaged, []
 
-        def pushing(estimates, responsive, air):
-            f_bar = averaged(estimates, responsive, air)
+        def pushing(deltas, responsive):
+            f_bar = averaged(deltas, responsive)
             if pushed:
                 f_bar[5] = -1000.5
                 f_bar[8] = 2000.0
