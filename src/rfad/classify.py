@@ -5,7 +5,8 @@ low/medium/high permittivity classes separated by fixed thresholds.
 ``reliability_report`` is the one reliability statistic: over trial
 records, which persist as JSON, it counts how many fingers of a hand
 respond (the CCD) and how often each finger responds, per material and
-over all trials.
+over all trials. A campaign's layout is here too, without numpy: its
+shape, the order of its trials and the name of each trial's reader log.
 """
 
 from __future__ import annotations
@@ -13,12 +14,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from itertools import product
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import DataError, UnclassifiableError
 from .files import is_utf8_text, json_field, read_json, write_json
 from .fingerprint import Fingerprint, fingerprint_from_record, fingerprint_record
 from .hand import FINGERS
+from .materials import REFERENCE_LIQUIDS
 
 @dataclass(frozen=True)
 class MaterialClass:
@@ -65,6 +68,34 @@ class TrialRecord:
     @property
     def n_responsive(self) -> int:
         return sum(bool(v) for v in self.responsive.values())
+
+
+@dataclass(frozen=True)
+class PopulationSpec:
+    """Shape of a synthetic measurement campaign."""
+
+    subjects: int = 10
+    trials: int = 3
+    materials: tuple = REFERENCE_LIQUIDS
+
+    def __post_init__(self):
+        if self.subjects < 1 or self.trials < 1 or not self.materials:
+            raise DataError("population spec needs subjects, trials and materials")
+        if unknown := [m for m in self.materials if m not in REFERENCE_LIQUIDS]:
+            raise DataError(f"not a reference liquid: {', '.join(map(repr, unknown))}")
+        if repeated := [m for i, m in enumerate(self.materials) if m in self.materials[:i]]:
+            raise DataError(f"material {repeated[0]!r} is repeated")
+
+
+def log_name(subject: int, material: str, trial: int) -> str:
+    """The reader log's file name of a trial (``subject``, ``trial`` from 0)."""
+    return f"subject{subject + 1:02d}_{material}_trial{trial + 1}.csv"
+
+
+def campaign_trials(spec: PopulationSpec) -> Iterator[tuple[int, str, int]]:
+    """``(subject, material, trial)`` of each trial of the campaign, in the
+    order it runs them: by subject, then material, then trial."""
+    return product(range(spec.subjects), spec.materials, range(spec.trials))
 
 
 @dataclass(frozen=True)

@@ -151,20 +151,20 @@ def _cmd_coupling(args, config):
 
 
 def _cmd_stats(args, config):
-    from .classify import load_records, reliability_report
+    from .classify import (PopulationSpec, campaign_trials, load_records, log_name,
+                           reliability_report)
     if args.generate:
-        # every output place is checked before the campaign runs
+        # every output place is checked before the campaign runs, or numpy loads
         if args.log_dir is not None and not os.path.isdir(args.log_dir):
             raise DataError(f"--log-dir {args.log_dir}: not an existing directory")
-        from . import population as _population
-        spec = _population.PopulationSpec()
+        spec = PopulationSpec()
         # the run's reader logs come first, so an output that names one is refused as that log
         logs = [] if args.log_dir is None else [
-            ("a reader log of --log-dir",
-             os.path.join(args.log_dir, _population.log_name(s, m, t)))
-            for s in range(spec.subjects) for m in spec.materials for t in range(spec.trials)]
+            ("a reader log of --log-dir", os.path.join(args.log_dir, log_name(*trial)))
+            for trial in campaign_trials(spec)]
         check_outputs(logs + [("--records-out", args.records_out), ("-o", args.output)],
                       [args.config])
+        from . import population as _population
         records = _population.generate_population(
             spec, seed=args.seed, config=config, out_dir=args.log_dir)
         if args.records_out is not None:

@@ -86,11 +86,12 @@ def _entries(text: str, source: str):
             raise DataError(f"{source}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        base, _, channel = key.partition(".")
+        base, dot, channel = key.partition(".")
         if base not in _KEYS:
             raise DataError(f"{source}:{lineno}: unknown key {key!r}")
         parse, per_channel = _KEYS[base]
-        if channel and (not per_channel or channel not in FINGERS):
+        # "window." names no channel: the dot, not the suffix, marks a channel key
+        if dot and (not per_channel or channel not in FINGERS):
             raise DataError(f"{source}:{lineno}: unknown channel suffix in {key!r}")
         try:
             parsed = parse(value)

@@ -143,16 +143,28 @@ _JSON_KINDS = {dict: "an object", list: "an array", str: "a string", bool: "a bo
                int: "a number", float: "a number", type(None): "null"}
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object's ``(key, value)`` pairs as a dict; a key given twice is
+    refused, not read as its last value."""
+    payload = dict(pairs)
+    if len(payload) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ValueError(f"repeated key {repeated!r}")
+    return payload
+
+
 def read_json(path, kind: str, convert):
     """``convert`` applied to a parsed JSON file that holds ``kind``: to
     each entry of a "... list", an array of objects, else to the one
-    object. A parse, shape or conversion failure becomes a ``DataError``
-    naming the file, and the entry where it is one of a list; a file of
-    another shape names the kind expected and what it holds, and an
-    empty list is refused."""
+    object. A parse, shape or conversion failure, or a key repeated in
+    an object, becomes a ``DataError`` naming the file, and the entry
+    where it is one of a list; a file of another shape names the kind
+    expected and what it holds, and an empty list is refused."""
     text = read_text(path)
     try:
-        payload = json.loads(text, parse_float=finite, parse_constant=finite)
+        payload = json.loads(text, parse_float=finite, parse_constant=finite,
+                             object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}:{exc.lineno}: {exc.msg}") from None
     except ValueError as exc:

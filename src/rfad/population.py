@@ -4,8 +4,8 @@ Reproduces, at desk scale, the statistics of a volunteer campaign: how
 many fingers of a hand respond per trial, which fingers those tend to
 be, and the per-material spread of the averaged fingerprint caused by
 uncontrolled touch pressure. Every draw is seeded and deterministic.
-The model's numbers are module constants; ``PopulationSpec`` is only the
-campaign's shape.
+The model's numbers are module constants; the campaign's layout, its
+shape and the order of its trials, is ``rfad.classify``'s.
 """
 
 from __future__ import annotations
@@ -13,16 +13,14 @@ from __future__ import annotations
 import bisect
 import operator
 import os
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-# The record files live beside TrialRecord, where commands that never
-# simulate find them without numpy; they stay bound here for callers that
-# persist what generate_population returns.
-from .classify import (MaterialClass, TrialRecord, classify, load_records,  # noqa: F401
-                       save_records)
+# The record files and the campaign's layout live in the numpy-free classify;
+# they stay bound here for callers that simulate a campaign and persist it.
+from .classify import (MaterialClass, PopulationSpec, TrialRecord,  # noqa: F401
+                       campaign_trials, classify, load_records, log_name, save_records)
 from .config import DEFAULT_POPULATION_SEED, SessionConfig, load_config
 from .errors import DataError
 from .fingerprint import Fingerprint, total
@@ -54,28 +52,6 @@ SERIES_DURATION = 70.0
 # bounded however long the series are, and the seeding of each block is
 # shared by enough rows to be cheap per hand.
 _CHUNK_SAMPLES = 1 << 16
-
-
-@dataclass(frozen=True)
-class PopulationSpec:
-    """Shape of a synthetic measurement campaign."""
-
-    subjects: int = 10
-    trials: int = 3
-    materials: tuple = REFERENCE_LIQUIDS
-
-    def __post_init__(self):
-        if self.subjects < 1 or self.trials < 1 or not self.materials:
-            raise DataError("population spec needs subjects, trials and materials")
-        if unknown := [m for m in self.materials if m not in REFERENCE_LIQUIDS]:
-            raise DataError(f"not a reference liquid: {', '.join(map(repr, unknown))}")
-        if repeated := [m for i, m in enumerate(self.materials) if m in self.materials[:i]]:
-            raise DataError(f"material {repeated[0]!r} is repeated")
-
-
-def log_name(subject: int, material: str, trial: int) -> str:
-    """The reader log's file name of a trial (``subject``, ``trial`` from 0)."""
-    return f"subject{subject + 1:02d}_{material}_trial{trial + 1}.csv"
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -235,17 +211,14 @@ def generate_population(spec: PopulationSpec = PopulationSpec(),
     """
     if config is None:
         config = load_config()
-    trials = [(subject, material_idx, material, trial)
-              for subject in range(spec.subjects)
-              for material_idx, material in enumerate(spec.materials)
-              for trial in range(spec.trials)]
+    trials = list(campaign_trials(spec))
     records, next_trial = [], iter(trials).__next__
-    for chunk in _simulate(config, _rng(seed), [t[2] for t in trials],
+    for chunk in _simulate(config, _rng(seed), [material for _, material, _ in trials],
                            full_series=out_dir is not None):
         row, times = 0, chunk.times.tolist()
         for flags, values in zip(chunk.responsive.tolist(),
                                  _imputed(chunk.deltas, chunk.responsive).tolist()):
-            subject, material_idx, material, trial = next_trial()
+            subject, material, trial = next_trial()
             fp = Fingerprint(values=dict(zip(FINGERS, values)),
                              imputed={f: not flag for f, flag in zip(FINGERS, flags)},
                              n_responsive=flags.count(True), material_label=material)
@@ -257,7 +230,8 @@ def generate_population(spec: PopulationSpec = PopulationSpec(),
                 write_log({ch: CodeSeries(times, codes) for ch, codes
                            in zip(channels, chunk.codes[row:row + len(channels)])},
                           os.path.join(out_dir, log_name(subject, material, trial)),
-                          {ch: _epc(subject, material_idx, trial, ch) for ch in channels})
+                          {ch: _epc(subject, spec.materials.index(material), trial, ch)
+                           for ch in channels})
             row += fp.n_responsive
     return records
 

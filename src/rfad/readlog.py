@@ -1,10 +1,10 @@
-"""Code series: their type, their estimate, and their files.
+"""Code series: their type, their estimate and its window, and their files.
 
 ``CodeSeries`` holds the timestamped integer sensor codes of one
-channel as tuples of Python floats and ints. ``estimate_window`` is the
-one estimator of a channel's code: the mean or the median of the
-leading ``window`` codes, in pure Python. Nothing here imports numpy,
-so ``rfad calibrate`` and ``rfad fingerprint`` start without it.
+channel as tuples of Python floats and ints. ``estimate_window``, the
+mean or the median of the leading ``window`` codes, is the one estimator
+of a channel's code, and ``minimum_samples`` sizes its window. No numpy
+here: ``rfad calibrate`` and ``rfad fingerprint`` start without it.
 
 Two CSV formats carry the sensor codes, through ``rfad.files``:
 
@@ -36,6 +36,7 @@ channel with fewer than ``window`` samples is an error that names it.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import math
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from itertools import chain, compress, islice
 from typing import Literal, Mapping, Sequence
 
-from .errors import DataError
+from .errors import DataError, NotConvergedError
 from .files import (csv_text, finite, is_utf8_text, json_field, read_json, read_text,
                     write_json, write_lines)
 from .fingerprint import CalibrationBaseline
@@ -52,6 +53,8 @@ from .hand import FINGERS
 from .ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
 
 Estimator = Literal["mean", "median"]
+
+DEFAULT_ASYMPTOTIC_SAMPLES = 100
 
 
 def _plain(values):
@@ -142,6 +145,67 @@ def sorted_median(head: Sequence[int]) -> float:
     """Median of the sorted, non-empty integer ``head``."""
     middle = len(head) // 2
     return float(head[middle]) if len(head) % 2 else (head[middle - 1] + head[middle]) / 2
+
+
+def _dispersion(s1: int, s2: int, m: int) -> float:
+    """Population SD of ``m`` integer codes from their exact sum and sum of squares."""
+    return math.sqrt((m * s2 - s1 * s1) / (m * m))
+
+
+def _sums(head) -> tuple[int, int]:
+    return sum(head), sum(map(operator.mul, head, head))
+
+
+def convergence_error(series: CodeSeries, m: int,
+                      m_inf: int = DEFAULT_ASYMPTOTIC_SAMPLES) -> float:
+    """Population standard deviation over the first ``m`` samples minus
+    the asymptotic one over the first ``m_inf`` samples (code units): the
+    dispersion error that ``minimum_samples`` walks, bit for bit."""
+    if not 2 <= m <= m_inf:
+        raise DataError(f"need 2 <= m <= m_inf, got m={m}, m_inf={m_inf}")
+    if m_inf > len(series):
+        raise DataError(f"m_inf={m_inf} exceeds series length {len(series)}")
+    codes = series.codes
+    return _dispersion(*_sums(codes[:m]), m) - _dispersion(*_sums(codes[:m_inf]), m_inf)
+
+
+def minimum_samples(series: CodeSeries, tolerance: float, m_inf: int,
+                    estimator: Estimator) -> int:
+    """Smallest window M whose measurement is converged within ``tolerance``.
+
+    For the mean, a window qualifies when ``convergence_error`` is below
+    tolerance: the dispersion is measured about the mean, so its
+    convergence bounds the mean's stability. The median is not certified
+    by the dispersion (the near-Nyquist sawtooth keeps the running median
+    pinned to one of its two sampled branches long after the dispersion
+    settles), so the running median must also sit within tolerance of its
+    asymptotic value, and the median window is never shorter than the
+    mean's. One pass walks the windows: running integer sums give each
+    dispersion, and a sorted prefix each median.
+
+    Raises NotConvergedError (carrying the final convergence error) if
+    no admissible window qualifies.
+    """
+    # the asymptotic reference is no admissible window (delta[m_inf] = 0
+    # identically, which certifies nothing): the windows are 2 .. m_inf - 1
+    if m_inf < 3:
+        raise DataError(f"m_inf={m_inf} leaves no window between 2 and m_inf - 1")
+    check_window(m_inf, len(series), estimator)
+    codes, median = series.codes, estimator == "median"
+    if median:
+        target, prefix = sorted_median(sorted(codes[:m_inf])), [codes[0]]
+    asymptotic = _dispersion(*_sums(codes[:m_inf]), m_inf)
+    s1, s2 = codes[0], codes[0] * codes[0]
+    for m, code in enumerate(codes[1:m_inf - 1], start=2):
+        s1, s2 = s1 + code, s2 + code * code
+        last = _dispersion(s1, s2, m) - asymptotic
+        if median:
+            bisect.insort(prefix, code)
+        if abs(last) < tolerance and (
+                not median or abs(sorted_median(prefix) - target) < tolerance):
+            return m
+    raise NotConvergedError(f"no window up to {m_inf} samples meets tolerance {tolerance}",
+                            delta=last)
 
 
 READLOG_HEADER = ["timestamp_s", "epc", "channel", "sensor_code", "rssi_dbm"]

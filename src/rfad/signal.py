@@ -1,29 +1,26 @@
-"""Sensor-code time series: synthesis, spectrum, and window sizing.
+"""Sensor-code time series: synthesis and spectrum, in numpy.
 
 A freshly touched sensor shows a decaying transient, then settles into a
 sawtooth fluctuation (charge/discharge of the tuning capacitor during
-interrogation) on top of the material-dependent baseline. Window sizing,
-pure Python over the integer codes, finds how many samples must be
-averaged before the reading is stable; synthesis and spectra use numpy.
-The series type and its estimator live in the numpy-free ``rfad.readlog``.
+interrogation) on top of the material-dependent baseline. The series
+type, its estimator and window sizing live in the numpy-free
+``rfad.readlog``.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NotConvergedError
+from .errors import DataError
 from .ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN, MAX_SERIES_SAMPLES
-from .readlog import CodeSeries, Estimator, estimate_window, sorted_median
+# window sizing lives in readlog; bench/workloads.py calls it from here
+from .readlog import CodeSeries, Estimator, estimate_window, minimum_samples  # noqa: F401
 
 DEFAULT_SAMPLE_PERIOD = 0.7
 DEFAULT_SAWTOOTH_FREQUENCY = 0.7
-DEFAULT_ASYMPTOTIC_SAMPLES = 100
 
 
 @dataclass(frozen=True)
@@ -234,70 +231,6 @@ def _check_uniform(series: CodeSeries) -> None:
     jitter = np.abs(dts - dts.mean()).max()
     if jitter > 1e-6 * dts.mean():
         raise DataError(f"non-uniform sampling: max timestamp jitter {jitter:.3g} s")
-
-
-def _dispersion(s1: int, s2: int, m: int) -> float:
-    """Population SD of ``m`` integer codes from their exact sum and sum of squares."""
-    return math.sqrt((m * s2 - s1 * s1) / (m * m))
-
-
-def _sums(head) -> tuple[int, int]:
-    return sum(head), sum(map(operator.mul, head, head))
-
-
-def convergence_error(series: CodeSeries, m: int,
-                      m_inf: int = DEFAULT_ASYMPTOTIC_SAMPLES) -> float:
-    """Population standard deviation over the first ``m`` samples minus
-    the asymptotic one over the first ``m_inf`` samples (code units): the
-    dispersion error that ``minimum_samples`` walks, bit for bit."""
-    if not 2 <= m <= m_inf:
-        raise DataError(f"need 2 <= m <= m_inf, got m={m}, m_inf={m_inf}")
-    if m_inf > len(series):
-        raise DataError(f"m_inf={m_inf} exceeds series length {len(series)}")
-    codes = series.codes
-    return _dispersion(*_sums(codes[:m]), m) - _dispersion(*_sums(codes[:m_inf]), m_inf)
-
-
-def minimum_samples(series: CodeSeries, tolerance: float, m_inf: int,
-                    estimator: Estimator) -> int:
-    """Smallest window M whose measurement is converged within ``tolerance``.
-
-    For the mean, a window qualifies when ``convergence_error`` is below
-    tolerance: the dispersion is measured about the mean, so its
-    convergence bounds the mean's stability. The median is not certified
-    by the dispersion (the near-Nyquist sawtooth keeps the running median
-    pinned to one of its two sampled branches long after the dispersion
-    settles), so the running median must also sit within tolerance of its
-    asymptotic value, and the median window is never shorter than the
-    mean's. One pass walks the windows: running integer sums give each
-    dispersion, and a sorted prefix each median.
-
-    Raises NotConvergedError (carrying the final convergence error) if
-    no admissible window qualifies.
-    """
-    # the asymptotic reference is no admissible window (delta[m_inf] = 0
-    # identically, which certifies nothing): the windows are 2 .. m_inf - 1
-    if m_inf < 3:
-        raise DataError(f"m_inf={m_inf} leaves no window between 2 and m_inf - 1")
-    if len(series) < m_inf:
-        raise DataError(f"series length {len(series)} below m_inf={m_inf}")
-    codes, median = series.codes, estimator == "median"
-    if median:
-        target, prefix = sorted_median(sorted(codes[:m_inf])), [codes[0]]
-    elif estimator != "mean":
-        raise DataError(f"unknown estimator {estimator!r}")
-    asymptotic = _dispersion(*_sums(codes[:m_inf]), m_inf)
-    s1, s2 = codes[0], codes[0] * codes[0]
-    for m, code in enumerate(codes[1:m_inf - 1], start=2):
-        s1, s2 = s1 + code, s2 + code * code
-        last = _dispersion(s1, s2, m) - asymptotic
-        if median:
-            bisect.insort(prefix, code)
-        if abs(last) < tolerance and (
-                not median or abs(sorted_median(prefix) - target) < tolerance):
-            return m
-    raise NotConvergedError(f"no window up to {m_inf} samples meets tolerance {tolerance}",
-                            delta=last)
 
 
 def estimate_code(series: CodeSeries, window: int, estimator: Estimator) -> float:

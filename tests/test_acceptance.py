@@ -22,8 +22,8 @@ from rfad.ic import antenna_response, power_transfer
 from rfad.population import (DEFAULT_POPULATION_SEED, generate_population,
                              monte_carlo_classification)
 from rfad.classify import reliability_report
-from rfad.signal import (DEFAULT_ASYMPTOTIC_SAMPLES, dominant_frequency,
-                         material_fixture_series, minimum_samples, synthesize_series,
+from rfad.readlog import DEFAULT_ASYMPTOTIC_SAMPLES, minimum_samples
+from rfad.signal import (dominant_frequency, material_fixture_series, synthesize_series,
                          FluctuationModel)
 from rfad.units import dbm_from_watts
 

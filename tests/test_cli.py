@@ -13,7 +13,8 @@ from rfad.cli import build_parser, main
 from rfad.config import DEFAULT_POPULATION_SEED, load_config
 from rfad.hand import FINGERS
 from rfad.materials import PERMITTIVITY
-from rfad.population import PopulationSpec, generate_population, save_records
+from rfad.classify import PopulationSpec
+from rfad.population import generate_population, save_records
 from rfad.readlog import load_code_series, write_log
 from rfad.signal import (FluctuationModel, estimate_code, material_fluctuation_model,
                          synthesize_series)
@@ -705,6 +706,9 @@ _BAD_JSON = {
     "non-bool-flag": (_baseline(codes={f: True for f in FINGERS}),
                       json.dumps([_as_record(_fp(imputed="no"))])),
     "deep-nesting": ("[" * 200_000, "[" * 200_000),
+    # a key given twice, once read as its last value
+    "repeated-key": ('{"codes": {"I": 999.5, ' + _baseline()[len('{"codes": {'):],
+                     '[{"subject": "S02", ' + json.dumps([_as_record(_fp())])[len("[{"):]),
 }
 
 

@@ -288,6 +288,15 @@ class TestLoadConfig:
         with pytest.raises(OSError):
             load_config(tmp_path / "nope.cfg")
 
+    @pytest.mark.parametrize("key", ["window.", "span_code."])
+    def test_empty_channel_suffix_names_its_line(self, tmp_path, key):
+        # a dot with no channel after it was once no setting at all
+        path = tmp_path / "session.cfg"
+        path.write_text(f"{key} = 3\n")
+        with pytest.raises(DataError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}:1: unknown channel suffix in {key!r}"
+
     @pytest.mark.parametrize("text, line, key", [
         ("window = 5\nwindow = 20\n", 2, "window"),
         ("span_code.III = 120\n# a comment\nspan_code = 150\nspan_code.III = 130\n",

@@ -8,7 +8,9 @@ start-up time, so a command loads only the modules it runs.
 rfad modules, ``import rfad.cli`` loads only what parsing the command
 line and loading the config need, and each command adds the ones it
 runs: only ``export`` loads ``kiviat``, and ``classify``, ``export`` and
-``stats --records`` load no ``readlog``. Each case runs in a fresh
+``stats --records`` load no ``readlog``. Window sizing and the
+campaign's layout are pure Python too, so ``stats --generate`` refuses a
+bad output place before it loads numpy. Each case runs in a fresh
 interpreter, because this test process has all of them loaded already.
 """
 
@@ -78,6 +80,28 @@ def work(tmp_path):
 ], ids=["import-rfad", "import-cli", "classify-value", "classify-fingerprints",
         "export", "stats-records", "calibrate", "fingerprint"])
 def test_command_runs_without_numpy(work, script):
+    assert not _numpy_loaded(work, script)
+
+
+def test_window_sizing_and_campaign_layout_run_without_numpy(tmp_path):
+    # how many samples make a reading stable, and the campaign's trials and
+    # their reader logs, are pure Python
+    script = ("from rfad.classify import PopulationSpec, campaign_trials, log_name\n"
+              "from rfad.readlog import CodeSeries, convergence_error, minimum_samples\n"
+              "series = CodeSeries([0.7 * i for i in range(120)], [150, 152, 149, 151] * 30)\n"
+              "assert minimum_samples(series, 1.0, 100, 'median') == 2\n"
+              "assert convergence_error(series, 4) == 0.0\n"
+              "trials = list(campaign_trials(PopulationSpec()))\n"
+              "assert len(trials) == 90\n"
+              "assert log_name(*trials[-1]) == 'subject10_deionized_water_trial3.csv'")
+    assert not _numpy_loaded(tmp_path, script)
+
+
+def test_refused_generate_loads_no_numpy(work):
+    # every output place of stats --generate is checked before the campaign's
+    # numpy is loaded
+    script = ("from rfad.cli import main\n"
+              "assert main(['stats', '--generate', '--records-out', 'missing/r.json']) == 2")
     assert not _numpy_loaded(work, script)
 
 

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfad import ic as _ic
-from rfad.classify import classify, default_classes, reliability_report
+from rfad.classify import (PopulationSpec, classify, default_classes, log_name,
+                           reliability_report)
 from rfad.config import load_config
 from rfad.errors import DataError, UnclassifiableError
 from rfad.fingerprint import (CalibrationBaseline, ChannelReading,
@@ -22,7 +23,7 @@ from rfad.hand import FINGERS
 from rfad.materials import PERMITTIVITY, REFERENCE_LIQUIDS
 from rfad import population
 from rfad.population import (DEFAULT_CLASS_SDS, DEFAULT_COUNT_PROBS,
-                             DEFAULT_POPULATION_SEED, PopulationSpec,
+                             DEFAULT_POPULATION_SEED,
                              _chunk_hands, _averaged, _imputed, _class_indices,
                              _draw_responsive, _simulate, _window_estimates,
                              generate_population, load_records,
@@ -252,13 +253,13 @@ class TestLogName:
         (9, "deionized_water", 2, "subject10_deionized_water_trial3.csv"),
     ])
     def test_numbers_count_from_one(self, subject, material, trial, name):
-        assert population.log_name(subject, material, trial) == name
+        assert log_name(subject, material, trial) == name
 
     def test_the_logs_written_are_the_names(self, tmp_path):
         spec = PopulationSpec(subjects=2, trials=2)
         generate_population(spec, seed=3, out_dir=tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            population.log_name(s, m, t) for s in range(spec.subjects)
+            log_name(s, m, t) for s in range(spec.subjects)
             for m in spec.materials for t in range(spec.trials))
 
 

@@ -17,8 +17,9 @@ from rfad.fingerprint import (CalibrationBaseline, ChannelReading,
 from rfad.hand import FINGERS
 from rfad.ic import (CODE_STORAGE_MAX, AutoTuneIC, antenna_response,
                      calibrated_antenna_model, ic_susceptance, sensor_code)
-from rfad.readlog import CodeSeries, load_code_series, write_log, write_series
-from rfad.signal import FluctuationModel, convergence_error, synthesize_series
+from rfad.readlog import (CodeSeries, convergence_error, load_code_series, write_log,
+                          write_series)
+from rfad.signal import FluctuationModel, synthesize_series
 
 N_CASES = 1000
 

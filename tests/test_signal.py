@@ -12,13 +12,12 @@ from rfad import signal as signal_module
 from rfad.errors import DataError, NotConvergedError
 from rfad.materials import REFERENCE_LIQUIDS
 from rfad.ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN, MAX_SERIES_SAMPLES
-from rfad.readlog import CodeSeries
-from rfad.signal import (FluctuationModel, amplitude_spectrum,
-                         convergence_error, dominant_frequency, estimate_code,
-                         material_fixture_series, material_fluctuation_model,
-                         minimum_samples, pcg64_states, synthesize_block,
+from rfad.readlog import CodeSeries, convergence_error, minimum_samples
+from rfad.readlog import DEFAULT_ASYMPTOTIC_SAMPLES as M_INF
+from rfad.signal import (FluctuationModel, amplitude_spectrum, dominant_frequency,
+                         estimate_code, material_fixture_series,
+                         material_fluctuation_model, pcg64_states, synthesize_block,
                          synthesize_series)
-from rfad.signal import DEFAULT_ASYMPTOTIC_SAMPLES as M_INF
 from rfad.signal import _normal_rows
 
 
@@ -406,9 +405,11 @@ class TestMinimumSamples:
         with pytest.raises(DataError, match="unknown estimator 'mode'"):
             minimum_samples(_series([150] * 100), 1.0, M_INF, "mode")
 
-    def test_uses_no_numpy(self, monkeypatch):
-        # window sizing and its dispersion are integer arithmetic on the codes
-        monkeypatch.setattr(signal_module, "np", None)
+    def test_uses_no_numpy(self):
+        # window sizing and its dispersion are integer arithmetic on the codes,
+        # in readlog (tests/test_imports.py runs them without numpy); signal
+        # binds the same function
+        assert signal_module.minimum_samples is minimum_samples
         series = _series([150, 152, 149, 151] * 30)
         assert minimum_samples(series, 1.0, M_INF, "median") == 2
         assert convergence_error(series, 4) == 0.0
