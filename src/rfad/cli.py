@@ -92,6 +92,8 @@ def _cmd_calibrate(args, config):
 
 def _cmd_fingerprint(args, config):
     check_outputs([("-o", args.output)], [args.log, args.baseline, args.config])
+    if args.label == "":
+        raise DataError("--label: an empty label names no material")
     from .fingerprint import build_fingerprint, fingerprint_record, readings, save_fingerprints
     from .readlog import channel_codes, load_baseline
     baseline = load_baseline(args.baseline)

@@ -163,8 +163,7 @@ def convergence_error(series: CodeSeries, m: int,
     dispersion error that ``minimum_samples`` walks, bit for bit."""
     if not 2 <= m <= m_inf:
         raise DataError(f"need 2 <= m <= m_inf, got m={m}, m_inf={m_inf}")
-    if m_inf > len(series):
-        raise DataError(f"m_inf={m_inf} exceeds series length {len(series)}")
+    check_window(m_inf, len(series), "mean")   # the dispersion is about the mean
     codes = series.codes
     return _dispersion(*_sums(codes[:m]), m) - _dispersion(*_sums(codes[:m_inf]), m_inf)
 
@@ -326,10 +325,11 @@ def load_code_series(path) -> dict[str, CodeSeries]:
     in the order the channels first appear.
 
     ``_columns`` checks the rows ``_CHUNK_ROWS`` at a time, then a failing
-    chunk's rows one by one to name the first bad ``path:line``; a CSV
-    syntax error is the error if no row before it is bad. Each channel's
-    samples are taken out by stride when the rows cycle through the
-    channels, as ``write_log`` writes them, else by ``itertools.compress``.
+    chunk's rows one by one to name the first bad ``path:line``, the line
+    its row starts on; a CSV syntax error is the error if no row before it
+    is bad. Each channel's samples are taken out by stride when the rows
+    cycle through the channels, as ``write_log`` writes them, else by
+    ``itertools.compress``.
     """
     reader = csv.reader(io.StringIO(read_text(path)))
     try:
@@ -341,8 +341,9 @@ def load_code_series(path) -> dict[str, CodeSeries]:
     if tuple(header) not in _COLUMNS:
         raise DataError(f"{path}:1: bad header {header!r}")
     times, channels, codes = [], [], []
-    lineno, syntax_error = 2, None   # the line of the chunk's first row
+    syntax_error = None
     while not syntax_error:
+        lineno = reader.line_num + 1   # the line the chunk's first row starts on
         chunk = []
         try:   # extend, unlike list(), keeps the rows read before a syntax error
             chunk.extend(islice(reader, _CHUNK_ROWS))
@@ -353,16 +354,17 @@ def load_code_series(path) -> dict[str, CodeSeries]:
         try:
             t, ch, c = _columns(header, chunk)
         except DataError:
-            for k, row in enumerate(chunk, start=lineno):
+            for row in chunk:
                 try:
                     _columns(header, [row])
                 except DataError as exc:
-                    raise DataError(f"{path}:{k}: {exc}") from None
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
+                # a quoted field may hold line breaks (read_text makes each "\n")
+                lineno += 1 + sum(field.count("\n") for field in row)
             raise
         times += t
         channels += ch
         codes += c
-        lineno += len(chunk)
     if syntax_error:
         raise syntax_error
     if not times:

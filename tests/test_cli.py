@@ -8,7 +8,7 @@ from xml.etree import ElementTree
 
 import pytest
 
-from rfad import population, signal
+from rfad import coupling, population, signal
 from rfad.cli import build_parser, main
 from rfad.config import DEFAULT_POPULATION_SEED, load_config
 from rfad.hand import FINGERS
@@ -219,6 +219,16 @@ class TestFingerprintAndClassify:
                    "-o", str(out)) == 2
         assert capsys.readouterr().err == (
             f"rfad: {baseline}: no calibration baseline for channel II\n")
+        assert not out.exists()
+
+    def test_empty_label_is_data_error(self, tmp_path, capsys, air_log, baseline_file):
+        # an empty label was once written as "material": "", which classify
+        # then printed as fingerprint-1
+        out = tmp_path / "f.json"
+        capsys.readouterr()
+        assert run("fingerprint", str(air_log), "--baseline", str(baseline_file),
+                   "--label", "", "-o", str(out)) == 2
+        assert capsys.readouterr() == ("", "rfad: --label: an empty label names no material\n")
         assert not out.exists()
 
     def test_classify_value(self, capsys):
@@ -869,6 +879,26 @@ class TestValuesNoFileCanHold:
         assert not out.exists()
 
 
+class TestNoArguments:
+    """Each subcommand run without arguments: ``coupling`` screens the
+    shipped fixture, and every other subcommand exits 1 with its usage."""
+
+    @pytest.mark.parametrize("command", ["simulate", "calibrate", "fingerprint", "classify",
+                                         "coupling", "stats", "export"])
+    def test_subcommand_without_arguments(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        status = run(command)
+        out, err = capsys.readouterr()
+        if command == "coupling":
+            report = coupling.normalize_coupling(coupling.REFERENCE_COUPLING_MAGNITUDES)
+            assert status == 0
+            assert (out, err) == (coupling.coupling_summary(report, FINGERS) + "\n", "")
+        else:
+            assert (status, out) == (1, "")
+            assert err.startswith(f"usage: rfad {command}")
+        assert os.listdir(tmp_path) == []
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("case", sorted(_BAD_JSON))
     @pytest.mark.parametrize("command", ["classify", "export", "stats", "fingerprint"])
@@ -939,6 +969,17 @@ class TestExitCodes:
         self._refused_output(tmp_path, capsys, air_log, command, out,
                              f"rfad: {out}: is a directory, not a file\n")
         assert list(out.iterdir()) == []
+
+    def test_repeated_baseline_key_is_refused_by_the_key(self, tmp_path, capsys, air_log):
+        # the last value, 199.9, was once read as channel II's air code
+        baseline, out = tmp_path / "b.json", tmp_path / "f.json"
+        baseline.write_text('{"codes": {"I": 300, "II": 999.5, "III": 300, "II": 199.9, '
+                            '"IV": 300, "V": 300}}\n')
+        capsys.readouterr()
+        assert run("fingerprint", str(air_log), "--baseline", str(baseline),
+                   "-o", str(out)) == 2
+        assert capsys.readouterr() == ("", f"rfad: {baseline}: repeated key 'II'\n")
+        assert not out.exists()
 
     def test_no_arguments_is_usage_error(self):
         assert run() == 1
@@ -1022,6 +1063,11 @@ class TestOutputsReplaceNoInput:
         (workdir / given).write_bytes((workdir / "fps.json").read_bytes())
         self._refused(workdir, capsys, ["export", given, "-o", out],
                       f"rfad: {target}: {name} names an input\n")
+
+    def test_export_checks_its_targets_before_it_reads(self, workdir, capsys):
+        # air.csv is no fingerprint list: read first, it would be refused as JSON
+        self._refused(workdir, capsys, ["export", "air.csv", "-o", "air"],
+                      "rfad: air.csv: its CSV twin names an input\n")
 
     def test_export_that_would_replace_its_config_is_refused(self, workdir, capsys):
         (workdir / "chart.csv").write_text("window = 10\n")
@@ -1171,6 +1217,22 @@ class TestEveryFlagChangesAnOutputOrIsRefused:
         else:
             assert flagged[0] == 0
             assert (flagged[1], flagged[3]) != (out, files)
+
+    @pytest.mark.parametrize("argv", [
+        "coupling --matrix nomatrix.txt --tau 0.5 -o out.csv",
+        "stats --records records.json --seed 3 -o out.json",
+        "stats --records records.json --log-dir . -o out.json",
+        "stats --records records.json --records-out out2.json -o out.json",
+    ], ids=["coupling-tau", "stats-seed", "stats-log-dir", "stats-records-out"])
+    def test_flag_is_refused_before_any_input_is_read(self, tmp_path, monkeypatch, capsys,
+                                                      argv):
+        # the matrix and records named here do not exist: a run that read them would exit 2
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv.split()) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage: rfad {argv.split()[0]}")
+        assert os.listdir(tmp_path) == []
 
     def test_channels_needs_a_channel(self, tmp_path, capsys):
         out = tmp_path / "out.csv"

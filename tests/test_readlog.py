@@ -405,6 +405,15 @@ class TestSampleChecks:
         with pytest.raises(DataError, match=re.escape(f"{path}:3: sensor_code")):
             load_code_series(path)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_a_line_break_in_a_field_moves_the_line(self, tmp_path, newline):
+        # the bad row was once named by its count of rows, line 3
+        path = tmp_path / "ml.csv"
+        path.write_bytes((LOG_HEADER + '0.0,"a\nb",I,200,\n0.7,x,I,999,\n')
+                         .replace("\n", newline).encode())
+        with pytest.raises(DataError, match=re.escape(f"{path}:4: sensor_code 999")):
+            load_code_series(path)
+
     @pytest.mark.parametrize("text", [
         "timestamp_s,epc,channel,sensor_code,rssi_dbm\n0.0,x,I,200,\n0.0,x,I,201,\n",
         "timestamp_s,channel,code\n0.0,I,200\n0.0,I,201\n"])
@@ -433,9 +442,9 @@ _ORACLE_COLUMNS = {tuple(LOG_FIELDS): (0, 2, 3, 4), tuple(SERIES_FIELDS): (0, 1,
 
 
 def _oracle_read_csv(path, headers):
-    """Yield ``(lineno, fields)`` for the header row, which must be one
-    of ``headers``, then for each non-empty data row, which must have as
-    many fields as the header."""
+    """Yield ``(lineno, fields)``, ``lineno`` the line a row starts on, for
+    the header row, which must be one of ``headers``, then for each
+    non-empty data row, which must have as many fields as the header."""
     reader = csv.reader(io.StringIO(read_text(path)))
     try:
         header = next(reader, None)
@@ -444,12 +453,13 @@ def _oracle_read_csv(path, headers):
         if header not in [list(h) for h in headers]:
             raise DataError(f"{path}:1: bad header {header!r}")
         yield 1, header
-        for lineno, fields in enumerate(reader, start=2):
-            if not fields:
-                continue
-            if len(fields) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
-            yield lineno, fields
+        lineno = reader.line_num + 1   # the line the next row starts on
+        for fields in reader:
+            if fields:
+                if len(fields) != len(header):
+                    raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
+                yield lineno, fields
+            lineno = reader.line_num + 1
     except csv.Error as exc:
         raise DataError(f"{path}:{reader.line_num}: {exc}") from None
 
@@ -625,6 +635,11 @@ class TestLoaderMatchesRowByRow:
                      + "0.0,I," + _OVERSIZED + "\n", id="syntax-error-after-a-full-chunk"),
         pytest.param(SERIES_HEADER + "".join(f"{k},I,200\n" for k in range(readlog._CHUNK_ROWS))
                      + "9e9,I\n", id="short-row-opens-second-chunk"),
+        # a row's line is the one it starts on, past the line breaks of the rows before
+        pytest.param(LOG_HEADER + '0.0,"a\nb",I,200,\n0.7,x,I,999,\n',
+                     id="bad-row-after-a-line-break-in-a-field"),
+        pytest.param(LOG_HEADER + '0.0,"a\n\nb",I,200,\n\n"0.7\n",x,I\n',
+                     id="short-row-after-line-breaks-in-fields"),
     ])
     def test_examples(self, tmp_path, text):
         path = tmp_path / "in.csv"

@@ -294,6 +294,14 @@ class TestConvergenceError:
         with pytest.raises(DataError):
             convergence_error(_series([1] * 50), 10)
 
+    def test_short_series_reads_as_in_minimum_samples(self):
+        # one window rule, one message: it once read "m_inf=100 exceeds series length 50"
+        series = _series([150] * 50)
+        for call in (lambda: convergence_error(series, 10),
+                     lambda: minimum_samples(series, 1.0, 100, "mean")):
+            with pytest.raises(DataError, match="^window 100 exceeds series length 50$"):
+                call()
+
 
 def _exact_sd(codes, m: int) -> float:
     """The population SD of the first ``m`` codes from exact integer sums,
