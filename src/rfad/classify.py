@@ -57,13 +57,16 @@ class TrialRecord:
             raise DataError("trial record needs exactly five channel slots")
         if not all(isinstance(flag, bool) for flag in self.responsive.values()):
             raise DataError(f"responsive flags must be true or false: {self.responsive}")
-        if not (is_utf8_text(self.subject) and is_utf8_text(self.material)):
-            raise DataError(f"trial record subject and material must be strings UTF-8 "
-                            f"can encode, got {self.subject!r} and {self.material!r}")
-        if self.fingerprint is not None and any(
-                self.responsive[f] == self.fingerprint.imputed[f] for f in FINGERS):
+        if not all(name and is_utf8_text(name) for name in (self.subject, self.material)):
+            raise DataError(f"trial record subject and material must be non-empty strings "
+                            f"UTF-8 can encode, got {self.subject!r} and {self.material!r}")
+        fp = self.fingerprint
+        if fp is not None and fp.material_label not in (None, self.material):
+            raise DataError(f"trial record of material {self.material!r} holds a fingerprint "
+                            f"of {fp.material_label!r}")
+        if fp is not None and any(self.responsive[f] == fp.imputed[f] for f in FINGERS):
             raise DataError(f"responsive flags {self.responsive} disagree with the "
-                            f"fingerprint's imputed flags {self.fingerprint.imputed}")
+                            f"fingerprint's imputed flags {fp.imputed}")
 
     @property
     def n_responsive(self) -> int:

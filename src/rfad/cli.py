@@ -9,8 +9,9 @@ start-up time, so a command loads only the modules it runs: this module
 imports at its top what ``main`` and ``build_parser`` need, and each
 command imports the rest. So ``calibrate``, ``fingerprint``, ``classify``,
 ``export`` and ``stats --records`` load no numpy (the reader logs live in
-the numpy-free ``readlog``), only ``export`` loads ``kiviat``, and
-``classify``, ``export`` and ``stats --records`` load no ``readlog``.
+the numpy-free ``readlog``), only ``export`` loads ``kiviat``,
+``classify``, ``export`` and ``stats --records`` load no ``readlog``,
+and ``simulate`` no ``fingerprint``, the air baseline's home.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
 """
@@ -71,20 +72,20 @@ def _cmd_simulate(args, config):
     print(f"wrote {sum(len(s) for s in series.values())} samples to {args.output}")
 
 
-def _log_estimate(path, estimate, config):
-    """``estimate(series, window, estimator)`` of the log at ``path``; errors name it."""
-    from .readlog import load_code_series
+def _log_codes(path, config):
+    """The session's code of each channel of the log at ``path``; errors name it."""
+    from .readlog import channel_codes, load_code_series
     series = load_code_series(path)
     try:
-        return estimate(series, config.window, config.estimator)
+        return channel_codes(series, config.window, config.estimator)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
 def _cmd_calibrate(args, config):
     check_outputs([("-o", args.output)], [args.log, args.config])
-    from .readlog import calibrate, save_baseline
-    baseline = _log_estimate(args.log, calibrate, config)
+    from .fingerprint import calibrate, save_baseline
+    baseline = calibrate(_log_codes(args.log, config))
     save_baseline(baseline, args.output)
     gaps = f", gaps: {', '.join(baseline.gaps)}" if baseline.gaps else ""
     print(f"baseline for {len(baseline.codes)} channels -> {args.output}{gaps}")
@@ -92,12 +93,10 @@ def _cmd_calibrate(args, config):
 
 def _cmd_fingerprint(args, config):
     check_outputs([("-o", args.output)], [args.log, args.baseline, args.config])
-    if args.label == "":
-        raise DataError("--label: an empty label names no material")
-    from .fingerprint import build_fingerprint, fingerprint_record, readings, save_fingerprints
-    from .readlog import channel_codes, load_baseline
+    from .fingerprint import (build_fingerprint, fingerprint_record, load_baseline, readings,
+                              save_fingerprints)
     baseline = load_baseline(args.baseline)
-    codes = _log_estimate(args.log, channel_codes, config)
+    codes = _log_codes(args.log, config)
     try:
         fp = build_fingerprint(readings(codes), baseline, material_label=args.label)
     except UncalibratedChannelError as exc:

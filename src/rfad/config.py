@@ -13,9 +13,9 @@ constant; it is parsed and checked as a user file is.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import partial
-from importlib import resources
 from typing import TYPE_CHECKING, ClassVar, Mapping
 
 from . import ic as _ic
@@ -72,7 +72,7 @@ _KEYS = {
 
 
 def default_config_text() -> str:
-    return (resources.files("rfad") / "data" / DEFAULTS_RESOURCE).read_text("utf-8")
+    return read_text(os.path.join(os.path.dirname(__file__), "data", DEFAULTS_RESOURCE))
 
 
 def _entries(text: str, source: str):

@@ -1,9 +1,10 @@
-"""Differential sensor codes, hand fingerprints, and their uncertainty.
+"""Air baselines, differential sensor codes, hand fingerprints, and their uncertainty.
 
-A fingerprint is the per-finger vector of air-calibrated differential
+The air baseline holds the per-finger codes of an untouched hand. A
+fingerprint is the per-finger vector of air-calibrated differential
 codes for one touched material. Unresponsive fingers are imputed with
 the mean of the responsive ones; the touch-pressure uncertainty model
-propagates through the multi-channel average.
+propagates through the multi-channel average. Both have a JSON file.
 """
 
 from __future__ import annotations
@@ -68,6 +69,12 @@ class CalibrationBaseline:
                             f"without a code")
 
 
+def calibrate(codes: Mapping[str, float]) -> CalibrationBaseline:
+    """Air baseline of an untouched-hand acquisition's per-channel codes;
+    the fingers absent from ``codes`` are its ``gaps``, not defaulted."""
+    return CalibrationBaseline(codes=codes, gaps=tuple(f for f in FINGERS if f not in codes))
+
+
 @dataclass(frozen=True)
 class Fingerprint:
     """Five differential codes, with imputation bookkeeping."""
@@ -89,9 +96,10 @@ class Fingerprint:
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                    and abs(v) <= sys.float_info.max for v in self.values.values()):
             raise DataError(f"fingerprint values must be finite numbers: {self.values}")
-        if self.material_label is not None and not is_utf8_text(self.material_label):
-            raise DataError(f"material label {self.material_label!r} must be None "
-                            f"or a string UTF-8 can encode")
+        label = self.material_label
+        if label is not None and not (label and is_utf8_text(label)):
+            raise DataError(f"material label {label!r} must be None "
+                            f"or a non-empty string UTF-8 can encode")
 
     def responsive_values(self) -> list[float]:
         return [self.values[f] for f in FINGERS if not self.imputed[f]]
@@ -194,6 +202,18 @@ def fingerprint_from_record(record: dict) -> Fingerprint:
     return Fingerprint(values=values, imputed=imputed, n_responsive=int(n_responsive),
                        material_label=json_field(record, "material", str, type(None),
                                                  default=None))
+
+
+def save_baseline(baseline: CalibrationBaseline, path) -> None:
+    write_json(path, {"codes": dict(baseline.codes), "timestamp": baseline.timestamp,
+                      "gaps": list(baseline.gaps)})
+
+
+def load_baseline(path) -> CalibrationBaseline:
+    return read_json(path, "baseline object", lambda payload: CalibrationBaseline(
+        codes=json_field(payload, "codes", dict),
+        timestamp=json_field(payload, "timestamp", str, default=""),
+        gaps=json_field(payload, "gaps", list, default=())))
 
 
 def save_fingerprints(fps: Sequence[Fingerprint], path) -> None:

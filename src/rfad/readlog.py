@@ -28,8 +28,8 @@ names the first bad ``path:line``. Samples are grouped per channel and
 sorted by timestamp; a timestamp repeated on one channel is an error.
 
 ``channel_codes`` turns a set of series into one code per channel with
-the session's ``window`` and ``estimator``; it is the estimate both
-``calibrate`` (the air baseline) and ``rfad fingerprint`` (the touched
+the session's ``window`` and ``estimator``; it is the estimate both the
+air baseline (``rfad calibrate``) and ``rfad fingerprint`` (the touched
 codes) read, so the two sides of a differential code always agree. A
 channel with fewer than ``window`` samples is an error that names it.
 """
@@ -46,9 +46,7 @@ from itertools import chain, compress, islice
 from typing import Literal, Mapping, Sequence
 
 from .errors import DataError, NotConvergedError
-from .files import (csv_text, finite, is_utf8_text, json_field, read_json, read_text,
-                    write_json, write_lines)
-from .fingerprint import CalibrationBaseline
+from .files import csv_text, finite, is_utf8_text, read_text, write_lines
 from .hand import FINGERS
 from .ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
 
@@ -400,23 +398,3 @@ def channel_codes(series_set: Mapping[str, CodeSeries], window: int,
     return {channel: estimate_window(series_set[channel].codes, window, estimator)
             for channel in channels}
 
-
-def calibrate(series_set: Mapping[str, CodeSeries], window: int,
-              estimator: Estimator) -> CalibrationBaseline:
-    """Air baseline of an untouched-hand acquisition; the channels absent
-    from it are its ``gaps``, not defaulted."""
-    codes = channel_codes(series_set, window, estimator)
-    return CalibrationBaseline(codes=codes,
-                               gaps=tuple(f for f in FINGERS if f not in codes))
-
-
-def save_baseline(baseline: CalibrationBaseline, path) -> None:
-    write_json(path, {"codes": dict(baseline.codes), "timestamp": baseline.timestamp,
-                      "gaps": list(baseline.gaps)})
-
-
-def load_baseline(path) -> CalibrationBaseline:
-    return read_json(path, "baseline object", lambda payload: CalibrationBaseline(
-        codes=json_field(payload, "codes", dict),
-        timestamp=json_field(payload, "timestamp", str, default=""),
-        gaps=json_field(payload, "gaps", list, default=())))

@@ -202,11 +202,31 @@ class TestTrialRecord:
 
 
     @pytest.mark.parametrize("subject, material", [
-        ("\ud800", "olive_oil"), ("S01", "oil\udcff"), (5, "olive_oil"), ("S01", None)])
+        ("\ud800", "olive_oil"), ("S01", "oil\udcff"), (5, "olive_oil"), ("S01", None),
+        ("", "olive_oil"), ("S01", ""), ("", "")],
+        ids=["surrogate-subject", "surrogate-material", "number-subject", "none-material",
+             "empty-subject", "empty-material", "both-empty"])
     def test_subject_and_material_must_be_utf8_text(self, subject, material):
         with pytest.raises(DataError, match="^trial record subject and material must be "
-                                            "strings UTF-8 can encode, got "):
+                                            "non-empty strings UTF-8 can encode, got "):
             TrialRecord(subject, material, {f: True for f in FINGERS})
+
+    @pytest.mark.parametrize("label", ["deionized_water", "olive_oil ", "Olive_oil"])
+    def test_fingerprint_of_another_material_is_refused(self, label):
+        fp = Fingerprint(values=dict.fromkeys(FINGERS, 10.0),
+                         imputed=dict.fromkeys(FINGERS, False), n_responsive=5,
+                         material_label=label)
+        error = f"trial record of material 'olive_oil' holds a fingerprint of {label!r}"
+        with pytest.raises(DataError, match=f"^{re.escape(error)}$"):
+            TrialRecord("S01", "olive_oil", dict.fromkeys(FINGERS, True), fp)
+
+    @pytest.mark.parametrize("label", [None, "olive_oil"])
+    def test_fingerprint_of_no_or_the_same_material_is_accepted(self, label):
+        fp = Fingerprint(values=dict.fromkeys(FINGERS, 10.0),
+                         imputed=dict.fromkeys(FINGERS, False), n_responsive=5,
+                         material_label=label)
+        record = TrialRecord("S01", "olive_oil", dict.fromkeys(FINGERS, True), fp)
+        assert record.fingerprint is fp
 
 
 class TestRecordPersistence:
@@ -219,6 +239,27 @@ class TestRecordPersistence:
         path = tmp_path / "records.json"
         save_records(records, path)
         assert load_records(path) == records
+
+    @pytest.mark.parametrize("changes, error", [
+        ({"subject": ""}, "trial record subject and material must be non-empty strings "
+                          "UTF-8 can encode, got '' and 'olive_oil'"),
+        ({"material": ""}, "trial record subject and material must be non-empty strings "
+                           "UTF-8 can encode, got 'S01' and ''"),
+        ({"fingerprint_material": "deionized_water"},
+         "trial record of material 'olive_oil' holds a fingerprint of 'deionized_water'"),
+        ({"fingerprint_material": ""},
+         "material label '' must be None or a non-empty string UTF-8 can encode"),
+    ], ids=["empty-subject", "empty-material", "other-material", "empty-label"])
+    def test_refused_record_names_file_and_entry(self, tmp_path, changes, error):
+        fp = {"material": changes.pop("fingerprint_material", "olive_oil"),
+              "values": dict.fromkeys(FINGERS, 10.0), "imputed": dict.fromkeys(FINGERS, False),
+              "n_responsive": 5}
+        record = {"subject": "S01", "material": "olive_oil",
+                  "responsive": dict.fromkeys(FINGERS, True), "fingerprint": fp, **changes}
+        path = tmp_path / "records.json"
+        path.write_text(json.dumps([record]))
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}: entry 0: {error}')}$"):
+            load_records(path)
 
     def test_empty_fingerprint_object_is_refused(self, tmp_path):
         """``{}`` is a fingerprint with no fields, not the absence of one."""
@@ -237,26 +278,29 @@ _VALUES = (st.integers(-(2 ** 1023), 2 ** 1023)
            | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                               1.7976931348623157e308, -1e300])
            | st.floats(allow_nan=False, allow_infinity=False))
-_TEXT = st.text(st.characters(codec="utf-8"), max_size=8)
+# names: any non-empty text UTF-8 can encode
+_TEXT = st.text(st.characters(codec="utf-8"), min_size=1, max_size=8)
 _MASKS = st.lists(st.booleans(), min_size=len(FINGERS), max_size=len(FINGERS))
 
 
 @st.composite
-def _fingerprints(draw):
+def _fingerprints(draw, labels=st.none() | _TEXT):
     responsive = draw(_MASKS.filter(any))
     return Fingerprint(values=dict(zip(FINGERS, draw(st.lists(_VALUES, min_size=5,
                                                                max_size=5)))),
                        imputed={f: not flag for f, flag in zip(FINGERS, responsive)},
                        n_responsive=responsive.count(True),
-                       material_label=draw(st.none() | _TEXT))
+                       material_label=draw(labels))
 
 
 @st.composite
 def _records(draw):
-    fp = draw(st.none() | _fingerprints())
+    """A trial record; its fingerprint, if any, names no material or the record's."""
+    material = draw(_TEXT)
+    fp = draw(st.none() | _fingerprints(st.sampled_from([None, material])))
     responsive = (draw(_MASKS) if fp is None
                   else [not fp.imputed[f] for f in FINGERS])
-    return TrialRecord(subject=draw(_TEXT), material=draw(_TEXT),
+    return TrialRecord(subject=draw(_TEXT), material=material,
                        responsive=dict(zip(FINGERS, responsive)), fingerprint=fp)
 
 

@@ -228,7 +228,8 @@ class TestFingerprintAndClassify:
         capsys.readouterr()
         assert run("fingerprint", str(air_log), "--baseline", str(baseline_file),
                    "--label", "", "-o", str(out)) == 2
-        assert capsys.readouterr() == ("", "rfad: --label: an empty label names no material\n")
+        assert capsys.readouterr() == (
+            "", "rfad: material label '' must be None or a non-empty string UTF-8 can encode\n")
         assert not out.exists()
 
     def test_classify_value(self, capsys):
@@ -841,11 +842,14 @@ class TestValuesNoFileCanHold:
 
     @pytest.mark.parametrize("command, payload, error", [
         ("classify", [_fp(), dict(_fp(), material="\ud800")],
-         "entry 1: material label '\\ud800' must be None or a string UTF-8 can encode"),
+         "entry 1: material label '\\ud800' must be None or a non-empty string UTF-8 "
+         "can encode"),
         ("export", [dict(_fp(), material="oil\udcff")],
-         "entry 0: material label 'oil\\udcff' must be None or a string UTF-8 can encode"),
+         "entry 0: material label 'oil\\udcff' must be None or a non-empty string UTF-8 "
+         "can encode"),
         ("stats", [dict(_as_record(_fp()), subject="\ud800")],
-         "entry 0: trial record subject and material must be strings UTF-8 can encode, "
+         "entry 0: trial record subject and material must be non-empty strings UTF-8 "
+         "can encode, "
          "got '\\ud800' and 'olive_oil'"),
         ("stats", [_as_record(dict(_fp(), material="\udfff"))],
          "entry 0: material label '\\udfff' must be None"),
@@ -874,7 +878,7 @@ class TestValuesNoFileCanHold:
                    "--label", "oil\udcff", "-o", str(out)) == 2
         captured = capsys.readouterr()
         assert captured.err == ("rfad: material label 'oil\\udcff' must be None or "
-                                "a string UTF-8 can encode\n")
+                                "a non-empty string UTF-8 can encode\n")
         assert captured.out == ""
         assert not out.exists()
 

@@ -1,18 +1,26 @@
-"""Differential codes, imputation, and uncertainty propagation tests."""
+"""Air baselines, differential codes, imputation, and uncertainty propagation tests."""
 
+import dataclasses
+import json
 import math
+import os
 import re
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from rfad.errors import DataError, HandUnreadError, UncalibratedChannelError
 from rfad.fingerprint import (CalibrationBaseline, ChannelReading, Fingerprint,
-                              averaged_fingerprint, build_fingerprint,
-                              fingerprint_from_record,
-                              fingerprint_record, imputed_values, load_fingerprints,
-                              pressure_uncertainty, propagated_uncertainty,
-                              save_fingerprints, total)
+                              averaged_fingerprint, build_fingerprint, calibrate,
+                              fingerprint_from_record, fingerprint_record, imputed_values,
+                              load_baseline, load_fingerprints, pressure_uncertainty,
+                              propagated_uncertainty, save_baseline, save_fingerprints, total)
 from rfad.hand import FINGERS
+from rfad.readlog import CodeSeries, channel_codes
+from rfad.signal import FluctuationModel, synthesize_series
 
 BASELINE = CalibrationBaseline(codes={f: 150.0 for f in FINGERS})
 
@@ -43,6 +51,73 @@ class TestCalibrationBaseline:
     def test_out_of_range_code_rejected(self):
         with pytest.raises(DataError, match=r"storage range \[0, 511\]"):
             CalibrationBaseline(codes={"I": 600.0})
+
+
+class TestCalibrate:
+    def test_constant_air_series(self):
+        series = {ch: CodeSeries(times=np.arange(12) * 0.7, codes=np.full(12, 150))
+                  for ch in FINGERS}
+        baseline = calibrate(channel_codes(series, 10, "mean"))
+        assert all(baseline.codes[ch] == 150.0 for ch in FINGERS)
+        assert baseline.gaps == ()
+
+    def test_missing_channel_reported_as_gap(self):
+        baseline = calibrate({"I": 150.0, "II": 150.0, "IV": 150.0, "V": 150.0})
+        assert baseline.gaps == ("III",)
+        assert "III" not in baseline.codes
+
+    def test_sawtooth_air_series_near_mean(self):
+        model = FluctuationModel(baseline=300, transient_amplitude=0.0,
+                                 noise_sd=0.0)
+        series = {"I": synthesize_series(model, 70.0, seed=0)}
+        baseline = calibrate(channel_codes(series, 10, "mean"))
+        assert abs(baseline.codes["I"] - 300.0) <= 2.0
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(codes=st.dictionaries(st.sampled_from(FINGERS),
+                                 st.integers(-1, 512) | st.floats(-1.0, 512.0) | st.booleans(),
+                                 max_size=5),
+           timestamp=st.text(st.characters(codec="utf-8") | st.just("\ud800"))
+           | st.integers() | st.floats() | st.none(),
+           gaps=st.lists(st.sampled_from(FINGERS), max_size=5)
+           | st.text(st.sampled_from("IV"), max_size=3))
+    def test_saved_baselines_load_back_equal(self, codes, timestamp, gaps):
+        if isinstance(gaps, str) or len(set(gaps)) < len(gaps):
+            with pytest.raises(DataError):
+                CalibrationBaseline(codes=codes, timestamp=timestamp, gaps=gaps)
+            return
+        try:
+            baseline = CalibrationBaseline(codes=codes, timestamp=timestamp,
+                                           gaps=[g for g in gaps if g not in codes])
+        except DataError:
+            reject()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "baseline.json")
+            save_baseline(baseline, path)
+            assert load_baseline(path) == baseline
+
+    @pytest.mark.parametrize("gaps, error", [
+        ("II", "baseline gaps 'II' must be a sequence of fingers"),
+        ("", "baseline gaps '' must be a sequence of fingers"),
+        (None, "baseline gaps None must be a sequence of fingers"),
+        (5, "baseline gaps 5 must be a sequence of fingers"),
+        (("II", "II"), "baseline gaps ['II', 'II'] must be distinct fingers without a code"),
+        (["I", "III", "I"], "baseline gaps ['I', 'III', 'I'] must be distinct fingers "
+                            "without a code"),
+    ], ids=["string", "empty-string", "none", "number", "repeated-tuple", "repeated-list"])
+    def test_gaps_refused(self, gaps, error):
+        with pytest.raises(DataError, match=f"^{re.escape(error)}$"):
+            CalibrationBaseline(codes={"IV": 300.0}, gaps=gaps)
+
+    def test_baseline_persistence(self, tmp_path):
+        baseline = dataclasses.replace(calibrate(dict.fromkeys(FINGERS, 150.0)),
+                                       timestamp="2026-08-24")
+        path = tmp_path / "baseline.json"
+        save_baseline(baseline, path)
+        loaded = load_baseline(path)
+        assert loaded.codes == baseline.codes
+        assert loaded.timestamp == "2026-08-24"
+        assert loaded.gaps == baseline.gaps
 
 
 class TestDifferentialCode:
@@ -187,6 +262,17 @@ class TestSerialization:
         assert record["averaged"] == 10.0
         assert record["uncertainty"] == pytest.approx(propagated_uncertainty(fp))
 
+    def test_empty_label_in_a_file_is_refused(self, tmp_path):
+        # it was once read back and shown as fingerprint-1
+        record = dict(fingerprint_record(build_fingerprint(_readings({"I": 140.0}), BASELINE)),
+                      material="")
+        path = tmp_path / "fps.json"
+        path.write_text(json.dumps([record]))
+        error = (f"{path}: entry 0: material label '' must be None or a non-empty "
+                 f"string UTF-8 can encode")
+        with pytest.raises(DataError, match=f"^{re.escape(error)}$"):
+            load_fingerprints(path)
+
     def test_file_round_trip(self, tmp_path):
         fps = [build_fingerprint(_readings({f: 140.0 for f in FINGERS}), BASELINE,
                                  material_label="a"),
@@ -222,15 +308,15 @@ class TestFingerprintValidation:
                          imputed=dict.fromkeys(FINGERS, False), n_responsive=5)
         assert fp.values["III"] == 2 ** 1023
 
-    @pytest.mark.parametrize("label", [5, b"oil", "\ud800", "oil\udcff"])
+    @pytest.mark.parametrize("label", [5, b"oil", "\ud800", "oil\udcff", ""])
     def test_material_label_must_be_utf8_text(self, label):
-        message = f"material label {label!r} must be None or a string UTF-8 can encode"
+        message = f"material label {label!r} must be None or a non-empty string UTF-8 can encode"
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             Fingerprint(values=dict.fromkeys(FINGERS, 1.0),
                         imputed=dict.fromkeys(FINGERS, False), n_responsive=5,
                         material_label=label)
 
-    @pytest.mark.parametrize("label", [None, "", "olive_oil", "\u00e9\u2603\U0001f600\x00"])
+    @pytest.mark.parametrize("label", [None, "olive_oil", "\u00e9\u2603\U0001f600\x00"])
     def test_material_label_may_be_any_utf8_text(self, label):
         fp = Fingerprint(values=dict.fromkeys(FINGERS, 1.0),
                          imputed=dict.fromkeys(FINGERS, False), n_responsive=5,

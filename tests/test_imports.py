@@ -7,11 +7,14 @@ start-up time, so a command loads only the modules it runs.
 ``sys.modules``; the array commands load it inside the command. Of the
 rfad modules, ``import rfad.cli`` loads only what parsing the command
 line and loading the config need, and each command adds the ones it
-runs: only ``export`` loads ``kiviat``, and ``classify``, ``export`` and
-``stats --records`` load no ``readlog``. Window sizing and the
-campaign's layout are pure Python too, so ``stats --generate`` refuses a
-bad output place before it loads numpy. Each case runs in a fresh
-interpreter, because this test process has all of them loaded already.
+runs: only ``export`` loads ``kiviat``, ``classify``, ``export`` and
+``stats --records`` load no ``readlog``, and ``simulate``, which writes
+no baseline, loads no ``fingerprint``. The shipped defaults are read as
+any other file is, so start-up loads no ``importlib.resources``. Window
+sizing and the campaign's layout are pure Python too, so ``stats
+--generate`` refuses a bad output place before it loads numpy. Each case
+runs in a fresh interpreter, because this test process has all of them
+loaded already.
 """
 
 import json
@@ -38,11 +41,12 @@ def _series_csv(base: int) -> str:
         f"{0.7 * i!r},{f},{base + i % 3}\n" for f in FINGERS for i in range(12))
 
 
-def _last_line(cwd, script: str) -> str:
-    """Run ``script`` in a fresh interpreter; the last line it prints."""
+def _last_line(cwd, script: str, *flags: str) -> str:
+    """Run ``script`` in a fresh interpreter started with ``flags``; the
+    last line it prints."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+    proc = subprocess.run([sys.executable, *flags, "-c", script], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
@@ -110,6 +114,14 @@ def test_array_command_loads_numpy(work):
     assert _numpy_loaded(work, _command("simulate", "--duration", "7", "-o", "x.csv"))
 
 
+def test_start_up_loads_no_importlib_resources(tmp_path):
+    # -S: a site .pth file that imports importlib.resources would hide the import
+    script = ("import sys, rfad.cli\n"
+              "rfad.cli.load_config()\n"
+              "print('importlib.resources' in sys.modules)")
+    assert _last_line(tmp_path, script, "-S") == "False"
+
+
 def test_import_rfad_loads_no_submodule(tmp_path):
     # the package holds only its version; each caller imports the module it uses
     script = "import sys, rfad\nprint([m for m in sys.modules if m.startswith('rfad.')])"
@@ -129,8 +141,7 @@ _START = {"cli", "config", "errors", "files", "hand", "ic", "materials", "units"
     (_command("calibrate", "air.csv", "-o", "b.json"), {"fingerprint", "readlog"}),
     (_command("fingerprint", "touched.csv", "--baseline", "baseline.json", "-o", "f.json"),
      {"fingerprint", "readlog"}),
-    (_command("simulate", "--duration", "7", "-o", "x.csv"),
-     {"fingerprint", "readlog", "signal"}),
+    (_command("simulate", "--duration", "7", "-o", "x.csv"), {"readlog", "signal"}),
     (_command("coupling"), {"coupling"}),
     (_command("stats", "--generate"),
      {"classify", "fingerprint", "population", "readlog", "signal"}),

@@ -1,7 +1,6 @@
-"""Reader-log CSV, series persistence, the window estimator, and calibration tests."""
+"""Reader-log CSV, series persistence and window estimator tests."""
 
 import csv
-import dataclasses
 import io
 import math
 import os
@@ -10,20 +9,18 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfad import readlog
 from rfad.errors import DataError
 from rfad.files import csv_text, finite, read_text
-from rfad.fingerprint import CalibrationBaseline
 from rfad.hand import FINGERS
 from rfad.ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
 from rfad.readlog import READLOG_HEADER as LOG_FIELDS
 from rfad.readlog import SERIES_HEADER as SERIES_FIELDS
-from rfad.readlog import (CodeSeries, calibrate, channel_codes, estimate_window,
-                          load_baseline, load_code_series, save_baseline, write_log,
-                          write_series)
+from rfad.readlog import (CodeSeries, channel_codes, estimate_window, load_code_series,
+                          write_log, write_series)
 from rfad.signal import FluctuationModel, estimate_code, synthesize_series
 
 LOG_HEADER = "timestamp_s,epc,channel,sensor_code,rssi_dbm\n"
@@ -528,7 +525,8 @@ _TIMES = _field(["0.0", "0.7", "1.4", "2.1", "0.35", "1e-3", " 2.8", "-0.0"],
                 ["nan", "inf", "-inf", "-1.0", "zero", "1e400", ""])
 _CHANNEL_FIELDS = _field(list(FINGERS), ["VI", "i", ""])
 _CODES = _field(["0", "200", "511", "7", " 42", "007"], ["512", "-1", "2.0", "x", ""])
-_EPCS = st.sampled_from(["x", "E2800000000000000000000A"] + ODD_EPCS)
+# a quoted EPC may span lines, which moves the line of every row after it
+_EPCS = st.sampled_from(["x", "E2800000000000000000000A", "two\nlines"] + ODD_EPCS)
 _RSSI = _field(["", "", "-55.5", "0"], ["nan", "inf", "-inf", "loud"])
 _OVERSIZED = "2" * 200_000   # over the csv module's field size limit
 
@@ -680,80 +678,6 @@ class TestChannelCodes:
             channel_codes(_ragged(I=12, IV=5), window, "mean")
 
 
-class TestCalibrate:
-    def _constant_series(self, code, channels=FINGERS, n=12):
-        return {ch: CodeSeries(times=np.arange(n) * 0.7,
-                               codes=np.full(n, code))
-                for ch in channels}
-
-    def test_constant_air_series(self):
-        baseline = calibrate(self._constant_series(150), 10, "mean")
-        assert all(baseline.codes[ch] == 150.0 for ch in FINGERS)
-        assert baseline.gaps == ()
-
-    def test_missing_channel_reported_as_gap(self):
-        baseline = calibrate(self._constant_series(150, channels=("I", "II", "IV", "V")),
-                             10, "mean")
-        assert baseline.gaps == ("III",)
-        assert "III" not in baseline.codes
-
-    def test_sawtooth_air_series_near_mean(self):
-        model = FluctuationModel(baseline=300, transient_amplitude=0.0,
-                                 noise_sd=0.0)
-        series = {"I": synthesize_series(model, 70.0, seed=0)}
-        baseline = calibrate(series, 10, "mean")
-        assert abs(baseline.codes["I"] - 300.0) <= 2.0
-
-    def test_short_series_rejected(self):
-        with pytest.raises(DataError, match="needs >= 10"):
-            calibrate(self._constant_series(150, n=5), 10, "mean")
-
     def test_no_channels_rejected(self):
-        with pytest.raises(DataError):
-            calibrate({}, 10, "mean")
-
-    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
-    @given(codes=st.dictionaries(st.sampled_from(FINGERS),
-                                 st.integers(-1, 512) | st.floats(-1.0, 512.0) | st.booleans(),
-                                 max_size=5),
-           timestamp=st.text(st.characters(codec="utf-8") | st.just("\ud800"))
-           | st.integers() | st.floats() | st.none(),
-           gaps=st.lists(st.sampled_from(FINGERS), max_size=5)
-           | st.text(st.sampled_from("IV"), max_size=3))
-    def test_saved_baselines_load_back_equal(self, codes, timestamp, gaps):
-        if isinstance(gaps, str) or len(set(gaps)) < len(gaps):
-            with pytest.raises(DataError):
-                CalibrationBaseline(codes=codes, timestamp=timestamp, gaps=gaps)
-            return
-        try:
-            baseline = CalibrationBaseline(codes=codes, timestamp=timestamp,
-                                           gaps=[g for g in gaps if g not in codes])
-        except DataError:
-            reject()
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "baseline.json")
-            save_baseline(baseline, path)
-            assert load_baseline(path) == baseline
-
-    @pytest.mark.parametrize("gaps, error", [
-        ("II", "baseline gaps 'II' must be a sequence of fingers"),
-        ("", "baseline gaps '' must be a sequence of fingers"),
-        (None, "baseline gaps None must be a sequence of fingers"),
-        (5, "baseline gaps 5 must be a sequence of fingers"),
-        (("II", "II"), "baseline gaps ['II', 'II'] must be distinct fingers without a code"),
-        (["I", "III", "I"], "baseline gaps ['I', 'III', 'I'] must be distinct fingers "
-                            "without a code"),
-    ], ids=["string", "empty-string", "none", "number", "repeated-tuple", "repeated-list"])
-    def test_gaps_refused(self, gaps, error):
-        with pytest.raises(DataError, match=f"^{re.escape(error)}$"):
-            CalibrationBaseline(codes={"IV": 300.0}, gaps=gaps)
-
-    def test_baseline_persistence(self, tmp_path):
-        baseline = dataclasses.replace(calibrate(self._constant_series(150), 10, "mean"),
-                                       timestamp="2026-08-24")
-        path = tmp_path / "baseline.json"
-        save_baseline(baseline, path)
-        loaded = load_baseline(path)
-        assert loaded.codes == baseline.codes
-        assert loaded.timestamp == "2026-08-24"
-        assert loaded.gaps == baseline.gaps
+        with pytest.raises(DataError, match="^no channels present in the input$"):
+            channel_codes({}, 10, "mean")
