@@ -84,8 +84,8 @@ def _log_codes(path, config):
 
 def _cmd_calibrate(args, config):
     check_outputs([("-o", args.output)], [args.log, args.config])
-    from .fingerprint import calibrate, save_baseline
-    baseline = calibrate(_log_codes(args.log, config))
+    from .fingerprint import CalibrationBaseline, save_baseline
+    baseline = CalibrationBaseline(_log_codes(args.log, config))
     save_baseline(baseline, args.output)
     gaps = f", gaps: {', '.join(baseline.gaps)}" if baseline.gaps else ""
     print(f"baseline for {len(baseline.codes)} channels -> {args.output}{gaps}")
@@ -93,8 +93,9 @@ def _cmd_calibrate(args, config):
 
 def _cmd_fingerprint(args, config):
     check_outputs([("-o", args.output)], [args.log, args.baseline, args.config])
-    from .fingerprint import (build_fingerprint, fingerprint_record, load_baseline, readings,
-                              save_fingerprints)
+    from .fingerprint import (build_fingerprint, check_material_label, fingerprint_record,
+                              load_baseline, readings, save_fingerprints)
+    check_material_label(args.label, "--label: ")
     baseline = load_baseline(args.baseline)
     codes = _log_codes(args.log, config)
     try:

@@ -1,10 +1,10 @@
 """Air baselines, differential sensor codes, hand fingerprints, and their uncertainty.
 
-The air baseline holds the per-finger codes of an untouched hand. A
-fingerprint is the per-finger vector of air-calibrated differential
-codes for one touched material. Unresponsive fingers are imputed with
-the mean of the responsive ones; the touch-pressure uncertainty model
-propagates through the multi-channel average. Both have a JSON file.
+The air baseline holds the air codes of an untouched hand; its gaps are
+the fingers without one. A fingerprint holds one touch's differential
+codes, unresponsive fingers imputed with the mean of the responsive ones;
+the touch-pressure uncertainty propagates through their average. Each has
+a JSON file, whose copies of derived facts are checked, not kept.
 """
 
 from __future__ import annotations
@@ -46,15 +46,10 @@ class CalibrationBaseline:
     """Per-finger air (eps = 1) codes, persisted between sessions."""
 
     codes: Mapping[str, float]
-    timestamp: str = ""
-    gaps: tuple = ()
 
     def __post_init__(self):
-        if not isinstance(self.timestamp, str):
-            raise DataError(f"baseline timestamp {self.timestamp!r} must be a string")
-        if isinstance(self.gaps, str) or not isinstance(self.gaps, Iterable):
-            raise DataError(f"baseline gaps {self.gaps!r} must be a sequence of fingers")
-        object.__setattr__(self, "gaps", tuple(self.gaps))
+        if not self.codes:
+            raise DataError("a baseline needs the air code of at least one finger")
         for channel, code in self.codes.items():
             if channel not in FINGERS:
                 raise DataError(f"unknown channel {channel!r} in baseline")
@@ -63,16 +58,18 @@ class CalibrationBaseline:
                 raise DataError(
                     f"baseline code {code!r} for channel {channel} must be a number in "
                     f"the storage range [{CODE_STORAGE_MIN}, {CODE_STORAGE_MAX}]")
-        if (any(gap not in FINGERS or gap in self.codes for gap in self.gaps)
-                or len(set(self.gaps)) < len(self.gaps)):
-            raise DataError(f"baseline gaps {list(self.gaps)} must be distinct fingers "
-                            f"without a code")
+
+    @property
+    def gaps(self) -> tuple:
+        """The fingers without a code, in finger order."""
+        return tuple(f for f in FINGERS if f not in self.codes)
 
 
-def calibrate(codes: Mapping[str, float]) -> CalibrationBaseline:
-    """Air baseline of an untouched-hand acquisition's per-channel codes;
-    the fingers absent from ``codes`` are its ``gaps``, not defaulted."""
-    return CalibrationBaseline(codes=codes, gaps=tuple(f for f in FINGERS if f not in codes))
+def check_material_label(label, where: str = "") -> None:
+    """Refuse a label no file could hold (``None`` is no label); ``where`` prefixes the error."""
+    if label is not None and not (label and is_utf8_text(label)):
+        raise DataError(f"{where}material label {label!r} must be a non-empty string "
+                        f"UTF-8 can encode")
 
 
 @dataclass(frozen=True)
@@ -81,7 +78,6 @@ class Fingerprint:
 
     values: Mapping[str, float]
     imputed: Mapping[str, bool]
-    n_responsive: int
     material_label: Optional[str] = None
 
     def __post_init__(self):
@@ -89,20 +85,18 @@ class Fingerprint:
             raise DataError("fingerprint must cover exactly the five fingers")
         if not all(isinstance(flag, bool) for flag in self.imputed.values()):
             raise DataError(f"imputed flags must be true or false: {self.imputed}")
-        if not 1 <= self.n_responsive == sum(not f for f in self.imputed.values()):
-            raise DataError(f"n_responsive {self.n_responsive} must count the "
-                            f"fingers not imputed, at least one")
+        if all(self.imputed.values()):
+            raise DataError("a fingerprint needs at least one finger not imputed")
         # an int beyond the float range is refused too, so every value has a float
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                    and abs(v) <= sys.float_info.max for v in self.values.values()):
             raise DataError(f"fingerprint values must be finite numbers: {self.values}")
-        label = self.material_label
-        if label is not None and not (label and is_utf8_text(label)):
-            raise DataError(f"material label {label!r} must be None "
-                            f"or a non-empty string UTF-8 can encode")
+        check_material_label(self.material_label)
 
-    def responsive_values(self) -> list[float]:
-        return [self.values[f] for f in FINGERS if not self.imputed[f]]
+    @property
+    def n_responsive(self) -> int:
+        """The number of fingers not imputed."""
+        return sum(not flag for flag in self.imputed.values())
 
 
 def readings(codes: Mapping[str, float]) -> list[ChannelReading]:
@@ -143,7 +137,6 @@ def build_fingerprint(readings: Sequence[ChannelReading],
     deltas = {f: baseline.codes[f] - by_channel[f].code for f in responsive}
     return Fingerprint(values=dict(zip(FINGERS, imputed_values(deltas))),
                        imputed={f: f not in deltas for f in FINGERS},
-                       n_responsive=len(responsive),
                        material_label=material_label)
 
 
@@ -173,8 +166,8 @@ def propagated_uncertainty(fp: Fingerprint) -> float:
     for alcohol and water and by more for oil: the bound scales with the
     differential codes, the generator's pressure spread does not.
     """
-    sigmas = [pressure_uncertainty(v) for v in fp.responsive_values()]
-    return math.sqrt(total(s * s for s in sigmas)) / fp.n_responsive
+    sigmas = [pressure_uncertainty(fp.values[f]) for f in FINGERS if not fp.imputed[f]]
+    return math.sqrt(total(s * s for s in sigmas)) / len(sigmas)
 
 
 # ---------------------------------------------------------------------------
@@ -194,26 +187,33 @@ def fingerprint_record(fp: Fingerprint) -> dict:
 
 
 def fingerprint_from_record(record: dict) -> Fingerprint:
-    values = dict(json_field(record, "values", dict))
-    imputed = dict(json_field(record, "imputed", dict))
+    fp = Fingerprint(values=dict(json_field(record, "values", dict)),
+                     imputed=dict(json_field(record, "imputed", dict)),
+                     material_label=json_field(record, "material", str, type(None), default=None))
     n_responsive = json_field(record, "n_responsive", int, float)
-    if n_responsive != int(n_responsive):
-        raise DataError(f"field 'n_responsive' must be an integral number, found {n_responsive}")
-    return Fingerprint(values=values, imputed=imputed, n_responsive=int(n_responsive),
-                       material_label=json_field(record, "material", str, type(None),
-                                                 default=None))
+    if n_responsive != fp.n_responsive:
+        raise DataError(f"field 'n_responsive' must be {fp.n_responsive}, the number of "
+                        f"fingers not imputed, found {n_responsive}")
+    return fp
 
 
 def save_baseline(baseline: CalibrationBaseline, path) -> None:
-    write_json(path, {"codes": dict(baseline.codes), "timestamp": baseline.timestamp,
+    write_json(path, {"codes": dict(baseline.codes), "timestamp": "",
                       "gaps": list(baseline.gaps)})
 
 
+def _baseline_from_record(payload: dict) -> CalibrationBaseline:
+    """A baseline file's codes; its ``timestamp`` and ``gaps`` are checked, not kept."""
+    baseline = CalibrationBaseline(json_field(payload, "codes", dict))
+    json_field(payload, "timestamp", str, default="")
+    gaps = json_field(payload, "gaps", list, default=[])
+    if any(gap not in baseline.gaps or gaps.count(gap) > 1 for gap in gaps):
+        raise DataError(f"baseline gaps {gaps} must be distinct fingers without a code")
+    return baseline
+
+
 def load_baseline(path) -> CalibrationBaseline:
-    return read_json(path, "baseline object", lambda payload: CalibrationBaseline(
-        codes=json_field(payload, "codes", dict),
-        timestamp=json_field(payload, "timestamp", str, default=""),
-        gaps=json_field(payload, "gaps", list, default=())))
+    return read_json(path, "baseline object", _baseline_from_record)
 
 
 def save_fingerprints(fps: Sequence[Fingerprint], path) -> None:

@@ -221,7 +221,7 @@ def generate_population(spec: PopulationSpec = PopulationSpec(),
             subject, material, trial = next_trial()
             fp = Fingerprint(values=dict(zip(FINGERS, values)),
                              imputed={f: not flag for f, flag in zip(FINGERS, flags)},
-                             n_responsive=flags.count(True), material_label=material)
+                             material_label=material)
             records.append(TrialRecord(
                 subject=f"S{subject + 1:02d}", material=material,
                 responsive=dict(zip(FINGERS, flags)), fingerprint=fp))

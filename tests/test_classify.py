@@ -192,7 +192,7 @@ class TestTrialRecord:
 
     def test_responsive_flags_must_match_fingerprint(self):
         fp = Fingerprint(values={f: 10.0 for f in FINGERS},
-                         imputed={f: f != "I" for f in FINGERS}, n_responsive=1)
+                         imputed={f: f != "I" for f in FINGERS})
         only_thumb = {f: f == "I" for f in FINGERS}
         assert TrialRecord("S01", "olive_oil", only_thumb, fp).n_responsive == 1
         for responsive in ({f: True for f in FINGERS},
@@ -214,7 +214,7 @@ class TestTrialRecord:
     @pytest.mark.parametrize("label", ["deionized_water", "olive_oil ", "Olive_oil"])
     def test_fingerprint_of_another_material_is_refused(self, label):
         fp = Fingerprint(values=dict.fromkeys(FINGERS, 10.0),
-                         imputed=dict.fromkeys(FINGERS, False), n_responsive=5,
+                         imputed=dict.fromkeys(FINGERS, False),
                          material_label=label)
         error = f"trial record of material 'olive_oil' holds a fingerprint of {label!r}"
         with pytest.raises(DataError, match=f"^{re.escape(error)}$"):
@@ -223,7 +223,7 @@ class TestTrialRecord:
     @pytest.mark.parametrize("label", [None, "olive_oil"])
     def test_fingerprint_of_no_or_the_same_material_is_accepted(self, label):
         fp = Fingerprint(values=dict.fromkeys(FINGERS, 10.0),
-                         imputed=dict.fromkeys(FINGERS, False), n_responsive=5,
+                         imputed=dict.fromkeys(FINGERS, False),
                          material_label=label)
         record = TrialRecord("S01", "olive_oil", dict.fromkeys(FINGERS, True), fp)
         assert record.fingerprint is fp
@@ -232,7 +232,7 @@ class TestTrialRecord:
 class TestRecordPersistence:
     def test_round_trip(self, tmp_path):
         fp = Fingerprint(values={f: 10.0 + i for i, f in enumerate(FINGERS)},
-                         imputed={f: f == "V" for f in FINGERS}, n_responsive=4,
+                         imputed={f: f == "V" for f in FINGERS},
                          material_label="olive_oil")
         records = [TrialRecord("S01", "olive_oil", {f: f != "V" for f in FINGERS}, fp),
                    _record(2, material="deionized_water", subject="S02")]
@@ -248,7 +248,7 @@ class TestRecordPersistence:
         ({"fingerprint_material": "deionized_water"},
          "trial record of material 'olive_oil' holds a fingerprint of 'deionized_water'"),
         ({"fingerprint_material": ""},
-         "material label '' must be None or a non-empty string UTF-8 can encode"),
+         "material label '' must be a non-empty string UTF-8 can encode"),
     ], ids=["empty-subject", "empty-material", "other-material", "empty-label"])
     def test_refused_record_names_file_and_entry(self, tmp_path, changes, error):
         fp = {"material": changes.pop("fingerprint_material", "olive_oil"),
@@ -289,7 +289,6 @@ def _fingerprints(draw, labels=st.none() | _TEXT):
     return Fingerprint(values=dict(zip(FINGERS, draw(st.lists(_VALUES, min_size=5,
                                                                max_size=5)))),
                        imputed={f: not flag for f, flag in zip(FINGERS, responsive)},
-                       n_responsive=responsive.count(True),
                        material_label=draw(labels))
 
 

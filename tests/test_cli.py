@@ -147,6 +147,18 @@ class TestCalibrate:
         for code in payload["codes"].values():
             assert abs(code - 300.0) < 5.0
 
+    def test_baseline_with_a_gap_is_pinned(self, tmp_path, capsys):
+        air, baseline = tmp_path / "air.csv", tmp_path / "baseline.json"
+        assert run("simulate", "--baseline", "300", "--seed", "5", "--duration", "14",
+                   "--channels", "I", "II", "IV", "V", "-o", str(air)) == 0
+        capsys.readouterr()
+        assert run("calibrate", str(air), "-o", str(baseline)) == 0
+        assert capsys.readouterr() == (
+            f"baseline for 4 channels -> {baseline}, gaps: III\n", "")
+        assert baseline.read_text() == (
+            '{\n  "codes": {\n    "I": 299.8,\n    "II": 300.3,\n    "IV": 299.4,\n'
+            '    "V": 299.6\n  },\n  "timestamp": "",\n  "gaps": [\n    "III"\n  ]\n}\n')
+
     def test_missing_log_is_data_error(self, tmp_path):
         assert run("calibrate", str(tmp_path / "nope.csv"),
                    "-o", str(tmp_path / "b.json")) == 2
@@ -229,7 +241,24 @@ class TestFingerprintAndClassify:
         assert run("fingerprint", str(air_log), "--baseline", str(baseline_file),
                    "--label", "", "-o", str(out)) == 2
         assert capsys.readouterr() == (
-            "", "rfad: material label '' must be None or a non-empty string UTF-8 can encode\n")
+            "", "rfad: --label: material label '' must be a non-empty string UTF-8 can encode\n")
+        assert not out.exists()
+
+    def test_label_is_refused_before_any_file_is_read(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        assert run("fingerprint", str(missing / "log.csv"), "--baseline",
+                   str(missing / "b.json"), "--label", "", "-o", str(tmp_path / "f.json")) == 2
+        assert capsys.readouterr().err == (
+            "rfad: --label: material label '' must be a non-empty string UTF-8 can encode\n")
+
+    def test_baseline_without_codes_is_refused_before_the_log_is_read(self, tmp_path, capsys):
+        # calibrate never writes one: a log without channels is refused
+        baseline, out = tmp_path / "empty.json", tmp_path / "f.json"
+        baseline.write_text('{"codes": {}}')
+        assert run("fingerprint", str(tmp_path / "missing.csv"), "--baseline", str(baseline),
+                   "-o", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"rfad: {baseline}: a baseline needs the air code of at least one finger\n")
         assert not out.exists()
 
     def test_classify_value(self, capsys):
@@ -790,9 +819,11 @@ class TestJsonFieldTypes:
          "entry 0: field 'n_responsive' must be a number, found null"),
         # four fingers not imputed: int() would have made 4.9 the count 4
         ("classify", [dict(_fp(), imputed=dict(_fp()["imputed"], I=True), n_responsive=4.9)],
-         "entry 0: field 'n_responsive' must be an integral number, found 4.9"),
+         "entry 0: field 'n_responsive' must be 4, the number of fingers not imputed, "
+         "found 4.9"),
         ("stats", [_as_record(_fp()), _as_record(dict(_fp(), n_responsive=5.5))],
-         "entry 1: field 'n_responsive' must be an integral number, found 5.5"),
+         "entry 1: field 'n_responsive' must be 5, the number of fingers not imputed, "
+         "found 5.5"),
         ("classify", [_fp(), dict(_fp(), material=5)],
          "entry 1: field 'material' must be a string or null, found a number"),
         ("export", [dict(_fp(), material=["oil"])],
@@ -842,17 +873,16 @@ class TestValuesNoFileCanHold:
 
     @pytest.mark.parametrize("command, payload, error", [
         ("classify", [_fp(), dict(_fp(), material="\ud800")],
-         "entry 1: material label '\\ud800' must be None or a non-empty string UTF-8 "
-         "can encode"),
+         "entry 1: material label '\\ud800' must be a non-empty string UTF-8 can encode"),
         ("export", [dict(_fp(), material="oil\udcff")],
-         "entry 0: material label 'oil\\udcff' must be None or a non-empty string UTF-8 "
+         "entry 0: material label 'oil\\udcff' must be a non-empty string UTF-8 "
          "can encode"),
         ("stats", [dict(_as_record(_fp()), subject="\ud800")],
          "entry 0: trial record subject and material must be non-empty strings UTF-8 "
          "can encode, "
          "got '\\ud800' and 'olive_oil'"),
         ("stats", [_as_record(dict(_fp(), material="\udfff"))],
-         "entry 0: material label '\\udfff' must be None"),
+         "entry 0: material label '\\udfff' must be a non-empty string"),
         ("classify", [dict(_fp(), values={**_fp()["values"], "II": 10 ** 400})],
          "entry 0: fingerprint values must be finite numbers"),
     ])
@@ -877,7 +907,7 @@ class TestValuesNoFileCanHold:
         assert run("fingerprint", str(air_log), "--baseline", str(baseline_file),
                    "--label", "oil\udcff", "-o", str(out)) == 2
         captured = capsys.readouterr()
-        assert captured.err == ("rfad: material label 'oil\\udcff' must be None or "
+        assert captured.err == ("rfad: --label: material label 'oil\\udcff' must be "
                                 "a non-empty string UTF-8 can encode\n")
         assert captured.out == ""
         assert not out.exists()

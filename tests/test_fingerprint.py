@@ -1,6 +1,5 @@
 """Air baselines, differential codes, imputation, and uncertainty propagation tests."""
 
-import dataclasses
 import json
 import math
 import os
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 
 from rfad.errors import DataError, HandUnreadError, UncalibratedChannelError
 from rfad.fingerprint import (CalibrationBaseline, ChannelReading, Fingerprint,
-                              averaged_fingerprint, build_fingerprint, calibrate,
+                              averaged_fingerprint, build_fingerprint,
                               fingerprint_from_record, fingerprint_record, imputed_values,
                               load_baseline, load_fingerprints, pressure_uncertainty,
                               propagated_uncertainty, save_baseline, save_fingerprints, total)
@@ -52,43 +51,45 @@ class TestCalibrationBaseline:
         with pytest.raises(DataError, match=r"storage range \[0, 511\]"):
             CalibrationBaseline(codes={"I": 600.0})
 
+    def test_empty_codes_rejected(self):
+        # no log without channels is calibrated, so no baseline lacks every code
+        with pytest.raises(DataError, match="^a baseline needs the air code of at least "
+                                            "one finger$"):
+            CalibrationBaseline(codes={})
 
-class TestCalibrate:
     def test_constant_air_series(self):
         series = {ch: CodeSeries(times=np.arange(12) * 0.7, codes=np.full(12, 150))
                   for ch in FINGERS}
-        baseline = calibrate(channel_codes(series, 10, "mean"))
+        baseline = CalibrationBaseline(channel_codes(series, 10, "mean"))
         assert all(baseline.codes[ch] == 150.0 for ch in FINGERS)
         assert baseline.gaps == ()
 
     def test_missing_channel_reported_as_gap(self):
-        baseline = calibrate({"I": 150.0, "II": 150.0, "IV": 150.0, "V": 150.0})
+        baseline = CalibrationBaseline({"I": 150.0, "II": 150.0, "IV": 150.0, "V": 150.0})
         assert baseline.gaps == ("III",)
         assert "III" not in baseline.codes
+
+    def test_gaps_are_in_finger_order(self):
+        assert CalibrationBaseline({"V": 150.0, "II": 150.0}).gaps == ("I", "III", "IV")
 
     def test_sawtooth_air_series_near_mean(self):
         model = FluctuationModel(baseline=300, transient_amplitude=0.0,
                                  noise_sd=0.0)
         series = {"I": synthesize_series(model, 70.0, seed=0)}
-        baseline = calibrate(channel_codes(series, 10, "mean"))
+        baseline = CalibrationBaseline(channel_codes(series, 10, "mean"))
         assert abs(baseline.codes["I"] - 300.0) <= 2.0
 
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(codes=st.dictionaries(st.sampled_from(FINGERS),
                                  st.integers(-1, 512) | st.floats(-1.0, 512.0) | st.booleans(),
-                                 max_size=5),
-           timestamp=st.text(st.characters(codec="utf-8") | st.just("\ud800"))
-           | st.integers() | st.floats() | st.none(),
-           gaps=st.lists(st.sampled_from(FINGERS), max_size=5)
-           | st.text(st.sampled_from("IV"), max_size=3))
-    def test_saved_baselines_load_back_equal(self, codes, timestamp, gaps):
-        if isinstance(gaps, str) or len(set(gaps)) < len(gaps):
-            with pytest.raises(DataError):
-                CalibrationBaseline(codes=codes, timestamp=timestamp, gaps=gaps)
+                                 max_size=5))
+    def test_saved_baselines_load_back_equal(self, codes):
+        if not codes:
+            with pytest.raises(DataError, match="^a baseline needs the air code"):
+                CalibrationBaseline(codes=codes)
             return
         try:
-            baseline = CalibrationBaseline(codes=codes, timestamp=timestamp,
-                                           gaps=[g for g in gaps if g not in codes])
+            baseline = CalibrationBaseline(codes=codes)
         except DataError:
             reject()
         with tempfile.TemporaryDirectory() as tmp:
@@ -96,28 +97,72 @@ class TestCalibrate:
             save_baseline(baseline, path)
             assert load_baseline(path) == baseline
 
-    @pytest.mark.parametrize("gaps, error", [
-        ("II", "baseline gaps 'II' must be a sequence of fingers"),
-        ("", "baseline gaps '' must be a sequence of fingers"),
-        (None, "baseline gaps None must be a sequence of fingers"),
-        (5, "baseline gaps 5 must be a sequence of fingers"),
-        (("II", "II"), "baseline gaps ['II', 'II'] must be distinct fingers without a code"),
-        (["I", "III", "I"], "baseline gaps ['I', 'III', 'I'] must be distinct fingers "
-                            "without a code"),
-    ], ids=["string", "empty-string", "none", "number", "repeated-tuple", "repeated-list"])
-    def test_gaps_refused(self, gaps, error):
-        with pytest.raises(DataError, match=f"^{re.escape(error)}$"):
-            CalibrationBaseline(codes={"IV": 300.0}, gaps=gaps)
 
-    def test_baseline_persistence(self, tmp_path):
-        baseline = dataclasses.replace(calibrate(dict.fromkeys(FINGERS, 150.0)),
-                                       timestamp="2026-08-24")
+def _baseline_file(path, **fields):
+    """A baseline file holding the code 300 for finger IV, and ``fields``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"codes": {"IV": 300.0}, **fields}, fh)
+    return path
+
+
+class TestBaselineFile:
+    def test_file_names_timestamp_and_gaps(self, tmp_path):
         path = tmp_path / "baseline.json"
-        save_baseline(baseline, path)
-        loaded = load_baseline(path)
-        assert loaded.codes == baseline.codes
-        assert loaded.timestamp == "2026-08-24"
-        assert loaded.gaps == baseline.gaps
+        save_baseline(CalibrationBaseline({f: 150.0 for f in FINGERS if f != "III"}), path)
+        assert json.loads(path.read_text()) == {
+            "codes": {"I": 150.0, "II": 150.0, "IV": 150.0, "V": 150.0},
+            "timestamp": "", "gaps": ["III"]}
+
+    @pytest.mark.parametrize("fields", [
+        {}, {"timestamp": "2026-08-24"}, {"gaps": []}, {"gaps": ["V", "I"]},
+        {"timestamp": "", "gaps": ["I", "II", "III", "V"]}],
+        ids=["neither", "set-timestamp", "no-gaps", "some-gaps", "all-gaps"])
+    def test_timestamp_and_gaps_are_checked_not_kept(self, tmp_path, fields):
+        loaded = load_baseline(_baseline_file(tmp_path / "b.json", **fields))
+        assert loaded == CalibrationBaseline({"IV": 300.0})
+        assert loaded.gaps == ("I", "II", "III", "V")
+
+    @pytest.mark.parametrize("fields, error", [
+        ({"gaps": "II"}, "field 'gaps' must be an array, found a string"),
+        ({"gaps": ""}, "field 'gaps' must be an array, found a string"),
+        ({"gaps": None}, "field 'gaps' must be an array, found null"),
+        ({"gaps": 5}, "field 'gaps' must be an array, found a number"),
+        ({"gaps": ["II", "II"]}, "baseline gaps ['II', 'II'] must be distinct fingers "
+                                 "without a code"),
+        ({"gaps": ["I", "III", "I"]}, "baseline gaps ['I', 'III', 'I'] must be distinct "
+                                      "fingers without a code"),
+        ({"gaps": ["IV"]}, "baseline gaps ['IV'] must be distinct fingers without a code"),
+        ({"gaps": ["VI"]}, "baseline gaps ['VI'] must be distinct fingers without a code"),
+        ({"timestamp": 0}, "field 'timestamp' must be a string, found a number"),
+        ({"timestamp": None}, "field 'timestamp' must be a string, found null"),
+        ({"codes": {}}, "a baseline needs the air code of at least one finger"),
+    ], ids=["string", "empty-string", "null", "number", "repeated-pair", "repeated-of-three",
+            "finger-with-a-code", "unknown-finger", "number-timestamp", "null-timestamp",
+            "no-codes"])
+    def test_file_refused(self, tmp_path, fields, error):
+        path = _baseline_file(tmp_path / "b.json", **fields)
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {error}')}$"):
+            load_baseline(path)
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(codes=st.dictionaries(st.sampled_from(FINGERS), st.integers(0, 511),
+                                 min_size=1, max_size=5),
+           timestamp=st.text(st.characters(codec="utf-8") | st.just("\ud800"))
+           | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.none(),
+           gaps=st.lists(st.sampled_from(FINGERS), max_size=5)
+           | st.text(st.sampled_from("IV"), max_size=3))
+    def test_file_loads_as_its_codes(self, codes, timestamp, gaps):
+        refused = (not isinstance(timestamp, str) or isinstance(gaps, str)
+                   or len(set(gaps)) < len(gaps) or any(gap in codes for gap in gaps))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "baseline.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump({"codes": codes, "timestamp": timestamp, "gaps": gaps}, fh)
+            if refused:
+                with pytest.raises(DataError):
+                    load_baseline(path)
+            else:
+                assert load_baseline(path) == CalibrationBaseline(codes)
 
 
 class TestDifferentialCode:
@@ -193,8 +238,7 @@ class TestAveragedFingerprint:
         assert math.fsum(values.values()) == 2.5
         assert imputed_values(dict(list(values.items())[:4])) == [
             1e16, 1.0, 1.0, -1e16, 0.0]
-        fp = Fingerprint(values=values, imputed=dict.fromkeys(FINGERS, False),
-                         n_responsive=5)
+        fp = Fingerprint(values=values, imputed=dict.fromkeys(FINGERS, False))
         assert averaged_fingerprint(fp) == 0.5 / 5
         squares = [(0.3 * abs(v)) ** 2 for v in values.values()]
         folded = ((((0.0 + squares[0]) + squares[1]) + squares[2]) + squares[3]) + squares[4]
@@ -234,7 +278,7 @@ class TestUncertainty:
     def test_upper_bound(self):
         fp = build_fingerprint(_readings(
             {"I": 142.0, "II": 131.0, "V": 119.0}), BASELINE)
-        deltas = fp.responsive_values()
+        deltas = [fp.values[f] for f in FINGERS if not fp.imputed[f]]
         bound = 0.3 / fp.n_responsive * math.sqrt(sum(d * d for d in deltas))
         assert propagated_uncertainty(fp) <= bound + 1e-12
 
@@ -268,8 +312,7 @@ class TestSerialization:
                       material="")
         path = tmp_path / "fps.json"
         path.write_text(json.dumps([record]))
-        error = (f"{path}: entry 0: material label '' must be None or a non-empty "
-                 f"string UTF-8 can encode")
+        error = f"{path}: entry 0: material label '' must be a non-empty string UTF-8 can encode"
         with pytest.raises(DataError, match=f"^{re.escape(error)}$"):
             load_fingerprints(path)
 
@@ -286,39 +329,62 @@ class TestSerialization:
 class TestFingerprintValidation:
     def test_must_cover_all_fingers(self):
         with pytest.raises(DataError):
-            Fingerprint(values={"I": 1.0}, imputed={"I": False}, n_responsive=1)
+            Fingerprint(values={"I": 1.0}, imputed={"I": False})
 
-    def test_n_responsive_range(self):
-        values = {f: 1.0 for f in FINGERS}
-        imputed = {f: False for f in FINGERS}
-        with pytest.raises(DataError):
-            Fingerprint(values=values, imputed=imputed, n_responsive=0)
-        with pytest.raises(DataError):
-            Fingerprint(values=values, imputed=imputed, n_responsive=6)
+    @pytest.mark.parametrize("imputed", [(), ("II",), ("I", "II", "III", "V")],
+                             ids=["none", "one", "four"])
+    def test_n_responsive_counts_the_fingers_not_imputed(self, imputed):
+        fp = Fingerprint(values=dict.fromkeys(FINGERS, 1.0),
+                         imputed={f: f in imputed for f in FINGERS})
+        assert fp.n_responsive == 5 - len(imputed)
+
+    def test_every_finger_imputed_is_refused(self):
+        with pytest.raises(DataError, match="^a fingerprint needs at least one finger "
+                                            "not imputed$"):
+            Fingerprint(values=dict.fromkeys(FINGERS, 1.0), imputed=dict.fromkeys(FINGERS, True))
+
+    @pytest.mark.parametrize("n_responsive, error", [
+        (4, "field 'n_responsive' must be 5, the number of fingers not imputed, found 4"),
+        (6, "field 'n_responsive' must be 5, the number of fingers not imputed, found 6"),
+        (0, "field 'n_responsive' must be 5, the number of fingers not imputed, found 0"),
+        (5.5, "field 'n_responsive' must be 5, the number of fingers not imputed, found 5.5"),
+    ], ids=["4", "6", "0", "5.5"])
+    def test_record_whose_n_responsive_miscounts_is_refused(self, n_responsive, error):
+        record = {"values": dict.fromkeys(FINGERS, 1.0),
+                  "imputed": dict.fromkeys(FINGERS, False), "n_responsive": n_responsive}
+        with pytest.raises(DataError, match=f"^{re.escape(error)}$"):
+            fingerprint_from_record(record)
+
+    def test_record_of_no_finger_not_imputed_is_refused(self):
+        record = {"values": dict.fromkeys(FINGERS, 1.0),
+                  "imputed": dict.fromkeys(FINGERS, True), "n_responsive": 0}
+        with pytest.raises(DataError, match="^a fingerprint needs at least one finger "
+                                            "not imputed$"):
+            fingerprint_from_record(record)
 
     @pytest.mark.parametrize("value", [10 ** 400, -(10 ** 400), 2 ** 1024],
                              ids=["10**400", "-10**400", "2**1024"])
     def test_int_beyond_the_float_range_is_refused(self, value):
         with pytest.raises(DataError, match="^fingerprint values must be finite numbers"):
             Fingerprint(values={**dict.fromkeys(FINGERS, 1.0), "III": value},
-                        imputed=dict.fromkeys(FINGERS, False), n_responsive=5)
+                        imputed=dict.fromkeys(FINGERS, False))
 
     def test_largest_int_a_float_holds_is_accepted(self):
         fp = Fingerprint(values={**dict.fromkeys(FINGERS, 1.0), "III": 2 ** 1023},
-                         imputed=dict.fromkeys(FINGERS, False), n_responsive=5)
+                         imputed=dict.fromkeys(FINGERS, False))
         assert fp.values["III"] == 2 ** 1023
 
     @pytest.mark.parametrize("label", [5, b"oil", "\ud800", "oil\udcff", ""])
     def test_material_label_must_be_utf8_text(self, label):
-        message = f"material label {label!r} must be None or a non-empty string UTF-8 can encode"
+        message = f"material label {label!r} must be a non-empty string UTF-8 can encode"
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             Fingerprint(values=dict.fromkeys(FINGERS, 1.0),
-                        imputed=dict.fromkeys(FINGERS, False), n_responsive=5,
+                        imputed=dict.fromkeys(FINGERS, False),
                         material_label=label)
 
     @pytest.mark.parametrize("label", [None, "olive_oil", "\u00e9\u2603\U0001f600\x00"])
     def test_material_label_may_be_any_utf8_text(self, label):
         fp = Fingerprint(values=dict.fromkeys(FINGERS, 1.0),
-                         imputed=dict.fromkeys(FINGERS, False), n_responsive=5,
+                         imputed=dict.fromkeys(FINGERS, False),
                          material_label=label)
         assert fp.material_label == label

@@ -15,9 +15,7 @@ SVG_NS = "{http://www.w3.org/2000/svg}"
 def _fp(values, imputed=(), label=None):
     vals = dict(zip(FINGERS, values))
     imp = {f: f in imputed for f in FINGERS}
-    n = sum(1 for f in FINGERS if not imp[f])
-    return Fingerprint(values=vals, imputed=imp, n_responsive=n,
-                       material_label=label)
+    return Fingerprint(values=vals, imputed=imp, material_label=label)
 
 
 def _polygon_area(points_attr):
