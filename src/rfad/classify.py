@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -22,71 +21,71 @@ from .files import is_utf8_text, json_field, read_json, write_json
 from .fingerprint import Fingerprint, fingerprint_from_record, fingerprint_record
 from .hand import FINGERS
 from .materials import REFERENCE_LIQUIDS
+from .value import Value, _set
 
-@dataclass(frozen=True)
-class MaterialClass:
+class MaterialClass(Value):
     """One permittivity class: label plus half-open interval [lower, upper).
 
     A value exactly on a boundary belongs to the upper class; the top
     class additionally accepts its own upper bound.
     """
 
-    label: str
-    lower: float
-    upper: float
-    reference_materials: tuple = ()
+    __slots__ = ("label", "lower", "upper", "reference_materials")
 
-    def __post_init__(self):
-        if not self.lower < self.upper:
-            raise DataError(
-                f"class {self.label!r} needs lower < upper, "
-                f"got [{self.lower}, {self.upper})")
+    def __init__(self, label: str, lower: float, upper: float, reference_materials: tuple = ()):
+        _set(self, "label", label)
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
+        _set(self, "reference_materials", reference_materials)
+        if not lower < upper:
+            raise DataError(f"class {label!r} needs lower < upper, got [{lower}, {upper})")
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(Value):
     """One hand-material trial: which fingers responded, and the fingerprint."""
 
-    subject: str
-    material: str
-    responsive: Mapping[str, bool]
-    fingerprint: Optional[Fingerprint] = None
+    __slots__ = ("subject", "material", "responsive", "fingerprint")
 
-    def __post_init__(self):
-        if set(self.responsive) != set(FINGERS):
+    def __init__(self, subject: str, material: str, responsive: Mapping[str, bool],
+                 fingerprint: Optional[Fingerprint] = None):
+        _set(self, "subject", subject)
+        _set(self, "material", material)
+        _set(self, "responsive", responsive)
+        _set(self, "fingerprint", fingerprint)
+        if set(responsive) != set(FINGERS):
             raise DataError("trial record needs exactly five channel slots")
-        if not all(isinstance(flag, bool) for flag in self.responsive.values()):
-            raise DataError(f"responsive flags must be true or false: {self.responsive}")
-        if not all(name and is_utf8_text(name) for name in (self.subject, self.material)):
+        if not all(isinstance(flag, bool) for flag in responsive.values()):
+            raise DataError(f"responsive flags must be true or false: {responsive}")
+        if not all(name and is_utf8_text(name) for name in (subject, material)):
             raise DataError(f"trial record subject and material must be non-empty strings "
-                            f"UTF-8 can encode, got {self.subject!r} and {self.material!r}")
-        fp = self.fingerprint
-        if fp is not None and fp.material_label not in (None, self.material):
-            raise DataError(f"trial record of material {self.material!r} holds a fingerprint "
-                            f"of {fp.material_label!r}")
-        if fp is not None and any(self.responsive[f] == fp.imputed[f] for f in FINGERS):
-            raise DataError(f"responsive flags {self.responsive} disagree with the "
-                            f"fingerprint's imputed flags {fp.imputed}")
+                            f"UTF-8 can encode, got {subject!r} and {material!r}")
+        if fingerprint is not None and fingerprint.material_label not in (None, material):
+            raise DataError(f"trial record of material {material!r} holds a fingerprint "
+                            f"of {fingerprint.material_label!r}")
+        if fingerprint is not None and any(responsive[f] == fingerprint.imputed[f]
+                                           for f in FINGERS):
+            raise DataError(f"responsive flags {responsive} disagree with the "
+                            f"fingerprint's imputed flags {fingerprint.imputed}")
 
     @property
     def n_responsive(self) -> int:
         return sum(bool(v) for v in self.responsive.values())
 
 
-@dataclass(frozen=True)
-class PopulationSpec:
+class PopulationSpec(Value):
     """Shape of a synthetic measurement campaign."""
 
-    subjects: int = 10
-    trials: int = 3
-    materials: tuple = REFERENCE_LIQUIDS
+    __slots__ = ("subjects", "trials", "materials")
 
-    def __post_init__(self):
-        if self.subjects < 1 or self.trials < 1 or not self.materials:
+    def __init__(self, subjects: int = 10, trials: int = 3, materials: tuple = REFERENCE_LIQUIDS):
+        _set(self, "subjects", subjects)
+        _set(self, "trials", trials)
+        _set(self, "materials", materials)
+        if subjects < 1 or trials < 1 or not materials:
             raise DataError("population spec needs subjects, trials and materials")
-        if unknown := [m for m in self.materials if m not in REFERENCE_LIQUIDS]:
+        if unknown := [m for m in materials if m not in REFERENCE_LIQUIDS]:
             raise DataError(f"not a reference liquid: {', '.join(map(repr, unknown))}")
-        if repeated := [m for i, m in enumerate(self.materials) if m in self.materials[:i]]:
+        if repeated := [m for i, m in enumerate(materials) if m in materials[:i]]:
             raise DataError(f"material {repeated[0]!r} is repeated")
 
 
@@ -101,13 +100,15 @@ def campaign_trials(spec: PopulationSpec) -> Iterator[tuple[int, str, int]]:
     return product(range(spec.subjects), spec.materials, range(spec.trials))
 
 
-@dataclass(frozen=True)
-class ReliabilityReport:
+class ReliabilityReport(Value):
     """CCD of simultaneously responding fingers plus per-finger rates."""
 
-    ccd: tuple
-    per_finger_rates: Mapping[str, Mapping[str, float]]
-    joint_rates: Mapping[str, float]
+    __slots__ = ("ccd", "per_finger_rates", "joint_rates")
+
+    def __init__(self, ccd: tuple, per_finger_rates: Mapping, joint_rates: Mapping):
+        _set(self, "ccd", ccd)
+        _set(self, "per_finger_rates", per_finger_rates)
+        _set(self, "joint_rates", joint_rates)
 
 
 def classify(f_bar: float, classes: Sequence[MaterialClass]) -> str:

@@ -210,7 +210,11 @@ def _cmd_export(args, config):
     # the chart and its twin are checked before the fingerprints are read
     check_outputs(_kiviat.chart_targets(args.output), [args.fingerprints, args.config])
     fps = load_fingerprints(args.fingerprints)
-    print(f"wrote {_kiviat.export_kiviat(fps, args.output)} (+ CSV twin)")
+    try:
+        svg_path = _kiviat.export_kiviat(fps, args.output)
+    except DataError as exc:
+        raise DataError(f"{args.fingerprints}: {exc}") from None
+    print(f"wrote {svg_path} (+ CSV twin)")
 
 
 def build_parser() -> _Parser:

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, ClassVar, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from . import ic as _ic
 from .errors import DataError
@@ -24,6 +23,7 @@ from .files import finite, read_text
 from .hand import FINGERS
 from .materials import PERMITTIVITY
 from .units import parse_complex_quantity, parse_quantity
+from .value import Value, _set
 
 if TYPE_CHECKING:
     from .classify import MaterialClass
@@ -100,22 +100,26 @@ def _entries(text: str, source: str):
         yield key, parsed, lineno
 
 
-@dataclass(frozen=True)
-class SessionConfig:
+class SessionConfig(Value):
     """Fully resolved session parameters and derived per-channel models."""
 
-    # the carrier cancels out of every code, so it is not a key
-    frequency: ClassVar[float] = _ic.EU_RFID_FREQUENCY
+    frequency = _ic.EU_RFID_FREQUENCY  # the carrier cancels out of every code: not a key
 
-    ic: _ic.AutoTuneIC
-    ic_load: complex
-    ic_sensitivity: float
-    antenna_models: Mapping[str, _ic.AntennaModel]
-    transducer_gains: Mapping[str, float]
-    sawtooth_frequency: float
-    sample_period: float
-    window: int
-    estimator: str
+    __slots__ = ("ic", "ic_load", "ic_sensitivity", "antenna_models", "transducer_gains",
+                 "sawtooth_frequency", "sample_period", "window", "estimator")
+
+    def __init__(self, ic: _ic.AutoTuneIC, ic_load: complex, ic_sensitivity: float,
+                 antenna_models: Mapping, transducer_gains: Mapping, sawtooth_frequency: float,
+                 sample_period: float, window: int, estimator: str):
+        _set(self, "ic", ic)
+        _set(self, "ic_load", ic_load)
+        _set(self, "ic_sensitivity", ic_sensitivity)
+        _set(self, "antenna_models", antenna_models)
+        _set(self, "transducer_gains", transducer_gains)
+        _set(self, "sawtooth_frequency", sawtooth_frequency)
+        _set(self, "sample_period", sample_period)
+        _set(self, "window", window)
+        _set(self, "estimator", estimator)
 
     def channel_code(self, channel: str, epsilon: float) -> int:
         """Sensor code of one channel touching relative permittivity ``epsilon``."""

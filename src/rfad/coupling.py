@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,6 +18,7 @@ from .errors import DataError, NumericalError, SingularMatrixError
 from .files import csv_text, is_utf8_text, read_text, write_text
 from .hand import FINGERS
 from .units import parse_quantity
+from .value import Value, _set
 
 RECIPROCITY_RTOL = 1e-9
 
@@ -35,40 +35,37 @@ REFERENCE_COUPLING_MAGNITUDES = np.array([
 ])
 
 
-@dataclass(frozen=True)
-class PortLoad:
+class PortLoad(Value):
     """Complex termination impedance of one port (the chip)."""
 
-    z_c: complex
+    __slots__ = ("z_c",)
 
-    def __post_init__(self):
-        if not (cmath.isfinite(self.z_c) and self.z_c.real > 0):
-            raise DataError(
-                f"port load must be finite with positive resistance, got {self.z_c}")
+    def __init__(self, z_c: complex):
+        _set(self, "z_c", z_c)
+        if not (cmath.isfinite(z_c) and z_c.real > 0):
+            raise DataError(f"port load must be finite with positive resistance, got {z_c}")
 
 
-@dataclass(frozen=True)
-class ImpedanceMatrix:
+class ImpedanceMatrix(Value):
     """Multiport impedance matrix with port bookkeeping.
 
     Reciprocity (z[j][k] == z[k][j]) is enforced on construction to
     within a relative tolerance of 1e-9.
     """
 
-    z: np.ndarray
-    frequency: float
-    port_labels: tuple = FINGERS
+    __slots__ = ("z", "frequency", "port_labels")
 
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=complex)
-        object.__setattr__(self, "z", z)
+    def __init__(self, z: np.ndarray, frequency: float, port_labels: tuple = FINGERS):
+        z = np.asarray(z, dtype=complex)
+        _set(self, "z", z)
+        _set(self, "frequency", frequency)
+        _set(self, "port_labels", port_labels)
         if z.ndim != 2 or z.shape[0] != z.shape[1] or z.shape[0] < 1:
             raise DataError(f"impedance matrix must be square N>=1, got shape {z.shape}")
-        if len(self.port_labels) != z.shape[0]:
-            raise DataError(
-                f"{len(self.port_labels)} port labels for {z.shape[0]} ports")
+        if len(port_labels) != z.shape[0]:
+            raise DataError(f"{len(port_labels)} port labels for {z.shape[0]} ports")
         seen = set()
-        for label in self.port_labels:
+        for label in port_labels:
             # the file format separates labels by whitespace and ends a line at '#'
             if not is_utf8_text(label) or label.split() != [label] or "#" in label:
                 raise DataError(f"port label {label!r} is no UTF-8 text, is empty "
@@ -79,8 +76,8 @@ class ImpedanceMatrix:
         if not np.isfinite(z).all():
             raise DataError("impedance matrix has a non-finite entry")
         # the file keeps MHz to 12 digits: far below 1 Hz that reads back as 0
-        if not 1 <= self.frequency < math.inf:
-            raise DataError(f"frequency must be finite and >= 1 Hz, got {self.frequency}")
+        if not 1 <= frequency < math.inf:
+            raise DataError(f"frequency must be finite and >= 1 Hz, got {frequency}")
         scale = np.abs(z).max()
         if scale > 0 and np.abs(z - z.T).max() > RECIPROCITY_RTOL * scale:
             raise DataError("impedance matrix violates reciprocity beyond 1e-9 relative")
@@ -90,12 +87,14 @@ class ImpedanceMatrix:
         return self.z.shape[0]
 
 
-@dataclass(frozen=True)
-class CouplingReport:
+class CouplingReport(Value):
     """Normalized coupling magnitudes and the worst off-diagonal ratio."""
 
-    normalized_magnitudes: np.ndarray
-    max_offdiag_ratio: float
+    __slots__ = ("normalized_magnitudes", "max_offdiag_ratio")
+
+    def __init__(self, normalized_magnitudes: np.ndarray, max_offdiag_ratio: float):
+        _set(self, "normalized_magnitudes", normalized_magnitudes)
+        _set(self, "max_offdiag_ratio", max_offdiag_ratio)
 
 
 def _loads_as_array(loads: PortLoad | Sequence[PortLoad], n_ports: int) -> np.ndarray:

@@ -13,44 +13,44 @@ import functools
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DataError, HandUnreadError, UncalibratedChannelError
 from .files import is_utf8_text, json_field, read_json, write_json
 from .hand import FINGERS
 from .ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
+from .value import Value, _set
 
 # Conservative bound on the relative precision of a single differential
 # code under uncontrolled touch pressure.
 PRESSURE_UNCERTAINTY_FACTOR = 0.3
 
 
-@dataclass(frozen=True)
-class ChannelReading:
+class ChannelReading(Value):
     """Windowed sensor code of one finger, or a missing-read marker."""
 
-    channel: str
-    code: Optional[float]
-    responsive: bool
+    __slots__ = ("channel", "code", "responsive")
 
-    def __post_init__(self):
-        if self.channel not in FINGERS:
-            raise DataError(f"unknown channel {self.channel!r}")
-        if self.responsive != (self.code is not None):
+    def __init__(self, channel: str, code: Optional[float], responsive: bool):
+        _set(self, "channel", channel)
+        _set(self, "code", code)
+        _set(self, "responsive", responsive)
+        if channel not in FINGERS:
+            raise DataError(f"unknown channel {channel!r}")
+        if responsive != (code is not None):
             raise DataError("responsive flag must match presence of a code")
 
 
-@dataclass(frozen=True)
-class CalibrationBaseline:
+class CalibrationBaseline(Value):
     """Per-finger air (eps = 1) codes, persisted between sessions."""
 
-    codes: Mapping[str, float]
+    __slots__ = ("codes",)
 
-    def __post_init__(self):
-        if not self.codes:
+    def __init__(self, codes: Mapping[str, float]):
+        _set(self, "codes", codes)
+        if not codes:
             raise DataError("a baseline needs the air code of at least one finger")
-        for channel, code in self.codes.items():
+        for channel, code in codes.items():
             if channel not in FINGERS:
                 raise DataError(f"unknown channel {channel!r} in baseline")
             if (isinstance(code, bool) or not isinstance(code, (int, float))
@@ -72,26 +72,27 @@ def check_material_label(label, where: str = "") -> None:
                         f"UTF-8 can encode")
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(Value):
     """Five differential codes, with imputation bookkeeping."""
 
-    values: Mapping[str, float]
-    imputed: Mapping[str, bool]
-    material_label: Optional[str] = None
+    __slots__ = ("values", "imputed", "material_label")
 
-    def __post_init__(self):
-        if set(self.values) != set(FINGERS) or set(self.imputed) != set(FINGERS):
+    def __init__(self, values: Mapping[str, float], imputed: Mapping[str, bool],
+                 material_label: Optional[str] = None):
+        _set(self, "values", values)
+        _set(self, "imputed", imputed)
+        _set(self, "material_label", material_label)
+        if set(values) != set(FINGERS) or set(imputed) != set(FINGERS):
             raise DataError("fingerprint must cover exactly the five fingers")
-        if not all(isinstance(flag, bool) for flag in self.imputed.values()):
-            raise DataError(f"imputed flags must be true or false: {self.imputed}")
-        if all(self.imputed.values()):
+        if not all(isinstance(flag, bool) for flag in imputed.values()):
+            raise DataError(f"imputed flags must be true or false: {imputed}")
+        if all(imputed.values()):
             raise DataError("a fingerprint needs at least one finger not imputed")
         # an int beyond the float range is refused too, so every value has a float
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                   and abs(v) <= sys.float_info.max for v in self.values.values()):
-            raise DataError(f"fingerprint values must be finite numbers: {self.values}")
-        check_material_label(self.material_label)
+                   and abs(v) <= sys.float_info.max for v in values.values()):
+            raise DataError(f"fingerprint values must be finite numbers: {values}")
+        check_material_label(material_label)
 
     @property
     def n_responsive(self) -> int:

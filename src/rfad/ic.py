@@ -17,10 +17,10 @@ the power-transfer coefficient of the auto-tuned front end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Literal
 
 from .errors import DataError
+from .value import Value, _set
 
 EU_RFID_FREQUENCY = 867e6
 
@@ -42,22 +42,20 @@ CODE_STORAGE_MAX = 511
 MAX_SERIES_SAMPLES = 1_000_000
 
 
-@dataclass(frozen=True, kw_only=True)
-class AutoTuneIC:
+class AutoTuneIC(Value):
     """The usable codes ``s_min..s_max`` of the chip's ladder, a session setting."""
 
-    s_min: int
-    s_max: int
+    __slots__ = ("s_min", "s_max")
 
-    def __post_init__(self):
-        if not CODE_STORAGE_MIN <= self.s_min < self.s_max <= CODE_STORAGE_MAX:
-            raise DataError(
-                f"need {CODE_STORAGE_MIN} <= s_min < s_max <= {CODE_STORAGE_MAX}, "
-                f"got ({self.s_min}, {self.s_max})")
+    def __init__(self, *, s_min: int, s_max: int):
+        _set(self, "s_min", s_min)
+        _set(self, "s_max", s_max)
+        if not CODE_STORAGE_MIN <= s_min < s_max <= CODE_STORAGE_MAX:
+            raise DataError(f"need {CODE_STORAGE_MIN} <= s_min < s_max <= {CODE_STORAGE_MAX}, "
+                            f"got ({s_min}, {s_max})")
 
 
-@dataclass(frozen=True)
-class AntennaModel:
+class AntennaModel(Value):
     """Permittivity -> susceptance forward model for one fingertip antenna.
 
     The susceptance follows a two-parameter saturating law
@@ -70,24 +68,27 @@ class AntennaModel:
     Valid over eps in [1, 100].
     """
 
-    b_ref: float
-    k: float
-    eps_half: float
+    __slots__ = ("b_ref", "k", "eps_half")
 
-    def __post_init__(self):
-        if self.eps_half <= -EPSILON_MIN:
-            raise DataError(f"eps_half must exceed -1, got {self.eps_half}")
+    def __init__(self, b_ref: float, k: float, eps_half: float):
+        _set(self, "b_ref", b_ref)
+        _set(self, "k", k)
+        _set(self, "eps_half", eps_half)
+        if eps_half <= -EPSILON_MIN:
+            raise DataError(f"eps_half must exceed -1, got {eps_half}")
 
 
 Saturation = Literal["none", "low", "high"]
 
 
-@dataclass(frozen=True)
-class SensorCode:
+class SensorCode(Value):
     """Clamped integer sensor code plus which rail (if any) was hit."""
 
-    code: int
-    saturated: Saturation
+    __slots__ = ("code", "saturated")
+
+    def __init__(self, code: int, saturated: Saturation):
+        _set(self, "code", code)
+        _set(self, "saturated", saturated)
 
 
 def capacitance(ic: AutoTuneIC, s: int) -> float:

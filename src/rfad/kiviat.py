@@ -105,7 +105,8 @@ def kiviat_csv(fingerprints: Sequence[Fingerprint]) -> str:
     rows = []
     for idx, fp in enumerate(fingerprints):
         label = fingerprint_label(fp, idx)
-        f_bar = averaged_fingerprint(fp)
+        if not math.isfinite(f_bar := averaged_fingerprint(fp)):  # finite values may sum to inf
+            raise DataError(f"{label}: averaged value {f_bar} is not finite")
         for finger in FINGERS:
             rows.append([label, finger, repr(fp.values[finger]),
                          int(fp.imputed[finger]), repr(f_bar)])
@@ -124,11 +125,12 @@ def chart_targets(path) -> list[tuple[str, str]]:
 
 
 def export_kiviat(fingerprints: Sequence[Fingerprint], path) -> str:
-    """Write the chart of ``chart_targets(path)`` (SVG) and its CSV twin;
-    return the chart's path."""
+    """Write the chart of ``chart_targets(path)`` (SVG) and its CSV twin,
+    both built before either is written; return the chart's path."""
     targets = chart_targets(path)
     check_outputs(targets, ())
     (_, svg_path), (_, csv_path) = targets
-    write_text(svg_path, kiviat_svg(fingerprints))
-    write_text(csv_path, kiviat_csv(fingerprints))
+    svg, twin = kiviat_svg(fingerprints), kiviat_csv(fingerprints)
+    write_text(svg_path, svg)
+    write_text(csv_path, twin)
     return svg_path

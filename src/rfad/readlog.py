@@ -41,7 +41,6 @@ import csv
 import io
 import math
 import operator
-from dataclasses import dataclass
 from itertools import chain, compress, islice
 from typing import Literal, Mapping, Sequence
 
@@ -49,6 +48,7 @@ from .errors import DataError, NotConvergedError
 from .files import csv_text, finite, is_utf8_text, read_text, write_lines
 from .hand import FINGERS
 from .ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
+from .value import Value, _set
 
 Estimator = Literal["mean", "median"]
 
@@ -70,8 +70,7 @@ def _code(value) -> int:
     raise DataError(f"codes must be integers, got {value!r}")
 
 
-@dataclass(frozen=True)
-class CodeSeries:
+class CodeSeries(Value):
     """Timestamped integer sensor codes for one channel.
 
     Any 1-D sequences or arrays may be given; they are stored as tuples
@@ -80,13 +79,12 @@ class CodeSeries:
     bool) in the storage range.
     """
 
-    times: tuple
-    codes: tuple
+    __slots__ = ("times", "codes")
 
-    def __post_init__(self):
+    def __init__(self, times: tuple, codes: tuple):
         try:
-            times = tuple(map(float, _plain(self.times)))
-            codes = tuple(_plain(self.codes))
+            times = tuple(map(float, _plain(times)))
+            codes = tuple(_plain(codes))
         except (TypeError, ValueError):
             raise DataError("times and codes must be 1-D sequences of numbers") from None
         if not set(map(type, codes)) <= {int}:
@@ -99,8 +97,8 @@ class CodeSeries:
         if codes and not CODE_STORAGE_MIN <= min(codes) <= max(codes) <= CODE_STORAGE_MAX:
             raise DataError(
                 f"codes outside storage range [{CODE_STORAGE_MIN}, {CODE_STORAGE_MAX}]")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "codes", codes)
+        _set(self, "times", times)
+        _set(self, "codes", codes)
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -108,10 +106,10 @@ class CodeSeries:
     @classmethod
     def _checked(cls, times: list, codes: list) -> "CodeSeries":
         """A series of Python floats and ints that already hold what
-        ``__post_init__`` checks; ``load_code_series`` checks them by chunk."""
+        ``__init__`` checks; ``load_code_series`` checks them by chunk."""
         series = object.__new__(cls)
-        object.__setattr__(series, "times", tuple(times))
-        object.__setattr__(series, "codes", tuple(codes))
+        _set(series, "times", tuple(times))
+        _set(series, "codes", tuple(codes))
         return series
 
 

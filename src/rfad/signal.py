@@ -10,7 +10,6 @@ type, its estimator and window sizing live in the numpy-free
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,36 +17,42 @@ from .errors import DataError
 from .ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN, MAX_SERIES_SAMPLES
 # window sizing lives in readlog; bench/workloads.py calls it from here
 from .readlog import CodeSeries, Estimator, estimate_window, minimum_samples  # noqa: F401
+from .value import Value, _set
 
 DEFAULT_SAMPLE_PERIOD = 0.7
 DEFAULT_SAWTOOTH_FREQUENCY = 0.7
 
 
-@dataclass(frozen=True)
-class FluctuationModel:
+class FluctuationModel(Value):
     """Parameters of the synthetic sensor-code generator."""
 
-    baseline: int = 200
-    sawtooth_amplitude: float = 2.0
-    sawtooth_frequency: float = DEFAULT_SAWTOOTH_FREQUENCY
-    transient_duration: float = 1.5  # exponential decay constant, seconds
-    transient_amplitude: float = 3.0
-    noise_sd: float = 1.0
-    sample_period: float = DEFAULT_SAMPLE_PERIOD
+    __slots__ = ("baseline", "sawtooth_amplitude", "sawtooth_frequency", "transient_duration",
+                 "transient_amplitude", "noise_sd", "sample_period")
 
-    def __post_init__(self):
+    def __init__(self, baseline: int = 200, sawtooth_amplitude: float = 2.0,
+                 sawtooth_frequency: float = DEFAULT_SAWTOOTH_FREQUENCY,
+                 transient_duration: float = 1.5,  # exponential decay constant, seconds
+                 transient_amplitude: float = 3.0, noise_sd: float = 1.0,
+                 sample_period: float = DEFAULT_SAMPLE_PERIOD):
+        _set(self, "baseline", baseline)
+        _set(self, "sawtooth_amplitude", sawtooth_amplitude)
+        _set(self, "sawtooth_frequency", sawtooth_frequency)
+        _set(self, "transient_duration", transient_duration)
+        _set(self, "transient_amplitude", transient_amplitude)
+        _set(self, "noise_sd", noise_sd)
+        _set(self, "sample_period", sample_period)
         # every parameter finite, and so the code before noise and the sawtooth
         # phase of the longest series: synthesize_block's arrays need no check
         if not all(map(math.isfinite, (
-                self.transient_duration, self.noise_sd,
-                CODE_STORAGE_MAX + self.transient_amplitude + self.sawtooth_amplitude,
-                MAX_SERIES_SAMPLES * self.sample_period * self.sawtooth_frequency))):
+                transient_duration, noise_sd,
+                CODE_STORAGE_MAX + transient_amplitude + sawtooth_amplitude,
+                MAX_SERIES_SAMPLES * sample_period * sawtooth_frequency))):
             raise DataError(f"fluctuation parameters must be finite, and so must the "
                             f"peak code and sawtooth phase they give: {self}")
-        if min(self.sawtooth_frequency, self.sample_period, self.transient_duration) <= 0:
+        if min(sawtooth_frequency, sample_period, transient_duration) <= 0:
             raise DataError("sawtooth frequency, sample period and transient time "
                             "constant must be positive")
-        if min(self.sawtooth_amplitude, self.transient_amplitude, self.noise_sd) < 0:
+        if min(sawtooth_amplitude, transient_amplitude, noise_sd) < 0:
             raise DataError("amplitudes must be non-negative")
 
 

@@ -712,6 +712,17 @@ class TestExport:
         assert repr(label) in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fps.json"]
 
+    def test_average_past_the_float_range_is_refused(self, tmp_path, capsys):
+        # each value is finite, so the fingerprint loads, but their mean is inf,
+        # which the CSV twin's averaged column could not hold
+        fps = tmp_path / "big.json"
+        fps.write_text(json.dumps([_fp(), dict(_fp(), material="olive_oil",
+                                               values=dict.fromkeys(FINGERS, 1e308))]))
+        assert run("export", str(fps), "-o", str(tmp_path / "c.svg")) == 2
+        assert capsys.readouterr().err == (
+            f"rfad: {fps}: olive_oil: averaged value inf is not finite\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
+
 
 def _as_record(fp):
     """A fingerprint that is also a trial record, so one list serves every command."""

@@ -1,7 +1,6 @@
 """Unit parsing, configuration loading, and materials-table tests."""
 
 import contextlib
-import dataclasses
 import hashlib
 import importlib
 import inspect
@@ -342,7 +341,7 @@ class TestSessionConfigIsValue:
             config.window = 99
 
     def test_frequency_is_a_constant(self):
-        assert "frequency" not in {f.name for f in dataclasses.fields(SessionConfig)}
+        assert "frequency" not in SessionConfig.__slots__
         assert load_config().frequency == EU_RFID_FREQUENCY
 
     def test_build_requires_transducer_gain(self):

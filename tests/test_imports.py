@@ -12,9 +12,12 @@ runs: only ``export`` loads ``kiviat``, ``classify``, ``export`` and
 no baseline, loads no ``fingerprint``. The shipped defaults are read as
 any other file is, so start-up loads no ``importlib.resources``. Window
 sizing and the campaign's layout are pure Python too, so ``stats
---generate`` refuses a bad output place before it loads numpy. Each case
-runs in a fresh interpreter, because this test process has all of them
-loaded already.
+--generate`` refuses a bad output place before it loads numpy. The value
+types are plain slotted classes, so no command imports ``dataclasses``
+(which loads ``inspect``, ``ast`` and ``dis``) or runs the methods it
+writes, and a command without numpy, which loads ``inspect`` itself,
+loads no ``inspect``. Each case runs in a fresh interpreter, because
+this test process has all of them loaded already.
 """
 
 import json
@@ -129,7 +132,7 @@ def test_import_rfad_loads_no_submodule(tmp_path):
 
 
 # What ``import rfad.cli`` loads: the parser, the config and its checks.
-_START = {"cli", "config", "errors", "files", "hand", "ic", "materials", "units"}
+_START = {"cli", "config", "errors", "files", "hand", "ic", "materials", "units", "value"}
 
 
 @pytest.mark.parametrize("script, added", [
@@ -152,3 +155,28 @@ def test_command_loads_only_the_rfad_modules_it_runs(work, script, added):
     line = _last_line(work, script + "\nimport sys\nprint(' '.join(sorted("
                             "m[5:] for m in sys.modules if m.startswith('rfad.'))))")
     assert set(line.split()) == _START | added
+
+
+_NO_CODE_GENERATION = {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("script, absent", [
+    ("import rfad.cli", _NO_CODE_GENERATION),
+    (_command("classify", "--value", "50"), _NO_CODE_GENERATION),
+    (_command("classify", "--fingerprints", "fps.json"), _NO_CODE_GENERATION),
+    (_command("export", "fps.json", "-o", "chart.svg"), _NO_CODE_GENERATION),
+    (_command("stats", "--records", "records.json"), _NO_CODE_GENERATION),
+    (_command("calibrate", "air.csv", "-o", "b.json"), _NO_CODE_GENERATION),
+    (_command("fingerprint", "touched.csv", "--baseline", "baseline.json", "-o", "f.json"),
+     _NO_CODE_GENERATION),
+    # numpy imports inspect, so an array command saves only dataclasses
+    (_command("simulate", "--duration", "7", "-o", "x.csv"), {"dataclasses"}),
+    (_command("coupling"), {"dataclasses"}),
+    (_command("stats", "--generate"), {"dataclasses"}),
+], ids=["import-cli", "classify-value", "classify-fingerprints", "export", "stats-records",
+        "calibrate", "fingerprint", "simulate", "coupling", "stats-generate"])
+def test_command_loads_no_dataclasses(work, script, absent):
+    # importing dataclasses takes milliseconds, and each class it makes execs its methods
+    line = _last_line(work, script + f"\nimport sys\nprint(sorted({sorted(absent)!r}"
+                                     f" & sys.modules.keys()))")
+    assert line == "[]"

@@ -1,6 +1,5 @@
 """Synthetic campaign generation and end-to-end simulation tests."""
 
-import dataclasses
 import hashlib
 import inspect
 import math
@@ -141,6 +140,13 @@ def _oracle_hand(material, rng, config):
     return _oracle_deltas(hand, baseline), log_rows
 
 
+def _layered(tmp_path, setting: str):
+    """The session of the shipped defaults under a config file of one ``setting``."""
+    path = tmp_path / "session.cfg"
+    path.write_text(setting + "\n")
+    return load_config(path)
+
+
 def _assert_oracle_hand(hand, material, oracle_rng, config):
     """One hand of ``_per_hand`` against the oracle's next hand: the same
     differential codes, and the same log rows, or their first ``window``
@@ -176,8 +182,7 @@ class TestPopulationSpec:
         assert spec.subjects * len(spec.materials) * spec.trials * len(FINGERS) == 450
 
     def test_the_spec_is_the_campaign_shape(self):
-        assert [f.name for f in dataclasses.fields(PopulationSpec)] == [
-            "subjects", "trials", "materials"]
+        assert list(PopulationSpec.__slots__) == ["subjects", "trials", "materials"]
 
     def test_validation(self):
         with pytest.raises(DataError):
@@ -417,7 +422,10 @@ class TestStreamPreservation:
 
     @pytest.mark.parametrize("window", [0, -1])
     def test_bad_window_is_a_data_error(self, window):
-        config = dataclasses.replace(load_config(), window=window)
+        # no config file may set it (load_config refuses it), so the fields are copied
+        config = load_config()
+        config = type(config)(**{name: getattr(config, name) for name in config.__slots__}
+                              | {"window": window})
         with pytest.raises(DataError, match="window must be >= 1"):
             generate_population(PopulationSpec(subjects=1, trials=1), config=config)
         with pytest.raises(DataError, match="window must be >= 1"):
@@ -535,16 +543,17 @@ class TestMonteCarlo:
         ("median", 300, 7, 274, 1),
         ("mean", 1400, 8, 1250, 2),
     ])
-    def test_exact_accuracy(self, monkeypatch, estimator, n_hands, seed, correct, chunks):
+    def test_exact_accuracy(self, monkeypatch, tmp_path, estimator, n_hands, seed, correct,
+                            chunks):
         monkeypatch.setattr(population, "DEFAULT_CLASS_SDS", self._WIDE)
-        config = dataclasses.replace(load_config(), estimator=estimator)
+        config = _layered(tmp_path, f"estimator = {estimator}")
         chunk = _chunk_hands(config, False)
         assert math.ceil(n_hands / chunk) == chunks
         assert monte_carlo_classification(n_hands, seed, config=config) == correct / n_hands
 
-    def test_window_longer_than_series(self):
+    def test_window_longer_than_series(self, tmp_path):
         # 70 s at the default 0.7 s sample period is 100 samples
-        config = dataclasses.replace(load_config(), window=1000)
+        config = _layered(tmp_path, "window = 1000")
         with pytest.raises(DataError, match="^window 1000 exceeds series length 100$"):
             monte_carlo_classification(3, seed=1, config=config)
         with pytest.raises(DataError, match="^window 1000 exceeds series length 100$"):
@@ -622,9 +631,10 @@ class TestChunkOracle:
     @pytest.mark.parametrize("estimator", ["mean", "median"])
     @pytest.mark.parametrize("class_sds", [DEFAULT_CLASS_SDS,
                                            dict.fromkeys(DEFAULT_CLASS_SDS, 0.0)])
-    def test_average_and_label_per_hand(self, monkeypatch, seed, estimator, class_sds):
+    def test_average_and_label_per_hand(self, monkeypatch, tmp_path, seed, estimator,
+                                        class_sds):
         monkeypatch.setattr(population, "DEFAULT_CLASS_SDS", class_sds)
-        config = dataclasses.replace(load_config(), estimator=estimator)
+        config = _layered(tmp_path, f"estimator = {estimator}")
         classes = config.classes()
         n = _chunk_hands(config, False) + 4
         materials = [REFERENCE_LIQUIDS[i % 3] for i in range(n)]
