@@ -7,11 +7,12 @@ inputs, config and seed produce byte-identical outputs.
 Each rfad call is a short process, and loading code is most of its
 start-up time, so a command loads only the modules it runs: this module
 imports at its top what ``main`` and ``build_parser`` need, and each
-command imports the rest. So ``calibrate``, ``fingerprint``, ``classify``,
-``export`` and ``stats --records`` load no numpy (the reader logs live in
-the numpy-free ``readlog``), only ``export`` loads ``kiviat``,
-``classify``, ``export`` and ``stats --records`` load no ``readlog``,
-and ``simulate`` no ``fingerprint``, the air baseline's home.
+command imports the rest. So ``simulate``, ``calibrate``, ``fingerprint``,
+``classify``, ``export`` and ``stats --records`` load no numpy (the reader
+logs live in the numpy-free ``readlog``, and ``simulate`` draws numpy's
+normal stream in the pure-Python ``fluctuation``), only ``export`` loads
+``kiviat``, ``classify``, ``export`` and ``stats --records`` load no
+``readlog``, and ``simulate`` no ``fingerprint``, the air baseline's home.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
 """
@@ -43,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _cmd_simulate(args, config):
     check_outputs([("-o", args.output)], [args.config])
-    from . import signal as _signal
+    from .fluctuation import FluctuationModel, material_fluctuation_model, synthesize_rows
     from .materials import PERMITTIVITY, REFERENCE_LIQUIDS
     from .readlog import CodeSeries, write_series
     # channel k's seed is --seed + k: refuse a negative --seed whatever --channels
@@ -57,17 +58,15 @@ def _cmd_simulate(args, config):
     channels = [channel for channel in FINGERS if channel in (args.channels or FINGERS)]
     if args.material is not None:
         eps = PERMITTIVITY[args.material]
-        fluct = _signal.material_fluctuation_model(args.material, baseline=0, **acquisition)
+        fluct = material_fluctuation_model(args.material, baseline=0, **acquisition)
         baselines = [config.channel_code(channel, eps) for channel in channels]
     else:
-        fluct = _signal.FluctuationModel(baseline=args.baseline, **acquisition)
+        fluct = FluctuationModel(baseline=args.baseline, **acquisition)
         baselines = [args.baseline] * len(channels)
-    times, codes = _signal.synthesize_block(
+    times, rows = synthesize_rows(
         fluct, args.duration, [args.seed + FINGERS.index(channel) for channel in channels],
         baselines=baselines)
-    times = times.tolist()
-    series = {channel: CodeSeries(times, row)
-              for channel, row in zip(channels, codes.tolist())}
+    series = {channel: CodeSeries(times, row) for channel, row in zip(channels, rows)}
     write_series(series, args.output)
     print(f"wrote {sum(len(s) for s in series.values())} samples to {args.output}")
 

@@ -24,10 +24,11 @@ from .classify import (MaterialClass, PopulationSpec, TrialRecord,  # noqa: F401
 from .config import DEFAULT_POPULATION_SEED, SessionConfig, load_config
 from .errors import DataError
 from .fingerprint import Fingerprint, total
+from .fluctuation import material_fluctuation_model
 from .hand import FINGERS
 from .materials import PERMITTIVITY, REFERENCE_LIQUIDS
 from .readlog import CodeSeries, Estimator, check_window, write_log
-from .signal import material_fluctuation_model, synthesize_block
+from .signal import synthesize_block
 
 # P(exactly m of 5 fingers respond), m = 1..5. At least one finger always
 # responds; all five never do.

@@ -1,59 +1,29 @@
-"""Sensor-code time series: synthesis and spectrum, in numpy.
+"""Sensor-code time series as arrays: the campaign's rows and the
+spectrum, in numpy.
 
-A freshly touched sensor shows a decaying transient, then settles into a
-sawtooth fluctuation (charge/discharge of the tuning capacitor during
-interrogation) on top of the material-dependent baseline. The series
-type, its estimator and window sizing live in the numpy-free
-``rfad.readlog``.
+The fluctuation model, its material presets and one series at a time
+live in the numpy-free ``rfad.fluctuation``, whose normal stream is
+numpy's; ``synthesize_block`` makes many rows at once with numpy's own
+generator. The series type, its estimator and window sizing live in
+the numpy-free ``rfad.readlog``.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DataError
-from .ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN, MAX_SERIES_SAMPLES
+# numpy's SeedSequence constants, which pcg64_states applies to many seeds at once
+from .fluctuation import _HASH_A, _HASH_B, _MASK32, _MIX_LEFT, _MIX_RIGHT, _POOL_WORDS
+from .fluctuation import check_rows, pcg64_seeded
+# the model and the series live in fluctuation; bench/workloads.py looks them up here
+from .fluctuation import (FluctuationModel, material_fluctuation_model,  # noqa: F401
+                          synthesize_series)
+from .ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
 # window sizing lives in readlog; bench/workloads.py calls it from here
 from .readlog import CodeSeries, Estimator, estimate_window, minimum_samples  # noqa: F401
-from .value import Value, _set
 
-DEFAULT_SAMPLE_PERIOD = 0.7
-DEFAULT_SAWTOOTH_FREQUENCY = 0.7
-
-
-class FluctuationModel(Value):
-    """Parameters of the synthetic sensor-code generator."""
-
-    __slots__ = ("baseline", "sawtooth_amplitude", "sawtooth_frequency", "transient_duration",
-                 "transient_amplitude", "noise_sd", "sample_period")
-
-    def __init__(self, baseline: int = 200, sawtooth_amplitude: float = 2.0,
-                 sawtooth_frequency: float = DEFAULT_SAWTOOTH_FREQUENCY,
-                 transient_duration: float = 1.5,  # exponential decay constant, seconds
-                 transient_amplitude: float = 3.0, noise_sd: float = 1.0,
-                 sample_period: float = DEFAULT_SAMPLE_PERIOD):
-        _set(self, "baseline", baseline)
-        _set(self, "sawtooth_amplitude", sawtooth_amplitude)
-        _set(self, "sawtooth_frequency", sawtooth_frequency)
-        _set(self, "transient_duration", transient_duration)
-        _set(self, "transient_amplitude", transient_amplitude)
-        _set(self, "noise_sd", noise_sd)
-        _set(self, "sample_period", sample_period)
-        # every parameter finite, and so the code before noise and the sawtooth
-        # phase of the longest series: synthesize_block's arrays need no check
-        if not all(map(math.isfinite, (
-                transient_duration, noise_sd,
-                CODE_STORAGE_MAX + transient_amplitude + sawtooth_amplitude,
-                MAX_SERIES_SAMPLES * sample_period * sawtooth_frequency))):
-            raise DataError(f"fluctuation parameters must be finite, and so must the "
-                            f"peak code and sawtooth phase they give: {self}")
-        if min(sawtooth_frequency, sample_period, transient_duration) <= 0:
-            raise DataError("sawtooth frequency, sample period and transient time "
-                            "constant must be positive")
-        if min(sawtooth_amplitude, transient_amplitude, noise_sd) < 0:
-            raise DataError("amplitudes must be non-negative")
+_MIX_L, _MIX_R = np.uint32(_MIX_LEFT), np.uint32(_MIX_RIGHT)
 
 
 def _sawtooth(phase: np.ndarray) -> np.ndarray:
@@ -61,16 +31,6 @@ def _sawtooth(phase: np.ndarray) -> np.ndarray:
     the charge/discharge cycle of the tuning capacitor (the orientation
     fixes only the sign convention, not the spectrum)."""
     return -2.0 * (phase - np.floor(phase + 0.5))
-
-
-# numpy's SeedSequence: the pool size, its hash constants and multipliers,
-# and PCG64's 128-bit LCG multiplier
-_POOL_WORDS = 4
-_HASH_A = (0x43B0D7E5, 0x931E8875)
-_HASH_B = (0x8B51F9DD, 0x58F38DED)
-_MIX_LEFT, _MIX_RIGHT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 
 def _hash_constants(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +50,7 @@ def _hashmix(words: np.ndarray, pre: np.ndarray, post: np.ndarray) -> np.ndarray
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    value = _MIX_LEFT * x - _MIX_RIGHT * y
+    value = _MIX_L * x - _MIX_R * y
     return value ^ (value >> np.uint32(16))
 
 
@@ -98,16 +58,11 @@ def pcg64_states(seeds) -> list[tuple[int, int]]:
     """``(state, inc)`` of ``np.random.PCG64(seed)`` for each non-negative
     integer seed, all seeds hashed at once.
 
-    Follows numpy's ``SeedSequence``: the seed's little-endian 32-bit
-    words are hashed into a pool of four (a shorter seed behaves as if
-    padded with zero words), the pool words are mixed with each other,
-    and each word beyond the fourth (seeds >= 2**128) is mixed into all
-    of them; ``generate_state`` then hashes out four 64-bit words, and
-    PCG64's ``set_seed`` takes the first two as the initial state and
-    the last two as the stream. The hash steps are uint32 array
-    arithmetic over all seeds, which wraps as numpy's C code does. The
-    equality with ``PCG64(seed).state`` is pinned by tests, not implied
-    by numpy's interface.
+    The hashing of ``rfad.fluctuation.pcg64_state``, each step done as
+    uint32 array arithmetic over all seeds, which wraps as numpy's C code
+    does; a seed's words past its highest non-zero word leave its pool as
+    it is. The equality with ``PCG64(seed).state`` is pinned by tests, not
+    implied by numpy's interface.
     """
     seeds = [int(seed) for seed in seeds]
     width = max(_POOL_WORDS, -(-max(seeds, default=0).bit_length() // 32))
@@ -131,12 +86,7 @@ def pcg64_states(seeds) -> list[tuple[int, int]]:
     state_words = _hashmix(np.tile(pool, (2, 1)), pre, post)
     # pairs of 32-bit words, low word first, make the 64-bit words
     columns = np.ascontiguousarray(state_words.T, dtype="<u4").view("<u8").T.tolist()
-    states = []
-    for seed_hi, seed_lo, seq_hi, seq_lo in zip(*columns):
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULTIPLIER + inc) & _MASK128
-        states.append((state, inc))
-    return states
+    return [pcg64_seeded(*words) for words in zip(*columns)]
 
 
 def _normal_rows(seeds, sd: float, k: int) -> np.ndarray:
@@ -155,44 +105,24 @@ def _normal_rows(seeds, sd: float, k: int) -> np.ndarray:
     return 0.0 + sd * rows
 
 
-def synthesize_series(model: FluctuationModel, duration: float, seed: int) -> CodeSeries:
-    """Deterministically generate a sensor-code series of the given duration."""
-    times, codes = synthesize_block(model, duration, [seed], [model.baseline])
-    return CodeSeries(times.tolist(), codes[0].tolist())
-
-
 def synthesize_block(model: FluctuationModel, duration: float, seeds, baselines,
                      samples: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Sensor-code series of several channels that share one time base.
 
-    Row ``i`` of the returned ``(rows, k)`` codes is the series
-    ``synthesize_series`` gives for ``model`` with its baseline replaced
-    by ``baselines[i]`` and seed ``seeds[i]``. With ``samples`` set, only
+    Row ``i`` of the returned ``(rows, k)`` codes is row ``i`` of
+    ``rfad.fluctuation.synthesize_rows``: the series ``synthesize_series``
+    gives for ``model`` with its baseline replaced by ``baselines[i]`` and
+    seed ``seeds[i]``. With ``samples`` set, only
     the first ``samples`` values of each series are made: the noise of row
     ``i`` is ``default_rng(seeds[i]).normal(size=k)``, whose first values
     do not depend on ``k`` (pinned by the tests), so the truncated rows
     equal the leading columns of the full ones (see ``_normal_rows``).
     Returns ``(times, codes)``.
 
-    Every argument is checked before any array is allocated: a series
-    may hold at most ``MAX_SERIES_SAMPLES`` samples, there must be one
-    baseline per seed, seeds must be non-negative and baselines inside the
-    code storage range.
+    Every argument is checked, by ``check_rows``, before any array is
+    allocated.
     """
-    if not math.isfinite(duration) or duration < model.sample_period:
-        raise DataError(f"duration must be finite and cover at least one sample "
-                        f"period ({model.sample_period} s), got {duration}")
-    if duration / model.sample_period > MAX_SERIES_SAMPLES:
-        raise DataError(f"{duration} s at {model.sample_period} s per sample exceeds "
-                        f"the limit of {MAX_SERIES_SAMPLES} samples per series")
-    if len(seeds) != len(baselines):
-        raise DataError(f"{len(seeds)} series seeds for {len(baselines)} baselines")
-    if any(seed < 0 for seed in seeds):
-        raise DataError(f"series seeds must be non-negative, got {list(seeds)}")
-    if not all(CODE_STORAGE_MIN <= b <= CODE_STORAGE_MAX for b in baselines):
-        raise DataError(f"baseline codes {list(baselines)} outside storage range "
-                        f"[{CODE_STORAGE_MIN}, {CODE_STORAGE_MAX}]")
-    n = int(math.floor(duration / model.sample_period))
+    n = check_rows(model, duration, seeds, baselines)
     k = n if samples is None else max(0, min(samples, n))
     t = np.arange(n) * model.sample_period
     # computed over the full series, then cut, so that every value is the
@@ -241,45 +171,3 @@ def _check_uniform(series: CodeSeries) -> None:
 def estimate_code(series: CodeSeries, window: int, estimator: Estimator) -> float:
     """Mean or median sensor code over the first ``window`` samples."""
     return estimate_window(series.codes, window, estimator)
-
-
-# ---------------------------------------------------------------------------
-# material fixtures
-# ---------------------------------------------------------------------------
-
-# Fluctuation/noise grows with the permittivity of the touched liquid,
-# which is what pushes the minimum stable window up for water. The touch
-# transient decays faster than one sample period, so the early-window
-# dispersion is dominated by the initial jump.
-_MATERIAL_FLUCTUATION = {
-    "olive_oil": dict(sawtooth_amplitude=1.5, transient_amplitude=4.0,
-                      transient_duration=0.35, noise_sd=0.4),
-    "ethyl_alcohol": dict(sawtooth_amplitude=2.0, transient_amplitude=5.5,
-                          transient_duration=0.35, noise_sd=0.8),
-    "deionized_water": dict(sawtooth_amplitude=2.5, transient_amplitude=7.5,
-                            transient_duration=0.35, noise_sd=1.5),
-}
-
-DEFAULT_FIXTURE_SEED = 10
-
-
-def material_fluctuation_model(
-        material: str, baseline: int, *,
-        sample_period: float = DEFAULT_SAMPLE_PERIOD,
-        sawtooth_frequency: float = DEFAULT_SAWTOOTH_FREQUENCY) -> FluctuationModel:
-    """Fluctuation preset for one of the reference liquids, sampled and
-    swept at the given acquisition settings."""
-    try:
-        params = _MATERIAL_FLUCTUATION[material]
-    except KeyError:
-        raise DataError(f"no fluctuation preset for {material!r}; "
-                        f"known: {sorted(_MATERIAL_FLUCTUATION)}") from None
-    return FluctuationModel(baseline=baseline, sample_period=sample_period,
-                            sawtooth_frequency=sawtooth_frequency, **params)
-
-
-def material_fixture_series(material: str, baseline: int = 200, duration: float = 70.0,
-                            seed: int = DEFAULT_FIXTURE_SEED) -> CodeSeries:
-    """Canonical seeded series for one of the reference liquids."""
-    return synthesize_series(material_fluctuation_model(material, baseline),
-                             duration, seed=seed)

@@ -17,14 +17,14 @@ from rfad.config import load_config as default_config
 from rfad.fingerprint import (CalibrationBaseline, ChannelReading,
                               build_fingerprint, pressure_uncertainty,
                               propagated_uncertainty)
+from rfad.fluctuation import FluctuationModel, material_fixture_series, synthesize_series
 from rfad.hand import FINGERS
 from rfad.ic import antenna_response, power_transfer
 from rfad.population import (DEFAULT_POPULATION_SEED, generate_population,
                              monte_carlo_classification)
 from rfad.classify import reliability_report
 from rfad.readlog import DEFAULT_ASYMPTOTIC_SAMPLES, minimum_samples
-from rfad.signal import (dominant_frequency, material_fixture_series, synthesize_series,
-                         FluctuationModel)
+from rfad.signal import dominant_frequency
 from rfad.units import dbm_from_watts
 
 import test_properties

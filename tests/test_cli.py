@@ -16,8 +16,8 @@ from rfad.materials import PERMITTIVITY
 from rfad.classify import PopulationSpec
 from rfad.population import generate_population, save_records
 from rfad.readlog import load_code_series, write_log
-from rfad.signal import (FluctuationModel, estimate_code, material_fluctuation_model,
-                         synthesize_series)
+from rfad.fluctuation import FluctuationModel, material_fluctuation_model, synthesize_series
+from rfad.signal import estimate_code
 
 
 def run(*argv):
@@ -106,31 +106,31 @@ class TestSimulate:
             for series in load_code_series(path).values():
                 assert list(series.times) == [float(i) for i in range(70)]
 
-    @pytest.mark.parametrize("argv", [
-        ("--material", "ethyl_alcohol", "--seed", "3"),
-        ("--baseline", "120", "--seed", "11", "--channels", "V", "I", "V"),
-    ])
-    def test_channels_made_in_one_block_equal_single_series(self, tmp_path, monkeypatch,
-                                                            argv):
-        calls = []
-        block = signal.synthesize_block
-        monkeypatch.setattr(signal, "synthesize_block",
-                            lambda *a, **kw: calls.append(a) or block(*a, **kw))
+    @pytest.mark.parametrize("argv, channels", [
+        (("--material", "ethyl_alcohol", "--seed", "3"), FINGERS),
+        (("--baseline", "120", "--seed", "11", "--channels", "V", "I", "V"), ("I", "V")),
+        (("--baseline", "0", "--seed", "2", "--duration", "350"), FINGERS),
+        (("--material", "deionized_water", "--seed", str(2 ** 130), "--channels", "IV"),
+         ("IV",)),
+    ], ids=["material", "baseline-channels", "baseline-0", "seed-over-four-words"])
+    def test_channels_equal_the_block_rows(self, tmp_path, argv, channels):
+        # simulate draws in pure Python what the campaign's numpy block draws
         out = tmp_path / "s.csv"
         assert run("simulate", *argv, "-o", str(out)) == 0
-        assert len(calls) == 1
         series = load_code_series(out)
+        assert tuple(series) == tuple(channels)
         config, seed = load_config(), int(argv[argv.index("--seed") + 1])
-        for channel in series:
-            if argv[0] == "--material":
-                eps = PERMITTIVITY["ethyl_alcohol"]
-                model = material_fluctuation_model(
-                    "ethyl_alcohol", config.channel_code(channel, eps))
-            else:
-                model = FluctuationModel(baseline=120)
-            expected = synthesize_series(model, 70.0, seed + FINGERS.index(channel))
-            assert series[channel].codes == expected.codes
-        assert list(series) == (list(FINGERS) if argv[0] == "--material" else ["I", "V"])
+        duration = float(argv[argv.index("--duration") + 1]) if "--duration" in argv else 70.0
+        if argv[0] == "--material":
+            model = material_fluctuation_model(argv[1], 0)
+            baselines = [config.channel_code(ch, PERMITTIVITY[argv[1]]) for ch in channels]
+        else:
+            model = FluctuationModel(baseline=int(argv[1]))
+            baselines = [int(argv[1])] * len(channels)
+        times, codes = signal.synthesize_block(
+            model, duration, [seed + FINGERS.index(ch) for ch in channels], baselines)
+        assert [list(series[ch].codes) for ch in channels] == codes.tolist()
+        assert all(list(series[ch].times) == times.tolist() for ch in channels)
 
     def test_channel_subset(self, tmp_path):
         out = tmp_path / "two.csv"
@@ -888,10 +888,11 @@ class TestValuesNoFileCanHold:
         ("export", [dict(_fp(), material="oil\udcff")],
          "entry 0: material label 'oil\\udcff' must be a non-empty string UTF-8 "
          "can encode"),
-        ("stats", [dict(_as_record(_fp()), subject="\ud800")],
-         "entry 0: trial record subject and material must be non-empty strings UTF-8 "
-         "can encode, "
-         "got '\\ud800' and 'olive_oil'"),
+        # an explicit id: the message as its id would be over 200 characters
+        pytest.param("stats", [dict(_as_record(_fp()), subject="\ud800")],
+                     "entry 0: trial record subject and material must be non-empty strings "
+                     "UTF-8 can encode, got '\\ud800' and 'olive_oil'",
+                     id="stats-subject-not-utf8"),
         ("stats", [_as_record(dict(_fp(), material="\udfff"))],
          "entry 0: material label '\\udfff' must be a non-empty string"),
         ("classify", [dict(_fp(), values={**_fp()["values"], "II": 10 ** 400})],

@@ -430,10 +430,10 @@ class TestEveryKeyChangesAnOutput:
 _KEY_DEFAULTS_KEPT = {
     # the benchmark and acceptance criteria 4-5 build series and fluctuation
     # presets without a session config
-    ("rfad.signal", "FluctuationModel", "sample_period"),
-    ("rfad.signal", "FluctuationModel", "sawtooth_frequency"),
-    ("rfad.signal", "material_fluctuation_model", "sample_period"),
-    ("rfad.signal", "material_fluctuation_model", "sawtooth_frequency"),
+    ("rfad.fluctuation", "FluctuationModel", "sample_period"),
+    ("rfad.fluctuation", "FluctuationModel", "sawtooth_frequency"),
+    ("rfad.fluctuation", "material_fluctuation_model", "sample_period"),
+    ("rfad.fluctuation", "material_fluctuation_model", "sawtooth_frequency"),
 }
 
 
@@ -444,8 +444,9 @@ def _key_defaults():
     for info in pkgutil.iter_modules(rfad.__path__, "rfad."):
         module = importlib.import_module(info.name)
         for name, obj in vars(module).items():
+            # a builtin routine bound to a public name may have no __module__
             if (name.startswith("_") or not (inspect.isroutine(obj) or inspect.isclass(obj))
-                    or obj.__module__ != module.__name__):
+                    or getattr(obj, "__module__", None) != module.__name__):
                 continue
             try:
                 parameters = inspect.signature(obj).parameters.values()
@@ -458,4 +459,10 @@ def _key_defaults():
 
 def test_config_keys_have_no_second_default():
     # the shipped defaults file is the one source of a key's value
+    assert _key_defaults() == _KEY_DEFAULTS_KEPT
+
+
+def test_key_default_search_skips_a_routine_without_a_module(monkeypatch):
+    # object.__setattr__ has no __module__; bound to a public name, it is not rfad's
+    monkeypatch.setattr("rfad.value.set_field", object.__setattr__, raising=False)
     assert _key_defaults() == _KEY_DEFAULTS_KEPT

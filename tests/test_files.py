@@ -13,8 +13,9 @@ from rfad.cli import main
 from rfad.coupling import ImpedanceMatrix, save_impedance_matrix
 from rfad.errors import DataError
 from rfad.files import check_outputs, csv_text, json_text, write_json, write_lines, write_text
+from rfad.fluctuation import FluctuationModel, synthesize_series
 from rfad.readlog import CodeSeries, write_log, write_series
-from rfad.signal import FluctuationModel, amplitude_spectrum, synthesize_series
+from rfad.signal import amplitude_spectrum
 
 # SHA-256 of every output at the shipped seeds. An intended format change
 # updates these together with a note of what changed.

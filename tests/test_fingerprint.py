@@ -19,7 +19,7 @@ from rfad.fingerprint import (CalibrationBaseline, ChannelReading, Fingerprint,
                               propagated_uncertainty, save_baseline, save_fingerprints, total)
 from rfad.hand import FINGERS
 from rfad.readlog import CodeSeries, channel_codes
-from rfad.signal import FluctuationModel, synthesize_series
+from rfad.fluctuation import FluctuationModel, synthesize_series
 
 BASELINE = CalibrationBaseline(codes={f: 150.0 for f in FINGERS})
 

@@ -2,9 +2,10 @@
 
 Each rfad call is a short process, and loading code is most of its
 start-up time, so a command loads only the modules it runs.
-``calibrate``, ``fingerprint``, ``classify``, ``export`` and ``stats
---records`` do no array work, so they must run without numpy in
-``sys.modules``; the array commands load it inside the command. Of the
+``simulate``, ``calibrate``, ``fingerprint``, ``classify``, ``export`` and
+``stats --records`` do no array work (``simulate`` draws numpy's normal
+stream in the pure-Python ``fluctuation``), so they must run without numpy
+in ``sys.modules``; the array commands load it inside the command. Of the
 rfad modules, ``import rfad.cli`` loads only what parsing the command
 line and loading the config need, and each command adds the ones it
 runs: only ``export`` loads ``kiviat``, ``classify``, ``export`` and
@@ -84,8 +85,12 @@ def work(tmp_path):
     _command("stats", "--records", "records.json"),
     _command("calibrate", "air.csv", "-o", "b.json"),
     _command("fingerprint", "touched.csv", "--baseline", "baseline.json", "-o", "f.json"),
+    _command("simulate", "--duration", "7", "-o", "x.csv"),
+    _command("simulate", "--material", "deionized_water", "--channels", "II", "V",
+             "-o", "x.csv"),
 ], ids=["import-rfad", "import-cli", "classify-value", "classify-fingerprints",
-        "export", "stats-records", "calibrate", "fingerprint"])
+        "export", "stats-records", "calibrate", "fingerprint", "simulate",
+        "simulate-material"])
 def test_command_runs_without_numpy(work, script):
     assert not _numpy_loaded(work, script)
 
@@ -112,9 +117,11 @@ def test_refused_generate_loads_no_numpy(work):
     assert not _numpy_loaded(work, script)
 
 
-def test_array_command_loads_numpy(work):
-    # the probe itself works: a command that synthesizes does load numpy
-    assert _numpy_loaded(work, _command("simulate", "--duration", "7", "-o", "x.csv"))
+@pytest.mark.parametrize("script", [_command("coupling"), _command("stats", "--generate")],
+                         ids=["coupling", "stats-generate"])
+def test_array_command_loads_numpy(work, script):
+    # the probe itself works: a command that does array work does load numpy
+    assert _numpy_loaded(work, script)
 
 
 def test_start_up_loads_no_importlib_resources(tmp_path):
@@ -144,10 +151,10 @@ _START = {"cli", "config", "errors", "files", "hand", "ic", "materials", "units"
     (_command("calibrate", "air.csv", "-o", "b.json"), {"fingerprint", "readlog"}),
     (_command("fingerprint", "touched.csv", "--baseline", "baseline.json", "-o", "f.json"),
      {"fingerprint", "readlog"}),
-    (_command("simulate", "--duration", "7", "-o", "x.csv"), {"readlog", "signal"}),
+    (_command("simulate", "--duration", "7", "-o", "x.csv"), {"fluctuation", "readlog"}),
     (_command("coupling"), {"coupling"}),
     (_command("stats", "--generate"),
-     {"classify", "fingerprint", "population", "readlog", "signal"}),
+     {"classify", "fingerprint", "fluctuation", "population", "readlog", "signal"}),
 ], ids=["import-cli", "classify-value", "classify-fingerprints", "export", "stats-records",
         "calibrate", "fingerprint", "simulate", "coupling", "stats-generate"])
 def test_command_loads_only_the_rfad_modules_it_runs(work, script, added):
@@ -169,8 +176,8 @@ _NO_CODE_GENERATION = {"dataclasses", "inspect"}
     (_command("calibrate", "air.csv", "-o", "b.json"), _NO_CODE_GENERATION),
     (_command("fingerprint", "touched.csv", "--baseline", "baseline.json", "-o", "f.json"),
      _NO_CODE_GENERATION),
+    (_command("simulate", "--duration", "7", "-o", "x.csv"), _NO_CODE_GENERATION),
     # numpy imports inspect, so an array command saves only dataclasses
-    (_command("simulate", "--duration", "7", "-o", "x.csv"), {"dataclasses"}),
     (_command("coupling"), {"dataclasses"}),
     (_command("stats", "--generate"), {"dataclasses"}),
 ], ids=["import-cli", "classify-value", "classify-fingerprints", "export", "stats-records",

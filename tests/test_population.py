@@ -29,7 +29,8 @@ from rfad.population import (DEFAULT_CLASS_SDS, DEFAULT_COUNT_PROBS,
                              monte_carlo_classification, save_records)
 from rfad.ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
 from rfad.readlog import estimate_window, load_code_series
-from rfad.signal import _sawtooth, material_fluctuation_model
+from rfad.fluctuation import material_fluctuation_model
+from rfad.signal import _sawtooth
 
 # ---------------------------------------------------------------------------
 # Oracle: the hand-by-hand chain as first written (one full series per

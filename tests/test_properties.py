@@ -19,7 +19,7 @@ from rfad.ic import (CODE_STORAGE_MAX, AutoTuneIC, antenna_response,
                      calibrated_antenna_model, ic_susceptance, sensor_code)
 from rfad.readlog import (CodeSeries, convergence_error, load_code_series, write_log,
                           write_series)
-from rfad.signal import FluctuationModel, synthesize_series
+from rfad.fluctuation import FluctuationModel, synthesize_series
 
 N_CASES = 1000
 

@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 from rfad import readlog
 from rfad.errors import DataError
 from rfad.files import csv_text, finite, read_text
+from rfad.fluctuation import FluctuationModel, synthesize_series
 from rfad.hand import FINGERS
 from rfad.ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
 from rfad.readlog import READLOG_HEADER as LOG_FIELDS
 from rfad.readlog import SERIES_HEADER as SERIES_FIELDS
 from rfad.readlog import (CodeSeries, channel_codes, estimate_window, load_code_series,
                           write_log, write_series)
-from rfad.signal import FluctuationModel, estimate_code, synthesize_series
+from rfad.signal import estimate_code
 
 LOG_HEADER = "timestamp_s,epc,channel,sensor_code,rssi_dbm\n"
 SERIES_HEADER = "timestamp_s,channel,code\n"

@@ -14,10 +14,10 @@ from rfad.materials import REFERENCE_LIQUIDS
 from rfad.ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN, MAX_SERIES_SAMPLES
 from rfad.readlog import CodeSeries, convergence_error, minimum_samples
 from rfad.readlog import DEFAULT_ASYMPTOTIC_SAMPLES as M_INF
-from rfad.signal import (FluctuationModel, amplitude_spectrum, dominant_frequency,
-                         estimate_code, material_fixture_series,
-                         material_fluctuation_model, pcg64_states, synthesize_block,
-                         synthesize_series)
+from rfad.fluctuation import (FluctuationModel, material_fixture_series,
+                              material_fluctuation_model, synthesize_series)
+from rfad.signal import (amplitude_spectrum, dominant_frequency, estimate_code, pcg64_states,
+                         synthesize_block)
 from rfad.signal import _normal_rows
 
 

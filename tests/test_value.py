@@ -24,7 +24,7 @@ from rfad.fingerprint import CalibrationBaseline, ChannelReading, Fingerprint
 from rfad.hand import FINGERS
 from rfad.ic import EU_RFID_FREQUENCY, AntennaModel, AutoTuneIC, SensorCode
 from rfad.readlog import CodeSeries
-from rfad.signal import FluctuationModel
+from rfad.fluctuation import FluctuationModel
 from rfad.value import Value
 
 _CONFIG = load_config()
