@@ -42,34 +42,31 @@ class MaterialClass(Value):
 
 
 class TrialRecord(Value):
-    """One hand-material trial: which fingers responded, and the fingerprint."""
+    """One hand-material trial: its fingerprint, or none where no finger responded."""
 
-    __slots__ = ("subject", "material", "responsive", "fingerprint")
+    __slots__ = ("subject", "material", "fingerprint")
 
-    def __init__(self, subject: str, material: str, responsive: Mapping[str, bool],
-                 fingerprint: Optional[Fingerprint] = None):
+    def __init__(self, subject: str, material: str, fingerprint: Optional[Fingerprint] = None):
         _set(self, "subject", subject)
         _set(self, "material", material)
-        _set(self, "responsive", responsive)
         _set(self, "fingerprint", fingerprint)
-        if set(responsive) != set(FINGERS):
-            raise DataError("trial record needs exactly five channel slots")
-        if not all(isinstance(flag, bool) for flag in responsive.values()):
-            raise DataError(f"responsive flags must be true or false: {responsive}")
         if not all(name and is_utf8_text(name) for name in (subject, material)):
             raise DataError(f"trial record subject and material must be non-empty strings "
                             f"UTF-8 can encode, got {subject!r} and {material!r}")
         if fingerprint is not None and fingerprint.material_label not in (None, material):
             raise DataError(f"trial record of material {material!r} holds a fingerprint "
                             f"of {fingerprint.material_label!r}")
-        if fingerprint is not None and any(responsive[f] == fingerprint.imputed[f]
-                                           for f in FINGERS):
-            raise DataError(f"responsive flags {responsive} disagree with the "
-                            f"fingerprint's imputed flags {fingerprint.imputed}")
+
+    @property
+    def responsive(self) -> dict:
+        """Per finger, in finger order, whether it responded: not imputed."""
+        if self.fingerprint is None:
+            return dict.fromkeys(FINGERS, False)
+        return {f: not self.fingerprint.imputed[f] for f in FINGERS}
 
     @property
     def n_responsive(self) -> int:
-        return sum(bool(v) for v in self.responsive.values())
+        return 0 if self.fingerprint is None else self.fingerprint.n_responsive
 
 
 class PopulationSpec(Value):
@@ -155,16 +152,17 @@ def reliability_report(records: Sequence[TrialRecord]) -> ReliabilityReport:
     """CCD(m) for m = 1..5, the percent of trials with >= m responsive
     fingers; per finger, its response rate per material (sorted) and over
     all trials. Each is a percentage of counts, taken in one pass over the
-    records per statistic and finger."""
+    records per statistic and finger; each record's ``responsive`` is read once."""
     if not records:
         raise DataError("no trial records")
     trials = Counter(r.material for r in records)
     at_count = Counter(r.n_responsive for r in records)
     ccd = tuple(100.0 * sum(c for n, c in at_count.items() if n >= m) / len(records)
                 for m in range(1, len(FINGERS) + 1))
+    flags = [r.responsive for r in records]
     rates, joint = {}, {}
     for finger in FINGERS:
-        hits = Counter(r.material for r in records if r.responsive[finger])
+        hits = Counter(r.material for r, responsive in zip(records, flags) if responsive[finger])
         rates[finger] = {m: 100.0 * hits[m] / trials[m] for m in sorted(trials)}
         joint[finger] = 100.0 * hits.total() / len(records)
     return ReliabilityReport(ccd=ccd, per_finger_rates=rates, joint_rates=joint)
@@ -175,22 +173,28 @@ def reliability_report(records: Sequence[TrialRecord]) -> ReliabilityReport:
 # ---------------------------------------------------------------------------
 
 def save_records(records: Sequence[TrialRecord], path) -> None:
-    payload = []
-    for r in records:
-        payload.append({
-            "subject": r.subject, "material": r.material,
-            "responsive": {f: bool(r.responsive[f]) for f in FINGERS},
-            "fingerprint": (fingerprint_record(r.fingerprint)
-                            if r.fingerprint is not None else None),
-        })
-    write_json(path, payload)
+    write_json(path, [{"subject": r.subject, "material": r.material,
+                       "responsive": r.responsive,
+                       "fingerprint": (fingerprint_record(r.fingerprint)
+                                       if r.fingerprint is not None else None)}
+                      for r in records])
 
 
 def _record(rec: dict) -> TrialRecord:
+    """A record file's entry; its ``responsive`` flags are checked, not kept."""
     fp = json_field(rec, "fingerprint", dict, type(None), default=None)
-    return TrialRecord(subject=rec["subject"], material=rec["material"],
-                       responsive=dict(json_field(rec, "responsive", dict)),
-                       fingerprint=fingerprint_from_record(fp) if fp is not None else None)
+    subject, material = rec["subject"], rec["material"]
+    flags = json_field(rec, "responsive", dict)
+    record = TrialRecord(subject, material,
+                         fingerprint_from_record(fp) if fp is not None else None)
+    if not all(isinstance(flag, bool) for flag in flags.values()):
+        raise DataError(f"responsive flags must be true or false: {flags}")
+    if flags != record.responsive:
+        raise DataError(f"responsive flags {flags} disagree with " + (
+            "a record without a fingerprint, in which no finger responded"
+            if record.fingerprint is None
+            else f"the fingerprint's imputed flags {record.fingerprint.imputed}"))
+    return record
 
 
 def load_records(path) -> list[TrialRecord]:

@@ -4,7 +4,11 @@ The air baseline holds the air codes of an untouched hand; its gaps are
 the fingers without one. A fingerprint holds one touch's differential
 codes, unresponsive fingers imputed with the mean of the responsive ones;
 the touch-pressure uncertainty propagates through their average. Each has
-a JSON file, whose copies of derived facts are checked, not kept.
+a JSON file. The loaders check the keys a file holds beside what the type
+keeps, and keep none of them: a fingerprint's ``n_responsive`` and a
+baseline's ``timestamp`` and ``gaps`` here, a trial record's ``responsive``
+in ``rfad.classify``. A fingerprint's ``averaged`` and ``uncertainty`` are
+written for readers and ignored on load.
 """
 
 from __future__ import annotations

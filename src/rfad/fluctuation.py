@@ -299,8 +299,6 @@ _MATERIAL_FLUCTUATION = {
                             transient_duration=0.35, noise_sd=1.5),
 }
 
-DEFAULT_FIXTURE_SEED = 10
-
 
 def material_fluctuation_model(
         material: str, baseline: int, *,
@@ -315,10 +313,3 @@ def material_fluctuation_model(
                         f"known: {sorted(_MATERIAL_FLUCTUATION)}") from None
     return FluctuationModel(baseline=baseline, sample_period=sample_period,
                             sawtooth_frequency=sawtooth_frequency, **params)
-
-
-def material_fixture_series(material: str, baseline: int = 200, duration: float = 70.0,
-                            seed: int = DEFAULT_FIXTURE_SEED) -> CodeSeries:
-    """Canonical seeded series for one of the reference liquids."""
-    return synthesize_series(material_fluctuation_model(material, baseline),
-                             duration, seed=seed)

@@ -223,9 +223,7 @@ def generate_population(spec: PopulationSpec = PopulationSpec(),
             fp = Fingerprint(values=dict(zip(FINGERS, values)),
                              imputed={f: not flag for f, flag in zip(FINGERS, flags)},
                              material_label=material)
-            records.append(TrialRecord(
-                subject=f"S{subject + 1:02d}", material=material,
-                responsive=dict(zip(FINGERS, flags)), fingerprint=fp))
+            records.append(TrialRecord(f"S{subject + 1:02d}", material, fp))
             if out_dir is not None:
                 channels = [f for f, flag in zip(FINGERS, flags) if flag]
                 write_log({ch: CodeSeries(times, codes) for ch, codes

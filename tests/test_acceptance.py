@@ -17,7 +17,7 @@ from rfad.config import load_config as default_config
 from rfad.fingerprint import (CalibrationBaseline, ChannelReading,
                               build_fingerprint, pressure_uncertainty,
                               propagated_uncertainty)
-from rfad.fluctuation import FluctuationModel, material_fixture_series, synthesize_series
+from rfad.fluctuation import FluctuationModel, synthesize_series
 from rfad.hand import FINGERS
 from rfad.ic import antenna_response, power_transfer
 from rfad.population import (DEFAULT_POPULATION_SEED, generate_population,
@@ -28,6 +28,7 @@ from rfad.signal import dominant_frequency
 from rfad.units import dbm_from_watts
 
 import test_properties
+from test_signal import material_fixture_series
 
 
 def _report(name, ok, detail=""):

@@ -24,9 +24,17 @@ CLASSES = [
     MaterialClass("high", 139.5, 320.0, reference_materials=("deionized_water",)),
 ]
 
+def record_of(subject, material, responsive):
+    """The record of a trial in which the fingers flagged in ``responsive``
+    responded: its fingerprint's ``imputed`` flags are their negation, and
+    a trial in which none responded has no fingerprint."""
+    fp = (Fingerprint(dict.fromkeys(FINGERS, 10.0), {f: not responsive[f] for f in FINGERS})
+          if any(responsive.values()) else None)
+    return TrialRecord(subject, material, fp)
+
+
 def _record(n_responsive, material="olive_oil", subject="S01"):
-    responsive = {f: i < n_responsive for i, f in enumerate(FINGERS)}
-    return TrialRecord(subject=subject, material=material, responsive=responsive)
+    return record_of(subject, material, {f: i < n_responsive for i, f in enumerate(FINGERS)})
 
 
 def ccd(records):
@@ -135,10 +143,10 @@ class TestCcd:
 class TestPerFingerRates:
     def test_joint_and_per_material(self):
         records = [
-            TrialRecord("S01", "olive_oil",
-                        {"I": True, "II": True, "III": False, "IV": False, "V": False}),
-            TrialRecord("S01", "deionized_water",
-                        {"I": False, "II": True, "III": True, "IV": False, "V": False}),
+            record_of("S01", "olive_oil",
+                      {"I": True, "II": True, "III": False, "IV": False, "V": False}),
+            record_of("S01", "deionized_water",
+                      {"I": False, "II": True, "III": True, "IV": False, "V": False}),
         ]
         report = reliability_report(records)
         rates, joint = report.per_finger_rates, report.joint_rates
@@ -175,31 +183,60 @@ class TestReportMatchesReference:
                               st.lists(st.booleans(), min_size=5, max_size=5)),
                     min_size=1, max_size=40))
     def test_random_records(self, trials):
-        records = [TrialRecord(f"S{i}", material, dict(zip(FINGERS, mask)))
+        records = [record_of(f"S{i}", material, dict(zip(FINGERS, mask)))
                    for i, (material, mask) in enumerate(trials)]
         report, expected = reliability_report(records), _reference_report(records)
         assert report == expected
         assert repr(report) == repr(expected)  # dict == ignores key order
 
 
+def _load_one(tmp_path, record):
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps([record]))
+    return load_records(path)
+
+
+def _entry(responsive, fp=None):
+    """A record file's entry of an olive-oil trial."""
+    return {"subject": "S01", "material": "olive_oil", "responsive": responsive,
+            "fingerprint": fp}
+
+
+_III_TO_V = {f: f in ("III", "IV", "V") for f in FINGERS}
+_THUMB_FP = {"values": dict.fromkeys(FINGERS, 10.0), "imputed": {f: f != "I" for f in FINGERS},
+             "n_responsive": 1}
+
+
 class TestTrialRecord:
-    def test_needs_five_slots(self):
-        with pytest.raises(DataError):
-            TrialRecord("S01", "olive_oil", {"I": True})
+    def test_needs_five_slots(self, tmp_path):
+        with pytest.raises(DataError, match="disagree"):
+            _load_one(tmp_path, _entry({"I": True}, _THUMB_FP))
 
     def test_n_responsive(self):
         assert _record(3).n_responsive == 3
 
-    def test_responsive_flags_must_match_fingerprint(self):
-        fp = Fingerprint(values={f: 10.0 for f in FINGERS},
-                         imputed={f: f != "I" for f in FINGERS})
+    def test_responsive_flags_must_match_fingerprint(self, tmp_path):
         only_thumb = {f: f == "I" for f in FINGERS}
-        assert TrialRecord("S01", "olive_oil", only_thumb, fp).n_responsive == 1
+        [record] = _load_one(tmp_path, _entry(only_thumb, _THUMB_FP))
+        assert record.n_responsive == 1 and record.responsive == only_thumb
         for responsive in ({f: True for f in FINGERS},
                            {f: f == "II" for f in FINGERS}):
             with pytest.raises(DataError, match="disagree"):
-                TrialRecord("S01", "olive_oil", responsive, fp)
+                _load_one(tmp_path, _entry(responsive, _THUMB_FP))
 
+    def test_responsive_are_the_fingers_not_imputed_in_finger_order(self):
+        fp = Fingerprint(values=dict.fromkeys(FINGERS, 10.0),
+                         imputed={f: f in ("II", "V") for f in reversed(FINGERS)})
+        record = TrialRecord("S01", "olive_oil", fp)
+        assert list(record.responsive.items()) == [
+            ("I", True), ("II", False), ("III", True), ("IV", True), ("V", False)]
+        assert record.n_responsive == 3
+
+    def test_record_without_fingerprint_is_a_trial_where_no_finger_responded(self):
+        record = TrialRecord("S01", "olive_oil")
+        assert record.fingerprint is None
+        assert record.responsive == dict.fromkeys(FINGERS, False)
+        assert record.n_responsive == 0
 
     @pytest.mark.parametrize("subject, material", [
         ("\ud800", "olive_oil"), ("S01", "oil\udcff"), (5, "olive_oil"), ("S01", None),
@@ -209,7 +246,7 @@ class TestTrialRecord:
     def test_subject_and_material_must_be_utf8_text(self, subject, material):
         with pytest.raises(DataError, match="^trial record subject and material must be "
                                             "non-empty strings UTF-8 can encode, got "):
-            TrialRecord(subject, material, {f: True for f in FINGERS})
+            TrialRecord(subject, material)
 
     @pytest.mark.parametrize("label", ["deionized_water", "olive_oil ", "Olive_oil"])
     def test_fingerprint_of_another_material_is_refused(self, label):
@@ -218,14 +255,14 @@ class TestTrialRecord:
                          material_label=label)
         error = f"trial record of material 'olive_oil' holds a fingerprint of {label!r}"
         with pytest.raises(DataError, match=f"^{re.escape(error)}$"):
-            TrialRecord("S01", "olive_oil", dict.fromkeys(FINGERS, True), fp)
+            TrialRecord("S01", "olive_oil", fp)
 
     @pytest.mark.parametrize("label", [None, "olive_oil"])
     def test_fingerprint_of_no_or_the_same_material_is_accepted(self, label):
         fp = Fingerprint(values=dict.fromkeys(FINGERS, 10.0),
                          imputed=dict.fromkeys(FINGERS, False),
                          material_label=label)
-        record = TrialRecord("S01", "olive_oil", dict.fromkeys(FINGERS, True), fp)
+        record = TrialRecord("S01", "olive_oil", fp)
         assert record.fingerprint is fp
 
 
@@ -234,11 +271,22 @@ class TestRecordPersistence:
         fp = Fingerprint(values={f: 10.0 + i for i, f in enumerate(FINGERS)},
                          imputed={f: f == "V" for f in FINGERS},
                          material_label="olive_oil")
-        records = [TrialRecord("S01", "olive_oil", {f: f != "V" for f in FINGERS}, fp),
+        records = [TrialRecord("S01", "olive_oil", fp),
                    _record(2, material="deionized_water", subject="S02")]
         path = tmp_path / "records.json"
         save_records(records, path)
         assert load_records(path) == records
+
+    def test_zero_responder_trial_round_trips(self, tmp_path):
+        path = tmp_path / "records.json"
+        save_records([TrialRecord("S01", "olive_oil")], path)
+        assert json.loads(path.read_text()) == [_entry(dict.fromkeys(FINGERS, False))]
+        assert load_records(path) == [TrialRecord("S01", "olive_oil")]
+
+    def test_zero_responder_trial_counts_against_ccd_1(self):
+        report = reliability_report([TrialRecord("S01", "olive_oil"), _record(5)])
+        assert report.ccd == (50.0,) * 5
+        assert report.joint_rates == dict.fromkeys(FINGERS, 50.0)
 
     @pytest.mark.parametrize("changes, error", [
         ({"subject": ""}, "trial record subject and material must be non-empty strings "
@@ -249,7 +297,14 @@ class TestRecordPersistence:
          "trial record of material 'olive_oil' holds a fingerprint of 'deionized_water'"),
         ({"fingerprint_material": ""},
          "material label '' must be a non-empty string UTF-8 can encode"),
-    ], ids=["empty-subject", "empty-material", "other-material", "empty-label"])
+        ({"fingerprint": None, "responsive": _III_TO_V},
+         f"responsive flags {_III_TO_V} disagree with a record without a fingerprint, "
+         f"in which no finger responded"),
+        # 1 == True: a number is no flag, though a dict of them compares equal
+        ({"responsive": dict.fromkeys(FINGERS, 1)},
+         f"responsive flags must be true or false: {dict.fromkeys(FINGERS, 1)}"),
+    ], ids=["empty-subject", "empty-material", "other-material", "empty-label",
+            "no-fingerprint-but-a-true-flag", "number-flags"])
     def test_refused_record_names_file_and_entry(self, tmp_path, changes, error):
         fp = {"material": changes.pop("fingerprint_material", "olive_oil"),
               "values": dict.fromkeys(FINGERS, 10.0), "imputed": dict.fromkeys(FINGERS, False),
@@ -297,10 +352,7 @@ def _records(draw):
     """A trial record; its fingerprint, if any, names no material or the record's."""
     material = draw(_TEXT)
     fp = draw(st.none() | _fingerprints(st.sampled_from([None, material])))
-    responsive = (draw(_MASKS) if fp is None
-                  else [not fp.imputed[f] for f in FINGERS])
-    return TrialRecord(subject=draw(_TEXT), material=material,
-                       responsive=dict(zip(FINGERS, responsive)), fingerprint=fp)
+    return TrialRecord(draw(_TEXT), material, fp)
 
 
 def _round_trip(save, load, items, fps):

@@ -386,20 +386,25 @@ def _flags(*fingers):
 
 
 # Three materials out of sorted order with 3, 2 and 1 trials, a trial where
-# no finger responded and one where all five did, and four records without
-# a fingerprint (null or no field).
+# no finger responded, which has no fingerprint, and one where all five did.
 _HAND_RECORDS = [
     {"subject": "S01", "material": "olive_oil", "fingerprint": None, "responsive": _flags()},
     {"subject": "S01", "material": "deionized_water", "responsive": _flags(*FINGERS),
      "fingerprint": {"values": {"I": 10.0, "II": 12.0, "III": 14.0, "IV": 16.0, "V": 18.0},
                      "imputed": _flags(), "n_responsive": 5}},
-    {"subject": "S02", "material": "olive_oil", "responsive": _flags("II", "III")},
+    {"subject": "S02", "material": "olive_oil", "responsive": _flags("II", "III"),
+     "fingerprint": {"values": {"I": 25.0, "II": 20.0, "III": 30.0, "IV": 25.0, "V": 25.0},
+                     "imputed": _flags("I", "IV", "V"), "n_responsive": 2}},
     {"subject": "S02", "material": "ethyl_alcohol", "responsive": _flags("I", "II"),
      "fingerprint": {"values": {"I": 90.0, "II": 80.0, "III": 85.0, "IV": 85.0, "V": 85.0},
                      "imputed": _flags("III", "IV", "V"), "n_responsive": 2}},
-    {"subject": "S03", "material": "olive_oil", "fingerprint": None,
-     "responsive": _flags("III", "IV", "V")},
-    {"subject": "S03", "material": "deionized_water", "responsive": _flags("I", "II", "IV", "V")},
+    {"subject": "S03", "material": "olive_oil", "responsive": _flags("III", "IV", "V"),
+     "fingerprint": {"values": {"I": 30.0, "II": 30.0, "III": 20.0, "IV": 30.0, "V": 40.0},
+                     "imputed": _flags("I", "II"), "n_responsive": 3}},
+    {"subject": "S03", "material": "deionized_water", "responsive": _flags("I", "II", "IV", "V"),
+     "fingerprint": {"values": {"I": 150.0, "II": 160.0, "III": 160.0, "IV": 170.0,
+                                "V": 160.0},
+                     "imputed": _flags("III"), "n_responsive": 4}},
 ]
 
 _HAND_REPORT = """\
@@ -659,6 +664,19 @@ class TestStats:
         err = capsys.readouterr().err
         assert str(bad) in err and "disagree" in err
 
+    def test_record_without_fingerprint_that_claims_a_responder_is_data_error(
+            self, tmp_path, capsys):
+        claims = _flags("II")
+        bad = tmp_path / "records.json"
+        bad.write_text(json.dumps([_as_record(_fp()), {"subject": "S02", "material": "olive_oil",
+                                                       "responsive": claims}]))
+        report = tmp_path / "report.json"
+        assert run("stats", "--records", str(bad), "-o", str(report)) == 2
+        assert capsys.readouterr().err == (
+            f"rfad: {bad}: entry 1: responsive flags {claims} disagree with a record "
+            f"without a fingerprint, in which no finger responded\n")
+        assert not report.exists()
+
 
 class TestExport:
     def test_kiviat_svg_and_csv(self, tmp_path, baseline_file):
@@ -849,7 +867,12 @@ class TestJsonFieldTypes:
          "baseline code 'a' for channel I must be a number in the storage range"),
         # {} is a fingerprint without its fields; only null or no field means none
         ("stats", [dict(_as_record(_fp()), fingerprint={})], "entry 0: missing field 'values'"),
-    ])
+    ], ids=["stats-fingerprint-number", "stats-responsive-array", "stats-values-number",
+            "classify-values-number", "classify-imputed-string", "export-n-responsive-boolean",
+            "export-n-responsive-null", "classify-n-responsive-4.9", "stats-n-responsive-5.5",
+            "classify-material-number", "export-material-array", "classify-values-missing",
+            "baseline-codes-number", "baseline-gaps-string", "baseline-timestamp-number",
+            "baseline-code-string", "stats-fingerprint-empty-object"])
     def test_wrong_type_names_path_entry_and_field(self, tmp_path, capsys, air_log,
                                                     command, payload, error):
         given = tmp_path / "given.json"
@@ -867,9 +890,9 @@ class TestJsonFieldTypes:
 
     def test_valid_files_load_as_before(self, tmp_path, capsys):
         records = tmp_path / "records.json"
-        no_field = {k: v for k, v in _as_record(_fp()).items() if k != "fingerprint"}
-        records.write_text(json.dumps([_as_record(_fp()),
-                                       dict(_as_record(_fp()), fingerprint=None), no_field]))
+        no_responder = dict(_as_record(_fp()), responsive=_flags(), fingerprint=None)
+        no_field = {k: v for k, v in no_responder.items() if k != "fingerprint"}
+        records.write_text(json.dumps([_as_record(_fp()), no_responder, no_field]))
         assert run("stats", "--records", str(records)) == 0
         fps = tmp_path / "fps.json"
         fps.write_text(json.dumps([dict(_fp(), n_responsive=5.0)]))

@@ -306,6 +306,16 @@ class TestSerialization:
         assert record["averaged"] == 10.0
         assert record["uncertainty"] == pytest.approx(propagated_uncertainty(fp))
 
+    def test_averaged_and_uncertainty_of_a_file_are_recomputed(self, tmp_path):
+        fp = build_fingerprint(_readings({"I": 140.0, "II": 130.0}), BASELINE)
+        path, again = tmp_path / "fps.json", tmp_path / "again.json"
+        path.write_text(json.dumps([dict(fingerprint_record(fp), averaged=999.0,
+                                         uncertainty=-1.0)]))
+        save_fingerprints(load_fingerprints(path), again)
+        [record] = json.loads(again.read_text())
+        assert record["averaged"] == averaged_fingerprint(fp) == 15.0
+        assert record["uncertainty"] == propagated_uncertainty(fp)
+
     def test_empty_label_in_a_file_is_refused(self, tmp_path):
         # it was once read back and shown as fingerprint-1
         record = dict(fingerprint_record(build_fingerprint(_readings({"I": 140.0}), BASELINE)),

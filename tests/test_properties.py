@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from rfad.classify import TrialRecord, reliability_report
+from rfad.classify import reliability_report
 from rfad.config import load_config
 from rfad.coupling import ImpedanceMatrix, PortLoad, power_wave_scattering
 from rfad.fingerprint import (CalibrationBaseline, ChannelReading,
@@ -20,6 +20,8 @@ from rfad.ic import (CODE_STORAGE_MAX, AutoTuneIC, antenna_response,
 from rfad.readlog import (CodeSeries, convergence_error, load_code_series, write_log,
                           write_series)
 from rfad.fluctuation import FluctuationModel, synthesize_series
+
+from test_classify import record_of
 
 N_CASES = 1000
 
@@ -121,9 +123,7 @@ def run_ccd_monotonicity(n=N_CASES, seed=106):
         records = []
         for i in range(n_records):
             flags = rng.random(5) < rng.uniform(0.1, 0.9)
-            records.append(TrialRecord(
-                subject=f"S{i}", material="olive_oil",
-                responsive=dict(zip(FINGERS, map(bool, flags)))))
+            records.append(record_of(f"S{i}", "olive_oil", dict(zip(FINGERS, map(bool, flags)))))
         result = reliability_report(records).ccd
         ok = all(a >= b for a, b in zip(result, result[1:]))
         ok = ok and all(0.0 <= v <= 100.0 for v in result)

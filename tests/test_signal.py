@@ -14,11 +14,18 @@ from rfad.materials import REFERENCE_LIQUIDS
 from rfad.ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN, MAX_SERIES_SAMPLES
 from rfad.readlog import CodeSeries, convergence_error, minimum_samples
 from rfad.readlog import DEFAULT_ASYMPTOTIC_SAMPLES as M_INF
-from rfad.fluctuation import (FluctuationModel, material_fixture_series,
-                              material_fluctuation_model, synthesize_series)
+from rfad.fluctuation import FluctuationModel, material_fluctuation_model, synthesize_series
 from rfad.signal import (amplitude_spectrum, dominant_frequency, estimate_code, pcg64_states,
                          synthesize_block)
 from rfad.signal import _normal_rows
+
+
+FIXTURE_SEED = 10
+
+
+def material_fixture_series(material: str) -> CodeSeries:
+    """The canonical seeded series of a reference liquid: 70 s at baseline 200."""
+    return synthesize_series(material_fluctuation_model(material, 200), 70.0, seed=FIXTURE_SEED)
 
 
 def _series(codes, dt=0.7):

@@ -35,8 +35,7 @@ _MATRIX = ImpedanceMatrix(np.eye(2) * (50 + 1j), frequency=867e6, port_labels=("
 _VALUES = [
     (MaterialClass("low", -320.0, 59.5, ("olive_oil",)),
      "(label, lower, upper, reference_materials=())"),
-    (TrialRecord("S01", "olive_oil", {f: f != "V" for f in FINGERS}, _FP),
-     "(subject, material, responsive, fingerprint=None)"),
+    (TrialRecord("S01", "olive_oil", _FP), "(subject, material, fingerprint=None)"),
     (PopulationSpec(),
      "(subjects=10, trials=3, materials=('olive_oil', 'ethyl_alcohol', 'deionized_water'))"),
     (ReliabilityReport((100.0,) * 5, {f: {"olive_oil": 100.0} for f in FINGERS},
