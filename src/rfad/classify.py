@@ -59,10 +59,9 @@ class TrialRecord(Value):
 
     @property
     def responsive(self) -> dict:
-        """Per finger, in finger order, whether it responded: not imputed."""
-        if self.fingerprint is None:
-            return dict.fromkeys(FINGERS, False)
-        return {f: not self.fingerprint.imputed[f] for f in FINGERS}
+        """Per finger, in finger order, whether it responded: it has a code in the fingerprint."""
+        deltas = {} if self.fingerprint is None else self.fingerprint.deltas
+        return {f: f in deltas for f in FINGERS}
 
     @property
     def n_responsive(self) -> int:

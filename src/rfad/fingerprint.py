@@ -1,13 +1,15 @@
 """Air baselines, differential sensor codes, hand fingerprints, and their uncertainty.
 
 The air baseline holds the air codes of an untouched hand; its gaps are
-the fingers without one. A fingerprint holds one touch's differential
-codes, unresponsive fingers imputed with the mean of the responsive ones;
-the touch-pressure uncertainty propagates through their average. Each has
-a JSON file. The loaders check the keys a file holds beside what the type
-keeps, and keep none of them: a fingerprint's ``n_responsive`` and a
-baseline's ``timestamp`` and ``gaps`` here, a trial record's ``responsive``
-in ``rfad.classify``. A fingerprint's ``averaged`` and ``uncertainty`` are
+the fingers without one. A fingerprint holds the differential codes of the
+fingers that responded to one touch; each other finger is imputed with
+their mean, which measures nothing and so is derived, not kept. The
+touch-pressure uncertainty propagates through the responsive codes. Each
+has a JSON file. The loaders check the keys a file holds beside what the
+type keeps, and keep none of them: a fingerprint's ``imputed`` flags, the
+values of its imputed fingers and its ``n_responsive``, and a baseline's
+``timestamp`` and ``gaps`` here, a trial record's ``responsive`` in
+``rfad.classify``. A fingerprint's ``averaged`` and ``uncertainty`` are
 written for readers and ignored on load.
 """
 
@@ -77,31 +79,39 @@ def check_material_label(label, where: str = "") -> None:
 
 
 class Fingerprint(Value):
-    """Five differential codes, with imputation bookkeeping."""
+    """The differential codes of the fingers that responded, in finger order."""
 
-    __slots__ = ("values", "imputed", "material_label")
+    __slots__ = ("deltas", "material_label")
 
-    def __init__(self, values: Mapping[str, float], imputed: Mapping[str, bool],
-                 material_label: Optional[str] = None):
-        _set(self, "values", values)
-        _set(self, "imputed", imputed)
+    def __init__(self, deltas: Mapping[str, float], material_label: Optional[str] = None):
+        _set(self, "deltas", {f: deltas[f] for f in FINGERS if f in deltas})
         _set(self, "material_label", material_label)
-        if set(values) != set(FINGERS) or set(imputed) != set(FINGERS):
-            raise DataError("fingerprint must cover exactly the five fingers")
-        if not all(isinstance(flag, bool) for flag in imputed.values()):
-            raise DataError(f"imputed flags must be true or false: {imputed}")
-        if all(imputed.values()):
+        if not deltas:
             raise DataError("a fingerprint needs at least one finger not imputed")
-        # an int beyond the float range is refused too, so every value has a float
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                   and abs(v) <= sys.float_info.max for v in values.values()):
-            raise DataError(f"fingerprint values must be finite numbers: {values}")
+        if unknown := [f for f in deltas if f not in FINGERS]:
+            raise DataError(f"unknown finger {unknown[0]!r} in fingerprint")
+        # an int beyond the float range has no float, and a mean may overflow where it fills
+        if not (all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and abs(v) <= sys.float_info.max for v in deltas.values())
+                and all(map(math.isfinite, self.values.values()))):
+            raise DataError(f"fingerprint values must be finite numbers: {dict(deltas)}")
         check_material_label(material_label)
+
+    @property
+    def values(self) -> dict:
+        """Each finger's differential code, or the mean of ``deltas`` where it has none."""
+        fill = total(self.deltas.values()) / len(self.deltas)
+        return {f: self.deltas.get(f, fill) for f in FINGERS}
+
+    @property
+    def imputed(self) -> dict:
+        """Per finger, whether its value is the mean of the others: it did not respond."""
+        return {f: f not in self.deltas for f in FINGERS}
 
     @property
     def n_responsive(self) -> int:
         """The number of fingers not imputed."""
-        return sum(not flag for flag in self.imputed.values())
+        return len(self.deltas)
 
 
 def readings(codes: Mapping[str, float]) -> list[ChannelReading]:
@@ -115,12 +125,6 @@ def total(values: Iterable[float]) -> float:
     float on every Python (``sum`` of floats is compensated from 3.12
     on), and the order in which the Monte Carlo adds its columns."""
     return functools.reduce(operator.add, values, 0.0)
-
-
-def imputed_values(deltas: Mapping[str, float]) -> list[float]:
-    """Each finger's differential code, or the mean of ``deltas`` if it has none."""
-    fill = total(deltas.values()) / len(deltas)
-    return [deltas.get(f, fill) for f in FINGERS]
 
 
 def build_fingerprint(readings: Sequence[ChannelReading],
@@ -140,9 +144,7 @@ def build_fingerprint(readings: Sequence[ChannelReading],
     if uncalibrated := [f for f in responsive if f not in baseline.codes]:
         raise UncalibratedChannelError(f"no calibration baseline for channel {uncalibrated[0]}")
     deltas = {f: baseline.codes[f] - by_channel[f].code for f in responsive}
-    return Fingerprint(values=dict(zip(FINGERS, imputed_values(deltas))),
-                       imputed={f: f not in deltas for f in FINGERS},
-                       material_label=material_label)
+    return Fingerprint(deltas, material_label)
 
 
 def fingerprint_label(fp: Fingerprint, index: int) -> str:
@@ -153,7 +155,7 @@ def fingerprint_label(fp: Fingerprint, index: int) -> str:
 
 def averaged_fingerprint(fp: Fingerprint) -> float:
     """Mean of the five post-imputation differential codes."""
-    return total(fp.values[f] for f in FINGERS) / len(FINGERS)
+    return total(fp.values.values()) / len(FINGERS)
 
 
 def pressure_uncertainty(delta_s: float) -> float:
@@ -171,7 +173,7 @@ def propagated_uncertainty(fp: Fingerprint) -> float:
     for alcohol and water and by more for oil: the bound scales with the
     differential codes, the generator's pressure spread does not.
     """
-    sigmas = [pressure_uncertainty(fp.values[f]) for f in FINGERS if not fp.imputed[f]]
+    sigmas = [pressure_uncertainty(delta) for delta in fp.deltas.values()]
     return math.sqrt(total(s * s for s in sigmas)) / len(sigmas)
 
 
@@ -183,8 +185,8 @@ def fingerprint_record(fp: Fingerprint) -> dict:
     """JSON-ready record of one fingerprint."""
     return {
         "material": fp.material_label,
-        "values": {f: fp.values[f] for f in FINGERS},
-        "imputed": {f: fp.imputed[f] for f in FINGERS},
+        "values": fp.values,
+        "imputed": fp.imputed,
         "n_responsive": fp.n_responsive,
         "averaged": averaged_fingerprint(fp),
         "uncertainty": propagated_uncertainty(fp),
@@ -192,9 +194,19 @@ def fingerprint_record(fp: Fingerprint) -> dict:
 
 
 def fingerprint_from_record(record: dict) -> Fingerprint:
-    fp = Fingerprint(values=dict(json_field(record, "values", dict)),
-                     imputed=dict(json_field(record, "imputed", dict)),
-                     material_label=json_field(record, "material", str, type(None), default=None))
+    """A fingerprint file's values of the fingers not imputed; the rest is checked, not kept."""
+    values = json_field(record, "values", dict)
+    imputed = json_field(record, "imputed", dict)
+    if set(values) != set(FINGERS) or set(imputed) != set(FINGERS):
+        raise DataError("fingerprint must cover exactly the five fingers")
+    if not all(isinstance(flag, bool) for flag in imputed.values()):
+        raise DataError(f"imputed flags must be true or false: {imputed}")
+    fp = Fingerprint({f: v for f, v in values.items() if not imputed[f]},
+                     json_field(record, "material", str, type(None), default=None))
+    for f, derived in fp.values.items():
+        if imputed[f] and (isinstance(values[f], bool) or values[f] != derived):
+            raise DataError(f"field 'values' of imputed finger {f} must be {derived!r}, the mean "
+                            f"of the fingers not imputed, found {values[f]!r}")
     n_responsive = json_field(record, "n_responsive", int, float)
     if n_responsive != fp.n_responsive:
         raise DataError(f"field 'n_responsive' must be {fp.n_responsive}, the number of "

@@ -56,7 +56,8 @@ def kiviat_svg(fingerprints: Sequence[Fingerprint]) -> str:
     if not fingerprints:
         raise DataError("need at least one fingerprint to plot")
     radius = _SIZE / 2 - _MARGIN
-    peak = max((max(fp.values.values()) for fp in fingerprints), default=0.0)
+    values = [fp.values for fp in fingerprints]
+    peak = max((max(v.values()) for v in values), default=0.0)
     scale = radius / peak if peak > 0 else 0.0
     angles = _axis_angles()
     cx = cy = _SIZE / 2
@@ -83,9 +84,9 @@ def kiviat_svg(fingerprints: Sequence[Fingerprint]) -> str:
         parts.append(f'<text x="{lx:.1f}" y="{ly:.1f}" text-anchor="middle" '
                      f'dominant-baseline="middle" font-size="14">{finger}</text>')
     # one polygon + markers per fingerprint
-    for idx, fp in enumerate(fingerprints):
+    for idx, (fp, fp_values) in enumerate(zip(fingerprints, values)):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = [_point(fp.values[f], a, scale, radius)
+        pts = [_point(fp_values[f], a, scale, radius)
                for f, a in zip(FINGERS, angles)]
         point_attr = " ".join(f"{x:.1f},{y:.1f}" for x, y in pts)
         label = _label(fp, idx)
@@ -93,7 +94,7 @@ def kiviat_svg(fingerprints: Sequence[Fingerprint]) -> str:
                      f'fill-opacity="0.15" stroke="{color}" stroke-width="2" '
                      f'class="fingerprint" data-label="{label}"/>')
         for finger, (x, y) in zip(FINGERS, pts):
-            fill = "none" if fp.imputed[finger] else color
+            fill = color if finger in fp.deltas else "none"
             parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="5" '
                          f'fill="{fill}" stroke="{color}" stroke-width="2" '
                          f'data-channel="{finger}" data-label="{label}"/>')
@@ -107,9 +108,8 @@ def kiviat_csv(fingerprints: Sequence[Fingerprint]) -> str:
         label = fingerprint_label(fp, idx)
         if not math.isfinite(f_bar := averaged_fingerprint(fp)):  # finite values may sum to inf
             raise DataError(f"{label}: averaged value {f_bar} is not finite")
-        for finger in FINGERS:
-            rows.append([label, finger, repr(fp.values[finger]),
-                         int(fp.imputed[finger]), repr(f_bar)])
+        for finger, value in fp.values.items():
+            rows.append([label, finger, repr(value), int(finger not in fp.deltas), repr(f_bar)])
     return csv_text(["label", "channel", "value", "imputed", "averaged"], rows)
 
 
@@ -117,7 +117,7 @@ def chart_targets(path) -> list[tuple[str, str]]:
     """The chart that ``export_kiviat`` writes for ``path`` (gaining ``.svg`` unless it
     ends in it, in any case) and its ``.csv`` twin, as ``check_outputs`` targets."""
     path = os.fspath(path)
-    if not path:  # it would name '.svg'; refuse it as an empty target
+    if os.path.basename(path) in ("", ".", ".."):  # it would name '.svg' in a directory
         check_outputs([("the chart", path)], ())
     if path[-4:].lower() != ".svg":
         path += ".svg"

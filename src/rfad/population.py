@@ -217,15 +217,13 @@ def generate_population(spec: PopulationSpec = PopulationSpec(),
     for chunk in _simulate(config, _rng(seed), [material for _, material, _ in trials],
                            full_series=out_dir is not None):
         row, times = 0, chunk.times.tolist()
-        for flags, values in zip(chunk.responsive.tolist(),
-                                 _imputed(chunk.deltas, chunk.responsive).tolist()):
+        for flags, deltas in zip(chunk.responsive.tolist(), chunk.deltas.tolist()):
             subject, material, trial = next_trial()
-            fp = Fingerprint(values=dict(zip(FINGERS, values)),
-                             imputed={f: not flag for f, flag in zip(FINGERS, flags)},
-                             material_label=material)
+            fp = Fingerprint({f: d for f, d, flag in zip(FINGERS, deltas, flags) if flag},
+                             material)
             records.append(TrialRecord(f"S{subject + 1:02d}", material, fp))
             if out_dir is not None:
-                channels = [f for f, flag in zip(FINGERS, flags) if flag]
+                channels = list(fp.deltas)
                 write_log({ch: CodeSeries(times, codes) for ch, codes
                            in zip(channels, chunk.codes[row:row + len(channels)])},
                           os.path.join(out_dir, log_name(subject, material, trial)),
@@ -237,7 +235,7 @@ def generate_population(spec: PopulationSpec = PopulationSpec(),
 
 def _imputed(deltas: np.ndarray, responsive: np.ndarray) -> np.ndarray:
     """The five differential codes of each hand of a chunk, bit for bit
-    the values ``build_fingerprint`` gives: the chunk's ``deltas``, with
+    the values of its ``Fingerprint``: the chunk's ``deltas``, with
     the unresponsive fingers filled with the mean of the responsive ones.
     The sum is made by ``fingerprint.total`` over the columns, so that
     every hand's sum is added finger by finger, left to right from 0.0 (a

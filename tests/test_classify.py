@@ -7,7 +7,7 @@ import re
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rfad.classify import (MaterialClass, ReliabilityReport, TrialRecord, classify,
@@ -15,7 +15,7 @@ from rfad.classify import (MaterialClass, ReliabilityReport, TrialRecord, classi
                            save_records)
 from rfad.errors import DataError, UnclassifiableError
 from rfad.fingerprint import (Fingerprint, averaged_fingerprint, load_fingerprints,
-                              propagated_uncertainty, save_fingerprints)
+                              propagated_uncertainty, save_fingerprints, total)
 from rfad.hand import FINGERS
 
 CLASSES = [
@@ -26,9 +26,9 @@ CLASSES = [
 
 def record_of(subject, material, responsive):
     """The record of a trial in which the fingers flagged in ``responsive``
-    responded: its fingerprint's ``imputed`` flags are their negation, and
-    a trial in which none responded has no fingerprint."""
-    fp = (Fingerprint(dict.fromkeys(FINGERS, 10.0), {f: not responsive[f] for f in FINGERS})
+    responded: its fingerprint holds a code for each of them, and a trial
+    in which none responded has no fingerprint."""
+    fp = (Fingerprint({f: 10.0 for f in FINGERS if responsive[f]})
           if any(responsive.values()) else None)
     return TrialRecord(subject, material, fp)
 
@@ -225,8 +225,7 @@ class TestTrialRecord:
                 _load_one(tmp_path, _entry(responsive, _THUMB_FP))
 
     def test_responsive_are_the_fingers_not_imputed_in_finger_order(self):
-        fp = Fingerprint(values=dict.fromkeys(FINGERS, 10.0),
-                         imputed={f: f in ("II", "V") for f in reversed(FINGERS)})
+        fp = Fingerprint({f: 10.0 for f in reversed(FINGERS) if f not in ("II", "V")})
         record = TrialRecord("S01", "olive_oil", fp)
         assert list(record.responsive.items()) == [
             ("I", True), ("II", False), ("III", True), ("IV", True), ("V", False)]
@@ -250,27 +249,21 @@ class TestTrialRecord:
 
     @pytest.mark.parametrize("label", ["deionized_water", "olive_oil ", "Olive_oil"])
     def test_fingerprint_of_another_material_is_refused(self, label):
-        fp = Fingerprint(values=dict.fromkeys(FINGERS, 10.0),
-                         imputed=dict.fromkeys(FINGERS, False),
-                         material_label=label)
+        fp = Fingerprint(dict.fromkeys(FINGERS, 10.0), label)
         error = f"trial record of material 'olive_oil' holds a fingerprint of {label!r}"
         with pytest.raises(DataError, match=f"^{re.escape(error)}$"):
             TrialRecord("S01", "olive_oil", fp)
 
     @pytest.mark.parametrize("label", [None, "olive_oil"])
     def test_fingerprint_of_no_or_the_same_material_is_accepted(self, label):
-        fp = Fingerprint(values=dict.fromkeys(FINGERS, 10.0),
-                         imputed=dict.fromkeys(FINGERS, False),
-                         material_label=label)
+        fp = Fingerprint(dict.fromkeys(FINGERS, 10.0), label)
         record = TrialRecord("S01", "olive_oil", fp)
         assert record.fingerprint is fp
 
 
 class TestRecordPersistence:
     def test_round_trip(self, tmp_path):
-        fp = Fingerprint(values={f: 10.0 + i for i, f in enumerate(FINGERS)},
-                         imputed={f: f == "V" for f in FINGERS},
-                         material_label="olive_oil")
+        fp = Fingerprint({f: 10.0 + i for i, f in enumerate(FINGERS[:4])}, "olive_oil")
         records = [TrialRecord("S01", "olive_oil", fp),
                    _record(2, material="deionized_water", subject="S02")]
         path = tmp_path / "records.json"
@@ -340,11 +333,13 @@ _MASKS = st.lists(st.booleans(), min_size=len(FINGERS), max_size=len(FINGERS))
 
 @st.composite
 def _fingerprints(draw, labels=st.none() | _TEXT):
+    """A fingerprint; the mean of its codes is finite where it fills a finger,
+    as the constructor requires."""
     responsive = draw(_MASKS.filter(any))
-    return Fingerprint(values=dict(zip(FINGERS, draw(st.lists(_VALUES, min_size=5,
-                                                               max_size=5)))),
-                       imputed={f: not flag for f, flag in zip(FINGERS, responsive)},
-                       material_label=draw(labels))
+    values = draw(st.lists(_VALUES, min_size=5, max_size=5))
+    deltas = {f: v for f, v, flag in zip(FINGERS, values, responsive) if flag}
+    assume(all(responsive) or math.isfinite(total(deltas.values()) / len(deltas)))
+    return Fingerprint(deltas, draw(labels))
 
 
 @st.composite

@@ -741,6 +741,20 @@ class TestExport:
             f"rfad: {fps}: olive_oil: averaged value inf is not finite\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
 
+    @pytest.mark.parametrize("given", ["outdir/", ".", ".."],
+                             ids=["trailing-slash", "dot", "dot-dot"])
+    def test_directory_path_is_refused_as_the_chart(self, tmp_path, monkeypatch, capsys,
+                                                    given):
+        # each once named a file that is no chart: 'outdir/.svg', './.svg', '...svg'
+        work = tmp_path / "work"
+        (work / "outdir").mkdir(parents=True)
+        (work / "fps.json").write_text(json.dumps([_fp()]))
+        monkeypatch.chdir(work)
+        before = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
+        assert run("export", "fps.json", "-o", given) == 2
+        assert capsys.readouterr() == ("", f"rfad: {given}: is a directory, not a file\n")
+        assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == before
+
 
 def _as_record(fp):
     """A fingerprint that is also a trial record, so one list serves every command."""
@@ -897,6 +911,36 @@ class TestJsonFieldTypes:
         fps = tmp_path / "fps.json"
         fps.write_text(json.dumps([dict(_fp(), n_responsive=5.0)]))
         assert run("classify", "--fingerprints", str(fps)) == 0
+
+
+# Four values of 10.0 and an imputed V that is not their mean.
+_NOT_THE_MEAN_FP = dict(_fp(), material="olive_oil", values=dict(_fp()["values"], V=999.0),
+                        imputed={f: f == "V" for f in FINGERS}, n_responsive=4)
+
+
+class TestImputedValueIsTheMean:
+    """An imputed finger's value is the mean of the fingers not imputed: a
+    file that holds another value is refused where it is read, by the path
+    and the entry, not classified, drawn or counted with that value."""
+
+    @pytest.mark.parametrize("command, payload", [
+        ("classify", [_fp(), _NOT_THE_MEAN_FP]),
+        ("export", [_fp(), _NOT_THE_MEAN_FP]),
+        ("stats", [_as_record(_fp()), dict(_as_record(_NOT_THE_MEAN_FP),
+                                           responsive={f: f != "V" for f in FINGERS})]),
+    ], ids=["classify", "export", "stats-records"])
+    def test_imputed_value_not_the_mean_is_refused(self, tmp_path, capsys, command, payload):
+        given = tmp_path / "given.json"
+        given.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        argv = {"classify": ["classify", "--fingerprints", given],
+                "export": ["export", given, "-o", out],
+                "stats": ["stats", "--records", given, "-o", out]}[command]
+        assert run(*map(str, argv)) == 2
+        assert capsys.readouterr() == ("", (
+            f"rfad: {given}: entry 1: field 'values' of imputed finger V must be 10.0, "
+            f"the mean of the fingers not imputed, found 999.0\n"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["given.json"]
 
 
 class TestValuesNoFileCanHold:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from rfad.errors import DataError, HandUnreadError, UncalibratedChannelError
 from rfad.fingerprint import (CalibrationBaseline, ChannelReading, Fingerprint,
                               averaged_fingerprint, build_fingerprint,
-                              fingerprint_from_record, fingerprint_record, imputed_values,
+                              fingerprint_from_record, fingerprint_record,
                               load_baseline, load_fingerprints, pressure_uncertainty,
                               propagated_uncertainty, save_baseline, save_fingerprints, total)
 from rfad.hand import FINGERS
@@ -236,9 +236,9 @@ class TestAveragedFingerprint:
         values = {"I": 1e16, "II": 1.0, "III": 1.0, "IV": -1e16, "V": 0.5}
         assert total(values.values()) == 0.5
         assert math.fsum(values.values()) == 2.5
-        assert imputed_values(dict(list(values.items())[:4])) == [
+        assert list(Fingerprint(dict(list(values.items())[:4])).values.values()) == [
             1e16, 1.0, 1.0, -1e16, 0.0]
-        fp = Fingerprint(values=values, imputed=dict.fromkeys(FINGERS, False))
+        fp = Fingerprint(values)
         assert averaged_fingerprint(fp) == 0.5 / 5
         squares = [(0.3 * abs(v)) ** 2 for v in values.values()]
         folded = ((((0.0 + squares[0]) + squares[1]) + squares[2]) + squares[3]) + squares[4]
@@ -338,20 +338,72 @@ class TestSerialization:
 
 class TestFingerprintValidation:
     def test_must_cover_all_fingers(self):
-        with pytest.raises(DataError):
-            Fingerprint(values={"I": 1.0}, imputed={"I": False})
+        record = {"values": {"I": 1.0}, "imputed": {"I": False}, "n_responsive": 1}
+        with pytest.raises(DataError, match="^fingerprint must cover exactly the five fingers$"):
+            fingerprint_from_record(record)
+
+    def test_unknown_finger_is_refused(self):
+        with pytest.raises(DataError, match="^unknown finger 'VI' in fingerprint$"):
+            Fingerprint({"I": 1.0, "VI": 2.0})
 
     @pytest.mark.parametrize("imputed", [(), ("II",), ("I", "II", "III", "V")],
                              ids=["none", "one", "four"])
     def test_n_responsive_counts_the_fingers_not_imputed(self, imputed):
-        fp = Fingerprint(values=dict.fromkeys(FINGERS, 1.0),
-                         imputed={f: f in imputed for f in FINGERS})
+        fp = Fingerprint({f: 1.0 for f in FINGERS if f not in imputed})
         assert fp.n_responsive == 5 - len(imputed)
+        assert fp.imputed == {f: f in imputed for f in FINGERS}
 
     def test_every_finger_imputed_is_refused(self):
         with pytest.raises(DataError, match="^a fingerprint needs at least one finger "
                                             "not imputed$"):
-            Fingerprint(values=dict.fromkeys(FINGERS, 1.0), imputed=dict.fromkeys(FINGERS, True))
+            Fingerprint({})
+
+    @pytest.mark.parametrize("deltas", [{"I": 0.1, "II": 0.2, "III": 0.3},
+                                        {"III": 0.3, "II": 0.2, "I": 0.1}],
+                             ids=["finger-order", "reversed"])
+    def test_imputed_fingers_hold_the_mean_added_in_finger_order(self, deltas):
+        # Python 3.12's compensated sum, and 0.3 + 0.2 + 0.1, give 0.19999999999999998
+        fp = Fingerprint(deltas)
+        assert list(fp.deltas.items()) == [("I", 0.1), ("II", 0.2), ("III", 0.3)]
+        assert list(fp.values.values()) == [0.1, 0.2, 0.3] + [0.20000000000000004] * 2
+        assert fp.values["V"] == (0.1 + 0.2 + 0.3) / 3
+
+    @pytest.mark.parametrize("flags", [dict.fromkeys(FINGERS, 0), {"I": "false"}],
+                             ids=["numbers", "string"])
+    def test_record_whose_imputed_flags_are_not_booleans_is_refused(self, flags):
+        record = {"values": dict.fromkeys(FINGERS, 1.0),
+                  "imputed": {**dict.fromkeys(FINGERS, False), **flags}, "n_responsive": 5}
+        with pytest.raises(DataError, match="^imputed flags must be true or false: "):
+            fingerprint_from_record(record)
+
+    @pytest.mark.parametrize("code, value, found", [
+        (10.0, 999.0, "999.0"), (10.0, 10.000000000000002, "10.000000000000002"),
+        (10.0, None, "None"), (10.0, "10.0", "'10.0'"), (10.0, 10 ** 400, str(10 ** 400)),
+        # True == 1.0, yet no fingerprint value is a boolean
+        (1.0, True, "True")],
+        ids=["far", "one-ulp", "null", "string", "int-beyond-float", "boolean"])
+    def test_record_whose_imputed_value_is_not_the_mean_is_refused(self, code, value, found):
+        record = {"material": "olive_oil", "values": {**dict.fromkeys(FINGERS, code), "V": value},
+                  "imputed": {f: f == "V" for f in FINGERS}, "n_responsive": 4}
+        error = (f"field 'values' of imputed finger V must be {code!r}, the mean of the "
+                 f"fingers not imputed, found {found}")
+        with pytest.raises(DataError, match=f"^{re.escape(error)}$"):
+            fingerprint_from_record(record)
+
+    def test_record_keeps_only_the_values_of_the_fingers_not_imputed(self):
+        # an int equal to the mean is accepted, and the mean is kept in its place
+        record = {"material": None, "values": {"V": 25, "IV": 40, "III": 30, "II": 20, "I": 10},
+                  "imputed": {f: f == "V" for f in FINGERS}, "n_responsive": 4}
+        fp = fingerprint_from_record(record)
+        assert fp == Fingerprint({"I": 10, "II": 20, "III": 30, "IV": 40})
+        assert fp.values["V"] == 25.0 and type(fp.values["V"]) is float
+
+    def test_overflowing_mean_is_refused(self):
+        with pytest.raises(DataError, match="^fingerprint values must be finite numbers"):
+            Fingerprint({"I": 1.7976931348623157e308, "II": 1.7976931348623157e308})
+        # with no finger imputed, no mean is a value
+        fp = Fingerprint(dict.fromkeys(FINGERS, 1.7976931348623157e308))
+        assert averaged_fingerprint(fp) == math.inf
 
     @pytest.mark.parametrize("n_responsive, error", [
         (4, "field 'n_responsive' must be 5, the number of fingers not imputed, found 4"),
@@ -376,25 +428,19 @@ class TestFingerprintValidation:
                              ids=["10**400", "-10**400", "2**1024"])
     def test_int_beyond_the_float_range_is_refused(self, value):
         with pytest.raises(DataError, match="^fingerprint values must be finite numbers"):
-            Fingerprint(values={**dict.fromkeys(FINGERS, 1.0), "III": value},
-                        imputed=dict.fromkeys(FINGERS, False))
+            Fingerprint({**dict.fromkeys(FINGERS, 1.0), "III": value})
 
     def test_largest_int_a_float_holds_is_accepted(self):
-        fp = Fingerprint(values={**dict.fromkeys(FINGERS, 1.0), "III": 2 ** 1023},
-                         imputed=dict.fromkeys(FINGERS, False))
+        fp = Fingerprint({**dict.fromkeys(FINGERS, 1.0), "III": 2 ** 1023})
         assert fp.values["III"] == 2 ** 1023
 
     @pytest.mark.parametrize("label", [5, b"oil", "\ud800", "oil\udcff", ""])
     def test_material_label_must_be_utf8_text(self, label):
         message = f"material label {label!r} must be a non-empty string UTF-8 can encode"
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
-            Fingerprint(values=dict.fromkeys(FINGERS, 1.0),
-                        imputed=dict.fromkeys(FINGERS, False),
-                        material_label=label)
+            Fingerprint(dict.fromkeys(FINGERS, 1.0), label)
 
     @pytest.mark.parametrize("label", [None, "olive_oil", "\u00e9\u2603\U0001f600\x00"])
     def test_material_label_may_be_any_utf8_text(self, label):
-        fp = Fingerprint(values=dict.fromkeys(FINGERS, 1.0),
-                         imputed=dict.fromkeys(FINGERS, False),
-                         material_label=label)
+        fp = Fingerprint(dict.fromkeys(FINGERS, 1.0), label)
         assert fp.material_label == label

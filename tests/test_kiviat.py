@@ -13,9 +13,11 @@ SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
 def _fp(values, imputed=(), label=None):
-    vals = dict(zip(FINGERS, values))
-    imp = {f: f in imputed for f in FINGERS}
-    return Fingerprint(values=vals, imputed=imp, material_label=label)
+    """The fingerprint of ``values`` in finger order; each finger in ``imputed``
+    must hold the mean of the others, which the fingerprint derives."""
+    fp = Fingerprint({f: v for f, v in zip(FINGERS, values) if f not in imputed}, label)
+    assert list(fp.values.values()) == values
+    return fp
 
 
 def _polygon_area(points_attr):

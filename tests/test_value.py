@@ -28,7 +28,7 @@ from rfad.fluctuation import FluctuationModel
 from rfad.value import Value
 
 _CONFIG = load_config()
-_FP = Fingerprint({f: 10.0 for f in FINGERS}, {f: f == "V" for f in FINGERS}, "olive_oil")
+_FP = Fingerprint({f: 10.0 for f in FINGERS[:4]}, "olive_oil")
 _MATRIX = ImpedanceMatrix(np.eye(2) * (50 + 1j), frequency=867e6, port_labels=("a", "b"))
 
 # one value of each type, and its constructor's parameters without annotations
@@ -43,7 +43,7 @@ _VALUES = [
      "(ccd, per_finger_rates, joint_rates)"),
     (ChannelReading("I", 300.0, True), "(channel, code, responsive)"),
     (CalibrationBaseline({"I": 300.0}), "(codes)"),
-    (_FP, "(values, imputed, material_label=None)"),
+    (_FP, "(deltas, material_label=None)"),
     (_CONFIG, "(ic, ic_load, ic_sensitivity, antenna_models, transducer_gains, "
               "sawtooth_frequency, sample_period, window, estimator)"),
     (_CONFIG.ic, "(*, s_min, s_max)"),
