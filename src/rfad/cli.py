@@ -24,7 +24,7 @@ import functools
 import os
 import sys
 
-from .config import DEFAULT_POPULATION_SEED, load_config
+from .config import DEFAULT_POPULATION_SEED, check_seed, load_config
 from .errors import DataError, NumericalError, RfadError, UncalibratedChannelError
 from .files import check_outputs, json_text, write_json
 from .hand import FINGERS
@@ -48,8 +48,7 @@ def _cmd_simulate(args, config):
     from .materials import PERMITTIVITY, REFERENCE_LIQUIDS
     from .readlog import CodeSeries, write_series
     # channel k's seed is --seed + k: refuse a negative --seed whatever --channels
-    if args.seed < 0:
-        raise DataError(f"seed must be non-negative, got {args.seed}")
+    check_seed(args.seed)
     if args.material is not None and args.material not in REFERENCE_LIQUIDS:
         raise DataError(f"unknown reference material {args.material!r}; "
                         f"known: {sorted(REFERENCE_LIQUIDS)}")
@@ -155,7 +154,8 @@ def _cmd_stats(args, config):
     from .classify import (PopulationSpec, campaign_trials, load_records, log_name,
                            reliability_report)
     if args.generate:
-        # every output place is checked before the campaign runs, or numpy loads
+        # every output place, then the seed, is checked before the campaign runs,
+        # or numpy loads
         if args.log_dir is not None and not os.path.isdir(args.log_dir):
             raise DataError(f"--log-dir {args.log_dir}: not an existing directory")
         spec = PopulationSpec()
@@ -165,6 +165,7 @@ def _cmd_stats(args, config):
             for trial in campaign_trials(spec)]
         check_outputs(logs + [("--records-out", args.records_out), ("-o", args.output)],
                       [args.config])
+        check_seed(args.seed)
         from . import population as _population
         records = _population.generate_population(
             spec, seed=args.seed, config=config, out_dir=args.log_dir)

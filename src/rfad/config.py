@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Mapping
 
 from . import ic as _ic
 from .errors import DataError
-from .files import finite, read_text
+from .files import finite, read_text, setting_lines
 from .hand import FINGERS
 from .materials import PERMITTIVITY
 from .units import parse_complex_quantity, parse_quantity
@@ -32,6 +32,12 @@ DEFAULTS_RESOURCE = "defaults.cfg"
 
 # Seed of the default synthetic campaign (``rfad stats --generate``).
 DEFAULT_POPULATION_SEED = 20
+
+
+def check_seed(seed: int) -> None:
+    """Refuse a run's seed unless it is a non-negative integer."""
+    if seed < 0:
+        raise DataError(f"seed must be non-negative, got {seed}")
 
 
 def _above(parse, bound: float):
@@ -76,12 +82,8 @@ def default_config_text() -> str:
 
 
 def _entries(text: str, source: str):
-    """``(key, value, lineno)`` for each setting of ``text``, counting lines at
-    line feeds only (``str.splitlines`` also counts form feeds and more)."""
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    """``(key, value, lineno)`` for each setting of ``text``."""
+    for lineno, line in setting_lines(text):
         if "=" not in line:
             raise DataError(f"{source}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")

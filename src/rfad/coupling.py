@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, NumericalError, SingularMatrixError
-from .files import csv_text, is_utf8_text, read_text, write_text
+from .files import csv_text, is_utf8_text, read_text, setting_lines, write_text
 from .hand import FINGERS
 from .units import parse_quantity
 from .value import Value, _set
@@ -191,10 +191,7 @@ def load_impedance_matrix(path) -> ImpedanceMatrix:
     """
     header = {}  # the value of each header key, which may be given once
     rows, linenos = [], []  # the entries of each matrix row, and its line
-    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in setting_lines(read_text(path)):
         if "=" in line and not rows:
             key, _, value = line.partition("=")
             key = key.strip()

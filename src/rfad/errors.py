@@ -41,10 +41,6 @@ class NotConvergedError(NumericalError):
         self.delta = delta
 
 
-class HandUnreadError(DataError):
-    """No channel of the hand produced a reading."""
-
-
 class UncalibratedChannelError(DataError):
     """A channel that produced a reading has no code in the calibration baseline."""
 

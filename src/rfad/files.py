@@ -101,6 +101,16 @@ def read_text(path) -> str:
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def setting_lines(text: str):
+    """``(lineno, line)`` for each line of a settings text that holds more
+    than a ``#`` comment, the comment cut and the line stripped. Lines are
+    counted at line feeds only (``str.splitlines`` also counts form feeds
+    and more), so an error names the line an editor shows."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        if line := raw.split("#", 1)[0].strip():
+            yield lineno, line
+
+
 def is_utf8_text(value) -> bool:
     """Whether ``value`` is a str that UTF-8 can encode, as every file
     rfad writes must: a lone surrogate, which a JSON escape such as

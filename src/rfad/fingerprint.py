@@ -21,7 +21,7 @@ import operator
 import sys
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import DataError, HandUnreadError, UncalibratedChannelError
+from .errors import DataError, UncalibratedChannelError
 from .files import is_utf8_text, json_field, read_json, write_json
 from .hand import FINGERS
 from .ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
@@ -133,14 +133,13 @@ def build_fingerprint(readings: Sequence[ChannelReading],
     """Assemble a hand fingerprint, imputing unresponsive fingers.
 
     Each missing finger receives the mean differential code (air minus
-    touched) of the responsive ones and is flagged as imputed.
+    touched) of the responsive ones and is flagged as imputed; a hand in
+    which no finger responded is refused, as ``Fingerprint`` refuses it.
     """
     by_channel = {r.channel: r for r in readings}
     if set(by_channel) != set(FINGERS):
         raise DataError("need exactly one reading per finger I..V")
     responsive = [f for f in FINGERS if by_channel[f].responsive]
-    if not responsive:
-        raise HandUnreadError("no finger of the hand produced a reading")
     if uncalibrated := [f for f in responsive if f not in baseline.codes]:
         raise UncalibratedChannelError(f"no calibration baseline for channel {uncalibrated[0]}")
     deltas = {f: baseline.codes[f] - by_channel[f].code for f in responsive}

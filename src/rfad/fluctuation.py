@@ -4,9 +4,10 @@ presets, and numpy's normal stream, draw for draw.
 A freshly touched sensor shows a decaying transient, then settles into a
 sawtooth fluctuation (charge/discharge of the tuning capacitor during
 interrogation) on top of the material-dependent baseline. The series
-type, its estimator and window sizing live in ``rfad.readlog``; the
-campaign makes its series as arrays, with ``rfad.signal.synthesize_block``,
-and the tests hold its rows equal to ``synthesize_rows``'s.
+type, its estimator and window sizing live in ``rfad.readlog``. A
+series' time base, transient and sawtooth are made once, by
+``series_shape``, for ``synthesize_rows`` here and for the campaign's
+``rfad.signal.synthesize_block``, which draws only the noise as arrays.
 
 The noise of the series with seed ``s`` is
 ``numpy.random.default_rng(s).normal(0.0, sd, size=n)``, made here without
@@ -26,11 +27,7 @@ MIT licence); the data file carries both notices in full. Nothing in numpy's int
 promises this equality, so the tests pin it against numpy.
 
 Every float operation of numpy's C code is done here in the same order,
-and the wedge test calls the same C library ``exp``. The transient is the
-one place where a series is not numpy's bit for bit: ``math.exp`` and
-numpy's vectorized ``exp`` may differ in the last bit, which moves a
-transient by less than 1e-11 codes and, in every case the tests try, no
-rounded code.
+and the wedge test calls the same C library ``exp``.
 """
 
 from __future__ import annotations
@@ -103,6 +100,22 @@ def check_rows(model: FluctuationModel, duration: float, seeds, baselines) -> in
     return int(math.floor(duration / model.sample_period))
 
 
+def series_shape(model: FluctuationModel,
+                 k: int) -> tuple[list[float], list[float], list[float]]:
+    """The time base, transient and sawtooth of the first ``k`` samples of
+    a series under ``model``: what every row adds to its baseline, before
+    noise. Each value depends on its sample index only, so the first
+    ``k`` values of a longer series are these."""
+    times = [i * model.sample_period for i in range(k)]
+    transient = [model.transient_amplitude * math.exp(-t / model.transient_duration)
+                 for t in times]
+    # a slow fall from 1 to -1 and a sharp reset: the charge/discharge
+    # cycle of the tuning capacitor
+    phases = [t * model.sawtooth_frequency for t in times]
+    sawtooth = [model.sawtooth_amplitude * (-2.0 * (p - math.floor(p + 0.5))) for p in phases]
+    return times, transient, sawtooth
+
+
 def synthesize_rows(model: FluctuationModel, duration: float, seeds,
                     baselines) -> tuple[list[float], list[list[int]]]:
     """Sensor-code series of several channels that share one time base.
@@ -113,15 +126,7 @@ def synthesize_rows(model: FluctuationModel, duration: float, seeds,
     ``rfad.signal.synthesize_block``. Returns ``(times, rows)``.
     """
     n = check_rows(model, duration, seeds, baselines)
-    times = [i * model.sample_period for i in range(n)]
-    transient = [model.transient_amplitude * math.exp(-t / model.transient_duration)
-                 for t in times]
-    sawtooth = []
-    for t in times:
-        # a slow fall from 1 to -1 and a sharp reset: the charge/discharge
-        # cycle of the tuning capacitor
-        phase = t * model.sawtooth_frequency
-        sawtooth.append(model.sawtooth_amplitude * (-2.0 * (phase - math.floor(phase + 0.5))))
+    times, transient, sawtooth = series_shape(model, n)
     rows = []
     sd, inf = model.noise_sd, math.inf
     for seed, base in zip(seeds, baselines):

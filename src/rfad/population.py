@@ -21,7 +21,7 @@ import numpy as np
 # they stay bound here for callers that simulate a campaign and persist it.
 from .classify import (MaterialClass, PopulationSpec, TrialRecord,  # noqa: F401
                        campaign_trials, classify, load_records, log_name, save_records)
-from .config import DEFAULT_POPULATION_SEED, SessionConfig, load_config
+from .config import DEFAULT_POPULATION_SEED, SessionConfig, check_seed, load_config
 from .errors import DataError
 from .fingerprint import Fingerprint, total
 from .fluctuation import material_fluctuation_model
@@ -56,9 +56,8 @@ _CHUNK_SAMPLES = 1 << 16
 
 
 def _rng(seed: int) -> np.random.Generator:
-    """The run's generator; a seed is a non-negative integer."""
-    if seed < 0:
-        raise DataError(f"seed must be non-negative, got {seed}")
+    """The run's generator, from a seed ``check_seed`` accepts."""
+    check_seed(seed)
     return np.random.default_rng(seed)
 
 

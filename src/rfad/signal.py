@@ -1,11 +1,12 @@
-"""Sensor-code time series as arrays: the campaign's rows and the
+"""Sensor-code time series as arrays: the campaign's noise and the
 spectrum, in numpy.
 
-The fluctuation model, its material presets and one series at a time
-live in the numpy-free ``rfad.fluctuation``, whose normal stream is
-numpy's; ``synthesize_block`` makes many rows at once with numpy's own
-generator. The series type, its estimator and window sizing live in
-the numpy-free ``rfad.readlog``.
+The fluctuation model, its material presets, a series' shape (time base,
+transient and sawtooth) and one series at a time live in the numpy-free
+``rfad.fluctuation``, whose normal stream is numpy's;
+``synthesize_block`` takes its shape from there and draws the noise of
+many rows at once with numpy's own generator. The series type, its
+estimator and window sizing live in the numpy-free ``rfad.readlog``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from .errors import DataError
 # numpy's SeedSequence constants, which pcg64_states applies to many seeds at once
 from .fluctuation import _HASH_A, _HASH_B, _MASK32, _MIX_LEFT, _MIX_RIGHT, _POOL_WORDS
-from .fluctuation import check_rows, pcg64_seeded
+from .fluctuation import check_rows, pcg64_seeded, pcg64_state, series_shape
 # the model and the series live in fluctuation; bench/workloads.py looks them up here
 from .fluctuation import (FluctuationModel, material_fluctuation_model,  # noqa: F401
                           synthesize_series)
@@ -24,13 +25,6 @@ from .ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
 from .readlog import CodeSeries, Estimator, estimate_window, minimum_samples  # noqa: F401
 
 _MIX_L, _MIX_R = np.uint32(_MIX_LEFT), np.uint32(_MIX_RIGHT)
-
-
-def _sawtooth(phase: np.ndarray) -> np.ndarray:
-    """Unit-amplitude sawtooth, a slow fall from 1 to -1 and a sharp reset:
-    the charge/discharge cycle of the tuning capacitor (the orientation
-    fixes only the sign convention, not the spectrum)."""
-    return -2.0 * (phase - np.floor(phase + 0.5))
 
 
 def _hash_constants(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -56,32 +50,29 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def pcg64_states(seeds) -> list[tuple[int, int]]:
     """``(state, inc)`` of ``np.random.PCG64(seed)`` for each non-negative
-    integer seed, all seeds hashed at once.
+    integer seed.
 
-    The hashing of ``rfad.fluctuation.pcg64_state``, each step done as
-    uint32 array arithmetic over all seeds, which wraps as numpy's C code
-    does; a seed's words past its highest non-zero word leave its pool as
-    it is. The equality with ``PCG64(seed).state`` is pinned by tests, not
-    implied by numpy's interface.
+    Where every seed is below 2**128, so that its words fill numpy's
+    ``SeedSequence`` pool of four, the hashing of
+    ``rfad.fluctuation.pcg64_state`` is done for all seeds at once, each
+    step as uint32 array arithmetic, which wraps as numpy's C code does. A
+    call with a wider seed, which takes numpy's extra mixing rounds, hands
+    each seed to ``pcg64_state``. The equality with ``PCG64(seed).state``
+    is pinned by tests, not implied by numpy's interface.
     """
     seeds = [int(seed) for seed in seeds]
-    width = max(_POOL_WORDS, -(-max(seeds, default=0).bit_length() // 32))
-    raw = b"".join(seed.to_bytes(4 * width, "little") for seed in seeds)
-    words = np.frombuffer(raw, dtype="<u4").reshape(len(seeds), width).T.astype(np.uint32)
-    pre, post = _hash_constants(*_HASH_A, _POOL_WORDS * width)
-    pool = _hashmix(words[:_POOL_WORDS], pre[:_POOL_WORDS], post[:_POOL_WORDS])
+    if max(seeds, default=0) >> 32 * _POOL_WORDS:
+        return [pcg64_state(seed) for seed in seeds]
+    raw = b"".join(seed.to_bytes(4 * _POOL_WORDS, "little") for seed in seeds)
+    words = np.frombuffer(raw, dtype="<u4").reshape(len(seeds), _POOL_WORDS).T.astype(np.uint32)
+    pre, post = _hash_constants(*_HASH_A, _POOL_WORDS * _POOL_WORDS)
+    pool = _hashmix(words, pre[:_POOL_WORDS], post[:_POOL_WORDS])
     step = _POOL_WORDS
     for src in range(_POOL_WORDS):
         dst = [i for i in range(_POOL_WORDS) if i != src]
         hashed = _hashmix(pool[src], pre[step:step + len(dst)], post[step:step + len(dst)])
         pool[dst] = _mix(pool[dst], hashed)
         step += len(dst)
-    for src in range(_POOL_WORDS, width):
-        hashed = _hashmix(words[src], pre[step:step + _POOL_WORDS],
-                          post[step:step + _POOL_WORDS])
-        # a seed's word count ends at its highest non-zero word
-        pool = np.where((words[src:] != 0).any(axis=0), _mix(pool, hashed), pool)
-        step += _POOL_WORDS
     pre, post = _hash_constants(*_HASH_B, 2 * _POOL_WORDS)
     state_words = _hashmix(np.tile(pool, (2, 1)), pre, post)
     # pairs of 32-bit words, low word first, make the 64-bit words
@@ -112,29 +103,25 @@ def synthesize_block(model: FluctuationModel, duration: float, seeds, baselines,
     Row ``i`` of the returned ``(rows, k)`` codes is row ``i`` of
     ``rfad.fluctuation.synthesize_rows``: the series ``synthesize_series``
     gives for ``model`` with its baseline replaced by ``baselines[i]`` and
-    seed ``seeds[i]``. With ``samples`` set, only
-    the first ``samples`` values of each series are made: the noise of row
-    ``i`` is ``default_rng(seeds[i]).normal(size=k)``, whose first values
-    do not depend on ``k`` (pinned by the tests), so the truncated rows
-    equal the leading columns of the full ones (see ``_normal_rows``).
-    Returns ``(times, codes)``.
+    seed ``seeds[i]``. Both take the time base, transient and sawtooth
+    from ``series_shape``; only the noise is drawn here, by
+    ``_normal_rows``. With ``samples`` set, only the first ``samples``
+    values of each series are made: the noise of row ``i`` is
+    ``default_rng(seeds[i]).normal(size=k)``, whose first values do not
+    depend on ``k`` (pinned by the tests), so the truncated rows equal the
+    leading columns of the full ones. Returns ``(times, codes)``.
 
     Every argument is checked, by ``check_rows``, before any array is
     allocated.
     """
     n = check_rows(model, duration, seeds, baselines)
     k = n if samples is None else max(0, min(samples, n))
-    t = np.arange(n) * model.sample_period
-    # computed over the full series, then cut, so that every value is the
-    # one the full series holds
-    transient = model.transient_amplitude * np.exp(-t / model.transient_duration)
-    sawtooth = model.sawtooth_amplitude * _sawtooth(t * model.sawtooth_frequency)
-    base = np.asarray(baselines)[:, None]
-    values = (base + transient[:k]) + sawtooth[:k]
+    times, transient, sawtooth = map(np.array, series_shape(model, k))
+    values = (np.asarray(baselines)[:, None] + transient) + sawtooth
     if model.noise_sd > 0:
         values = values + np.rint(_normal_rows(seeds, model.noise_sd, k))
     codes = np.clip(np.rint(values), CODE_STORAGE_MIN, CODE_STORAGE_MAX).astype(int)
-    return t[:k], codes
+    return times, codes
 
 
 def amplitude_spectrum(series: CodeSeries) -> tuple[np.ndarray, np.ndarray]:

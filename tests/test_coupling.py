@@ -491,6 +491,16 @@ class TestFileFormats:
         with pytest.raises(DataError, match=f"^{re.escape(f'{path}{error}')}$"):
             load_impedance_matrix(path)
 
+    @pytest.mark.parametrize("char", ["\f", "\x85", "\u2028"], ids=["ff", "nel", "line-sep"])
+    def test_line_numbers_count_line_feeds_only(self, tmp_path, char):
+        # str.splitlines also ends a line at each of these, which would read
+        # the second port label as a bad matrix row on line 4
+        path = tmp_path / "z.txt"
+        path.write_text(f"frequency = 867 MHz{char}\nports = I{char}II\n50+0j 1+0x\n"
+                        "1+0j 50+0j\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: bad complex"):
+            load_impedance_matrix(path)
+
     def test_load_requires_headers(self, tmp_path):
         path = tmp_path / "z.txt"
         path.write_text("1+0j\n")

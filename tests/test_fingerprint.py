@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from rfad.errors import DataError, HandUnreadError, UncalibratedChannelError
+from rfad.errors import DataError, UncalibratedChannelError
 from rfad.fingerprint import (CalibrationBaseline, ChannelReading, Fingerprint,
                               averaged_fingerprint, build_fingerprint,
                               fingerprint_from_record, fingerprint_record,
@@ -201,8 +201,9 @@ class TestBuildFingerprint:
         assert fp.n_responsive == 1
 
     def test_no_responsive_channel_raises(self):
-        with pytest.raises(HandUnreadError):
+        with pytest.raises(DataError) as exc:
             build_fingerprint(_readings({}), BASELINE)
+        assert str(exc.value) == "a fingerprint needs at least one finger not imputed"
 
     def test_requires_all_five_slots(self):
         readings = _readings({f: 140.0 for f in FINGERS})[:4]

@@ -59,9 +59,13 @@ class TestSeeding:
         assert pcg64_state(seed) == tuple(np.random.PCG64(seed).state["state"].values())
 
     def test_array_seeding_agrees(self):
-        # signal.pcg64_states hashes many seeds at once, in uint32 arrays
+        # signal.pcg64_states hashes seeds of up to four words at once, in
+        # uint32 arrays, and a batch with a wider seed one seed at a time
+        pool = [seed for words, group in _SEEDS_BY_WORDS.items() if words <= 4
+                for seed in group]
         seeds = [seed for group in _SEEDS_BY_WORDS.values() for seed in group]
-        assert pcg64_states(seeds) == [pcg64_state(seed) for seed in seeds]
+        for batch in (pool, seeds):
+            assert pcg64_states(batch) == [pcg64_state(seed) for seed in batch]
 
 
 class TestStandardNormal:

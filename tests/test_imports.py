@@ -12,8 +12,9 @@ runs: only ``export`` loads ``kiviat``, ``classify``, ``export`` and
 ``stats --records`` load no ``readlog``, and ``simulate``, which writes
 no baseline, loads no ``fingerprint``. The shipped defaults are read as
 any other file is, so start-up loads no ``importlib.resources``. Window
-sizing and the campaign's layout are pure Python too, so ``stats
---generate`` refuses a bad output place before it loads numpy. The value
+sizing, the campaign's layout and the seed check are pure Python too, so
+``stats --generate`` refuses a bad output place or seed before it loads
+numpy. The value
 types are plain slotted classes, so no command imports ``dataclasses``
 (which loads ``inspect``, ``ast`` and ``dis``) or runs the methods it
 writes, and a command without numpy, which loads ``inspect`` itself,
@@ -109,11 +110,13 @@ def test_window_sizing_and_campaign_layout_run_without_numpy(tmp_path):
     assert not _numpy_loaded(tmp_path, script)
 
 
-def test_refused_generate_loads_no_numpy(work):
-    # every output place of stats --generate is checked before the campaign's
-    # numpy is loaded
+@pytest.mark.parametrize("argv", [["--records-out", "missing/r.json"], ["--seed", "-1"]],
+                         ids=["output-place", "negative-seed"])
+def test_refused_generate_loads_no_numpy(work, argv):
+    # every output place of stats --generate, and its seed, is checked before
+    # the campaign's numpy is loaded
     script = ("from rfad.cli import main\n"
-              "assert main(['stats', '--generate', '--records-out', 'missing/r.json']) == 2")
+              f"assert main(['stats', '--generate', *{argv!r}]) == 2")
     assert not _numpy_loaded(work, script)
 
 

@@ -30,7 +30,6 @@ from rfad.population import (DEFAULT_CLASS_SDS, DEFAULT_COUNT_PROBS,
 from rfad.ic import CODE_STORAGE_MAX, CODE_STORAGE_MIN
 from rfad.readlog import estimate_window, load_code_series
 from rfad.fluctuation import material_fluctuation_model
-from rfad.signal import _sawtooth
 
 # ---------------------------------------------------------------------------
 # Oracle: the hand-by-hand chain as first written (one full series per
@@ -61,9 +60,10 @@ def _oracle_air_baseline(config):
 def _oracle_synthesize_codes(model, duration, seed):
     n = int(math.floor(duration / model.sample_period))
     t = np.arange(n) * model.sample_period
+    phase = t * model.sawtooth_frequency
     values = (model.baseline
               + model.transient_amplitude * np.exp(-t / model.transient_duration)
-              + model.sawtooth_amplitude * _sawtooth(t * model.sawtooth_frequency))
+              + model.sawtooth_amplitude * (-2.0 * (phase - np.floor(phase + 0.5))))
     if model.noise_sd > 0:
         rng = np.random.default_rng(seed)
         values = values + np.rint(rng.normal(0.0, model.noise_sd, size=n))

@@ -147,10 +147,11 @@ class TestNormalPrefix:
                 assert np.array_equal(short, full[:k]), (seed, k)
 
 
-# One seed word; two to four words (zero-padded to the pool of four);
-# more than four words, which take numpy's extra mixing rounds.
-_SEEDS = st.one_of(st.integers(0, 2 ** 31 - 1), st.integers(2 ** 32, 2 ** 128 - 1),
-                   st.integers(2 ** 128, 2 ** 300))
+# One seed word; two to four words (zero-padded to the pool of four),
+# which the array kernel hashes; more than four words, which take numpy's
+# extra mixing rounds and are hashed one seed at a time.
+_POOL_SEEDS = st.one_of(st.integers(0, 2 ** 31 - 1), st.integers(2 ** 32, 2 ** 128 - 1))
+_SEEDS = st.one_of(_POOL_SEEDS, st.integers(2 ** 128, 2 ** 300))
 
 
 class TestSeedingKernel:
@@ -158,21 +159,28 @@ class TestSeedingKernel:
     interface promises that it matches, so it is held to numpy here."""
 
     @settings(max_examples=300, deadline=None, database=None)
-    @given(st.lists(_SEEDS, max_size=6))
+    @given(st.one_of(st.lists(_POOL_SEEDS, max_size=6), st.lists(_SEEDS, max_size=6)))
     def test_equals_pcg64_state(self, seeds):
         got = pcg64_states(seeds)
         assert len(got) == len(seeds)
         for seed, (state, inc) in zip(seeds, got):
             assert np.random.PCG64(seed).state["state"] == {"state": state, "inc": inc}
 
-    def test_word_boundaries_in_one_batch(self):
-        seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 96,
-                 2 ** 128 - 1, 2 ** 128, 2 ** 160 - 1, 2 ** 160, 2 ** 200 + 5]
+    def test_word_boundaries_in_one_pool_batch(self):
+        # every seed fills the pool of four: the array kernel hashes the batch
+        seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 96 - 1, 2 ** 96,
+                 2 ** 128 - 1]
+        assert pcg64_states(seeds) == [
+            tuple(np.random.PCG64(seed).state["state"].values()) for seed in seeds]
+
+    def test_word_boundaries_in_one_wide_batch(self):
+        seeds = [0, 2 ** 128 - 1, 2 ** 128, 2 ** 160 - 1, 2 ** 160, 2 ** 200 + 5]
         assert pcg64_states(seeds) == [
             tuple(np.random.PCG64(seed).state["state"].values()) for seed in seeds]
 
     @settings(max_examples=100, deadline=None, database=None)
-    @given(st.lists(_SEEDS, max_size=4), st.integers(0, 40),
+    @given(st.one_of(st.lists(_POOL_SEEDS, max_size=4), st.lists(_SEEDS, max_size=4)),
+           st.integers(0, 40),
            st.sampled_from([0.0, 1e-300, 0.4, 0.8, 1.0, 1.5, 33.0]))
     def test_normal_rows_equal_default_rng(self, seeds, k, sd):
         rows = _normal_rows(seeds, sd, k)
