@@ -6,7 +6,8 @@ low/medium/high permittivity classes separated by fixed thresholds.
 records, which persist as JSON, it counts how many fingers of a hand
 respond (the CCD) and how often each finger responds, per material and
 over all trials. A campaign's layout is here too, without numpy: its
-shape, the order of its trials and the name of each trial's reader log.
+shape, the order of its trials, the name of each trial's reader log,
+and the length of its series, with the sample counts they must hold.
 """
 
 from __future__ import annotations
@@ -20,8 +21,13 @@ from .errors import DataError, UnclassifiableError
 from .files import is_utf8_text, json_field, read_json, write_json
 from .fingerprint import Fingerprint, fingerprint_from_record, fingerprint_record
 from .hand import FINGERS
+from .ic import MAX_SERIES_SAMPLES
 from .materials import REFERENCE_LIQUIDS
 from .value import Value, _set
+
+# Length of each trial's code series, in seconds.
+SERIES_DURATION = 70.0
+
 
 class MaterialClass(Value):
     """One permittivity class: label plus half-open interval [lower, upper).
@@ -94,6 +100,17 @@ def campaign_trials(spec: PopulationSpec) -> Iterator[tuple[int, str, int]]:
     """``(subject, material, trial)`` of each trial of the campaign, in the
     order it runs them: by subject, then material, then trial."""
     return product(range(spec.subjects), spec.materials, range(spec.trials))
+
+
+def check_series(sample_period: float, window: int) -> None:
+    """Refuse a session unless the campaign's series, ``SERIES_DURATION`` s
+    at ``sample_period``, hold from ``window`` to ``MAX_SERIES_SAMPLES`` samples."""
+    count = SERIES_DURATION / sample_period
+    if not window <= count <= MAX_SERIES_SAMPLES:
+        held = math.floor(count) if count <= MAX_SERIES_SAMPLES else f"over {MAX_SERIES_SAMPLES}"
+        raise DataError(f"the campaign's {SERIES_DURATION:g} s series hold {held} samples at "
+                        f"sample_period = {sample_period:g} s; they must hold from "
+                        f"window = {window} to {MAX_SERIES_SAMPLES}")
 
 
 class ReliabilityReport(Value):

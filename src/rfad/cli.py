@@ -151,11 +151,11 @@ def _cmd_coupling(args, config):
 
 
 def _cmd_stats(args, config):
-    from .classify import (PopulationSpec, campaign_trials, load_records, log_name,
-                           reliability_report)
+    from .classify import (PopulationSpec, campaign_trials, check_series, load_records,
+                           log_name, reliability_report)
     if args.generate:
-        # every output place, then the seed, is checked before the campaign runs,
-        # or numpy loads
+        # every output place, then the seed, then the series the config gives,
+        # is checked before the campaign runs, or numpy loads
         if args.log_dir is not None and not os.path.isdir(args.log_dir):
             raise DataError(f"--log-dir {args.log_dir}: not an existing directory")
         spec = PopulationSpec()
@@ -166,6 +166,7 @@ def _cmd_stats(args, config):
         check_outputs(logs + [("--records-out", args.records_out), ("-o", args.output)],
                       [args.config])
         check_seed(args.seed)
+        check_series(config.sample_period, config.window)
         from . import population as _population
         records = _population.generate_population(
             spec, seed=args.seed, config=config, out_dir=args.log_dir)

@@ -58,7 +58,8 @@ def _replacing(path):
     line endings as written)."""
     check_output_dir(path)
     # Not tempfile.mkstemp: its 0600 mode would differ from open(path, "w").
-    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    # A name of fixed length, so that any name the file system takes can be written.
+    tmp = os.path.join(os.path.dirname(os.fspath(path)), f".rfad-{os.urandom(6).hex()}.tmp")
     fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
         with fh:

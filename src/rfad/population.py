@@ -19,7 +19,7 @@ import numpy as np
 
 # The record files and the campaign's layout live in the numpy-free classify;
 # they stay bound here for callers that simulate a campaign and persist it.
-from .classify import (MaterialClass, PopulationSpec, TrialRecord,  # noqa: F401
+from .classify import (SERIES_DURATION, MaterialClass, PopulationSpec, TrialRecord,  # noqa: F401
                        campaign_trials, classify, load_records, log_name, save_records)
 from .config import DEFAULT_POPULATION_SEED, SessionConfig, check_seed, load_config
 from .errors import DataError
@@ -44,9 +44,6 @@ DEFAULT_CLASS_SDS = {"olive_oil": 5.0, "ethyl_alcohol": 11.0, "deionized_water":
 
 # SD of each responsive channel's own pressure jitter, in codes.
 CHANNEL_JITTER_SD = 2.0
-
-# Length of each trial's code series, in seconds.
-SERIES_DURATION = 70.0
 
 # Most series samples one material block of a chunk of hands holds. A
 # chunk takes as many hands as fit at five channels each, so memory stays
@@ -126,14 +123,11 @@ def _simulate(config: SessionConfig, rng: np.random.Generator, materials: Sequen
     draw is taken as ``0.0 + sd * standard_normal()``, the value and the
     stream of ``normal(0.0, sd)``. Each series seed is the value of
     ``integers(2 ** 31)``, which on PCG64 is ``next_uint32() >> 1``
-    (Lemire's method never rejects a range of 2**31): the low half of a
-    fresh 64-bit word from ``random_raw``, whose high half the generator
-    keeps for its next 32-bit draw, or that kept half. No other draw
-    here reads the kept half, so each chunk reads it from
-    ``bit_generator.state`` once and writes it back after its draws. The
-    series themselves come from their own seeds, so they are made after
-    the draws of a chunk of hands, one ``synthesize_block`` per material;
-    without ``full_series`` only the estimation window is made.
+    (Lemire's method never rejects a range of 2**31), drawn through the
+    generator's ``ctypes`` interface. The series themselves come from
+    their own seeds, so they are made after the draws of a chunk of
+    hands, one ``synthesize_block`` per material; without
+    ``full_series`` only the estimation window is made.
     """
     # per-run constants of the sensing chain: they depend only on the
     # config and the touched material, never on a draw
@@ -155,11 +149,10 @@ def _simulate(config: SessionConfig, rng: np.random.Generator, materials: Sequen
     class_sds, jitter_sd = DEFAULT_CLASS_SDS, CHANNEL_JITTER_SD
     samples = None if full_series else config.window
     size = _chunk_hands(config, full_series)
-    bits = rng.bit_generator
+    bits = rng.bit_generator.ctypes
+    next_uint32, state = bits.next_uint32, bits.state
     for start in range(0, len(materials), size):
         names = materials[start:start + size]
-        state = bits.state
-        kept, upper = state["has_uint32"], state["uinteger"]
         # hand * 5 + finger of each series row of the chunk, in row order;
         # per material, its rows, their target codes and their seeds
         positions = []
@@ -172,18 +165,9 @@ def _simulate(config: SessionConfig, rng: np.random.Generator, materials: Sequen
                 jitter = 0.0 + jitter_sd * rng.standard_normal()
                 target = round(touched[material][finger] - hand_offset - jitter)
                 targets.append(min(max(target, s_min), s_max))
-                if kept:
-                    seeds.append(upper >> 1)
-                else:
-                    word = bits.random_raw()
-                    seeds.append((word & 0xFFFFFFFF) >> 1)
-                    upper = word >> 32
-                kept ^= 1
+                seeds.append(next_uint32(state) >> 1)
                 rows.append(len(positions))
                 positions.append(hand * len(FINGERS) + finger)
-        state = bits.state
-        state["has_uint32"], state["uinteger"] = kept, upper
-        bits.state = state
         codes = None
         for material, (rows, targets, seeds) in blocks.items():
             times, block = synthesize_block(fluctuation[material],

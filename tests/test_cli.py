@@ -132,6 +132,12 @@ class TestSimulate:
         assert [list(series[ch].codes) for ch in channels] == codes.tolist()
         assert all(list(series[ch].times) == times.tolist() for ch in channels)
 
+    def test_longest_output_name_is_written(self, tmp_path):
+        out = tmp_path / ("a" * 251 + ".csv")
+        assert run("simulate", "--baseline", "300", "--duration", "7", "-o", str(out)) == 0
+        assert set(load_code_series(out)) == set(FINGERS)
+        assert os.listdir(tmp_path) == [out.name]
+
     def test_channel_subset(self, tmp_path):
         out = tmp_path / "two.csv"
         assert run("simulate", "--channels", "II", "V", "-o", str(out)) == 0
@@ -509,6 +515,33 @@ class TestStats:
         assert run("stats", "--generate", "--seed", "-1", "--records-out", str(records)) == 2
         assert capsys.readouterr().err == "rfad: seed must be non-negative, got -1\n"
         assert not records.exists()
+
+    @pytest.mark.parametrize("setting, error", [
+        ("window = 200", "the campaign's 70 s series hold 100 samples at sample_period = "
+                         "0.7 s; they must hold from window = 200 to 1000000"),
+        ("sample_period = 100 s", "the campaign's 70 s series hold 0 samples at "
+                                  "sample_period = 100 s; they must hold from window = 10 "
+                                  "to 1000000"),
+        ("sample_period = 10 us", "the campaign's 70 s series hold over 1000000 samples at "
+                                  "sample_period = 1e-05 s; they must hold from window = 10 "
+                                  "to 1000000"),
+    ], ids=["window", "long-period", "short-period"])
+    def test_config_the_campaign_cannot_run_is_refused_by_its_keys(
+            self, tmp_path, capsys, monkeypatch, setting, error):
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text(setting + "\n")
+        monkeypatch.setattr(population, "generate_population",
+                            lambda *a, **kw: pytest.fail("simulation started"))
+        out = tmp_path / "report.json"
+        assert run("--config", str(cfg), "stats", "--generate", "-o", str(out)) == 2
+        assert capsys.readouterr().err == f"rfad: {error}\n"
+        assert os.listdir(tmp_path) == ["session.cfg"]
+
+    def test_window_of_every_campaign_sample_runs(self, tmp_path):
+        # 70 s at the default 0.7 s sample period is 100 samples
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text("window = 100\n")
+        assert run("--config", str(cfg), "stats", "--generate") == 0
 
     @pytest.mark.parametrize("flag", ["--records-out", "-o"])
     def test_missing_output_directory_exits_before_simulating(self, tmp_path, capsys,

@@ -105,6 +105,13 @@ class TestWriter:
             assert os.listdir(stale) == []
             stale.rmdir()
 
+    def test_longest_name_is_written(self, tmp_path):
+        # the temporary file's name does not grow with the target's
+        target = tmp_path / ("a" * 251 + ".csv")
+        write_text(target, "a,b\n")
+        assert target.read_bytes() == b"a,b\n"
+        assert os.listdir(tmp_path) == [target.name]
+
     def test_failed_write_keeps_target_and_cleans_up(self, tmp_path):
         target = tmp_path / "out.csv"
         target.write_bytes(b"old\n")

@@ -110,13 +110,18 @@ def test_window_sizing_and_campaign_layout_run_without_numpy(tmp_path):
     assert not _numpy_loaded(tmp_path, script)
 
 
-@pytest.mark.parametrize("argv", [["--records-out", "missing/r.json"], ["--seed", "-1"]],
-                         ids=["output-place", "negative-seed"])
+@pytest.mark.parametrize("argv", [
+    ["stats", "--generate", "--records-out", "missing/r.json"],
+    ["stats", "--generate", "--seed", "-1"],
+    ["--config", "window.cfg", "stats", "--generate"],
+    ["--config", "period.cfg", "stats", "--generate"],
+], ids=["output-place", "negative-seed", "config-window", "config-sample-period"])
 def test_refused_generate_loads_no_numpy(work, argv):
-    # every output place of stats --generate, and its seed, is checked before
-    # the campaign's numpy is loaded
-    script = ("from rfad.cli import main\n"
-              f"assert main(['stats', '--generate', *{argv!r}]) == 2")
+    # every output place of stats --generate, its seed, and the series its
+    # config gives the campaign, are checked before the campaign's numpy is loaded
+    (work / "window.cfg").write_text("window = 200\n")
+    (work / "period.cfg").write_text("sample_period = 100 s\n")
+    script = f"from rfad.cli import main\nassert main({argv!r}) == 2"
     assert not _numpy_loaded(work, script)
 
 

@@ -328,7 +328,8 @@ class TestStreamPreservation:
     @pytest.mark.parametrize("full_series", [False, True])
     def test_seed_draw_takes_the_half_word_kept_on_entry(self, full_series):
         """The generator holds the upper half of a 64-bit word when
-        ``_simulate`` starts: the first series seed is drawn from it."""
+        ``_simulate`` starts: the first series seed is that half, as the
+        oracle's ``integers(2 ** 31)`` takes it."""
         config = load_config()
         materials = [REFERENCE_LIQUIDS[i % 3] for i in range(40)]
         oracle_rng, rng = np.random.default_rng(12), np.random.default_rng(12)
@@ -343,8 +344,9 @@ class TestStreamPreservation:
     @pytest.mark.parametrize("full_series", [False, True])
     def test_chunks_that_end_on_a_kept_half_word(self, monkeypatch, full_series):
         """Chunks of three hands, some of which end after an odd number of
-        seed draws: each writes the kept half back, and after each chunk
-        the generator is where the oracle is after the same hands."""
+        seed draws, so that the next chunk starts on a kept half word:
+        after each chunk the generator is where the oracle is after the
+        same hands."""
         config = load_config()
         row = population.SERIES_DURATION / config.sample_period if full_series else config.window
         monkeypatch.setattr(population, "_CHUNK_SAMPLES", int(3 * len(FINGERS) * row))
@@ -359,6 +361,27 @@ class TestStreamPreservation:
             assert state == oracle_rng.bit_generator.state
             kept.append(state["has_uint32"])
         assert len(kept) == 20 and 0 in kept and 1 in kept
+
+    @pytest.mark.parametrize("full_series", [False, True])
+    def test_each_run_draws_from_its_own_generator(self, monkeypatch, full_series):
+        """Two runs on two generators, advanced in turn chunk by chunk:
+        each run's seeds come from its own generator, so each equals its
+        oracle and leaves its generator where its oracle's is."""
+        config = load_config()
+        row = population.SERIES_DURATION / config.sample_period if full_series else config.window
+        monkeypatch.setattr(population, "_CHUNK_SAMPLES", int(3 * len(FINGERS) * row))
+        materials = [REFERENCE_LIQUIDS[i % 3] for i in range(30)]
+        runs = [(np.random.default_rng(seed), np.random.default_rng(seed)) for seed in (3, 4)]
+        chunks = [_simulate(config, rng, materials, full_series=full_series)
+                  for rng, _ in runs]
+        hands = [iter(materials), iter(materials)]
+        for pair in zip(*chunks):
+            for chunk, (_, oracle_rng), run_hands in zip(pair, runs, hands):
+                for hand in _per_hand([chunk]):
+                    _assert_oracle_hand(hand, next(run_hands), oracle_rng, config)
+        assert [next(run_hands, None) for run_hands in hands] == [None, None]
+        for rng, oracle_rng in runs:
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     @pytest.mark.parametrize("sd", [0.0, 1e-300, 0.37, 2.0, 5.0, 11.0, 33.0])
     def test_scaled_standard_normal_is_the_normal_draw(self, sd):
